@@ -3,13 +3,14 @@
 //! matching. These complement the experiment binaries (which reproduce the paper's tables
 //! and figures end to end).
 
-use bytebrain::distance::ClusterProfile;
+use bytebrain::distance::{ClusterProfile, DenseProfile, TokenTable};
 use bytebrain::matcher::match_record;
 use bytebrain::train::train;
 use bytebrain::TrainConfig;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use datasets::LabeledDataset;
 use logtok::{hash_token, EncodedLog, OrdinalEncoder, Preprocessor, Tokenizer};
+use std::hint::black_box;
 
 fn sample_records(n: usize) -> Vec<String> {
     LabeledDataset::loghub2("HDFS", n).records
@@ -93,6 +94,19 @@ fn bench_distance(c: &mut Criterion) {
     ]);
     c.bench_function("positional_similarity_distance", |b| {
         b.iter(|| profile.distance(&candidate, true))
+    });
+
+    // The same evaluation on the trainer's kernel: the candidate is the table's last row.
+    let table = TokenTable::intern(7, logs.iter().chain([&candidate]));
+    let mut dense = DenseProfile::default();
+    dense.reset(&table);
+    for row in 0..logs.len() {
+        dense.add(table.row(row), table.weight(row));
+    }
+    dense.seal(true);
+    let candidate_row = table.row(logs.len());
+    c.bench_function("positional_similarity_distance_dense", |b| {
+        b.iter(|| dense.distance(black_box(candidate_row)))
     });
 }
 

@@ -6,14 +6,21 @@
 //! a cluster's saturation fails to improve on its parent. Nodes stop splitting when their
 //! saturation reaches the target (§4.5), when an early-stop rule applies (§4.7), or when a
 //! split cannot separate the members any further.
+//!
+//! The group's token hashes are interned once into a [`TokenTable`]; each node being
+//! split re-interns its own rows, so the flat count tables of its clusters are sized by
+//! the node's token cardinality and shrink as the tree deepens. Nothing below the
+//! interning hashes a token, and a cluster's statistics are counted once: the profile the
+//! split ends with is the profile its child node is rendered from.
 
 use crate::config::TrainConfig;
-use crate::distance::ClusterProfile;
+use crate::distance::{DenseProfile, TokenTable};
 use crate::saturation::{breakdown, saturation};
 use crate::tree::TemplateToken;
 use logtok::UniqueLog;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Ordering;
 
 /// A node of the per-group clustering tree, using indices local to the group.
 #[derive(Debug, Clone)]
@@ -34,29 +41,46 @@ pub struct LocalNode {
     pub log_count: u64,
 }
 
+/// One cluster of a split: its members plus the statistics its node is rendered from.
+struct Cluster {
+    members: Vec<usize>,
+    /// Per position: number of distinct tokens among the members.
+    distinct: Vec<u32>,
+    log_count: u64,
+}
+
 /// Build the clustering tree for one initial group. `logs` are the group's unique logs
 /// (all with the same token count); the returned vector's first element is the root.
-pub fn cluster_group(logs: &[UniqueLog], config: &TrainConfig, seed: u64) -> Vec<LocalNode> {
+pub fn cluster_group(logs: &[&UniqueLog], config: &TrainConfig, seed: u64) -> Vec<LocalNode> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let all_members: Vec<usize> = (0..logs.len()).collect();
-    let mut nodes: Vec<LocalNode> = Vec::new();
-    let root = make_node(logs, all_members, None, 0, config);
-    nodes.push(root);
+    let positions = logs.first().map_or(0, |log| log.encoded.len());
+    let mut splitter = Splitter {
+        group: TokenTable::intern(positions, logs.iter().map(|log| &log.encoded)),
+        config,
+        node: TokenTable::default(),
+        remap: Vec::new(),
+        profiles: Vec::new(),
+        spare: Vec::new(),
+        distances: Vec::new(),
+    };
+    let root = Cluster {
+        members: (0..logs.len()).collect(),
+        distinct: splitter.group.distinct().to_vec(),
+        log_count: splitter.group.total_weight(),
+    };
+    let mut nodes = vec![make_node(logs, root, None, 0, config)];
     let mut work = vec![0usize];
 
     while let Some(node_idx) = work.pop() {
-        let (members, node_saturation, depth) = {
-            let n = &nodes[node_idx];
-            (n.members.clone(), n.saturation, n.depth)
-        };
-        if members.len() <= 1
+        let node = &nodes[node_idx];
+        let (node_saturation, depth) = (node.saturation, node.depth);
+        if node.members.len() <= 1
             || node_saturation >= config.saturation_target
             || depth >= config.max_depth
         {
             continue;
         }
-        let Some(clusters) = split_members(logs, &members, node_saturation, config, &mut rng)
-        else {
+        let Some(clusters) = splitter.split(&node.members, node_saturation, &mut rng) else {
             continue;
         };
         for cluster in clusters {
@@ -76,230 +100,264 @@ pub fn cluster_group(logs: &[UniqueLog], config: &TrainConfig, seed: u64) -> Vec
     nodes
 }
 
-/// Construct a node (template + saturation) for a set of member logs.
+/// Construct a node (template + saturation) for a cluster: constant positions keep their
+/// token text, others become wildcards.
 fn make_node(
-    logs: &[UniqueLog],
-    members: Vec<usize>,
+    logs: &[&UniqueLog],
+    cluster: Cluster,
     parent: Option<usize>,
     depth: usize,
     config: &TrainConfig,
 ) -> LocalNode {
-    let num_positions = members.first().map(|&i| logs[i].encoded.len()).unwrap_or(0);
-    let profile =
-        ClusterProfile::from_logs(num_positions, members.iter().map(|&i| &logs[i].encoded));
-    let node_saturation = saturation(&profile, &config.ablation);
-    let template = render_template(logs, &members, &profile);
-    let log_count = members.iter().map(|&i| logs[i].encoded.count).sum();
+    let template = match cluster.members.first() {
+        Some(&first) => logs[first]
+            .encoded
+            .tokens
+            .iter()
+            .zip(&cluster.distinct)
+            .map(|(token, &distinct)| {
+                if distinct <= 1 {
+                    TemplateToken::Const(token.clone())
+                } else {
+                    TemplateToken::Wildcard
+                }
+            })
+            .collect(),
+        None => Vec::new(),
+    };
     LocalNode {
-        members,
+        saturation: saturation(&cluster.distinct, cluster.members.len(), &config.ablation),
+        members: cluster.members,
         parent,
         children: Vec::new(),
-        saturation: node_saturation,
         depth,
         template,
-        log_count,
+        log_count: cluster.log_count,
     }
 }
 
-/// Render the template of a member set: constant positions keep their token text, others
-/// become wildcards.
-fn render_template(
-    logs: &[UniqueLog],
-    members: &[usize],
-    profile: &ClusterProfile,
-) -> Vec<TemplateToken> {
-    let Some(&first) = members.first() else {
-        return Vec::new();
-    };
-    let example = &logs[first].encoded;
-    (0..profile.num_positions())
-        .map(|i| {
-            if profile.distinct_at(i) <= 1 {
-                TemplateToken::Const(example.tokens[i].clone())
-            } else {
-                TemplateToken::Wildcard
+/// The single clustering process (§4.4) over one group, with the scratch it reuses from
+/// node to node.
+struct Splitter<'a> {
+    config: &'a TrainConfig,
+    /// Token ids of the whole group; row = index into the group's unique-log slice.
+    group: TokenTable,
+    /// Token ids of the node being split; row = slot in its member list.
+    node: TokenTable,
+    /// Scratch of [`TokenTable::project_into`].
+    remap: Vec<u32>,
+    /// The current clusters of the split in progress.
+    profiles: Vec<DenseProfile>,
+    /// Profiles not in use, kept for their allocations.
+    spare: Vec<DenseProfile>,
+    /// Per member slot: a distance, while looking for the farthest member.
+    distances: Vec<f64>,
+}
+
+impl Splitter<'_> {
+    /// Split a node. Returns the member partition, or `None` when the node should stay a
+    /// leaf (early stop, or no meaningful split exists).
+    fn split(
+        &mut self,
+        members: &[usize],
+        parent_saturation: f64,
+        rng: &mut StdRng,
+    ) -> Option<Vec<Cluster>> {
+        let config = self.config;
+        let ablation = &config.ablation;
+        if self.group.positions() == 0 {
+            return None;
+        }
+
+        // Early-stop rules (§4.7). (1) Few logs: two or fewer distinct logs form one
+        // cluster each.
+        if ablation.early_stopping && members.len() <= 2 {
+            return (members.len() == 2).then(|| self.singletons(members));
+        }
+        if members.len() <= 1 {
+            return None;
+        }
+        self.group
+            .project_into(members, &mut self.remap, &mut self.node);
+        if ablation.early_stopping {
+            let parts = breakdown(self.node.distinct(), members.len());
+            // (2) A single unresolved position cannot increase saturation by splitting.
+            if parts.unresolved.len() == 1 && parts.completely_distinct.is_empty() {
+                return None;
             }
-        })
-        .collect()
-}
-
-/// The single clustering process (§4.4). Returns the member partition, or `None` when the
-/// node should stay a leaf (early stop, or no meaningful split exists).
-fn split_members(
-    logs: &[UniqueLog],
-    members: &[usize],
-    parent_saturation: f64,
-    config: &TrainConfig,
-    rng: &mut StdRng,
-) -> Option<Vec<Vec<usize>>> {
-    let ablation = &config.ablation;
-    let num_positions = logs[members[0]].encoded.len();
-    if num_positions == 0 {
-        return None;
-    }
-    let parent_profile =
-        ClusterProfile::from_logs(num_positions, members.iter().map(|&i| &logs[i].encoded));
-
-    // Early-stop rules (§4.7).
-    if ablation.early_stopping {
-        // (1) Few logs: two or fewer distinct logs form one cluster each.
-        if members.len() <= 2 {
-            return if members.len() == 2 {
-                Some(vec![vec![members[0]], vec![members[1]]])
-            } else {
-                None
-            };
+            // (3) Completely distinct unresolved positions: every log is inherently its own
+            // cluster.
+            if !parts.unresolved.is_empty()
+                && parts.unresolved.len() == parts.completely_distinct.len()
+            {
+                return Some(self.singletons(members));
+            }
         }
-        let parts = breakdown(&parent_profile);
-        // (2) A single unresolved position cannot increase saturation by splitting.
-        if parts.unresolved.len() == 1 && parts.completely_distinct.is_empty() {
-            return None;
-        }
-        // (3) Completely distinct unresolved positions: every log is inherently its own
-        // cluster.
-        if !parts.unresolved.is_empty() && parts.unresolved.len() == parts.completely_distinct.len()
-        {
-            return Some(members.iter().map(|&m| vec![m]).collect());
-        }
-    } else if members.len() <= 1 {
-        return None;
-    }
+        let slots = members.len();
 
-    // --- K-Means-style refinement -------------------------------------------------------
-    // Seeding: first centre random; second centre farthest from the first (K-Means++-like)
-    // unless the ablation asks for random centroid selection.
-    let first = members[rng.gen_range(0..members.len())];
-    let second = if ablation.kmeanspp_centroids {
-        let seed_profile = ClusterProfile::from_logs(num_positions, [&logs[first].encoded]);
-        *members.iter().filter(|&&m| m != first).max_by(|&&a, &&b| {
-            let da = seed_profile.distance(&logs[a].encoded, ablation.position_importance);
-            let db = seed_profile.distance(&logs[b].encoded, ablation.position_importance);
-            da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-        })?
-    } else {
-        // Random distinct member.
-        let candidates: Vec<usize> = members.iter().copied().filter(|&m| m != first).collect();
-        if candidates.is_empty() {
-            return None;
+        // --- K-Means-style refinement ---------------------------------------------------
+        // Seeding: first centre random; second centre farthest from the first
+        // (K-Means++-like) unless the ablation asks for random centroid selection.
+        self.spare.append(&mut self.profiles);
+        let first = rng.gen_range(0..slots);
+        let first_seed = self.seed_profile(first);
+        let second = if ablation.kmeanspp_centroids {
+            // `max_by` keeps the last of equally distant members.
+            (0..slots)
+                .filter(|&slot| slot != first)
+                .map(|slot| (slot, first_seed.distance(self.node.row(slot))))
+                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal))?
+                .0
+        } else {
+            // Random distinct member.
+            let candidate = rng.gen_range(0..slots - 1);
+            candidate + usize::from(candidate >= first)
+        };
+        let second_seed = self.seed_profile(second);
+        self.profiles.push(first_seed);
+        self.profiles.push(second_seed);
+
+        let mut assignment: Vec<Option<usize>> = vec![None; slots];
+        let mut best: Vec<usize> = Vec::new();
+        for _iteration in 0..config.max_cluster_iters {
+            // Assignment step.
+            let mut changed = false;
+            let mut new_profiles: Vec<DenseProfile> = (0..self.profiles.len())
+                .map(|_| self.fresh_profile())
+                .collect();
+            for (slot, assigned) in assignment.iter_mut().enumerate() {
+                let row = self.node.row(slot);
+                best.clear();
+                let mut best_distance = f64::INFINITY;
+                for (cluster_idx, profile) in self.profiles.iter().enumerate() {
+                    if profile.is_empty() {
+                        continue;
+                    }
+                    let d = profile.distance(row);
+                    if d < best_distance - 1e-12 {
+                        best_distance = d;
+                        best.clear();
+                        best.push(cluster_idx);
+                    } else if (d - best_distance).abs() <= 1e-12 {
+                        best.push(cluster_idx);
+                    }
+                }
+                let chosen = if best.is_empty() {
+                    0
+                } else if best.len() == 1 || !ablation.balanced_grouping {
+                    best[0]
+                } else {
+                    // Balanced grouping (§4.6): break ties uniformly at random.
+                    best[rng.gen_range(0..best.len())]
+                };
+                if *assigned != Some(chosen) {
+                    changed = true;
+                    *assigned = Some(chosen);
+                }
+                new_profiles[chosen].add(row, self.node.weight(slot));
+            }
+            for profile in &mut new_profiles {
+                profile.seal(ablation.position_importance);
+            }
+            self.spare.append(&mut self.profiles);
+            self.profiles = new_profiles;
+
+            // Growth step: when a non-trivial cluster fails to improve on the parent's
+            // saturation, add a cluster seeded by the member farthest from every centre.
+            let needs_growth = ablation.ensure_saturation_increase
+                && self.profiles.iter().any(|profile| {
+                    profile.unique_count() > 1
+                        && saturation(profile.distinct(), profile.unique_count(), ablation)
+                            <= parent_saturation + 1e-12
+                });
+            let position_bound = self.node.positions() + 1;
+            if needs_growth && self.profiles.len() < position_bound.min(slots) {
+                self.distances.clear();
+                for slot in 0..slots {
+                    let row = self.node.row(slot);
+                    let nearest = self
+                        .profiles
+                        .iter()
+                        .filter(|profile| !profile.is_empty())
+                        .map(|profile| profile.distance(row))
+                        .fold(f64::INFINITY, f64::min);
+                    self.distances.push(nearest);
+                }
+                let farthest = (0..slots)
+                    .max_by(|&a, &b| {
+                        self.distances[a]
+                            .partial_cmp(&self.distances[b])
+                            .unwrap_or(Ordering::Equal)
+                    })
+                    .expect("members is non-empty");
+                let seed = self.seed_profile(farthest);
+                self.profiles.push(seed);
+                // Re-run assignment against the enlarged cluster set.
+                continue;
+            }
+            if !changed {
+                break;
+            }
         }
-        candidates[rng.gen_range(0..candidates.len())]
-    };
 
-    let mut profiles: Vec<ClusterProfile> = vec![
-        ClusterProfile::from_logs(num_positions, [&logs[first].encoded]),
-        ClusterProfile::from_logs(num_positions, [&logs[second].encoded]),
-    ];
-    let mut assignment: Vec<Option<usize>> = vec![None; members.len()];
-
-    for _iteration in 0..config.max_cluster_iters {
-        // Assignment step.
-        let mut changed = false;
-        let mut new_profiles: Vec<ClusterProfile> = profiles
+        // Materialise the partition, dropping empty clusters. `profiles[c]` holds exactly
+        // the members assigned to `c`: a seed pushed by a final growth step has none.
+        let mut clusters: Vec<Cluster> = self
+            .profiles
             .iter()
-            .map(|_| ClusterProfile::new(num_positions))
+            .map(|profile| Cluster {
+                members: Vec::new(),
+                distinct: profile.distinct().to_vec(),
+                log_count: profile.total_weight(),
+            })
             .collect();
-        for (slot, &member) in members.iter().enumerate() {
-            let log = &logs[member].encoded;
-            let mut best = Vec::new();
-            let mut best_distance = f64::INFINITY;
-            for (cluster_idx, profile) in profiles.iter().enumerate() {
-                if profile.is_empty() {
-                    continue;
-                }
-                let d = profile.distance(log, ablation.position_importance);
-                if d < best_distance - 1e-12 {
-                    best_distance = d;
-                    best.clear();
-                    best.push(cluster_idx);
-                } else if (d - best_distance).abs() <= 1e-12 {
-                    best.push(cluster_idx);
-                }
-            }
-            let chosen = if best.is_empty() {
-                0
-            } else if best.len() == 1 || !ablation.balanced_grouping {
-                best[0]
-            } else {
-                // Balanced grouping (§4.6): break ties uniformly at random.
-                best[rng.gen_range(0..best.len())]
-            };
-            if assignment[slot] != Some(chosen) {
-                changed = true;
-                assignment[slot] = Some(chosen);
-            }
-            new_profiles[chosen].add(log);
+        for (&member, assigned) in members.iter().zip(&assignment) {
+            clusters[assigned.unwrap_or(0)].members.push(member);
         }
-        profiles = new_profiles;
-
-        // Growth step: when a non-trivial cluster fails to improve on the parent's
-        // saturation, add a cluster seeded by the member farthest from every centre.
-        let mut needs_growth = false;
-        if ablation.ensure_saturation_increase {
-            for profile in &profiles {
-                if profile.unique_count() > 1
-                    && saturation(profile, ablation) <= parent_saturation + 1e-12
-                {
-                    needs_growth = true;
-                    break;
-                }
-            }
-        }
-        let position_bound = num_positions + 1;
-        if needs_growth && profiles.len() < position_bound.min(members.len()) {
-            let farthest = members
-                .iter()
-                .copied()
-                .max_by(|&a, &b| {
-                    let da =
-                        min_distance(&profiles, &logs[a].encoded, ablation.position_importance);
-                    let db =
-                        min_distance(&profiles, &logs[b].encoded, ablation.position_importance);
-                    da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .expect("members is non-empty");
-            profiles.push(ClusterProfile::from_logs(
-                num_positions,
-                [&logs[farthest].encoded],
-            ));
-            // Re-run assignment against the enlarged cluster set.
-            continue;
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Materialise the partition, dropping empty clusters.
-    let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); profiles.len()];
-    for (slot, &member) in members.iter().enumerate() {
-        let cluster = assignment[slot].unwrap_or(0);
-        clusters[cluster].push(member);
-    }
-    clusters.retain(|c| !c.is_empty());
-    if clusters.len() < 2 {
-        return None;
-    }
-    if config.ablation.ensure_saturation_increase {
-        // Reject splits that fail to improve any child: they would only deepen the tree
-        // without adding precision.
-        let improved = clusters.iter().any(|cluster| {
-            let profile =
-                ClusterProfile::from_logs(num_positions, cluster.iter().map(|&i| &logs[i].encoded));
-            saturation(&profile, ablation) > parent_saturation + 1e-12
-        });
-        if !improved {
+        clusters.retain(|cluster| !cluster.members.is_empty());
+        if clusters.len() < 2 {
             return None;
         }
+        if ablation.ensure_saturation_increase {
+            // Reject splits that fail to improve any child: they would only deepen the tree
+            // without adding precision.
+            let improved = clusters.iter().any(|cluster| {
+                saturation(&cluster.distinct, cluster.members.len(), ablation)
+                    > parent_saturation + 1e-12
+            });
+            if !improved {
+                return None;
+            }
+        }
+        Some(clusters)
     }
-    Some(clusters)
-}
 
-fn min_distance(profiles: &[ClusterProfile], log: &logtok::EncodedLog, importance: bool) -> f64 {
-    profiles
-        .iter()
-        .filter(|p| !p.is_empty())
-        .map(|p| p.distance(log, importance))
-        .fold(f64::INFINITY, f64::min)
+    /// Every member as its own cluster.
+    fn singletons(&self, members: &[usize]) -> Vec<Cluster> {
+        members
+            .iter()
+            .map(|&member| Cluster {
+                members: vec![member],
+                distinct: vec![1; self.group.positions()],
+                log_count: self.group.weight(member),
+            })
+            .collect()
+    }
+
+    /// An empty profile sized for the node being split.
+    fn fresh_profile(&mut self) -> DenseProfile {
+        let mut profile = self.spare.pop().unwrap_or_default();
+        profile.reset(&self.node);
+        profile
+    }
+
+    /// The profile of a cluster seeded with one member of the node being split.
+    fn seed_profile(&mut self, slot: usize) -> DenseProfile {
+        let mut profile = self.fresh_profile();
+        profile.add(self.node.row(slot), self.node.weight(slot));
+        profile.seal(self.config.ablation.position_importance);
+        profile
+    }
 }
 
 #[cfg(test)]
@@ -320,6 +378,10 @@ mod tests {
         TrainConfig::default()
     }
 
+    fn refs(logs: &[UniqueLog]) -> Vec<&UniqueLog> {
+        logs.iter().collect()
+    }
+
     #[test]
     fn fig5_set1_stays_a_single_node() {
         let logs = vec![
@@ -336,7 +398,7 @@ mod tests {
                 1,
             ),
         ];
-        let tree = cluster_group(&logs, &config(), 1);
+        let tree = cluster_group(&refs(&logs), &config(), 1);
         assert_eq!(tree.len(), 1, "a fully-saturated root must not split");
         assert!((tree[0].saturation - 1.0).abs() < 1e-9);
         assert_eq!(
@@ -371,7 +433,7 @@ mod tests {
                 1,
             ),
         ];
-        let tree = cluster_group(&logs, &config(), 1);
+        let tree = cluster_group(&refs(&logs), &config(), 1);
         assert!(tree.len() > 1, "the mixed set must split");
         // Children always have saturation >= their parent.
         for (idx, node) in tree.iter().enumerate() {
@@ -402,7 +464,7 @@ mod tests {
             unique(&["acquire", "lock", "5"], 5),
             unique(&["acquire", "lock", "6"], 5),
         ];
-        let tree = cluster_group(&logs, &config(), 3);
+        let tree = cluster_group(&refs(&logs), &config(), 3);
         // Some descendant must have the "release lock *" template and another "acquire lock *".
         let texts: Vec<String> = tree.iter().map(|n| n.template_text_for_test()).collect();
         assert!(
@@ -422,7 +484,7 @@ mod tests {
             unique(&["a", "x", "c"], 20),
             unique(&["a", "y", "z"], 30),
         ];
-        let tree = cluster_group(&logs, &config(), 5);
+        let tree = cluster_group(&refs(&logs), &config(), 5);
         assert_eq!(tree[0].log_count, 60);
         assert_eq!(tree[0].members.len(), 3);
         // Children partition the parent's members.
@@ -437,7 +499,7 @@ mod tests {
     #[test]
     fn single_log_group_is_one_leaf() {
         let logs = vec![unique(&["only", "log"], 1)];
-        let tree = cluster_group(&logs, &config(), 1);
+        let tree = cluster_group(&refs(&logs), &config(), 1);
         assert_eq!(tree.len(), 1);
         assert!(tree[0].children.is_empty());
         assert_eq!(tree[0].saturation, 1.0);
@@ -449,7 +511,7 @@ mod tests {
             unique(&["alpha", "beta"], 1),
             unique(&["gamma", "delta"], 1),
         ];
-        let tree = cluster_group(&logs, &config(), 1);
+        let tree = cluster_group(&refs(&logs), &config(), 1);
         // Early-stop rule 1: each log its own cluster (or stays one node if saturated).
         let leaves: Vec<&LocalNode> = tree.iter().filter(|n| n.children.is_empty()).collect();
         assert!(!leaves.is_empty());
@@ -468,7 +530,7 @@ mod tests {
             max_depth: 3,
             ..TrainConfig::default()
         };
-        let tree = cluster_group(&logs, &shallow, 7);
+        let tree = cluster_group(&refs(&logs), &shallow, 7);
         for node in &tree {
             assert!(node.depth <= 4);
         }
@@ -483,7 +545,7 @@ mod tests {
         ];
         let mut cfg = config();
         cfg.ablation.early_stopping = false;
-        let tree = cluster_group(&logs, &cfg, 11);
+        let tree = cluster_group(&refs(&logs), &cfg, 11);
         assert!(!tree.is_empty());
         assert!(tree.len() < 20);
     }
@@ -498,7 +560,7 @@ mod tests {
         ];
         let mut cfg = config();
         cfg.ablation.ensure_saturation_increase = false;
-        let tree = cluster_group(&logs, &cfg, 13);
+        let tree = cluster_group(&refs(&logs), &cfg, 13);
         for node in &tree {
             if !node.children.is_empty() {
                 let mut members: Vec<usize> = node
@@ -522,8 +584,8 @@ mod tests {
             unique(&["svc", "stop", "a"], 1),
             unique(&["svc", "stop", "b"], 1),
         ];
-        let t1 = cluster_group(&logs, &config(), 99);
-        let t2 = cluster_group(&logs, &config(), 99);
+        let t1 = cluster_group(&refs(&logs), &config(), 99);
+        let t2 = cluster_group(&refs(&logs), &config(), 99);
         assert_eq!(t1.len(), t2.len());
         for (a, b) in t1.iter().zip(t2.iter()) {
             assert_eq!(a.members, b.members);

@@ -14,11 +14,237 @@
 //! The weighted average `Σ w_i · f_i / Σ w_i` is a *similarity* in `[0, 1]`; the distance
 //! is its complement, and each log is assigned to the minimum-distance (maximum
 //! similarity) cluster.
+//!
+//! Two implementations live here. [`TokenTable`] + [`DenseProfile`] are the trainer's
+//! kernel: token hashes are interned once into dense ids, and a cluster's statistics are
+//! one flat count array indexed by id, so a distance evaluation hashes nothing.
+//! [`ClusterProfile`] is the readable `HashMap` rendering of the same equations, kept as
+//! the reference the property tests and the `micro` bench compare the kernel against.
 
 use logtok::EncodedLog;
 use std::collections::HashMap;
 
-/// Per-position token statistics of a cluster of equal-length logs.
+/// Dense token ids of a set of equal-length logs.
+///
+/// Every distinct (position, token) pair of the set gets one id in `0..id_count()`, so a
+/// [`DenseProfile`] over the table is a single `counts[id]` array. Rows are stored
+/// row-major (`ids[row × positions + pos]`).
+#[derive(Debug, Clone, Default)]
+pub struct TokenTable {
+    positions: usize,
+    ids: Vec<u32>,
+    /// Per row: the log's duplicate count.
+    weights: Vec<u64>,
+    /// Per position: number of distinct tokens among the rows.
+    distinct: Vec<u32>,
+    id_count: usize,
+}
+
+impl TokenTable {
+    /// Intern the token hashes of `logs` (all `positions` tokens long). This is the only
+    /// place the trainer hashes a token.
+    pub fn intern<'a, I>(positions: usize, logs: I) -> Self
+    where
+        I: IntoIterator<Item = &'a EncodedLog>,
+    {
+        let mut table = TokenTable {
+            positions,
+            distinct: vec![0; positions],
+            ..TokenTable::default()
+        };
+        let mut interned: HashMap<(u32, u64), u32> = HashMap::new();
+        for log in logs {
+            debug_assert_eq!(log.len(), positions);
+            for (pos, &token) in log.encoded.iter().enumerate() {
+                let next = interned.len() as u32;
+                let id = *interned.entry((pos as u32, token)).or_insert_with(|| {
+                    table.distinct[pos] += 1;
+                    next
+                });
+                table.ids.push(id);
+            }
+            table.weights.push(log.count);
+        }
+        table.id_count = interned.len();
+        table
+    }
+
+    /// Re-intern the given rows of `self` into `out`, reusing `out`'s buffers: `out` gets
+    /// one row per entry of `rows` (in that order) with ids numbered from zero, so a
+    /// profile over `out` is sized by the cardinality of the subset, not of `self`.
+    ///
+    /// `remap` is scratch owned by the caller; it is left as it was found (every entry
+    /// `u32::MAX`), only grown to `self.id_count()`.
+    pub fn project_into(&self, rows: &[usize], remap: &mut Vec<u32>, out: &mut TokenTable) {
+        if remap.len() < self.id_count {
+            remap.resize(self.id_count, u32::MAX);
+        }
+        out.positions = self.positions;
+        out.ids.clear();
+        out.weights.clear();
+        out.distinct.clear();
+        out.distinct.resize(self.positions, 0);
+        let mut next = 0u32;
+        for &row in rows {
+            for (pos, &id) in self.row(row).iter().enumerate() {
+                let slot = &mut remap[id as usize];
+                if *slot == u32::MAX {
+                    *slot = next;
+                    next += 1;
+                    out.distinct[pos] += 1;
+                }
+                out.ids.push(*slot);
+            }
+            out.weights.push(self.weights[row]);
+        }
+        out.id_count = next as usize;
+        for &row in rows {
+            for &id in self.row(row) {
+                remap[id as usize] = u32::MAX;
+            }
+        }
+    }
+
+    /// Number of token positions per row.
+    pub fn positions(&self) -> usize {
+        self.positions
+    }
+
+    /// Number of distinct (position, token) ids.
+    pub fn id_count(&self) -> usize {
+        self.id_count
+    }
+
+    /// The token ids of one row.
+    pub fn row(&self, row: usize) -> &[u32] {
+        &self.ids[row * self.positions..(row + 1) * self.positions]
+    }
+
+    /// The duplicate count of one row.
+    pub fn weight(&self, row: usize) -> u64 {
+        self.weights[row]
+    }
+
+    /// Sum of the duplicate counts of all rows.
+    pub fn total_weight(&self) -> u64 {
+        self.weights.iter().sum()
+    }
+
+    /// Per position: number of distinct tokens among the rows.
+    pub fn distinct(&self) -> &[u32] {
+        &self.distinct
+    }
+}
+
+/// Per-position token statistics of a cluster of rows of one [`TokenTable`]: the flat
+/// counterpart of [`ClusterProfile`], bit-identical to it in every derived number.
+///
+/// Life cycle: [`reset`](Self::reset) for a table, [`add`](Self::add) the member rows,
+/// [`seal`](Self::seal), then evaluate [`distance`](Self::distance).
+#[derive(Debug, Clone, Default)]
+pub struct DenseProfile {
+    /// Weighted occurrence count per token id.
+    counts: Vec<u64>,
+    /// Per position: number of ids with a non-zero count.
+    distinct: Vec<u32>,
+    total_weight: u64,
+    unique_count: usize,
+    /// Position weights `w_i` of Eq. 2; empty until sealed.
+    weights: Vec<f64>,
+    /// `Σ w_i`, accumulated in position order.
+    weight_total: f64,
+}
+
+impl DenseProfile {
+    /// Empty the profile and size it for rows of `table`, keeping its allocations.
+    pub fn reset(&mut self, table: &TokenTable) {
+        self.counts.clear();
+        self.counts.resize(table.id_count(), 0);
+        self.distinct.clear();
+        self.distinct.resize(table.positions(), 0);
+        self.total_weight = 0;
+        self.unique_count = 0;
+        self.weights.clear();
+    }
+
+    /// Add one row, weighted by its duplicate count (at least 1: a zero weight would be
+    /// counted as a new distinct token on every add).
+    pub fn add(&mut self, row: &[u32], weight: u64) {
+        debug_assert_eq!(row.len(), self.distinct.len());
+        debug_assert!(weight > 0);
+        for (&id, distinct) in row.iter().zip(&mut self.distinct) {
+            let count = &mut self.counts[id as usize];
+            *distinct += u32::from(*count == 0);
+            *count += weight;
+        }
+        self.total_weight += weight;
+        self.unique_count += 1;
+        self.weights.clear();
+    }
+
+    /// Fix the position weights for the rows added so far. `position_importance = false`
+    /// is the "w/o position importance" ablation: every weight becomes 1.
+    pub fn seal(&mut self, position_importance: bool) {
+        self.weights.clear();
+        self.weight_total = 0.0;
+        for &n_i in &self.distinct {
+            let weight = if position_importance {
+                position_weight(n_i as usize)
+            } else {
+                1.0
+            };
+            self.weights.push(weight);
+            self.weight_total += weight;
+        }
+    }
+
+    /// Positional similarity distance (Eq. 2) between a row of the profile's table and
+    /// this cluster.
+    ///
+    /// # Panics
+    /// Panics when the profile has not been sealed since its last `add`.
+    pub fn distance(&self, row: &[u32]) -> f64 {
+        assert_eq!(row.len(), self.weights.len(), "profile is not sealed");
+        if self.total_weight == 0 || self.weight_total == 0.0 {
+            return 1.0;
+        }
+        let total = self.total_weight as f64;
+        let mut weighted_sum = 0.0;
+        for (&id, &weight) in row.iter().zip(&self.weights) {
+            weighted_sum += weight * (self.counts[id as usize] as f64 / total);
+        }
+        1.0 - weighted_sum / self.weight_total
+    }
+
+    /// Per position: number of distinct tokens.
+    pub fn distinct(&self) -> &[u32] {
+        &self.distinct
+    }
+
+    /// Total weighted number of logs (raw records).
+    pub fn total_weight(&self) -> u64 {
+        self.total_weight
+    }
+
+    /// Number of unique member logs.
+    pub fn unique_count(&self) -> usize {
+        self.unique_count
+    }
+
+    /// True when the profile contains no logs.
+    pub fn is_empty(&self) -> bool {
+        self.unique_count == 0
+    }
+}
+
+/// `w_i = 1/(n_i − 1)` from the paper, with the denominator clamped so constant
+/// positions (`n_i = 1`) get the maximum weight instead of dividing by zero.
+fn position_weight(distinct: usize) -> f64 {
+    1.0 / (distinct.saturating_sub(1).max(1) as f64)
+}
+
+/// Per-position token statistics of a cluster of equal-length logs (the reference
+/// implementation; the trainer runs on [`DenseProfile`]).
 #[derive(Debug, Clone)]
 pub struct ClusterProfile {
     /// Per position: token hash → weighted occurrence count.
@@ -61,21 +287,6 @@ impl ClusterProfile {
         self.unique_count += 1;
     }
 
-    /// Remove one unique log from the profile (inverse of [`ClusterProfile::add`]).
-    pub fn remove(&mut self, log: &EncodedLog) {
-        debug_assert_eq!(log.len(), self.positions.len());
-        for (i, &token) in log.encoded.iter().enumerate() {
-            if let Some(count) = self.positions[i].get_mut(&token) {
-                *count = count.saturating_sub(log.count);
-                if *count == 0 {
-                    self.positions[i].remove(&token);
-                }
-            }
-        }
-        self.total_weight = self.total_weight.saturating_sub(log.count);
-        self.unique_count = self.unique_count.saturating_sub(1);
-    }
-
     /// Number of token positions.
     pub fn num_positions(&self) -> usize {
         self.positions.len()
@@ -91,23 +302,14 @@ impl ClusterProfile {
         self.unique_count
     }
 
-    /// Number of distinct tokens at position `i`.
-    pub fn distinct_at(&self, i: usize) -> usize {
-        self.positions[i].len()
+    /// Per position: number of distinct tokens.
+    pub fn distinct(&self) -> Vec<u32> {
+        self.positions.iter().map(|p| p.len() as u32).collect()
     }
 
     /// Weighted count of `token` at position `i`.
     pub fn count_at(&self, i: usize, token: u64) -> u64 {
         self.positions[i].get(&token).copied().unwrap_or(0)
-    }
-
-    /// The single token at position `i` when the position is constant, `None` otherwise.
-    pub fn constant_token_at(&self, i: usize) -> Option<u64> {
-        if self.positions[i].len() == 1 {
-            self.positions[i].keys().next().copied()
-        } else {
-            None
-        }
     }
 
     /// True when the profile contains no logs.
@@ -129,9 +331,7 @@ impl ClusterProfile {
         for (i, &token) in log.encoded.iter().enumerate() {
             let n_i = self.positions[i].len();
             let weight = if position_importance {
-                // `1/(n_i − 1)` from the paper; clamp the denominator so constant
-                // positions (n_i = 1) get the maximum weight instead of dividing by zero.
-                1.0 / ((n_i.saturating_sub(1)).max(1) as f64)
+                position_weight(n_i)
             } else {
                 1.0
             };
@@ -223,24 +423,15 @@ mod tests {
     }
 
     #[test]
-    fn add_then_remove_restores_profile() {
-        let a = log(&["a", "b"]);
-        let b = log(&["a", "c"]);
-        let mut profile = ClusterProfile::from_logs(2, [&a]);
-        let before_distinct = profile.distinct_at(1);
-        profile.add(&b);
-        assert_eq!(profile.distinct_at(1), 2);
-        profile.remove(&b);
-        assert_eq!(profile.distinct_at(1), before_distinct);
-        assert_eq!(profile.unique_count(), 1);
-    }
-
-    #[test]
-    fn constant_token_detection() {
-        let members = [log(&["put", "x"]), log(&["put", "y"])];
-        let profile = ClusterProfile::from_logs(2, members.iter());
-        assert!(profile.constant_token_at(0).is_some());
-        assert!(profile.constant_token_at(1).is_none());
+    #[should_panic(expected = "not sealed")]
+    fn dense_distance_requires_a_sealed_profile() {
+        let a = log(&["open", "file"]);
+        let table = TokenTable::intern(2, [&a]);
+        let mut profile = DenseProfile::default();
+        profile.reset(&table);
+        profile.seal(true);
+        profile.add(table.row(0), table.weight(0));
+        profile.distance(table.row(0));
     }
 
     #[test]

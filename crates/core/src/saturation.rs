@@ -23,9 +23,8 @@
 //! completely distinct (a definite variable).
 
 use crate::config::AblationConfig;
-use crate::distance::ClusterProfile;
 
-/// Classification of the positions of a cluster profile.
+/// Classification of the positions of a cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PositionBreakdown {
     /// Total number of positions (`m`).
@@ -39,15 +38,14 @@ pub struct PositionBreakdown {
     pub completely_distinct: Vec<usize>,
 }
 
-/// Classify positions from a cluster profile.
-pub fn breakdown(profile: &ClusterProfile) -> PositionBreakdown {
-    let m = profile.num_positions();
-    let distinct_logs = profile.unique_count();
+/// Classify the positions of a cluster from its per-position distinct-token counts
+/// (`distinct`) and its number of distinct logs.
+pub fn breakdown(distinct: &[u32], distinct_logs: usize) -> PositionBreakdown {
     let mut constants = 0usize;
     let mut unresolved = Vec::new();
     let mut completely_distinct = Vec::new();
-    for i in 0..m {
-        let n_u = profile.distinct_at(i);
+    for (i, &n_u) in distinct.iter().enumerate() {
+        let n_u = n_u as usize;
         if n_u <= 1 {
             constants += 1;
         } else {
@@ -58,22 +56,23 @@ pub fn breakdown(profile: &ClusterProfile) -> PositionBreakdown {
         }
     }
     PositionBreakdown {
-        total: m,
+        total: distinct.len(),
         constants,
         unresolved,
         completely_distinct,
     }
 }
 
-/// Compute the saturation score of a cluster profile under the given ablation switches.
-pub fn saturation(profile: &ClusterProfile, ablation: &AblationConfig) -> f64 {
-    let m = profile.num_positions();
-    let n = profile.unique_count();
+/// Compute the saturation score of a cluster under the given ablation switches, from its
+/// per-position distinct-token counts and its number of distinct logs `n`. Both the
+/// trainer's [`DenseProfile`](crate::distance::DenseProfile) and the reference
+/// [`ClusterProfile`](crate::distance::ClusterProfile) are scored through this function.
+pub fn saturation(distinct: &[u32], n: usize, ablation: &AblationConfig) -> f64 {
     // Degenerate groups are fully resolved by definition.
-    if m == 0 || n <= 1 {
+    if distinct.is_empty() || n <= 1 {
         return 1.0;
     }
-    let parts = breakdown(profile);
+    let parts = breakdown(distinct, n);
     let f_c = parts.constants as f64 / parts.total as f64;
     if parts.unresolved.is_empty() {
         return 1.0;
@@ -94,7 +93,7 @@ pub fn saturation(profile: &ClusterProfile, ablation: &AblationConfig) -> f64 {
         .unresolved
         .iter()
         .map(|&i| {
-            let n_u = profile.distinct_at(i) as f64;
+            let n_u = distinct[i] as f64;
             (n_u.ln() / ln_n).clamp(0.0, 1.0)
         })
         .fold(f64::INFINITY, f64::min);
@@ -114,11 +113,16 @@ pub fn saturation(profile: &ClusterProfile, ablation: &AblationConfig) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::ClusterProfile;
     use logtok::EncodedLog;
 
     fn profile(logs: &[&[&str]]) -> ClusterProfile {
-        let encoded: Vec<EncodedLog> = logs.iter().map(|t| EncodedLog::from_tokens(t)).collect();
+        let encoded: Vec<EncodedLog> = logs.iter().map(|t| EncodedLog::from_tokens(*t)).collect();
         ClusterProfile::from_logs(logs[0].len(), encoded.iter())
+    }
+
+    fn saturation(profile: &ClusterProfile, ablation: &AblationConfig) -> f64 {
+        super::saturation(&profile.distinct(), profile.unique_count(), ablation)
     }
 
     fn full() -> AblationConfig {
@@ -239,7 +243,7 @@ mod tests {
             &["op", "write", "id2"],
             &["op", "read", "id3"],
         ]);
-        let b = breakdown(&p);
+        let b = breakdown(&p.distinct(), p.unique_count());
         assert_eq!(b.total, 3);
         assert_eq!(b.constants, 1);
         assert_eq!(b.unresolved, vec![1, 2]);

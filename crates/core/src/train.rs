@@ -29,19 +29,17 @@ pub struct TrainOutcome {
 pub fn train(records: &[String], config: &TrainConfig) -> TrainOutcome {
     let preprocessor = Preprocessor::new(config.preprocess.clone());
     // OOM guard (§3): sample uniformly when the batch exceeds the configured cap.
-    let sampled: Vec<String>;
-    let records = if records.len() > config.max_training_records {
+    let batch = if records.len() > config.max_training_records {
         let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5A5A);
         let mut indices: Vec<usize> = (0..records.len()).collect();
         indices.shuffle(&mut rng);
         indices.truncate(config.max_training_records);
         indices.sort_unstable();
-        sampled = indices.iter().map(|&i| records[i].clone()).collect();
-        &sampled[..]
+        let sampled: Vec<&str> = indices.iter().map(|&i| records[i].as_str()).collect();
+        preprocessor.preprocess(&sampled)
     } else {
-        records
+        preprocessor.preprocess(records)
     };
-    let batch = preprocessor.preprocess(records);
     train_from_batch(&batch, config)
 }
 
@@ -54,43 +52,34 @@ pub fn train_from_batch(batch: &PreprocessedBatch, config: &TrainConfig) -> Trai
     // Cluster every initial group, in parallel when requested. Each task returns the
     // group's member indices alongside its local tree so results can be assembled in a
     // deterministic order.
-    let group_inputs: Vec<(usize, Vec<usize>)> = groups
-        .iter()
-        .enumerate()
-        .map(|(i, g)| (i, g.members.clone()))
-        .collect();
-    let config_ref = config;
-    let results: Vec<(usize, Vec<usize>, Vec<LocalNode>)> = run_parallel(
-        config.parallelism,
-        group_inputs,
-        move |(group_idx, members)| {
-            let group_logs: Vec<UniqueLog> =
-                members.iter().map(|&m| unique_logs[m].clone()).collect();
+    let group_inputs: Vec<(usize, Vec<usize>)> =
+        groups.into_iter().map(|g| g.members).enumerate().collect();
+    let mut ordered: Vec<(usize, Vec<usize>, Vec<LocalNode>)> =
+        run_parallel(config.parallelism, group_inputs, |(group_idx, members)| {
+            let group_logs: Vec<&UniqueLog> = members.iter().map(|&m| &unique_logs[m]).collect();
             let local = cluster_group(
                 &group_logs,
-                config_ref,
-                config_ref.seed ^ (group_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                config,
+                config.seed ^ (group_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             );
             (group_idx, members, local)
-        },
-    );
-    let mut ordered = results;
+        });
     ordered.sort_by_key(|(idx, _, _)| *idx);
 
     let mut model = ParserModel::new();
     // unique-log index → most precise node id.
     let mut unique_assignment: Vec<Option<NodeId>> = vec![None; unique_logs.len()];
 
-    for (_, members, local_nodes) in &ordered {
+    for (_, members, mut local_nodes) in ordered {
         // First pass: create global nodes; remember local → global mapping.
         let mut local_to_global: Vec<NodeId> = Vec::with_capacity(local_nodes.len());
-        for local in local_nodes {
+        for local in &mut local_nodes {
             let unique_count = local.members.len() as u64;
             let node = TreeNode {
                 id: NodeId(0),
                 parent: None,
                 children: Vec::new(),
-                template: local.template.clone(),
+                template: std::mem::take(&mut local.template),
                 saturation: local.saturation,
                 depth: local.depth,
                 log_count: local.log_count,

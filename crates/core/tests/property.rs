@@ -4,9 +4,9 @@
 //! no proptest); every case is drawn from a fixed-seed [`StdRng`], so failures are
 //! deterministic and reproducible.
 
-use bytebrain::distance::ClusterProfile;
+use bytebrain::distance::{ClusterProfile, DenseProfile, TokenTable};
 use bytebrain::query::merge_consecutive_wildcards;
-use bytebrain::saturation::saturation;
+use bytebrain::saturation::{breakdown, saturation};
 use bytebrain::train::train;
 use bytebrain::{AblationConfig, TrainConfig};
 use logtok::EncodedLog;
@@ -50,7 +50,7 @@ fn saturation_is_bounded() {
         for (len, logs) in by_len {
             let profile = ClusterProfile::from_logs(len, logs.iter());
             for (_, ablation) in AblationConfig::named_variants() {
-                let s = saturation(&profile, &ablation);
+                let s = saturation(&profile.distinct(), profile.unique_count(), &ablation);
                 assert!((0.0..=1.0).contains(&s), "saturation {s} out of range");
             }
         }
@@ -126,7 +126,7 @@ fn wildcard_merging_properties() {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-copy matching equivalence (seeded; CI varies BYTEBRAIN_TEST_SEED)
+// Seeded suites (CI varies BYTEBRAIN_TEST_SEED)
 // ---------------------------------------------------------------------------
 
 /// Base seed for the adversarial cases; CI runs a small matrix of values.
@@ -135,6 +135,97 @@ fn adversarial_seed() -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1)
+}
+
+/// The trainer's dense kernel (`TokenTable` + `DenseProfile`) equals the reference
+/// `ClusterProfile` bit for bit: for random equal-length weighted log sets, a random
+/// node (subset, re-interned) and a random partition of it into clusters, every
+/// member-to-cluster distance, every per-position distinct count, and the saturation and
+/// position breakdown under every ablation variant agree — including single-log seed
+/// clusters and both settings of position importance.
+#[test]
+fn dense_kernel_equals_reference_profile() {
+    let mut rng = StdRng::seed_from_u64(adversarial_seed() ^ 0xDE5E);
+    for case in 0..120 {
+        let positions = rng.gen_range(1..7usize);
+        // Small vocabularies give shared tokens; large ones give completely distinct
+        // positions.
+        let vocab: Vec<usize> = (0..positions)
+            .map(|_| [1, 2, 3, 50][rng.gen_range(0..4usize)])
+            .collect();
+        let logs: Vec<EncodedLog> = (0..rng.gen_range(1..30usize))
+            .map(|_| {
+                let tokens: Vec<String> = vocab
+                    .iter()
+                    .map(|&v| format!("t{}", rng.gen_range(0..v)))
+                    .collect();
+                let mut log = EncodedLog::from_tokens(&tokens);
+                log.count = rng.gen_range(1..1_000u64);
+                log
+            })
+            .collect();
+        let group = TokenTable::intern(positions, logs.iter());
+
+        // The node: a random non-empty subset of the group, in group order.
+        let mut members: Vec<usize> = (0..logs.len()).filter(|_| rng.gen_bool(0.7)).collect();
+        if members.is_empty() {
+            members.push(rng.gen_range(0..logs.len()));
+        }
+        let mut remap = Vec::new();
+        let mut node = TokenTable::default();
+        group.project_into(&members, &mut remap, &mut node);
+        assert!(remap.iter().all(|&slot| slot == u32::MAX), "case {case}");
+        assert!(node.id_count() <= group.id_count());
+
+        // The partition: every member in a random cluster, plus one cluster seeded with
+        // a single member (what K-Means++ seeding and the growth step build).
+        let clusters = rng.gen_range(1..5usize);
+        let mut partition: Vec<Vec<usize>> = vec![Vec::new(); clusters];
+        for slot in 0..members.len() {
+            partition[rng.gen_range(0..clusters)].push(slot);
+        }
+        partition.push(vec![rng.gen_range(0..members.len())]);
+
+        for slots in &partition {
+            let reference =
+                ClusterProfile::from_logs(positions, slots.iter().map(|&s| &logs[members[s]]));
+            let mut dense = DenseProfile::default();
+            dense.reset(&node);
+            for &slot in slots {
+                dense.add(node.row(slot), node.weight(slot));
+            }
+            assert_eq!(dense.distinct(), reference.distinct(), "case {case}");
+            assert_eq!(dense.unique_count(), reference.unique_count());
+            assert_eq!(dense.total_weight(), reference.total_weight());
+            assert_eq!(dense.is_empty(), reference.is_empty());
+            for importance in [true, false] {
+                dense.seal(importance);
+                for (slot, &member) in members.iter().enumerate() {
+                    assert_eq!(
+                        dense.distance(node.row(slot)).to_bits(),
+                        reference.distance(&logs[member], importance).to_bits(),
+                        "case {case}: distance of member {member}, importance {importance}"
+                    );
+                }
+            }
+            assert_eq!(
+                breakdown(dense.distinct(), dense.unique_count()),
+                breakdown(&reference.distinct(), reference.unique_count())
+            );
+            for (name, ablation) in AblationConfig::named_variants() {
+                assert_eq!(
+                    saturation(dense.distinct(), dense.unique_count(), &ablation).to_bits(),
+                    saturation(&reference.distinct(), reference.unique_count(), &ablation)
+                        .to_bits(),
+                    "case {case}: saturation under {name}"
+                );
+            }
+        }
+        // A table's own distinct counts are those of the profile over all its rows.
+        let whole = ClusterProfile::from_logs(positions, members.iter().map(|&m| &logs[m]));
+        assert_eq!(node.distinct(), whole.distinct());
+        assert_eq!(node.total_weight(), whole.total_weight());
+    }
 }
 
 /// Adversarial probe records for the matcher: trained shapes with substituted

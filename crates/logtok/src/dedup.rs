@@ -41,7 +41,9 @@ impl DedupStats {
 /// Streaming deduplicator keyed by the hashed token sequence.
 #[derive(Debug, Default)]
 pub struct Deduplicator {
-    /// Key: (sequence hash, token count) → slot in `unique`.
+    /// Key: (sequence hash, token count) → slot in `unique`. Two different sequences
+    /// with one key are told apart by their texts; the later one is filed under the next
+    /// free sequence hash (see `push_hashed`).
     index: HashMap<(u64, usize), usize>,
     unique: Vec<UniqueLog>,
     total: u64,
@@ -54,31 +56,58 @@ impl Deduplicator {
     }
 
     /// Add one tokenized record (by index) and return the slot of its unique log.
-    pub fn push<S: AsRef<str>>(&mut self, record_index: usize, tokens: &[S]) -> usize {
-        self.total += 1;
+    ///
+    /// `tokens` is walked once to hash it and once more per candidate it is compared
+    /// with; token texts are allocated only when the sequence is new.
+    pub fn push<I>(&mut self, record_index: usize, tokens: I) -> usize
+    where
+        I: IntoIterator + Clone,
+        I::Item: AsRef<str>,
+    {
         let mut seq_hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for t in tokens {
+        let mut len = 0usize;
+        for t in tokens.clone() {
             // Order-sensitive combination of per-token hashes.
             seq_hash = seq_hash.rotate_left(5).wrapping_mul(0x0000_0100_0000_01b3)
                 ^ hash_token(t.as_ref());
+            len += 1;
         }
-        let key = (seq_hash, tokens.len());
-        if let Some(&slot) = self.index.get(&key) {
+        self.push_hashed(record_index, (seq_hash, len), tokens)
+    }
+
+    /// [`Deduplicator::push`] with the key — (sequence hash, token count) — supplied by
+    /// the caller (tests force collisions through it).
+    pub(crate) fn push_hashed<I>(
+        &mut self,
+        record_index: usize,
+        mut key: (u64, usize),
+        tokens: I,
+    ) -> usize
+    where
+        I: IntoIterator + Clone,
+        I::Item: AsRef<str>,
+    {
+        self.total += 1;
+        // Every hit is verified against the token texts. On a mismatch (a sequence-hash
+        // collision, astronomically unlikely) the probe moves to the next sequence hash:
+        // the colliding sequences chain along consecutive keys, each keeps its own slot,
+        // and nothing is ever evicted.
+        while let Some(&slot) = self.index.get(&key) {
             let existing = &mut self.unique[slot];
-            // Guard against (astronomically unlikely) sequence-hash collisions by
-            // verifying the token texts; on mismatch fall through to a new slot.
-            if existing.encoded.tokens.len() == tokens.len()
-                && existing
-                    .encoded
-                    .tokens
-                    .iter()
-                    .zip(tokens.iter())
-                    .all(|(a, b)| a == b.as_ref())
+            // The key holds the token count, so the two sequences are equally long.
+            debug_assert_eq!(existing.encoded.tokens.len(), key.1);
+            if existing
+                .encoded
+                .tokens
+                .iter()
+                .zip(tokens.clone())
+                .all(|(a, b)| a == b.as_ref())
             {
                 existing.encoded.count += 1;
                 existing.record_indices.push(record_index);
                 return slot;
             }
+            key.0 = key.0.wrapping_add(1);
         }
         let slot = self.unique.len();
         self.unique.push(UniqueLog {
@@ -174,6 +203,31 @@ mod tests {
         assert_eq!(stats.total_records, 11);
         assert_eq!(stats.unique_records, 2);
         assert!((stats.duplication_factor() - 5.5).abs() < 1e-9);
+    }
+
+    /// Two sequences forced onto one sequence hash keep one slot each, however often and
+    /// in whatever order they repeat (the old index let them evict each other, so every
+    /// later repeat opened a fresh unique log).
+    #[test]
+    fn colliding_sequences_keep_their_slots() {
+        let mut d = Deduplicator::new();
+        let (a, b, c) = (["a", "x"], ["b", "y"], ["c", "z"]);
+        let mut slots = Vec::new();
+        for (idx, tokens) in [a, b, a, b, b, a, c, a, c].iter().enumerate() {
+            slots.push(d.push_hashed(idx, (42, 2), tokens));
+        }
+        assert_eq!(slots, vec![0, 1, 0, 1, 1, 0, 2, 0, 2]);
+        assert_eq!(d.unique_len(), 3);
+        // A sequence whose own hash is the key a collision spilled into is unaffected.
+        assert_eq!(d.push_hashed(9, (43, 2), &["d", "w"]), 3);
+        assert_eq!(d.push_hashed(10, (43, 2), &["d", "w"]), 3);
+        assert_eq!(d.push_hashed(11, (42, 2), &b), 1);
+        for unique in d.unique() {
+            assert_eq!(unique.encoded.count, unique.record_indices.len() as u64);
+        }
+        let counts: Vec<u64> = d.unique().iter().map(|u| u.encoded.count).collect();
+        assert_eq!(counts, vec![4, 4, 2, 2]);
+        assert_eq!(d.total_records(), 12);
     }
 
     #[test]

@@ -65,8 +65,12 @@ pub struct EncodedLog {
 
 impl EncodedLog {
     /// Encode a token sequence (count = 1).
-    pub fn from_tokens<S: AsRef<str>>(tokens: &[S]) -> Self {
-        let token_vec: Vec<String> = tokens.iter().map(|t| t.as_ref().to_string()).collect();
+    pub fn from_tokens<I>(tokens: I) -> Self
+    where
+        I: IntoIterator,
+        I::Item: AsRef<str>,
+    {
+        let token_vec: Vec<String> = tokens.into_iter().map(|t| t.as_ref().to_string()).collect();
         let encoded = token_vec.iter().map(|t| hash_token(t)).collect();
         EncodedLog {
             encoded,
@@ -128,7 +132,7 @@ mod tests {
 
     #[test]
     fn empty_log() {
-        let log = EncodedLog::from_tokens::<&str>(&[]);
+        let log = EncodedLog::from_tokens(Vec::<&str>::new());
         assert!(log.is_empty());
         assert_eq!(log.len(), 0);
     }

@@ -3,6 +3,7 @@
 //! that templates and incoming logs live in the same token space.
 
 use crate::dedup::{DedupStats, Deduplicator, UniqueLog};
+use crate::hashenc::EncodedLog;
 use crate::masking::Masker;
 use crate::tokenizer::{Tokenizer, TokenizerConfig};
 use serde::{Deserialize, Serialize};
@@ -98,7 +99,7 @@ impl<'s> TokenView<'s> {
     }
 
     /// Iterator over the tokens, in record order.
-    pub fn iter(&self) -> impl Iterator<Item = &'s str> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = &'s str> + Clone + '_ {
         self.spans.iter().map(move |&(s, e)| &self.text[s..e])
     }
 
@@ -173,14 +174,17 @@ impl Preprocessor {
     }
 
     /// Run the full pipeline over a batch of raw records.
+    ///
+    /// Every record is masked and tokenized into one reused [`TokenScratch`]; token
+    /// texts are copied out only for the first record of each unique sequence.
     pub fn preprocess<S: AsRef<str>>(&self, records: &[S]) -> PreprocessedBatch {
-        let mut dedup = Deduplicator::new();
+        let mut scratch = TokenScratch::new();
         let mut record_to_unique = Vec::with_capacity(records.len());
         if self.deduplicate {
+            let mut dedup = Deduplicator::new();
             for (idx, record) in records.iter().enumerate() {
-                let tokens = self.tokens_of(record.as_ref());
-                let slot = dedup.push(idx, &tokens);
-                record_to_unique.push(slot);
+                let view = self.token_view(record.as_ref(), &mut scratch);
+                record_to_unique.push(dedup.push(idx, view.iter()));
             }
             let stats = dedup.stats();
             PreprocessedBatch {
@@ -193,9 +197,9 @@ impl Preprocessor {
             // collapse step is skipped (used by the ablation study, Fig. 9).
             let mut unique_logs = Vec::with_capacity(records.len());
             for (idx, record) in records.iter().enumerate() {
-                let tokens = self.tokens_of(record.as_ref());
+                let view = self.token_view(record.as_ref(), &mut scratch);
                 unique_logs.push(UniqueLog {
-                    encoded: crate::hashenc::EncodedLog::from_tokens(&tokens),
+                    encoded: EncodedLog::from_tokens(view.iter()),
                     record_indices: vec![idx],
                 });
                 record_to_unique.push(idx);

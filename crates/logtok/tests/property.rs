@@ -339,3 +339,60 @@ fn token_view_agrees_with_tokens_of_on_adversarial_inputs() {
         assert_eq!(viewed, owned, "token mismatch on {record:?}");
     }
 }
+
+/// `Preprocessor::preprocess` (one reused scratch, texts copied only for a first
+/// occurrence) equals, field for field, the per-record path it replaced: `tokens_of`
+/// each record, then `Deduplicator::push` — or one unique log per record with
+/// deduplication off. The batch repeats records so that sequences do collapse.
+#[test]
+fn preprocess_agrees_with_per_record_path() {
+    let mut rng = StdRng::seed_from_u64(adversarial_seed() ^ 0xAD7E_0004);
+    for deduplicate in [true, false] {
+        let pre = Preprocessor::new(logtok::PreprocessConfig {
+            deduplicate,
+            ..logtok::PreprocessConfig::default()
+        });
+        for _ in 0..20 {
+            let pool: Vec<String> = (0..rng.gen_range(1..25usize))
+                .map(|_| adversarial_record(&mut rng))
+                .collect();
+            let records: Vec<&str> = (0..rng.gen_range(0..80usize))
+                .map(|_| pool[rng.gen_range(0..pool.len())].as_str())
+                .collect();
+            let batch = pre.preprocess(&records);
+
+            let mut dedup = Deduplicator::new();
+            let mut record_to_unique = Vec::new();
+            for (idx, record) in records.iter().enumerate() {
+                let tokens = pre.tokens_of(record);
+                if deduplicate {
+                    record_to_unique.push(dedup.push(idx, &tokens));
+                } else {
+                    // A fresh deduplicator per record never collapses anything.
+                    let mut single = Deduplicator::new();
+                    single.push(idx, &tokens);
+                    assert_eq!(
+                        batch.unique_logs[idx].encoded,
+                        single.unique()[0].encoded,
+                        "record {idx}"
+                    );
+                    assert_eq!(batch.unique_logs[idx].record_indices, vec![idx]);
+                    record_to_unique.push(idx);
+                }
+            }
+            assert_eq!(batch.record_to_unique, record_to_unique);
+            assert_eq!(batch.stats.total_records, records.len() as u64);
+            if deduplicate {
+                assert_eq!(batch.stats, dedup.stats());
+                assert_eq!(batch.unique_logs.len(), dedup.unique_len());
+                for (got, want) in batch.unique_logs.iter().zip(dedup.unique()) {
+                    assert_eq!(got.encoded, want.encoded);
+                    assert_eq!(got.record_indices, want.record_indices);
+                }
+            } else {
+                assert_eq!(batch.stats.unique_records, records.len() as u64);
+                assert_eq!(batch.unique_logs.len(), records.len());
+            }
+        }
+    }
+}

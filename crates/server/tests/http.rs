@@ -305,7 +305,7 @@ fn oversized_batch_is_rejected_with_413_not_429() {
             "POST",
             "/v1/capped/logs/ingest",
             &[("Content-Type", "application/json")],
-            ingest_body(&vec!["x".repeat(2_000)]).as_bytes(),
+            ingest_body(&["x".repeat(2_000)]).as_bytes(),
         )
         .expect("request round-trips");
     assert_eq!(response.status, 413, "{}", response.body_str());
@@ -356,7 +356,11 @@ fn engine_shed_reports_committed_prefix_as_success() {
     };
     // Prime the topic: an empty model bypasses the streaming engine entirely, so
     // train it first with a plain batch.
-    let (status, body) = post(&mut client, "/v1/t/logs/ingest", &ingest_body(&make(0, 300)));
+    let (status, body) = post(
+        &mut client,
+        "/v1/t/logs/ingest",
+        &ingest_body(&make(0, 300)),
+    );
     assert_eq!(status, 200, "{body}");
     let primed: IngestResponse = serde_json::from_str(&body).expect("prime body");
 

@@ -252,11 +252,13 @@ impl TokenBucket {
         } else {
             let deficit = need - self.tokens;
             let secs = deficit / self.rate;
-            Err(if secs.is_finite() && secs < MAX_RETRY_AFTER.as_secs_f64() {
-                Duration::from_secs_f64(secs)
-            } else {
-                MAX_RETRY_AFTER
-            })
+            Err(
+                if secs.is_finite() && secs < MAX_RETRY_AFTER.as_secs_f64() {
+                    Duration::from_secs_f64(secs)
+                } else {
+                    MAX_RETRY_AFTER
+                },
+            )
         }
     }
 }
