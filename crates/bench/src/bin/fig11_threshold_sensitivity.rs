@@ -1,14 +1,14 @@
 //! Fig. 11 — parameter sensitivity: grouping accuracy as the query-time saturation
 //! threshold sweeps from 0.1 to 0.9, on LogHub and LogHub-2.0-scale corpora — plus
 //! the query-latency companion: the same threshold sweep answered by the per-record
-//! scan path and by the indexed path (postings aggregated up the saturation ladder)
+//! scan oracle and by the planned path (postings aggregated up the saturation ladder)
 //! on a 100k-record topic.
 
 use bench::{eval_bytebrain, loghub2_scale, maybe_write};
-use bytebrain::TrainConfig;
+use bytebrain::{Query, TrainConfig};
 use datasets::LabeledDataset;
 use eval::report::{fmt2, ExperimentRecord, TextTable};
-use service::{LogTopic, QueryEngine, QueryOptions, TopicConfig};
+use service::{LogTopic, QueryEngine, QueryValue, TopicConfig};
 use std::time::Instant;
 
 fn main() {
@@ -56,8 +56,8 @@ fn main() {
 }
 
 /// The indexed row: answer the same threshold sweep on a 100k-record Apache topic
-/// through the retained scan path and the indexed path (both return byte-identical
-/// groups — the differential suite enforces it) and report per-sweep latency.
+/// through the scan oracle and the planned path (both return byte-identical groups —
+/// the differential suite enforces it) and report per-sweep latency.
 fn query_latency_sweep(thresholds: &[f64], record: &mut ExperimentRecord) {
     const TRAIN: usize = 4_000;
     const RECORDS: usize = 100_000;
@@ -75,14 +75,17 @@ fn query_latency_sweep(thresholds: &[f64], record: &mut ExperimentRecord) {
 
     let engine = QueryEngine::new(&topic);
     let snapshot = topic.query_snapshot();
-    let options = |threshold: f64| QueryOptions {
-        saturation_threshold: threshold,
-        limit: usize::MAX,
+    let plan = |threshold: f64| {
+        let query = Query::group_by().at_threshold(threshold);
+        query.plan().expect("a predicate-free query always plans")
     };
+    let group_count = |value: QueryValue| value.groups().map_or(0, |groups| groups.len());
+    let scan = |t: f64| group_count(engine.execute_scan(&plan(t)));
+    let indexed = |t: f64| snapshot.execute(&plan(t)).map_or(0, group_count);
     // One untimed warm-up sweep per path so allocators and caches settle equally.
     for &t in thresholds {
-        engine.group_by_template_scan(options(t));
-        snapshot.group_by_template(options(t));
+        scan(t);
+        indexed(t);
     }
     let timed = |f: &dyn Fn(f64) -> usize| -> (f64, usize) {
         let started = Instant::now();
@@ -92,8 +95,8 @@ fn query_latency_sweep(thresholds: &[f64], record: &mut ExperimentRecord) {
         }
         (started.elapsed().as_secs_f64() * 1_000.0, groups)
     };
-    let (scan_ms, scan_groups) = timed(&|t| engine.group_by_template_scan(options(t)).len());
-    let (indexed_ms, indexed_groups) = timed(&|t| snapshot.group_by_template(options(t)).len());
+    let (scan_ms, scan_groups) = timed(&scan);
+    let (indexed_ms, indexed_groups) = timed(&indexed);
     assert_eq!(
         scan_groups, indexed_groups,
         "paths must agree on the group count"

@@ -95,7 +95,9 @@ pub fn eval_bytebrain_stream(ds: &LabeledDataset, shards: usize, workers: usize)
             .with_batch_records(1_024);
         let mut ingestor = StreamIngestor::new(model, preprocessor, ingest);
         for record in owned_records {
-            ingestor.push(record);
+            ingestor
+                .push(record, None)
+                .expect("an unbounded push never rejects");
         }
         let report = ingestor.finish();
         // Records come back seq-ordered, so they align with the label vector. Every

@@ -38,7 +38,6 @@
 //! is re-determinized from the patched trie. Readers never observe a partially
 //! updated automaton: they hold the old `Arc` until the swap.
 
-use crate::matcher::Matcher;
 use crate::model::ParserModel;
 use crate::tree::{NodeId, TemplateToken};
 use logtok::{Preprocessor, TokenScratch, TokenView};
@@ -179,22 +178,6 @@ impl Interner {
     fn len(&self) -> usize {
         self.ids.len()
     }
-
-    /// One past the highest symbol id in use — the width of a dense DFA
-    /// transition row. Larger than [`len`](Interner::len) when recycled slots
-    /// fragment the id range (compaction closes the gap).
-    fn symbol_range(&self) -> usize {
-        self.symbols.len()
-    }
-
-    /// Fraction of the id range occupied by recycled (dead) slots.
-    fn fragmentation(&self) -> f64 {
-        if self.symbols.is_empty() {
-            0.0
-        } else {
-            self.free.len() as f64 / self.symbols.len() as f64
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -324,11 +307,6 @@ struct DfaState {
     /// Winning template if the record ends in this state: the minimum-rank
     /// member accept, i.e. exactly what the linear tree walk would return.
     accept: Option<NodeId>,
-    /// Offset of this state's dense transition row in the shared row arena,
-    /// or [`NONE`] when the state is cold (sparse binary search). A dense row
-    /// holds one `u32` target per symbol id in `0..symbol_range`, pre-filled
-    /// with `default` so a transition is exactly one array load.
-    dense_row: u32,
 }
 
 impl DfaState {
@@ -337,53 +315,17 @@ impl DfaState {
             edges: Vec::new(),
             default: NONE,
             accept: None,
-            dense_row: NONE,
         }
     }
 }
 
 #[derive(Debug, Clone)]
 enum Exec {
-    Dfa {
-        states: Vec<DfaState>,
-        /// Dense transition row arena (hybrid encoding): hot states index this
-        /// with `dense_row + sym`; cold states keep sorted-edge binary search.
-        dense: Vec<u32>,
-    },
+    Dfa(Vec<DfaState>),
     /// Subset construction exceeded the state cap; match by active-set
     /// simulation over the trie instead.
     Nfa,
 }
-
-/// How DFA transitions are stored. [`Hybrid`](DfaEncoding::Hybrid) is the
-/// production default; the pure variants exist for benchmarking and for the
-/// differential property suite, which proves all three byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DfaEncoding {
-    /// Sorted-edge binary search for every state (the pre-hybrid layout).
-    Sparse,
-    /// A dense row for every state with at least one edge, budget permitting.
-    Dense,
-    /// Dense rows for hot states (≥ [`DENSE_EDGE_THRESHOLD`] edges), sparse
-    /// edges for the long cold tail.
-    #[default]
-    Hybrid,
-}
-
-/// Minimum edge count for a state to earn a dense row under
-/// [`DfaEncoding::Hybrid`]. Below this, binary search over the sorted edge
-/// vector touches fewer cache lines than a row load would save.
-pub const DENSE_EDGE_THRESHOLD: usize = 4;
-
-/// Upper bound on total dense-row entries (`rows × symbol_range`); 4 bytes
-/// each, so this caps the arena at 16 MiB. Rows are granted to the widest
-/// states first, so a pathological snapshot degrades to sparse, never OOM.
-const DENSE_BUDGET_ENTRIES: usize = 1 << 22;
-
-/// Interner fragmentation (recycled id slots ÷ id range) above which
-/// [`CompiledMatcher::refreshed`] compacts symbol ids before re-determinizing,
-/// keeping dense rows sized to the live symbol count under delta churn.
-const COMPACT_FRAGMENTATION: f64 = 0.25;
 
 // ---------------------------------------------------------------------------
 // CompiledMatcher
@@ -412,7 +354,6 @@ pub struct CompiledMatcher {
     /// rebuilt in [`finalize`](CompiledMatcher::finalize) for every snapshot.
     symbols: SymbolTable,
     exec: Exec,
-    encoding: DfaEncoding,
     max_dfa_states: usize,
     generation: u64,
 }
@@ -426,16 +367,6 @@ impl CompiledMatcher {
     /// [`compile`](CompiledMatcher::compile) with an explicit determinization
     /// cap — tests use a tiny cap to force the NFA fallback path.
     pub fn compile_with_limit(model: &ParserModel, max_dfa_states: usize) -> Self {
-        Self::compile_with(model, max_dfa_states, DfaEncoding::default())
-    }
-
-    /// [`compile`](CompiledMatcher::compile) with an explicit transition
-    /// encoding — benches and the differential suite compare all variants.
-    pub fn compile_with_encoding(model: &ParserModel, encoding: DfaEncoding) -> Self {
-        Self::compile_with(model, DEFAULT_MAX_DFA_STATES, encoding)
-    }
-
-    fn compile_with(model: &ParserModel, max_dfa_states: usize, encoding: DfaEncoding) -> Self {
         let mut compiled = CompiledMatcher {
             interner: Interner::default(),
             trie: vec![TrieNode {
@@ -447,7 +378,6 @@ impl CompiledMatcher {
             ranks: Vec::new(),
             symbols: SymbolTable::default(),
             exec: Exec::Nfa,
-            encoding,
             max_dfa_states,
             generation: 0,
         };
@@ -459,11 +389,9 @@ impl CompiledMatcher {
     /// Produce a new snapshot consistent with `model` by *patching* this one:
     /// templates that are unchanged keep their trie paths untouched; retired
     /// or rewritten templates are pruned; new templates are inserted; the DFA
-    /// (including the dense transition rows) is rebuilt from the patched trie,
-    /// and symbol ids are compacted when delta churn has fragmented the id
-    /// range (dense row width tracks the live symbol count). Called at every
-    /// `apply_delta`/`swap_model` boundary. Equivalent (proven by the property
-    /// suite) to [`CompiledMatcher::compile`] on the post-delta model.
+    /// is rebuilt from the patched trie. Called at every `apply_delta`/
+    /// `swap_model` boundary. Equivalent (proven by the property suite) to
+    /// [`CompiledMatcher::compile`] on the post-delta model.
     pub fn refreshed(&self, model: &ParserModel) -> Self {
         let mut next = self.clone();
         next.reconcile(model);
@@ -471,47 +399,12 @@ impl CompiledMatcher {
         next
     }
 
-    /// Shared tail of compile/refresh: compact fragmented symbol ids, rebuild
-    /// the open-addressing symbol table, re-determinize (which also lays out
-    /// the dense rows), and stamp a fresh generation.
+    /// Shared tail of compile/refresh: rebuild the open-addressing symbol
+    /// table, re-determinize, and stamp a fresh generation.
     fn finalize(&mut self) {
-        if self.interner.fragmentation() > COMPACT_FRAGMENTATION {
-            self.compact_symbols();
-        }
         self.symbols = SymbolTable::build(&self.interner);
         self.determinize();
         self.generation = GENERATION.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Reassign live symbol ids to the compact range `0..live_count`,
-    /// rewriting trie edges and stored template sequences. The remap is
-    /// monotone in the old id, so sorted edge vectors stay sorted.
-    fn compact_symbols(&mut self) {
-        let mut remap = vec![NONE; self.interner.symbols.len()];
-        let mut kept = Vec::with_capacity(self.interner.len());
-        for (old, entry) in self.interner.symbols.iter().enumerate() {
-            if entry.refs > 0 {
-                remap[old] = kept.len() as u32;
-                kept.push(entry.clone());
-            }
-        }
-        self.interner.symbols = kept;
-        self.interner.free.clear();
-        for sym in self.interner.ids.values_mut() {
-            *sym = remap[*sym as usize];
-        }
-        for node in &mut self.trie {
-            for edge in &mut node.edges {
-                edge.0 = remap[edge.0 as usize];
-            }
-        }
-        for seq in self.templates.values_mut() {
-            for sym in seq.iter_mut() {
-                if let TplSym::Const(s) = sym {
-                    *s = remap[*s as usize];
-                }
-            }
-        }
     }
 
     /// Process-unique id of this snapshot; [`MatchCache`] keys on it.
@@ -533,35 +426,14 @@ impl CompiledMatcher {
     /// Number of DFA states, or `None` when running in NFA fallback mode.
     pub fn dfa_states(&self) -> Option<usize> {
         match &self.exec {
-            Exec::Dfa { states, .. } => Some(states.len()),
+            Exec::Dfa(states) => Some(states.len()),
             Exec::Nfa => None,
         }
-    }
-
-    /// Number of DFA states carrying a dense transition row (0 in NFA mode or
-    /// under [`DfaEncoding::Sparse`]).
-    pub fn dense_states(&self) -> usize {
-        match &self.exec {
-            Exec::Dfa { states, .. } => states.iter().filter(|s| s.dense_row != NONE).count(),
-            Exec::Nfa => 0,
-        }
-    }
-
-    /// The transition encoding this snapshot was compiled with.
-    pub fn encoding(&self) -> DfaEncoding {
-        self.encoding
     }
 
     /// Number of distinct interned const tokens.
     pub fn interned_symbols(&self) -> usize {
         self.interner.len()
-    }
-
-    /// Width of a dense transition row: one past the highest symbol id.
-    /// Tracks [`interned_symbols`](CompiledMatcher::interned_symbols) closely
-    /// because `refreshed` compacts the id range under fragmentation.
-    pub fn symbol_range(&self) -> usize {
-        self.interner.symbol_range()
     }
 
     /// True when subset construction hit the cap and matching runs by NFA
@@ -789,46 +661,7 @@ impl CompiledMatcher {
             states[next_state].accept = self.best_accept(&members_of[next_state]);
             next_state += 1;
         }
-        let dense = self.build_dense_rows(&mut states);
-        self.exec = Exec::Dfa { states, dense };
-    }
-
-    /// Lay out dense transition rows for hot states according to the snapshot
-    /// encoding. Rows are granted widest-state-first (deterministic tiebreak
-    /// on state index) until [`DENSE_BUDGET_ENTRIES`] is exhausted; each row
-    /// is pre-filled with the state's default so the hot-path transition for
-    /// an interned symbol is a single indexed load.
-    fn build_dense_rows(&self, states: &mut [DfaState]) -> Vec<u32> {
-        let sym_range = self.interner.symbol_range();
-        let threshold = match self.encoding {
-            DfaEncoding::Sparse => return Vec::new(),
-            DfaEncoding::Dense => 1,
-            DfaEncoding::Hybrid => DENSE_EDGE_THRESHOLD,
-        };
-        if sym_range == 0 {
-            return Vec::new();
-        }
-        let mut hot: Vec<(usize, usize)> = states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.edges.len() >= threshold)
-            .map(|(idx, s)| (s.edges.len(), idx))
-            .collect();
-        hot.sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-        let mut dense = Vec::new();
-        for (_, idx) in hot {
-            if dense.len() + sym_range > DENSE_BUDGET_ENTRIES {
-                break;
-            }
-            let state = &mut states[idx];
-            let row = dense.len();
-            state.dense_row = row as u32;
-            dense.resize(row + sym_range, state.default);
-            for &(sym, target) in &state.edges {
-                dense[row + sym as usize] = target;
-            }
-        }
-        dense
+        self.exec = Exec::Dfa(states);
     }
 
     fn intern_state(
@@ -854,22 +687,16 @@ impl CompiledMatcher {
     /// Match a token stream; `tokens` yields each masked token once, in order.
     fn match_symbols<'a, I: Iterator<Item = &'a str>>(&self, tokens: I) -> Option<NodeId> {
         match &self.exec {
-            Exec::Dfa { states, dense } => {
+            Exec::Dfa(states) => {
                 let mut at = 0u32;
                 for token in tokens {
                     let state = &states[at as usize];
                     let next = match self.symbols.lookup(token, &self.interner) {
-                        Some(sym) => {
-                            if state.dense_row != NONE {
-                                dense[state.dense_row as usize + sym as usize]
-                            } else {
-                                state
-                                    .edges
-                                    .binary_search_by_key(&sym, |&(s, _)| s)
-                                    .map(|pos| state.edges[pos].1)
-                                    .unwrap_or(state.default)
-                            }
-                        }
+                        Some(sym) => state
+                            .edges
+                            .binary_search_by_key(&sym, |&(s, _)| s)
+                            .map(|pos| state.edges[pos].1)
+                            .unwrap_or(state.default),
                         None => state.default,
                     };
                     if next == NONE {
@@ -909,11 +736,6 @@ impl CompiledMatcher {
     /// Match a preprocessed [`TokenView`] (the zero-copy streaming path).
     pub fn match_view(&self, view: &TokenView<'_>) -> Option<NodeId> {
         self.match_symbols(view.iter())
-    }
-
-    /// Match owned tokens (the batch/maintenance path).
-    pub fn match_tokens(&self, tokens: &[String]) -> Option<NodeId> {
-        self.match_symbols(tokens.iter().map(|t| t.as_str()))
     }
 
     // -- equivalence -------------------------------------------------------
@@ -965,16 +787,6 @@ impl CompiledMatcher {
             self.canonical_node(trie_node.wildcard, prefix, out);
             prefix.truncate(saved);
         }
-    }
-}
-
-impl Matcher for CompiledMatcher {
-    fn match_view(&self, view: &TokenView<'_>) -> Option<NodeId> {
-        CompiledMatcher::match_view(self, view)
-    }
-
-    fn match_tokens(&self, tokens: &[String]) -> Option<NodeId> {
-        CompiledMatcher::match_tokens(self, tokens)
     }
 }
 
@@ -1120,7 +932,7 @@ impl MatchCache {
 mod tests {
     use super::*;
     use crate::config::TrainConfig;
-    use crate::matcher::{match_tokens, match_view};
+    use crate::matcher::match_view;
     use crate::train::train;
     use logtok::Preprocessor;
 
@@ -1161,6 +973,11 @@ mod tests {
         ]
     }
 
+    /// Match a literal token sequence (no preprocessing).
+    fn match_literal(compiled: &CompiledMatcher, tokens: &[&str]) -> Option<NodeId> {
+        compiled.match_symbols(tokens.iter().copied())
+    }
+
     fn assert_agrees(model: &ParserModel, compiled: &CompiledMatcher, pre: &Preprocessor) {
         let mut scratch = TokenScratch::new();
         for line in corpus().iter().chain(probes().iter()) {
@@ -1194,8 +1011,8 @@ mod tests {
     fn empty_model_matches_nothing() {
         let model = ParserModel::new();
         let compiled = CompiledMatcher::compile(&model);
-        assert_eq!(compiled.match_tokens(&["anything".into()]), None);
-        assert_eq!(compiled.match_tokens(&[]), None);
+        assert_eq!(match_literal(&compiled, &["anything"]), None);
+        assert_eq!(match_literal(&compiled, &[]), None);
         assert_eq!(compiled.live_templates(), 0);
     }
 
@@ -1204,15 +1021,15 @@ mod tests {
         let (mut model, _) = trained();
         let compiled = CompiledMatcher::compile(&model);
         let before = compiled.canonical_form();
-        let tokens: Vec<String> = vec!["gamma".into(), "ray".into(), "burst".into()];
-        let id = model.insert_temporary(&tokens);
+        let tokens = ["gamma", "ray", "burst"];
+        let id = model.insert_temporary(&tokens.map(String::from));
         let with_temp = compiled.refreshed(&model);
-        assert_eq!(with_temp.match_tokens(&tokens), Some(id));
+        assert_eq!(match_literal(&with_temp, &tokens), Some(id));
         assert_eq!(with_temp.live_templates(), compiled.live_templates() + 1);
         model.retire(id);
         model.rebuild_match_order();
         let pruned = with_temp.refreshed(&model);
-        assert_eq!(pruned.match_tokens(&tokens), None);
+        assert_eq!(match_literal(&pruned, &tokens), None);
         // Structural GC: pruning the only template through those nodes returns
         // the trie (and interner) to its pre-insertion shape.
         assert_eq!(pruned.canonical_form(), before);
@@ -1267,24 +1084,15 @@ mod tests {
         model.add_root(coarse);
         model.rebuild_match_order();
         let compiled = CompiledMatcher::compile(&model);
-        assert_eq!(
-            compiled.match_tokens(&["x".into(), "y".into()]),
-            Some(precise)
-        );
-        assert_eq!(
-            compiled.match_tokens(&["x".into(), "z".into()]),
-            Some(coarse)
-        );
-        assert_eq!(compiled.match_tokens(&["x".into()]), None);
-        assert_eq!(
-            compiled.match_tokens(&["x".into(), "y".into(), "z".into()]),
-            None
-        );
+        assert_eq!(match_literal(&compiled, &["x", "y"]), Some(precise));
+        assert_eq!(match_literal(&compiled, &["x", "z"]), Some(coarse));
+        assert_eq!(match_literal(&compiled, &["x"]), None);
+        assert_eq!(match_literal(&compiled, &["x", "y", "z"]), None);
         // Sanity: identical to the linear scan.
-        assert_eq!(
-            compiled.match_tokens(&["x".into(), "y".into()]),
-            match_tokens(&model, &["x".into(), "y".into()])
-        );
+        let pre = Preprocessor::default_pipeline();
+        let mut scratch = TokenScratch::new();
+        let view = pre.token_view("x y", &mut scratch);
+        assert_eq!(match_view(&model, &view), Some(precise));
     }
 
     #[test]
@@ -1292,8 +1100,8 @@ mod tests {
         let mut model = ParserModel::new();
         let id = model.insert_temporary(&[]);
         let compiled = CompiledMatcher::compile(&model);
-        assert_eq!(compiled.match_tokens(&[]), Some(id));
-        assert_eq!(compiled.match_tokens(&["x".into()]), None);
+        assert_eq!(match_literal(&compiled, &[]), Some(id));
+        assert_eq!(match_literal(&compiled, &["x"]), None);
     }
 
     #[test]

@@ -48,12 +48,12 @@ pub mod saturation;
 pub mod train;
 pub mod tree;
 
-pub use automaton::{CompiledMatcher, DfaEncoding, MatchCache, MatchEngine};
+pub use automaton::{CompiledMatcher, MatchCache, MatchEngine};
 pub use config::{AblationConfig, TrainConfig};
 pub use incremental::{
     apply_delta, train_delta, DeltaParent, DriftConfig, DriftDecision, DriftDetector, ModelDelta,
 };
-pub use matcher::{MatchResult, Matcher};
+pub use matcher::MatchResult;
 pub use model::ParserModel;
 pub use parser::ByteBrainParser;
 pub use query::ast::{Aggregate, Predicate, Query};

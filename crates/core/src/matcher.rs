@@ -13,30 +13,6 @@ use crate::tree::NodeId;
 use logtok::{Preprocessor, TokenScratch, TokenView};
 use serde::{Deserialize, Serialize};
 
-/// The matching engine interface: anything that can assign a preprocessed
-/// token stream to a template. Implemented by [`ParserModel`] (linear walk
-/// over `match_order` — the reference) and
-/// [`CompiledMatcher`] (the compiled
-/// automaton hot path). The service layer's pools and ingestors route every
-/// record through this trait, so engines are interchangeable per topic.
-pub trait Matcher {
-    /// Assign `view` to the most precise matching template, or `None`.
-    fn match_view(&self, view: &TokenView<'_>) -> Option<NodeId>;
-
-    /// Owned-token variant used by maintenance re-matching.
-    fn match_tokens(&self, tokens: &[String]) -> Option<NodeId>;
-}
-
-impl Matcher for ParserModel {
-    fn match_view(&self, view: &TokenView<'_>) -> Option<NodeId> {
-        match_view(self, view)
-    }
-
-    fn match_tokens(&self, tokens: &[String]) -> Option<NodeId> {
-        match_tokens(self, tokens)
-    }
-}
-
 /// The result of matching one log.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MatchResult {
@@ -55,36 +31,22 @@ impl MatchResult {
     }
 }
 
-/// Match a tokenized log against the model; returns the first (most precise) matching
-/// template id.
-pub fn match_tokens(model: &ParserModel, tokens: &[String]) -> Option<NodeId> {
-    for &id in model.match_order() {
-        let node = &model.nodes[id.0];
-        if node.matches_tokens(tokens) {
-            return Some(id);
-        }
-    }
-    None
-}
-
-/// Borrow-based match entry point (§4.8, zero-copy fast path): match a
-/// [`TokenView`] produced by [`Preprocessor::token_view`] without allocating owned
-/// token strings or a rendered template. Returns the first (most precise) matching
-/// template id. This is what the sharded streaming ingestion engine calls per record.
+/// The linear tree walk (§4.8): match a [`TokenView`] produced by
+/// [`Preprocessor::token_view`] against the templates in match order, without
+/// allocating owned token strings or a rendered template. Returns the first (most
+/// precise) matching template id. This is [`ByteBrainParser`](crate::ByteBrainParser)'s
+/// engine and the reference the compiled automaton is differentially tested against.
 pub fn match_view(model: &ParserModel, view: &TokenView<'_>) -> Option<NodeId> {
-    for &id in model.match_order() {
-        let node = &model.nodes[id.0];
-        if node.matches_view(view) {
-            return Some(id);
-        }
-    }
-    None
+    model
+        .match_order()
+        .iter()
+        .copied()
+        .find(|id| model.nodes[id.0].matches(view.iter()))
 }
 
-/// Match a raw record through caller-provided scratch buffers: the zero-copy
-/// equivalent of [`match_record`]. Only the rendered template of the *result*
-/// allocates; preprocessing and matching reuse `scratch`.
-pub fn match_record_with_scratch(
+/// [`match_record`] through caller-provided scratch buffers: only the rendered
+/// template of the *result* allocates; preprocessing and matching reuse `scratch`.
+fn match_record_with_scratch(
     model: &ParserModel,
     preprocessor: &Preprocessor,
     record: &str,
@@ -138,23 +100,11 @@ pub fn match_batch(
     results.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Engine-dispatching view match: the compiled automaton when a snapshot is
-/// supplied, the linear tree walk otherwise. Both return the same id for the
-/// same view (the differential suite's core invariant).
-pub fn match_view_with(
-    model: &ParserModel,
-    compiled: Option<&CompiledMatcher>,
-    view: &TokenView<'_>,
-) -> Option<NodeId> {
-    match compiled {
-        Some(compiled) => compiled.match_view(view),
-        None => match_view(model, view),
-    }
-}
-
-/// Lean engine-dispatching batch matcher: like [`match_batch`] but returns
-/// `(node, saturation)` pairs without rendering template texts — the service
-/// layer's ingest and maintenance re-match paths only need the assignment.
+/// Lean batch matcher: like [`match_batch`] but returns `(node, saturation)` pairs
+/// without rendering template texts — the service layer's ingest and maintenance
+/// re-match paths only need the assignment. Records go through the compiled
+/// automaton when a snapshot is supplied, the tree walk otherwise; both return the
+/// same id for the same record (the differential suite's core invariant).
 pub fn match_ids_batch<S: AsRef<str> + Sync>(
     model: &ParserModel,
     compiled: Option<&CompiledMatcher>,
@@ -175,7 +125,10 @@ pub fn match_ids_batch<S: AsRef<str> + Sync>(
         SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
             let view = preprocessor.token_view(record, &mut scratch);
-            let node = match_view_with(model, compiled, &view);
+            let node = match compiled {
+                Some(compiled) => compiled.match_view(&view),
+                None => match_view(model, &view),
+            };
             let saturation = node.map(|id| model.nodes[id.0].saturation).unwrap_or(0.0);
             (idx, (node, saturation))
         })

@@ -45,10 +45,11 @@ pub const DEFAULT_THRESHOLD: f64 = 0.9;
 
 /// Sanitize a user-supplied saturation threshold: NaN becomes [`DEFAULT_THRESHOLD`],
 /// finite values are clamped to `[0, 1]`. Every query entry point funnels through this
-/// single function, so silent nonsense thresholds cannot reach resolution. Core
-/// resolution honours the exact threshold it is given; the service's query surface
-/// additionally snaps thresholds to its slider grid (see `service::QueryOptions`) so
-/// its cache key always describes exactly the threshold a cached result was computed
+/// single function, so silent nonsense thresholds cannot reach resolution. Resolution
+/// called directly ([`resolve_with_threshold`], [`SaturationLadder::resolve_batch`])
+/// honours the exact threshold it is given; planned queries additionally snap it to
+/// the slider's 1/1000 grid ([`QueryPlan::from_query`](plan::QueryPlan::from_query)),
+/// so a plan's fingerprint always names exactly the threshold its result was computed
 /// at.
 pub fn clamp_threshold(threshold: f64) -> f64 {
     if threshold.is_nan() {

@@ -8,7 +8,10 @@
 //! * `and` / `or` chains are flattened, deduplicated, and sorted by
 //!   canonical encoding (commutative predicates hash equal), double
 //!   negation is removed, and single-child combinators collapse;
-//! * the saturation threshold is clamped to `[0, 1]`.
+//! * the saturation threshold is clamped to `[0, 1]` and snapped to the
+//!   precision slider's 1/1000 grid, so every query surface (library, HTTP,
+//!   snapshot) quantizes identically and the fingerprint always names
+//!   exactly the threshold the result was computed at.
 //!
 //! The normalized plan exposes a stable 64-bit FNV-1a [`QueryPlan::fingerprint`]
 //! (`QueryPlan::fingerprint`) — the canonical plan hash the service query
@@ -73,7 +76,7 @@ pub struct QueryPlan {
 impl QueryPlan {
     /// Normalize `query` into a plan. See the module docs for the rules.
     pub fn from_query(query: Query) -> Result<QueryPlan, PlanError> {
-        let threshold = clamp_threshold(query.threshold);
+        let threshold = (clamp_threshold(query.threshold) * 1_000.0).round() / 1_000.0;
         let output = match query.aggregate {
             Aggregate::GroupBy => PlanOutput::Groups { limit: usize::MAX },
             Aggregate::TopK(k) => PlanOutput::Groups { limit: k },
@@ -93,7 +96,8 @@ impl QueryPlan {
         })
     }
 
-    /// Clamped saturation threshold.
+    /// The saturation threshold the plan resolves at: clamped to `[0, 1]`
+    /// (NaN → default) and snapped to the 1/1000 slider grid.
     pub fn threshold(&self) -> f64 {
         self.threshold
     }
@@ -451,8 +455,27 @@ mod tests {
     fn threshold_is_clamped_at_plan_time() {
         let plan = Query::group_by().at_threshold(7.0).plan().unwrap();
         assert_eq!(plan.threshold(), 1.0);
+        let negative = Query::group_by().at_threshold(-5.0).plan().unwrap();
+        assert_eq!(negative.threshold(), 0.0);
         let nan = Query::group_by().at_threshold(f64::NAN).plan().unwrap();
         assert_eq!(nan.threshold(), crate::query::DEFAULT_THRESHOLD);
+    }
+
+    /// Every surface plans through here, so off-grid thresholds land on the
+    /// grid stop they round to — in the value *and* in the fingerprint the
+    /// query cache keys on.
+    #[test]
+    fn threshold_is_snapped_to_the_slider_grid_at_plan_time() {
+        let on_grid = Query::group_by().at_threshold(0.9).plan().unwrap();
+        for off_grid in [0.8996, 0.8995, 0.9001] {
+            let plan = Query::group_by().at_threshold(off_grid).plan().unwrap();
+            assert_eq!(plan.threshold(), 0.9);
+            assert_eq!(plan.fingerprint(), on_grid.fingerprint());
+            assert_eq!(plan, on_grid);
+        }
+        let below = Query::group_by().at_threshold(0.89949).plan().unwrap();
+        assert_eq!(below.threshold(), 0.899);
+        assert_ne!(below.fingerprint(), on_grid.fingerprint());
     }
 
     #[test]

@@ -170,7 +170,7 @@ mod tests {
             let tokens = preprocessor.tokens_of(record);
             let node = outcome.model.node(*node_id).unwrap();
             assert!(
-                node.matches_tokens(&tokens),
+                node.matches(tokens.iter().map(String::as_str)),
                 "record {record:?} assigned to non-matching template {:?}",
                 node.template_text()
             );

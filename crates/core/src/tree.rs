@@ -104,31 +104,11 @@ impl TreeNode {
     }
 
     /// Position-based match (§4.8): `tokens` matches when it has the same length and every
-    /// position equals the template token or the template holds a wildcard.
-    pub fn matches_tokens(&self, tokens: &[String]) -> bool {
-        if tokens.len() != self.template.len() {
-            return false;
-        }
-        self.template
-            .iter()
-            .zip(tokens.iter())
-            .all(|(t, token)| match t {
-                TemplateToken::Wildcard => true,
-                TemplateToken::Const(c) => c == token,
-            })
-    }
-
-    /// Borrow-based variant of [`TreeNode::matches_tokens`] for the zero-copy matching
-    /// path: compares against a [`logtok::TokenView`] without materialising owned token
-    /// strings.
-    pub fn matches_view(&self, view: &logtok::TokenView<'_>) -> bool {
-        if view.len() != self.template.len() {
-            return false;
-        }
-        self.template
-            .iter()
-            .zip(view.iter())
-            .all(|(t, token)| match t {
+    /// position equals the template token or the template holds a wildcard. Takes borrowed
+    /// tokens ([`logtok::TokenView::iter`] on the matching path), so nothing is allocated.
+    pub fn matches<'a>(&self, tokens: impl ExactSizeIterator<Item = &'a str>) -> bool {
+        tokens.len() == self.template.len()
+            && self.template.iter().zip(tokens).all(|(t, token)| match t {
                 TemplateToken::Wildcard => true,
                 TemplateToken::Const(c) => c == token,
             })
@@ -163,10 +143,6 @@ mod tests {
         }
     }
 
-    fn tokens(ts: &[&str]) -> Vec<String> {
-        ts.iter().map(|s| s.to_string()).collect()
-    }
-
     #[test]
     fn template_text_renders_wildcards() {
         let n = node(&["release", "lock", "*", "flg", "*"]);
@@ -177,16 +153,16 @@ mod tests {
     #[test]
     fn matches_exact_and_wildcard_positions() {
         let n = node(&["acquire", "lock", "*"]);
-        assert!(n.matches_tokens(&tokens(&["acquire", "lock", "42"])));
-        assert!(n.matches_tokens(&tokens(&["acquire", "lock", "anything"])));
-        assert!(!n.matches_tokens(&tokens(&["release", "lock", "42"])));
+        assert!(n.matches(["acquire", "lock", "42"].into_iter()));
+        assert!(n.matches(["acquire", "lock", "anything"].into_iter()));
+        assert!(!n.matches(["release", "lock", "42"].into_iter()));
     }
 
     #[test]
     fn length_mismatch_never_matches() {
         let n = node(&["a", "*"]);
-        assert!(!n.matches_tokens(&tokens(&["a"])));
-        assert!(!n.matches_tokens(&tokens(&["a", "b", "c"])));
+        assert!(!n.matches(["a"].into_iter()));
+        assert!(!n.matches(["a", "b", "c"].into_iter()));
     }
 
     #[test]

@@ -259,12 +259,13 @@ fn matcher_probe(rng: &mut StdRng) -> String {
     }
 }
 
-/// The zero-copy matching paths (`match_view` through a long-lived scratch, and
-/// `match_record_with_scratch`) agree with the owned-allocation `match_record` on
-/// adversarial probes — same matched node, same saturation, same template.
+/// The matching entry points agree on adversarial probes: `match_view` through a
+/// long-lived scratch, `match_batch` (per-thread scratches) and the owned-allocation
+/// `match_record` return the same node, saturation and template — and the matched
+/// template positionally matches the owned tokens `tokens_of` produces.
 #[test]
 fn zero_copy_matching_agrees_with_owned_path() {
-    use bytebrain::matcher::{match_record, match_record_with_scratch, match_tokens, match_view};
+    use bytebrain::matcher::{match_batch, match_record, match_view};
     use logtok::{Preprocessor, TokenScratch};
 
     let mut rng = StdRng::seed_from_u64(adversarial_seed() ^ 0xAD7E_0004);
@@ -283,21 +284,21 @@ fn zero_copy_matching_agrees_with_owned_path() {
     let model = train(&records, &config).model;
     let pre = Preprocessor::new(config.preprocess.clone());
     let mut scratch = TokenScratch::new();
-    for _ in 0..600 {
-        let probe = matcher_probe(&mut rng);
-        let owned = match_record(&model, &pre, &probe);
-        let scratched = match_record_with_scratch(&model, &pre, &probe, &mut scratch);
-        assert_eq!(owned, scratched, "scratch path diverged on {probe:?}");
-        // The raw view path agrees with token-level matching.
-        let view = pre.token_view(&probe, &mut scratch);
+    let probes: Vec<String> = (0..600).map(|_| matcher_probe(&mut rng)).collect();
+    let batched = match_batch(&model, &pre, &probes, 2);
+    for (probe, batched) in probes.iter().zip(&batched) {
+        let owned = match_record(&model, &pre, probe);
+        assert_eq!(&owned, batched, "batch path diverged on {probe:?}");
+        let view = pre.token_view(probe, &mut scratch);
         let view_node = match_view(&model, &view);
         assert_eq!(owned.node, view_node, "view path diverged on {probe:?}");
-        let tokens = pre.tokens_of(&probe);
-        assert_eq!(
-            match_tokens(&model, &tokens),
-            view_node,
-            "token path diverged on {probe:?}"
-        );
+        if let Some(id) = view_node {
+            let tokens = pre.tokens_of(probe);
+            assert!(
+                model.nodes[id.0].matches(tokens.iter().map(String::as_str)),
+                "owned tokens disagree with the view on {probe:?}"
+            );
+        }
     }
 }
 
@@ -423,13 +424,14 @@ fn family_record(rng: &mut StdRng, family: u32) -> String {
 #[test]
 fn patched_automaton_equals_scratch_compile_after_random_deltas() {
     use bytebrain::incremental::{apply_delta, train_delta};
-    use bytebrain::matcher::match_tokens;
+    use bytebrain::matcher::match_view;
     use bytebrain::{CompiledMatcher, NodeId};
-    use logtok::Preprocessor;
+    use logtok::{Preprocessor, TokenScratch};
 
     let mut rng = StdRng::seed_from_u64(adversarial_seed() ^ 0xA070_0001);
     let config = TrainConfig::default();
     let pre = Preprocessor::new(config.preprocess.clone());
+    let mut scratch = TokenScratch::new();
 
     for case in 0..5 {
         let warm: Vec<String> = (0..rng.gen_range(40..120usize))
@@ -499,15 +501,15 @@ fn patched_automaton_equals_scratch_compile_after_random_deltas() {
             for _ in 0..25 {
                 let family = rng.gen_range(0..4u32);
                 let probe = family_record(&mut rng, family);
-                let tokens = pre.tokens_of(&probe);
-                let tree = match_tokens(&model, &tokens);
+                let view = pre.token_view(&probe, &mut scratch);
+                let tree = match_view(&model, &view);
                 assert_eq!(
-                    compiled.match_tokens(&tokens),
+                    compiled.match_view(&view),
                     tree,
                     "patched automaton diverged from tree walk on {probe:?}"
                 );
                 assert_eq!(
-                    scratch_compile.match_tokens(&tokens),
+                    scratch_compile.match_view(&view),
                     tree,
                     "scratch automaton diverged from tree walk on {probe:?}"
                 );
@@ -516,49 +518,47 @@ fn patched_automaton_equals_scratch_compile_after_random_deltas() {
     }
 }
 
-/// Every DFA encoding — sparse binary-search edges, fully dense rows, and the
-/// hybrid (dense rows for hot states only) — produces **byte-identical**
-/// assignments to the tree walk, and to each other, across random
-/// delta/retire/temporary sequences with mid-stream hot-swaps. The hashed
-/// match cache, probed across snapshot swaps, must agree with every engine.
+/// The sorted-edge DFA produces **byte-identical** assignments to the tree walk on
+/// a model whose start state fans out over hundreds of const edges (the widest
+/// binary search a transition can face), across delta/retire/temporary churn that
+/// recycles most interned symbol ids between mid-stream hot-swaps. The hashed match
+/// cache, kept across the swaps, must agree too.
 #[test]
-fn dense_sparse_hybrid_encodings_are_byte_identical() {
+fn sorted_edge_dfa_equals_tree_walk_under_wide_fanout_and_churn() {
     use bytebrain::incremental::{apply_delta, train_delta};
-    use bytebrain::matcher::match_tokens;
-    use bytebrain::{CompiledMatcher, DfaEncoding, MatchCache, NodeId};
+    use bytebrain::matcher::match_view;
+    use bytebrain::{CompiledMatcher, MatchCache, NodeId};
     use logtok::{Preprocessor, TokenScratch};
 
     let mut rng = StdRng::seed_from_u64(adversarial_seed() ^ 0xDE2E_0002);
     let config = TrainConfig::default();
     let pre = Preprocessor::new(config.preprocess.clone());
     let mut scratch = TokenScratch::new();
+    // One temporary per distinct leading token: each adds a const edge to the
+    // start state and two more interned symbols.
+    let wide_line = |round: usize, i: usize| format!("kind-r{round}-{i} unit-r{round}-{i} stalled");
 
     for case in 0..4 {
         let warm: Vec<String> = (0..rng.gen_range(40..120usize))
             .map(|_| family_record(&mut rng, 0))
             .collect();
         let mut model = train(&warm, &config).model;
-        let mut engines = [
-            (
-                "sparse",
-                CompiledMatcher::compile_with_encoding(&model, DfaEncoding::Sparse),
-            ),
-            (
-                "dense",
-                CompiledMatcher::compile_with_encoding(&model, DfaEncoding::Dense),
-            ),
-            (
-                "hybrid",
-                CompiledMatcher::compile_with_encoding(&model, DfaEncoding::Hybrid),
-            ),
-        ];
-        // One cache per engine, kept *across* hot-swaps: generation
-        // invalidation (not staleness) must keep hits equal to misses.
-        let mut caches = [
-            MatchCache::new(64),
-            MatchCache::new(64),
-            MatchCache::new(64),
-        ];
+        let mut wide: Vec<(NodeId, String)> = (0..300)
+            .map(|i| {
+                let line = wide_line(0, i);
+                (model.insert_temporary(&pre.tokens_of(&line)), line)
+            })
+            .collect();
+        let leading: std::collections::HashSet<String> = wide
+            .iter()
+            .map(|(_, line)| pre.tokens_of(line).swap_remove(0))
+            .collect();
+        assert_eq!(leading.len(), 300, "masking collapsed the fan-out");
+        let mut compiled = CompiledMatcher::compile(&model);
+        let symbols_at_start = compiled.interned_symbols();
+        // Kept *across* hot-swaps: generation invalidation (not staleness) must
+        // keep hits equal to misses.
+        let mut cache = MatchCache::new(64);
 
         for step in 0..8 {
             match rng.gen_range(0..4u32) {
@@ -569,6 +569,8 @@ fn dense_sparse_hybrid_encodings_are_byte_identical() {
                         .collect();
                     let delta = train_delta(&model, &batch, &config, 0.6);
                     model = apply_delta(&model, &delta);
+                    // The delta absorbs temporaries; probe only the survivors.
+                    wide.retain(|(id, _)| !model.nodes[id.0].retired);
                 }
                 1 => {
                     let family = rng.gen_range(0..4u32);
@@ -584,8 +586,10 @@ fn dense_sparse_hybrid_encodings_are_byte_identical() {
                         .map(|n| n.id)
                         .collect();
                     if !live.is_empty() {
-                        model.retire(live[rng.gen_range(0..live.len())]);
+                        let gone = live[rng.gen_range(0..live.len())];
+                        model.retire(gone);
                         model.rebuild_match_order();
+                        wide.retain(|(id, _)| *id != gone);
                     }
                 }
                 _ => {
@@ -596,55 +600,61 @@ fn dense_sparse_hybrid_encodings_are_byte_identical() {
                     }
                 }
             }
-
-            // Mid-stream hot-swap: every engine refreshes from its previous
-            // snapshot (dense rows patched in place, symbols possibly
-            // compacted), never from scratch.
-            for (_, engine) in engines.iter_mut() {
-                *engine = engine.refreshed(&model);
+            // Churn: retire half of the wide temporaries and insert as many with
+            // fresh tokens, so every patch releases hundreds of symbol ids and
+            // hands them straight back out to different tokens.
+            let keep = wide.split_off(wide.len() / 2);
+            for (id, _) in std::mem::replace(&mut wide, keep) {
+                model.retire(id);
             }
-            let [(_, sparse), (_, dense), (_, hybrid)] = &engines;
-            assert_eq!(
-                sparse.canonical_form(),
-                dense.canonical_form(),
-                "sparse/dense canonical forms diverged (case {case}, step {step})"
-            );
-            assert_eq!(
-                sparse.canonical_form(),
-                hybrid.canonical_form(),
-                "sparse/hybrid canonical forms diverged (case {case}, step {step})"
-            );
+            model.rebuild_match_order();
+            for i in 0..150 {
+                let line = wide_line(step + 1, i);
+                wide.push((model.insert_temporary(&pre.tokens_of(&line)), line));
+            }
 
-            for _ in 0..30 {
-                let probe = if rng.gen_bool(0.8) {
+            // Mid-stream hot-swap: patched from the previous snapshot, never
+            // from scratch.
+            compiled = compiled.refreshed(&model);
+            assert_eq!(
+                compiled.canonical_form(),
+                CompiledMatcher::compile(&model).canonical_form(),
+                "patched/scratch canonical forms diverged (case {case}, step {step})"
+            );
+            assert!(!compiled.uses_nfa_fallback());
+
+            for i in 0..50 {
+                let probe = if i < 20 {
+                    wide[rng.gen_range(0..wide.len())].1.clone()
+                } else if rng.gen_bool(0.8) {
                     let family = rng.gen_range(0..4u32);
                     family_record(&mut rng, family)
                 } else {
                     fuzz_line(&mut rng)
                 };
-                let tokens = pre.tokens_of(&probe);
-                let tree = match_tokens(&model, &tokens);
-                for ((name, engine), cache) in engines.iter().zip(caches.iter_mut()) {
-                    assert_eq!(
-                        engine.match_tokens(&tokens),
-                        tree,
-                        "{name} diverged from tree walk (case {case}, step {step}, {probe:?})"
-                    );
-                    let cached = cache.match_record(engine, &pre, &mut scratch, &probe);
-                    assert_eq!(
-                        cached, tree,
-                        "{name} hashed cache diverged (case {case}, step {step}, {probe:?})"
-                    );
-                }
+                let view = pre.token_view(&probe, &mut scratch);
+                let tree = match_view(&model, &view);
+                assert_eq!(
+                    compiled.match_view(&view),
+                    tree,
+                    "DFA diverged from tree walk (case {case}, step {step}, {probe:?})"
+                );
+                let cached = cache.match_record(&compiled, &pre, &mut scratch, &probe);
+                assert_eq!(
+                    cached, tree,
+                    "hashed cache diverged (case {case}, step {step}, {probe:?})"
+                );
             }
         }
-        // The hybrid engine actually exercised the dense path somewhere in the
-        // run (otherwise this test silently degrades to sparse-vs-sparse).
-        let [(_, _), (_, dense), (_, hybrid)] = &engines;
-        assert!(dense.dense_states() > 0, "dense engine granted no rows");
+        // The fan-out survived the churn (otherwise this silently degrades to the
+        // narrow models of the test above), and recycled ids kept the symbol
+        // count from growing with the 1,200 temporaries inserted along the way.
+        assert!(wide.len() >= 100, "wide fan-out collapsed: {}", wide.len());
         assert!(
-            hybrid.dense_states() <= dense.dense_states(),
-            "hybrid granted more rows than dense"
+            compiled.interned_symbols() < symbols_at_start + 700,
+            "retired symbols were not released: {} → {}",
+            symbols_at_start,
+            compiled.interned_symbols()
         );
     }
 }
@@ -698,7 +708,7 @@ fn fuzz_line(rng: &mut StdRng) -> String {
 /// hits always return the same assignment as cache misses.
 #[test]
 fn fuzz_compiler_and_match_cache_on_arbitrary_lines() {
-    use bytebrain::matcher::match_tokens;
+    use bytebrain::matcher::match_view;
     use bytebrain::{CompiledMatcher, MatchCache};
     use logtok::{Preprocessor, TokenScratch};
 
@@ -733,11 +743,11 @@ fn fuzz_compiler_and_match_cache_on_arbitrary_lines() {
             let mut probes = Vec::new();
             for _ in 0..150 {
                 let probe = fuzz_line(&mut rng);
-                let tokens = pre.tokens_of(&probe);
-                let direct = compiled.match_tokens(&tokens);
+                let view = pre.token_view(&probe, &mut scratch);
+                let direct = compiled.match_view(&view);
                 assert_eq!(
                     direct,
-                    match_tokens(&model, &tokens),
+                    match_view(&model, &view),
                     "{mode} diverged from tree walk (case {case}, probe {probe:?})"
                 );
                 let miss = cache.match_record(compiled, &pre, &mut scratch, &probe);

@@ -99,7 +99,7 @@ impl<'s> TokenView<'s> {
     }
 
     /// Iterator over the tokens, in record order.
-    pub fn iter(&self) -> impl Iterator<Item = &'s str> + Clone + '_ {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'s str> + Clone + '_ {
         self.spans.iter().map(move |&(s, e)| &self.text[s..e])
     }
 

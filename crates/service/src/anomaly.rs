@@ -3,9 +3,9 @@
 //! abnormally between two time windows.
 //!
 //! Window distributions come from the planned query path: callers either pass
-//! precomputed `(template, count)` distributions (as returned by
-//! `template_distribution`) to [`AnomalyDetector::detect`] or hand two
-//! [`QuerySnapshot`]s to [`AnomalyDetector::detect_snapshots`], which aggregates
+//! precomputed `(template, count)` distributions (a
+//! [`QueryValue::Distribution`](crate::query::QueryValue::Distribution)) to
+//! [`AnomalyDetector::detect`] or hand two [`QuerySnapshot`]s to [`AnomalyDetector::detect_snapshots`], which aggregates
 //! per-node postings up the saturation ladder — O(templates) per window, never a
 //! record scan.
 
@@ -63,7 +63,7 @@ impl Default for AnomalyDetector {
 impl AnomalyDetector {
     /// Compare a baseline template distribution against the current one and report
     /// anomalies, most severe (largest relative change) first. Distributions are
-    /// `(template, count)` pairs as returned by `template_distribution`.
+    /// `(template, count)` pairs of a distribution query.
     pub fn detect(
         &self,
         baseline: &[(String, u64)],
@@ -137,8 +137,8 @@ impl AnomalyDetector {
         threshold: f64,
     ) -> Vec<AnomalyReport> {
         self.detect(
-            &baseline.template_distribution(threshold),
-            &current.template_distribution(threshold),
+            &baseline.distribution(threshold),
+            &current.distribution(threshold),
         )
     }
 
@@ -233,10 +233,7 @@ mod tests {
         let reports = detector.detect_snapshots(&baseline, &current, 0.9);
         assert_eq!(
             reports,
-            detector.detect(
-                &baseline.template_distribution(0.9),
-                &current.template_distribution(0.9)
-            )
+            detector.detect(&baseline.distribution(0.9), &current.distribution(0.9))
         );
         assert!(
             reports.iter().any(|r| r.kind == AnomalyKind::NewTemplate),

@@ -23,8 +23,8 @@ pub struct DistributionShift {
     pub share_delta: f64,
 }
 
-/// Compare two template distributions (`(template, count)` pairs as returned by
-/// `template_distribution`) and return one entry per template seen in either
+/// Compare two template distributions (`(template, count)` pairs of a distribution
+/// query) and return one entry per template seen in either
 /// window, ordered by the absolute change of stream share (largest first).
 pub fn compare_windows(
     before: &[(String, u64)],
@@ -74,8 +74,8 @@ pub fn compare_snapshots(
     threshold: f64,
 ) -> Vec<DistributionShift> {
     compare_windows(
-        &before.template_distribution(threshold),
-        &after.template_distribution(threshold),
+        &before.distribution(threshold),
+        &after.distribution(threshold),
     )
 }
 
@@ -146,10 +146,7 @@ mod tests {
         let shifts = compare_snapshots(&before, &after, 0.9);
         assert_eq!(
             shifts,
-            compare_windows(
-                &before.template_distribution(0.9),
-                &after.template_distribution(0.9)
-            )
+            compare_windows(&before.distribution(0.9), &after.distribution(0.9))
         );
         // The new family gained share; something in the old family lost share.
         assert!(shifts

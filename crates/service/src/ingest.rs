@@ -3,13 +3,12 @@
 //!
 //! [`StreamIngestor`] is the high-throughput alternative to calling
 //! [`LogTopic::ingest`](crate::topic::LogTopic::ingest) one record (or one small batch)
-//! at a time. Records are routed to one of `shards` per-topic shard buffers — by a
-//! rotating counter for [`StreamIngestor::push`] (balanced) or by FNV key hash for
-//! [`StreamIngestor::push_keyed`] (per-key ordering, e.g. one shard per host). Each
-//! shard accumulates a batch that is flushed when it reaches `batch_records` (size
-//! bound) or when its oldest record has waited `flush_interval` (time bound), and
-//! flushed batches are matched in parallel by the shared [`MatcherPool`] over an
-//! immutable model snapshot.
+//! at a time. [`StreamIngestor::push`] routes records to one of `shards` per-topic
+//! shard buffers by a rotating counter (maximally balanced; the completed-record ring
+//! restores arrival order whatever the routing). Each shard accumulates a batch that
+//! is flushed when it reaches `batch_records` (size bound) or when its oldest record
+//! has waited `flush_interval` (time bound), and flushed batches are matched in
+//! parallel by the shared [`MatcherPool`] over an immutable model snapshot.
 //!
 //! The matching hot path is zero-copy end to end: every pool worker keeps a private
 //! [`logtok::TokenScratch`], records travel to the workers and back by move, and the
@@ -18,12 +17,13 @@
 //!
 //! Back-pressure is explicit: at most `max_in_flight` batches may be submitted and
 //! unharvested; a `push` that would exceed the bound first blocks on the next finished
-//! batch. [`IngestStats`] reports the waits, the high-water mark, and per-shard
-//! counters so saturation is observable rather than silent.
+//! batch — indefinitely, or for the caller's wait bound, after which the record comes
+//! back in [`Overloaded`]. [`IngestStats`] reports the waits, the high-water mark, and
+//! per-shard counters so saturation is observable rather than silent.
 //!
 //! ```text
-//!             push / push_keyed
-//!                    │ route (round-robin or key hash)
+//!                   push
+//!                    │ route (round-robin)
 //!        ┌───────────┼─────────────┐
 //!        ▼           ▼             ▼
 //!    [shard 0]   [shard 1]  …  [shard N-1]     per-shard batch buffers
@@ -38,7 +38,7 @@
 
 use crate::matcher_pool::{IdBatchResult, MatcherPool, StreamRecord};
 use bytebrain::{CompiledMatcher, NodeId, ParserModel};
-use logtok::{hash_line, hash_token, Preprocessor};
+use logtok::{hash_line, Preprocessor};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -48,19 +48,6 @@ use std::time::{Duration, Instant};
 /// keeping `Instant::now` off the per-record cost. [`StreamIngestor::poll`]
 /// always applies the time bound exactly.
 const STALE_CHECK_INTERVAL: u64 = 64;
-
-/// How [`LogTopic::ingest_stream`](crate::topic::LogTopic::ingest_stream) routes each
-/// record to a shard buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Routing {
-    /// Rotate through the shards (maximally balanced; the default).
-    #[default]
-    RoundRobin,
-    /// Hash the record's first whitespace-delimited token (a host/component proxy in
-    /// most log formats), so all records of a key land on one shard and stay in
-    /// arrival order relative to each other.
-    FirstTokenKey,
-}
 
 /// Configuration of the sharded streaming ingestion engine.
 #[derive(Debug, Clone)]
@@ -76,8 +63,6 @@ pub struct IngestConfig {
     pub max_in_flight: usize,
     /// Matcher pool worker threads (the paper bounds production topics to 1–5 cores).
     pub workers: usize,
-    /// Shard-routing strategy used by the topic-level streaming entry point.
-    pub routing: Routing,
 }
 
 impl Default for IngestConfig {
@@ -88,7 +73,6 @@ impl Default for IngestConfig {
             flush_interval: Duration::from_millis(50),
             max_in_flight: 8,
             workers: 4,
-            routing: Routing::RoundRobin,
         }
     }
 }
@@ -121,12 +105,6 @@ impl IngestConfig {
     /// Override the back-pressure bound (clamped to at least 1).
     pub fn with_max_in_flight(mut self, max_in_flight: usize) -> Self {
         self.max_in_flight = max_in_flight.max(1);
-        self
-    }
-
-    /// Override the shard-routing strategy.
-    pub fn with_routing(mut self, routing: Routing) -> Self {
-        self.routing = routing;
         self
     }
 }
@@ -170,7 +148,7 @@ pub struct IngestStats {
     pub max_in_flight_observed: usize,
     /// Model snapshots hot-swapped in via [`StreamIngestor::swap_model`].
     pub model_swaps: u64,
-    /// Records rejected by [`StreamIngestor::push_bounded`] because the pool stayed
+    /// Records rejected by a bounded [`StreamIngestor::push`] because the pool stayed
     /// saturated past the caller's wait bound.
     pub overload_rejections: u64,
 }
@@ -192,7 +170,7 @@ impl IngestStats {
     }
 }
 
-/// Typed rejection from [`StreamIngestor::push_bounded`]: the pool stayed at
+/// Typed rejection from a bounded [`StreamIngestor::push`]: the pool stayed at
 /// `max_in_flight` for the whole wait bound, so the record was **not** accepted.
 /// The record rides back in the error so the caller can retry or shed it without
 /// cloning up front.
@@ -342,7 +320,7 @@ impl StreamIngestor {
             workers: config.workers.max(1),
             ..config
         };
-        let pool = MatcherPool::new(Arc::clone(&model), preprocessor, config.workers);
+        let pool = MatcherPool::new(preprocessor, config.workers);
         let buffers = (0..config.shards).map(|_| ShardBuffer::default()).collect();
         let stats = IngestStats {
             shards: vec![ShardCounters::default(); config.shards],
@@ -408,67 +386,43 @@ impl StreamIngestor {
         self.next_seq
     }
 
-    /// Ingest one record, routed round-robin across shards (maximally balanced; use
-    /// [`StreamIngestor::push_keyed`] when per-key ordering matters).
-    pub fn push(&mut self, record: impl Into<String>) {
-        let shard = self.round_robin;
-        self.round_robin = (self.round_robin + 1) % self.config.shards;
-        self.push_to_shard(shard, record.into());
-    }
-
-    /// Ingest one record, routed by the FNV-1a hash of `key` so all records of a key
-    /// land on the same shard (and therefore stay in arrival order relative to each
-    /// other all the way through the pool).
-    pub fn push_keyed(&mut self, key: &str, record: impl Into<String>) {
-        let shard = (hash_token(key) % self.config.shards as u64) as usize;
-        self.push_to_shard(shard, record.into());
-    }
-
-    /// Ingest one record, routed by the engine's configured [`Routing`] strategy:
-    /// round-robin, or keyed by the record's first whitespace-delimited token.
-    pub fn push_routed(&mut self, record: impl Into<String>) {
-        let record = record.into();
-        match self.config.routing {
-            Routing::RoundRobin => self.push(record),
-            Routing::FirstTokenKey => {
-                let trimmed = record.trim_start();
-                let key_end = trimmed.find(char::is_whitespace).unwrap_or(trimmed.len());
-                let shard = (hash_token(&trimmed[..key_end]) % self.config.shards as u64) as usize;
-                self.push_to_shard(shard, record);
-            }
-        }
-    }
-
-    /// Bounded-wait variant of [`StreamIngestor::push_routed`]: when `max_in_flight`
-    /// batches are outstanding, wait at most `wait` for a slot to free instead of
-    /// parking indefinitely, and return the record inside [`Overloaded`] if none
-    /// does. On `Ok` the record has been accepted and any flush it triggered was
-    /// guaranteed non-blocking (one push causes at most one flush, and a slot was
-    /// just verified free). `wait == Duration::ZERO` makes this a pure try-push.
-    pub fn push_bounded(
+    /// Ingest one record, routed round-robin across shards.
+    ///
+    /// `wait` bounds the back-pressure park. `None` never rejects: the record is
+    /// buffered and, if that fills a batch while `max_in_flight` batches are
+    /// outstanding, the flush parks until a slot frees. `Some(bound)` first makes sure
+    /// a slot is free, waiting at most `bound` for one, and returns the record inside
+    /// [`Overloaded`] if none frees — so on `Ok` the flush the record may trigger is
+    /// guaranteed non-blocking (one push causes at most one flush, and a slot was just
+    /// verified free). `Some(Duration::ZERO)` is a pure try-push.
+    pub fn push(
         &mut self,
         record: impl Into<String>,
-        wait: Duration,
+        wait: Option<Duration>,
     ) -> Result<(), Overloaded> {
-        self.drain_ready();
-        if self.in_flight >= self.config.max_in_flight {
-            self.stats.backpressure_waits += 1;
-            let deadline = Instant::now() + wait;
-            while self.in_flight >= self.config.max_in_flight {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                match self.pool.recv_ids_timeout(remaining) {
-                    Some(result) => self.absorb(result),
-                    None => {
-                        self.stats.overload_rejections += 1;
-                        return Err(Overloaded {
-                            record: record.into(),
-                            waited: wait,
-                        });
+        if let Some(wait) = wait {
+            self.drain_ready();
+            if self.in_flight >= self.config.max_in_flight {
+                self.stats.backpressure_waits += 1;
+                let deadline = Instant::now() + wait;
+                while self.in_flight >= self.config.max_in_flight {
+                    let remaining = deadline.saturating_duration_since(Instant::now());
+                    match self.pool.recv_ids_timeout(remaining) {
+                        Some(result) => self.absorb(result),
+                        None => {
+                            self.stats.overload_rejections += 1;
+                            return Err(Overloaded {
+                                record: record.into(),
+                                waited: wait,
+                            });
+                        }
                     }
                 }
             }
         }
-        self.push_routed(record);
+        let shard = self.round_robin;
+        self.round_robin = (self.round_robin + 1) % self.config.shards;
+        self.push_to_shard(shard, record.into());
         Ok(())
     }
 
@@ -712,6 +666,13 @@ mod tests {
         )
     }
 
+    /// Push with an unbounded park, which never rejects.
+    fn push_all(ingestor: &mut StreamIngestor, records: impl IntoIterator<Item = String>) {
+        for record in records {
+            ingestor.push(record, None).expect("unbounded push");
+        }
+    }
+
     fn stream(n: usize) -> Vec<String> {
         (0..n)
             .map(|i| {
@@ -730,9 +691,7 @@ mod tests {
         let (model, pre) = trained();
         let mut ingestor =
             StreamIngestor::new(model, pre, IngestConfig::default().with_batch_records(64));
-        for record in stream(1_000) {
-            ingestor.push(record);
-        }
+        push_all(&mut ingestor, stream(1_000));
         let report = ingestor.finish();
         assert_eq!(report.records.len(), 1_000);
         for (i, record) in report.records.iter().enumerate() {
@@ -752,9 +711,7 @@ mod tests {
             .with_shards(4)
             .with_batch_records(32);
         let mut ingestor = StreamIngestor::new(model, pre, config);
-        for record in stream(640) {
-            ingestor.push(record);
-        }
+        push_all(&mut ingestor, stream(640));
         let report = ingestor.finish();
         assert_eq!(report.stats.shards.len(), 4);
         for (shard, counters) in report.stats.shards.iter().enumerate() {
@@ -765,39 +722,13 @@ mod tests {
     }
 
     #[test]
-    fn keyed_routing_pins_keys_to_shards() {
-        let (model, pre) = trained();
-        let mut ingestor = StreamIngestor::new(model, pre, IngestConfig::default().with_shards(8));
-        for i in 0..400 {
-            let key = format!("host-{}", i % 5);
-            ingestor.push_keyed(&key, format!("job {i} finished on host node-01 in 3ms"));
-        }
-        let report = ingestor.finish();
-        // 5 keys can touch at most 5 of the 8 shards.
-        let active = report.stats.shards.iter().filter(|s| s.records > 0).count();
-        assert!(active <= 5, "{active} shards active for 5 keys");
-        // Every record of one key went to exactly one shard.
-        let mut shard_of_key: std::collections::HashMap<&str, usize> =
-            std::collections::HashMap::new();
-        for record in &report.records {
-            // Recover the key from the record text (job id mod 5).
-            let id: usize = record.record.split(' ').nth(1).unwrap().parse().unwrap();
-            let key = ["host-0", "host-1", "host-2", "host-3", "host-4"][id % 5];
-            let entry = shard_of_key.entry(key).or_insert(record.shard);
-            assert_eq!(*entry, record.shard, "key {key} hopped shards");
-        }
-    }
-
-    #[test]
     fn size_bound_flushes_full_batches() {
         let (model, pre) = trained();
         let config = IngestConfig::default()
             .with_shards(2)
             .with_batch_records(50);
         let mut ingestor = StreamIngestor::new(model, pre, config);
-        for record in stream(500) {
-            ingestor.push(record);
-        }
+        push_all(&mut ingestor, stream(500));
         let report = ingestor.finish();
         let size_flushes: u64 = report.stats.shards.iter().map(|s| s.size_flushes).sum();
         assert_eq!(size_flushes, 10, "250 records per shard / 50 per batch");
@@ -811,7 +742,10 @@ mod tests {
             .with_batch_records(1_000_000)
             .with_flush_interval(Duration::from_millis(1));
         let mut ingestor = StreamIngestor::new(model, pre, config);
-        ingestor.push("job 1 finished on host node-01 in 5ms".to_string());
+        push_all(
+            &mut ingestor,
+            ["job 1 finished on host node-01 in 5ms".to_string()],
+        );
         std::thread::sleep(Duration::from_millis(5));
         ingestor.poll();
         let time_flushes: u64 = ingestor.stats().shards.iter().map(|s| s.time_flushes).sum();
@@ -828,9 +762,7 @@ mod tests {
             .with_batch_records(10)
             .with_max_in_flight(2);
         let mut ingestor = StreamIngestor::new(model, pre, config);
-        for record in stream(2_000) {
-            ingestor.push(record);
-        }
+        push_all(&mut ingestor, stream(2_000));
         let report = ingestor.finish();
         assert_eq!(report.records.len(), 2_000);
         assert!(
@@ -883,8 +815,13 @@ mod tests {
     fn unmatched_records_are_counted_per_shard() {
         let (model, pre) = trained();
         let mut ingestor = StreamIngestor::new(model, pre, IngestConfig::default());
-        ingestor.push("job 77 finished on host node-03 in 9ms".to_string());
-        ingestor.push("segfault at 0xffff in thread reaper".to_string());
+        push_all(
+            &mut ingestor,
+            [
+                "job 77 finished on host node-03 in 9ms".to_string(),
+                "segfault at 0xffff in thread reaper".to_string(),
+            ],
+        );
         let report = ingestor.finish();
         assert_eq!(report.matched(), 1);
         assert_eq!(report.unmatched(), 1);
@@ -903,10 +840,8 @@ mod tests {
         let mut fast = StreamIngestor::new(Arc::clone(&model), Arc::clone(&pre), config.clone())
             .with_compiled(compiled);
         let mut reference = StreamIngestor::new(model, pre, config);
-        for record in stream(1_000) {
-            fast.push(record.clone());
-            reference.push(record);
-        }
+        push_all(&mut fast, stream(1_000));
+        push_all(&mut reference, stream(1_000));
         let fast_report = fast.finish();
         let reference_report = reference.finish();
         assert_eq!(fast_report.records.len(), reference_report.records.len());
@@ -928,22 +863,23 @@ mod tests {
             .with_max_in_flight(1)
             .with_workers(1);
         let mut ingestor = StreamIngestor::new(model, pre, config);
-        for record in stream(40_000) {
-            ingestor.push(record);
-        }
+        push_all(&mut ingestor, stream(40_000));
         assert_eq!(
             ingestor.stats().submitted_batches,
             1,
             "the size bound must have flushed exactly one in-flight batch"
         );
         let rejected = ingestor
-            .push_bounded("job 99999 finished on host node-03 in 5ms", Duration::ZERO)
+            .push(
+                "job 99999 finished on host node-03 in 5ms",
+                Some(Duration::ZERO),
+            )
             .expect_err("zero-wait push against a saturated pool must be rejected");
         assert_eq!(rejected.record, "job 99999 finished on host node-03 in 5ms");
         assert_eq!(ingestor.stats().overload_rejections, 1);
         // A generous bound lets the slot free up: the same record is then accepted.
         ingestor
-            .push_bounded(rejected.record, Duration::from_secs(30))
+            .push(rejected.record, Some(Duration::from_secs(30)))
             .expect("bounded push must succeed once the worker drains the batch");
         let report = ingestor.finish();
         assert_eq!(report.records.len(), 40_001, "rejected record re-admitted");
@@ -954,9 +890,7 @@ mod tests {
     fn report_throughput_is_positive() {
         let (model, pre) = trained();
         let mut ingestor = StreamIngestor::new(model, pre, IngestConfig::default());
-        for record in stream(100) {
-            ingestor.push(record);
-        }
+        push_all(&mut ingestor, stream(100));
         let report = ingestor.finish();
         assert!(report.records_per_second() > 0.0);
         assert!(report.elapsed > Duration::ZERO);

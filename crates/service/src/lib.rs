@@ -12,13 +12,13 @@
 //! * [`topic`] — the `LogTopic`: ingestion, online matching, training lifecycle.
 //! * [`ingest`] — the sharded streaming ingestion engine: shard → batch → parallel
 //!   match over an immutable model snapshot, with back-pressure stats.
-//! * [`matcher_pool`] — the worker pool that executes matching for the engine and the
-//!   industrial-style experiments.
+//! * [`matcher_pool`] — the worker pool that executes matching for the engine.
 //! * [`trigger`] — volume/time training triggers.
 //! * [`store`] — the "internal topic" that persists template metadata snapshots.
-//! * [`query`] — query API with per-query precision thresholds and template grouping,
-//!   served from per-node postings aggregated up the precomputed saturation ladder
-//!   (never a record scan), with an LRU result cache and thread-safe query snapshots.
+//! * [`query`] — the one `execute(plan)` query path: per-query precision thresholds
+//!   and template grouping, served from per-node postings aggregated up the
+//!   precomputed saturation ladder (never a record scan), with an LRU result cache
+//!   and thread-safe query snapshots.
 //! * [`anomaly`] — out-of-the-box analytics: new-template detection and count-shift
 //!   detection between time windows.
 //! * [`library`] — the user-curated template library used for alert configuration.
@@ -69,15 +69,13 @@ pub use api::{ErrorBody, IngestRequest, IngestResponse, StatsResponse};
 pub use bytebrain::{CompiledMatcher, MatchCache, MatchEngine};
 pub use compare::{compare_snapshots, compare_windows, DistributionShift};
 pub use ingest::{
-    IngestConfig, IngestReport, IngestStats, MatchedRecord, Overloaded, Routing, ShardCounters,
+    IngestConfig, IngestReport, IngestStats, MatchedRecord, Overloaded, ShardCounters,
     StreamIngestor,
 };
 pub use library::TemplateLibrary;
 pub use manager::{FleetStats, ServiceManager, TenantDefaults};
-pub use matcher_pool::{BatchResult, IdBatchResult, MatchId, MatcherPool, StreamRecord};
-pub use query::{
-    QueryCache, QueryEngine, QueryIndex, QueryOptions, QuerySnapshot, QueryValue, TemplateGroup,
-};
+pub use matcher_pool::{IdBatchResult, MatchId, MatcherPool, StreamRecord};
+pub use query::{QueryCache, QueryEngine, QueryIndex, QuerySnapshot, QueryValue, TemplateGroup};
 pub use storage::{RecoveredTopic, StorageConfig, TopicMeta, TopicStorage};
 pub use store::{ModelStore, SnapshotInfo, SnapshotKind};
 pub use topic::{

@@ -108,7 +108,7 @@ impl TemplateLibrary {
     }
 
     /// Evaluate every alert rule against a template-count distribution for a window
-    /// (`(template, count)` pairs as returned by `template_distribution`).
+    /// (`(template, count)` pairs of a distribution query).
     pub fn evaluate_alerts(&self, distribution: &[(String, u64)]) -> Vec<Alert> {
         let mut alerts = Vec::new();
         for entry in &self.entries {

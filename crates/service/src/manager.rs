@@ -7,7 +7,7 @@
 //! per-tenant defaults, and exposes fleet-wide statistics of the kind Table 5 reports.
 
 use crate::ingest::IngestConfig;
-use crate::query::{QueryOptions, QuerySnapshot, QueryValue, TemplateGroup};
+use crate::query::{QuerySnapshot, QueryValue};
 use crate::storage::{self, RetentionOutcome, StorageConfig, TopicStorage};
 use crate::topic::{
     IngestOutcome, LogTopic, MaintenancePolicy, StreamOutcome, StreamOverloaded, TopicConfig,
@@ -219,29 +219,10 @@ impl ServiceManager {
     }
 
     /// Ingest a record stream into a tenant's topic (creating it on first use) through
-    /// the sharded streaming engine. The engine's worker count is clamped to the
-    /// topic's provisioned per-topic parallelism, mirroring the paper's 1–5 core bound.
-    pub fn ingest_stream<I>(
-        &mut self,
-        tenant: &str,
-        topic: &str,
-        records: I,
-        config: &IngestConfig,
-    ) -> StreamOutcome
-    where
-        I: IntoIterator<Item = String>,
-    {
-        let topic = self.topic_mut(tenant, topic);
-        // Clamp against what the topic was provisioned with, not the (mutable)
-        // tenant-defaults map — later default changes must not widen existing topics.
-        let parallelism = topic.config().train.parallelism.max(1);
-        let config = config.clone().with_workers(config.workers.min(parallelism));
-        topic.ingest_stream(records, &config)
-    }
-
-    /// Bounded-back-pressure variant of [`ServiceManager::ingest_stream`]: sheds
-    /// instead of blocking indefinitely when the pool saturates past `wait`. See
-    /// [`LogTopic::ingest_stream_bounded`] for the prefix/remainder contract.
+    /// the sharded streaming engine, shedding instead of blocking indefinitely when the
+    /// pool saturates past `wait` (see [`LogTopic::ingest_stream_bounded`] for the
+    /// prefix/remainder contract). The engine's worker count is clamped to the topic's
+    /// provisioned per-topic parallelism, mirroring the paper's 1–5 core bound.
     pub fn ingest_stream_bounded<I>(
         &mut self,
         tenant: &str,
@@ -254,47 +235,20 @@ impl ServiceManager {
         I: IntoIterator<Item = String>,
     {
         let topic = self.topic_mut(tenant, topic);
+        // Clamp against what the topic was provisioned with, not the (mutable)
+        // tenant-defaults map — later default changes must not widen existing topics.
         let parallelism = topic.config().train.parallelism.max(1);
         let config = config.clone().with_workers(config.workers.min(parallelism));
         topic.ingest_stream_bounded(records, &config, wait)
     }
 
-    /// Query a tenant's topic: group its stored records by template at the requested
-    /// precision through the indexed path (postings + saturation ladder + LRU cache).
-    /// Returns `None` when the topic does not exist. Takes `&self` — queries never
-    /// block or mutate topic state, and many can run side by side; the result is the
-    /// cache-shared `Arc`, so warm queries copy nothing.
-    pub fn query(
-        &self,
-        tenant: &str,
-        topic: &str,
-        options: QueryOptions,
-    ) -> Option<std::sync::Arc<Vec<TemplateGroup>>> {
-        self.topic(tenant, topic).map(|t| t.query(options))
-    }
-
     /// Execute a composed [`QueryPlan`] against a tenant's topic through the
     /// planned push-down path (cached). Returns `None` when the topic does not
     /// exist. This is the full query surface — predicates, time windows,
-    /// top-k, distribution, count-distinct — of which [`ServiceManager::query`]
-    /// and [`ServiceManager::template_distribution`] are fixed-shape special
-    /// cases.
+    /// top-k, distribution, count-distinct. Takes `&self`: queries never block
+    /// or mutate topic state, and a warm result is the cache-shared `Arc`.
     pub fn execute(&self, tenant: &str, topic: &str, plan: &QueryPlan) -> Option<QueryValue> {
         self.topic(tenant, topic).map(|t| t.execute(plan))
-    }
-
-    /// Template-count distribution of a tenant's topic at the requested precision
-    /// (planned path, counts-only): deterministic `(template, count)` pairs sorted
-    /// by count descending then template ascending. Returns `None` when the topic
-    /// does not exist.
-    pub fn template_distribution(
-        &self,
-        tenant: &str,
-        topic: &str,
-        threshold: f64,
-    ) -> Option<Vec<(String, u64)>> {
-        self.topic(tenant, topic)
-            .map(|t| t.template_distribution(threshold))
     }
 
     /// An immutable query snapshot of a tenant's topic (model + ladder + postings
@@ -338,6 +292,17 @@ impl ServiceManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytebrain::Query;
+
+    fn group_plan() -> QueryPlan {
+        Query::group_by().plan().expect("predicate-free plan")
+    }
+
+    /// Records covered by a groups result.
+    fn covered(value: &QueryValue) -> usize {
+        let groups = value.groups().expect("groups plan yields groups");
+        groups.iter().map(|g| g.count()).sum()
+    }
 
     fn batch(prefix: &str, n: usize) -> Vec<String> {
         (0..n)
@@ -418,16 +383,15 @@ mod tests {
         let mut manager = ServiceManager::new();
         manager.ingest("a", "web", &batch("web", 300));
         let groups = manager
-            .query("a", "web", QueryOptions::default())
+            .execute("a", "web", &group_plan())
             .expect("topic exists");
-        let covered: usize = groups.iter().map(|g| g.count()).sum();
-        assert_eq!(covered, 300);
-        let distribution = manager
-            .template_distribution("a", "web", 0.9)
-            .expect("topic exists");
+        assert_eq!(covered(&groups), 300);
+        let plan = Query::distribution().at_threshold(0.9).plan().unwrap();
+        let value = manager.execute("a", "web", &plan).expect("topic exists");
+        let distribution = value.distribution().expect("distribution plan");
         assert_eq!(distribution.iter().map(|(_, c)| *c).sum::<u64>(), 300);
         assert!(manager
-            .query("nobody", "nothing", QueryOptions::default())
+            .execute("nobody", "nothing", &group_plan())
             .is_none());
         assert!(manager.query_snapshot("nobody", "nothing").is_none());
     }
@@ -437,13 +401,14 @@ mod tests {
         let mut manager = ServiceManager::new();
         manager.ingest("a", "web", &batch("web", 400));
         let snapshot = manager.query_snapshot("a", "web").expect("topic exists");
-        let baseline = snapshot.group_by_template(QueryOptions::default());
+        let plan = group_plan();
+        let baseline = snapshot.execute(&plan).expect("node-only plan");
         std::thread::scope(|scope| {
             // Queries serve from the immutable snapshot on worker threads...
             let workers: Vec<_> = (0..4)
                 .map(|_| {
-                    let snapshot = snapshot.clone();
-                    scope.spawn(move || snapshot.group_by_template(QueryOptions::default()))
+                    let (snapshot, plan) = (snapshot.clone(), &plan);
+                    scope.spawn(move || snapshot.execute(plan).expect("node-only plan"))
                 })
                 .collect();
             // ...while the manager keeps ingesting into the same topic.
@@ -454,10 +419,8 @@ mod tests {
             }
         });
         // The live topic sees the new records; the old snapshot still does not.
-        let live = manager
-            .query("a", "web", QueryOptions::default())
-            .expect("topic exists");
-        assert_eq!(live.iter().map(|g| g.count()).sum::<usize>(), 600);
+        let live = manager.execute("a", "web", &plan).expect("topic exists");
+        assert_eq!(covered(&live), 600);
         assert_eq!(snapshot.records(), 400);
     }
 

@@ -1,12 +1,10 @@
-//! The query subsystem (§3 "Query", §6): one planned `execute` path fed by
-//! thin AST constructors.
+//! The query subsystem (§3 "Query", §6): one planned `execute` path.
 //!
-//! Every public query entry point — [`LogTopic::query`],
-//! [`LogTopic::template_distribution`], the anomaly and comparison features,
-//! the [`crate::manager::ServiceManager`] forwarding methods — builds a
-//! [`bytebrain::Query`] AST, plans it ([`QueryPlan`]) and hands the plan to
-//! the single [`LogTopic::execute`] entry point. Two executors exist and are
-//! kept byte-identical by the differential suite:
+//! Every caller — the HTTP front end, the anomaly and comparison features,
+//! [`ServiceManager::execute`](crate::manager::ServiceManager::execute) —
+//! builds a [`bytebrain::Query`] AST, plans it ([`QueryPlan`]) and hands the
+//! plan to [`LogTopic::execute`] (or [`QuerySnapshot::execute`] off-thread).
+//! Two executors exist and are kept byte-identical by the differential suite:
 //!
 //! * the **planned path** (`run_plan`, the serving path): template
 //!   predicates are decided once per resolved node against the live node set,
@@ -25,9 +23,8 @@
 //!
 //! Both paths resolve templates through the same core semantics: retired
 //! nodes are skipped to the nearest live ancestor, the full chain is scanned
-//! for the coarsest qualifying ancestor, and thresholds are sanitized
-//! identically — clamped by [`bytebrain::clamp_threshold`] and (for the
-//! options-based entry points) snapped to the slider's 1/1000 grid. When
+//! for the coarsest qualifying ancestor, and the threshold is the plan's —
+//! clamped and snapped to the slider's 1/1000 grid once, at plan time. When
 //! presentation merging (§7) combines several nodes under one
 //! merged-wildcard text, the reported representative node is deterministic —
 //! the member with the largest record count, ties broken by the smallest
@@ -37,80 +34,12 @@
 use crate::topic::{variables_of, LogTopic, StoredRecord};
 use bytebrain::query::ast::Query;
 use bytebrain::query::plan::{CompiledPredicate, PlanOutput, QueryPlan, RecordView};
-use bytebrain::query::{
-    clamp_threshold, merge_consecutive_wildcards, resolve_with_threshold, SaturationLadder,
-};
+use bytebrain::query::{merge_consecutive_wildcards, resolve_with_threshold, SaturationLadder};
 use bytebrain::{NodeId, ParserModel};
 use logtok::Preprocessor;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::sync::Mutex;
-
-/// Options controlling one options-based (predicate-free) query.
-#[derive(Debug, Clone, Copy)]
-pub struct QueryOptions {
-    /// Saturation threshold: higher values request more precise templates. This is the
-    /// value the production UI exposes as an interactive slider. NaN falls back to the
-    /// default (0.9); values outside `[0, 1]` are clamped, and queries snap the value
-    /// to the slider's 1/1000 grid.
-    pub saturation_threshold: f64,
-    /// Maximum number of template groups to return (largest first); `usize::MAX` for all.
-    pub limit: usize,
-}
-
-impl Default for QueryOptions {
-    fn default() -> Self {
-        QueryOptions {
-            saturation_threshold: bytebrain::DEFAULT_THRESHOLD,
-            limit: usize::MAX,
-        }
-    }
-}
-
-/// Sanitize a threshold for the service query surface: the single core clamp
-/// ([`bytebrain::clamp_threshold`]: NaN → default, out-of-range → clamped) plus a snap
-/// to the slider's 1/1000 grid — so the canonical plan (whose fingerprint keys the
-/// query cache) always describes exactly the threshold the cached result was computed
-/// at, and the planned and scan paths quantize identically. Core resolution called
-/// directly (outside this module) keeps exact thresholds.
-fn sanitize_threshold(threshold: f64) -> f64 {
-    (clamp_threshold(threshold) * 1_000.0).round() / 1_000.0
-}
-
-impl QueryOptions {
-    /// The options with the threshold sanitized: NaN → default, out-of-range →
-    /// clamped, and snapped to the service's 1/1000 slider grid (both query paths and
-    /// the cache key quantize through this one function).
-    pub fn sanitized(mut self) -> Self {
-        self.saturation_threshold = sanitize_threshold(self.saturation_threshold);
-        self
-    }
-
-    /// The plan this options struct describes: a predicate-free `group_by`
-    /// (or `top_k` when a limit is set) at the sanitized threshold. This is
-    /// the thin-constructor bridge from the legacy options surface onto the
-    /// AST path.
-    pub fn to_plan(self) -> QueryPlan {
-        let sanitized = self.sanitized();
-        let query = if sanitized.limit == usize::MAX {
-            Query::group_by()
-        } else {
-            Query::top_k(sanitized.limit)
-        };
-        query
-            .at_threshold(sanitized.saturation_threshold)
-            .plan()
-            .expect("predicate-free queries always plan")
-    }
-}
-
-/// Build the (cached) distribution plan for a raw threshold.
-fn distribution_plan(threshold: f64) -> QueryPlan {
-    Query::distribution()
-        .at_threshold(sanitize_threshold(threshold))
-        .plan()
-        .expect("predicate-free queries always plan")
-}
 
 /// One group of query results: a template and the records it covers.
 #[derive(Debug, Clone, PartialEq)]
@@ -408,8 +337,8 @@ fn finish(
 /// [`SaturationLadder::resolve_batch`], template predicates, presentation
 /// texts) happens once per posting node; record-level predicates run only
 /// over posting entries that survived segment pruning (`access.skip`).
-/// `access` may be `None` only for node-only plans (e.g. snapshots, which
-/// carry no record store).
+/// `access` may be `None` only for node-only plans ([`QuerySnapshot::execute`]
+/// checks; [`LogTopic::record_access`] supplies it for every other plan).
 fn run_plan(
     model: &ParserModel,
     ladder: &SaturationLadder,
@@ -525,31 +454,6 @@ fn scan_plan(
     finish(model, groups, plan)
 }
 
-/// Options-based planned grouping (used by snapshots and module tests).
-fn indexed_groups(
-    model: &ParserModel,
-    ladder: &SaturationLadder,
-    index: &QueryIndex,
-    options: QueryOptions,
-) -> Vec<TemplateGroup> {
-    match run_plan(model, ladder, index, None, &options.to_plan()) {
-        QueryValue::Groups(groups) => Arc::try_unwrap(groups).unwrap_or_else(|arc| (*arc).clone()),
-        _ => unreachable!("groups plan yields groups"),
-    }
-}
-
-/// Options-based scan grouping (the predicate-free oracle surface).
-fn scan_groups(
-    model: &ParserModel,
-    records: &[StoredRecord],
-    options: QueryOptions,
-) -> Vec<TemplateGroup> {
-    match scan_plan(model, None, records, 0, &options.to_plan()) {
-        QueryValue::Groups(groups) => Arc::try_unwrap(groups).unwrap_or_else(|arc| (*arc).clone()),
-        _ => unreachable!("groups plan yields groups"),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Query cache
 // ---------------------------------------------------------------------------
@@ -650,9 +554,9 @@ impl QueryCache {
 /// A self-contained, immutable snapshot of everything a node-level query needs —
 /// model, ladder and postings behind `Arc`s — so queries can be served from other
 /// threads while the topic keeps ingesting (the topic copies-on-write whatever the
-/// snapshot still shares). Snapshots carry no record store, so they serve the
-/// node-only query surface (grouping, distribution); record-level predicates need
-/// the topic itself.
+/// snapshot still shares). Snapshots carry no record store, so they serve
+/// node-only plans (grouping, distribution, counts, template predicates);
+/// record-level predicates need the topic itself.
 #[derive(Debug, Clone)]
 pub struct QuerySnapshot {
     model: Arc<ParserModel>,
@@ -691,27 +595,26 @@ impl QuerySnapshot {
         self.index.assigned_records()
     }
 
-    /// Group the snapshot's records by template at the requested precision (planned
-    /// path, uncached — snapshots are cheap and short-lived).
-    pub fn group_by_template(&self, options: QueryOptions) -> Vec<TemplateGroup> {
-        indexed_groups(&self.model, &self.ladder, &self.index, options)
+    /// Execute a node-only plan against the snapshot (planned path, uncached —
+    /// snapshots are cheap and short-lived). `None` when the plan carries a
+    /// record-level predicate ([`QueryPlan::is_node_only`] is false): a snapshot
+    /// has no record store to evaluate it against.
+    pub fn execute(&self, plan: &QueryPlan) -> Option<QueryValue> {
+        plan.is_node_only()
+            .then(|| run_plan(&self.model, &self.ladder, &self.index, None, plan))
     }
 
-    /// Distribution of record counts per template at the requested precision:
-    /// deterministic `(template, count)` pairs sorted by count descending then
-    /// template ascending.
-    pub fn template_distribution(&self, threshold: f64) -> Vec<(String, u64)> {
-        match run_plan(
-            &self.model,
-            &self.ladder,
-            &self.index,
-            None,
-            &distribution_plan(threshold),
-        ) {
-            QueryValue::Distribution(counts) => {
-                Arc::try_unwrap(counts).unwrap_or_else(|arc| (*arc).clone())
-            }
-            _ => unreachable!("distribution plan yields a distribution"),
+    /// The snapshot's `(template, count)` pairs at `threshold` — the predicate-free
+    /// distribution plan through [`QuerySnapshot::execute`], which the anomaly and
+    /// comparison features feed on.
+    pub(crate) fn distribution(&self, threshold: f64) -> Arc<Vec<(String, u64)>> {
+        let plan = Query::distribution()
+            .at_threshold(threshold)
+            .plan()
+            .expect("a predicate-free query always plans");
+        match self.execute(&plan) {
+            Some(QueryValue::Distribution(counts)) => counts,
+            _ => unreachable!("a predicate-free distribution plan is node-only"),
         }
     }
 }
@@ -749,8 +652,8 @@ impl<'a> QueryEngine<'a> {
     /// Execute a plan through the naive scan oracle: per-record ancestor
     /// walks, per-record predicate evaluation, no postings and no pruning.
     /// Byte-identical to [`QueryEngine::execute`] (the differential suite
-    /// enforces it) but O(records) per query — kept for verification and
-    /// benchmarking, not serving.
+    /// enforces it) but O(records) per query — the reference tests compare
+    /// against, never a serving path.
     pub fn execute_scan(&self, plan: &QueryPlan) -> QueryValue {
         scan_plan(
             self.topic.model(),
@@ -760,29 +663,6 @@ impl<'a> QueryEngine<'a> {
             plan,
         )
     }
-
-    /// Group all stored records by template at the requested precision, via the
-    /// planned path (postings aggregated up the saturation ladder, LRU-cached).
-    /// Materialises an owned copy of the result; the serving path
-    /// ([`LogTopic::query`] / `ServiceManager::query`) hands out the cache-shared
-    /// `Arc` instead.
-    pub fn group_by_template(&self, options: QueryOptions) -> Vec<TemplateGroup> {
-        self.topic.query(options).as_ref().clone()
-    }
-
-    /// The retained scan reference for the options surface: per-record ancestor
-    /// walks over the whole record store. Byte-identical to
-    /// [`QueryEngine::group_by_template`] (the differential suite enforces it).
-    pub fn group_by_template_scan(&self, options: QueryOptions) -> Vec<TemplateGroup> {
-        scan_groups(self.topic.model(), self.topic.records(), options)
-    }
-
-    /// Distribution of record counts per template at the requested precision
-    /// (planned path): deterministic sorted `(template, count)` pairs. Used by
-    /// the comparison and anomaly-detection features.
-    pub fn template_distribution(&self, threshold: f64) -> Vec<(String, u64)> {
-        self.topic.template_distribution(threshold)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -791,9 +671,7 @@ impl<'a> QueryEngine<'a> {
 
 impl LogTopic {
     /// **The** query entry point: execute a normalized [`QueryPlan`] through
-    /// the planned push-down path with the LRU cache in front. Every other
-    /// query method on the topic, engine, and manager is a thin AST
-    /// constructor over this.
+    /// the planned push-down path with the LRU cache in front.
     ///
     /// The cache key is `(model version, topic generation, record count,
     /// canonical plan fingerprint)`; a warm hit is a reference-count bump on
@@ -820,30 +698,6 @@ impl LogTopic {
         value
     }
 
-    /// Group all stored records by template at the requested precision. Thin
-    /// constructor: builds a predicate-free `group_by`/`top_k` plan and runs it
-    /// through [`LogTopic::execute`]. The result is shared via `Arc`: a
-    /// warm-cache query is a reference-count bump, not a copy of the member
-    /// index lists.
-    pub fn query(&self, options: QueryOptions) -> Arc<Vec<TemplateGroup>> {
-        match self.execute(&options.to_plan()) {
-            QueryValue::Groups(groups) => groups,
-            _ => unreachable!("groups plan yields groups"),
-        }
-    }
-
-    /// Distribution of record counts per template at the requested precision:
-    /// deterministic `(template, count)` pairs sorted by count descending then
-    /// template ascending. Thin constructor over [`LogTopic::execute`]
-    /// (counts-only — no record index lists are materialised — and cached like
-    /// every planned query).
-    pub fn template_distribution(&self, threshold: f64) -> Vec<(String, u64)> {
-        match self.execute(&distribution_plan(threshold)) {
-            QueryValue::Distribution(counts) => (*counts).clone(),
-            _ => unreachable!("distribution plan yields a distribution"),
-        }
-    }
-
     /// An immutable snapshot of the query state (model + ladder + postings), safe to
     /// move to other threads and query while this topic keeps ingesting.
     pub fn query_snapshot(&self) -> QuerySnapshot {
@@ -861,6 +715,29 @@ mod tests {
     use super::*;
     use crate::topic::{LogTopic, TopicConfig};
     use bytebrain::{Predicate, TemplateToken, TreeNode};
+
+    fn group_plan(threshold: f64) -> QueryPlan {
+        Query::group_by().at_threshold(threshold).plan().unwrap()
+    }
+
+    fn distribution_plan(threshold: f64) -> QueryPlan {
+        Query::distribution()
+            .at_threshold(threshold)
+            .plan()
+            .unwrap()
+    }
+
+    /// Uncached planned groups at `threshold`.
+    fn groups_at(topic: &LogTopic, threshold: f64) -> Arc<Vec<TemplateGroup>> {
+        let value = QueryEngine::new(topic).execute(&group_plan(threshold));
+        Arc::clone(value.groups().expect("groups plan yields groups"))
+    }
+
+    /// Cached planned distribution at `threshold`.
+    fn distribution_at(topic: &LogTopic, threshold: f64) -> Arc<Vec<(String, u64)>> {
+        let value = topic.execute(&distribution_plan(threshold));
+        Arc::clone(value.distribution().expect("distribution plan"))
+    }
 
     fn topic_with_data() -> LogTopic {
         let mut topic = LogTopic::new(TopicConfig::new("query-test"));
@@ -887,8 +764,7 @@ mod tests {
     #[test]
     fn grouping_covers_all_assigned_records() {
         let topic = topic_with_data();
-        let engine = QueryEngine::new(&topic);
-        let groups = engine.group_by_template(QueryOptions::default());
+        let groups = groups_at(&topic, bytebrain::DEFAULT_THRESHOLD);
         let covered: usize = groups.iter().map(|g| g.count()).sum();
         assert_eq!(covered, topic.records().len());
         assert!(!groups.is_empty());
@@ -897,7 +773,7 @@ mod tests {
     #[test]
     fn groups_are_sorted_by_size() {
         let topic = topic_with_data();
-        let groups = QueryEngine::new(&topic).group_by_template(QueryOptions::default());
+        let groups = groups_at(&topic, bytebrain::DEFAULT_THRESHOLD);
         for pair in groups.windows(2) {
             assert!(pair[0].count() >= pair[1].count());
         }
@@ -906,33 +782,23 @@ mod tests {
     #[test]
     fn lower_threshold_gives_coarser_grouping() {
         let topic = topic_with_data();
-        let engine = QueryEngine::new(&topic);
-        let fine = engine.group_by_template(QueryOptions {
-            saturation_threshold: 0.95,
-            limit: usize::MAX,
-        });
-        let coarse = engine.group_by_template(QueryOptions {
-            saturation_threshold: 0.05,
-            limit: usize::MAX,
-        });
+        let fine = groups_at(&topic, 0.95);
+        let coarse = groups_at(&topic, 0.05);
         assert!(coarse.len() <= fine.len());
     }
 
     #[test]
     fn limit_truncates_output() {
         let topic = topic_with_data();
-        let groups = QueryEngine::new(&topic).group_by_template(QueryOptions {
-            saturation_threshold: 0.9,
-            limit: 2,
-        });
-        assert!(groups.len() <= 2);
+        let plan = Query::top_k(2).at_threshold(0.9).plan().unwrap();
+        let value = topic.execute(&plan);
+        assert!(value.groups().unwrap().len() <= 2);
     }
 
     #[test]
     fn distribution_counts_match_groups() {
         let topic = topic_with_data();
-        let engine = QueryEngine::new(&topic);
-        let distribution = engine.template_distribution(0.9);
+        let distribution = distribution_at(&topic, 0.9);
         let total: u64 = distribution.iter().map(|(_, count)| count).sum();
         assert_eq!(total, topic.records().len() as u64);
     }
@@ -945,32 +811,32 @@ mod tests {
         let topic = topic_with_data();
         let engine = QueryEngine::new(&topic);
         for threshold in [0.0, 0.5, 0.9, 1.0] {
-            let planned = engine.template_distribution(threshold);
+            let planned = distribution_at(&topic, threshold);
             for pair in planned.windows(2) {
                 assert!(
                     pair[0].1 > pair[1].1 || (pair[0].1 == pair[1].1 && pair[0].0 < pair[1].0),
                     "distribution must sort by count desc then template asc: {pair:?}"
                 );
             }
-            let plan = Query::distribution()
-                .at_threshold(threshold)
-                .plan()
-                .unwrap();
-            let scanned = engine.execute_scan(&plan);
+            let plan = distribution_plan(threshold);
             assert_eq!(
-                QueryValue::Distribution(Arc::new(planned.clone())),
-                scanned,
+                QueryValue::Distribution(Arc::clone(&planned)),
+                engine.execute_scan(&plan),
                 "planned and scan distributions diverged at threshold {threshold}"
             );
             // And the order itself is reproducible run to run.
-            assert_eq!(planned, engine.template_distribution(threshold));
+            assert_eq!(
+                QueryValue::Distribution(planned),
+                engine.execute(&plan),
+                "uncached recomputation reordered the distribution"
+            );
         }
     }
 
     #[test]
     fn templates_contain_wildcards_for_variables() {
         let topic = topic_with_data();
-        let groups = QueryEngine::new(&topic).group_by_template(QueryOptions::default());
+        let groups = groups_at(&topic, bytebrain::DEFAULT_THRESHOLD);
         let login_group = groups
             .iter()
             .find(|g| g.template.contains("logged in"))
@@ -985,13 +851,10 @@ mod tests {
         let topic = topic_with_data();
         let engine = QueryEngine::new(&topic);
         for threshold in [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 1.0, f64::NAN, -1.0, 2.0] {
-            let options = QueryOptions {
-                saturation_threshold: threshold,
-                limit: usize::MAX,
-            };
+            let plan = group_plan(threshold);
             assert_eq!(
-                engine.group_by_template(options),
-                engine.group_by_template_scan(options),
+                engine.execute(&plan),
+                engine.execute_scan(&plan),
                 "indexed and scan paths diverged at threshold {threshold}"
             );
         }
@@ -1036,7 +899,7 @@ mod tests {
         let engine = QueryEngine::new(&topic);
         let plan = Query::count_distinct().at_threshold(0.9).plan().unwrap();
         let count = engine.execute(&plan).count().unwrap();
-        assert_eq!(count, engine.template_distribution(0.9).len() as u64);
+        assert_eq!(count, distribution_at(&topic, 0.9).len() as u64);
         assert!(count > 0);
     }
 
@@ -1044,31 +907,56 @@ mod tests {
     fn snapshot_serves_identical_results() {
         let topic = topic_with_data();
         let snapshot = topic.query_snapshot();
-        let options = QueryOptions::default();
-        assert_eq!(
-            snapshot.group_by_template(options),
-            *topic.query(options),
-            "snapshot diverged from the live topic"
-        );
         assert_eq!(snapshot.records(), topic.records().len());
         assert_eq!(snapshot.version(), topic.model_version());
-        assert_eq!(
-            snapshot.template_distribution(0.9),
-            topic.template_distribution(0.9)
-        );
+        let node_only = [
+            Query::group_by(),
+            Query::top_k(2),
+            Query::distribution(),
+            Query::count_distinct(),
+            Query::group_by().filter(Predicate::template_matches("logged (in|out)")),
+            Query::distribution().filter(Predicate::template_matches("payment").not()),
+        ];
+        for (i, query) in node_only.into_iter().enumerate() {
+            for threshold in [0.3, 0.9] {
+                let plan = query.clone().at_threshold(threshold).plan().unwrap();
+                assert_eq!(
+                    snapshot.execute(&plan),
+                    Some(topic.execute(&plan)),
+                    "snapshot diverged from the live topic on query {i} at {threshold}"
+                );
+            }
+        }
+    }
+
+    /// A snapshot carries no record store: a plan with a record-level predicate
+    /// is declined, not answered wrongly (and not a panic).
+    #[test]
+    fn snapshot_declines_record_level_plans() {
+        let topic = topic_with_data();
+        let snapshot = topic.query_snapshot();
+        for predicate in [
+            Predicate::variable_equals("u3"),
+            Predicate::time_window(0, 10),
+            Predicate::template_matches("user").and(Predicate::variable_contains("0.0.")),
+        ] {
+            let plan = Query::distribution().filter(predicate).plan().unwrap();
+            assert!(!plan.is_node_only());
+            assert_eq!(snapshot.execute(&plan), None);
+        }
     }
 
     #[test]
     fn query_cache_hits_on_repeat_and_misses_after_ingest() {
         let mut topic = topic_with_data();
-        let options = QueryOptions::default();
-        let first = topic.query(options);
+        let plan = group_plan(bytebrain::DEFAULT_THRESHOLD);
+        let first = topic.execute(&plan);
         let (hits_before, _) = topic.query_cache_stats();
-        let second = topic.query(options);
+        let second = topic.execute(&plan);
         let (hits_after, _) = topic.query_cache_stats();
         assert_eq!(first, second);
         assert!(
-            std::sync::Arc::ptr_eq(&first, &second),
+            Arc::ptr_eq(first.groups().unwrap(), second.groups().unwrap()),
             "a cache hit must share the stored result, not copy it"
         );
         assert_eq!(
@@ -1078,13 +966,11 @@ mod tests {
         );
         // New records change the key: the next query recomputes.
         topic.ingest(&["user u1 logged in from 10.0.0.9".to_string()]);
-        let third = topic.query(options);
+        let third = topic.execute(&plan);
         let (_, misses) = topic.query_cache_stats();
         assert!(misses >= 2);
-        assert_eq!(
-            third.iter().map(|g| g.count()).sum::<usize>(),
-            topic.records().len()
-        );
+        let covered: usize = third.groups().unwrap().iter().map(|g| g.count()).sum();
+        assert_eq!(covered, topic.records().len());
     }
 
     /// Satellite regression: the cache key carries the canonical plan
@@ -1168,6 +1054,23 @@ mod tests {
 
     // -- merged-group determinism (satellite) --------------------------------
 
+    /// Predicate-free groups of a hand-built model at `threshold`, through the
+    /// planned executor and the scan oracle.
+    fn both_paths(
+        model: &ParserModel,
+        ladder: &SaturationLadder,
+        index: &QueryIndex,
+        records: &[StoredRecord],
+        threshold: f64,
+    ) -> [Arc<Vec<TemplateGroup>>; 2] {
+        let plan = group_plan(threshold);
+        [
+            run_plan(model, ladder, index, None, &plan),
+            scan_plan(model, None, records, 0, &plan),
+        ]
+        .map(|value| Arc::clone(value.groups().expect("groups plan yields groups")))
+    }
+
     /// Two fixed-length variants (`users * *` and `users * * *`) that merge into the
     /// presentation text `users *`: the representative node and the reported
     /// saturation must be deterministic regardless of record order.
@@ -1222,14 +1125,7 @@ mod tests {
             index.assign(r.template.unwrap(), idx);
         }
 
-        let options = QueryOptions {
-            saturation_threshold: 0.8,
-            limit: usize::MAX,
-        };
-        for groups in [
-            indexed_groups(&model, &ladder, &index, options),
-            scan_groups(&model, &records, options),
-        ] {
+        for groups in both_paths(&model, &ladder, &index, &records, 0.8) {
             assert_eq!(groups.len(), 1, "variants must merge into one group");
             let group = &groups[0];
             assert_eq!(group.template, "users *");
@@ -1280,42 +1176,25 @@ mod tests {
         for (idx, r) in records.iter().enumerate() {
             index.assign(r.template.unwrap(), idx);
         }
-        let options = QueryOptions {
-            saturation_threshold: 0.5,
-            limit: usize::MAX,
-        };
-        for groups in [
-            indexed_groups(&model, &ladder, &index, options),
-            scan_groups(&model, &records, options),
-        ] {
+        for groups in both_paths(&model, &ladder, &index, &records, 0.5) {
             assert_eq!(groups.len(), 1);
             assert_eq!(groups[0].node, a, "tie must break to the smallest node id");
         }
     }
 
-    /// The canonical plan stores the sanitized threshold, so the computed threshold
-    /// must sit exactly on the service's 1/1000 grid: a query at 0.8995 and one at
+    /// The canonical plan stores the quantized threshold, so the computed threshold
+    /// must sit exactly on the 1/1000 slider grid: a query at 0.8995 and one at
     /// 0.9001 share a plan fingerprint *and* a computation (both snap to 0.900), and
     /// the scan path snaps identically — no cached result can ever be served for a
     /// threshold it was not computed at.
     #[test]
     fn cache_key_and_computation_agree_on_the_quantized_threshold() {
-        assert_eq!(sanitize_threshold(0.8995), 0.9);
-        assert_eq!(sanitize_threshold(0.9001), 0.9);
-        assert_eq!(sanitize_threshold(0.89949), 0.899);
+        assert_eq!(group_plan(0.8995).threshold(), 0.9);
+        assert_eq!(group_plan(0.9001).threshold(), 0.9);
+        assert_eq!(group_plan(0.89949).threshold(), 0.899);
         assert_eq!(
-            QueryOptions {
-                saturation_threshold: 0.8995,
-                limit: usize::MAX
-            }
-            .to_plan()
-            .fingerprint(),
-            QueryOptions {
-                saturation_threshold: 0.9001,
-                limit: usize::MAX
-            }
-            .to_plan()
-            .fingerprint(),
+            group_plan(0.8995).fingerprint(),
+            group_plan(0.9001).fingerprint(),
             "thresholds on the same grid stop must share a plan"
         );
         // A node whose saturation (0.8998) falls between two off-grid query
@@ -1349,12 +1228,8 @@ mod tests {
         let mut index = QueryIndex::new();
         index.assign(leaf, 0);
         for threshold in [0.8995, 0.9001] {
-            let options = QueryOptions {
-                saturation_threshold: threshold,
-                limit: usize::MAX,
-            };
-            let indexed = indexed_groups(&model, &ladder, &index, options);
-            assert_eq!(indexed, scan_groups(&model, &records, options));
+            let [indexed, scanned] = both_paths(&model, &ladder, &index, &records, threshold);
+            assert_eq!(indexed, scanned);
             // 0.8998 < 0.900: the leaf does not qualify at the snapped threshold.
             assert_eq!(
                 indexed[0].node, leaf,
@@ -1368,40 +1243,16 @@ mod tests {
     #[test]
     fn nonsense_thresholds_are_sanitized() {
         let topic = topic_with_data();
-        let engine = QueryEngine::new(&topic);
-        let default_result = engine.group_by_template(QueryOptions::default());
         // NaN behaves exactly like the default threshold.
-        let nan_result = engine.group_by_template(QueryOptions {
-            saturation_threshold: f64::NAN,
-            limit: usize::MAX,
-        });
-        assert_eq!(nan_result, default_result);
-        // Out-of-range values clamp to the edges.
-        let negative = engine.group_by_template(QueryOptions {
-            saturation_threshold: -5.0,
-            limit: usize::MAX,
-        });
-        let zero = engine.group_by_template(QueryOptions {
-            saturation_threshold: 0.0,
-            limit: usize::MAX,
-        });
-        assert_eq!(negative, zero);
-        let huge = engine.group_by_template(QueryOptions {
-            saturation_threshold: 42.0,
-            limit: usize::MAX,
-        });
-        let one = engine.group_by_template(QueryOptions {
-            saturation_threshold: 1.0,
-            limit: usize::MAX,
-        });
-        assert_eq!(huge, one);
         assert_eq!(
-            QueryOptions {
-                saturation_threshold: f64::NAN,
-                limit: 3
-            }
-            .sanitized()
-            .saturation_threshold,
+            groups_at(&topic, f64::NAN),
+            groups_at(&topic, bytebrain::DEFAULT_THRESHOLD)
+        );
+        // Out-of-range values clamp to the edges.
+        assert_eq!(groups_at(&topic, -5.0), groups_at(&topic, 0.0));
+        assert_eq!(groups_at(&topic, 42.0), groups_at(&topic, 1.0));
+        assert_eq!(
+            group_plan(f64::NAN).threshold(),
             bytebrain::DEFAULT_THRESHOLD
         );
     }

@@ -23,14 +23,14 @@ use crate::storage::{
 use crate::store::ModelStore;
 use crate::trigger::{TrainingTrigger, TriggerDecision};
 use bytebrain::incremental::{apply_delta, train_delta, DriftConfig, DriftDetector, ModelDelta};
-use bytebrain::matcher::match_ids_batch;
+use bytebrain::matcher::{match_ids_batch, match_view};
 use bytebrain::merge::merge_models;
 use bytebrain::train::train;
 use bytebrain::{
     CompiledMatcher, MatchEngine, NodeId, ParserModel, QueryPlan, SaturationLadder, TemplateToken,
     TrainConfig,
 };
-use logtok::Preprocessor;
+use logtok::{Preprocessor, TokenScratch};
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -862,12 +862,11 @@ impl LogTopic {
     }
 
     /// Ingest a stream of records through the sharded streaming engine
-    /// ([`StreamIngestor`]): records are routed to shard buffers (round-robin or by
-    /// first-token key, per [`IngestConfig::routing`]), batched by size/time, matched
-    /// in parallel against an immutable snapshot of the current model, and then
-    /// applied to the topic exactly as [`LogTopic::ingest`] would — unmatched records
-    /// become temporary templates, everything lands in the store and the training
-    /// buffer, and the volume/time trigger may start a training run.
+    /// ([`StreamIngestor`]): records are routed round-robin to shard buffers, batched
+    /// by size/time, matched in parallel against an immutable snapshot of the current
+    /// model, and then applied to the topic exactly as [`LogTopic::ingest`] would —
+    /// unmatched records become temporary templates, everything lands in the store and
+    /// the training buffer, and the volume/time trigger may start a training run.
     ///
     /// Under [`MaintenancePolicy::Incremental`], completed records are additionally
     /// harvested *while the stream runs* (every `check_interval` pushed records, in
@@ -948,17 +947,12 @@ impl LogTopic {
         let mut rejected: Vec<String> = Vec::new();
         let mut records = records.into_iter();
         for record in records.by_ref() {
-            match wait {
-                None => ingestor.push_routed(record),
-                Some(bound) => {
-                    if let Err(overloaded) = ingestor.push_bounded(record, bound) {
-                        // Shed: keep the consistent accepted prefix, hand the
-                        // rejected record and the un-pushed tail back verbatim.
-                        rejected.push(overloaded.record);
-                        rejected.extend(records);
-                        break;
-                    }
-                }
+            if let Err(overloaded) = ingestor.push(record, wait) {
+                // Shed: keep the consistent accepted prefix, hand the
+                // rejected record and the un-pushed tail back verbatim.
+                rejected.push(overloaded.record);
+                rejected.extend(records);
+                break;
             }
             if let Some(interval) = check_interval {
                 since_check += 1;
@@ -1027,6 +1021,18 @@ impl LogTopic {
         outcome: &mut IngestOutcome,
     ) {
         let count = records.len() as u64;
+        // Stale records re-match on the topic's engine as it stands now, plus the
+        // temporaries this chunk inserts from here on: exact-token templates appended
+        // to `model.nodes`, at most one of which can match a record that everything
+        // older missed. Together that is the live model, without recompiling the
+        // automaton once per inserted temporary.
+        let compiled = if rematch_stale {
+            self.compiled_snapshot()
+        } else {
+            None
+        };
+        let chunk_start = self.model.len();
+        let mut scratch = TokenScratch::new();
         for matched in records {
             let stale = match matched.node {
                 // A pre-swap match can point at a node the delta retired (absorbed
@@ -1035,8 +1041,16 @@ impl LogTopic {
                 None => rematch_stale,
             };
             let (node, saturation) = if stale {
-                let tokens = self.preprocessor.tokens_of(&matched.record);
-                match bytebrain::matcher::match_tokens(&self.model, &tokens) {
+                let view = self.preprocessor.token_view(&matched.record, &mut scratch);
+                let node = match &compiled {
+                    Some(compiled) => compiled.match_view(&view).or_else(|| {
+                        let inserted = &self.model.nodes[chunk_start..];
+                        let hit = inserted.iter().find(|n| n.matches(view.iter()));
+                        hit.map(|n| n.id)
+                    }),
+                    None => match_view(&self.model, &view),
+                };
+                match node {
                     Some(id) => (Some(id), self.model.nodes[id.0].saturation),
                     None => (None, 0.0),
                 }
@@ -1201,8 +1215,8 @@ impl LogTopic {
         if self.records.is_empty() || self.model.is_empty() {
             return;
         }
-        let texts: Vec<String> = self.records.iter().map(|r| r.record.clone()).collect();
         let compiled = self.compiled_snapshot();
+        let texts: Vec<&str> = self.records.iter().map(|r| r.record.as_str()).collect();
         let results = match_ids_batch(
             &self.model,
             compiled.as_deref(),
@@ -1236,11 +1250,11 @@ impl LogTopic {
         if needs_rematch.is_empty() {
             return Vec::new();
         }
-        let texts: Vec<String> = needs_rematch
-            .iter()
-            .map(|&idx| self.records[idx].record.clone())
-            .collect();
         let compiled = self.compiled_snapshot();
+        let texts: Vec<&str> = needs_rematch
+            .iter()
+            .map(|&idx| self.records[idx].record.as_str())
+            .collect();
         let results = match_ids_batch(
             &self.model,
             compiled.as_deref(),

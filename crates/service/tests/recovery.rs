@@ -11,10 +11,10 @@
 //! base seed taken from `BYTEBRAIN_TEST_SEED` (CI varies it across a matrix).
 
 use bytebrain::incremental::DriftConfig;
+use bytebrain::Query;
 use service::ingest::IngestConfig;
 use service::{
-    LogTopic, MaintenancePolicy, QueryOptions, ServiceManager, StorageConfig, TopicConfig,
-    TopicStats,
+    LogTopic, MaintenancePolicy, QueryValue, ServiceManager, StorageConfig, TopicConfig, TopicStats,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -122,6 +122,16 @@ fn novel_batch(offset: usize, n: usize) -> Vec<String> {
 
 const THRESHOLDS: [f64; 6] = [0.0, 0.35, 0.6, 0.8, 0.9, 1.0];
 
+/// The topic's groups at `threshold`, through the one planned query path.
+fn groups_at(topic: &LogTopic, threshold: f64) -> QueryValue {
+    topic.execute(&Query::group_by().at_threshold(threshold).plan().unwrap())
+}
+
+/// The topic's `(template, count)` distribution at the default precision.
+fn distribution_of(topic: &LogTopic) -> QueryValue {
+    topic.execute(&Query::distribution().at_threshold(0.9).plan().unwrap())
+}
+
 /// Everything a client can observe about a topic, captured for the differential.
 struct Expectation {
     stats: TopicStats,
@@ -129,8 +139,8 @@ struct Expectation {
     model_json: String,
     record_count: usize,
     records: Vec<String>,
-    groups: Vec<Vec<service::TemplateGroup>>,
-    distribution: Vec<(String, u64)>,
+    groups: Vec<QueryValue>,
+    distribution: QueryValue,
 }
 
 fn capture(topic: &LogTopic) -> Expectation {
@@ -140,17 +150,8 @@ fn capture(topic: &LogTopic) -> Expectation {
         model_json: serde_json::to_string(topic.model()).expect("model serializes"),
         record_count: topic.records().len(),
         records: topic.records().iter().map(|r| r.record.clone()).collect(),
-        groups: THRESHOLDS
-            .iter()
-            .map(|&t| {
-                (*topic.query(QueryOptions {
-                    saturation_threshold: t,
-                    limit: usize::MAX,
-                }))
-                .clone()
-            })
-            .collect(),
-        distribution: topic.template_distribution(0.9),
+        groups: THRESHOLDS.iter().map(|&t| groups_at(topic, t)).collect(),
+        distribution: distribution_of(topic),
     }
 }
 
@@ -178,20 +179,16 @@ fn assert_recovered(recovered: &LogTopic, expected: &Expectation, ctx: &str) {
     );
     assert_eq!(recovered.stats(), expected.stats, "{ctx}: topic stats");
     for (i, &t) in THRESHOLDS.iter().enumerate() {
-        let groups = (*recovered.query(QueryOptions {
-            saturation_threshold: t,
-            limit: usize::MAX,
-        }))
-        .clone();
         assert_eq!(
-            groups, expected.groups[i],
-            "{ctx}: group_by_template at threshold {t}"
+            groups_at(recovered, t),
+            expected.groups[i],
+            "{ctx}: groups at threshold {t}"
         );
     }
     assert_eq!(
-        recovered.template_distribution(0.9),
+        distribution_of(recovered),
         expected.distribution,
-        "{ctx}: template_distribution"
+        "{ctx}: template distribution"
     );
 }
 
@@ -225,20 +222,13 @@ fn durable_topic_matches_in_memory_twin() {
     assert_eq!(d.training_runs, t.training_runs);
     assert_eq!(d.maintenance_runs, t.maintenance_runs);
     for &threshold in &THRESHOLDS {
-        let options = QueryOptions {
-            saturation_threshold: threshold,
-            limit: usize::MAX,
-        };
         assert_eq!(
-            *durable.query(options),
-            *twin.query(options),
+            groups_at(&durable, threshold),
+            groups_at(&twin, threshold),
             "durable and in-memory topics must serve identical groups at {threshold}"
         );
     }
-    assert_eq!(
-        durable.template_distribution(0.9),
-        twin.template_distribution(0.9)
-    );
+    assert_eq!(distribution_of(&durable), distribution_of(&twin));
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -401,8 +391,8 @@ fn query_cache_generation_prevents_stale_hits_after_eviction() {
     batch.extend(auth_batch(0, 150));
     topic.ingest(&batch);
     let version_before = topic.model_version();
-    let stale = (*topic.query(QueryOptions::default())).clone();
-    assert!(!stale.is_empty());
+    let stale = groups_at(&topic, 0.9);
+    assert!(!stale.groups().expect("groups plan").is_empty());
 
     // TTL retention evicts every record; the generation must move so the old cache
     // entry can never be served again.
@@ -426,8 +416,9 @@ fn query_cache_generation_prevents_stale_hits_after_eviction() {
     );
     assert_eq!(topic.records().len(), 300);
 
-    let fresh = (*topic.query(QueryOptions::default())).clone();
+    let fresh = groups_at(&topic, 0.9);
     assert_ne!(fresh, stale, "cache must not serve pre-eviction groups");
+    let fresh = fresh.groups().expect("groups plan");
     let total: usize = fresh.iter().map(|g| g.count()).sum();
     assert_eq!(
         total, 300,

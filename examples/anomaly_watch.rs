@@ -4,10 +4,9 @@
 //!
 //! Run with: `cargo run --release --example anomaly_watch`
 
+use bytebrain_repro::bytebrain::Query;
 use bytebrain_repro::service::library::AlertRule;
-use bytebrain_repro::service::{
-    AnomalyDetector, LogTopic, QueryEngine, TemplateLibrary, TopicConfig,
-};
+use bytebrain_repro::service::{AnomalyDetector, LogTopic, TemplateLibrary, TopicConfig};
 
 fn window(offset: usize, incident: bool) -> Vec<String> {
     let mut logs = Vec::new();
@@ -80,8 +79,13 @@ fn main() {
         vec![AlertRule::OnAppearance],
     );
     println!("\n=== fired alerts");
-    let current_distribution = QueryEngine::new(&topic).template_distribution(0.9);
-    for alert in library.evaluate_alerts(&current_distribution) {
+    let plan = Query::distribution()
+        .at_threshold(0.9)
+        .plan()
+        .expect("a predicate-free query always plans");
+    let current = topic.execute(&plan);
+    let current_distribution = current.distribution().expect("distribution plan");
+    for alert in library.evaluate_alerts(current_distribution) {
         println!(
             "  [{}] rule {:?} observed {}",
             alert.entry, alert.rule, alert.observed

@@ -4,10 +4,9 @@
 //!
 //! Run with: `cargo run --release --example cloud_topic`
 
+use bytebrain_repro::bytebrain::Query;
 use bytebrain_repro::datasets::LabeledDataset;
-use bytebrain_repro::service::{
-    compare_snapshots, LogTopic, QueryEngine, QueryOptions, TopicConfig,
-};
+use bytebrain_repro::service::{compare_snapshots, LogTopic, TopicConfig};
 
 fn main() {
     let corpus = LabeledDataset::loghub2("HDFS", 30_000);
@@ -38,14 +37,14 @@ fn main() {
     );
 
     // Query the topic at two precisions.
-    let engine = QueryEngine::new(&topic);
     for threshold in [0.3, 0.95] {
-        let groups = engine.group_by_template(QueryOptions {
-            saturation_threshold: threshold,
-            limit: 5,
-        });
+        let plan = Query::top_k(5)
+            .at_threshold(threshold)
+            .plan()
+            .expect("a predicate-free query always plans");
+        let result = topic.execute(&plan);
         println!("\ntop templates at threshold {threshold}:");
-        for group in groups {
+        for group in result.groups().expect("top-k yields groups").iter() {
             println!("  {:>7}  {}", group.count(), group.template);
         }
     }

@@ -1,8 +1,8 @@
 //! Differential test harness: every ingestion path of the service must agree.
 //!
 //! Seeded random workloads from `datasets::generator` flow through (a) batch
-//! `LogTopic::ingest`, (b) streaming `LogTopic::ingest_stream` under both shard
-//! strategies and 1/2/4 workers, and (c) the incremental-maintenance path — and all
+//! `LogTopic::ingest`, (b) streaming `LogTopic::ingest_stream` under 1/2/4
+//! workers, and (c) the incremental-maintenance path — and all
 //! of them must produce identical template assignments and identical ingest stats.
 //! A second harness drives a drifting 100k-line workload through a full-retrain
 //! topic and an incremental topic side by side and proves the incremental path
@@ -16,7 +16,7 @@ use bytebrain_repro::bytebrain::matcher::match_batch;
 use bytebrain_repro::bytebrain::NodeId;
 use bytebrain_repro::datasets::{GeneratorConfig, LabeledDataset};
 use bytebrain_repro::eval::ga::grouping_report;
-use bytebrain_repro::service::{IngestConfig, LogTopic, MaintenancePolicy, Routing, TopicConfig};
+use bytebrain_repro::service::{IngestConfig, LogTopic, MaintenancePolicy, TopicConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -68,43 +68,40 @@ fn streaming_paths_agree_with_batch_ingest() {
             batch_reference(&warm, &stream);
         assert_eq!(ref_assignment.len(), stream.len());
 
-        for routing in [Routing::RoundRobin, Routing::FirstTokenKey] {
-            for workers in [1usize, 2, 4] {
-                let mut topic =
-                    LogTopic::new(TopicConfig::new("stream").with_volume_threshold(u64::MAX));
-                topic.ingest(&warm);
-                let config = IngestConfig::default()
-                    .with_shards(4)
-                    .with_batch_records(256)
-                    .with_workers(workers)
-                    .with_routing(routing);
-                let result = topic.ingest_stream(stream.clone(), &config);
-                let label = format!("{dataset}/{routing:?}/workers={workers}");
-                assert_eq!(
-                    result.outcome.matched, ref_matched,
-                    "matched diverged for {label}"
-                );
-                assert_eq!(
-                    result.outcome.unmatched, ref_unmatched,
-                    "unmatched diverged for {label}"
-                );
-                assert!(!result.outcome.trained, "{label} must not retrain");
-                assert_eq!(
-                    result.stats.records(),
-                    stream.len() as u64,
-                    "stats lost records for {label}"
-                );
-                assert_eq!(
-                    result.stats.matched() as usize,
-                    ref_matched,
-                    "per-shard matched counters diverged for {label}"
-                );
-                assert_eq!(
-                    assignment_after(&topic, warm.len()),
-                    ref_assignment,
-                    "template assignment diverged for {label}"
-                );
-            }
+        for workers in [1usize, 2, 4] {
+            let mut topic =
+                LogTopic::new(TopicConfig::new("stream").with_volume_threshold(u64::MAX));
+            topic.ingest(&warm);
+            let config = IngestConfig::default()
+                .with_shards(4)
+                .with_batch_records(256)
+                .with_workers(workers);
+            let result = topic.ingest_stream(stream.clone(), &config);
+            let label = format!("{dataset}/workers={workers}");
+            assert_eq!(
+                result.outcome.matched, ref_matched,
+                "matched diverged for {label}"
+            );
+            assert_eq!(
+                result.outcome.unmatched, ref_unmatched,
+                "unmatched diverged for {label}"
+            );
+            assert!(!result.outcome.trained, "{label} must not retrain");
+            assert_eq!(
+                result.stats.records(),
+                stream.len() as u64,
+                "stats lost records for {label}"
+            );
+            assert_eq!(
+                result.stats.matched() as usize,
+                ref_matched,
+                "per-shard matched counters diverged for {label}"
+            );
+            assert_eq!(
+                assignment_after(&topic, warm.len()),
+                ref_assignment,
+                "template assignment diverged for {label}"
+            );
         }
     }
 }
@@ -318,13 +315,14 @@ fn incremental_maintenance_converges_with_full_retrain_on_drifting_workload() {
     );
 }
 
-/// The indexed query path (postings aggregated up the saturation ladder) must return
-/// **byte-identical** `group_by_template` output to the retained per-record scan path —
+/// The planned query path (postings aggregated up the saturation ladder) must return
+/// **byte-identical** groups to the per-record scan oracle —
 /// across thresholds (including pathological ones), maintenance policies, and the
 /// seeded workload matrix CI sweeps via `BYTEBRAIN_TEST_SEED`.
 #[test]
 fn indexed_query_path_is_byte_identical_to_scan_path() {
-    use bytebrain_repro::service::{QueryEngine, QueryOptions};
+    use bytebrain_repro::bytebrain::Query;
+    use bytebrain_repro::service::QueryEngine;
 
     let seed = base_seed();
     let thresholds = [
@@ -380,43 +378,44 @@ fn indexed_query_path_is_byte_identical_to_scan_path() {
         }
         let engine = QueryEngine::new(&topic);
         for &threshold in &thresholds {
-            for limit in [usize::MAX, 5] {
-                let options = QueryOptions {
-                    saturation_threshold: threshold,
-                    limit,
-                };
-                let indexed = engine.group_by_template(options);
-                let scanned = engine.group_by_template_scan(options);
+            let all_groups = Query::group_by().at_threshold(threshold).plan().unwrap();
+            let top_five = Query::top_k(5).at_threshold(threshold).plan().unwrap();
+            for plan in [&all_groups, &top_five] {
                 assert_eq!(
-                    indexed, scanned,
-                    "indexed and scan paths diverged ({label}, threshold {threshold}, \
-                     limit {limit})"
+                    engine.execute(plan),
+                    engine.execute_scan(plan),
+                    "planned and scan paths diverged ({label}, threshold {threshold}, \
+                     {:?})",
+                    plan.output()
                 );
             }
             // The counts-only distribution agrees with the full grouping — and
             // comes back in the canonical deterministic order (count descending,
             // template ascending).
-            let distribution = topic.template_distribution(threshold);
-            let mut from_groups: Vec<(String, u64)> = engine
-                .group_by_template(QueryOptions {
-                    saturation_threshold: threshold,
-                    limit: usize::MAX,
-                })
-                .into_iter()
-                .map(|g| (g.template, g.record_indices.len() as u64))
+            let plan = Query::distribution()
+                .at_threshold(threshold)
+                .plan()
+                .unwrap();
+            let distribution = topic.execute(&plan);
+            let groups = topic.execute(&all_groups);
+            let mut from_groups: Vec<(String, u64)> = groups
+                .groups()
+                .expect("groups plan")
+                .iter()
+                .map(|g| (g.template.clone(), g.record_indices.len() as u64))
                 .collect();
             from_groups.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             assert_eq!(
-                distribution, from_groups,
+                **distribution.distribution().expect("distribution plan"),
+                from_groups,
                 "distribution diverged from grouping ({label}, threshold {threshold})"
             );
         }
         // The snapshot (the concurrent-serving surface) agrees with the live topic.
-        let snapshot = topic.query_snapshot();
-        let options = QueryOptions::default();
+        let plan = Query::group_by().plan().unwrap();
         assert_eq!(
-            snapshot.group_by_template(options),
-            engine.group_by_template(options),
+            topic.query_snapshot().execute(&plan),
+            Some(engine.execute(&plan)),
             "snapshot diverged from the live topic ({label})"
         );
     }
@@ -424,7 +423,7 @@ fn indexed_query_path_is_byte_identical_to_scan_path() {
 
 /// The compiled automaton match path must be **byte-identical** to the tree
 /// walker it replaces: same per-record template assignment, same match stats —
-/// across batch ingest, both stream routings, and the incremental-maintenance
+/// across batch ingest, streaming ingest, and the incremental-maintenance
 /// path where the compiled snapshot is hot-swapped mid-stream at every delta
 /// boundary. Runs under the CI seed matrix via `BYTEBRAIN_TEST_SEED`.
 #[test]
@@ -463,37 +462,33 @@ fn automaton_match_path_is_byte_identical_to_tree_walk() {
             "{dataset}: batch assignment diverged between engines"
         );
 
-        // Streaming, both shard routings.
-        for routing in [Routing::RoundRobin, Routing::FirstTokenKey] {
-            let config = IngestConfig::default()
-                .with_shards(4)
-                .with_batch_records(256)
-                .with_workers(2)
-                .with_routing(routing);
-            let mut tree = engine_topic(MatchEngine::TreeWalk, &warm);
-            let mut auto = engine_topic(MatchEngine::Automaton, &warm);
-            let tree_res = tree.ingest_stream(stream.clone(), &config);
-            let auto_res = auto.ingest_stream(stream.clone(), &config);
-            let label = format!("{dataset}/{routing:?}");
-            assert_eq!(
-                auto_res.outcome.matched, tree_res.outcome.matched,
-                "{label}: stream matched"
-            );
-            assert_eq!(
-                auto_res.outcome.unmatched, tree_res.outcome.unmatched,
-                "{label}: stream unmatched"
-            );
-            assert_eq!(
-                auto_res.stats.matched(),
-                tree_res.stats.matched(),
-                "{label}: shard counters"
-            );
-            assert_eq!(
-                assignment_after(&auto, warm.len()),
-                assignment_after(&tree, warm.len()),
-                "{label}: stream assignment diverged between engines"
-            );
-        }
+        // Streaming.
+        let config = IngestConfig::default()
+            .with_shards(4)
+            .with_batch_records(256)
+            .with_workers(2);
+        let mut tree = engine_topic(MatchEngine::TreeWalk, &warm);
+        let mut auto = engine_topic(MatchEngine::Automaton, &warm);
+        let tree_res = tree.ingest_stream(stream.clone(), &config);
+        let auto_res = auto.ingest_stream(stream.clone(), &config);
+        assert_eq!(
+            auto_res.outcome.matched, tree_res.outcome.matched,
+            "{dataset}: stream matched"
+        );
+        assert_eq!(
+            auto_res.outcome.unmatched, tree_res.outcome.unmatched,
+            "{dataset}: stream unmatched"
+        );
+        assert_eq!(
+            auto_res.stats.matched(),
+            tree_res.stats.matched(),
+            "{dataset}: shard counters"
+        );
+        assert_eq!(
+            assignment_after(&auto, warm.len()),
+            assignment_after(&tree, warm.len()),
+            "{dataset}: stream assignment diverged between engines"
+        );
     }
 
     // Incremental maintenance over a drifting stream: deltas are folded in

@@ -10,6 +10,7 @@ use bytebrain_repro::service::{
     IngestConfig, LogTopic, ServiceManager, StreamIngestor, TenantDefaults, TopicConfig,
 };
 use std::sync::Arc;
+use std::time::Duration;
 
 #[test]
 fn stream_ingestor_handles_100k_lines_through_four_shards() {
@@ -25,7 +26,9 @@ fn stream_ingestor_handles_100k_lines_through_four_shards() {
         .with_workers(4);
     let mut ingestor = StreamIngestor::new(model, preprocessor, ingest);
     for record in &corpus.records {
-        ingestor.push(record.clone());
+        ingestor
+            .push(record.clone(), None)
+            .expect("an unbounded push never rejects");
     }
     let report = ingestor.finish();
 
@@ -109,12 +112,15 @@ fn manager_ingest_stream_routes_to_tenant_topics() {
     let corpus = LabeledDataset::loghub2("HDFS", 9_000);
     let (train_part, stream_part) = corpus.records.split_at(3_000);
     manager.ingest("acme", "hdfs", train_part);
-    let result = manager.ingest_stream(
-        "acme",
-        "hdfs",
-        stream_part.to_vec(),
-        &IngestConfig::default().with_shards(4),
-    );
+    let result = manager
+        .ingest_stream_bounded(
+            "acme",
+            "hdfs",
+            stream_part.to_vec(),
+            &IngestConfig::default().with_shards(4),
+            Duration::from_secs(60),
+        )
+        .expect("a minute-long wait bound never sheds here");
     assert_eq!(
         result.outcome.matched + result.outcome.unmatched,
         stream_part.len()

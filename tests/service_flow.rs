@@ -2,12 +2,34 @@
 //! querying, anomaly detection and alerting on a realistic synthetic stream.
 
 use bytebrain_repro::bytebrain::incremental::DriftConfig;
+use bytebrain_repro::bytebrain::Query;
 use bytebrain_repro::datasets::LabeledDataset;
 use bytebrain_repro::service::library::AlertRule;
 use bytebrain_repro::service::{
-    AnomalyDetector, AnomalyKind, IngestConfig, LogTopic, MaintenancePolicy, QueryEngine,
-    QueryOptions, TemplateLibrary, TopicConfig,
+    AnomalyDetector, AnomalyKind, IngestConfig, LogTopic, MaintenancePolicy, TemplateGroup,
+    TemplateLibrary, TopicConfig,
 };
+use std::sync::Arc;
+
+/// The topic's template groups at `threshold`, through the one planned query path.
+fn groups_at(topic: &LogTopic, threshold: f64) -> Arc<Vec<TemplateGroup>> {
+    let plan = Query::group_by().at_threshold(threshold).plan().unwrap();
+    Arc::clone(topic.execute(&plan).groups().expect("groups plan"))
+}
+
+/// The topic's `(template, count)` distribution at `threshold`.
+fn distribution_at(topic: &LogTopic, threshold: f64) -> Arc<Vec<(String, u64)>> {
+    let plan = Query::distribution()
+        .at_threshold(threshold)
+        .plan()
+        .unwrap();
+    Arc::clone(
+        topic
+            .execute(&plan)
+            .distribution()
+            .expect("distribution plan"),
+    )
+}
 
 #[test]
 fn topic_lifecycle_ingest_train_query() {
@@ -26,7 +48,7 @@ fn topic_lifecycle_ingest_train_query() {
     // The model is small relative to the data it describes (storage-efficiency goal).
     assert!(stats.model_size_bytes * 2 < stats.total_bytes);
 
-    let groups = QueryEngine::new(&topic).group_by_template(QueryOptions::default());
+    let groups = groups_at(&topic, 0.9);
     let covered: usize = groups.iter().map(|g| g.count()).sum();
     assert_eq!(covered as u64, stats.total_records);
 }
@@ -38,7 +60,7 @@ fn new_error_template_is_detected_as_anomaly() {
         .map(|i| format!("payment {} authorized in {}ms", i, i % 40))
         .collect();
     topic.ingest(&healthy);
-    let baseline = QueryEngine::new(&topic).template_distribution(0.9);
+    let baseline = distribution_at(&topic, 0.9);
 
     let incident: Vec<String> = (0..500)
         .map(|i| {
@@ -51,7 +73,7 @@ fn new_error_template_is_detected_as_anomaly() {
         .collect();
     topic.ingest(&incident);
     topic.run_training();
-    let current = QueryEngine::new(&topic).template_distribution(0.9);
+    let current = distribution_at(&topic, 0.9);
 
     let reports = AnomalyDetector::default().detect(&baseline, &current);
     assert!(
@@ -79,7 +101,7 @@ fn library_alert_fires_on_known_failure_scenario() {
         "Out of memory Killed process * java",
         vec![AlertRule::CountAbove(50), AlertRule::OnAppearance],
     );
-    let distribution = QueryEngine::new(&topic).template_distribution(0.9);
+    let distribution = distribution_at(&topic, 0.9);
     let alerts = library.evaluate_alerts(&distribution);
     assert!(
         alerts.iter().any(|a| a.entry == "oom-killer"),
@@ -90,7 +112,7 @@ fn library_alert_fires_on_known_failure_scenario() {
 /// Regression: records matched to temporary templates that incremental maintenance
 /// later absorbed (retired) must never resolve to — or group under — the retired
 /// nodes. Before the fix, `resolve_with_threshold` ignored `TreeNode::retired` and
-/// `group_by_template` reported retired temporaries as template groups.
+/// group queries reported retired temporaries as template groups.
 #[test]
 fn queries_after_incremental_maintenance_return_no_retired_templates() {
     let mut topic = LogTopic::new(
@@ -118,10 +140,7 @@ fn queries_after_incremental_maintenance_return_no_retired_templates() {
         "absorbed temporaries must leave retired slots behind"
     );
     for threshold in [0.0, 0.3, 0.6, 0.9, 1.0] {
-        let groups = topic.query(QueryOptions {
-            saturation_threshold: threshold,
-            limit: usize::MAX,
-        });
+        let groups = groups_at(&topic, threshold);
         let covered: usize = groups.iter().map(|g| g.count()).sum();
         assert_eq!(covered, topic.records().len(), "no record may be dropped");
         for group in groups.iter() {
@@ -187,7 +206,7 @@ fn hot_swapped_stream_leaves_no_records_on_retired_templates() {
             );
         }
     }
-    for group in topic.query(QueryOptions::default()).iter() {
+    for group in groups_at(&topic, 0.9).iter() {
         assert!(!topic.model().nodes[group.node.0].retired);
     }
 }

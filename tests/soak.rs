@@ -13,9 +13,10 @@
 //! Line volume can be scaled down for local runs with `BYTEBRAIN_SOAK_LINES`.
 
 use bytebrain_repro::bytebrain::incremental::DriftConfig;
+use bytebrain_repro::bytebrain::Query;
 use bytebrain_repro::datasets::{GeneratorConfig, LabeledDataset};
 use bytebrain_repro::service::{
-    IngestConfig, LogTopic, MaintenancePolicy, MatchEngine, QueryOptions, TopicConfig,
+    IngestConfig, LogTopic, MaintenancePolicy, MatchEngine, TopicConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -116,16 +117,15 @@ fn soak_automaton_stream_with_concurrent_queries() {
             let verifier = scope.spawn(move || {
                 let records = snapshot.records();
                 for &threshold in &thresholds {
-                    let groups = snapshot.group_by_template(QueryOptions {
-                        saturation_threshold: threshold,
-                        limit: usize::MAX,
-                    });
+                    let plan = Query::group_by().at_threshold(threshold).plan().unwrap();
+                    let value = snapshot.execute(&plan).expect("node-only plan");
+                    let groups = value.groups().expect("groups plan");
                     let covered: usize = groups.iter().map(|g| g.count()).sum();
                     assert_eq!(
                         covered, records,
                         "snapshot groups must cover all postings (threshold {threshold})"
                     );
-                    for group in &groups {
+                    for group in groups.iter() {
                         assert!(
                             !snapshot.model().nodes[group.node.0].retired,
                             "retired template leaked into snapshot query: {}",
