@@ -2,8 +2,8 @@
 //! corpora, sorted by dataset size. Large datasets benefit; small ones plateau early.
 //!
 //! Two engines are swept: the scoped-thread `match_batch` path the paper's figure
-//! measures, and the sharded streaming ingestion engine (`StreamIngestor`, shards =
-//! workers). Wall-clock speedups obviously require more than one physical core.
+//! measures, and the batched streaming ingestion engine (`StreamIngestor`, swept over
+//! pool workers). Wall-clock speedups obviously require more than one physical core.
 
 use bench::{eval_bytebrain, eval_bytebrain_stream, loghub2_scale, maybe_write, DEFAULT_THRESHOLD};
 use bytebrain::TrainConfig;
@@ -61,9 +61,9 @@ fn main() {
     println!("Fig. 12: throughput vs parallelism ({scale} logs per dataset)\n");
     println!("{}", table.render());
 
-    // Second sweep: the sharded streaming ingestion engine, shards = workers.
+    // Second sweep: the batched streaming ingestion engine over pool workers.
     let mut stream_headers = vec!["Dataset".to_string()];
-    stream_headers.extend(workers.iter().map(|w| format!("{w} shards")));
+    stream_headers.extend(workers.iter().map(|w| format!("{w} workers")));
     stream_headers.push("speedup 16/1".to_string());
     let mut stream_table = TextTable::new(stream_headers);
     for dataset in ["Apache", "OpenSSH", "HDFS", "Thunderbird"] {
@@ -72,7 +72,7 @@ fn main() {
         let mut first = 0.0;
         let mut last = 0.0;
         for (i, &w) in workers.iter().enumerate() {
-            let outcome = eval_bytebrain_stream(&ds, w, w);
+            let outcome = eval_bytebrain_stream(&ds, w);
             let tp = outcome.throughput.logs_per_second;
             row.push(fmt_sci(tp));
             record.insert(&format!("stream_{dataset}_{w}"), tp);
@@ -88,7 +88,7 @@ fn main() {
         stream_table.add_row(row);
         eprintln!("[fig12] finished streaming sweep for {dataset}");
     }
-    println!("Fig. 12 (streaming engine): throughput vs shard/worker count\n");
+    println!("Fig. 12 (streaming engine): throughput vs worker count\n");
     println!("{}", stream_table.render());
     maybe_write(&record);
 }

@@ -51,17 +51,17 @@ fn main() {
             .entry("ByteBrain w/o JIT".to_string())
             .or_default()
             .insert(dataset.to_string(), slow.throughput.logs_per_second);
-        // The sharded streaming ingestion engine: 4 shards, 4 pool workers.
-        let streamed = eval_bytebrain_stream(&ds, 4, 4);
+        // The batched streaming ingestion engine: 4 pool workers.
+        let streamed = eval_bytebrain_stream(&ds, 4);
         throughput
-            .entry("ByteBrain (stream 4x4)".to_string())
+            .entry("ByteBrain (stream ×4)".to_string())
             .or_default()
             .insert(dataset.to_string(), streamed.throughput.logs_per_second);
         // Online incremental maintenance: cold-start train on half the corpus, stream
         // the rest with drift-triggered delta folding instead of full retrains.
-        let incremental = eval_bytebrain_incremental(&ds, 4, 4);
+        let incremental = eval_bytebrain_incremental(&ds, 4);
         throughput
-            .entry("ByteBrain (incremental 4x4)".to_string())
+            .entry("ByteBrain (incremental ×4)".to_string())
             .or_default()
             .insert(dataset.to_string(), incremental.throughput.logs_per_second);
     }
@@ -76,8 +76,8 @@ fn main() {
     methods[bytebrain_idx] = "ByteBrain Sequential".to_string();
     methods.push("ByteBrain w/o JIT".to_string());
     methods.push("ByteBrain (parallel)".to_string());
-    methods.push("ByteBrain (stream 4x4)".to_string());
-    methods.push("ByteBrain (incremental 4x4)".to_string());
+    methods.push("ByteBrain (stream ×4)".to_string());
+    methods.push("ByteBrain (incremental ×4)".to_string());
     // The single-threaded default run is stored under "ByteBrain".
     let sequential = throughput.remove("ByteBrain").unwrap_or_default();
     throughput.insert("ByteBrain Sequential".to_string(), sequential);

@@ -1,6 +1,6 @@
 //! `bench` — the experiment harness: one binary per table / figure of the paper (see
 //! the "Reproducing the paper's tables and figures" section of `README.md` for the
-//! full index) plus Criterion micro-benchmarks.
+//! full index).
 //!
 //! Every binary prints the same rows/series the paper reports and honours two environment
 //! variables so the full suite can be scaled to the available time budget:
@@ -71,12 +71,12 @@ pub fn eval_bytebrain(ds: &LabeledDataset, config: TrainConfig, threshold: f64) 
     }
 }
 
-/// Evaluate ByteBrain with the sharded streaming ingestion engine
+/// Evaluate ByteBrain with the batched streaming ingestion engine
 /// ([`service::StreamIngestor`]): train once on the corpus, then stream the full corpus
-/// through `shards` shard buffers matched by `workers` pool workers. Throughput keeps
+/// in 1,024-record batches matched by `workers` pool workers. Throughput keeps
 /// the paper's definition (total logs over combined training + matching time); accuracy
 /// scores the streamed template assignment against the ground-truth labels.
-pub fn eval_bytebrain_stream(ds: &LabeledDataset, shards: usize, workers: usize) -> EvalOutcome {
+pub fn eval_bytebrain_stream(ds: &LabeledDataset, workers: usize) -> EvalOutcome {
     use service::{IngestConfig, StreamIngestor};
     use std::sync::Arc;
     let config = TrainConfig::default();
@@ -90,7 +90,6 @@ pub fn eval_bytebrain_stream(ds: &LabeledDataset, shards: usize, workers: usize)
         let model = Arc::new(outcome.model);
         let preprocessor = Arc::new(logtok::Preprocessor::new(config.preprocess.clone()));
         let ingest = IngestConfig::default()
-            .with_shards(shards)
             .with_workers(workers)
             .with_batch_records(1_024);
         let mut ingestor = StreamIngestor::new(model, preprocessor, ingest);
@@ -112,7 +111,7 @@ pub fn eval_bytebrain_stream(ds: &LabeledDataset, shards: usize, workers: usize)
             .collect::<Vec<usize>>()
     });
     EvalOutcome {
-        parser: format!("ByteBrain (stream {shards}x{workers})"),
+        parser: format!("ByteBrain (stream ×{workers})"),
         dataset: ds.name.clone(),
         accuracy: grouping_accuracy(&predicted, &ds.labels),
         throughput,
@@ -126,11 +125,7 @@ pub fn eval_bytebrain_stream(ds: &LabeledDataset, shards: usize, workers: usize)
 /// Throughput keeps the paper's definition (total logs over combined training +
 /// matching time); accuracy scores the stored template assignment of the whole corpus
 /// against the ground-truth labels.
-pub fn eval_bytebrain_incremental(
-    ds: &LabeledDataset,
-    shards: usize,
-    workers: usize,
-) -> EvalOutcome {
+pub fn eval_bytebrain_incremental(ds: &LabeledDataset, workers: usize) -> EvalOutcome {
     use bytebrain::incremental::DriftConfig;
     use service::{IngestConfig, LogTopic, MaintenancePolicy, TopicConfig};
     let half = ds.len() / 2;
@@ -147,7 +142,6 @@ pub fn eval_bytebrain_incremental(
         let mut topic = LogTopic::new(config);
         topic.ingest(&warm); // cold start: initial (full) training
         let ingest = IngestConfig::default()
-            .with_shards(shards)
             .with_workers(workers)
             .with_batch_records(1_024);
         topic.ingest_stream(stream.clone(), &ingest);
@@ -163,7 +157,7 @@ pub fn eval_bytebrain_incremental(
             .collect::<Vec<usize>>()
     });
     EvalOutcome {
-        parser: format!("ByteBrain (incremental {shards}x{workers})"),
+        parser: format!("ByteBrain (incremental ×{workers})"),
         dataset: ds.name.clone(),
         accuracy: grouping_accuracy(&predicted, &ds.labels),
         throughput,
@@ -300,8 +294,8 @@ mod tests {
     #[test]
     fn incremental_eval_produces_sane_numbers() {
         let ds = LabeledDataset::loghub("Apache");
-        let outcome = eval_bytebrain_incremental(&ds, 2, 2);
-        assert_eq!(outcome.parser, "ByteBrain (incremental 2x2)");
+        let outcome = eval_bytebrain_incremental(&ds, 2);
+        assert_eq!(outcome.parser, "ByteBrain (incremental ×2)");
         assert!(outcome.accuracy > 0.5, "accuracy {}", outcome.accuracy);
         assert!(outcome.throughput.logs_per_second > 0.0);
     }

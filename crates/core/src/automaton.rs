@@ -41,21 +41,9 @@
 use crate::model::ParserModel;
 use crate::tree::{NodeId, TemplateToken};
 use logtok::{Preprocessor, TokenScratch, TokenView};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Which matching engine a topic routes records through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum MatchEngine {
-    /// Compiled multi-pattern automaton (the default hot path).
-    #[default]
-    Automaton,
-    /// Linear tree walk over `match_order` — the escape hatch, and the
-    /// reference implementation the automaton is differentially tested against.
-    TreeWalk,
-}
 
 /// Determinization cap: past this many DFA states the compiler abandons subset
 /// construction and matches by NFA active-set simulation instead.
@@ -802,7 +790,7 @@ impl CompiledMatcher {
 /// snapshot's generation and the whole cache is dropped on a snapshot swap.
 ///
 /// Keys are precomputed 64-bit FNV line hashes ([`logtok::hash_line`]): the
-/// stream layer hashes each record once at shard admission and carries the
+/// stream layer hashes each record once at admission and carries the
 /// hash through the job, so a cache probe re-hashes 8 bytes instead of the
 /// whole line. Each entry stores the full line and verifies it on a hit, so a
 /// hash collision degrades to a miss — results stay byte-identical.

@@ -19,7 +19,7 @@
 //! kernel: token hashes are interned once into dense ids, and a cluster's statistics are
 //! one flat count array indexed by id, so a distance evaluation hashes nothing.
 //! [`ClusterProfile`] is the readable `HashMap` rendering of the same equations, kept as
-//! the reference the property tests and the `micro` bench compare the kernel against.
+//! the reference the property tests compare the kernel against.
 
 use logtok::EncodedLog;
 use std::collections::HashMap;

@@ -10,11 +10,11 @@
 //!
 //! Three pieces:
 //!
-//! * [`DriftDetector`] — deterministic per-shard sliding windows over match
-//!   outcomes. It raises [`DriftDecision::UnmatchedSurge`] when a shard's
-//!   unmatched rate exceeds a bound and [`DriftDecision::SaturationDecay`] when
-//!   the mean saturation of matched records decays below the baseline established
-//!   on healthy traffic (coarse ancestors start absorbing what used to hit precise
+//! * [`DriftDetector`] — one deterministic sliding window over match outcomes.
+//!   It raises [`DriftDecision::UnmatchedSurge`] when the windowed unmatched
+//!   rate exceeds a bound and [`DriftDecision::SaturationDecay`] when the mean
+//!   saturation of matched records decays below the baseline established on
+//!   healthy traffic (coarse ancestors start absorbing what used to hit precise
 //!   leaves).
 //! * [`train_delta`] — folds a small batch (typically the topic's unmatched
 //!   buffer) into an existing model *as a delta*: the batch is clustered on its
@@ -56,16 +56,16 @@ use std::collections::VecDeque;
 // Drift detection
 // ---------------------------------------------------------------------------
 
-/// Configuration of the [`DriftDetector`]'s sliding windows.
+/// Configuration of the [`DriftDetector`]'s sliding window.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DriftConfig {
-    /// Number of most recent observations kept per shard.
+    /// Number of most recent observations kept.
     pub window: usize,
-    /// Minimum observations in a shard window before it is assessed.
+    /// Minimum observations in the window before it is assessed.
     pub min_samples: usize,
-    /// A shard drifts when its windowed unmatched rate reaches this bound.
+    /// The topic drifts when the windowed unmatched rate reaches this bound.
     pub max_unmatched_rate: f64,
-    /// A shard drifts when the windowed mean saturation of matched records falls
+    /// The topic drifts when the windowed mean saturation of matched records falls
     /// this far below the baseline established on healthy traffic.
     pub max_saturation_drop: f64,
 }
@@ -105,19 +105,15 @@ impl DriftConfig {
 /// The verdict of one [`DriftDetector::assess`] call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DriftDecision {
-    /// No shard shows drift.
+    /// The window shows no drift.
     Stable,
-    /// A shard's windowed unmatched rate exceeded the configured bound.
+    /// The windowed unmatched rate exceeded the configured bound.
     UnmatchedSurge {
-        /// Shard whose window tripped the bound.
-        shard: usize,
         /// Observed unmatched rate in the window.
         rate: f64,
     },
-    /// A shard's windowed mean matched saturation decayed below the baseline.
+    /// The windowed mean matched saturation decayed below the baseline.
     SaturationDecay {
-        /// Shard whose window tripped the bound.
-        shard: usize,
         /// Baseline mean saturation established on healthy traffic.
         baseline: f64,
         /// Current windowed mean saturation.
@@ -132,23 +128,17 @@ impl DriftDecision {
     }
 }
 
-/// One shard's sliding window of match outcomes.
+/// Deterministic drift detector: one sliding window over `(matched, saturation)`
+/// observations. No wall-clock state — identical observation sequences always
+/// produce identical decisions, which is what the differential test harness
+/// relies on.
 #[derive(Debug, Default, Clone)]
-struct ShardWindow {
+pub struct DriftDetector {
+    config: DriftConfig,
     /// `(matched, saturation)` of the most recent observations, oldest first.
     events: VecDeque<(bool, f64)>,
     unmatched: usize,
     matched_saturation_sum: f64,
-}
-
-/// Deterministic drift detector: per-shard sliding windows over `(matched,
-/// saturation)` observations. No wall-clock state — identical observation
-/// sequences always produce identical decisions, which is what the differential
-/// test harness relies on.
-#[derive(Debug, Default, Clone)]
-pub struct DriftDetector {
-    config: DriftConfig,
-    shards: Vec<ShardWindow>,
     /// Mean matched saturation over the first full window of healthy traffic.
     baseline: Option<f64>,
     baseline_sum: f64,
@@ -161,11 +151,7 @@ impl DriftDetector {
     pub fn new(config: DriftConfig) -> Self {
         DriftDetector {
             config,
-            shards: Vec::new(),
-            baseline: None,
-            baseline_sum: 0.0,
-            baseline_count: 0,
-            observations: 0,
+            ..DriftDetector::default()
         }
     }
 
@@ -174,7 +160,7 @@ impl DriftDetector {
         &self.config
     }
 
-    /// Total observations fed so far (across shards, including dropped ones).
+    /// Total observations fed so far (including those the window has dropped).
     pub fn observations(&self) -> u64 {
         self.observations
     }
@@ -184,12 +170,9 @@ impl DriftDetector {
         self.baseline
     }
 
-    /// Record one match outcome from `shard`. `saturation` is the matched
-    /// template's saturation (ignored for unmatched records).
-    pub fn observe(&mut self, shard: usize, matched: bool, saturation: f64) {
-        if shard >= self.shards.len() {
-            self.shards.resize_with(shard + 1, ShardWindow::default);
-        }
+    /// Record one match outcome. `saturation` is the matched template's
+    /// saturation (ignored for unmatched records).
+    pub fn observe(&mut self, matched: bool, saturation: f64) {
         self.observations += 1;
         // Establish the baseline from the first window's worth of matched records.
         if self.baseline.is_none() && matched {
@@ -199,59 +182,51 @@ impl DriftDetector {
                 self.baseline = Some(self.baseline_sum / self.baseline_count as f64);
             }
         }
-        let window = &mut self.shards[shard];
-        window.events.push_back((matched, saturation));
+        self.events.push_back((matched, saturation));
         if matched {
-            window.matched_saturation_sum += saturation;
+            self.matched_saturation_sum += saturation;
         } else {
-            window.unmatched += 1;
+            self.unmatched += 1;
         }
-        while window.events.len() > self.config.window {
-            let (was_matched, sat) = window.events.pop_front().expect("window is non-empty");
+        while self.events.len() > self.config.window {
+            let (was_matched, sat) = self.events.pop_front().expect("window is non-empty");
             if was_matched {
-                window.matched_saturation_sum -= sat;
+                self.matched_saturation_sum -= sat;
             } else {
-                window.unmatched -= 1;
+                self.unmatched -= 1;
             }
         }
     }
 
-    /// Assess every shard window and return the first drift found (lowest shard id
-    /// wins, unmatched surge checked before saturation decay).
+    /// Assess the window (unmatched surge checked before saturation decay).
     pub fn assess(&self) -> DriftDecision {
-        for (shard, window) in self.shards.iter().enumerate() {
-            let n = window.events.len();
-            if n < self.config.min_samples {
-                continue;
-            }
-            let rate = window.unmatched as f64 / n as f64;
-            if rate >= self.config.max_unmatched_rate {
-                return DriftDecision::UnmatchedSurge { shard, rate };
-            }
-            let matched = n - window.unmatched;
-            if let Some(baseline) = self.baseline {
-                if matched >= self.config.min_samples / 2 && matched > 0 {
-                    let current = window.matched_saturation_sum / matched as f64;
-                    if baseline - current >= self.config.max_saturation_drop {
-                        return DriftDecision::SaturationDecay {
-                            shard,
-                            baseline,
-                            current,
-                        };
-                    }
+        let n = self.events.len();
+        if n < self.config.min_samples {
+            return DriftDecision::Stable;
+        }
+        let rate = self.unmatched as f64 / n as f64;
+        if rate >= self.config.max_unmatched_rate {
+            return DriftDecision::UnmatchedSurge { rate };
+        }
+        let matched = n - self.unmatched;
+        if let Some(baseline) = self.baseline {
+            if matched >= self.config.min_samples / 2 && matched > 0 {
+                let current = self.matched_saturation_sum / matched as f64;
+                if baseline - current >= self.config.max_saturation_drop {
+                    return DriftDecision::SaturationDecay { baseline, current };
                 }
             }
         }
         DriftDecision::Stable
     }
 
-    /// Clear every shard window (called after maintenance absorbed the drift).
-    /// The established baseline is kept: it describes healthy traffic, and the
+    /// Clear the window (called after maintenance absorbed the drift). The
+    /// established baseline is kept: it describes healthy traffic, and the
     /// refreshed model is expected to return to it.
-    pub fn reset_windows(&mut self) {
-        for window in &mut self.shards {
-            *window = ShardWindow::default();
-        }
+    pub fn reset_window(&mut self) {
+        self.events.clear();
+        self.unmatched = 0;
+        self.matched_saturation_sum = 0.0;
     }
 }
 
@@ -900,28 +875,25 @@ mod tests {
     #[test]
     fn stable_traffic_is_stable() {
         let mut detector = DriftDetector::new(drift_config());
-        for i in 0..500 {
-            detector.observe(i % 4, true, 0.9);
+        for _ in 0..500 {
+            detector.observe(true, 0.9);
         }
         assert_eq!(detector.assess(), DriftDecision::Stable);
         assert_eq!(detector.observations(), 500);
     }
 
     #[test]
-    fn unmatched_surge_is_detected_per_shard() {
+    fn unmatched_surge_is_detected() {
         let mut detector = DriftDetector::new(drift_config());
-        for i in 0..400 {
-            detector.observe(i % 4, true, 0.9);
+        for _ in 0..400 {
+            detector.observe(true, 0.9);
         }
-        // Shard 2 starts seeing unknown logs.
-        for _ in 0..40 {
-            detector.observe(2, false, 0.0);
+        // Unknown logs start arriving: 20 of the last 100 is exactly the bound.
+        for _ in 0..20 {
+            detector.observe(false, 0.0);
         }
         match detector.assess() {
-            DriftDecision::UnmatchedSurge { shard, rate } => {
-                assert_eq!(shard, 2);
-                assert!(rate >= 0.2);
-            }
+            DriftDecision::UnmatchedSurge { rate } => assert!(rate >= 0.2),
             other => panic!("expected unmatched surge, got {other:?}"),
         }
     }
@@ -933,38 +905,31 @@ mod tests {
         let mut detector = DriftDetector::new(config);
         // Healthy traffic establishes a baseline near 0.95.
         for _ in 0..200 {
-            detector.observe(0, true, 0.95);
+            detector.observe(true, 0.95);
         }
         assert!(detector.baseline().is_some());
         // Matches degrade to coarse ancestors.
         for _ in 0..100 {
-            detector.observe(0, true, 0.5);
+            detector.observe(true, 0.5);
         }
         match detector.assess() {
-            DriftDecision::SaturationDecay {
-                shard,
-                baseline,
-                current,
-            } => {
-                assert_eq!(shard, 0);
-                assert!(baseline > current);
-            }
+            DriftDecision::SaturationDecay { baseline, current } => assert!(baseline > current),
             other => panic!("expected saturation decay, got {other:?}"),
         }
     }
 
     #[test]
-    fn reset_clears_windows_but_keeps_baseline() {
+    fn reset_clears_the_window_but_keeps_baseline() {
         let mut detector = DriftDetector::new(drift_config());
         for _ in 0..200 {
-            detector.observe(0, true, 0.9);
+            detector.observe(true, 0.9);
         }
         for _ in 0..100 {
-            detector.observe(0, false, 0.0);
+            detector.observe(false, 0.0);
         }
         assert!(detector.assess().is_drifting());
         let baseline = detector.baseline();
-        detector.reset_windows();
+        detector.reset_window();
         assert_eq!(detector.assess(), DriftDecision::Stable);
         assert_eq!(detector.baseline(), baseline);
     }
@@ -974,9 +939,8 @@ mod tests {
         let run = || {
             let mut detector = DriftDetector::new(drift_config());
             for i in 0..1_000u64 {
-                let shard = (i % 3) as usize;
                 let matched = i % 7 != 0;
-                detector.observe(shard, matched, if matched { 0.8 } else { 0.0 });
+                detector.observe(matched, if matched { 0.8 } else { 0.0 });
             }
             format!("{:?}", detector.assess())
         };

@@ -48,7 +48,7 @@ pub mod saturation;
 pub mod train;
 pub mod tree;
 
-pub use automaton::{CompiledMatcher, MatchCache, MatchEngine};
+pub use automaton::{CompiledMatcher, MatchCache};
 pub use config::{AblationConfig, TrainConfig};
 pub use incremental::{
     apply_delta, train_delta, DeltaParent, DriftConfig, DriftDecision, DriftDetector, ModelDelta,

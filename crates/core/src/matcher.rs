@@ -102,12 +102,12 @@ pub fn match_batch(
 
 /// Lean batch matcher: like [`match_batch`] but returns `(node, saturation)` pairs
 /// without rendering template texts — the service layer's ingest and maintenance
-/// re-match paths only need the assignment. Records go through the compiled
-/// automaton when a snapshot is supplied, the tree walk otherwise; both return the
-/// same id for the same record (the differential suite's core invariant).
+/// re-match paths only need the assignment. Records go through `compiled`, the
+/// automaton compiled from `model`; debug builds check every decision against
+/// the tree walk.
 pub fn match_ids_batch<S: AsRef<str> + Sync>(
     model: &ParserModel,
-    compiled: Option<&CompiledMatcher>,
+    compiled: &CompiledMatcher,
     preprocessor: &Preprocessor,
     records: &[S],
     workers: usize,
@@ -125,10 +125,12 @@ pub fn match_ids_batch<S: AsRef<str> + Sync>(
         SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
             let view = preprocessor.token_view(record, &mut scratch);
-            let node = match compiled {
-                Some(compiled) => compiled.match_view(&view),
-                None => match_view(model, &view),
-            };
+            let node = compiled.match_view(&view);
+            debug_assert_eq!(
+                node,
+                match_view(model, &view),
+                "automaton diverged from the tree walk on {record:?}"
+            );
             let saturation = node.map(|id| model.nodes[id.0].saturation).unwrap_or(0.0);
             (idx, (node, saturation))
         })

@@ -49,7 +49,7 @@ pub struct PreprocessedBatch {
 ///
 /// [`Preprocessor::token_view`] masks and tokenizes a record into these buffers instead
 /// of allocating a fresh `Vec<String>` per record (what [`Preprocessor::tokens_of`]
-/// does). A shard worker of the streaming ingestion engine keeps one `TokenScratch`
+/// does). A pool worker of the streaming ingestion engine keeps one `TokenScratch`
 /// alive for its whole lifetime, so after the first few records the hot path performs
 /// no heap allocation.
 #[derive(Debug, Default)]

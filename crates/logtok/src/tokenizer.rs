@@ -81,7 +81,7 @@ impl Tokenizer {
 
     /// Zero-copy core of [`Tokenizer::tokenize`]: write the byte span of every token
     /// into `spans` (cleared first) instead of materialising a slice vector. The
-    /// streaming ingestion fast path calls this with a per-shard scratch vector so
+    /// streaming ingestion fast path calls this with a per-worker scratch vector so
     /// tokenizing a record performs no allocation at all once the scratch has warmed up.
     pub fn tokenize_spans(&self, record: &str, spans: &mut Vec<(usize, usize)>) {
         spans.clear();

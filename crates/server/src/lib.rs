@@ -53,7 +53,7 @@ use std::time::{Duration, Instant};
 pub struct EngineConfig {
     /// Streaming-engine tuning for large batches.
     pub ingest: IngestConfig,
-    /// Batches with at least this many records take the sharded streaming path;
+    /// Batches with at least this many records take the batched streaming path;
     /// smaller ones take the direct batch path (streaming setup costs more than it
     /// saves on small batches).
     pub stream_threshold: usize,

@@ -333,7 +333,6 @@ fn engine_shed_reports_committed_prefix_as_success() {
         // flight, the very next push finds the slot occupied (matching 256 long
         // records far outlasts one buffer append) and the remainder is shed.
         ingest: IngestConfig::default()
-            .with_shards(1)
             .with_workers(1)
             .with_max_in_flight(1)
             .with_batch_records(256),

@@ -1,14 +1,13 @@
-//! Sharded streaming ingestion engine (§3 "System Design": online matching must keep up
+//! Batched streaming ingestion engine (§3 "System Design": online matching must keep up
 //! with ingestion across thousands of topics).
 //!
 //! [`StreamIngestor`] is the high-throughput alternative to calling
 //! [`LogTopic::ingest`](crate::topic::LogTopic::ingest) one record (or one small batch)
-//! at a time. [`StreamIngestor::push`] routes records to one of `shards` per-topic
-//! shard buffers by a rotating counter (maximally balanced; the completed-record ring
-//! restores arrival order whatever the routing). Each shard accumulates a batch that
-//! is flushed when it reaches `batch_records` (size bound) or when its oldest record
-//! has waited `flush_interval` (time bound), and flushed batches are matched in
-//! parallel by the shared [`MatcherPool`] over an immutable model snapshot.
+//! at a time. [`StreamIngestor::push`] appends records to the one open batch, which is
+//! flushed when it reaches `batch_records` (size bound) or when its oldest record has
+//! waited `flush_interval` (time bound). Every flushed batch is a contiguous run of
+//! arrival sequence numbers, and flushed batches are matched in parallel by the shared
+//! [`MatcherPool`] over an immutable (model, automaton) snapshot pair.
 //!
 //! The matching hot path is zero-copy end to end: every pool worker keeps a private
 //! [`logtok::TokenScratch`], records travel to the workers and back by move, and the
@@ -19,28 +18,26 @@
 //! unharvested; a `push` that would exceed the bound first blocks on the next finished
 //! batch — indefinitely, or for the caller's wait bound, after which the record comes
 //! back in [`Overloaded`]. [`IngestStats`] reports the waits, the high-water mark, and
-//! per-shard counters so saturation is observable rather than silent.
+//! the record/flush counters so saturation is observable rather than silent.
 //!
 //! ```text
-//!                   push
-//!                    │ route (round-robin)
-//!        ┌───────────┼─────────────┐
-//!        ▼           ▼             ▼
-//!    [shard 0]   [shard 1]  …  [shard N-1]     per-shard batch buffers
-//!        │ size / time flush     │
-//!        ▼                       ▼
-//!            MatcherPool (worker threads, shared model snapshot,
-//!            per-worker TokenScratch — zero-copy preprocessing)
-//!        │                       │
-//!        ▼                       ▼
-//!     IdBatchResult  ──────►  completed records (seq-ordered on finish)
+//!        push
+//!         │
+//!         ▼
+//!    [open batch]            one buffer; size / time / forced flush
+//!         │ contiguous seq run
+//!         ▼
+//!    MatcherPool             worker threads, one (model, automaton) pair per
+//!         │                  batch, per-worker TokenScratch and MatchCache
+//!         ▼
+//!    IdBatchResult  ──────►  released in batch order (= arrival order)
 //! ```
 
 use crate::matcher_pool::{IdBatchResult, MatcherPool, StreamRecord};
 use bytebrain::{CompiledMatcher, NodeId, ParserModel};
-use logtok::{hash_line, Preprocessor};
+use logtok::Preprocessor;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Pushes between time-bound staleness checks on the hot path: `push` consults
@@ -49,15 +46,13 @@ use std::time::{Duration, Instant};
 /// always applies the time bound exactly.
 const STALE_CHECK_INTERVAL: u64 = 64;
 
-/// Configuration of the sharded streaming ingestion engine.
+/// Configuration of the streaming ingestion engine.
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
-    /// Number of shard buffers records are routed to.
-    pub shards: usize,
-    /// Size bound: a shard flushes its batch when it holds this many records.
+    /// Size bound: the open batch flushes when it holds this many records.
     pub batch_records: usize,
-    /// Time bound: a shard flushes a partial batch once its oldest record has waited
-    /// this long (checked on every push and in [`StreamIngestor::poll`]).
+    /// Time bound: a partial batch flushes once its oldest record has waited this
+    /// long (checked periodically on push and exactly in [`StreamIngestor::poll`]).
     pub flush_interval: Duration,
     /// Back-pressure bound: the maximum number of flushed-but-unharvested batches.
     pub max_in_flight: usize,
@@ -68,7 +63,6 @@ pub struct IngestConfig {
 impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
-            shards: 4,
             batch_records: 512,
             flush_interval: Duration::from_millis(50),
             max_in_flight: 8,
@@ -78,12 +72,6 @@ impl Default for IngestConfig {
 }
 
 impl IngestConfig {
-    /// Override the shard count (clamped to at least 1).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// Override the per-batch record bound (clamped to at least 1).
     pub fn with_batch_records(mut self, batch_records: usize) -> Self {
         self.batch_records = batch_records.max(1);
@@ -109,18 +97,16 @@ impl IngestConfig {
     }
 }
 
-/// Monotonic counters of one shard.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardCounters {
-    /// Records routed to this shard.
+/// Monotonic counters of one streaming run, including back-pressure behaviour.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct IngestStats {
+    /// Records accepted.
     pub records: u64,
-    /// Bytes routed to this shard (record text only).
+    /// Bytes accepted (record text only).
     pub bytes: u64,
-    /// Batches flushed from this shard.
-    pub batches: u64,
-    /// Records of this shard matched to an existing template.
+    /// Harvested records matched to an existing template.
     pub matched: u64,
-    /// Records of this shard that matched no template.
+    /// Harvested records that matched no template.
     pub unmatched: u64,
     /// Flushes triggered by the size bound.
     pub size_flushes: u64,
@@ -128,14 +114,7 @@ pub struct ShardCounters {
     pub time_flushes: u64,
     /// Flushes triggered by an explicit [`StreamIngestor::flush`] / `finish`.
     pub forced_flushes: u64,
-}
-
-/// Aggregate statistics of one streaming run, including back-pressure behaviour.
-#[derive(Debug, Clone, Default)]
-pub struct IngestStats {
-    /// Per-shard counters, indexed by shard id.
-    pub shards: Vec<ShardCounters>,
-    /// Batches submitted to the matcher pool.
+    /// Batches submitted to the matcher pool (the sum of the three flush counters).
     pub submitted_batches: u64,
     /// Batches whose results have been harvested.
     pub completed_batches: u64,
@@ -151,23 +130,6 @@ pub struct IngestStats {
     /// Records rejected by a bounded [`StreamIngestor::push`] because the pool stayed
     /// saturated past the caller's wait bound.
     pub overload_rejections: u64,
-}
-
-impl IngestStats {
-    /// Total records routed, across shards.
-    pub fn records(&self) -> u64 {
-        self.shards.iter().map(|s| s.records).sum()
-    }
-
-    /// Total records matched to an existing template, across shards.
-    pub fn matched(&self) -> u64 {
-        self.shards.iter().map(|s| s.matched).sum()
-    }
-
-    /// Total records that matched no template, across shards.
-    pub fn unmatched(&self) -> u64 {
-        self.shards.iter().map(|s| s.unmatched).sum()
-    }
 }
 
 /// Typed rejection from a bounded [`StreamIngestor::push`]: the pool stayed at
@@ -199,8 +161,6 @@ impl std::error::Error for Overloaded {}
 pub struct MatchedRecord {
     /// Arrival sequence number (0-based); [`IngestReport::records`] is sorted by it.
     pub seq: u64,
-    /// Shard the record was routed to.
-    pub shard: usize,
     /// The raw record text.
     pub record: String,
     /// Matched template, `None` when no template matched.
@@ -217,7 +177,7 @@ pub struct IngestReport {
     /// holds only the records released after the last harvest; [`IngestStats`]
     /// always covers the full run.
     pub records: Vec<MatchedRecord>,
-    /// Shard/back-pressure statistics of the run.
+    /// Counters and back-pressure statistics of the run.
     pub stats: IngestStats,
     /// Wall-clock duration from engine construction to `finish`.
     pub elapsed: Duration,
@@ -226,12 +186,12 @@ pub struct IngestReport {
 impl IngestReport {
     /// Records matched to an existing template.
     pub fn matched(&self) -> u64 {
-        self.stats.matched()
+        self.stats.matched
     }
 
     /// Records that matched no template.
     pub fn unmatched(&self) -> u64 {
-        self.stats.unmatched()
+        self.stats.unmatched
     }
 
     /// Throughput of the run in records per second, counting every ingested record
@@ -243,24 +203,15 @@ impl IngestReport {
     /// non-finite floats.
     pub fn records_per_second(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 && self.stats.records() > 0 {
-            self.stats.records() as f64 / secs
+        if secs > 0.0 && self.stats.records > 0 {
+            self.stats.records as f64 / secs
         } else {
             0.0
         }
     }
 }
 
-/// One shard's batch buffer.
-#[derive(Debug, Default)]
-struct ShardBuffer {
-    /// Records of the open batch, each carrying its admission-time line hash.
-    pending: Vec<StreamRecord>,
-    /// When the oldest pending record arrived (None while empty).
-    opened_at: Option<Instant>,
-}
-
-/// Why a shard batch is being flushed (drives the per-shard flush counters).
+/// Why a batch is being flushed (drives the flush counters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FlushReason {
     Size,
@@ -268,37 +219,35 @@ enum FlushReason {
     Forced,
 }
 
-/// The sharded streaming ingestion engine: routes records to shard buffers, batches
-/// them, and drives batches through a [`MatcherPool`] in parallel. See the module
+/// The streaming ingestion engine: accumulates records into one open batch and
+/// drives flushed batches through a [`MatcherPool`] in parallel. See the module
 /// documentation for the data flow.
 #[derive(Debug)]
 pub struct StreamIngestor {
     config: IngestConfig,
     pool: MatcherPool,
-    /// The model snapshot captured at the next shard flush. [`StreamIngestor::swap_model`]
+    /// The model snapshot captured at the next flush. [`StreamIngestor::swap_model`]
     /// replaces it; already-flushed batches keep the snapshot they were flushed under.
     model: Arc<ParserModel>,
-    /// Compiled automaton paired with `model`; `None` keeps the stream on the
-    /// tree walker. Swapped together with the model, so a flushed batch always
-    /// carries a mutually consistent (model, automaton) snapshot pair.
-    compiled: Option<Arc<CompiledMatcher>>,
-    buffers: Vec<ShardBuffer>,
+    /// The automaton compiled from `model`, swapped together with it so a flushed
+    /// batch always carries a mutually consistent pair. An engine handed no
+    /// snapshot compiles one at its first flush.
+    compiled: OnceLock<Arc<CompiledMatcher>>,
+    /// Records of the open batch, each carrying its admission-time line hash.
+    pending: Vec<StreamRecord>,
+    /// When the oldest pending record arrived (None while the batch is empty).
+    opened_at: Option<Instant>,
     stats: IngestStats,
-    /// Completed records as a sequence-indexed ring: slot `i` holds the record
-    /// with sequence `next_release + i` (None until its batch lands). O(1)
-    /// absorb and pop-front, replacing the former `BTreeMap` (whose per-record
-    /// rebalancing showed up on the stream hot path); mid-stream harvesting
-    /// still releases a contiguous, deterministic arrival-order prefix.
-    completed: VecDeque<Option<MatchedRecord>>,
-    /// Number of `Some` slots in `completed` (for loss accounting).
-    completed_count: usize,
-    /// First sequence number not yet released by [`StreamIngestor::drain_completed`].
+    /// Finished batches as a batch-indexed ring: slot `i` holds batch
+    /// `next_release + i` (None until it lands). Batches are contiguous sequence
+    /// runs submitted in order, so releasing them front to back releases records
+    /// in arrival order however the batches raced through the pool.
+    completed: VecDeque<Option<IdBatchResult>>,
+    /// First batch id not yet released by [`StreamIngestor::drain_completed`].
     next_release: u64,
-    next_seq: u64,
-    round_robin: usize,
     in_flight: usize,
-    /// Emptied batch buffers recycled back to the shards, so steady-state
-    /// pushes append into already-allocated Vecs.
+    /// Emptied batch buffers recycled into the open batch, so steady-state pushes
+    /// append into already-allocated Vecs.
     spare_batches: Vec<Vec<StreamRecord>>,
     started: Instant,
 }
@@ -314,55 +263,43 @@ impl StreamIngestor {
         config: IngestConfig,
     ) -> Self {
         let config = IngestConfig {
-            shards: config.shards.max(1),
             batch_records: config.batch_records.max(1),
             max_in_flight: config.max_in_flight.max(1),
             workers: config.workers.max(1),
             ..config
         };
-        let pool = MatcherPool::new(preprocessor, config.workers);
-        let buffers = (0..config.shards).map(|_| ShardBuffer::default()).collect();
-        let stats = IngestStats {
-            shards: vec![ShardCounters::default(); config.shards],
-            ..IngestStats::default()
-        };
         StreamIngestor {
+            pool: MatcherPool::new(preprocessor, config.workers),
             config,
-            pool,
             model,
-            compiled: None,
-            buffers,
-            stats,
+            compiled: OnceLock::new(),
+            pending: Vec::new(),
+            opened_at: None,
+            stats: IngestStats::default(),
             completed: VecDeque::new(),
-            completed_count: 0,
             next_release: 0,
-            next_seq: 0,
-            round_robin: 0,
             in_flight: 0,
             spare_batches: Vec::new(),
             started: Instant::now(),
         }
     }
 
-    /// Route flushed batches through a compiled automaton snapshot instead of
-    /// the tree walker (builder-style; call before pushing records or swap via
-    /// [`StreamIngestor::swap_model`]). The snapshot must be compiled from the
-    /// engine's current model.
+    /// Hand the engine an automaton already compiled from its current model, sparing
+    /// it the compile at the first flush (builder-style; call before pushing records
+    /// or swap via [`StreamIngestor::swap_model`]).
     pub fn with_compiled(mut self, compiled: Arc<CompiledMatcher>) -> Self {
-        self.compiled = Some(compiled);
+        self.compiled = OnceLock::from(compiled);
         self
     }
 
-    /// Hot-swap the model snapshot and its paired compiled automaton (`None`
-    /// drops the stream back to the tree walker). The swap takes effect at
-    /// shard-flush boundaries: batches flushed after this call are matched
-    /// against `model`, batches already submitted keep the snapshot pair they
-    /// were flushed under. This is how incremental maintenance rolls a patched
-    /// model into a live stream without tearing down the worker pool or
-    /// pausing ingestion.
-    pub fn swap_model(&mut self, model: Arc<ParserModel>, compiled: Option<Arc<CompiledMatcher>>) {
+    /// Hot-swap the model snapshot and the automaton compiled from it. The swap
+    /// takes effect at flush boundaries: batches flushed after this call are matched
+    /// against `model`, batches already submitted keep the snapshot pair they were
+    /// flushed under. This is how incremental maintenance rolls a patched model into
+    /// a live stream without tearing down the worker pool or pausing ingestion.
+    pub fn swap_model(&mut self, model: Arc<ParserModel>, compiled: Arc<CompiledMatcher>) {
         self.model = model;
-        self.compiled = compiled;
+        self.compiled = OnceLock::from(compiled);
         self.stats.model_swaps += 1;
     }
 
@@ -381,15 +318,10 @@ impl StreamIngestor {
         &self.stats
     }
 
-    /// Number of records accepted so far.
-    pub fn pushed(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Ingest one record, routed round-robin across shards.
+    /// Ingest one record into the open batch.
     ///
     /// `wait` bounds the back-pressure park. `None` never rejects: the record is
-    /// buffered and, if that fills a batch while `max_in_flight` batches are
+    /// buffered and, if that fills the batch while `max_in_flight` batches are
     /// outstanding, the flush parks until a slot frees. `Some(bound)` first makes sure
     /// a slot is free, waiting at most `bound` for one, and returns the record inside
     /// [`Overloaded`] if none frees — so on `Ok` the flush the record may trigger is
@@ -420,75 +352,55 @@ impl StreamIngestor {
                 }
             }
         }
-        let shard = self.round_robin;
-        self.round_robin = (self.round_robin + 1) % self.config.shards;
-        self.push_to_shard(shard, record.into());
-        Ok(())
-    }
-
-    fn push_to_shard(&mut self, shard: usize, record: String) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let line_hash = hash_line(&record);
-        let counters = &mut self.stats.shards[shard];
-        counters.records += 1;
-        counters.bytes += record.len() as u64;
-        let buffer = &mut self.buffers[shard];
-        if buffer.pending.is_empty() {
-            buffer.opened_at = Some(Instant::now());
+        let record = record.into();
+        let seq = self.stats.records;
+        self.stats.records += 1;
+        self.stats.bytes += record.len() as u64;
+        if self.pending.is_empty() {
+            self.opened_at = Some(Instant::now());
         }
-        buffer.pending.push(StreamRecord {
-            seq,
-            line_hash,
-            line: record,
-        });
-        if buffer.pending.len() >= self.config.batch_records {
+        self.pending.push(StreamRecord::new(seq, record));
+        if self.pending.len() >= self.config.batch_records {
             // Harvest finished batches at flush boundaries (bounded lag: at
             // most `max_in_flight` batches ever wait in the result channel).
             self.drain_ready();
-            self.flush_shard(shard, FlushReason::Size);
+            self.flush_batch(FlushReason::Size);
         } else if seq.is_multiple_of(STALE_CHECK_INTERVAL) {
-            self.flush_if_stale(shard);
+            self.flush_if_stale();
         }
+        Ok(())
     }
 
-    /// Flush any shard whose open batch has exceeded the time bound and harvest
-    /// finished results. Long-lived callers with bursty input should call this
-    /// periodically; `push` also applies the time bound to the shard it touches.
+    /// Flush the open batch if it has exceeded the time bound and harvest finished
+    /// results. Long-lived callers with bursty input should call this periodically;
+    /// `push` also applies the time bound every few records.
     pub fn poll(&mut self) {
-        for shard in 0..self.config.shards {
-            self.flush_if_stale(shard);
-        }
+        self.flush_if_stale();
         self.drain_ready();
     }
 
-    /// Force-flush every shard's open batch regardless of the size/time bounds.
+    /// Force-flush the open batch regardless of the size/time bounds.
     pub fn flush(&mut self) {
-        for shard in 0..self.config.shards {
-            if !self.buffers[shard].pending.is_empty() {
-                self.flush_shard(shard, FlushReason::Forced);
-            }
+        self.flush_batch(FlushReason::Forced);
+    }
+
+    fn flush_if_stale(&mut self) {
+        let interval = self.config.flush_interval;
+        if self
+            .opened_at
+            .is_some_and(|opened| opened.elapsed() >= interval)
+        {
+            self.flush_batch(FlushReason::Time);
         }
     }
 
-    fn flush_if_stale(&mut self, shard: usize) {
-        let stale = match self.buffers[shard].opened_at {
-            Some(opened) => opened.elapsed() >= self.config.flush_interval,
-            None => false,
-        };
-        if stale && !self.buffers[shard].pending.is_empty() {
-            self.flush_shard(shard, FlushReason::Time);
-        }
-    }
-
-    fn flush_shard(&mut self, shard: usize, reason: FlushReason) {
-        let refill = self.spare_batches.pop().unwrap_or_default();
-        let batch = std::mem::replace(&mut self.buffers[shard].pending, refill);
-        self.buffers[shard].opened_at = None;
-        if batch.is_empty() {
-            self.spare_batches.push(batch);
+    fn flush_batch(&mut self, reason: FlushReason) {
+        if self.pending.is_empty() {
             return;
         }
+        let refill = self.spare_batches.pop().unwrap_or_default();
+        let batch = std::mem::replace(&mut self.pending, refill);
+        self.opened_at = None;
         // Back-pressure: park on the results channel until a slot frees up. One
         // blocked episode is counted once, however many batches it takes to drain
         // below the bound — `recv_ids` is a blocking channel `recv`, so a stalled
@@ -496,21 +408,20 @@ impl StreamIngestor {
         if self.in_flight >= self.config.max_in_flight {
             self.stats.backpressure_waits += 1;
             while self.in_flight >= self.config.max_in_flight {
-                match self.pool.recv_ids() {
-                    Some(result) => self.absorb(result),
-                    None => self.panic_workers_died(),
-                }
+                self.absorb_next();
             }
         }
-        let counters = &mut self.stats.shards[shard];
-        counters.batches += 1;
         match reason {
-            FlushReason::Size => counters.size_flushes += 1,
-            FlushReason::Time => counters.time_flushes += 1,
-            FlushReason::Forced => counters.forced_flushes += 1,
+            FlushReason::Size => self.stats.size_flushes += 1,
+            FlushReason::Time => self.stats.time_flushes += 1,
+            FlushReason::Forced => self.stats.forced_flushes += 1,
         }
+        let compiled = Arc::clone(
+            self.compiled
+                .get_or_init(|| Arc::new(CompiledMatcher::compile(&self.model))),
+        );
         self.pool
-            .submit_ids(shard, batch, Arc::clone(&self.model), self.compiled.clone());
+            .submit_ids(batch, Arc::clone(&self.model), compiled);
         self.in_flight += 1;
         self.stats.submitted_batches += 1;
         self.stats.max_in_flight_observed = self.stats.max_in_flight_observed.max(self.in_flight);
@@ -523,42 +434,39 @@ impl StreamIngestor {
         }
     }
 
+    /// Block on the next finished batch. A closed result channel while batches are
+    /// outstanding means pool workers died (a panic in matching/preprocessing).
+    /// Records would be silently lost if this were treated as a clean shutdown —
+    /// fail loudly instead.
+    fn absorb_next(&mut self) {
+        match self.pool.recv_ids() {
+            Some(result) => self.absorb(result),
+            None => panic!(
+                "matcher pool workers terminated with {} batch(es) outstanding — \
+                 {} record(s) would be lost",
+                self.in_flight,
+                self.stats.records - self.stats.matched - self.stats.unmatched
+            ),
+        }
+    }
+
     fn absorb(&mut self, result: IdBatchResult) {
         self.in_flight -= 1;
         self.stats.completed_batches += 1;
-        let IdBatchResult {
-            shard,
-            mut records,
-            results,
-            ..
-        } = result;
-        let counters = &mut self.stats.shards[shard];
-        for (record, id) in records.drain(..).zip(results) {
-            match id.node {
-                Some(_) => counters.matched += 1,
-                None => counters.unmatched += 1,
-            }
-            // Slot `seq - next_release` in the completed ring; batches never
-            // carry a released sequence, so the index never underflows.
-            let slot = (record.seq - self.next_release) as usize;
-            if slot >= self.completed.len() {
-                self.completed.resize_with(slot + 1, || None);
-            }
-            self.completed[slot] = Some(MatchedRecord {
-                seq: record.seq,
-                shard,
-                record: record.line,
-                node: id.node,
-                saturation: id.saturation,
-            });
-            self.completed_count += 1;
+        let matched = result.results.iter().filter(|id| id.node.is_some()).count() as u64;
+        self.stats.matched += matched;
+        self.stats.unmatched += result.results.len() as u64 - matched;
+        // Slot `batch_id - next_release` in the completed ring; a released batch
+        // never lands again, so the index never underflows.
+        let slot = (result.batch_id - self.next_release) as usize;
+        if slot >= self.completed.len() {
+            self.completed.resize_with(slot + 1, || None);
         }
-        // Hand the emptied batch buffer back to the shards.
-        self.spare_batches.push(records);
+        self.completed[slot] = Some(result);
     }
 
     /// Harvest finished batches without blocking and return the records that form a
-    /// contiguous arrival-order prefix (i.e. every record up to the first one still
+    /// contiguous arrival-order prefix (i.e. every batch up to the first one still
     /// outstanding). Long-lived callers use this to apply results — and detect
     /// drift — while the stream is still running; the contiguity guarantee keeps
     /// downstream application order identical to the batch path regardless of how
@@ -567,45 +475,44 @@ impl StreamIngestor {
         self.drain_ready();
         let mut out = Vec::new();
         while matches!(self.completed.front(), Some(Some(_))) {
-            let record = self.completed.pop_front().flatten().expect("checked Some");
-            out.push(record);
+            let IdBatchResult {
+                mut records,
+                results,
+                ..
+            } = self.completed.pop_front().flatten().expect("checked Some");
+            out.extend(
+                records
+                    .drain(..)
+                    .zip(results)
+                    .map(|(record, id)| MatchedRecord {
+                        seq: record.seq,
+                        record: record.line,
+                        node: id.node,
+                        saturation: id.saturation,
+                    }),
+            );
+            self.spare_batches.push(records);
             self.next_release += 1;
-            self.completed_count -= 1;
         }
         out
     }
 
-    /// Force-flush every shard and block until every in-flight batch has been
+    /// Force-flush the open batch and block until every in-flight batch has been
     /// absorbed: after `sync` returns, [`StreamIngestor::drain_completed`]
-    /// releases the full contiguous prefix of everything pushed so far.
+    /// releases everything pushed so far.
     /// [`LogTopic::ingest_stream`](crate::LogTopic::ingest_stream) calls this at
     /// drift-check boundaries so maintenance decisions — and mid-stream model
     /// hot-swaps — depend only on the record sequence, never on worker
     /// scheduling. That determinism is what lets the differential suite assert
-    /// *byte-identical* assignments across engines and runs.
+    /// *byte-identical* assignments across runs.
     ///
     /// # Panics
     /// Panics if pool workers died with batches outstanding.
     pub fn sync(&mut self) {
         self.flush();
         while self.in_flight > 0 {
-            match self.pool.recv_ids() {
-                Some(result) => self.absorb(result),
-                None => self.panic_workers_died(),
-            }
+            self.absorb_next();
         }
-    }
-
-    /// A closed result channel while batches are outstanding means pool workers died
-    /// (a panic in matching/preprocessing). Records would be silently lost if this
-    /// were treated as a clean shutdown — fail loudly instead.
-    fn panic_workers_died(&self) -> ! {
-        panic!(
-            "matcher pool workers terminated with {} batch(es) outstanding — \
-             {} record(s) would be lost",
-            self.in_flight,
-            self.stats.records() - self.next_release - self.completed_count as u64
-        );
     }
 
     /// Flush everything, wait for all outstanding batches, shut the pool down, and
@@ -617,26 +524,11 @@ impl StreamIngestor {
     /// Panics if pool workers died with batches outstanding (records would otherwise
     /// be silently dropped from the report).
     pub fn finish(mut self) -> IngestReport {
-        self.flush();
-        while self.in_flight > 0 {
-            match self.pool.recv_ids() {
-                Some(result) => self.absorb(result),
-                None => self.panic_workers_died(),
-            }
-        }
-        let elapsed = self.started.elapsed();
-        // After sync-ing every batch the ring is fully contiguous: the flatten
-        // drops nothing (trailing None slots can only exist from a resize past
-        // the highest landed sequence, which absorb never leaves behind).
-        let records: Vec<MatchedRecord> = std::mem::take(&mut self.completed)
-            .into_iter()
-            .flatten()
-            .collect();
-        self.completed_count = 0;
+        self.sync();
         IngestReport {
-            records,
+            elapsed: self.started.elapsed(),
+            records: self.drain_completed(),
             stats: std::mem::take(&mut self.stats),
-            elapsed,
         }
     }
 }
@@ -697,6 +589,8 @@ mod tests {
         for (i, record) in report.records.iter().enumerate() {
             assert_eq!(record.seq, i as u64, "records must be seq-ordered");
         }
+        assert_eq!(report.stats.records, 1_000);
+        assert!(report.stats.bytes > 0);
         assert_eq!(report.matched() + report.unmatched(), 1_000);
         assert!(
             report.matched() > 900,
@@ -705,40 +599,32 @@ mod tests {
     }
 
     #[test]
-    fn records_spread_across_all_shards() {
+    fn batches_are_contiguous_sequence_runs() {
         let (model, pre) = trained();
         let config = IngestConfig::default()
-            .with_shards(4)
-            .with_batch_records(32);
+            .with_batch_records(64)
+            .with_flush_interval(Duration::from_secs(3_600));
         let mut ingestor = StreamIngestor::new(model, pre, config);
-        push_all(&mut ingestor, stream(640));
-        let report = ingestor.finish();
-        assert_eq!(report.stats.shards.len(), 4);
-        for (shard, counters) in report.stats.shards.iter().enumerate() {
-            assert_eq!(counters.records, 160, "shard {shard} starved: {counters:?}");
-            assert!(counters.batches >= 5);
-            assert!(counters.bytes > 0);
+        push_all(&mut ingestor, stream(1_000));
+        ingestor.sync();
+        // ⌈1000/64⌉ batches, all full but the last, each one run of sequence numbers.
+        assert_eq!(ingestor.completed.len(), 16);
+        for (i, slot) in ingestor.completed.iter().enumerate() {
+            let batch = slot.as_ref().expect("synced");
+            let start = i as u64 * 64;
+            let len = if i < 15 { 64 } else { 1_000 - 15 * 64 };
+            assert_eq!(batch.batch_id, i as u64);
+            assert!(batch.records.iter().map(|r| r.seq).eq(start..start + len));
         }
-    }
-
-    #[test]
-    fn size_bound_flushes_full_batches() {
-        let (model, pre) = trained();
-        let config = IngestConfig::default()
-            .with_shards(2)
-            .with_batch_records(50);
-        let mut ingestor = StreamIngestor::new(model, pre, config);
-        push_all(&mut ingestor, stream(500));
-        let report = ingestor.finish();
-        let size_flushes: u64 = report.stats.shards.iter().map(|s| s.size_flushes).sum();
-        assert_eq!(size_flushes, 10, "250 records per shard / 50 per batch");
+        assert_eq!(ingestor.stats().size_flushes, 15);
+        assert_eq!(ingestor.stats().forced_flushes, 1);
+        assert_eq!(ingestor.finish().records.len(), 1_000);
     }
 
     #[test]
     fn time_bound_flushes_partial_batches() {
         let (model, pre) = trained();
         let config = IngestConfig::default()
-            .with_shards(1)
             .with_batch_records(1_000_000)
             .with_flush_interval(Duration::from_millis(1));
         let mut ingestor = StreamIngestor::new(model, pre, config);
@@ -748,8 +634,11 @@ mod tests {
         );
         std::thread::sleep(Duration::from_millis(5));
         ingestor.poll();
-        let time_flushes: u64 = ingestor.stats().shards.iter().map(|s| s.time_flushes).sum();
-        assert_eq!(time_flushes, 1, "stale partial batch must flush on poll");
+        assert_eq!(
+            ingestor.stats().time_flushes,
+            1,
+            "stale partial batch must flush on poll"
+        );
         let report = ingestor.finish();
         assert_eq!(report.records.len(), 1);
     }
@@ -758,7 +647,6 @@ mod tests {
     fn backpressure_bounds_outstanding_batches() {
         let (model, pre) = trained();
         let config = IngestConfig::default()
-            .with_shards(4)
             .with_batch_records(10)
             .with_max_in_flight(2);
         let mut ingestor = StreamIngestor::new(model, pre, config);
@@ -798,6 +686,7 @@ mod tests {
         let ingestor = StreamIngestor::new(model, pre, IngestConfig::default());
         let report = ingestor.finish();
         assert_eq!(report.records.len(), 0);
+        assert_eq!(report.stats, IngestStats::default());
         let rps = report.records_per_second();
         assert!(rps.is_finite(), "throughput must be finite, got {rps}");
         assert_eq!(rps, 0.0);
@@ -812,7 +701,7 @@ mod tests {
     }
 
     #[test]
-    fn unmatched_records_are_counted_per_shard() {
+    fn unmatched_records_are_counted() {
         let (model, pre) = trained();
         let mut ingestor = StreamIngestor::new(model, pre, IngestConfig::default());
         push_all(
@@ -831,34 +720,12 @@ mod tests {
     }
 
     #[test]
-    fn compiled_stream_agrees_with_tree_walk_stream() {
-        let (model, pre) = trained();
-        let compiled = Arc::new(CompiledMatcher::compile(&model));
-        let config = IngestConfig::default()
-            .with_shards(4)
-            .with_batch_records(64);
-        let mut fast = StreamIngestor::new(Arc::clone(&model), Arc::clone(&pre), config.clone())
-            .with_compiled(compiled);
-        let mut reference = StreamIngestor::new(model, pre, config);
-        push_all(&mut fast, stream(1_000));
-        push_all(&mut reference, stream(1_000));
-        let fast_report = fast.finish();
-        let reference_report = reference.finish();
-        assert_eq!(fast_report.records.len(), reference_report.records.len());
-        for (a, b) in fast_report.records.iter().zip(&reference_report.records) {
-            assert_eq!(a.node, b.node, "engines diverged on {:?}", a.record);
-            assert_eq!(a.saturation, b.saturation);
-        }
-    }
-
-    #[test]
     fn saturated_pool_yields_overloaded_instead_of_hanging() {
         let (model, pre) = trained();
-        // One shard, one worker, one slot: the 40k-record batch flushed below keeps
-        // the single worker busy for tens of milliseconds, so the zero-wait push
-        // that follows finds the pool saturated before the worker can drain it.
+        // One worker, one slot: the 40k-record batch flushed below keeps the single
+        // worker busy for tens of milliseconds, so the zero-wait push that follows
+        // finds the pool saturated before the worker can drain it.
         let config = IngestConfig::default()
-            .with_shards(1)
             .with_batch_records(40_000)
             .with_max_in_flight(1)
             .with_workers(1);

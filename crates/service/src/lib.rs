@@ -10,7 +10,7 @@
 //! Modules:
 //!
 //! * [`topic`] — the `LogTopic`: ingestion, online matching, training lifecycle.
-//! * [`ingest`] — the sharded streaming ingestion engine: shard → batch → parallel
+//! * [`ingest`] — the batched streaming ingestion engine: one open batch → parallel
 //!   match over an immutable model snapshot, with back-pressure stats.
 //! * [`matcher_pool`] — the worker pool that executes matching for the engine.
 //! * [`trigger`] — volume/time training triggers.
@@ -35,12 +35,13 @@
 //!     .map(|i| format!("GET /api/items/{} took {}ms", i % 20, i % 90))
 //!     .collect();
 //! topic.ingest(&warmup);
-//! // Steady state: stream through 4 shards with batched parallel matching.
+//! // Steady state: stream in 256-record batches matched in parallel.
 //! let stream: Vec<String> = (0..1000)
 //!     .map(|i| format!("GET /api/items/{} took {}ms", i % 30, i % 400))
 //!     .collect();
-//! let result = topic.ingest_stream(stream, &IngestConfig::default().with_shards(4));
-//! assert_eq!(result.stats.shards.len(), 4);
+//! let result = topic.ingest_stream(stream, &IngestConfig::default().with_batch_records(256));
+//! assert_eq!(result.stats.records, 1000);
+//! assert!(result.stats.submitted_batches >= 4);
 //! assert!(result.outcome.matched > 900);
 //! ```
 
@@ -66,11 +67,10 @@ pub use admission::{
 };
 pub use anomaly::{AnomalyDetector, AnomalyKind, AnomalyReport};
 pub use api::{ErrorBody, IngestRequest, IngestResponse, StatsResponse};
-pub use bytebrain::{CompiledMatcher, MatchCache, MatchEngine};
+pub use bytebrain::{CompiledMatcher, MatchCache};
 pub use compare::{compare_snapshots, compare_windows, DistributionShift};
 pub use ingest::{
-    IngestConfig, IngestReport, IngestStats, MatchedRecord, Overloaded, ShardCounters,
-    StreamIngestor,
+    IngestConfig, IngestReport, IngestStats, MatchedRecord, Overloaded, StreamIngestor,
 };
 pub use library::TemplateLibrary;
 pub use manager::{FleetStats, ServiceManager, TenantDefaults};

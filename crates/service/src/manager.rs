@@ -13,7 +13,7 @@ use crate::topic::{
     IngestOutcome, LogTopic, MaintenancePolicy, StreamOutcome, StreamOverloaded, TopicConfig,
     TopicStats,
 };
-use bytebrain::{MatchEngine, QueryPlan};
+use bytebrain::QueryPlan;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
@@ -29,9 +29,6 @@ pub struct TenantDefaults {
     /// Model-maintenance policy for the tenant's topics (full retrain by default;
     /// evolving-workload tenants opt into incremental maintenance).
     pub maintenance: MaintenancePolicy,
-    /// Matching engine for the tenant's topics (compiled automaton by default;
-    /// [`MatchEngine::TreeWalk`] is the escape hatch).
-    pub match_engine: MatchEngine,
 }
 
 impl Default for TenantDefaults {
@@ -40,7 +37,6 @@ impl Default for TenantDefaults {
             volume_threshold: 50_000,
             parallelism: 2,
             maintenance: MaintenancePolicy::FullRetrain,
-            match_engine: MatchEngine::default(),
         }
     }
 }
@@ -181,8 +177,7 @@ impl ServiceManager {
             let defaults = self.defaults.get(tenant).cloned().unwrap_or_default();
             let mut config = TopicConfig::new(&format!("{tenant}/{topic}"))
                 .with_volume_threshold(defaults.volume_threshold)
-                .with_maintenance(defaults.maintenance)
-                .with_match_engine(defaults.match_engine);
+                .with_maintenance(defaults.maintenance);
             config.train.parallelism = defaults.parallelism;
             let created = match &self.storage_root {
                 Some(root) => {
@@ -219,7 +214,7 @@ impl ServiceManager {
     }
 
     /// Ingest a record stream into a tenant's topic (creating it on first use) through
-    /// the sharded streaming engine, shedding instead of blocking indefinitely when the
+    /// the streaming engine, shedding instead of blocking indefinitely when the
     /// pool saturates past `wait` (see [`LogTopic::ingest_stream_bounded`] for the
     /// prefix/remainder contract). The engine's worker count is clamped to the topic's
     /// provisioned per-topic parallelism, mirroring the paper's 1–5 core bound.

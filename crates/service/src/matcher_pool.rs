@@ -13,7 +13,7 @@
 //!
 //! Jobs are lean ([`MatcherPool::submit_ids`]): a batch returns only
 //! `(node id, saturation)` pairs plus the original records, skipping template
-//! rendering entirely. This is the path the sharded streaming ingestion engine
+//! rendering entirely. This is the path the streaming ingestion engine
 //! ([`crate::ingest`]) drives.
 
 use bytebrain::matcher::match_view;
@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// One record travelling through the lean streaming path: its arrival sequence
-/// number, the FNV line hash computed once at shard admission
+/// number, the FNV line hash computed once at admission
 /// ([`logtok::hash_line`]), and the raw line. The hash rides along so nothing
 /// downstream — batch reordering, the per-worker match cache — re-hashes the
 /// full text.
@@ -52,19 +52,16 @@ impl StreamRecord {
 }
 
 /// A batch of records submitted to the pool, tagged so results can be re-associated.
-/// The job carries the model snapshot it must match against, so the ingestion engine
-/// can hot-swap to a refreshed model at a shard-flush boundary without tearing the
-/// pool down — batches flushed before the swap keep the snapshot they were flushed
-/// under.
+/// The job carries the (model, automaton) snapshot pair it must match against, so the
+/// ingestion engine can hot-swap to a refreshed model at a flush boundary without
+/// tearing the pool down — batches flushed before the swap keep the pair they were
+/// flushed under.
 #[derive(Debug)]
 struct Job {
     batch_id: u64,
-    shard: usize,
     records: Vec<StreamRecord>,
     model: Arc<ParserModel>,
-    /// Compiled automaton snapshot paired with `model`; `None` routes the
-    /// batch through the tree walker (the configured escape hatch).
-    compiled: Option<Arc<CompiledMatcher>>,
+    compiled: Arc<CompiledMatcher>,
 }
 
 /// Lean per-record outcome of the ingestion path: the matched node and its saturation,
@@ -83,8 +80,6 @@ pub struct MatchId {
 pub struct IdBatchResult {
     /// Identifier returned by [`MatcherPool::submit_ids`].
     pub batch_id: u64,
-    /// The shard this batch was flushed from.
-    pub shard: usize,
     /// The records exactly as submitted (workers reorder internally for cache
     /// warmth but always hand the batch back in submission order).
     pub records: Vec<StreamRecord>,
@@ -143,7 +138,6 @@ impl MatcherPool {
                     };
                     let Job {
                         batch_id,
-                        shard,
                         records,
                         model: job_model,
                         compiled,
@@ -175,19 +169,22 @@ impl MatcherPool {
                                 continue;
                             }
                         }
-                        let node = match &compiled {
-                            Some(compiled) => cache.match_record_hashed(
-                                compiled,
-                                &preprocessor,
-                                &mut scratch,
-                                &record.line,
-                                record.line_hash,
+                        let node = cache.match_record_hashed(
+                            &compiled,
+                            &preprocessor,
+                            &mut scratch,
+                            &record.line,
+                            record.line_hash,
+                        );
+                        debug_assert_eq!(
+                            node,
+                            match_view(
+                                &job_model,
+                                &preprocessor.token_view(&record.line, &mut scratch)
                             ),
-                            None => {
-                                let view = preprocessor.token_view(&record.line, &mut scratch);
-                                match_view(&job_model, &view)
-                            }
-                        };
+                            "cached automaton diverged from the tree walk on {:?}",
+                            record.line
+                        );
                         let id = match node {
                             Some(id) => MatchId {
                                 node: Some(id),
@@ -204,7 +201,6 @@ impl MatcherPool {
                     // The receiver may already be gone during shutdown; that is fine.
                     let _ = result_tx.send(IdBatchResult {
                         batch_id,
-                        shard,
                         records,
                         results,
                     });
@@ -219,17 +215,16 @@ impl MatcherPool {
         }
     }
 
-    /// Submit a batch from `shard` to be matched against `model`
-    /// (via its paired `compiled` automaton snapshot when supplied); returns the
-    /// batch id. Used by the streaming ingestion engine, which needs template ids
-    /// but not rendered templates and passes the snapshots that were current when
-    /// the batch was flushed (hot-swap happens between batches, never inside one).
+    /// Submit a batch to be matched against `model` through `compiled`, the
+    /// automaton compiled from it; returns the batch id (consecutive from 0). Used
+    /// by the streaming ingestion engine, which needs template ids but not rendered
+    /// templates and passes the snapshot pair that was current when the batch was
+    /// flushed (hot-swap happens between batches, never inside one).
     pub fn submit_ids(
         &mut self,
-        shard: usize,
         records: Vec<StreamRecord>,
         model: Arc<ParserModel>,
-        compiled: Option<Arc<CompiledMatcher>>,
+        compiled: Arc<CompiledMatcher>,
     ) -> u64 {
         let batch_id = self.next_batch;
         self.next_batch += 1;
@@ -238,7 +233,6 @@ impl MatcherPool {
             .expect("pool is running")
             .send(Job {
                 batch_id,
-                shard,
                 records,
                 model,
                 compiled,
@@ -283,14 +277,16 @@ mod tests {
     use bytebrain::train::train;
     use bytebrain::TrainConfig;
 
-    fn model_and_preprocessor() -> (Arc<ParserModel>, Arc<Preprocessor>) {
+    fn trained() -> (Arc<ParserModel>, Arc<CompiledMatcher>, Arc<Preprocessor>) {
         let records: Vec<String> = (0..100)
             .map(|i| format!("request {} routed to shard {} in {}ms", i, i % 8, i % 90))
             .collect();
         let config = TrainConfig::default();
         let model = train(&records, &config).model;
+        let compiled = CompiledMatcher::compile(&model);
         (
             Arc::new(model),
+            Arc::new(compiled),
             Arc::new(Preprocessor::new(config.preprocess.clone())),
         )
     }
@@ -308,23 +304,22 @@ mod tests {
 
     #[test]
     fn pool_matches_batches_in_parallel() {
-        let (model, pre) = model_and_preprocessor();
+        let (model, compiled, pre) = trained();
         let mut pool = MatcherPool::new(pre, 4);
         for b in 0..8 {
             let id = pool.submit_ids(
-                b,
-                requests(b as u64 * 50..(b as u64 + 1) * 50),
+                requests(b * 50..(b + 1) * 50),
                 Arc::clone(&model),
-                None,
+                Arc::clone(&compiled),
             );
-            assert_eq!(id, b as u64);
+            assert_eq!(id, b);
         }
         let mut results: Vec<IdBatchResult> =
             (0..8).map(|_| pool.recv_ids().expect("batch")).collect();
         results.sort_by_key(|b| b.batch_id);
         for (expected_id, batch) in results.iter().enumerate() {
             assert_eq!(batch.batch_id, expected_id as u64);
-            assert_eq!(batch.shard, expected_id);
+            assert_eq!(batch.records[0].seq, expected_id as u64 * 50);
             assert_eq!(batch.results.len(), 50);
             assert!(batch.results.iter().all(|r| r.node.is_some()));
         }
@@ -333,10 +328,10 @@ mod tests {
 
     #[test]
     fn unmatched_records_are_reported_not_dropped() {
-        let (model, pre) = model_and_preprocessor();
+        let (model, compiled, pre) = trained();
         let mut pool = MatcherPool::new(pre, 1);
         let record = StreamRecord::new(0, "completely novel kernel message".to_string());
-        pool.submit_ids(0, vec![record], model, None);
+        pool.submit_ids(vec![record], model, compiled);
         let result = pool.recv_ids().expect("one batch");
         assert_eq!(result.results.len(), 1);
         assert_eq!(result.results[0].node, None);
@@ -345,30 +340,14 @@ mod tests {
 
     #[test]
     fn dropping_the_pool_joins_workers() {
-        let (_, pre) = model_and_preprocessor();
+        let (_, _, pre) = trained();
         let pool = MatcherPool::new(pre, 3);
         drop(pool); // must not hang or panic
     }
 
     #[test]
     fn lean_batches_return_ids_and_records() {
-        let (model, pre) = model_and_preprocessor();
-        let mut pool = MatcherPool::new(pre, 2);
-        let records = requests(0..20);
-        let id = pool.submit_ids(3, records.clone(), model, None);
-        let result = pool.recv_ids().expect("one lean batch");
-        assert_eq!(result.batch_id, id);
-        assert_eq!(result.shard, 3);
-        assert_eq!(result.records, records);
-        assert_eq!(result.results.len(), 20);
-        assert!(result.results.iter().all(|r| r.node.is_some()));
-        assert!(result.results.iter().all(|r| r.saturation > 0.0));
-    }
-
-    #[test]
-    fn compiled_lean_batches_agree_with_tree_walk_batches() {
-        let (model, pre) = model_and_preprocessor();
-        let compiled = Arc::new(CompiledMatcher::compile(&model));
+        let (model, compiled, pre) = trained();
         let mut pool = MatcherPool::new(pre, 2);
         // Repeat records so the per-worker match cache (and the in-batch
         // duplicate-reuse path behind hash reordering) sees hits too.
@@ -380,10 +359,12 @@ mod tests {
                 )
             })
             .collect();
-        pool.submit_ids(0, records.clone(), Arc::clone(&model), Some(compiled));
-        let automaton = pool.recv_ids().expect("automaton batch");
-        pool.submit_ids(0, records, Arc::clone(&model), None);
-        let tree = pool.recv_ids().expect("tree batch");
-        assert_eq!(automaton.results, tree.results);
+        let id = pool.submit_ids(records.clone(), model, compiled);
+        let result = pool.recv_ids().expect("one lean batch");
+        assert_eq!(result.batch_id, id);
+        assert_eq!(result.records, records);
+        assert_eq!(result.results.len(), 40);
+        assert!(result.results.iter().all(|r| r.node.is_some()));
+        assert!(result.results.iter().all(|r| r.saturation > 0.0));
     }
 }

@@ -55,7 +55,7 @@ pub use wal::{DeltaEvent, RecordMove, WalRecord};
 
 use crate::topic::{MaintenancePolicy, StoredRecord, TopicConfig};
 use bytebrain::incremental::DriftConfig;
-use bytebrain::{MatchEngine, NodeId, TrainConfig};
+use bytebrain::{NodeId, TrainConfig};
 use framing::FrameLog;
 use serde::{Deserialize, Serialize};
 use std::fs;
@@ -141,8 +141,6 @@ pub struct TopicMeta {
     pub drift: Option<DriftConfig>,
     /// Mid-stream drift check interval (incremental policy only).
     pub check_interval: u64,
-    /// Matching engine.
-    pub match_engine: MatchEngine,
     /// Full training configuration.
     pub train: TrainConfig,
 }
@@ -172,7 +170,6 @@ impl TopicMeta {
             maintenance_kind,
             drift,
             check_interval,
-            match_engine: config.match_engine,
             train: config.train.clone(),
         }
     }
@@ -195,7 +192,6 @@ impl TopicMeta {
             training_buffer: self.training_buffer,
             merge_threshold: self.merge_threshold,
             maintenance,
-            match_engine: self.match_engine,
         }
     }
 }

@@ -11,7 +11,7 @@
 //! base seed taken from `BYTEBRAIN_TEST_SEED` (CI varies it across a matrix).
 
 use bytebrain::incremental::DriftConfig;
-use bytebrain::Query;
+use bytebrain::{Predicate, Query, QueryPlan};
 use service::ingest::IngestConfig;
 use service::{
     LogTopic, MaintenancePolicy, QueryValue, ServiceManager, StorageConfig, TopicConfig, TopicStats,
@@ -276,8 +276,8 @@ fn kill_and_recover_incremental_stream_maintenance() {
         .with_volume_threshold(100_000)
         .with_maintenance(MaintenancePolicy::Incremental {
             drift: DriftConfig::default()
-                .with_window(200)
-                .with_min_samples(50)
+                .with_window(400)
+                .with_min_samples(100)
                 .with_max_unmatched_rate(0.3),
             check_interval: 64,
         });
@@ -288,7 +288,6 @@ fn kill_and_recover_incremental_stream_maintenance() {
     // event log, moves re-applied on replay).
     topic.ingest(&web_access_batch(0, 300));
     let stream_config = IngestConfig {
-        shards: 2,
         batch_records: 64,
         workers: 2,
         ..IngestConfig::default()
@@ -305,6 +304,66 @@ fn kill_and_recover_incremental_stream_maintenance() {
 
     let recovered = LogTopic::open(&dir, fast_storage()).expect("recover topic");
     assert_recovered(&recovered, &expected, "incremental recovery");
+    fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------------
+// A meta.json from before the engine option was removed still opens
+// ---------------------------------------------------------------------------
+
+/// One plan per query operator, plus a composed one mixing every predicate kind.
+fn operator_battery(records: u64) -> Vec<QueryPlan> {
+    let half = Predicate::time_window(0, records / 2);
+    [
+        Query::group_by(),
+        Query::top_k(3).at_threshold(0.6),
+        Query::distribution(),
+        Query::count_distinct(),
+        Query::group_by().filter(Predicate::template_matches("login from")),
+        Query::group_by().filter(Predicate::variable_equals("u3")),
+        Query::distribution().filter(Predicate::variable_contains("u1")),
+        Query::distribution().filter(Predicate::time_window(records / 4, records / 2)),
+        Query::top_k(5).at_threshold(0.75).filter(
+            Predicate::variable_equals("u7").or(half.and(Predicate::variable_contains("u2").not())),
+        ),
+    ]
+    .into_iter()
+    .map(|query| query.plan().expect("valid plan"))
+    .collect()
+}
+
+#[test]
+fn meta_carrying_the_retired_match_engine_tag_reopens() {
+    let dir = scratch_dir("old-meta");
+    let config = TopicConfig::new("old-meta").with_volume_threshold(1_000_000);
+    let mut topic = LogTopic::durable(config, &dir, fast_storage()).expect("create durable topic");
+    let mut batch = web_access_batch(0, 200);
+    batch.extend(auth_batch(0, 200));
+    topic.ingest(&batch);
+    topic.ingest(&novel_batch(0, 40));
+    let battery = operator_battery(topic.records().len() as u64);
+    let answers: Vec<QueryValue> = battery.iter().map(|plan| topic.execute(plan)).collect();
+    let expected = capture(&topic);
+    drop(topic);
+
+    // Older stores persisted an engine tag. The derive reads fields by name, so
+    // the stale key is ignored.
+    let meta_path = dir.join("meta.json");
+    let meta = fs::read_to_string(&meta_path).expect("read meta.json");
+    assert!(!meta.contains("match_engine"));
+    let old = meta.replacen('{', "{\"match_engine\":\"TreeWalk\",", 1);
+    fs::write(&meta_path, old).expect("patch meta.json");
+
+    let recovered = LogTopic::open(&dir, fast_storage()).expect("old meta.json must open");
+    assert_recovered(&recovered, &expected, "old meta");
+    for (plan, want) in battery.iter().zip(&answers) {
+        assert_eq!(
+            &recovered.execute(plan),
+            want,
+            "old meta: {:?}",
+            plan.output()
+        );
+    }
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -73,7 +73,6 @@ fn streaming_paths_agree_with_batch_ingest() {
                 LogTopic::new(TopicConfig::new("stream").with_volume_threshold(u64::MAX));
             topic.ingest(&warm);
             let config = IngestConfig::default()
-                .with_shards(4)
                 .with_batch_records(256)
                 .with_workers(workers);
             let result = topic.ingest_stream(stream.clone(), &config);
@@ -88,14 +87,13 @@ fn streaming_paths_agree_with_batch_ingest() {
             );
             assert!(!result.outcome.trained, "{label} must not retrain");
             assert_eq!(
-                result.stats.records(),
+                result.stats.records,
                 stream.len() as u64,
                 "stats lost records for {label}"
             );
             assert_eq!(
-                result.stats.matched() as usize,
-                ref_matched,
-                "per-shard matched counters diverged for {label}"
+                result.stats.matched as usize, ref_matched,
+                "engine matched counter diverged for {label}"
             );
             assert_eq!(
                 assignment_after(&topic, warm.len()),
@@ -124,8 +122,8 @@ fn incremental_path_agrees_with_batch_ingest_on_stable_workloads() {
                     // corpora keep a small unmatched tail of rare templates, so the
                     // rate bound sits far above it).
                     drift: DriftConfig::default()
-                        .with_window(1_024)
-                        .with_min_samples(256)
+                        .with_window(4_096)
+                        .with_min_samples(1_024)
                         .with_max_unmatched_rate(0.5),
                     check_interval: 512,
                 }),
@@ -133,9 +131,7 @@ fn incremental_path_agrees_with_batch_ingest_on_stable_workloads() {
         topic.ingest(&warm);
         let result = topic.ingest_stream(
             stream.clone(),
-            &IngestConfig::default()
-                .with_shards(4)
-                .with_batch_records(256),
+            &IngestConfig::default().with_batch_records(256),
         );
         assert_eq!(result.outcome.matched, ref_matched, "{dataset}: matched");
         assert_eq!(
@@ -223,17 +219,15 @@ fn incremental_maintenance_converges_with_full_retrain_on_drifting_workload() {
         .with_volume_threshold(40_000)
         .with_maintenance(MaintenancePolicy::Incremental {
             drift: DriftConfig::default()
-                .with_window(2_048)
-                .with_min_samples(512)
+                .with_window(8_192)
+                .with_min_samples(2_048)
                 .with_max_unmatched_rate(0.1),
             check_interval: 2_048,
         });
     inc_config.training_buffer = 12_000;
     let mut inc_topic = LogTopic::new(inc_config);
 
-    let ingest = IngestConfig::default()
-        .with_shards(4)
-        .with_batch_records(1_024);
+    let ingest = IngestConfig::default().with_batch_records(1_024);
     for chunk in stream.chunks(CHUNK) {
         full_topic.ingest_stream(chunk.to_vec(), &ingest);
         inc_topic.ingest_stream(chunk.to_vec(), &ingest);
@@ -354,8 +348,8 @@ fn indexed_query_path_is_byte_identical_to_scan_path() {
                 .with_volume_threshold(8_000)
                 .with_maintenance(MaintenancePolicy::Incremental {
                     drift: DriftConfig::default()
-                        .with_window(1_024)
-                        .with_min_samples(256)
+                        .with_window(4_096)
+                        .with_min_samples(1_024)
                         .with_max_unmatched_rate(0.1),
                     check_interval: 1_024,
                 }),
@@ -364,9 +358,7 @@ fn indexed_query_path_is_byte_identical_to_scan_path() {
     for (label, mut config) in policies {
         config.training_buffer = 12_000;
         let mut topic = LogTopic::new(config);
-        let ingest = IngestConfig::default()
-            .with_shards(4)
-            .with_batch_records(512);
+        let ingest = IngestConfig::default().with_batch_records(512);
         for chunk in stream.chunks(5_000) {
             topic.ingest_stream(chunk.to_vec(), &ingest);
         }
@@ -421,134 +413,67 @@ fn indexed_query_path_is_byte_identical_to_scan_path() {
     }
 }
 
-/// The compiled automaton match path must be **byte-identical** to the tree
-/// walker it replaces: same per-record template assignment, same match stats —
-/// across batch ingest, streaming ingest, and the incremental-maintenance
-/// path where the compiled snapshot is hot-swapped mid-stream at every delta
-/// boundary. Runs under the CI seed matrix via `BYTEBRAIN_TEST_SEED`.
+/// The compiled automaton match path must be **byte-identical** to the tree walk
+/// it replaced. The contract is stated where it is used: each of the three
+/// production match sites — `match_ids_batch`, the pool worker behind the line
+/// cache, and the stale re-match after a hot swap — `debug_assert_eq!`s its
+/// decision against `matcher::match_view` on the very model it matched with. This
+/// test drives all three trajectories (batch, stream, drifting stream with a
+/// mid-stream hot swap) on one topic; per-decision equality along one trajectory
+/// is, by induction, equality of the whole run. Runs under the CI seed matrix via
+/// `BYTEBRAIN_TEST_SEED`.
 #[test]
+// Constant per build, which is the point: a release run without the seam
+// assertions must fail, not pass vacuously.
+#[allow(clippy::assertions_on_constants)]
 fn automaton_match_path_is_byte_identical_to_tree_walk() {
-    use bytebrain_repro::service::MatchEngine;
-
-    let engine_topic = |engine: MatchEngine, warm: &[String]| {
-        let mut topic = LogTopic::new(
-            TopicConfig::new("engine")
-                .with_volume_threshold(u64::MAX)
-                .with_match_engine(engine),
-        );
-        topic.ingest(warm);
-        topic
-    };
-
-    for dataset in ["Apache", "OpenSSH"] {
-        let (warm, stream) = workload(dataset, 6_000, 2_500);
-
-        // Batch `ingest`.
-        let mut tree = engine_topic(MatchEngine::TreeWalk, &warm);
-        let mut auto = engine_topic(MatchEngine::Automaton, &warm);
-        let tree_out = tree.ingest(&stream);
-        let auto_out = auto.ingest(&stream);
-        assert_eq!(
-            auto_out.matched, tree_out.matched,
-            "{dataset}: batch matched"
-        );
-        assert_eq!(
-            auto_out.unmatched, tree_out.unmatched,
-            "{dataset}: batch unmatched"
-        );
-        assert_eq!(
-            assignment_after(&auto, warm.len()),
-            assignment_after(&tree, warm.len()),
-            "{dataset}: batch assignment diverged between engines"
-        );
-
-        // Streaming.
-        let config = IngestConfig::default()
-            .with_shards(4)
-            .with_batch_records(256)
-            .with_workers(2);
-        let mut tree = engine_topic(MatchEngine::TreeWalk, &warm);
-        let mut auto = engine_topic(MatchEngine::Automaton, &warm);
-        let tree_res = tree.ingest_stream(stream.clone(), &config);
-        let auto_res = auto.ingest_stream(stream.clone(), &config);
-        assert_eq!(
-            auto_res.outcome.matched, tree_res.outcome.matched,
-            "{dataset}: stream matched"
-        );
-        assert_eq!(
-            auto_res.outcome.unmatched, tree_res.outcome.unmatched,
-            "{dataset}: stream unmatched"
-        );
-        assert_eq!(
-            auto_res.stats.matched(),
-            tree_res.stats.matched(),
-            "{dataset}: shard counters"
-        );
-        assert_eq!(
-            assignment_after(&auto, warm.len()),
-            assignment_after(&tree, warm.len()),
-            "{dataset}: stream assignment diverged between engines"
-        );
-    }
-
-    // Incremental maintenance over a drifting stream: deltas are folded in
-    // mid-stream and the compiled snapshot is hot-swapped at every boundary
-    // (`swap_model` carries the model/automaton pair into the running
-    // ingestion engine). Both engines must still assign every record
-    // identically.
-    let seed = base_seed();
-    let stream = drifting_workload(40_000, seed);
-    let maintained_topic = |engine: MatchEngine| {
-        let mut config = TopicConfig::new("engine-inc")
-            .with_volume_threshold(u64::MAX)
-            .with_match_engine(engine)
-            .with_maintenance(MaintenancePolicy::Incremental {
-                drift: DriftConfig::default()
-                    .with_window(1_024)
-                    .with_min_samples(256)
-                    .with_max_unmatched_rate(0.1),
-                check_interval: 1_024,
-            });
-        config.training_buffer = 12_000;
-        LogTopic::new(config)
-    };
-    let mut tree = maintained_topic(MatchEngine::TreeWalk);
-    let mut auto = maintained_topic(MatchEngine::Automaton);
-    let ingest = IngestConfig::default()
-        .with_shards(4)
-        .with_batch_records(512);
-    // Cold-start both topics, then drive the drifting tail as ONE stream call
-    // so maintenance (and the snapshot hot-swap) happens mid-stream.
-    tree.ingest(&stream[..8_000]);
-    auto.ingest(&stream[..8_000]);
-    let tree_res = tree.ingest_stream(stream[8_000..].to_vec(), &ingest);
-    let auto_res = auto.ingest_stream(stream[8_000..].to_vec(), &ingest);
     assert!(
-        auto_res.outcome.maintained >= 1,
-        "drift must trigger mid-stream maintenance on the automaton path"
+        cfg!(debug_assertions),
+        "the tree-walk seam assertions are compiled out"
     );
-    assert_eq!(
-        auto_res.outcome.maintained, tree_res.outcome.maintained,
-        "maintenance cadence diverged between engines"
+    let stream = drifting_workload(40_000, base_seed());
+    let mut config = TopicConfig::new("engine")
+        .with_volume_threshold(u64::MAX)
+        .with_maintenance(MaintenancePolicy::Incremental {
+            drift: DriftConfig::default()
+                .with_window(4_096)
+                .with_min_samples(1_024)
+                .with_max_unmatched_rate(0.1),
+            check_interval: 1_024,
+        });
+    config.training_buffer = 12_000;
+    let mut topic = LogTopic::new(config);
+    let ingest = IngestConfig::default().with_batch_records(512);
+
+    // Batch: the cold start re-matches the store through `match_ids_batch`, the
+    // second call matches online through it.
+    topic.ingest(&stream[..8_000]);
+    let batch = topic.ingest(&stream[8_000..12_000]);
+    assert_eq!(batch.matched + batch.unmatched, 4_000);
+    // Stream over still-stable traffic: the pool worker's cached match.
+    let stable = topic.ingest_stream(stream[12_000..16_000].to_vec(), &ingest);
+    assert_eq!(stable.stats.matched + stable.stats.unmatched, 4_000);
+    assert_eq!(stable.stats.model_swaps, 0, "no drift before the ramp");
+    // The drifting tail as ONE stream call: deltas fold in mid-stream and the
+    // (model, automaton) pair is hot-swapped. Then a second novel family, five
+    // lines on repeat: each first sighting misses the swapped-in snapshot and
+    // becomes a temporary, every repeat is a stale re-match hit — on the
+    // temporaries appended this chunk, then on the refreshed automaton.
+    let regions = ["north", "south", "east", "west", "core"];
+    let mut tail = stream[16_000..].to_vec();
+    tail.extend((0..3_000).map(|i| format!("cache ring {} rebalanced", regions[i % 5])));
+    let drifting = topic.ingest_stream(tail, &ingest);
+    assert!(
+        drifting.outcome.maintained >= 1 && drifting.stats.model_swaps >= 1,
+        "drift must trigger a mid-stream hot swap: {drifting:?}"
     );
-    assert_eq!(
-        auto_res.outcome.matched, tree_res.outcome.matched,
-        "drift stream matched diverged"
-    );
-    assert_eq!(
-        auto_res.outcome.unmatched, tree_res.outcome.unmatched,
-        "drift stream unmatched diverged"
-    );
-    let template_of = |topic: &LogTopic| -> Vec<Option<NodeId>> {
-        topic.records().iter().map(|r| r.template).collect()
-    };
-    assert_eq!(
-        template_of(&auto),
-        template_of(&tree),
-        "assignment diverged across the mid-stream hot-swap"
-    );
-    assert_eq!(auto.stats().maintenance_runs, tree.stats().maintenance_runs);
-    assert_eq!(auto.stats().training_runs, tree.stats().training_runs);
+    let repeated: std::collections::HashSet<Option<NodeId>> = topic.records()[stream.len()..]
+        .iter()
+        .map(|r| r.template)
+        .collect();
+    assert_eq!(repeated.len(), 5, "repeats must re-match, not re-insert");
+    assert_eq!(topic.records().len(), stream.len() + 3_000);
+    assert_eq!(topic.stats().training_runs, 1, "cold start only");
 }
 
 /// Every AST operator must be **byte-identical** between the planned push-down
@@ -689,17 +614,15 @@ fn planned_operators_match_scan_oracle_under_maintenance_and_recovery() {
         .with_volume_threshold(100_000)
         .with_maintenance(MaintenancePolicy::Incremental {
             drift: DriftConfig::default()
-                .with_window(200)
-                .with_min_samples(50)
+                .with_window(400)
+                .with_min_samples(100)
                 .with_max_unmatched_rate(0.3),
             check_interval: 64,
         });
     let mut topic = LogTopic::durable(config, &dir, storage.clone()).expect("create durable topic");
     topic.ingest(&auth_batch(0, 300));
     assert_agree(&topic, "inc/after-ingest");
-    let stream_config = IngestConfig::default()
-        .with_shards(2)
-        .with_batch_records(64);
+    let stream_config = IngestConfig::default().with_batch_records(64);
     topic.ingest_stream(scrub_batch(0, 400), &stream_config);
     assert!(
         topic.stats().maintenance_runs >= 1,

@@ -166,8 +166,8 @@ fn hot_swapped_stream_leaves_no_records_on_retired_templates() {
             .with_volume_threshold(u64::MAX)
             .with_maintenance(MaintenancePolicy::Incremental {
                 drift: DriftConfig::default()
-                    .with_window(256)
-                    .with_min_samples(64)
+                    .with_window(1_024)
+                    .with_min_samples(256)
                     .with_max_unmatched_rate(0.2),
                 check_interval: 512,
             }),
@@ -185,7 +185,6 @@ fn hot_swapped_stream_leaves_no_records_on_retired_templates() {
     let result = topic.ingest_stream(
         stream,
         &IngestConfig::default()
-            .with_shards(4)
             .with_batch_records(64)
             .with_max_in_flight(4),
     );

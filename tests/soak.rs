@@ -1,7 +1,7 @@
 //! Nightly soak test for the automaton match path (run with `--ignored`).
 //!
-//! A 1M-line drifting generator stream flows through sharded streaming
-//! ingestion with incremental maintenance on the compiled-automaton engine,
+//! A 1M-line drifting generator stream flows through batched streaming
+//! ingestion with incremental maintenance on the compiled automaton,
 //! while every chunk's query snapshot is interrogated from a concurrent thread
 //! as the next chunk ingests. Invariants held throughout:
 //!
@@ -15,9 +15,7 @@
 use bytebrain_repro::bytebrain::incremental::DriftConfig;
 use bytebrain_repro::bytebrain::Query;
 use bytebrain_repro::datasets::{GeneratorConfig, LabeledDataset};
-use bytebrain_repro::service::{
-    IngestConfig, LogTopic, MaintenancePolicy, MatchEngine, TopicConfig,
-};
+use bytebrain_repro::service::{IngestConfig, LogTopic, MaintenancePolicy, TopicConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -83,20 +81,17 @@ fn soak_automaton_stream_with_concurrent_queries() {
 
     let mut config = TopicConfig::new("soak")
         .with_volume_threshold(u64::MAX)
-        .with_match_engine(MatchEngine::Automaton)
         .with_maintenance(MaintenancePolicy::Incremental {
             drift: DriftConfig::default()
-                .with_window(2_048)
-                .with_min_samples(512)
+                .with_window(8_192)
+                .with_min_samples(2_048)
                 .with_max_unmatched_rate(0.05),
             check_interval: 2_048,
         });
     config.training_buffer = 16_000;
     let mut topic = LogTopic::new(config);
-    assert_eq!(topic.match_engine(), MatchEngine::Automaton);
 
     let ingest = IngestConfig::default()
-        .with_shards(4)
         .with_batch_records(1_024)
         .with_workers(2);
     let thresholds = [0.0, 0.3, 0.6, 0.9, 1.0];
