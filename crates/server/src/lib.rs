@@ -22,12 +22,16 @@
 //!   library calls.
 //! * `GET /v1/{tenant}/{topic}/stats`, `GET /healthz`, `GET /metrics`.
 //!
-//! A single **engine thread** owns all `ServiceManager` mutations: it pulls admitted
-//! batches in fair round-robin order from the [`Admission`] scheduler and applies
-//! them via [`apply_batch`] (exact same function the differential tests call on
-//! their twin manager). Storage maintenance runs on a periodic tick thread when
-//! [`ServerConfig::maintenance_interval`] is set — library callers keep the
-//! inline-only behaviour.
+//! A single **engine thread** owns all model and record mutations: it pulls admitted
+//! batches in fair round-robin order from the [`Admission`] scheduler and runs each
+//! through [`service::drive`] — the one driver [`apply_batch`] runs for the
+//! differential tests' twin manager. The manager sits behind an `RwLock` that the
+//! engine write-locks once per *phase* of that driver: to prepare (snapshot what
+//! matching reads) and to apply (store, maintain, commit), never while it matches.
+//! `query` and `stats` take the read lock, so they wait for an apply, not for a
+//! batch, and never for each other. Storage maintenance runs on a periodic tick
+//! thread when [`ServerConfig::maintenance_interval`] is set, one write lock per
+//! topic — library callers keep the inline-only behaviour.
 //!
 //! Graceful shutdown ([`LogServer::shutdown`]) drains in flight at both layers:
 //! the HTTP layer finishes requests it already accepted, then the engine drains
@@ -39,12 +43,14 @@
 use minihttp::{percent_decode, Handler, Request, Response};
 use serde::Value;
 use service::api::{self, ErrorBody, IngestRequest, IngestResponse, StatsResponse};
-use service::{Admission, AdmissionConfig, IngestConfig, ServiceManager};
+use service::{
+    Admission, AdmissionConfig, IngestConfig, LogTopic, Route, ServiceManager, TopicAccess,
+};
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -93,20 +99,29 @@ pub fn apply_batch(
     records: Vec<String>,
     config: &EngineConfig,
 ) -> ApplyOutcome {
-    if records.len() < config.stream_threshold {
-        let outcome = manager.ingest(tenant, topic, &records);
-        return ApplyOutcome { outcome, shed: 0 };
-    }
-    match manager.ingest_stream_bounded(tenant, topic, records, &config.ingest, config.engine_wait)
-    {
-        Ok(stream) => ApplyOutcome {
-            outcome: stream.outcome,
-            shed: 0,
-        },
-        Err(overloaded) => ApplyOutcome {
-            outcome: overloaded.outcome.outcome,
-            shed: overloaded.rejected.len(),
-        },
+    apply_through(manager.topic_mut(tenant, topic), records, config)
+}
+
+/// [`apply_batch`] on any way of reaching the topic: the caller's `&mut`, or the
+/// engine thread's lock-per-phase [`LockedTopic`].
+fn apply_through<A: TopicAccess>(
+    access: &mut A,
+    records: Vec<String>,
+    config: &EngineConfig,
+) -> ApplyOutcome {
+    let route = if records.len() < config.stream_threshold {
+        Route::Batch
+    } else {
+        Route::Stream {
+            config: &config.ingest,
+            wait: Some(config.engine_wait),
+            clamp_to_topic: true,
+        }
+    };
+    let (stream, rejected) = service::drive(access, records, route);
+    ApplyOutcome {
+        outcome: stream.outcome,
+        shed: rejected.len(),
     }
 }
 
@@ -187,14 +202,57 @@ struct Sched {
     pending: HashMap<u64, Sender<ApplyOutcome>>,
 }
 
+/// One tenant's query timings: `wait` is handler entry → read lock acquired,
+/// `execution` the time under it.
+#[derive(Debug, Default)]
+struct QueryTimes {
+    wait: LatencyHistogram,
+    execution: LatencyHistogram,
+}
+
+/// What the engine thread counts about itself: one `busy` sample per batch
+/// (prepare → reply) and one `lock_held` sample per write-lock hold, so an inline
+/// retrain shows as a single long hold.
+#[derive(Debug, Default)]
+struct EngineTimes {
+    batches: u64,
+    busy: LatencyHistogram,
+    lock_held: LatencyHistogram,
+}
+
 struct ServerState {
-    manager: Mutex<ServiceManager>,
+    /// Written by the engine thread (per driver phase) and the maintenance tick
+    /// (per topic); read by `query` and `stats`. Never held together with `sched`.
+    manager: RwLock<ServiceManager>,
     sched: Mutex<Sched>,
     work: Condvar,
     stopping: AtomicBool,
-    query_latency: Mutex<BTreeMap<String, LatencyHistogram>>,
+    query_times: Mutex<BTreeMap<String, QueryTimes>>,
+    engine_times: Mutex<EngineTimes>,
     maintenance_ticks: AtomicU64,
     engine: EngineConfig,
+}
+
+/// The engine thread's way to its topic: the manager's write lock, taken for one
+/// driver phase and released before the next — all matching happens in between.
+struct LockedTopic<'a> {
+    state: &'a ServerState,
+    tenant: &'a str,
+    topic: &'a str,
+}
+
+impl TopicAccess for LockedTopic<'_> {
+    fn with<R>(&mut self, f: impl FnOnce(&mut LogTopic) -> R) -> R {
+        let (result, held) = {
+            let mut manager = self.state.manager.write().expect("manager lock");
+            let acquired = Instant::now();
+            let result = f(manager.topic_mut(self.tenant, self.topic));
+            (result, acquired.elapsed())
+        };
+        let mut times = self.state.engine_times.lock().expect("engine times lock");
+        times.lock_held.record(held);
+        result
+    }
 }
 
 /// The running front end. Obtain one from [`serve`]; recover the manager with
@@ -215,14 +273,15 @@ impl std::fmt::Debug for LogServer {
 /// Start serving `manager` under `config`.
 pub fn serve(manager: ServiceManager, config: ServerConfig) -> io::Result<LogServer> {
     let state = Arc::new(ServerState {
-        manager: Mutex::new(manager),
+        manager: RwLock::new(manager),
         sched: Mutex::new(Sched {
             admission: Admission::new(config.admission.clone()),
             pending: HashMap::new(),
         }),
         work: Condvar::new(),
         stopping: AtomicBool::new(false),
-        query_latency: Mutex::new(BTreeMap::new()),
+        query_times: Mutex::new(BTreeMap::new()),
+        engine_times: Mutex::new(EngineTimes::default()),
         maintenance_ticks: AtomicU64::new(0),
         engine: config.engine.clone(),
     });
@@ -325,19 +384,26 @@ fn engine_loop(state: &ServerState) {
             }
         };
         let Some(batch) = batch else { return };
-        let outcome = {
-            let mut manager = state.manager.lock().expect("manager lock");
-            apply_batch(
-                &mut manager,
-                &batch.tenant,
-                &batch.topic,
-                batch.records,
-                &state.engine,
-            )
+        let started = Instant::now();
+        let mut topic = LockedTopic {
+            state,
+            tenant: &batch.tenant,
+            topic: &batch.topic,
         };
-        let mut sched = state.sched.lock().expect("sched lock");
-        sched.admission.complete(&batch.tenant, batch.bytes);
-        if let Some(reply) = sched.pending.remove(&batch.ticket) {
+        let outcome = apply_through(&mut topic, batch.records, &state.engine);
+        let reply = {
+            let mut sched = state.sched.lock().expect("sched lock");
+            sched.admission.complete(&batch.tenant, batch.bytes);
+            sched.pending.remove(&batch.ticket)
+        };
+        {
+            // Counted before the reply leaves: a client holding its reply finds its
+            // batch in `/metrics`.
+            let mut times = state.engine_times.lock().expect("engine times lock");
+            times.batches += 1;
+            times.busy.record(started.elapsed());
+        }
+        if let Some(reply) = reply {
             // A dead receiver just means the HTTP client went away; the batch is
             // applied either way.
             let _ = reply.send(outcome);
@@ -356,9 +422,13 @@ fn maintenance_loop(state: &ServerState, interval: Duration) {
             std::thread::sleep(step);
             waited += step;
         }
-        let mut manager = state.manager.lock().expect("manager lock");
-        manager.run_storage_maintenance();
-        drop(manager);
+        // One hold per topic, not one across the fleet pass: readers and the engine
+        // get in between two topics' retention passes.
+        let keys = state.manager.read().expect("manager lock").topic_keys();
+        for (tenant, topic) in keys {
+            let mut manager = state.manager.write().expect("manager lock");
+            manager.topic_mut(&tenant, &topic).run_storage_maintenance();
+        }
         state.maintenance_ticks.fetch_add(1, Ordering::SeqCst);
     }
 }
@@ -454,6 +524,7 @@ fn ingest(state: &ServerState, tenant: &str, topic: &str, request: &Request) -> 
 }
 
 fn query(state: &ServerState, tenant: &str, request: &Request) -> Response {
+    let entered = Instant::now();
     let body = match request.body_str() {
         Ok(text) => text,
         Err(_) => return error_response(400, &ErrorBody::new("body must be UTF-8 JSON")),
@@ -478,19 +549,21 @@ fn query(state: &ServerState, tenant: &str, request: &Request) -> Response {
         Ok(plan) => plan,
         Err(e) => return error_response(400, &ErrorBody::new(format!("unplannable query: {e}"))),
     };
-    let started = Instant::now();
-    let result = {
-        let manager = state.manager.lock().expect("manager lock");
-        manager.execute(tenant, &topic, &plan)
+    let (result, waited, executed) = {
+        let manager = state.manager.read().expect("manager lock");
+        let waited = entered.elapsed();
+        let result = manager.execute(tenant, &topic, &plan);
+        (result, waited, entered.elapsed() - waited)
     };
-    let elapsed = started.elapsed();
-    state
-        .query_latency
-        .lock()
-        .expect("latency lock")
-        .entry(tenant.to_string())
-        .or_default()
-        .record(elapsed);
+    {
+        let mut times = state.query_times.lock().expect("query times lock");
+        if !times.contains_key(tenant) {
+            times.insert(tenant.to_string(), QueryTimes::default());
+        }
+        let times = times.get_mut(tenant).expect("just ensured");
+        times.wait.record(waited);
+        times.execution.record(executed);
+    }
     match result {
         Some(result) => Response::json(200, api::query_value_to_json(&result)),
         None => error_response(404, &ErrorBody::new(format!("unknown topic {topic:?}"))),
@@ -498,10 +571,13 @@ fn query(state: &ServerState, tenant: &str, request: &Request) -> Response {
 }
 
 fn stats(state: &ServerState, tenant: &str, topic: &str) -> Response {
-    let manager = state.manager.lock().expect("manager lock");
-    match manager.topic(tenant, topic) {
-        Some(found) => {
-            let response = StatsResponse::from_stats(&found.stats());
+    let found = {
+        let manager = state.manager.read().expect("manager lock");
+        manager.topic(tenant, topic).map(LogTopic::stats)
+    };
+    match found {
+        Some(stats) => {
+            let response = StatsResponse::from_stats(&stats);
             Response::json(200, serde_json::to_string(&response).expect("renders"))
         }
         None => error_response(404, &ErrorBody::new(format!("unknown topic {topic:?}"))),
@@ -513,9 +589,17 @@ fn metrics(state: &ServerState) -> Response {
         let sched = state.sched.lock().expect("sched lock");
         sched.admission.metrics()
     };
-    let latency = state.query_latency.lock().expect("latency lock");
+    let engine = {
+        let times = state.engine_times.lock().expect("engine times lock");
+        Value::Object(vec![
+            ("batches".to_string(), Value::UInt(times.batches)),
+            ("busy".to_string(), times.busy.to_value()),
+            ("lock_held".to_string(), times.lock_held.to_value()),
+        ])
+    };
+    let query_times = state.query_times.lock().expect("query times lock");
     let mut tenants: Vec<(String, Value)> = Vec::new();
-    let mut names: Vec<&String> = admission.keys().chain(latency.keys()).collect();
+    let mut names: Vec<&String> = admission.keys().chain(query_times.keys()).collect();
     names.sort();
     names.dedup();
     for name in names {
@@ -542,13 +626,15 @@ fn metrics(state: &ServerState) -> Response {
                 ),
             ]);
         }
-        if let Some(histogram) = latency.get(name.as_str()) {
-            fields.push(("query_latency".to_string(), histogram.to_value()));
+        if let Some(times) = query_times.get(name.as_str()) {
+            fields.push(("query_wait".to_string(), times.wait.to_value()));
+            fields.push(("query_latency".to_string(), times.execution.to_value()));
         }
         tenants.push((name.clone(), Value::Object(fields)));
     }
     let body = Value::Object(vec![
         ("tenants".to_string(), Value::Object(tenants)),
+        ("engine".to_string(), engine),
         (
             "maintenance_ticks".to_string(),
             Value::UInt(state.maintenance_ticks.load(Ordering::SeqCst)),

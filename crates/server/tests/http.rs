@@ -6,15 +6,24 @@
 //! function the server's engine thread runs. On top of that: quota sheds (429 →
 //! recovery), two-tenant fairness under a saturating flood, graceful shutdown with
 //! zero admitted-record loss on a durable root, and the periodic maintenance tick.
+//! The engine's lock-per-phase ingest has two tests of its own: the same differential
+//! under a concurrent reader (both maintenance policies, in-memory and durable, seed
+//! from `BYTEBRAIN_TEST_SEED`), and the server's own counters showing that the
+//! manager lock is not held while a batch is matched.
 
 use minihttp::ClientConn;
 use server::{apply_batch, serve, EngineConfig, ServerConfig};
 use service::api::{self, IngestRequest, IngestResponse, StatsResponse};
-use service::{AdmissionConfig, IngestConfig, ServiceManager, StorageConfig, TenantQuota};
+use service::{
+    AdmissionConfig, IngestConfig, MaintenancePolicy, ServiceManager, StorageConfig,
+    TenantDefaults, TenantQuota,
+};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use bytebrain::{Predicate, Query};
+use bytebrain::incremental::DriftConfig;
+use bytebrain::{NodeId, Predicate, Query};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bb-server-{tag}-{}", std::process::id()));
@@ -383,6 +392,409 @@ fn engine_shed_reports_committed_prefix_as_success() {
         primed.accepted + parsed.accepted,
         "{stats_body}"
     );
+    server.shutdown();
+}
+
+// --- lock-per-phase ingest -----------------------------------------------------------------
+
+fn base_seed() -> u64 {
+    std::env::var("BYTEBRAIN_TEST_SEED")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0xB10C_5EED)
+}
+
+/// Tiny deterministic generator (splitmix64).
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, bound: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % bound
+    }
+}
+
+/// `n` lines of three families every topic is trained on, variables drawn from `rng`.
+fn known_lines(rng: &mut Rng, n: usize) -> Vec<String> {
+    (0..n)
+        .map(|_| match rng.below(3) {
+            0 => format!(
+                "job {} finished on host node-{:02} in {}ms",
+                rng.below(100_000),
+                rng.below(16),
+                rng.below(700)
+            ),
+            1 => format!(
+                "GET /api/v1/items/{} status {} bytes {}",
+                rng.below(50),
+                [200, 404, 500][rng.below(3) as usize],
+                100 + rng.below(900)
+            ),
+            _ => format!(
+                "user u{} logged in from 10.0.{}.{}",
+                rng.below(400),
+                rng.below(8),
+                rng.below(250)
+            ),
+        })
+        .collect()
+}
+
+/// `n` lines of a family no topic has seen when it first arrives.
+fn novel_lines(rng: &mut Rng, n: usize) -> Vec<String> {
+    (0..n)
+        .map(|_| {
+            format!(
+                "disk scrubber pass {} repaired sector {} on volume vol-{}",
+                rng.below(7),
+                rng.below(1_000_000),
+                rng.below(3)
+            )
+        })
+        .collect()
+}
+
+/// One tenant's POSTs, on both sides of [`PHASED_STREAM_THRESHOLD`]: training, steady
+/// traffic, then a streamed POST whose last three quarters are a novel family (under
+/// incremental maintenance the delta must land — and swap in — mid-stream), then
+/// more of both. The volume also crosses the full-retrain tenant's threshold, so an
+/// inline retrain runs under the reader too.
+fn phased_script(seed: u64) -> Vec<Vec<String>> {
+    let mut rng = Rng(seed);
+    let mut drifting = known_lines(&mut rng, DRIFTING_KNOWN);
+    drifting.extend(novel_lines(&mut rng, DRIFTING_NOVEL));
+    let mut mixed = known_lines(&mut rng, 150);
+    mixed.extend(novel_lines(&mut rng, 50));
+    let steady_stream = 500 + rng.below(300) as usize;
+    let steady_batch = 100 + rng.below(200) as usize;
+    vec![
+        known_lines(&mut rng, 400),
+        known_lines(&mut rng, steady_batch),
+        known_lines(&mut rng, steady_stream),
+        drifting,
+        mixed,
+        known_lines(&mut rng, 600),
+        novel_lines(&mut rng, 100),
+    ]
+}
+
+const PHASED_STREAM_THRESHOLD: usize = 384;
+const DRIFTING_KNOWN: usize = 384;
+const DRIFTING_NOVEL: usize = 1_152;
+const PHASED_TENANTS: [&str; 2] = ["full", "inc"];
+
+fn phased_manager(root: Option<&PathBuf>) -> ServiceManager {
+    let mut manager = match root {
+        Some(root) => ServiceManager::durable(root, StorageConfig::default()).expect("durable"),
+        None => ServiceManager::new(),
+    };
+    manager.set_tenant_defaults(
+        "full",
+        TenantDefaults {
+            volume_threshold: 2_000,
+            ..TenantDefaults::default()
+        },
+    );
+    manager.set_tenant_defaults(
+        "inc",
+        TenantDefaults {
+            volume_threshold: 1_000_000,
+            maintenance: MaintenancePolicy::Incremental {
+                drift: DriftConfig::default()
+                    .with_window(192)
+                    .with_min_samples(64)
+                    .with_max_unmatched_rate(0.2),
+                check_interval: 192,
+            },
+            ..TenantDefaults::default()
+        },
+    );
+    manager
+}
+
+fn phased_queries() -> Vec<Query> {
+    vec![
+        Query::group_by(),
+        Query::top_k(3).filter(Predicate::template_matches("job <*> finished")),
+        Query::distribution().at_threshold(0.3),
+        Query::count_distinct().filter(Predicate::Or(vec![
+            Predicate::variable_contains("node-03"),
+            Predicate::TimeWindow { start: 0, end: 500 },
+        ])),
+        Query::group_by(),
+    ]
+}
+
+/// What a manager answers for one tenant: `/stats`, the query list, and the stored
+/// assignment of every record.
+fn library_answers(
+    manager: &ServiceManager,
+    tenant: &str,
+) -> (String, Vec<String>, Vec<Option<NodeId>>) {
+    let topic = manager.topic(tenant, "events").expect("topic exists");
+    let stats = serde_json::to_string(&StatsResponse::from_stats(&topic.stats())).unwrap();
+    let answers = phased_queries()
+        .into_iter()
+        .map(|query| {
+            let plan = query.plan().expect("plannable");
+            api::query_value_to_json(&topic.execute(&plan))
+        })
+        .collect();
+    let assignments = topic.records().iter().map(|r| r.template).collect();
+    (stats, answers, assignments)
+}
+
+/// Split ≡ one-shot under a concurrent reader: the server's engine locks the manager
+/// per phase while a second connection hammers `query` and `stats`; every ingest
+/// response, the final `/stats`, the query list and the stored assignments must be
+/// byte-identical to a twin driven through `apply_batch` on its own `&mut`, and a
+/// durable root must reopen ≡ live.
+#[test]
+fn phased_ingest_under_a_concurrent_reader_is_byte_identical_to_one_shot() {
+    let engine = EngineConfig {
+        stream_threshold: PHASED_STREAM_THRESHOLD,
+        ..EngineConfig::default()
+    };
+    for durable in [false, true] {
+        let seed = base_seed()
+            .wrapping_mul(31)
+            .wrapping_add(u64::from(durable));
+        let roots = durable.then(|| {
+            (
+                scratch_dir(&format!("phased-{seed}")),
+                scratch_dir(&format!("phased-twin-{seed}")),
+            )
+        });
+        let scripts: Vec<Vec<Vec<String>>> = (0..PHASED_TENANTS.len() as u64)
+            .map(|t| phased_script(seed.wrapping_add(t * 7_919)))
+            .collect();
+        let config = ServerConfig {
+            engine: engine.clone(),
+            ..ServerConfig::default()
+        };
+        let server = serve(phased_manager(roots.as_ref().map(|r| &r.0)), config).expect("serve");
+        let addr = server.addr();
+
+        let writers_done = AtomicBool::new(false);
+        let (served_bodies, reads) = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let mut client = ClientConn::connect(addr).unwrap();
+                let queries = phased_queries();
+                let mut seen = [0u64; PHASED_TENANTS.len()];
+                let mut reads = 0usize;
+                while !writers_done.load(Ordering::SeqCst) {
+                    for (t, tenant) in PHASED_TENANTS.iter().enumerate() {
+                        let query = &queries[reads % queries.len()];
+                        let (status, body) = post(
+                            &mut client,
+                            &format!("/v1/{tenant}/query"),
+                            &query_body("events", query),
+                        );
+                        assert!(status == 200 || status == 404, "{status}: {body}");
+                        let (status, body) =
+                            get(&mut client, &format!("/v1/{tenant}/events/stats"));
+                        if status == 200 {
+                            // A reader only ever sees whole apply phases: counts grow.
+                            let stats: StatsResponse = serde_json::from_str(&body).unwrap();
+                            assert!(stats.total_records >= seen[t], "{tenant}: {body}");
+                            seen[t] = stats.total_records;
+                        }
+                        reads += 1;
+                    }
+                }
+                reads
+            });
+            let writers: Vec<_> = PHASED_TENANTS
+                .iter()
+                .zip(&scripts)
+                .map(|(tenant, script)| {
+                    scope.spawn(move || {
+                        let mut client = ClientConn::connect(addr).unwrap();
+                        script
+                            .iter()
+                            .map(|records| {
+                                let (status, body) = post(
+                                    &mut client,
+                                    &format!("/v1/{tenant}/events/ingest"),
+                                    &ingest_body(records),
+                                );
+                                assert_eq!(status, 200, "{body}");
+                                body
+                            })
+                            .collect::<Vec<String>>()
+                    })
+                })
+                .collect();
+            let bodies: Vec<Vec<String>> = writers
+                .into_iter()
+                .map(|w| w.join().expect("writer thread"))
+                .collect();
+            writers_done.store(true, Ordering::SeqCst);
+            (bodies, reader.join().expect("reader thread"))
+        });
+        assert!(reads > 0, "the reader must have run beside the writers");
+        println!("[phased] seed {seed} durable {durable}: {reads} reads beside the writers");
+
+        // The twin: the same POSTs through `apply_batch`, one `&mut` across all phases.
+        let mut twin = phased_manager(roots.as_ref().map(|r| &r.1));
+        for ((tenant, script), served) in PHASED_TENANTS.iter().zip(&scripts).zip(&served_bodies) {
+            for (p, (records, served_body)) in script.iter().zip(served).enumerate() {
+                let applied = apply_batch(&mut twin, tenant, "events", records.clone(), &engine);
+                assert_eq!(applied.shed, 0);
+                let expected = IngestResponse::from_outcome(&applied.outcome);
+                assert_eq!(
+                    served_body,
+                    &serde_json::to_string(&expected).unwrap(),
+                    "seed {seed}: ingest response {p} diverged for tenant {tenant}"
+                );
+                if p == 3 {
+                    // Most of the novel family matched: the delta swapped in mid-stream.
+                    let novel = DRIFTING_NOVEL as u64;
+                    let swapped = expected.maintained >= 1 && expected.unmatched < novel / 2;
+                    assert_eq!(swapped, *tenant == "inc", "seed {seed}: {expected:?}");
+                }
+            }
+        }
+        let full = twin.topic("full", "events").unwrap().stats();
+        assert!(
+            full.training_runs >= 2,
+            "a retrain must have run inline: {full:?}"
+        );
+
+        // Over the wire, then on the manager the server hands back, then reopened.
+        let mut client = ClientConn::connect(addr).unwrap();
+        for tenant in PHASED_TENANTS {
+            let (stats, answers, _) = library_answers(&twin, tenant);
+            let (status, served) = get(&mut client, &format!("/v1/{tenant}/events/stats"));
+            assert_eq!(
+                (status, served),
+                (200, stats),
+                "seed {seed}: {tenant} stats"
+            );
+            for (query, expected) in phased_queries().iter().zip(answers) {
+                let path = format!("/v1/{tenant}/query");
+                let (status, served) = post(&mut client, &path, &query_body("events", query));
+                assert_eq!(status, 200, "{served}");
+                assert_eq!(served, expected, "seed {seed}: {tenant} {query:?}");
+            }
+        }
+        drop(client);
+        let live = server.shutdown();
+        for tenant in PHASED_TENANTS {
+            assert_eq!(
+                library_answers(&live, tenant),
+                library_answers(&twin, tenant),
+                "seed {seed}: {tenant} live ≠ twin"
+            );
+        }
+        drop(live);
+        if let Some((root, twin_root)) = roots {
+            let reopened = ServiceManager::open(&root).expect("reopen");
+            for tenant in PHASED_TENANTS {
+                assert_eq!(
+                    library_answers(&reopened, tenant),
+                    library_answers(&twin, tenant),
+                    "seed {seed}: {tenant} reopened ≠ live"
+                );
+            }
+            std::fs::remove_dir_all(&root).ok();
+            std::fs::remove_dir_all(&twin_root).ok();
+        }
+    }
+}
+
+/// The unsigned counter at `path` in a `/metrics` body.
+fn counter(metrics: &serde::Value, path: &[&str]) -> u64 {
+    match path.iter().try_fold(metrics, |value, key| value.get(key)) {
+        Some(serde::Value::UInt(n)) => *n,
+        other => panic!("no {path:?} counter in /metrics: {other:?}"),
+    }
+}
+
+/// The lock is not held across match, read from the server's own counters: over bulk
+/// POSTs to a trained topic the engine's write-lock time is under half its busy time
+/// (it was all of it while one hold spanned the batch), and queries sent during a
+/// POST are answered before that POST is.
+#[test]
+fn write_lock_is_not_held_while_a_batch_is_matched() {
+    let server = serve(ServiceManager::new(), ServerConfig::default()).expect("serve");
+    let addr = server.addr();
+    let mut rng = Rng(base_seed());
+    let mut client = ClientConn::connect(addr).unwrap();
+    let (status, body) = post(
+        &mut client,
+        "/v1/t/events/ingest",
+        &ingest_body(&known_lines(&mut rng, 1_000)),
+    );
+    assert_eq!(status, 200, "{body}");
+    let metrics = |client: &mut ClientConn| {
+        let (status, body) = get(client, "/metrics");
+        assert_eq!(status, 200);
+        serde_json::parse_value(&body).expect("metrics is JSON")
+    };
+    // The cold-start POST trains under one hold by design: count from here.
+    let trained = metrics(&mut client);
+
+    // Both routes: 8,192 records stream, 2,000 take the batch path.
+    let posts: Vec<String> = [8_192, 2_000, 8_192, 2_000, 8_192, 8_192]
+        .iter()
+        .map(|&n| ingest_body(&known_lines(&mut rng, n)))
+        .collect();
+    let posting = AtomicBool::new(true);
+    let (spans, probes) = std::thread::scope(|scope| {
+        let prober = scope.spawn(|| {
+            let mut client = ClientConn::connect(addr).unwrap();
+            let body = query_body("events", &Query::distribution().at_threshold(0.6));
+            let mut probes = Vec::new();
+            while posting.load(Ordering::SeqCst) {
+                let sent = Instant::now();
+                let (status, served) = post(&mut client, "/v1/t/query", &body);
+                assert_eq!(status, 200, "{served}");
+                probes.push((sent, Instant::now()));
+            }
+            probes
+        });
+        let spans: Vec<(Instant, Instant)> = posts
+            .iter()
+            .map(|body| {
+                let sent = Instant::now();
+                let (status, served) = post(&mut client, "/v1/t/events/ingest", body);
+                assert_eq!(status, 200, "{served}");
+                (sent, Instant::now())
+            })
+            .collect();
+        posting.store(false, Ordering::SeqCst);
+        (spans, prober.join().expect("prober thread"))
+    });
+
+    let after = metrics(&mut client);
+    let since_trained = |path: &[&str]| counter(&after, path) - counter(&trained, path);
+    assert_eq!(since_trained(&["engine", "batches"]), posts.len() as u64);
+    let held = since_trained(&["engine", "lock_held", "total_us"]);
+    let busy = since_trained(&["engine", "busy", "total_us"]);
+    assert!(
+        held * 2 < busy,
+        "the engine held the manager lock for {held} µs of {busy} µs busy"
+    );
+    // One hold across the batch lets at most the query already waiting on the lock in
+    // before the reply; matching unlocked lets the prober run its whole loop inside.
+    let inside = |(sent, replied): &(Instant, Instant)| {
+        let within = |(asked, answered): &&(Instant, Instant)| asked > sent && answered < replied;
+        probes.iter().filter(within).count()
+    };
+    let most = spans.iter().map(inside).max().unwrap_or(0);
+    println!("[engine] lock held {held} of {busy} µs busy; {most} queries inside one POST");
+    assert!(
+        most >= 3,
+        "at most {most} queries were answered inside one POST"
+    );
+    // The tenant's query timings: waits beside executions, one of each per query.
+    let count = |name| counter(&after, &["tenants", "t", name, "count"]);
+    assert_eq!(count("query_wait"), probes.len() as u64);
+    assert_eq!(count("query_latency"), probes.len() as u64);
     server.shutdown();
 }
 

@@ -32,8 +32,14 @@
 //!         ▼
 //!    IdBatchResult  ──────►  released in batch order (= arrival order)
 //! ```
+//!
+//! The module also holds the ingest **driver**, [`drive`]: the prepare → match → apply
+//! sequence every ingest entry point runs, written once and parameterised by how it
+//! reaches the topic ([`TopicAccess`]) and by which engine matches ([`Route`]).
 
 use crate::matcher_pool::{IdBatchResult, MatcherPool, StreamRecord};
+use crate::topic::{IngestOutcome, LogTopic, StreamOutcome, StreamOverloaded};
+use bytebrain::matcher::match_ids_batch;
 use bytebrain::{CompiledMatcher, NodeId, ParserModel};
 use logtok::Preprocessor;
 use std::collections::VecDeque;
@@ -531,6 +537,232 @@ impl StreamIngestor {
             stats: std::mem::take(&mut self.stats),
         }
     }
+}
+
+/// How [`drive`] reaches its topic for the phases that touch it. A `&mut LogTopic`
+/// is its own access; the HTTP server's engine thread implements this by taking the
+/// manager's write lock inside `with` and releasing it on return, so whatever
+/// `drive` does between two `with` calls — all of the matching — holds no lock.
+pub trait TopicAccess {
+    /// Run `f` on the topic. Whatever exclusivity that needs is held for exactly
+    /// this call.
+    fn with<R>(&mut self, f: impl FnOnce(&mut LogTopic) -> R) -> R;
+}
+
+impl TopicAccess for LogTopic {
+    fn with<R>(&mut self, f: impl FnOnce(&mut LogTopic) -> R) -> R {
+        f(self)
+    }
+}
+
+/// Which engine matches a batch handed to [`drive`].
+#[derive(Debug, Clone, Copy)]
+pub enum Route<'a> {
+    /// The direct batch path: the whole batch in one `match_ids_batch`.
+    Batch,
+    /// The streaming engine ([`StreamIngestor`]).
+    Stream {
+        /// Streaming-engine tuning.
+        config: &'a IngestConfig,
+        /// Back-pressure bound per push; `None` parks and never sheds.
+        wait: Option<Duration>,
+        /// Bound the pool's workers by the topic's provisioned parallelism (the
+        /// paper's 1–5 cores per topic), as every multi-tenant caller does.
+        clamp_to_topic: bool,
+    },
+}
+
+/// Everything the match phase of an ingest reads, snapshotted by `LogTopic::prepare`:
+/// matching on it touches no topic state, so it may run while readers hold the topic.
+#[derive(Debug)]
+pub(crate) struct MatchContext {
+    pub(crate) model: Arc<ParserModel>,
+    pub(crate) compiled: Arc<CompiledMatcher>,
+    pub(crate) preprocessor: Arc<Preprocessor>,
+    /// The topic's model version when the snapshots were taken.
+    pub(crate) model_version: u64,
+    /// The topic's provisioned worker bound.
+    pub(crate) parallelism: usize,
+    /// Mid-stream checkpoint spacing under `MaintenancePolicy::Incremental`.
+    pub(crate) check_interval: Option<usize>,
+}
+
+impl MatchContext {
+    /// Match a batch on the calling thread's scoped workers (the batch path).
+    pub(crate) fn match_batch<S: AsRef<str> + Sync>(
+        &self,
+        batch: &[S],
+    ) -> Vec<(Option<NodeId>, f64)> {
+        match_ids_batch(
+            &self.model,
+            &self.compiled,
+            &self.preprocessor,
+            batch,
+            self.parallelism,
+        )
+    }
+}
+
+/// One ingest, in three phases, of which only the outer two touch the topic:
+///
+/// 1. **prepare** (`LogTopic::prepare`, microseconds): refresh the automaton if
+///    stale, snapshot `(model, automaton, preprocessor)` and note the model version.
+///    With no model yet there is nothing to match against, and the cold-start batch
+///    is applied (and trained on) whole inside this one `with`.
+/// 2. **match** (no topic state): mask → tokenise → DFA over the snapshots, on the
+///    batch path or through a [`StreamIngestor`]. A push that stays saturated past
+///    `wait` ends the stream; the unconsumed suffix is returned as shed.
+/// 3. **apply**: store the records, insert temporaries, feed the drift window and
+///    the trigger, run whatever maintenance fires — a retrain included — and commit
+///    storage. Under incremental maintenance a stream checkpoints every
+///    `check_interval` records: sync, apply the drained prefix, and roll a patched
+///    model into the running engine. Each checkpoint is one more apply phase.
+///
+/// Returns the outcome of the applied prefix and the shed suffix (empty unless a
+/// bounded stream overloaded).
+pub fn drive<A: TopicAccess>(
+    access: &mut A,
+    records: Vec<String>,
+    route: Route<'_>,
+) -> (StreamOutcome, Vec<String>) {
+    let mut outcome = IngestOutcome::default();
+    let mut stats = IngestStats::default();
+    let mut rejected = Vec::new();
+    let prepared = access.with(|topic| match topic.prepare() {
+        Some(context) => Some((context, records)),
+        None => {
+            let nothing_matches = vec![(None, 0.0); records.len()];
+            let cold = matched_chunk(records, nothing_matches);
+            apply(topic, cold, topic.model_version(), false, &mut outcome);
+            None
+        }
+    });
+    let Some((context, records)) = prepared else {
+        return (StreamOutcome { outcome, stats }, rejected);
+    };
+    match route {
+        Route::Batch => {
+            let results = context.match_batch(&records);
+            let matched_at = context.model_version;
+            // Release the snapshots before applying: a temporary insertion must
+            // patch the topic's model in place, not copy a shared one.
+            drop(context);
+            let chunk = matched_chunk(records, results);
+            access.with(|topic| apply(topic, chunk, matched_at, false, &mut outcome));
+        }
+        Route::Stream {
+            config,
+            wait,
+            clamp_to_topic,
+        } => {
+            let workers = if clamp_to_topic {
+                config.workers.min(context.parallelism)
+            } else {
+                config.workers
+            };
+            let mut matched_at = context.model_version;
+            let mut ingestor = StreamIngestor::new(
+                context.model,
+                context.preprocessor,
+                config.clone().with_workers(workers),
+            )
+            .with_compiled(context.compiled);
+            let mut since_check = 0usize;
+            let mut swapped = false;
+            let mut records = records.into_iter();
+            for record in records.by_ref() {
+                if let Err(overloaded) = ingestor.push(record, wait) {
+                    // Shed: keep the consistent accepted prefix, hand the
+                    // rejected record and the un-pushed tail back verbatim.
+                    rejected.push(overloaded.record);
+                    rejected.extend(records);
+                    break;
+                }
+                since_check += 1;
+                if context.check_interval.is_some_and(|n| since_check >= n) {
+                    since_check = 0;
+                    // Deterministic checkpoint: flush the open batch and wait for
+                    // all in-flight batches, so the drift detector always sees
+                    // the exact pushed prefix. An opportunistic (non-blocking)
+                    // harvest here made maintenance timing — and therefore the
+                    // patched model — depend on worker scheduling, which broke
+                    // run-to-run byte-identity of the incremental path.
+                    ingestor.sync();
+                    let drained = ingestor.drain_completed();
+                    // Durability tracks the checkpoint: the drained records and any
+                    // maintenance event land on disk before the stream resumes.
+                    let swap = access.with(|topic| {
+                        let replaced = apply(topic, drained, matched_at, swapped, &mut outcome);
+                        matched_at = topic.model_version();
+                        replaced.then(|| (topic.model_snapshot(), topic.compiled_snapshot()))
+                    });
+                    if let Some((model, compiled)) = swap {
+                        // Roll the patched model and its recompiled automaton
+                        // into the running stream as one consistent snapshot
+                        // pair; batches flushed from here on match against it.
+                        ingestor.swap_model(model, compiled);
+                        swapped = true;
+                    }
+                }
+            }
+            // `finish` drops the engine and with it the snapshots, so a temporary
+            // insertion below does not copy the model.
+            let report = ingestor.finish();
+            // Stamped onto the segments the trailing commit seals (always finite:
+            // the empty-report path clamps to 0.0).
+            let throughput = report.records_per_second();
+            stats = report.stats;
+            access.with(|topic| {
+                topic.set_ingest_throughput(throughput);
+                apply(topic, report.records, matched_at, swapped, &mut outcome);
+            });
+        }
+    }
+    (StreamOutcome { outcome, stats }, rejected)
+}
+
+/// What [`drive`] returns as the bounded entry points' `Result`: a shed suffix makes
+/// the call an `Err` carrying the committed prefix's outcome.
+pub(crate) fn shed_as_error(
+    (outcome, rejected): (StreamOutcome, Vec<String>),
+) -> Result<StreamOutcome, Box<StreamOverloaded>> {
+    if rejected.is_empty() {
+        Ok(outcome)
+    } else {
+        Err(Box::new(StreamOverloaded { outcome, rejected }))
+    }
+}
+
+/// Pair a batch's records with their match results, in arrival order.
+fn matched_chunk(records: Vec<String>, results: Vec<(Option<NodeId>, f64)>) -> Vec<MatchedRecord> {
+    let pairs = records.into_iter().zip(results).enumerate();
+    pairs
+        .map(|(seq, (record, (node, saturation)))| MatchedRecord {
+            seq: seq as u64,
+            record,
+            node,
+            saturation,
+        })
+        .collect()
+}
+
+/// The apply phase of [`drive`], on whatever hold `with` took: store the chunk,
+/// maintain, commit. Returns whether the model the chunk was matched against has
+/// been replaced — by a maintenance run this phase, or before it (a stale context,
+/// re-matched by `LogTopic::apply_stream_records`) — so a running stream must
+/// take the topic's new snapshot pair.
+fn apply(
+    topic: &mut LogTopic,
+    chunk: Vec<MatchedRecord>,
+    matched_at: u64,
+    rematch_stale: bool,
+    outcome: &mut IngestOutcome,
+) -> bool {
+    let stale_context = topic.apply_stream_records(chunk, matched_at, rematch_stale, outcome);
+    let maintained_before = outcome.maintained;
+    topic.maintain(outcome);
+    topic.commit_storage();
+    stale_context || outcome.maintained > maintained_before
 }
 
 #[cfg(test)]

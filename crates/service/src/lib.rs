@@ -70,7 +70,8 @@ pub use api::{ErrorBody, IngestRequest, IngestResponse, StatsResponse};
 pub use bytebrain::{CompiledMatcher, MatchCache};
 pub use compare::{compare_snapshots, compare_windows, DistributionShift};
 pub use ingest::{
-    IngestConfig, IngestReport, IngestStats, MatchedRecord, Overloaded, StreamIngestor,
+    drive, IngestConfig, IngestReport, IngestStats, MatchedRecord, Overloaded, Route,
+    StreamIngestor, TopicAccess,
 };
 pub use library::TemplateLibrary;
 pub use manager::{FleetStats, ServiceManager, TenantDefaults};

@@ -6,7 +6,7 @@
 //! [`LogTopic`]: it routes ingestion to the right topic, creates topics on first use with
 //! per-tenant defaults, and exposes fleet-wide statistics of the kind Table 5 reports.
 
-use crate::ingest::IngestConfig;
+use crate::ingest::{drive, shed_as_error, IngestConfig, Route};
 use crate::query::{QuerySnapshot, QueryValue};
 use crate::storage::{self, RetentionOutcome, StorageConfig, TopicStorage};
 use crate::topic::{
@@ -156,6 +156,11 @@ impl ServiceManager {
         self.defaults.insert(tenant.to_string(), defaults);
     }
 
+    /// The `(tenant, topic)` key of every topic, in key order.
+    pub fn topic_keys(&self) -> Vec<(String, String)> {
+        self.topics.keys().cloned().collect()
+    }
+
     /// Number of topics across all tenants.
     pub fn topic_count(&self) -> usize {
         self.topics.len()
@@ -229,12 +234,15 @@ impl ServiceManager {
     where
         I: IntoIterator<Item = String>,
     {
-        let topic = self.topic_mut(tenant, topic);
-        // Clamp against what the topic was provisioned with, not the (mutable)
+        // The clamp is against what the topic was provisioned with, not the (mutable)
         // tenant-defaults map — later default changes must not widen existing topics.
-        let parallelism = topic.config().train.parallelism.max(1);
-        let config = config.clone().with_workers(config.workers.min(parallelism));
-        topic.ingest_stream_bounded(records, &config, wait)
+        let route = Route::Stream {
+            config,
+            wait: Some(wait),
+            clamp_to_topic: true,
+        };
+        let records = records.into_iter().collect();
+        shed_as_error(drive(self.topic_mut(tenant, topic), records, route))
     }
 
     /// Execute a composed [`QueryPlan`] against a tenant's topic through the

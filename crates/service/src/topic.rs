@@ -15,7 +15,9 @@
 //! the delta is persisted to the model store as lineage, and the refreshed snapshot is
 //! hot-swapped into a running stream at a flush boundary.
 
-use crate::ingest::{IngestConfig, IngestStats, MatchedRecord, StreamIngestor};
+use crate::ingest::{
+    drive, shed_as_error, IngestConfig, IngestStats, MatchContext, MatchedRecord, Route,
+};
 use crate::query::{QueryCache, QueryIndex, RecordAccess};
 use crate::storage::{
     DeltaEvent, RecordMove, RetentionOutcome, StorageConfig, TopicMeta, TopicStorage, WalRecord,
@@ -23,7 +25,7 @@ use crate::storage::{
 use crate::store::ModelStore;
 use crate::trigger::{TrainingTrigger, TriggerDecision};
 use bytebrain::incremental::{apply_delta, train_delta, DriftConfig, DriftDetector, ModelDelta};
-use bytebrain::matcher::{match_ids_batch, match_view};
+use bytebrain::matcher::match_view;
 use bytebrain::merge::merge_models;
 use bytebrain::train::train;
 use bytebrain::{
@@ -652,37 +654,36 @@ impl LogTopic {
     /// training cycle (or, under [`MaintenancePolicy::Incremental`], an incremental
     /// maintenance run) if the trigger fires or drift is detected.
     pub fn ingest<S: AsRef<str> + Sync>(&mut self, batch: &[S]) -> IngestOutcome {
-        let mut outcome = IngestOutcome::default();
-        // Online matching against the current model (template ids must be available
-        // before the records are written to storage).
-        let matches: Vec<(Option<NodeId>, f64)> = if self.model.is_empty() {
-            vec![(None, 0.0); batch.len()]
-        } else {
-            let compiled = self.compiled_snapshot();
-            match_ids_batch(
-                &self.model,
-                &compiled,
-                &self.preprocessor,
-                batch,
-                self.config.train.parallelism,
-            )
-        };
-        for (record, (matched, saturation)) in batch.iter().zip(&matches) {
-            self.apply_record(record.as_ref().to_owned(), *matched, &mut outcome);
-            if let Some(detector) = &mut self.drift {
-                detector.observe(matched.is_some(), *saturation);
-            }
+        let records = batch.iter().map(|r| r.as_ref().to_owned()).collect();
+        drive(self, records, Route::Batch).0.outcome
+    }
+
+    /// Phase one of an ingest (see [`drive`]): refresh the automaton if stale and
+    /// snapshot what matching reads, stamped with the model version the apply phase
+    /// will check. `None` while no model exists — there is nothing to match against.
+    pub(crate) fn prepare(&mut self) -> Option<MatchContext> {
+        if self.model.is_empty() {
+            return None;
         }
-        self.trigger.observe(batch.len() as u64);
-        self.maintain(&mut outcome);
-        self.commit_storage();
-        outcome
+        Some(MatchContext {
+            compiled: self.compiled_snapshot(),
+            model: self.model_snapshot(),
+            preprocessor: self.preprocessor_snapshot(),
+            model_version: self.model_version,
+            parallelism: self.config.train.parallelism,
+            check_interval: match &self.config.maintenance {
+                MaintenancePolicy::FullRetrain => None,
+                MaintenancePolicy::Incremental { check_interval, .. } => {
+                    Some((*check_interval).max(1))
+                }
+            },
+        })
     }
 
     /// Storage commit point: seal full segments out of the WAL and fsync every dirty
     /// log in one batch. Called at the end of each ingest call and at streaming
     /// checkpoints. No-op for in-memory topics.
-    fn commit_storage(&mut self) {
+    pub(crate) fn commit_storage(&mut self) {
         if self.storage.is_none() {
             return;
         }
@@ -721,7 +722,7 @@ impl LogTopic {
     /// Run whatever maintenance the policy calls for right now: initial or full
     /// training under [`MaintenancePolicy::FullRetrain`]; initial training or delta
     /// absorption under [`MaintenancePolicy::Incremental`].
-    fn maintain(&mut self, outcome: &mut IngestOutcome) {
+    pub(crate) fn maintain(&mut self, outcome: &mut IngestOutcome) {
         let decision = self.trigger.decide(Instant::now());
         let incremental = matches!(
             self.config.maintenance,
@@ -812,9 +813,8 @@ impl LogTopic {
         self.trigger.decide(Instant::now())
     }
 
-    /// A cheap shared snapshot of the current model (used to build a
-    /// [`StreamIngestor`]; the snapshot stays valid while training replaces the
-    /// topic's own copy).
+    /// A cheap shared snapshot of the current model (what a match context or a
+    /// stream engine holds; it stays valid while training replaces the topic's copy).
     pub fn model_snapshot(&self) -> Arc<ParserModel> {
         Arc::clone(&self.model)
     }
@@ -836,9 +836,10 @@ impl LogTopic {
         Arc::clone(&self.preprocessor)
     }
 
-    /// Ingest a stream of records through the streaming engine ([`StreamIngestor`]):
-    /// records are batched by size/time, matched in parallel against an immutable
-    /// snapshot of the current model, and then applied to the topic exactly as
+    /// Ingest a stream of records through the streaming engine
+    /// ([`StreamIngestor`](crate::ingest::StreamIngestor)): records are batched by
+    /// size/time, matched in parallel against an immutable snapshot of the current
+    /// model (the match phase of [`drive`]), and then applied to the topic exactly as
     /// [`LogTopic::ingest`] would — unmatched records become temporary templates,
     /// everything lands in the store and the training buffer, and the volume/time
     /// trigger may start a training run.
@@ -856,7 +857,12 @@ impl LogTopic {
     where
         I: IntoIterator<Item = String>,
     {
-        let (outcome, rejected) = self.stream_inner(records, config, None);
+        let route = Route::Stream {
+            config,
+            wait: None,
+            clamp_to_topic: false,
+        };
+        let (outcome, rejected) = drive(self, records.into_iter().collect(), route);
         debug_assert!(rejected.is_empty(), "unbounded stream never rejects");
         outcome
     }
@@ -876,104 +882,19 @@ impl LogTopic {
     where
         I: IntoIterator<Item = String>,
     {
-        let (outcome, rejected) = self.stream_inner(records, config, Some(wait));
-        if rejected.is_empty() {
-            Ok(outcome)
-        } else {
-            Err(Box::new(StreamOverloaded { outcome, rejected }))
-        }
+        let route = Route::Stream {
+            config,
+            wait: Some(wait),
+            clamp_to_topic: false,
+        };
+        shed_as_error(drive(self, records.into_iter().collect(), route))
     }
 
-    fn stream_inner<I>(
-        &mut self,
-        records: I,
-        config: &IngestConfig,
-        wait: Option<Duration>,
-    ) -> (StreamOutcome, Vec<String>)
-    where
-        I: IntoIterator<Item = String>,
-    {
-        if self.model.is_empty() {
-            let batch: Vec<String> = records.into_iter().collect();
-            let outcome = self.ingest(&batch);
-            return (
-                StreamOutcome {
-                    outcome,
-                    stats: IngestStats::default(),
-                },
-                Vec::new(),
-            );
-        }
-        let check_interval = match &self.config.maintenance {
-            MaintenancePolicy::FullRetrain => None,
-            MaintenancePolicy::Incremental { check_interval, .. } => Some((*check_interval).max(1)),
-        };
-        let mut ingestor = StreamIngestor::new(
-            self.model_snapshot(),
-            self.preprocessor_snapshot(),
-            config.clone(),
-        )
-        .with_compiled(self.compiled_snapshot());
-        let mut outcome = IngestOutcome::default();
-        let mut since_check = 0usize;
-        let mut swapped = false;
-        let mut rejected: Vec<String> = Vec::new();
-        let mut records = records.into_iter();
-        for record in records.by_ref() {
-            if let Err(overloaded) = ingestor.push(record, wait) {
-                // Shed: keep the consistent accepted prefix, hand the
-                // rejected record and the un-pushed tail back verbatim.
-                rejected.push(overloaded.record);
-                rejected.extend(records);
-                break;
-            }
-            if let Some(interval) = check_interval {
-                since_check += 1;
-                if since_check >= interval {
-                    since_check = 0;
-                    // Deterministic checkpoint: flush the open batch and wait for
-                    // all in-flight batches, so the drift detector always sees
-                    // the exact pushed prefix. An opportunistic (non-blocking)
-                    // harvest here made maintenance timing — and therefore the
-                    // patched model — depend on worker scheduling, which broke
-                    // run-to-run byte-identity of the incremental path.
-                    ingestor.sync();
-                    let drained = ingestor.drain_completed();
-                    self.apply_stream_records(drained, swapped, &mut outcome);
-                    let maintained_before = outcome.maintained;
-                    self.maintain(&mut outcome);
-                    // Durability tracks the checkpoint: the drained records and any
-                    // maintenance event land on disk before the stream resumes.
-                    self.commit_storage();
-                    if outcome.maintained > maintained_before {
-                        // Roll the patched model and its recompiled automaton
-                        // into the running stream as one consistent snapshot
-                        // pair; batches flushed from here on match against it.
-                        let compiled = self.compiled_snapshot();
-                        ingestor.swap_model(self.model_snapshot(), compiled);
-                        swapped = true;
-                    }
-                }
-            }
-        }
-        let report = ingestor.finish();
+    /// Stamp the streaming run's throughput onto the segments the next commit seals.
+    pub(crate) fn set_ingest_throughput(&mut self, records_per_second: f64) {
         if let Some(storage) = &mut self.storage {
-            // Stamped onto the segments the trailing commit seals (always finite:
-            // the empty-report path clamps to 0.0).
-            storage.set_ingest_throughput(report.records_per_second());
+            storage.set_ingest_throughput(records_per_second);
         }
-        // The snapshot Arc has been dropped with the engine, so temporary-template
-        // insertion inside apply_record does not clone the model.
-        self.apply_stream_records(report.records, swapped, &mut outcome);
-        self.maintain(&mut outcome);
-        self.commit_storage();
-        (
-            StreamOutcome {
-                outcome,
-                stats: report.stats,
-            },
-            rejected,
-        )
     }
 
     /// Apply a chunk of completed streaming records (already in arrival order) to the
@@ -987,12 +908,31 @@ impl LogTopic {
     /// pattern; keeping the stale outcome would insert duplicate temporaries (and
     /// re-trigger maintenance on already-absorbed drift) or store records pointing
     /// at retired templates, which would then leak into query results.
-    fn apply_stream_records(
+    ///
+    /// `matched_at` is the model version the chunk's ids belong to (the context's at
+    /// [`LogTopic::prepare`], or the previous apply phase's end). The phases rest on
+    /// nothing changing the model in between; should something have — a retrain
+    /// renumbers every node — the ids are discarded and the chunk re-matched here,
+    /// against the live model, exactly as a one-shot ingest would have matched it.
+    /// Returns whether that happened.
+    pub(crate) fn apply_stream_records(
         &mut self,
-        records: Vec<MatchedRecord>,
+        mut records: Vec<MatchedRecord>,
+        matched_at: u64,
         rematch_stale: bool,
         outcome: &mut IngestOutcome,
-    ) {
+    ) -> bool {
+        let stale_context = self.model_version != matched_at;
+        if stale_context {
+            let texts: Vec<&str> = records.iter().map(|r| r.record.as_str()).collect();
+            let context = self
+                .prepare()
+                .expect("matched against a model, so one exists");
+            let fresh = context.match_batch(&texts);
+            for (record, (node, saturation)) in records.iter_mut().zip(fresh) {
+                (record.node, record.saturation) = (node, saturation);
+            }
+        }
         let count = records.len() as u64;
         // Stale records re-match on the topic's engine as it stands now, plus the
         // temporaries this chunk inserts from here on: exact-token templates appended
@@ -1034,6 +974,7 @@ impl LogTopic {
             }
         }
         self.trigger.observe(count);
+        stale_context
     }
 
     /// Force a training cycle on the buffered records.
@@ -1186,15 +1127,9 @@ impl LogTopic {
         if self.records.is_empty() || self.model.is_empty() {
             return;
         }
-        let compiled = self.compiled_snapshot();
+        let context = self.prepare().expect("model just checked non-empty");
         let texts: Vec<&str> = self.records.iter().map(|r| r.record.as_str()).collect();
-        let results = match_ids_batch(
-            &self.model,
-            &compiled,
-            &self.preprocessor,
-            &texts,
-            self.config.train.parallelism,
-        );
+        let results = context.match_batch(&texts);
         for (stored, (node, _)) in self.records.iter_mut().zip(results) {
             stored.template = node;
         }
@@ -1221,18 +1156,12 @@ impl LogTopic {
         if needs_rematch.is_empty() {
             return Vec::new();
         }
-        let compiled = self.compiled_snapshot();
+        let context = self.prepare().expect("model just checked non-empty");
         let texts: Vec<&str> = needs_rematch
             .iter()
             .map(|&idx| self.records[idx].record.as_str())
             .collect();
-        let results = match_ids_batch(
-            &self.model,
-            &compiled,
-            &self.preprocessor,
-            &texts,
-            self.config.train.parallelism,
-        );
+        let results = context.match_batch(&texts);
         let mut moves = Vec::with_capacity(needs_rematch.len());
         for (&idx, (node, _)) in needs_rematch.iter().zip(results) {
             let old = self.records[idx].template;
@@ -1300,6 +1229,7 @@ fn extract_variables(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::TopicAccess;
 
     fn web_access_batch(offset: usize, n: usize) -> Vec<String> {
         (0..n)
@@ -1552,6 +1482,73 @@ mod tests {
         // Post-swap, the tail of the novel family matched against the patched model.
         let followup = topic.ingest(&novel_batch(9_000, 50));
         assert_eq!(followup.matched, 50);
+    }
+
+    /// Reaches the topic as `&mut LogTopic` does, but lets `meddle` at it between
+    /// the prepare phase and the apply phase.
+    struct Meddled<'a> {
+        topic: &'a mut LogTopic,
+        phases: usize,
+        meddle: fn(&mut LogTopic),
+    }
+
+    impl TopicAccess for Meddled<'_> {
+        fn with<R>(&mut self, f: impl FnOnce(&mut LogTopic) -> R) -> R {
+            self.phases += 1;
+            if self.phases == 2 {
+                (self.meddle)(self.topic);
+            }
+            f(self.topic)
+        }
+    }
+
+    #[test]
+    fn stale_context_is_rematched_like_a_one_shot_ingest() {
+        const OOPS: &str = "kernel oops at address ffffffffc0401234 cpu 3";
+        let meddles: [fn(&mut LogTopic); 2] = [
+            // A temporary the context has not seen: its stale `None` would insert a twin.
+            |topic| _ = topic.ingest(&[OOPS]),
+            // A retrain absorbs the novel family and renumbers every node.
+            LogTopic::run_training,
+        ];
+        let config = IngestConfig::default().with_batch_records(64);
+        let stream = Route::Stream {
+            config: &config,
+            wait: None,
+            clamp_to_topic: false,
+        };
+        for (meddle, route) in meddles
+            .into_iter()
+            .flat_map(|m| [(m, Route::Batch), (m, stream)])
+        {
+            let seeded = || {
+                let mut topic = small_topic(1_000_000);
+                topic.ingest(&web_access_batch(0, 300));
+                topic.ingest(&novel_batch(0, 40));
+                topic
+            };
+            let mut batch = web_access_batch(300, 200);
+            batch.push(OOPS.to_string());
+            batch.extend(novel_batch(40, 20));
+
+            let mut one_shot = seeded();
+            meddle(&mut one_shot);
+            let expected = drive(&mut one_shot, batch.clone(), route).0.outcome;
+
+            let mut phased = seeded();
+            let mut access = Meddled {
+                topic: &mut phased,
+                phases: 0,
+                meddle,
+            };
+            assert_eq!(drive(&mut access, batch, route).0.outcome, expected);
+            assert_eq!(access.phases, 2, "prepare, then one apply");
+            assert_eq!(phased.model_version(), one_shot.model_version());
+            assert_eq!(phased.model().len(), one_shot.model().len());
+            let assigned =
+                |t: &LogTopic| t.records().iter().map(|r| r.template).collect::<Vec<_>>();
+            assert_eq!(assigned(&phased), assigned(&one_shot));
+        }
     }
 
     #[test]
