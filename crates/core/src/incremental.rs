@@ -1,12 +1,13 @@
 //! Online incremental model maintenance.
 //!
 //! The paper's two-phase design keeps matching fast by pushing everything expensive
-//! into periodic offline training — but a full retrain is a stop-the-world pause on
-//! the topic: the whole training buffer is re-clustered and the resulting model
-//! renumbers every template, forcing stored records to be re-matched. For
-//! long-running topics whose workload *drifts* (new log statements appear, old ones
-//! decay), this module provides the middle path, analogous to answering queries
-//! under updates: small deltas are absorbed without recomputation.
+//! into periodic offline training — but merging a retrained model the obvious way
+//! ([`merge_models`](crate::merge::merge_models)) renumbers every template, so every
+//! structure keyed by node id has to be rebuilt. This module expresses the same merge
+//! as a *delta* against stable node ids — the service lands every retrain through it —
+//! and, for long-running topics whose workload *drifts* (new log statements appear,
+//! old ones decay), provides the middle path, analogous to answering queries under
+//! updates: small deltas are absorbed without recomputation.
 //!
 //! Three pieces:
 //!
@@ -16,10 +17,9 @@
 //!   saturation of matched records decays below the baseline established on
 //!   healthy traffic (coarse ancestors start absorbing what used to hit precise
 //!   leaves).
-//! * [`train_delta`] — folds a small batch (typically the topic's unmatched
-//!   buffer) into an existing model *as a delta*: the batch is clustered on its
-//!   own (cheap — it is orders of magnitude smaller than the training buffer) and
-//!   the resulting trees are expressed as copy-on-write [`NodePatch`]es against
+//! * [`train_delta`] — folds a batch (a topic's training window, or just its
+//!   unmatched records) into an existing model *as a delta*: the batch is clustered
+//!   on its own and the resulting trees are expressed as copy-on-write [`NodePatch`]es against
 //!   existing nodes plus [`NewNode`] subtrees, using exactly the same
 //!   similarity-driven cluster-merge rules as [`merge_models`](crate::merge::merge_models).
 //! * [`apply_delta`] — materialises a new [`ParserModel`] from a base model and a
@@ -557,17 +557,17 @@ impl<'m> DeltaBuilder<'m> {
     }
 }
 
-/// Train an incremental delta: cluster `records` (typically the topic's small
-/// unmatched buffer) on their own and express the result as a [`ModelDelta`]
+/// Train an incremental delta: cluster `records` (a topic's training window, or just
+/// its unmatched records) on their own and express the result as a [`ModelDelta`]
 /// against `model`, using the same similarity-driven merge rules as
 /// [`merge_models`](crate::merge::merge_models) with `merge_threshold`.
 ///
 /// `apply_delta(model, train_delta(model, records, ..))` produces the same
 /// templates as `merge_models(model, train(records, ..).model, ..)` — verified
 /// by test — while preserving every existing [`NodeId`].
-pub fn train_delta(
+pub fn train_delta<S: AsRef<str>>(
     model: &ParserModel,
-    records: &[String],
+    records: &[S],
     config: &TrainConfig,
     merge_threshold: f64,
 ) -> ModelDelta {
@@ -685,15 +685,13 @@ pub fn apply_delta(base: &ParserModel, delta: &ModelDelta) -> ParserModel {
         new_ids.push(id);
     }
     if delta.retire_temporaries {
-        let absorbed: Vec<NodeId> = model
-            .nodes
-            .iter()
-            .filter(|n| n.temporary && !n.retired)
-            .map(|n| n.id)
-            .collect();
-        for id in absorbed {
-            model.retire(id);
+        // In bulk rather than one `retire` each: a retrain absorbs thousands of
+        // temporaries, and the order is rebuilt below anyway.
+        for node in model.nodes.iter_mut().filter(|n| n.temporary) {
+            node.retired = true;
         }
+        let nodes = &model.nodes;
+        model.roots.retain(|r| !nodes[r.0].retired);
     }
     model.rebuild_match_order();
     model
@@ -809,7 +807,7 @@ mod tests {
     fn empty_batch_yields_empty_delta() {
         let config = TrainConfig::default();
         let model = train(&base_records(), &config).model;
-        let delta = train_delta(&model, &[], &config, 0.6);
+        let delta = train_delta(&model, &[] as &[String], &config, 0.6);
         assert!(delta.is_empty());
         assert_eq!(delta.batch_records, 0);
         let patched = apply_delta(&model, &delta);

@@ -26,6 +26,12 @@ pub fn template_similarity(a: &[TemplateToken], b: &[TemplateToken]) -> f64 {
 /// are appended as new roots. Temporary templates in `base` are removed first — their
 /// logs are represented in `incoming` by construction (the service retrains on recent
 /// logs, which include previously-unmatched ones).
+///
+/// This is the **reference** definition of the merge: it rebuilds the tree and renumbers
+/// every node. The service never calls it — its retrains land through
+/// [`train_delta`](crate::incremental::train_delta), the same rules expressed against
+/// stable node ids — and the differential suites hold that path to this one. The other
+/// caller is [`ByteBrainParser::train_incremental`](crate::ByteBrainParser::train_incremental).
 pub fn merge_models(base: &ParserModel, incoming: &ParserModel, threshold: f64) -> ParserModel {
     let mut merged = ParserModel::new();
     // 1. Copy the non-temporary part of `base`.

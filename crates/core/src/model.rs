@@ -75,9 +75,25 @@ impl ParserModel {
         self.nodes.iter().filter(|n| n.is_leaf() && !n.retired)
     }
 
+    /// The matching order's comparator: descending saturation; on ties templates with
+    /// fewer wildcards (more specific) first, then deeper nodes, so that a
+    /// wildcard-heavy saturated node cannot shadow an exact one; then ascending id.
+    fn match_order_cmp(&self, a: NodeId, b: NodeId) -> std::cmp::Ordering {
+        let na = &self.nodes[a.0];
+        let nb = &self.nodes[b.0];
+        nb.saturation
+            .partial_cmp(&na.saturation)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(na.wildcard_count().cmp(&nb.wildcard_count()))
+            .then(nb.depth.cmp(&na.depth))
+            .then(a.0.cmp(&b.0))
+    }
+
     /// Recompute the matching order. Must be called after the last structural change
-    /// (training, merging, inserting temporary templates, or applying a
-    /// [`ModelDelta`](crate::incremental::ModelDelta)). Retired nodes are excluded.
+    /// made through [`ParserModel::push_node`] or a direct edit of `nodes` (training,
+    /// merging, applying a [`ModelDelta`](crate::incremental::ModelDelta));
+    /// [`ParserModel::insert_temporary`] and [`ParserModel::retire`] keep the order
+    /// current themselves. Retired nodes are excluded.
     pub fn rebuild_match_order(&mut self) {
         let mut order: Vec<NodeId> = self
             .nodes
@@ -85,18 +101,7 @@ impl ParserModel {
             .filter(|n| !n.retired)
             .map(|n| n.id)
             .collect();
-        order.sort_by(|&a, &b| {
-            let na = &self.nodes[a.0];
-            let nb = &self.nodes[b.0];
-            nb.saturation
-                .partial_cmp(&na.saturation)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                // Ties: prefer templates with fewer wildcards (more specific), then deeper
-                // nodes, so that a wildcard-heavy saturated node cannot shadow an exact one.
-                .then(na.wildcard_count().cmp(&nb.wildcard_count()))
-                .then(nb.depth.cmp(&na.depth))
-                .then(a.0.cmp(&b.0))
-        });
+        order.sort_by(|&a, &b| self.match_order_cmp(a, b));
         self.match_order = order;
     }
 
@@ -151,7 +156,12 @@ impl ParserModel {
         };
         let id = self.push_node(node);
         self.add_root(id);
-        self.rebuild_match_order();
+        // One slot in an order that is already sorted: re-sorting it per unmatched
+        // record made every insertion cost the whole model.
+        let at = self
+            .match_order
+            .partition_point(|&other| self.match_order_cmp(other, id).is_lt());
+        self.match_order.insert(at, id);
         id
     }
 
@@ -169,12 +179,12 @@ impl ParserModel {
         self.nodes.iter().filter(|n| n.retired).count()
     }
 
-    /// Retire `id`: remove it from the root set (when present) and exclude it from
-    /// matching while keeping its slot so other [`NodeId`]s remain stable. The caller is
-    /// responsible for calling [`ParserModel::rebuild_match_order`] afterwards.
+    /// Retire `id`: remove it from the root set (when present) and from the matching
+    /// order while keeping its slot so other [`NodeId`]s remain stable.
     pub fn retire(&mut self, id: NodeId) {
         self.nodes[id.0].retired = true;
         self.roots.retain(|&r| r != id);
+        self.match_order.retain(|&n| n != id);
     }
 }
 

@@ -26,7 +26,7 @@ pub struct TrainOutcome {
 }
 
 /// Train a model from raw records.
-pub fn train(records: &[String], config: &TrainConfig) -> TrainOutcome {
+pub fn train<S: AsRef<str>>(records: &[S], config: &TrainConfig) -> TrainOutcome {
     let preprocessor = Preprocessor::new(config.preprocess.clone());
     // OOM guard (§3): sample uniformly when the batch exceeds the configured cap.
     let batch = if records.len() > config.max_training_records {
@@ -35,7 +35,7 @@ pub fn train(records: &[String], config: &TrainConfig) -> TrainOutcome {
         indices.shuffle(&mut rng);
         indices.truncate(config.max_training_records);
         indices.sort_unstable();
-        let sampled: Vec<&str> = indices.iter().map(|&i| records[i].as_str()).collect();
+        let sampled: Vec<&str> = indices.iter().map(|&i| records[i].as_ref()).collect();
         preprocessor.preprocess(&sampled)
     } else {
         preprocessor.preprocess(records)
@@ -228,7 +228,7 @@ mod tests {
 
     #[test]
     fn empty_input_trains_empty_model() {
-        let outcome = train(&[], &TrainConfig::default());
+        let outcome = train(&[] as &[String], &TrainConfig::default());
         assert!(outcome.model.is_empty());
         assert!(outcome.training_assignment.is_empty());
     }

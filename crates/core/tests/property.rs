@@ -518,6 +518,67 @@ fn patched_automaton_equals_scratch_compile_after_random_deltas() {
     }
 }
 
+/// `insert_temporary` slots the new id into the match order and `retire` takes one
+/// out, instead of re-sorting the whole order per call: after **any** interleaving
+/// of the two with `apply_delta`, the order is exactly what `rebuild_match_order`
+/// computes from scratch.
+#[test]
+fn match_order_is_maintained_across_insert_retire_and_delta() {
+    use bytebrain::incremental::{apply_delta, train_delta};
+    use bytebrain::NodeId;
+    use logtok::Preprocessor;
+
+    let mut rng = StdRng::seed_from_u64(adversarial_seed() ^ 0xA070_0003);
+    let config = TrainConfig::default();
+    let pre = Preprocessor::new(config.preprocess.clone());
+
+    for case in 0..8 {
+        let warm: Vec<String> = (0..rng.gen_range(40..120usize))
+            .map(|_| family_record(&mut rng, 0))
+            .collect();
+        let mut model = train(&warm, &config).model;
+        for step in 0..40 {
+            match rng.gen_range(0..6u32) {
+                0 => {
+                    let family = rng.gen_range(1..4u32);
+                    let batch: Vec<String> = (0..rng.gen_range(5..40usize))
+                        .map(|_| family_record(&mut rng, family))
+                        .collect();
+                    let delta = train_delta(&model, &batch, &config, 0.6);
+                    model = apply_delta(&model, &delta);
+                }
+                1 => {
+                    let live: Vec<NodeId> = model
+                        .nodes
+                        .iter()
+                        .filter(|n| !n.retired)
+                        .map(|n| n.id)
+                        .collect();
+                    if !live.is_empty() {
+                        model.retire(live[rng.gen_range(0..live.len())]);
+                    }
+                }
+                // Temporaries dominate, as they do between two maintenance runs;
+                // token counts vary so ties on (saturation, wildcards, depth) do too.
+                _ => {
+                    let family = rng.gen_range(0..4u32);
+                    let line = family_record(&mut rng, family);
+                    let tokens = pre.tokens_of(&format!("novel {step} {line}"));
+                    model.insert_temporary(&tokens[..rng.gen_range(1..tokens.len() + 1)]);
+                }
+            }
+            let maintained = model.match_order().to_vec();
+            let mut rebuilt = model.clone();
+            rebuilt.rebuild_match_order();
+            assert_eq!(
+                maintained,
+                rebuilt.match_order(),
+                "match order drifted from a rebuild (case {case}, step {step})"
+            );
+        }
+    }
+}
+
 /// The sorted-edge DFA produces **byte-identical** assignments to the tree walk on
 /// a model whose start state fans out over hundreds of const edges (the widest
 /// binary search a transition can face), across delta/retire/temporary churn that

@@ -186,8 +186,8 @@ impl QueryIndex {
         self.assigned += locals.len();
     }
 
-    /// Rebuild the whole index from the record store (used after a full retrain, which
-    /// renumbers the tree and re-matches every record).
+    /// Rebuild the whole index from the record store (used after retention drained a
+    /// prefix of it, which shifts every record index).
     pub fn rebuild(records: &[StoredRecord], model_len: usize) -> Self {
         let mut index = QueryIndex::new();
         index.ensure_nodes(model_len);

@@ -110,8 +110,8 @@ impl FrameLog {
         Ok(())
     }
 
-    /// Drop every frame: the log restarts empty (used when a retrain seals the
-    /// epoch and the WAL/event history is rewritten into baseline segments).
+    /// Drop every frame: the log restarts empty (used when an epoch checkpoint
+    /// rewrites the WAL/event history into baseline segments).
     pub fn truncate(&mut self) -> io::Result<()> {
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;

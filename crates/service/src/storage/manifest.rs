@@ -43,6 +43,11 @@ impl SegmentMeta {
     pub fn end_seq(&self) -> u64 {
         self.first_seq + self.records
     }
+
+    /// Whether the segment was sealed at least `ttl` before `now` (unix seconds).
+    pub fn expired(&self, ttl: std::time::Duration, now: u64) -> bool {
+        self.created_at.saturating_add(ttl.as_secs()) <= now
+    }
 }
 
 /// The durable topic state (see module docs for the rewrite points).
@@ -61,8 +66,8 @@ pub struct Manifest {
     pub wal_base_seq: u64,
     /// Sequence number of the oldest retained record (advanced by retention).
     pub first_live_seq: u64,
-    /// Sequence position of the current epoch boundary (the last full
-    /// retrain): records at or past it feed the training/unmatched buffers.
+    /// Sequence position of the last epoch checkpoint: the training window
+    /// starts here unless a retrain event was logged since.
     pub epoch_start_seq: u64,
     /// Model-store version of the epoch's base snapshot (0 = no model yet).
     /// Replay starts from this full snapshot and folds the event log's deltas
@@ -75,11 +80,11 @@ pub struct Manifest {
     /// (replayed delta events are added on top).
     pub maintenance_runs_at_epoch: u64,
     /// Wall-clock seconds of the most recent maintenance run as of the epoch
-    /// boundary (a retrain truncates the event log, so replay cannot derive it).
+    /// boundary (a checkpoint truncates the event log, so replay cannot derive it).
     pub last_maintenance_seconds_at_epoch: f64,
-    /// Completed full training runs.
+    /// Completed training runs as of the epoch boundary (replay adds retrain events).
     pub training_runs: u64,
-    /// Wall-clock seconds of the most recent full training run.
+    /// Wall-clock seconds of the most recent training run as of the epoch boundary.
     pub last_training_seconds: f64,
     /// Accounted bytes of records dropped by retention (keeps `total_bytes`
     /// exact across restarts even after segments are gone).

@@ -8,7 +8,7 @@
 //!   meta.json       topic configuration (name, policy, train config)
 //!   MANIFEST.json   durable state: live segments, epoch, counters, generation
 //!   wal.log         CRC-framed records since the last segment seal
-//!   events.log      CRC-framed delta events since the last epoch boundary
+//!   events.log      CRC-framed maintenance events since the last epoch checkpoint
 //!   lineage.log     model snapshot/delta lineage (the ModelStore, durable)
 //!   segments/       immutable columnar segments (seg-<id>.seg)
 //! ```
@@ -18,11 +18,13 @@
 //! end of each ingest call and every maintenance checkpoint). When enough
 //! records accumulate, the commit seals them into a columnar segment —
 //! template-id column, text column, variable column, per-node postings — and
-//! restarts the WAL. Incremental maintenance appends one event (delta version
-//! and record moves) to the event log; a full retrain is an **epoch boundary**:
-//! it rewrites every live record into fresh baseline segments carrying the
-//! post-retrain assignments, truncates the WAL and event log, and atomically
-//! swaps the manifest.
+//! restarts the WAL. Every maintenance landing, retrain or incremental run,
+//! appends one event (delta version, kind of run, record moves) to the event
+//! log. An **epoch checkpoint** ([`TopicStorage::checkpoint_epoch`]) rewrites
+//! every live record into fresh baseline segments carrying the current
+//! assignments, truncates the WAL and event log, and atomically swaps the
+//! manifest: the first training takes one, after that only a retrain that finds
+//! retention stalled ([`TopicStorage::retention_waiting`]).
 //!
 //! **Recovery** ([`TopicStorage::open`]) replays the manifest's segments, the
 //! WAL tail and the event log on top of the epoch's base model snapshot from
@@ -34,11 +36,11 @@
 //! **Retention invariant.** A segment may be dropped only when (a) its TTL
 //! expired, (b) it holds zero unmatched-at-ingest records (their texts drive
 //! the epoch's model replay), (c) it sits outside the current training window
-//! (sealed before the epoch, or past the training-buffer capacity), and
-//! (d) every older segment was dropped first (the record store stays a
-//! contiguous sequence range). Compaction merges adjacent under-filled
-//! segments; both passes bump the topic **generation**, which is part of the
-//! query-cache key.
+//! ([`TopicStorage::training_window_start`]: sealed before the last retrain, or
+//! past the training-buffer capacity), and (d) every older segment was dropped
+//! first (the record store stays a contiguous sequence range). Compaction
+//! merges adjacent under-filled segments; both passes bump the topic
+//! **generation**, which is part of the query-cache key.
 
 pub mod framing;
 pub mod lineage;
@@ -53,7 +55,7 @@ pub use segment::Segment;
 pub use summary::SegmentSummary;
 pub use wal::{DeltaEvent, RecordMove, WalRecord};
 
-use crate::topic::{MaintenancePolicy, StoredRecord, TopicConfig};
+use crate::topic::{MaintenancePolicy, StoredRecord, TopicConfig, TopicStats};
 use bytebrain::incremental::DriftConfig;
 use bytebrain::{NodeId, TrainConfig};
 use framing::FrameLog;
@@ -196,8 +198,8 @@ impl TopicMeta {
     }
 }
 
-/// Everything [`TopicStorage::open`] recovered from disk, handed to
-/// `LogTopic::recover` for state reconstruction.
+/// Everything [`TopicStorage::open`] recovered from disk, from which
+/// [`LogTopic::open`](crate::topic::LogTopic::open) reconstructs its state.
 #[derive(Debug)]
 pub struct RecoveredTopic {
     /// The provisioned topic configuration.
@@ -208,7 +210,7 @@ pub struct RecoveredTopic {
     pub segments: Vec<Segment>,
     /// WAL records not yet sealed into a segment, ascending by sequence.
     pub wal_tail: Vec<WalRecord>,
-    /// Delta events since the epoch boundary, in append order.
+    /// Maintenance events since the epoch checkpoint, in append order.
     pub events: Vec<DeltaEvent>,
     /// Model snapshot lineage, in version order.
     pub lineage: Vec<LineageEntry>,
@@ -264,10 +266,13 @@ pub struct TopicStorage {
     /// Derived push-down summaries, one per live segment (lockstep with
     /// `manifest.segments`); recomputed from the decoded columns on open.
     summaries: Vec<SegmentSummary>,
-    /// `at_seq` of the latest delta event since the epoch boundary (0 when
+    /// `at_seq` of the latest delta event since the epoch checkpoint (0 when
     /// none): summaries of segments sealed before it are stale — the delta
     /// may have re-matched their records — and must not prune.
     last_delta_seq: u64,
+    /// `at_seq` of the latest *retrain* event since the epoch checkpoint (0
+    /// when none); see [`TopicStorage::training_window_start`].
+    last_retrain_seq: u64,
 }
 
 impl TopicStorage {
@@ -309,13 +314,13 @@ impl TopicStorage {
             last_throughput: 0.0,
             summaries: Vec::new(),
             last_delta_seq: 0,
+            last_retrain_seq: 0,
         })
     }
 
     /// Open an existing topic store: verify and load the manifest's segments,
     /// replay the WAL tail and event log, restore the lineage, delete orphan
-    /// files from crashed seals, and bump the recovery generation. The caller
-    /// feeds the returned [`RecoveredTopic`] into `LogTopic::recover`.
+    /// files from crashed seals, and bump the recovery generation.
     pub fn open(dir: &Path, config: StorageConfig) -> io::Result<(Self, RecoveredTopic)> {
         let (meta_path, manifest_path, wal_path, events_path) = Self::paths(dir);
         let meta_json = fs::read_to_string(&meta_path)?;
@@ -393,6 +398,8 @@ impl TopicStorage {
             .map(|seg| SegmentSummary::build(&seg.variables))
             .collect();
         let last_delta_seq = events_list.iter().map(|e| e.at_seq).max().unwrap_or(0);
+        let retrains = events_list.iter().filter(|e| e.retrain);
+        let last_retrain_seq = retrains.map(|e| e.at_seq).max().unwrap_or(0);
 
         let recovered = RecoveredTopic {
             meta,
@@ -415,6 +422,7 @@ impl TopicStorage {
                 last_throughput: 0.0,
                 summaries,
                 last_delta_seq,
+                last_retrain_seq,
             },
             recovered,
         ))
@@ -458,12 +466,19 @@ impl TopicStorage {
         self.manifest.segments.iter().zip(self.summaries.iter())
     }
 
-    /// `at_seq` of the latest delta event since the epoch boundary (0 when
+    /// `at_seq` of the latest delta event since the epoch checkpoint (0 when
     /// none). Variable-column summaries of segments whose `first_seq` is
     /// below this are stale (the delta may have re-matched their records or
     /// patched their templates) and must not prune.
     pub fn last_delta_seq(&self) -> u64 {
         self.last_delta_seq
+    }
+
+    /// Sequence number the training window starts at: the last training run,
+    /// be it the epoch checkpoint or a retrain event logged since. Retention
+    /// never drains past it and a reopened topic resumes its window here.
+    pub fn training_window_start(&self) -> u64 {
+        self.manifest.epoch_start_seq.max(self.last_retrain_seq)
     }
 
     /// A shared handle to the lineage sink (attached to the topic's
@@ -503,12 +518,15 @@ impl TopicStorage {
         Ok(self.next_seq - 1)
     }
 
-    /// Append one incremental-maintenance event (delta version + record
+    /// Append one maintenance event (delta version + kind of run + record
     /// moves) to the event log. Marks summaries of every already-sealed
     /// segment stale for push-down pruning (see
-    /// [`TopicStorage::last_delta_seq`]).
+    /// [`TopicStorage::last_delta_seq`]); a retrain restarts the training window.
     pub fn append_delta_event(&mut self, event: &DeltaEvent) -> io::Result<()> {
         self.last_delta_seq = self.last_delta_seq.max(event.at_seq);
+        if event.retrain {
+            self.last_retrain_seq = self.last_retrain_seq.max(event.at_seq);
+        }
         self.events.append(&event.encode())
     }
 
@@ -573,22 +591,18 @@ impl TopicStorage {
         Ok(())
     }
 
-    /// Epoch boundary (full retrain): rewrite every live record as fresh
-    /// baseline segments carrying the post-retrain assignments, truncate the
-    /// WAL and event log, and swap the manifest. `records` are the topic's
-    /// live records after `rematch_all`; their flags are cleared — the new
-    /// epoch's model replay starts from the `base_version` snapshot, which
-    /// already absorbed every temporary.
-    #[allow(clippy::too_many_arguments)]
-    pub fn checkpoint_retrain(
+    /// Epoch checkpoint: rewrite every live record as fresh baseline segments
+    /// carrying the current assignments, truncate the WAL and event log, and
+    /// swap the manifest. Must directly follow a training run's re-match: the
+    /// flags of `records` are cleared — the new epoch's model replay starts
+    /// from the full `base_version` snapshot — so the model may hold no live
+    /// temporary and no record may be waiting unmatched.
+    pub fn checkpoint_epoch(
         &mut self,
         records: &[StoredRecord],
         base_version: u64,
         model_version: u64,
-        maintenance_runs: u64,
-        last_maintenance_seconds: f64,
-        training_runs: u64,
-        last_training_seconds: f64,
+        stats: &TopicStats,
         mut vars_of: impl FnMut(&WalRecord) -> Vec<String>,
     ) -> io::Result<()> {
         let first_live = self.manifest.first_live_seq;
@@ -619,10 +633,10 @@ impl TopicStorage {
         self.manifest.epoch_start_seq = self.next_seq;
         self.manifest.epoch_base_version = base_version;
         self.manifest.model_version_at_epoch = model_version;
-        self.manifest.maintenance_runs_at_epoch = maintenance_runs;
-        self.manifest.last_maintenance_seconds_at_epoch = last_maintenance_seconds;
-        self.manifest.training_runs = training_runs;
-        self.manifest.last_training_seconds = last_training_seconds;
+        self.manifest.maintenance_runs_at_epoch = stats.maintenance_runs;
+        self.manifest.last_maintenance_seconds_at_epoch = stats.last_maintenance_seconds;
+        self.manifest.training_runs = stats.training_runs;
+        self.manifest.last_training_seconds = stats.last_training_seconds;
         manifest::write_manifest(&self.dir.join("MANIFEST.json"), &self.manifest)?;
         // Only now is the old epoch unreachable: drop its WAL, events and
         // superseded segment files.
@@ -632,6 +646,7 @@ impl TopicStorage {
         // Fresh epoch: every segment was resealed with current assignments,
         // so all summaries are trustworthy again.
         self.last_delta_seq = 0;
+        self.last_retrain_seq = 0;
         for old in old_segments {
             let _ = fs::remove_file(
                 self.dir
@@ -649,9 +664,22 @@ impl TopicStorage {
     /// (their texts drive the epoch's model replay) and outside the current
     /// training window (`training_cap` = the topic's training-buffer size).
     fn droppable(&self, seg: &SegmentMeta, training_cap: u64) -> bool {
+        let window_start = self.training_window_start();
         seg.flagged == 0
-            && (seg.end_seq() <= self.manifest.epoch_start_seq
-                || seg.first_seq >= self.manifest.epoch_start_seq.saturating_add(training_cap))
+            && (seg.end_seq() <= window_start
+                || seg.first_seq >= window_start.saturating_add(training_cap))
+    }
+
+    /// True when TTL retention is stalled: some expired segment cannot be
+    /// dropped until an epoch checkpoint clears its flags. Never without a TTL.
+    pub fn retention_waiting(&self, training_cap: u64) -> bool {
+        let Some(ttl) = self.config.retention_ttl else {
+            return false;
+        };
+        let now = unix_now();
+        let segments = self.manifest.segments.iter();
+        let mut expired = segments.take_while(|seg| seg.expired(ttl, now));
+        expired.any(|seg| !self.droppable(seg, training_cap))
     }
 
     /// TTL retention: drop the longest expired, droppable prefix of segments.
@@ -665,8 +693,7 @@ impl TopicStorage {
         let mut outcome = RetentionOutcome::default();
         let mut dropped_ids = Vec::new();
         while let Some(seg) = self.manifest.segments.first() {
-            let expired = seg.created_at.saturating_add(ttl.as_secs()) <= now;
-            if !(expired && self.droppable(seg, training_cap)) {
+            if !(seg.expired(ttl, now) && self.droppable(seg, training_cap)) {
                 break;
             }
             let seg = self.manifest.segments.remove(0);

@@ -15,11 +15,11 @@
 //! indexes.
 //!
 //! Soundness under maintenance: the variable column is extracted with the
-//! model as of seal time. A later incremental delta can re-match sealed
-//! records or patch node templates, changing what query-time extraction
-//! returns — so the planner only trusts a summary for segments sealed
-//! *after* the latest delta event ([`super::TopicStorage::last_delta_seq`]
-//! (`super::TopicStorage::last_delta_seq`)); a full-retrain epoch rewrites
+//! model as of seal time. A later delta — a retrain lands as one too — can
+//! re-match sealed records or patch node templates, changing what query-time
+//! extraction returns — so the planner only trusts a summary for segments
+//! sealed *after* the latest delta event
+//! ([`super::TopicStorage::last_delta_seq`]); an epoch checkpoint rewrites
 //! every segment with current assignments and resets that bound. Stale
 //! segments are never pruned, merely evaluated record by record.
 

@@ -6,11 +6,11 @@
 //! * `wal.log` — one [`WalRecord`] per ingested record *since the last segment
 //!   seal*: sequence number, ingest-time match outcome, and the raw text.
 //!   Sealed records move into immutable columnar segments and the WAL restarts.
-//! * `events.log` — one [`DeltaEvent`] per incremental maintenance run *since
-//!   the last epoch boundary (full retrain)*: the snapshot version the delta
-//!   produced, the sequence position it fired at, and the record moves its
-//!   post-delta re-match produced. A retrain truncates the event log — the
-//!   baseline segments it rewrites already carry the final assignments.
+//! * `events.log` — one [`DeltaEvent`] per maintenance landing *since the last
+//!   epoch checkpoint*: the snapshot version the delta produced, the sequence
+//!   position it fired at, the kind of run, and the record moves its re-match
+//!   produced. A checkpoint truncates the event log — the baseline segments it
+//!   rewrites already carry the final assignments.
 
 use super::framing::{Dec, Enc};
 use bytebrain::NodeId;
@@ -82,7 +82,7 @@ impl WalRecord {
 }
 
 /// One record move produced by the post-delta re-match: the record at `seq`
-/// left `old` (a retired temporary or no assignment) for `new`.
+/// left `old` for `new`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordMove {
     /// Sequence number of the moved record.
@@ -93,7 +93,7 @@ pub struct RecordMove {
     pub new: Option<NodeId>,
 }
 
-/// One incremental maintenance run, as logged in `events.log`.
+/// One maintenance landing, as logged in `events.log`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeltaEvent {
     /// The snapshot version the delta produced (its payload lives in the
@@ -107,6 +107,10 @@ pub struct DeltaEvent {
     pub elapsed_seconds: f64,
     /// Record moves from the post-delta re-match.
     pub moves: Vec<RecordMove>,
+    /// The run was a retrain, not an incremental fold: replay counts it as a
+    /// training run and restarts the training window at `at_seq`. A trailing byte;
+    /// a frame from before the tag existed ends at the moves and decodes `false`.
+    pub retrain: bool,
 }
 
 impl DeltaEvent {
@@ -121,6 +125,7 @@ impl DeltaEvent {
             enc.u32(encode_node(mv.old));
             enc.u32(encode_node(mv.new));
         }
+        enc.u8(self.retrain as u8);
         enc.finish()
     }
 
@@ -138,11 +143,13 @@ impl DeltaEvent {
                 new: decode_node(dec.u32()?),
             });
         }
+        let retrain = !dec.is_exhausted() && dec.u8()? != 0;
         Ok(DeltaEvent {
             version,
             at_seq,
             elapsed_seconds,
             moves,
+            retrain,
         })
     }
 }
@@ -187,8 +194,19 @@ mod tests {
                     new: None,
                 },
             ],
+            retrain: true,
         };
-        assert_eq!(DeltaEvent::decode(&event.encode()).unwrap(), event);
+        let bytes = event.encode();
+        assert_eq!(DeltaEvent::decode(&bytes).unwrap(), event);
+        // A frame from before the tag existed stops at the moves.
+        let untagged = DeltaEvent::decode(&bytes[..bytes.len() - 1]).unwrap();
+        assert_eq!(
+            untagged,
+            DeltaEvent {
+                retrain: false,
+                ..event
+            }
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! online matching and query-time threshold navigation need — no external database.
 //!
 //! Two snapshot kinds exist. **Full** snapshots serialize the whole model (written by
-//! offline training runs). **Delta** snapshots serialize only the
-//! [`ModelDelta`] an incremental maintenance run applied, plus the version it applied to — the store records the *lineage* of every
+//! the first training and by epoch checkpoints). **Delta** snapshots serialize only the
+//! [`ModelDelta`] a retrain or an incremental run applied, plus the version it applied to — the store records the *lineage* of every
 //! version, and [`ModelStore::load`] reconstructs a delta version by loading its nearest
 //! full ancestor and replaying the delta chain. [`ModelStore::prune`] therefore never
 //! drops a snapshot that a retained version still depends on.

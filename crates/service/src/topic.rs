@@ -2,18 +2,23 @@
 //!
 //! Records ingested into a topic are matched online against the topic's current model (so
 //! their template id is available to the indexing pipeline before the record is written to
-//! the append-only store), buffered for the next training cycle, and retained with their
-//! most-precise template id for querying. Training is triggered by volume or time and the
-//! refreshed model is merged with the previous one.
+//! the append-only store) and retained with their most-precise template id for querying;
+//! the record store is also what training reads — there is no second copy of the text.
+//! Training is triggered by volume or time and the refreshed model is merged with the
+//! previous one.
 //!
-//! Two maintenance policies exist. [`MaintenancePolicy::FullRetrain`] (the default)
-//! re-clusters the whole training buffer when a trigger fires — a stop-the-world pause
-//! that renumbers the tree and forces every stored record to be re-matched.
-//! [`MaintenancePolicy::Incremental`] instead watches drift (unmatched-rate surges,
-//! saturation decay) and folds only the small *unmatched buffer* into the existing
-//! model as a copy-on-write delta ([`bytebrain::incremental`]): node ids stay stable,
-//! the delta is persisted to the model store as lineage, and the refreshed snapshot is
-//! hot-swapped into a running stream at a flush boundary.
+//! After the first training every model change lands the same way (`land_delta`): a
+//! window of stored records is clustered and folded into the live model as a
+//! copy-on-write delta ([`bytebrain::incremental`]) — node ids stay stable, the ladder and
+//! the automaton are patched, the delta is persisted as lineage, stored records are
+//! re-matched and a durable topic logs one event. The maintenance policies decide only
+//! *when* that runs and *what* it is handed. [`MaintenancePolicy::FullRetrain`] (the
+//! default) fires on the volume/time trigger, trains on the training window (the records
+//! stored since the last training run, capped at `training_buffer`) and re-matches every
+//! stored record. [`MaintenancePolicy::Incremental`] also watches drift (unmatched-rate
+//! surges, saturation decay), trains on the records that matched nothing since the last
+//! run, re-matches only records left unassigned or on a retired temporary, and hot-swaps
+//! the refreshed snapshot into a running stream at a flush boundary.
 
 use crate::ingest::{
     drive, shed_as_error, IngestConfig, IngestStats, MatchContext, MatchedRecord, Route,
@@ -26,7 +31,6 @@ use crate::store::ModelStore;
 use crate::trigger::{TrainingTrigger, TriggerDecision};
 use bytebrain::incremental::{apply_delta, train_delta, DriftConfig, DriftDetector, ModelDelta};
 use bytebrain::matcher::match_view;
-use bytebrain::merge::merge_models;
 use bytebrain::train::train;
 use bytebrain::{
     CompiledMatcher, NodeId, ParserModel, QueryPlan, SaturationLadder, TemplateToken, TrainConfig,
@@ -40,13 +44,13 @@ use std::time::{Duration, Instant};
 /// How a topic keeps its model current as the workload evolves.
 #[derive(Debug, Clone, Default)]
 pub enum MaintenancePolicy {
-    /// Volume/time triggers run a full retrain over the training buffer and merge the
-    /// result into the previous model (the paper's baseline behaviour).
+    /// Volume/time triggers retrain over the training window, merge the result into
+    /// the previous model and re-match every stored record (the paper's baseline
+    /// behaviour).
     #[default]
     FullRetrain,
-    /// Drift detection and volume/time triggers fold the unmatched buffer into the
-    /// current model as an incremental delta — no stop-the-world retrain, stable node
-    /// ids, delta lineage in the model store.
+    /// Drift detection and volume/time triggers fold the unmatched records into the
+    /// current model — only records the fold orphaned are re-matched.
     Incremental {
         /// Sliding-window drift detection bounds.
         drift: DriftConfig,
@@ -67,8 +71,8 @@ pub struct TopicConfig {
     pub volume_threshold: u64,
     /// Train after this much time since the last training run.
     pub interval: Duration,
-    /// Maximum number of recent records buffered for the next training cycle (older
-    /// records are dropped from the buffer — they remain in the topic store).
+    /// Maximum number of records one training cycle reads: the first this many stored
+    /// since the last cycle (the rest stay in the topic store, outside the window).
     pub training_buffer: usize,
     /// Template-similarity threshold used when merging a new model into the old one.
     pub merge_threshold: f64,
@@ -197,7 +201,7 @@ pub struct LogTopic {
     config: TopicConfig,
     preprocessor: Arc<Preprocessor>,
     model: Arc<ParserModel>,
-    /// Compiled automaton snapshot paired with `model`. Rebuilt from scratch on
+    /// Compiled automaton snapshot paired with `model`. Compiled at the first
     /// training, patched per delta, and refreshed lazily after
     /// temporary-template insertions — same swap lifecycle as the ladder.
     compiled: Arc<CompiledMatcher>,
@@ -205,8 +209,8 @@ pub struct LogTopic {
     /// insertions arrive one record at a time; recompiling per record would be
     /// a quadratic storm, so the refresh is deferred to the next match batch).
     compiled_stale: bool,
-    /// Precomputed per-node ancestor ladders for indexed query resolution; rebuilt on
-    /// train, patched incrementally per delta, extended per temporary insertion.
+    /// Precomputed per-node ancestor ladders for indexed query resolution; built at the
+    /// first training, patched per delta, extended per temporary insertion.
     ladder: Arc<SaturationLadder>,
     /// Per-node postings (record index lists) maintained at ingest time so queries
     /// never scan the record store.
@@ -218,9 +222,11 @@ pub struct LogTopic {
     query_cache: QueryCache,
     store: ModelStore,
     trigger: TrainingTrigger,
-    training_buffer: Vec<String>,
-    /// Raw text of records that matched no template, pending incremental absorption.
-    unmatched_buffer: Vec<String>,
+    /// Index into `records` of the first record stored since the last training run.
+    window_start: usize,
+    /// Indices into `records` of the records that matched no template since the last
+    /// maintenance landing, pending absorption (at most `training_buffer` of them).
+    unmatched: Vec<usize>,
     drift: Option<DriftDetector>,
     records: Vec<StoredRecord>,
     total_bytes: u64,
@@ -258,8 +264,8 @@ impl LogTopic {
             query_cache: QueryCache::default(),
             store: ModelStore::new(),
             trigger,
-            training_buffer: Vec::new(),
-            unmatched_buffer: Vec::new(),
+            window_start: 0,
+            unmatched: Vec::new(),
             drift,
             records: Vec::new(),
             total_bytes: 0,
@@ -304,36 +310,35 @@ impl LogTopic {
     /// The replay is **deterministic and match-free**: the postings index loads
     /// straight from the segments' columnar posting lists, flagged records re-execute
     /// the deterministic temporary-template insertion they performed live (no
-    /// matching — the flag and the resulting node id are on disk), and delta events
-    /// re-apply the stored [`ModelDelta`]s. A recovered topic therefore answers every
-    /// query byte-identically to one that never restarted — and never retrains on
-    /// open.
+    /// matching — the flag and the resulting node id are on disk), and maintenance
+    /// events — retrains included — re-apply the stored [`ModelDelta`]s and record
+    /// moves. A recovered topic therefore answers every query byte-identically to one
+    /// that never restarted, never retrains on open, and goes on to train on the same
+    /// window the live topic would have.
     pub fn open(dir: &Path, storage_config: StorageConfig) -> io::Result<Self> {
         let (storage, recovered) = TopicStorage::open(dir, storage_config)?;
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        let config = recovered.meta.to_config();
-        let mut topic = LogTopic::new(config);
+        let mut topic = LogTopic::new(recovered.meta.to_config());
         topic.store = ModelStore::restore(&recovered.lineage);
         topic.store.attach_sink(storage.lineage_sink());
 
+        // Epoch base: the full snapshot and the counters the replay builds on.
         let manifest = &recovered.manifest;
         let first_live = manifest.first_live_seq;
-
-        // Epoch base: the full-retrain snapshot the live records replay on top of.
-        let mut model = if manifest.epoch_base_version > 0 {
-            topic
+        let mut model = match manifest.epoch_base_version {
+            0 => ParserModel::new(),
+            base => topic
                 .store
-                .load(manifest.epoch_base_version)
-                .ok_or_else(|| {
-                    invalid(format!(
-                        "epoch base snapshot v{} unreconstructable",
-                        manifest.epoch_base_version
-                    ))
-                })?
-        } else {
-            ParserModel::new()
+                .load(base)
+                .ok_or_else(|| invalid(format!("epoch base snapshot v{base} unreconstructable")))?,
         };
-        let mut model_version = manifest.model_version_at_epoch;
+        topic.model_version = manifest.model_version_at_epoch;
+        topic.total_bytes = manifest.bytes_dropped;
+        topic.training_runs = manifest.training_runs;
+        topic.last_training_seconds = manifest.last_training_seconds;
+        topic.maintenance_runs = manifest.maintenance_runs_at_epoch;
+        topic.last_maintenance_seconds = manifest.last_maintenance_seconds_at_epoch;
+        let mut last_reset_seq = manifest.epoch_start_seq.max(first_live);
 
         // Postings load straight from the segments' columnar posting lists.
         let mut index = QueryIndex::new();
@@ -346,80 +351,54 @@ impl LogTopic {
         }
 
         // Delta payloads by version, for event replay.
-        let mut delta_of: std::collections::HashMap<u64, &str> = std::collections::HashMap::new();
-        for entry in &recovered.lineage {
-            delta_of.insert(entry.info.version, entry.payload.as_str());
-        }
-
-        let mut records: Vec<StoredRecord> = Vec::new();
-        let mut training_buffer: Vec<String> = Vec::new();
-        let mut unmatched_buffer: Vec<String> = Vec::new();
-        let mut total_bytes = manifest.bytes_dropped;
-        let mut maintenance_runs = manifest.maintenance_runs_at_epoch;
-        let mut last_maintenance_seconds = manifest.last_maintenance_seconds_at_epoch;
-        let mut last_reset_seq = manifest.epoch_start_seq.max(first_live);
-        let buffer_cap = topic.config.training_buffer;
-
-        let mut apply_event = |event: &DeltaEvent,
-                               model: &mut ParserModel,
-                               model_version: &mut u64,
-                               records: &mut Vec<StoredRecord>,
-                               index: &mut QueryIndex,
-                               unmatched_buffer: &mut Vec<String>|
-         -> io::Result<()> {
-            let payload = delta_of.get(&event.version).ok_or_else(|| {
-                invalid(format!(
-                    "delta event v{} missing from lineage",
-                    event.version
-                ))
-            })?;
-            let delta: ModelDelta = serde_json::from_str(payload)
-                .map_err(|e| invalid(format!("delta v{} payload: {e}", event.version)))?;
-            *model = apply_delta(model, &delta);
-            index.ensure_nodes(model.len());
-            *model_version += 1;
-            // The maintenance run consumed the unmatched buffer.
-            unmatched_buffer.clear();
-            // Re-apply the post-delta re-match moves (records dropped by
-            // retention since the event are simply gone).
-            let moves: Vec<(usize, Option<NodeId>, Option<NodeId>)> = event
-                .moves
-                .iter()
-                .filter(|mv| mv.seq >= first_live)
-                .map(|mv| ((mv.seq - first_live) as usize, mv.old, mv.new))
-                .collect();
-            for &(idx, _, new) in &moves {
-                records[idx].template = new;
-            }
-            index.reassign(&moves);
-            maintenance_runs += 1;
-            last_maintenance_seconds = event.elapsed_seconds;
-            last_reset_seq = event.at_seq;
-            Ok(())
-        };
-
+        let lineage = recovered.lineage.iter();
+        let delta_of: std::collections::HashMap<u64, &str> = lineage
+            .map(|entry| (entry.info.version, entry.payload.as_str()))
+            .collect();
         let mut events = recovered.events.iter().peekable();
-        let all_records = recovered
-            .segments
-            .iter()
-            .flat_map(|s| s.records.iter())
-            .chain(recovered.wal_tail.iter());
-        for rec in all_records {
-            while events.peek().map(|e| e.at_seq <= rec.seq).unwrap_or(false) {
-                let event = events.next().expect("peeked event exists");
-                apply_event(
-                    event,
-                    &mut model,
-                    &mut model_version,
-                    &mut records,
-                    &mut index,
-                    &mut unmatched_buffer,
-                )?;
+        let segments = recovered.segments.iter();
+        let mut stored = segments.flat_map(|s| &s.records).chain(&recovered.wal_tail);
+        loop {
+            let rec = stored.next();
+            // An event landed before the record stored at its `at_seq`; a landing
+            // after the last stored record trails them all.
+            let upto = rec.map_or(u64::MAX, |rec| rec.seq);
+            while let Some(event) = events.next_if(|event| event.at_seq <= upto) {
+                let version = event.version;
+                let payload = delta_of.get(&version).ok_or_else(|| {
+                    invalid(format!("delta event v{version} missing from lineage"))
+                })?;
+                let delta: ModelDelta = serde_json::from_str(payload)
+                    .map_err(|e| invalid(format!("delta v{version} payload: {e}")))?;
+                model = apply_delta(&model, &delta);
+                index.ensure_nodes(model.len());
+                topic.model_version += 1;
+                // The landing absorbed the pending unmatched records.
+                topic.unmatched.clear();
+                // Re-apply the post-delta re-match moves (records dropped by
+                // retention since the event are simply gone).
+                let live = event.moves.iter().filter(|mv| mv.seq >= first_live);
+                let moves: Vec<(usize, Option<NodeId>, Option<NodeId>)> = live
+                    .map(|mv| ((mv.seq - first_live) as usize, mv.old, mv.new))
+                    .collect();
+                for &(idx, _, new) in &moves {
+                    topic.records[idx].template = new;
+                }
+                index.reassign(&moves);
+                if event.retrain {
+                    topic.training_runs += 1;
+                    topic.last_training_seconds = event.elapsed_seconds;
+                } else {
+                    topic.maintenance_runs += 1;
+                    topic.last_maintenance_seconds = event.elapsed_seconds;
+                }
+                last_reset_seq = event.at_seq;
             }
-            total_bytes += rec.accounted_bytes();
+            let Some(rec) = rec else { break };
+            topic.total_bytes += rec.accounted_bytes();
             if rec.unmatched {
-                if unmatched_buffer.len() < buffer_cap {
-                    unmatched_buffer.push(rec.text.clone());
+                if topic.unmatched.len() < topic.config.training_buffer {
+                    topic.unmatched.push(topic.records.len());
                 }
                 if !model.is_empty() {
                     // Re-execute the deterministic temporary insertion the live
@@ -427,7 +406,7 @@ impl LogTopic {
                     // stored assignment or the replay diverged.
                     let tokens = topic.preprocessor.tokens_of(&rec.text);
                     let id = model.insert_temporary(&tokens);
-                    model_version += 1;
+                    topic.model_version += 1;
                     index.ensure_nodes(model.len());
                     if rec.node != Some(id) {
                         return Err(invalid(format!(
@@ -439,10 +418,7 @@ impl LogTopic {
                     }
                 }
             }
-            if rec.seq >= manifest.epoch_start_seq && training_buffer.len() < buffer_cap {
-                training_buffer.push(rec.text.clone());
-            }
-            records.push(StoredRecord {
+            topic.records.push(StoredRecord {
                 record: rec.text.clone(),
                 template: rec.node,
             });
@@ -450,20 +426,9 @@ impl LogTopic {
             // WAL tail (never sealed) assigns here.
             if rec.seq >= manifest.sealed_end_seq() {
                 if let Some(node) = rec.node {
-                    index.assign(node, records.len() - 1);
+                    index.assign(node, topic.records.len() - 1);
                 }
             }
-        }
-        // Trailing events (a maintenance run after the last stored record).
-        for event in events {
-            apply_event(
-                event,
-                &mut model,
-                &mut model_version,
-                &mut records,
-                &mut index,
-                &mut unmatched_buffer,
-            )?;
         }
 
         let next_seq = storage.next_seq();
@@ -471,15 +436,8 @@ impl LogTopic {
         topic.compiled_stale = true;
         topic.ladder = Arc::new(SaturationLadder::build(&topic.model));
         topic.index = Arc::new(index);
-        topic.model_version = model_version;
-        topic.records = records;
-        topic.total_bytes = total_bytes;
-        topic.training_buffer = training_buffer;
-        topic.unmatched_buffer = unmatched_buffer;
-        topic.training_runs = manifest.training_runs;
-        topic.last_training_seconds = manifest.last_training_seconds;
-        topic.maintenance_runs = maintenance_runs;
-        topic.last_maintenance_seconds = last_maintenance_seconds;
+        let window_start_seq = storage.training_window_start().max(first_live);
+        topic.window_start = (window_start_seq - first_live) as usize;
         // Trigger state: trained (if a model exists), with the volume counter
         // covering the records since the last training/maintenance reset.
         if !topic.model.is_empty() {
@@ -647,10 +605,22 @@ impl LogTopic {
 
     /// Number of unmatched records pending incremental absorption.
     pub fn unmatched_pending(&self) -> usize {
-        self.unmatched_buffer.len()
+        self.unmatched.len()
     }
 
-    /// Ingest a batch of records: match them online, buffer them for training, and run a
+    /// The records the next training run reads: the first `training_buffer` stored
+    /// since the last one — a view of the record store, which retention never drains.
+    fn training_window(&self) -> &[StoredRecord] {
+        // What a reopen would derive.
+        debug_assert!(self.storage.as_ref().is_none_or(|s| {
+            let first_live = s.first_live_seq();
+            s.training_window_start().max(first_live) - first_live == self.window_start as u64
+        }));
+        let window = &self.records[self.window_start..];
+        &window[..window.len().min(self.config.training_buffer)]
+    }
+
+    /// Ingest a batch of records: match them online, store them, and run a
     /// training cycle (or, under [`MaintenancePolicy::Incremental`], an incremental
     /// maintenance run) if the trigger fires or drift is detected.
     pub fn ingest<S: AsRef<str> + Sync>(&mut self, batch: &[S]) -> IngestOutcome {
@@ -708,8 +678,14 @@ impl LogTopic {
         let outcome = storage.retention_pass(cap).expect("retention pass");
         let merges = storage.compaction_pass().expect("compaction pass");
         if outcome.dropped_records > 0 {
-            self.records.drain(..outcome.dropped_records as usize);
-            // Every record index shifted: rebuild the postings from the survivors.
+            let dropped = outcome.dropped_records as usize;
+            self.records.drain(..dropped);
+            // Every record index shifted: the window start and the pending unmatched
+            // records (retention drops neither) move along, the postings are rebuilt.
+            self.window_start = self.window_start.saturating_sub(dropped);
+            for idx in &mut self.unmatched {
+                *idx -= dropped;
+            }
             self.index = Arc::new(QueryIndex::rebuild(&self.records, self.model.len()));
         }
         if outcome.dropped_segments > 0 || merges > 0 {
@@ -719,27 +695,23 @@ impl LogTopic {
         outcome
     }
 
-    /// Run whatever maintenance the policy calls for right now: initial or full
-    /// training under [`MaintenancePolicy::FullRetrain`]; initial training or delta
-    /// absorption under [`MaintenancePolicy::Incremental`].
+    /// Run whatever maintenance the policy calls for right now: the policy decides
+    /// when a landing fires and which one — a retrain over the training window under
+    /// [`MaintenancePolicy::FullRetrain`], an absorption of the unmatched records
+    /// under [`MaintenancePolicy::Incremental`]. The first training is the same under
+    /// both.
     pub(crate) fn maintain(&mut self, outcome: &mut IngestOutcome) {
         let decision = self.trigger.decide(Instant::now());
         let incremental = matches!(
             self.config.maintenance,
             MaintenancePolicy::Incremental { .. }
         );
-        if !incremental {
+        // The first model is trained whole: there is nothing to fold a delta into yet.
+        if !incremental || decision == TriggerDecision::InitialTraining {
             if decision.should_train() {
                 self.run_training();
                 outcome.trained = true;
             }
-            return;
-        }
-        if decision == TriggerDecision::InitialTraining {
-            // The first model must be trained from scratch — there is nothing to
-            // fold a delta into yet.
-            self.run_training();
-            outcome.trained = true;
             return;
         }
         let drifting = self
@@ -753,9 +725,9 @@ impl LogTopic {
     }
 
     /// Apply one matched record to the topic state: count it, insert a temporary
-    /// template when unmatched (§3), account bytes, and push it into the store and the
-    /// training buffer. Shared by the batch and streaming ingestion paths so the
-    /// topic-state invariants live in exactly one place.
+    /// template when unmatched (§3), account bytes, and move it into the store — the one
+    /// copy of its text, which the training window and the unmatched list point into.
+    /// Shared by the batch and streaming paths so the invariants live in one place.
     fn apply_record(
         &mut self,
         record: String,
@@ -770,8 +742,8 @@ impl LogTopic {
             }
             None => {
                 outcome.unmatched += 1;
-                if self.unmatched_buffer.len() < self.config.training_buffer {
-                    self.unmatched_buffer.push(record.clone());
+                if self.unmatched.len() < self.config.training_buffer {
+                    self.unmatched.push(self.records.len());
                 }
                 // Rare/unseen logs become temporary templates so identical records
                 // match until the next training cycle absorbs them (§3). With no model
@@ -798,9 +770,6 @@ impl LogTopic {
                 .expect("WAL append");
         }
         self.total_bytes += record.len() as u64 + 1;
-        if self.training_buffer.len() < self.config.training_buffer {
-            self.training_buffer.push(record.clone());
-        }
         self.records.push(StoredRecord { record, template });
         if let Some(node) = template {
             // Postings grow in ingest order, so per-node index lists stay sorted.
@@ -841,13 +810,13 @@ impl LogTopic {
     /// size/time, matched in parallel against an immutable snapshot of the current
     /// model (the match phase of [`drive`]), and then applied to the topic exactly as
     /// [`LogTopic::ingest`] would — unmatched records become temporary templates,
-    /// everything lands in the store and the training buffer, and the volume/time
-    /// trigger may start a training run.
+    /// everything lands in the store, and the volume/time trigger may start a
+    /// training run.
     ///
     /// Under [`MaintenancePolicy::Incremental`], completed records are additionally
     /// harvested *while the stream runs* (every `check_interval` pushed records, in
     /// arrival order): they feed the drift detector, and when drift or a volume
-    /// trigger fires, the unmatched buffer is folded into the model as a delta and the
+    /// trigger fires, the unmatched records are folded into the model as a delta and the
     /// refreshed snapshot is hot-swapped into the running engine at the next flush
     /// boundary — ingestion never pauses for a full retrain.
     ///
@@ -912,7 +881,7 @@ impl LogTopic {
     /// `matched_at` is the model version the chunk's ids belong to (the context's at
     /// [`LogTopic::prepare`], or the previous apply phase's end). The phases rest on
     /// nothing changing the model in between; should something have — a retrain
-    /// renumbers every node — the ids are discarded and the chunk re-matched here,
+    /// generalises and retires nodes — the ids are discarded and the chunk re-matched here,
     /// against the live model, exactly as a one-shot ingest would have matched it.
     /// Returns whether that happened.
     pub(crate) fn apply_stream_records(
@@ -977,196 +946,195 @@ impl LogTopic {
         stale_context
     }
 
-    /// Force a training cycle on the buffered records.
+    /// Force a training cycle on the training window: the first training builds the
+    /// model, every later one lands as a delta (`land_delta`) and re-matches
+    /// every stored record against the merged model.
     pub fn run_training(&mut self) {
-        if self.training_buffer.is_empty() {
+        if self.training_window().is_empty() {
             return;
         }
-        let started = Instant::now();
-        let outcome = train(&self.training_buffer, &self.config.train);
-        let new_model = outcome.model;
-        self.model = if self.model.is_empty() {
-            Arc::new(new_model)
+        if self.model.is_empty() {
+            self.run_first_training();
         } else {
-            Arc::new(merge_models(
-                &self.model,
-                &new_model,
-                self.config.merge_threshold,
-            ))
-        };
-        self.last_training_seconds = started.elapsed().as_secs_f64();
-        self.training_runs += 1;
-        self.trigger.mark_trained(Instant::now());
-        self.store.save(&self.model);
-        self.training_buffer.clear();
-        // The training buffer contained every unmatched record, so the retrain absorbed
-        // them; drift windows restart against the refreshed model.
-        self.unmatched_buffer.clear();
-        if let Some(detector) = &mut self.drift {
-            detector.reset_window();
-        }
-        // The tree was renumbered wholesale: the previous compiled snapshot is
-        // garbage, so compile from scratch instead of patching it — and release it
-        // first, so the replacement is built into the memory it frees (building
-        // before releasing cost `http_durable_retrain` 3 % peak RSS, 0 wins of 10).
-        self.compiled = Arc::new(CompiledMatcher::compile(&ParserModel::new()));
-        self.compiled = Arc::new(CompiledMatcher::compile(&self.model));
-        self.compiled_stale = false;
-        // Re-match every stored record: node ids refer to the model that existed at ingest
-        // time, and training (with merging) renumbers the tree. The production system
-        // stores template ids alongside a model version and remaps lazily at query time;
-        // re-matching eagerly exercises the same code path at laptop scale.
-        self.rematch_all();
-        // The tree was renumbered wholesale: rebuild the query state from scratch.
-        self.ladder = Arc::new(SaturationLadder::build(&self.model));
-        self.index = Arc::new(QueryIndex::rebuild(&self.records, self.model.len()));
-        self.model_version += 1;
-        self.query_cache.clear();
-        // Epoch boundary: rewrite every live record as baseline segments carrying
-        // the post-retrain assignments, truncate the WAL and event log, and anchor
-        // the manifest at the snapshot just saved — restart replays from here.
-        if let Some(storage) = &mut self.storage {
-            let base_version = self
-                .store
-                .latest_info()
-                .map(|info| info.version)
-                .unwrap_or(0);
-            let model = Arc::clone(&self.model);
-            let preprocessor = Arc::clone(&self.preprocessor);
-            storage
-                .checkpoint_retrain(
-                    &self.records,
-                    base_version,
-                    self.model_version,
-                    self.maintenance_runs,
-                    self.last_maintenance_seconds,
-                    self.training_runs,
-                    self.last_training_seconds,
-                    |rec| extract_variables(&model, &preprocessor, rec),
-                )
-                .expect("storage retrain checkpoint");
+            self.land_delta(true);
         }
     }
 
-    /// Fold the unmatched buffer into the current model as an incremental delta
-    /// ([`train_delta`] + [`apply_delta`]): existing node ids stay valid — no stored
-    /// record needs re-matching — absorbed temporaries are retired, and the delta is
-    /// persisted to the model store with its lineage. Returns `true` when a delta was
+    /// Fold the unmatched records into the current model (`land_delta`):
+    /// existing node ids stay valid, absorbed temporaries are retired, and only the
+    /// records the fold orphaned are re-matched. Returns `true` when a delta was
     /// applied.
     pub fn run_incremental_maintenance(&mut self) -> bool {
         if self.model.is_empty() {
             return false;
         }
-        if self.unmatched_buffer.is_empty() && self.model.temporary_count() == 0 {
+        if self.unmatched.is_empty() && self.model.temporary_count() == 0 {
             // Nothing to absorb; restart the trigger clock so the check does not spin.
-            self.trigger.mark_maintained(Instant::now());
+            self.trigger.mark_trained(Instant::now());
             if let Some(detector) = &mut self.drift {
                 detector.reset_window();
             }
             return false;
         }
+        self.land_delta(false);
+        true
+    }
+
+    /// The text a run trains on, borrowed from the record store: the training window
+    /// for a training run, the pending unmatched records for an incremental one.
+    fn window_texts(&self, retrain: bool) -> Vec<&str> {
+        if retrain {
+            let window = self.training_window().iter();
+            window.map(|stored| stored.record.as_str()).collect()
+        } else {
+            let pending = self.unmatched.iter();
+            pending
+                .map(|&idx| self.records[idx].record.as_str())
+                .collect()
+        }
+    }
+
+    /// The first training: there is no model to fold a delta into and no assignment
+    /// to move a record *from*, so the model, the automaton and the ladder are built
+    /// whole, every stored record is matched, and a durable topic starts its first
+    /// epoch from the result.
+    fn run_first_training(&mut self) {
         let started = Instant::now();
-        let batch = std::mem::take(&mut self.unmatched_buffer);
+        let model = train(&self.window_texts(true), &self.config.train).model;
+        self.model = Arc::new(model);
+        let base_version = self.store.save(&self.model).version;
+        self.compiled = Arc::new(CompiledMatcher::compile(&self.model));
+        self.compiled_stale = false;
+        self.ladder = Arc::new(SaturationLadder::build(&self.model));
+        self.finish_run(true, started);
+        self.rematch(true);
+        self.checkpoint_epoch(base_version);
+    }
+
+    /// The one way a model change lands once a model exists. The window (see
+    /// [`LogTopic::window_texts`]) is clustered on its own and merged into the live
+    /// model as a delta — node ids stay stable, so the ladder and the automaton are
+    /// patched, not rebuilt — the delta is persisted with its lineage, stored records
+    /// are re-matched (all of them after a retrain, the orphaned ones otherwise), and
+    /// a durable topic appends one event: everything replay needs to fold the delta
+    /// back in without matching a single line.
+    fn land_delta(&mut self, retrain: bool) {
+        let started = Instant::now();
         let delta = train_delta(
             &self.model,
-            &batch,
+            &self.window_texts(retrain),
             &self.config.train,
             self.config.merge_threshold,
         );
         self.model = Arc::new(apply_delta(&self.model, &delta));
-        // Patch the ladder in place — only the subtrees the delta touched recompute —
-        // and invalidate cached query results before the swapped model can serve.
+        // Only the subtrees the delta touched recompute.
         Arc::make_mut(&mut self.ladder).apply_delta(&self.model, &delta);
         Arc::make_mut(&mut self.index).ensure_nodes(self.model.len());
-        // Node ids stayed stable, so the automaton is patched rather than
-        // rebuilt: the next compiled_snapshot() folds the delta into the trie.
+        // The next compiled_snapshot() folds the delta into the trie.
         self.compiled_stale = true;
-        self.model_version += 1;
-        self.query_cache.clear();
-        self.store.save_delta(&delta, &self.model);
-        self.last_maintenance_seconds = started.elapsed().as_secs_f64();
-        self.maintenance_runs += 1;
-        self.trigger.mark_maintained(Instant::now());
+        let version = self.store.save_delta(&delta, &self.model).version;
+        let elapsed_seconds = self.finish_run(retrain, started);
+        let moves = self.rematch(retrain);
+        let Some(storage) = &mut self.storage else {
+            return;
+        };
+        let first_live = storage.first_live_seq();
+        let moved = |&(idx, old, new): &(usize, _, _)| RecordMove {
+            seq: first_live + idx as u64,
+            old,
+            new,
+        };
+        let event = DeltaEvent {
+            version,
+            at_seq: storage.next_seq(),
+            elapsed_seconds,
+            moves: moves.iter().map(moved).collect(),
+            retrain,
+        };
+        storage.append_delta_event(&event).expect("event append");
+        // Flagged records pin their segments until an epoch checkpoint clears the
+        // flags. A retrain has just absorbed every one of them, so it is the point
+        // where a checkpoint is sound — taken only if retention is stalled on it.
+        if retrain && storage.retention_waiting(self.config.training_buffer as u64) {
+            let base_version = self.store.save(&self.model).version;
+            self.checkpoint_epoch(base_version);
+        }
+    }
+
+    /// Bookkeeping shared by every model change: counters, the trigger clock, the
+    /// drift window, the windows the next run will read, the model version and the
+    /// query cache. Returns the run's wall-clock seconds.
+    fn finish_run(&mut self, retrain: bool, started: Instant) -> f64 {
+        let elapsed_seconds = started.elapsed().as_secs_f64();
+        if retrain {
+            self.last_training_seconds = elapsed_seconds;
+            self.training_runs += 1;
+            self.window_start = self.records.len();
+        } else {
+            self.last_maintenance_seconds = elapsed_seconds;
+            self.maintenance_runs += 1;
+        }
+        self.trigger.mark_trained(Instant::now());
+        // Either window contained every pending unmatched record.
+        self.unmatched.clear();
         if let Some(detector) = &mut self.drift {
             detector.reset_window();
         }
-        // Only records that pointed at a now-retired temporary (or matched nothing)
-        // need a fresh assignment; everyone else's node id is still valid.
-        let moves = self.rematch_retired();
-        if let Some(storage) = &mut self.storage {
-            // One event per maintenance run: the delta's snapshot version (its
-            // payload is in the lineage log), the sequence position it fired at,
-            // and the re-match moves — everything replay needs to fold the delta
-            // back in without matching a single line.
-            let version = self
-                .store
-                .latest_info()
-                .map(|info| info.version)
-                .unwrap_or(0);
-            let first_live = storage.first_live_seq();
-            let event = DeltaEvent {
-                version,
-                at_seq: storage.next_seq(),
-                elapsed_seconds: self.last_maintenance_seconds,
-                moves: moves
-                    .iter()
-                    .map(|&(idx, old, new)| RecordMove {
-                        seq: first_live + idx as u64,
-                        old,
-                        new,
-                    })
-                    .collect(),
-            };
-            storage.append_delta_event(&event).expect("event append");
-        }
-        true
+        self.model_version += 1;
+        self.query_cache.clear();
+        elapsed_seconds
     }
 
-    /// Re-assign template ids for every stored record against the current model.
-    fn rematch_all(&mut self) {
-        if self.records.is_empty() || self.model.is_empty() {
+    /// Epoch checkpoint of a durable topic: rewrite every live record as baseline
+    /// segments carrying its current assignment, truncate the WAL and event log, and
+    /// anchor the manifest at `base_version`, the full snapshot just saved — restart
+    /// replays from here. Called right after a training run's re-match, when no
+    /// temporary is live and no unmatched record is pending.
+    fn checkpoint_epoch(&mut self, base_version: u64) {
+        let stats = self.stats();
+        let Some(storage) = &mut self.storage else {
             return;
-        }
-        let context = self.prepare().expect("model just checked non-empty");
-        let texts: Vec<&str> = self.records.iter().map(|r| r.record.as_str()).collect();
-        let results = context.match_batch(&texts);
-        for (stored, (node, _)) in self.records.iter_mut().zip(results) {
-            stored.template = node;
-        }
+        };
+        let (model, preprocessor) = (&self.model, &self.preprocessor);
+        let vars_of = |rec: &WalRecord| extract_variables(model, preprocessor, rec);
+        storage
+            .checkpoint_epoch(
+                &self.records,
+                base_version,
+                self.model_version,
+                &stats,
+                vars_of,
+            )
+            .expect("storage epoch checkpoint");
     }
 
-    /// Re-assign template ids only for stored records that are unassigned or point at
-    /// a retired node — the cheap post-delta fix-up (everything else kept its id).
-    /// Returns the `(record index, old, new)` moves (the storage tier logs them as
-    /// part of the maintenance event).
-    fn rematch_retired(&mut self) -> Vec<(usize, Option<NodeId>, Option<NodeId>)> {
-        if self.records.is_empty() || self.model.is_empty() {
+    /// Re-assign template ids against the current model: for every stored record after
+    /// a training run, otherwise only for records that are unassigned or point at a
+    /// retired node (everyone else's id is still valid). Returns the
+    /// `(record index, old, new)` of the assignments that changed, which the storage
+    /// tier logs as part of the maintenance event.
+    fn rematch(&mut self, every_record: bool) -> Vec<(usize, Option<NodeId>, Option<NodeId>)> {
+        let Some(context) = self.prepare() else {
             return Vec::new();
-        }
-        let needs_rematch: Vec<usize> = self
-            .records
-            .iter()
-            .enumerate()
-            .filter(|(_, stored)| match stored.template {
-                None => true,
-                Some(id) => self.model.node(id).map(|node| node.retired).unwrap_or(true),
-            })
-            .map(|(idx, _)| idx)
+        };
+        let orphaned = |stored: &StoredRecord| match stored.template {
+            None => true,
+            Some(id) => self.model.node(id).map(|node| node.retired).unwrap_or(true),
+        };
+        let candidates: Vec<usize> = (0..self.records.len())
+            .filter(|&idx| every_record || orphaned(&self.records[idx]))
             .collect();
-        if needs_rematch.is_empty() {
-            return Vec::new();
-        }
-        let context = self.prepare().expect("model just checked non-empty");
-        let texts: Vec<&str> = needs_rematch
+        let texts: Vec<&str> = candidates
             .iter()
             .map(|&idx| self.records[idx].record.as_str())
             .collect();
         let results = context.match_batch(&texts);
-        let mut moves = Vec::with_capacity(needs_rematch.len());
-        for (&idx, (node, _)) in needs_rematch.iter().zip(results) {
-            let old = self.records[idx].template;
-            self.records[idx].template = node;
-            moves.push((idx, old, node));
+        let mut moves = Vec::new();
+        for (&idx, (node, _)) in candidates.iter().zip(results) {
+            let old = std::mem::replace(&mut self.records[idx].template, node);
+            if old != node {
+                moves.push((idx, old, node));
+            }
         }
         Arc::make_mut(&mut self.index).reassign(&moves);
         moves
@@ -1508,7 +1476,7 @@ mod tests {
         let meddles: [fn(&mut LogTopic); 2] = [
             // A temporary the context has not seen: its stale `None` would insert a twin.
             |topic| _ = topic.ingest(&[OOPS]),
-            // A retrain absorbs the novel family and renumbers every node.
+            // A retrain absorbs the novel family: its temporaries are retired.
             LogTopic::run_training,
         ];
         let config = IngestConfig::default().with_batch_records(64);

@@ -82,19 +82,12 @@ impl TrainingTrigger {
         }
     }
 
-    /// Mark that a training run completed at `now`.
+    /// Mark that a training or maintenance run completed at `now`: the pending-record
+    /// counter resets and the interval clock restarts.
     pub fn mark_trained(&mut self, now: Instant) {
         self.records_since_training = 0;
         self.last_training = Some(now);
         self.ever_trained = true;
-    }
-
-    /// Mark that an incremental maintenance run completed at `now`. Same effect as
-    /// [`TrainingTrigger::mark_trained`] — the pending-record counter resets and the
-    /// interval clock restarts — kept distinct so call sites record whether a full
-    /// retrain or a delta absorption satisfied the trigger.
-    pub fn mark_maintained(&mut self, now: Instant) {
-        self.mark_trained(now);
     }
 }
 

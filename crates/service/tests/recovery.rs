@@ -192,6 +192,33 @@ fn assert_recovered(recovered: &LogTopic, expected: &Expectation, ctx: &str) {
     );
 }
 
+/// Two topics that went through the same operations on their own — a live one and
+/// one reopened along the way — agree on everything but what the wall clock wrote.
+fn assert_same_but_for_clocks(live: &LogTopic, reopened: &LogTopic, ctx: &str) {
+    let clockless = |stats: TopicStats| TopicStats {
+        last_training_seconds: 0.0,
+        last_maintenance_seconds: 0.0,
+        ..stats
+    };
+    let (live, reopened) = (capture(live), capture(reopened));
+    assert_eq!(reopened.records, live.records, "{ctx}: record texts");
+    assert_eq!(
+        reopened.model_version, live.model_version,
+        "{ctx}: model version"
+    );
+    assert_eq!(reopened.model_json, live.model_json, "{ctx}: model JSON");
+    assert_eq!(
+        clockless(reopened.stats),
+        clockless(live.stats),
+        "{ctx}: topic stats"
+    );
+    assert_eq!(reopened.groups, live.groups, "{ctx}: group battery");
+    assert_eq!(
+        reopened.distribution, live.distribution,
+        "{ctx}: template distribution"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Durable wiring is semantically invisible
 // ---------------------------------------------------------------------------
@@ -373,25 +400,41 @@ fn meta_carrying_the_retired_match_engine_tag_reopens() {
 
 #[test]
 fn wal_replay_equals_live_at_every_boundary() {
+    let incremental = MaintenancePolicy::Incremental {
+        drift: DriftConfig::default()
+            .with_window(200)
+            .with_min_samples(50)
+            .with_max_unmatched_rate(0.3),
+        check_interval: 128,
+    };
+    // TTL-0 retention makes nearly every retrain take an epoch checkpoint; the
+    // topic that keeps everything never takes one after the first training, so its
+    // training window is replayed from retrain events alone.
+    let configurations = [
+        (incremental, Some(Duration::ZERO)),
+        (MaintenancePolicy::FullRetrain, Some(Duration::ZERO)),
+        (MaintenancePolicy::FullRetrain, None),
+    ];
     let seeds = base_seed()..base_seed() + 3;
-    for seed in seeds {
-        let dir = scratch_dir(&format!("fuzz-{seed}"));
+    for (seed, (index, (policy, ttl))) in
+        seeds.flat_map(|seed| configurations.iter().enumerate().map(move |c| (seed, c)))
+    {
+        let tag = format!("fuzz-{seed}-{index}");
+        let dir = scratch_dir(&tag);
         let config = TopicConfig::new("fuzz")
             .with_volume_threshold(400)
-            .with_maintenance(MaintenancePolicy::Incremental {
-                drift: DriftConfig::default()
-                    .with_window(200)
-                    .with_min_samples(50)
-                    .with_max_unmatched_rate(0.3),
-                check_interval: 128,
-            });
-        let storage = fast_storage().with_retention_ttl(Duration::ZERO);
+            .with_maintenance(policy.clone());
+        let storage = StorageConfig {
+            retention_ttl: *ttl,
+            ..fast_storage()
+        };
         let mut topic =
             LogTopic::durable(config, &dir, storage.clone()).expect("create durable topic");
 
         let mut rng = Rng(seed);
         let mut offset = 0usize;
-        for op_index in 0..10 {
+        const OPS: usize = 10;
+        for op_index in 0..OPS {
             let op = rng.below(6);
             match op {
                 0 | 1 => {
@@ -416,21 +459,78 @@ fn wal_replay_equals_live_at_every_boundary() {
 
             // Kill here: freeze the directory exactly as the crash would leave it,
             // then recover from the frozen copy and compare against the live topic.
-            let frozen = scratch_dir(&format!("fuzz-{seed}-boundary-{op_index}"));
+            let frozen = scratch_dir(&format!("{tag}-boundary-{op_index}"));
             fs::remove_dir_all(&frozen).ok();
             copy_dir_all(&dir, &frozen);
             let expected = capture(&topic);
-            let recovered = LogTopic::open(&frozen, storage.clone())
-                .unwrap_or_else(|e| panic!("seed {seed} op {op_index} ({op}): recover: {e}"));
-            assert_recovered(
-                &recovered,
-                &expected,
-                &format!("seed {seed} boundary after op {op_index} (kind {op})"),
-            );
+            let mut recovered = LogTopic::open(&frozen, storage.clone())
+                .unwrap_or_else(|e| panic!("{tag} op {op_index} ({op}): recover: {e}"));
+            let ctx = format!("{tag} boundary after op {op_index} (kind {op})");
+            assert_recovered(&recovered, &expected, &ctx);
+
+            // Recovery continues where live does: the reopened topic and the one
+            // that never stopped take the same records, retrain on the same window
+            // and absorb the same unmatched records.
+            if op_index == OPS - 1 {
+                let mut more = web_access_batch(offset, 60);
+                more.extend(novel_batch(offset, 40));
+                for continuing in [&mut topic, &mut recovered] {
+                    continuing.ingest(&more);
+                    continuing.run_training();
+                    continuing.ingest(&novel_batch(offset + 40, 30));
+                    continuing.run_incremental_maintenance();
+                }
+                assert_same_but_for_clocks(&topic, &recovered, &format!("{ctx}, continued"));
+            }
             fs::remove_dir_all(&frozen).ok();
         }
         fs::remove_dir_all(&dir).ok();
     }
+}
+
+// ---------------------------------------------------------------------------
+// An events.log from before retrains were events still opens
+// ---------------------------------------------------------------------------
+
+#[test]
+fn events_log_without_the_retrain_tag_reopens() {
+    use service::storage::framing::FrameLog;
+
+    let dir = scratch_dir("untagged-events");
+    let config = TopicConfig::new("untagged")
+        .with_volume_threshold(100_000)
+        .with_incremental_maintenance(
+            DriftConfig::default()
+                .with_window(200)
+                .with_min_samples(50)
+                .with_max_unmatched_rate(0.3),
+        );
+    let mut topic = LogTopic::durable(config, &dir, fast_storage()).expect("create durable topic");
+    topic.ingest(&web_access_batch(0, 300));
+    topic.ingest(&novel_batch(0, 200));
+    topic.ingest(&web_access_batch(300, 100));
+    topic.ingest(&auth_batch(0, 200));
+    assert!(topic.stats().maintenance_runs >= 2, "two delta events");
+    let expected = capture(&topic);
+    drop(topic);
+
+    // Rewrite every frame the way it was written before the tag existed: an
+    // incremental run's event, ending at its moves.
+    let mut frames: Vec<Vec<u8>> = Vec::new();
+    let path = dir.join("events.log");
+    let mut log = FrameLog::open(&path, |frame| frames.push(frame.to_vec())).expect("read events");
+    assert!(frames.len() >= 2);
+    log.truncate().expect("truncate events");
+    for frame in &frames {
+        let (tag, untagged) = frame.split_last().expect("non-empty frame");
+        assert_eq!(*tag, 0, "an incremental run is tagged as no retrain");
+        log.append(untagged).expect("append untagged frame");
+    }
+    drop(log);
+
+    let recovered = LogTopic::open(&dir, fast_storage()).expect("untagged events.log must open");
+    assert_recovered(&recovered, &expected, "untagged events");
+    fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
-//! Cross-crate integration tests: ByteBrain accuracy on the synthetic LogHub corpora.
+//! Cross-crate integration tests: ByteBrain accuracy on the synthetic LogHub corpora,
+//! through the library facade and through the service's ingest → retrain path.
 
 use bytebrain::{ByteBrainParser, TrainConfig};
-use datasets::LabeledDataset;
+use datasets::{GeneratorConfig, LabeledDataset};
 use eval::grouping_accuracy;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use service::{LogTopic, TopicConfig};
+
+mod common;
 
 fn ga_on(dataset: &str, threshold: f64) -> f64 {
     let ds = LabeledDataset::loghub(dataset);
@@ -41,5 +47,73 @@ fn threshold_sweep_keeps_reasonable_accuracy() {
     assert!(
         max > 0.8,
         "best threshold should exceed 0.8 GA, got {values:?}"
+    );
+}
+
+/// Group ids for scoring: records presenting the same template text share one;
+/// an unassigned record is its own group.
+fn groups_of(presentations: Vec<Option<String>>) -> Vec<usize> {
+    let mut interner = std::collections::HashMap::new();
+    let singletons = presentations.len();
+    let ids = presentations.into_iter().enumerate().map(|(idx, text)| {
+        let fresh = interner.len();
+        text.map_or(singletons + idx, |text| {
+            *interner.entry(text).or_insert(fresh)
+        })
+    });
+    ids.collect()
+}
+
+/// Accuracy of the *service* path, where the benchmark loses most of it (ROADMAP
+/// item 4): a labelled stream drifting from one family to another goes through
+/// `LogTopic::ingest` with retrains and is scored at the standard threshold. The score
+/// is pinned to what the library-only reference produces on the same stream — a
+/// landing that stops re-matching stored records against the merged model (0.176 →
+/// 0.121 on `lpbench http_durable_retrain`) moves it.
+#[test]
+fn service_path_accuracy_matches_the_merge_and_rematch_reference() {
+    const TOTAL: usize = 12_000;
+    let seed = common::base_seed();
+    let base = LabeledDataset::generate(&GeneratorConfig::loghub2("Apache", TOTAL).with_seed(seed));
+    let drift = LabeledDataset::generate(
+        &GeneratorConfig::loghub2("OpenSSH", TOTAL).with_seed(seed ^ 0xD21F7),
+    );
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xACC);
+    let (mut records, mut labels) = (Vec::new(), Vec::new());
+    for i in 0..TOTAL {
+        // The second family ramps from absent (first third) to dominant (end).
+        let p_drift = (i as f64 / TOTAL as f64 - 0.33).max(0.0) * 1.4;
+        if rng.gen_bool(p_drift) {
+            records.push(drift.records[i].clone());
+            labels.push(base.templates.len() + drift.labels[i]);
+        } else {
+            records.push(base.records[i].clone());
+            labels.push(base.labels[i]);
+        }
+    }
+
+    let mut config = TopicConfig::new("accuracy").with_volume_threshold(3_000);
+    config.training_buffer = 2_000;
+    let mut topic = LogTopic::new(config.clone());
+    let mut reference = common::MergeReference::new(&config);
+    for chunk in records.chunks(500) {
+        let trained = topic.ingest(chunk).trained;
+        reference.ingest(chunk);
+        if trained {
+            reference.retrain();
+        }
+    }
+    assert!(topic.stats().training_runs >= 4, "the stream must retrain");
+    assert_eq!(topic.stats().templates, reference.templates());
+
+    let served = groups_of(common::topic_presentations(&topic, 0.6));
+    let assigned = reference.assigned.iter().copied();
+    let expected = groups_of(common::presentations(&reference.model, assigned, 0.6));
+    let ga = grouping_accuracy(&served, &labels);
+    eprintln!("[accuracy] service path on the drifting stream: {ga:.4}");
+    assert_eq!(ga, grouping_accuracy(&expected, &labels));
+    assert!(
+        ga > 0.0,
+        "a stream of labelled families cannot score nothing"
     );
 }

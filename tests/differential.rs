@@ -7,7 +7,9 @@
 //! A second harness drives a drifting 100k-line workload through a full-retrain
 //! topic and an incremental topic side by side and proves the incremental path
 //! converges to the same template groupings without a single stop-the-world
-//! retrain.
+//! retrain. A third holds the one path every retrain lands through to its
+//! library-only reference (`common::MergeReference`): train the window, `merge_models`,
+//! re-match everything.
 //!
 //! The base seed is `BYTEBRAIN_TEST_SEED` (default 1); CI runs a seed matrix.
 
@@ -20,12 +22,8 @@ use bytebrain_repro::service::{IngestConfig, LogTopic, MaintenancePolicy, TopicC
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn base_seed() -> u64 {
-    std::env::var("BYTEBRAIN_TEST_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
+mod common;
+use common::base_seed;
 
 /// A seeded random workload: a generated corpus split into a warm-up prefix (cold-start
 /// training) and the measured stream.
@@ -307,6 +305,84 @@ fn incremental_maintenance_converges_with_full_retrain_on_drifting_workload() {
         agreement >= 0.9,
         "incremental maintenance diverged from full retrain: agreement {agreement:.4}"
     );
+}
+
+/// A retrain lands as a delta against the live model — stable node ids, patched
+/// ladder and automaton, changed assignments logged as moves — where it used to
+/// `merge_models` into a renumbered tree and rebuild everything. The two must be the
+/// same algorithm: after every training run of a drifting stream, in memory and
+/// durable, each stored record presents the same template text at every threshold as
+/// under the library-only reference, and the template counts agree.
+#[test]
+fn retrain_landing_is_byte_identical_to_merge_and_rematch_reference() {
+    use bytebrain_repro::service::StorageConfig;
+    use common::{presentations, topic_presentations, MergeReference};
+    const TOTAL: usize = 24_000;
+    const CHUNK: usize = 800;
+    const THRESHOLDS: [f64; 5] = [0.0, 0.35, 0.6, 0.9, 1.0];
+    let stream = drifting_workload(TOTAL, base_seed());
+
+    let mut config = TopicConfig::new("landing").with_volume_threshold(4_800);
+    // Smaller than the volume between two retrains: the window's cap binds.
+    config.training_buffer = 3_000;
+    let dir = std::env::temp_dir().join(format!("bb-diff-landing-{}", std::process::id()));
+    if dir.exists() {
+        std::fs::remove_dir_all(&dir).expect("clear stale scratch dir");
+    }
+    let storage = StorageConfig::default()
+        .with_segment_records(512)
+        .with_fsync(false);
+    let mut topics = [
+        LogTopic::new(config.clone()),
+        LogTopic::durable(config.clone(), &dir, storage).expect("create durable topic"),
+    ];
+    let mut reference = MergeReference::new(&config);
+
+    let agrees = |topic: &LogTopic, reference: &MergeReference, at: &str| {
+        assert_eq!(
+            topic.stats().templates,
+            reference.templates(),
+            "{at}: template count"
+        );
+        for threshold in THRESHOLDS {
+            let want = reference.assigned.iter().copied();
+            let want = presentations(&reference.model, want, threshold);
+            let got = topic_presentations(topic, threshold);
+            if let Some(idx) = (0..want.len()).find(|&idx| got[idx] != want[idx]) {
+                panic!(
+                    "{at}, threshold {threshold}: record {idx} {:?} presents as {:?}, reference {:?}",
+                    topic.records()[idx].record,
+                    got[idx],
+                    want[idx]
+                );
+            }
+        }
+    };
+    for (round, chunk) in stream.chunks(CHUNK).enumerate() {
+        let trained = topics.each_mut().map(|topic| topic.ingest(chunk).trained);
+        assert_eq!(trained[0], trained[1], "round {round}: same trigger");
+        reference.ingest(chunk);
+        if trained[0] {
+            reference.retrain();
+            for topic in &topics {
+                agrees(
+                    topic,
+                    &reference,
+                    &format!("after the retrain of round {round}"),
+                );
+            }
+        }
+    }
+    let runs = topics[0].stats().training_runs;
+    assert!(
+        runs >= 5,
+        "first training + at least 4 retrains, got {runs}"
+    );
+    for topic in &topics {
+        assert_eq!(topic.stats().training_runs, runs);
+        agrees(topic, &reference, "at the end of the stream");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The planned query path (postings aggregated up the saturation ladder) must return
