@@ -1,55 +1,64 @@
-//! Automaton-compiled matching (ROADMAP item 1): compile the live (non-retired)
-//! template set into a single multi-pattern automaton over masked token streams,
-//! so matching one record costs one state transition per token instead of one
-//! positional comparison per template per token.
+//! Automaton-compiled matching: compile the live (non-retired) template set into a
+//! single multi-pattern automaton over masked token streams, so matching one record
+//! costs one state transition per token instead of one positional comparison per
+//! template per token.
+//!
+//! A compiled snapshot ([`CompiledMatcher`]) is two things, for two readers. The
+//! **match tables** ([`MatchTables`]) are everything a match reads, as flat vectors:
+//! transition rows, the text of every interned symbol in one arena, and an
+//! open-addressing probe table from token text to symbol id. A holder that never
+//! patches keeps only these ([`CompiledMatcher::into_tables`]), as
+//! [`ByteBrainParser`](crate::ByteBrainParser) does. The **patch state** — token
+//! interner, template trie, ranks — is read only by [`CompiledMatcher::refreshed`].
 //!
 //! The construction is the token-trie → subset-construction DFA move reported by
-//! production log pipelines (trie with wildcard edges, determinized with
-//! structural sharing of suffix state sets, fronted by a keyed match cache):
+//! production log pipelines (trie with wildcard edges, determinized with structural
+//! sharing of suffix state sets, fronted by a keyed match cache):
 //!
-//! 1. **Trie**: every live template contributes a path of interned const-token
-//!    edges and `<*>` wildcard edges. Templates with identical token sequences
-//!    share the whole path; templates with a shared prefix share the prefix.
-//!    Nodes are reference-counted so template *removal* (retirement during
-//!    incremental maintenance) prunes exactly the now-unused suffix.
-//! 2. **DFA**: the trie is a nondeterministic automaton (a token can follow a
-//!    const edge *and* a wildcard edge), so we determinize: a DFA state is a
-//!    hash-consed sorted set of trie nodes, with one transition per const symbol
-//!    seen at the set plus a *default* transition following wildcard edges only.
-//!    Every DFA state precomputes its winning accept — the minimum-rank template
-//!    among its members, where rank is the position in
-//!    [`ParserModel::match_order`]. Because the tree walker returns the *first*
-//!    match in that order, "first match in a linear scan" ≡ "minimum rank among
-//!    all matches", and the DFA reproduces the tree walker byte-for-byte.
-//! 3. **NFA fallback**: wildcard-heavy template sets can make subset
-//!    construction explode, so determinization is capped
-//!    ([`DEFAULT_MAX_DFA_STATES`]); past the cap the matcher falls back to
-//!    active-set simulation over the trie, which is always linear in trie size.
+//! 1. **Trie** (patch state): every live template contributes a path of interned
+//!    const-token edges and `<*>` wildcard edges. Templates with identical token
+//!    sequences share the whole path; templates with a shared prefix share the prefix.
+//!    Nodes are reference-counted so template *removal* (retirement during incremental
+//!    maintenance) prunes exactly the now-unused suffix.
+//! 2. **DFA rows**: the trie is a nondeterministic automaton (a token can follow a
+//!    const edge *and* a wildcard edge), so it is determinized: a DFA state is a
+//!    hash-consed sorted set of trie nodes, held once in an arena while the construction
+//!    runs. Its row — one edge per const symbol seen at the set, a *default* following
+//!    wildcard edges only, and the winning accept — is appended to the tables as the
+//!    state is finalised. The accept is the minimum-rank template among the members,
+//!    rank being the position in [`ParserModel::match_order`]: the tree walker returns
+//!    the *first* match in that order, "first match in a linear scan" ≡ "minimum rank
+//!    among all matches", and so the DFA reproduces the tree walker byte-for-byte.
+//! 3. **NFA rows**: wildcard-heavy template sets can make subset construction explode,
+//!    so determinization is capped ([`DEFAULT_MAX_DFA_STATES`]); past the cap the same
+//!    row format is laid over the trie nodes themselves and matching is active-set
+//!    simulation over those rows, always linear in trie size. Either way a match reads
+//!    the tables only.
 //! 4. **Match cache** ([`MatchCache`]): a keyed LRU over raw record lines.
 //!    Production log streams are highly repetitive, so an exact-line hit skips
 //!    preprocessing *and* matching. Entries are invalidated wholesale when the
 //!    compiled snapshot's [`generation`](CompiledMatcher::generation) changes.
 //!
-//! Lifecycle: the service layer keeps an `Arc<CompiledMatcher>` snapshot next
-//! to the model and the saturation ladder. Training compiles from scratch
-//! ([`CompiledMatcher::compile`]); a [`ModelDelta`](crate::incremental) boundary
-//! patches the previous snapshot ([`CompiledMatcher::refreshed`]) — the trie is
-//! updated in place (only changed templates are removed/inserted) and the DFA
-//! is re-determinized from the patched trie. Readers never observe a partially
-//! updated automaton: they hold the old `Arc` until the swap.
+//! Lifecycle: the service layer keeps an `Arc<CompiledMatcher>` snapshot next to the
+//! model and the saturation ladder. Training compiles from scratch
+//! ([`CompiledMatcher::compile`]); a [`ModelDelta`](crate::incremental) boundary or a
+//! batch of temporary insertions patches the previous snapshot
+//! ([`CompiledMatcher::refreshed`]): the patch state is copied, only changed templates
+//! are removed/inserted, and new tables are built from the patched trie. Readers never
+//! observe a partially updated automaton: they hold the old `Arc` until the swap.
 
 use crate::model::ParserModel;
 use crate::tree::{NodeId, TemplateToken};
 use logtok::{Preprocessor, TokenScratch, TokenView};
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Determinization cap: past this many DFA states the compiler abandons subset
-/// construction and matches by NFA active-set simulation instead.
+/// construction and lays the rows over the trie instead (NFA simulation).
 pub const DEFAULT_MAX_DFA_STATES: usize = 65_536;
 
-/// Sentinel for "no node" in trie/DFA link fields.
+/// Sentinel for "none" in trie links, row targets, accepts and probe slots.
 const NONE: u32 = u32::MAX;
 
 // ---------------------------------------------------------------------------
@@ -60,9 +69,16 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a streaming hasher: fast on the short keys (tokens, log lines) this
-/// module hashes, and free of the per-instance random state `SipHash` pays for.
+/// module hashes, and free of the per-instance random state `SipHash` pays for
+/// (so deterministic across processes).
 #[derive(Debug, Clone, Copy)]
 pub struct FnvHasher(u64);
+
+impl Default for FnvHasher {
+    fn default() -> Self {
+        FnvHasher(FNV_OFFSET)
+    }
+}
 
 impl Hasher for FnvHasher {
     fn finish(&self) -> u64 {
@@ -70,32 +86,16 @@ impl Hasher for FnvHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
+        self.0 = fnv1a(self.0, bytes.iter().copied());
     }
 }
 
-/// `BuildHasher` producing [`FnvHasher`]s (deterministic across processes).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FnvBuildHasher;
+type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
 
-impl BuildHasher for FnvBuildHasher {
-    type Hasher = FnvHasher;
-
-    fn build_hasher(&self) -> FnvHasher {
-        FnvHasher(FNV_OFFSET)
-    }
-}
-
-type FnvMap<K, V> = HashMap<K, V, FnvBuildHasher>;
-
-/// One-shot FNV-1a over `bytes` (the loop form the hot paths inline).
+/// FNV-1a over `bytes`, continuing from `hash` ([`FNV_OFFSET`] to start).
 #[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &byte in bytes {
+fn fnv1a(mut hash: u64, bytes: impl Iterator<Item = u8>) -> u64 {
+    for byte in bytes {
         hash ^= byte as u64;
         hash = hash.wrapping_mul(FNV_PRIME);
     }
@@ -103,7 +103,174 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Token interner
+// Match tables
+// ---------------------------------------------------------------------------
+
+/// Entry `i` of an arena addressed through `offsets`: `offsets[i]..offsets[i + 1]`.
+#[inline]
+fn span(offsets: &[u32], i: u32) -> std::ops::Range<usize> {
+    offsets[i as usize] as usize..offsets[i as usize + 1] as usize
+}
+
+/// The target of `symbol` in a row's edges (sorted by symbol id).
+#[inline]
+fn edge_target(edges: &[(u32, u32)], symbol: u32) -> Option<u32> {
+    let pos = edges.binary_search_by_key(&symbol, |&(s, _)| s).ok()?;
+    Some(edges[pos].1)
+}
+
+/// Transition rows, one flat format for both execution modes: row `r` owns
+/// `edges[offsets[r]..offsets[r + 1]]`, `(symbol, target row)` sorted by symbol id.
+#[derive(Debug, Clone, Default)]
+struct Rows {
+    offsets: Vec<u32>,
+    edges: Vec<(u32, u32)>,
+    /// Target for a token without an edge in the row ([`NONE`] = no such target). A DFA
+    /// state's default follows its members' wildcard edges; an NFA row's is its trie
+    /// node's wildcard edge, taken *beside* a const edge.
+    default: Vec<u32>,
+    /// `NodeId.0` of the template a record ending in this row is assigned, or [`NONE`].
+    /// A DFA state's accept is the minimum-rank accept among its members, i.e. exactly
+    /// what the linear tree walk would return.
+    accept: Vec<u32>,
+    /// NFA rows only: the rank of `accept`, to pick the winner of an active set.
+    accept_rank: Vec<u32>,
+}
+
+impl Rows {
+    /// Close the row whose edges were just pushed.
+    fn finish_row(&mut self, default: u32, accept: u32) {
+        self.offsets.push(self.edges.len() as u32);
+        self.default.push(default);
+        self.accept.push(accept);
+    }
+
+    #[inline]
+    fn edge(&self, row: u32, symbol: u32) -> Option<u32> {
+        edge_target(&self.edges[span(&self.offsets, row)], symbol)
+    }
+}
+
+/// Everything a match reads and nothing a patch needs (module docs); immutable once built.
+#[derive(Debug, Clone)]
+pub struct MatchTables {
+    rows: Rows,
+    /// Rows are trie nodes, matched by active-set simulation (the DFA hit the cap).
+    nfa: bool,
+    /// Text of symbol `s` is `symbol_text[symbol_offsets[s]..symbol_offsets[s + 1]]`
+    /// (empty for a recycled id, which no row and no probe slot names).
+    symbol_offsets: Vec<u32>,
+    symbol_text: String,
+    /// Token text → symbol id, open addressing with linear probing at ≤ 50 % load: a
+    /// slot is `(tag, symbol)` — 32 bits of the text's FNV hash; [`NONE`] marks an empty
+    /// slot. One hash, one masked index and (almost always) one slot load per token; a
+    /// tag hit is confirmed against the arena, so a collision costs a comparison, never
+    /// a wrong symbol: byte-identity with the tree walk is absolute, not probabilistic.
+    symbol_slots: Vec<(u32, u32)>,
+    /// `model.nodes.len()` at compile time. Nodes appended since (temporary templates)
+    /// are not compiled in: [`match_compiled`](crate::matcher::match_compiled) checks them.
+    pub(crate) nodes: usize,
+}
+
+/// Probe tag of a token text: where its slot search starts, and what a slot remembers.
+#[inline]
+fn symbol_tag(text: &str) -> u32 {
+    let hash = fnv1a(FNV_OFFSET, text.bytes());
+    (hash ^ (hash >> 32)) as u32
+}
+
+impl MatchTables {
+    fn symbol_text(&self, symbol: u32) -> &str {
+        &self.symbol_text[span(&self.symbol_offsets, symbol)]
+    }
+
+    /// Resolve `token` to its symbol id, or `None` when no live template holds it.
+    #[inline]
+    fn symbol_of(&self, token: &str) -> Option<u32> {
+        let (tag, mask) = (symbol_tag(token), self.symbol_slots.len() - 1);
+        let mut idx = tag as usize & mask;
+        loop {
+            let (slot_tag, symbol) = self.symbol_slots[idx];
+            if symbol == NONE {
+                return None;
+            }
+            if slot_tag == tag && self.symbol_text(symbol) == token {
+                return Some(symbol);
+            }
+            idx = (idx + 1) & mask;
+        }
+    }
+
+    /// Match a token stream; `tokens` yields each masked token once, in order.
+    fn match_symbols<'a>(&self, tokens: impl Iterator<Item = &'a str>) -> Option<NodeId> {
+        let rows = &self.rows;
+        let accept = if self.nfa {
+            // A trie node has one parent, so successor sets never repeat a node.
+            let mut active: Vec<u32> = vec![TRIE_ROOT];
+            let mut next: Vec<u32> = Vec::new();
+            for token in tokens {
+                let symbol = self.symbol_of(token);
+                next.clear();
+                for &row in &active {
+                    next.extend(symbol.and_then(|s| rows.edge(row, s)));
+                    if rows.default[row as usize] != NONE {
+                        next.push(rows.default[row as usize]);
+                    }
+                }
+                std::mem::swap(&mut active, &mut next);
+                if active.is_empty() {
+                    return None;
+                }
+            }
+            let ranked = |&row: &u32| (rows.accept_rank[row as usize], rows.accept[row as usize]);
+            active.iter().map(ranked).min().map_or(NONE, |(_, id)| id)
+        } else {
+            let mut at = 0u32;
+            for token in tokens {
+                let edge = self.symbol_of(token).and_then(|s| rows.edge(at, s));
+                at = edge.unwrap_or(rows.default[at as usize]);
+                if at == NONE {
+                    return None;
+                }
+            }
+            rows.accept[at as usize]
+        };
+        (accept != NONE).then_some(NodeId(accept as usize))
+    }
+
+    /// Match a preprocessed [`TokenView`] (the zero-copy streaming path).
+    pub fn match_view(&self, view: &TokenView<'_>) -> Option<NodeId> {
+        self.match_symbols(view.iter())
+    }
+
+    /// Number of DFA states, or `None` when running in NFA fallback mode.
+    pub fn dfa_states(&self) -> Option<usize> {
+        (!self.nfa).then_some(self.rows.default.len())
+    }
+
+    /// True when subset construction hit the cap and matching simulates the NFA rows.
+    pub fn uses_nfa_fallback(&self) -> bool {
+        self.nfa
+    }
+
+    /// Heap bytes the tables hold, counted from capacities.
+    pub fn heap_bytes(&self) -> usize {
+        let (rows, slots) = (&self.rows, &self.symbol_slots);
+        let words = [
+            &rows.offsets,
+            &rows.default,
+            &rows.accept,
+            &rows.accept_rank,
+        ];
+        let words = words.iter().map(|v| v.capacity()).sum::<usize>();
+        4 * (words + self.symbol_offsets.capacity())
+            + 8 * (rows.edges.capacity() + slots.capacity())
+            + self.symbol_text.capacity()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Patch state: token interner
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -161,94 +328,13 @@ impl Interner {
             self.free.push(sym);
         }
     }
-
-    /// Number of live interned symbols.
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Open-addressing symbol table (the match-path token → symbol lookup)
+// Patch state: template trie
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy)]
-struct SymSlot {
-    hash: u64,
-    /// Interned symbol id, or [`NONE`] for an empty slot.
-    sym: u32,
-}
-
-/// FNV-keyed open-addressing (linear probing) table mapping masked token text
-/// to interned symbol ids. This replaces the std `HashMap` probe on the match
-/// hot path: one FNV hash, one masked index, and (almost always) one slot load.
-/// Entries are verified against the interner's stored text on a hash hit, so a
-/// 64-bit collision degrades to a miss-and-compare, never a wrong symbol —
-/// byte-identity with the tree walk is absolute, not probabilistic.
-///
-/// The table is rebuilt as part of every compiled snapshot (compile and
-/// `refreshed` both finish through [`CompiledMatcher::finalize`]) and shared
-/// read-only by every worker via the snapshot `Arc`.
-#[derive(Debug, Clone, Default)]
-struct SymbolTable {
-    slots: Vec<SymSlot>,
-    mask: usize,
-}
-
-impl SymbolTable {
-    /// Build from the interner's live symbols at ≤ 50% load factor.
-    fn build(interner: &Interner) -> Self {
-        let live = interner.len();
-        if live == 0 {
-            return SymbolTable::default();
-        }
-        let capacity = (live * 2).next_power_of_two().max(16);
-        let mask = capacity - 1;
-        let mut slots = vec![SymSlot { hash: 0, sym: NONE }; capacity];
-        for (text, &sym) in &interner.ids {
-            let hash = fnv1a(text.as_bytes());
-            let mut idx = (hash as usize) & mask;
-            while slots[idx].sym != NONE {
-                idx = (idx + 1) & mask;
-            }
-            slots[idx] = SymSlot { hash, sym };
-        }
-        SymbolTable { slots, mask }
-    }
-
-    /// Resolve `token` to its symbol id, or `None` when never interned.
-    #[inline]
-    fn lookup(&self, token: &str, interner: &Interner) -> Option<u32> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let hash = fnv1a(token.as_bytes());
-        let mut idx = (hash as usize) & self.mask;
-        loop {
-            let slot = self.slots[idx];
-            if slot.sym == NONE {
-                return None;
-            }
-            if slot.hash == hash && interner.text(slot.sym) == token {
-                return Some(slot.sym);
-            }
-            idx = (idx + 1) & self.mask;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Template trie
-// ---------------------------------------------------------------------------
-
-/// One token of an interned template sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TplSym {
-    Const(u32),
-    Wildcard,
-}
-
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct TrieNode {
     /// Const-token edges, sorted by symbol id for binary search.
     edges: Vec<(u32, u32)>,
@@ -259,178 +345,99 @@ struct TrieNode {
     /// Number of template sequences whose path passes through (or ends at)
     /// this node; 0 marks a recycled slot.
     refs: u32,
+    /// The node this one hangs off, and the symbol on that edge ([`NONE`] for the
+    /// wildcard edge): a template's tokens read back from where it ends.
+    parent: u32,
+    via: u32,
 }
 
 impl TrieNode {
-    fn fresh() -> Self {
+    fn fresh(parent: u32, via: u32) -> Self {
         TrieNode {
             edges: Vec::new(),
             wildcard: NONE,
             accepts: Vec::new(),
             refs: 0,
+            parent,
+            via,
         }
     }
 
-    fn child(&self, sym: u32) -> Option<u32> {
-        self.edges
-            .binary_search_by_key(&sym, |&(s, _)| s)
-            .ok()
-            .map(|pos| self.edges[pos].1)
+    /// The child along `via` ([`NONE`] for the wildcard edge), or [`NONE`].
+    fn child(&self, via: u32) -> u32 {
+        match via {
+            NONE => self.wildcard,
+            sym => edge_target(&self.edges, sym).unwrap_or(NONE),
+        }
     }
 }
 
 const TRIE_ROOT: u32 = 0;
 
-// ---------------------------------------------------------------------------
-// DFA
-// ---------------------------------------------------------------------------
-
+/// What [`CompiledMatcher::refreshed`] patches and the tables are built from; no match
+/// reads it.
 #[derive(Debug, Clone)]
-struct DfaState {
-    /// Const-symbol transitions, sorted by symbol id.
-    edges: Vec<(u32, u32)>,
-    /// Transition for any token without a const edge here ([`NONE`] = dead:
-    /// no template can match any extension of this prefix).
-    default: u32,
-    /// Winning template if the record ends in this state: the minimum-rank
-    /// member accept, i.e. exactly what the linear tree walk would return.
-    accept: Option<NodeId>,
-}
-
-impl DfaState {
-    fn new() -> Self {
-        DfaState {
-            edges: Vec::new(),
-            default: NONE,
-            accept: None,
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-enum Exec {
-    Dfa(Vec<DfaState>),
-    /// Subset construction exceeded the state cap; match by active-set
-    /// simulation over the trie instead.
-    Nfa,
-}
-
-// ---------------------------------------------------------------------------
-// CompiledMatcher
-// ---------------------------------------------------------------------------
-
-/// Monotone generation counter: every compiled snapshot gets a process-unique
-/// generation, which is the cache-invalidation key for [`MatchCache`].
-static GENERATION: AtomicU64 = AtomicU64::new(1);
-
-/// A compiled snapshot of one model's live template set. Immutable once built;
-/// the service layer shares it via `Arc` and swaps whole snapshots at delta
-/// boundaries (same lifecycle as the saturation ladder).
-#[derive(Debug, Clone)]
-pub struct CompiledMatcher {
+struct PatchState {
     interner: Interner,
     trie: Vec<TrieNode>,
     free_trie: Vec<u32>,
-    /// Live template sequences by `NodeId.0`, so a later
-    /// [`refreshed`](CompiledMatcher::refreshed) knows which path to remove
-    /// when a template is retired or rewritten.
-    templates: FnvMap<usize, Vec<TplSym>>,
+    /// Where each live template's path ends, by `NodeId.0`, so a later patch knows
+    /// which path to remove when a template is retired or rewritten.
+    templates: FnvMap<usize, u32>,
     /// `rank[id]` = position of `NodeId(id)` in the model's match order
     /// (`u32::MAX` for non-live nodes). Lower rank wins.
     ranks: Vec<u32>,
-    /// Open-addressing token → symbol lookup used by the match hot path;
-    /// rebuilt in [`finalize`](CompiledMatcher::finalize) for every snapshot.
-    symbols: SymbolTable,
-    exec: Exec,
-    max_dfa_states: usize,
-    generation: u64,
 }
 
-impl CompiledMatcher {
-    /// Compile `model`'s live (non-retired) template set from scratch.
-    pub fn compile(model: &ParserModel) -> Self {
-        Self::compile_with_limit(model, DEFAULT_MAX_DFA_STATES)
+/// The member sets of the DFA states under construction, each stored once: state `s`
+/// is `members[offsets[s]..offsets[s + 1]]` (sorted trie nodes), hash-consed so shared
+/// suffixes collapse into shared DFA tails — `newest` maps a set's hash to the latest
+/// state with it, `older[s]` chains to the one before.
+#[derive(Default)]
+struct StateSets {
+    members: Vec<u32>,
+    offsets: Vec<u32>,
+    newest: FnvMap<u64, u32>,
+    older: Vec<u32>,
+}
+
+impl StateSets {
+    fn get(&self, state: u32) -> &[u32] {
+        &self.members[span(&self.offsets, state)]
     }
 
-    /// [`compile`](CompiledMatcher::compile) with an explicit determinization
-    /// cap — tests use a tiny cap to force the NFA fallback path.
-    pub fn compile_with_limit(model: &ParserModel, max_dfa_states: usize) -> Self {
-        let mut compiled = CompiledMatcher {
+    /// The state whose member set is `set` (sorted), created if new.
+    fn intern(&mut self, set: &[u32]) -> u32 {
+        let hash = fnv1a(FNV_OFFSET, set.iter().flat_map(|m| m.to_le_bytes()));
+        let mut state = self.newest.get(&hash).copied().unwrap_or(NONE);
+        while state != NONE {
+            if self.get(state) == set {
+                return state;
+            }
+            state = self.older[state as usize];
+        }
+        let state = self.older.len() as u32;
+        self.members.extend_from_slice(set);
+        self.offsets.push(self.members.len() as u32);
+        self.older
+            .push(self.newest.insert(hash, state).unwrap_or(NONE));
+        state
+    }
+}
+
+impl PatchState {
+    fn new() -> Self {
+        PatchState {
             interner: Interner::default(),
             trie: vec![TrieNode {
                 refs: 1, // the root is never recycled
-                ..TrieNode::fresh()
+                ..TrieNode::fresh(NONE, NONE)
             }],
             free_trie: Vec::new(),
             templates: FnvMap::default(),
             ranks: Vec::new(),
-            symbols: SymbolTable::default(),
-            exec: Exec::Nfa,
-            max_dfa_states,
-            generation: 0,
-        };
-        compiled.reconcile(model);
-        compiled.finalize();
-        compiled
-    }
-
-    /// Produce a new snapshot consistent with `model` by *patching* this one:
-    /// templates that are unchanged keep their trie paths untouched; retired
-    /// or rewritten templates are pruned; new templates are inserted; the DFA
-    /// is rebuilt from the patched trie. Called at every `apply_delta`/
-    /// `swap_model` boundary. Equivalent (proven by the property suite) to
-    /// [`CompiledMatcher::compile`] on the post-delta model.
-    pub fn refreshed(&self, model: &ParserModel) -> Self {
-        let mut next = self.clone();
-        next.reconcile(model);
-        next.finalize();
-        next
-    }
-
-    /// Shared tail of compile/refresh: rebuild the open-addressing symbol
-    /// table, re-determinize, and stamp a fresh generation.
-    fn finalize(&mut self) {
-        self.symbols = SymbolTable::build(&self.interner);
-        self.determinize();
-        self.generation = GENERATION.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Process-unique id of this snapshot; [`MatchCache`] keys on it.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Number of live templates compiled in.
-    pub fn live_templates(&self) -> usize {
-        self.templates.len()
-    }
-
-    /// Number of live trie nodes (structural sharing makes this far smaller
-    /// than total template tokens on real template sets).
-    pub fn trie_nodes(&self) -> usize {
-        self.trie.len() - self.free_trie.len()
-    }
-
-    /// Number of DFA states, or `None` when running in NFA fallback mode.
-    pub fn dfa_states(&self) -> Option<usize> {
-        match &self.exec {
-            Exec::Dfa(states) => Some(states.len()),
-            Exec::Nfa => None,
         }
     }
-
-    /// Number of distinct interned const tokens.
-    pub fn interned_symbols(&self) -> usize {
-        self.interner.len()
-    }
-
-    /// True when subset construction hit the cap and matching runs by NFA
-    /// active-set simulation.
-    pub fn uses_nfa_fallback(&self) -> bool {
-        matches!(self.exec, Exec::Nfa)
-    }
-
-    // -- construction ------------------------------------------------------
 
     /// Bring trie + templates + ranks in sync with `model`'s live set.
     fn reconcile(&mut self, model: &ParserModel) {
@@ -448,11 +455,8 @@ impl CompiledMatcher {
             .keys()
             .copied()
             .filter(|&id| {
-                model
-                    .nodes
-                    .get(id)
-                    .map(|node| node.retired || !self.template_unchanged(id, &node.template))
-                    .unwrap_or(true)
+                let node = model.nodes.get(id);
+                node.is_none_or(|n| n.retired || !self.template_unchanged(id, &n.template))
             })
             .collect();
         for id in stale {
@@ -467,301 +471,233 @@ impl CompiledMatcher {
         }
     }
 
+    /// Whether the path ending where template `id` was inserted still spells `template`.
     fn template_unchanged(&self, id: usize, template: &[TemplateToken]) -> bool {
-        let Some(stored) = self.templates.get(&id) else {
+        let Some(&end) = self.templates.get(&id) else {
             return false;
         };
-        stored.len() == template.len()
-            && stored
-                .iter()
-                .zip(template)
-                .all(|(sym, tok)| match (sym, tok) {
-                    (TplSym::Wildcard, TemplateToken::Wildcard) => true,
-                    (TplSym::Const(s), TemplateToken::Const(c)) => self.interner.text(*s) == &**c,
-                    _ => false,
-                })
-    }
-
-    fn alloc_trie_node(&mut self) -> u32 {
-        match self.free_trie.pop() {
-            Some(slot) => {
-                self.trie[slot as usize] = TrieNode::fresh();
-                slot
+        let mut at = end;
+        for token in template.iter().rev() {
+            let node = &self.trie[at as usize];
+            let same = match token {
+                _ if at == TRIE_ROOT => false,
+                TemplateToken::Wildcard => node.via == NONE,
+                TemplateToken::Const(c) => node.via != NONE && self.interner.text(node.via) == &**c,
+            };
+            if !same {
+                return false;
             }
-            None => {
-                self.trie.push(TrieNode::fresh());
-                (self.trie.len() - 1) as u32
-            }
+            at = node.parent;
         }
+        at == TRIE_ROOT
     }
 
     fn insert_template(&mut self, id: NodeId, template: &[TemplateToken]) {
-        let mut seq = Vec::with_capacity(template.len());
         let mut at = TRIE_ROOT;
         for token in template {
-            let (sym, existing) = match token {
-                TemplateToken::Wildcard => (TplSym::Wildcard, {
-                    let w = self.trie[at as usize].wildcard;
-                    (w != NONE).then_some(w)
-                }),
-                TemplateToken::Const(text) => {
-                    let s = self.interner.intern(text);
-                    (TplSym::Const(s), self.trie[at as usize].child(s))
-                }
+            let via = match token {
+                TemplateToken::Wildcard => NONE,
+                TemplateToken::Const(text) => self.interner.intern(text),
             };
-            let next = match existing {
-                Some(node) => node,
-                None => {
-                    let node = self.alloc_trie_node();
-                    match sym {
-                        TplSym::Wildcard => self.trie[at as usize].wildcard = node,
-                        TplSym::Const(s) => {
-                            let edges = &mut self.trie[at as usize].edges;
-                            let pos = edges.partition_point(|&(e, _)| e < s);
-                            edges.insert(pos, (s, node));
-                        }
+            let mut next = self.trie[at as usize].child(via);
+            if next == NONE {
+                let node = TrieNode::fresh(at, via);
+                next = match self.free_trie.pop() {
+                    Some(slot) => {
+                        self.trie[slot as usize] = node;
+                        slot
                     }
-                    node
+                    None => {
+                        self.trie.push(node);
+                        (self.trie.len() - 1) as u32
+                    }
+                };
+                let parent = &mut self.trie[at as usize];
+                match via {
+                    NONE => parent.wildcard = next,
+                    sym => {
+                        let pos = parent.edges.partition_point(|&(e, _)| e < sym);
+                        parent.edges.insert(pos, (sym, next));
+                    }
                 }
-            };
+            }
             self.trie[next as usize].refs += 1;
-            seq.push(sym);
             at = next;
         }
         self.trie[at as usize].accepts.push(id);
-        self.templates.insert(id.0, seq);
+        self.templates.insert(id.0, at);
     }
 
     fn remove_template(&mut self, id: usize) {
-        let seq = self.templates.remove(&id).expect("template present");
-        // Walk the path once to find it (children still linked), recording it.
-        let mut path = Vec::with_capacity(seq.len());
-        let mut at = TRIE_ROOT;
-        for &sym in &seq {
-            let next = match sym {
-                TplSym::Wildcard => self.trie[at as usize].wildcard,
-                TplSym::Const(s) => self.trie[at as usize].child(s).expect("edge present"),
-            };
-            debug_assert_ne!(next, NONE);
-            path.push((at, sym, next));
-            at = next;
-        }
+        let mut at = self.templates.remove(&id).expect("template present");
         self.trie[at as usize].accepts.retain(|a| a.0 != id);
-        // Unwind: drop one reference per path node; unlink and recycle any
-        // node whose count reaches zero (no other template shares its suffix).
-        for &(parent, sym, node) in path.iter().rev() {
-            self.trie[node as usize].refs -= 1;
-            if self.trie[node as usize].refs == 0 {
-                debug_assert!(self.trie[node as usize].accepts.is_empty());
-                debug_assert!(self.trie[node as usize].edges.is_empty());
-                debug_assert_eq!(self.trie[node as usize].wildcard, NONE);
-                match sym {
-                    TplSym::Wildcard => self.trie[parent as usize].wildcard = NONE,
-                    TplSym::Const(s) => {
-                        self.trie[parent as usize].edges.retain(|&(e, _)| e != s);
-                    }
+        // Walk back to the root: drop one reference per path node; unlink and recycle
+        // any node whose count reaches zero (no other template shares its suffix).
+        while at != TRIE_ROOT {
+            let node = &mut self.trie[at as usize];
+            let (parent, via) = (node.parent, node.via);
+            node.refs -= 1;
+            if node.refs == 0 {
+                debug_assert!(node.accepts.is_empty() && node.edges.is_empty());
+                debug_assert_eq!(node.wildcard, NONE);
+                match via {
+                    NONE => self.trie[parent as usize].wildcard = NONE,
+                    sym => self.trie[parent as usize].edges.retain(|&(e, _)| e != sym),
                 }
-                self.free_trie.push(node);
+                self.free_trie.push(at);
             }
-            if let TplSym::Const(s) = sym {
-                self.interner.release(s);
+            if via != NONE {
+                self.interner.release(via);
             }
+            at = parent;
         }
     }
 
-    /// Winning accept of a set of trie nodes: minimum rank, i.e. the template
-    /// the linear scan over `match_order` would hit first.
-    fn best_accept(&self, members: &[u32]) -> Option<NodeId> {
-        let mut best: Option<(u32, NodeId)> = None;
+    /// Winning `(rank, NodeId.0)` of a set of trie nodes: minimum rank, i.e. the
+    /// template the linear scan over `match_order` would hit first; `(NONE, NONE)`
+    /// when no member accepts.
+    fn best_accept(&self, members: &[u32]) -> (u32, u32) {
+        let mut best = (NONE, NONE);
         for &member in members {
             for &id in &self.trie[member as usize].accepts {
                 let rank = self.ranks.get(id.0).copied().unwrap_or(NONE);
                 debug_assert_ne!(rank, NONE, "accept for non-live template");
-                if best.map(|(r, _)| rank < r).unwrap_or(true) {
-                    best = Some((rank, id));
+                if rank < best.0 {
+                    best = (rank, id.0 as u32);
                 }
             }
         }
-        best.map(|(_, id)| id)
+        best
     }
 
-    /// Subset construction over the trie. DFA state = sorted set of trie
-    /// nodes; identical sets are hash-consed so shared suffixes collapse into
-    /// shared DFA tails.
-    fn determinize(&mut self) {
-        let mut states: Vec<DfaState> = Vec::new();
-        let mut members_of: Vec<Box<[u32]>> = Vec::new();
-        let mut index: FnvMap<Box<[u32]>, u32> = FnvMap::default();
-
-        let start: Box<[u32]> = vec![TRIE_ROOT].into_boxed_slice();
-        index.insert(start.clone(), 0);
-        members_of.push(start);
-        states.push(DfaState::new());
-
-        let mut next_state = 0usize;
-        while next_state < states.len() {
-            if states.len() > self.max_dfa_states {
-                self.exec = Exec::Nfa;
-                return;
+    /// Subset construction over the trie, writing each state's row as the state is
+    /// finalised (states are numbered in the order they are discovered, which is the
+    /// order they are processed). `None` past `max_states`.
+    fn determinize(&self, max_states: usize) -> Option<Rows> {
+        let mut sets = StateSets {
+            offsets: vec![0],
+            ..StateSets::default()
+        };
+        sets.intern(&[TRIE_ROOT]);
+        let mut rows = Rows {
+            offsets: vec![0],
+            ..Rows::default()
+        };
+        let (mut members, mut default_set) = (Vec::new(), Vec::new());
+        let (mut const_edges, mut target) = (Vec::new(), Vec::new());
+        while rows.default.len() < sets.older.len() {
+            if sets.older.len() > max_states {
+                return None;
             }
-            let members = members_of[next_state].clone();
-
+            members.clear();
+            members.extend_from_slice(sets.get(rows.default.len() as u32));
+            // A trie node has one parent, so successor sets need sorting (their
+            // canonical form) but never deduplication.
             // Wildcard-only successors form the default transition.
-            let mut default_set: Vec<u32> = members
-                .iter()
-                .map(|&m| self.trie[m as usize].wildcard)
-                .filter(|&w| w != NONE)
-                .collect();
+            default_set.clear();
+            default_set.extend(members.iter().map(|&m| self.trie[m as usize].wildcard));
+            default_set.retain(|&w| w != NONE);
             default_set.sort_unstable();
-            default_set.dedup();
-
             // One transition per const symbol present at any member; a token
             // equal to that symbol also follows every wildcard edge.
-            let mut symbols: Vec<u32> = members
-                .iter()
-                .flat_map(|&m| self.trie[m as usize].edges.iter().map(|&(s, _)| s))
-                .collect();
-            symbols.sort_unstable();
-            symbols.dedup();
-
-            let mut edges = Vec::with_capacity(symbols.len());
-            for sym in symbols {
-                let mut target: Vec<u32> = default_set.clone();
-                for &m in members.iter() {
-                    if let Some(child) = self.trie[m as usize].child(sym) {
-                        target.push(child);
-                    }
-                }
-                target.sort_unstable();
-                target.dedup();
-                let state = self.intern_state(target, &mut states, &mut members_of, &mut index);
-                edges.push((sym, state));
+            const_edges.clear();
+            for &m in &members {
+                const_edges.extend_from_slice(&self.trie[m as usize].edges);
             }
-
+            const_edges.sort_unstable();
+            for same_symbol in const_edges.chunk_by(|a, b| a.0 == b.0) {
+                target.clear();
+                target.extend_from_slice(&default_set);
+                target.extend(same_symbol.iter().map(|&(_, child)| child));
+                target.sort_unstable();
+                rows.edges.push((same_symbol[0].0, sets.intern(&target)));
+            }
             let default = if default_set.is_empty() {
                 NONE
             } else {
-                self.intern_state(default_set, &mut states, &mut members_of, &mut index)
+                sets.intern(&default_set)
             };
-
-            states[next_state].edges = edges;
-            states[next_state].default = default;
-            states[next_state].accept = self.best_accept(&members_of[next_state]);
-            next_state += 1;
+            rows.finish_row(default, self.best_accept(&members).1);
         }
-        self.exec = Exec::Dfa(states);
+        Some(rows)
     }
 
-    fn intern_state(
-        &self,
-        set: Vec<u32>,
-        states: &mut Vec<DfaState>,
-        members_of: &mut Vec<Box<[u32]>>,
-        index: &mut FnvMap<Box<[u32]>, u32>,
-    ) -> u32 {
-        let key: Box<[u32]> = set.into_boxed_slice();
-        if let Some(&state) = index.get(&key) {
-            return state;
+    /// The row format laid over the trie itself: row `n` is trie node `n` (a recycled
+    /// slot is an empty row nothing points at).
+    fn nfa_rows(&self) -> Rows {
+        let mut rows = Rows {
+            offsets: vec![0],
+            ..Rows::default()
+        };
+        for (n, node) in self.trie.iter().enumerate() {
+            rows.edges.extend_from_slice(&node.edges);
+            let (rank, accept) = self.best_accept(&[n as u32]);
+            rows.finish_row(node.wildcard, accept);
+            rows.accept_rank.push(rank);
         }
-        let state = states.len() as u32;
-        index.insert(key.clone(), state);
-        members_of.push(key);
-        states.push(DfaState::new());
-        state
+        rows
     }
 
-    // -- matching ----------------------------------------------------------
-
-    /// Match a token stream; `tokens` yields each masked token once, in order.
-    fn match_symbols<'a, I: Iterator<Item = &'a str>>(&self, tokens: I) -> Option<NodeId> {
-        match &self.exec {
-            Exec::Dfa(states) => {
-                let mut at = 0u32;
-                for token in tokens {
-                    let state = &states[at as usize];
-                    let next = match self.symbols.lookup(token, &self.interner) {
-                        Some(sym) => state
-                            .edges
-                            .binary_search_by_key(&sym, |&(s, _)| s)
-                            .map(|pos| state.edges[pos].1)
-                            .unwrap_or(state.default),
-                        None => state.default,
-                    };
-                    if next == NONE {
-                        return None;
-                    }
-                    at = next;
+    /// Build the match tables from the (reconciled) patch state.
+    fn tables(&self, max_dfa_states: usize) -> MatchTables {
+        let symbols = &self.interner.symbols;
+        let mut symbol_text = String::new();
+        let mut symbol_offsets = Vec::with_capacity(symbols.len() + 1);
+        let slots = (self.interner.ids.len() * 2).next_power_of_two().max(16);
+        let mut symbol_slots = vec![(0, NONE); slots];
+        for (symbol, entry) in symbols.iter().enumerate() {
+            symbol_offsets.push(symbol_text.len() as u32);
+            if entry.refs > 0 {
+                symbol_text.push_str(&entry.text);
+                let tag = symbol_tag(&entry.text);
+                let mut idx = tag as usize & (slots - 1);
+                while symbol_slots[idx].1 != NONE {
+                    idx = (idx + 1) & (slots - 1);
                 }
-                states[at as usize].accept
-            }
-            Exec::Nfa => {
-                let mut active: Vec<u32> = vec![TRIE_ROOT];
-                let mut next: Vec<u32> = Vec::new();
-                for token in tokens {
-                    let sym = self.symbols.lookup(token, &self.interner);
-                    next.clear();
-                    for &node in &active {
-                        let trie_node = &self.trie[node as usize];
-                        if let Some(child) = sym.and_then(|s| trie_node.child(s)) {
-                            next.push(child);
-                        }
-                        if trie_node.wildcard != NONE {
-                            next.push(trie_node.wildcard);
-                        }
-                    }
-                    next.sort_unstable();
-                    next.dedup();
-                    std::mem::swap(&mut active, &mut next);
-                    if active.is_empty() {
-                        return None;
-                    }
-                }
-                self.best_accept(&active)
+                symbol_slots[idx] = (tag, symbol as u32);
             }
         }
-    }
-
-    /// Match a preprocessed [`TokenView`] (the zero-copy streaming path).
-    pub fn match_view(&self, view: &TokenView<'_>) -> Option<NodeId> {
-        self.match_symbols(view.iter())
-    }
-
-    // -- equivalence -------------------------------------------------------
-
-    /// Canonical description of the compiled template set: a deterministic
-    /// trie traversal with edges ordered by token text and accepts ordered by
-    /// rank, independent of insertion/removal history and node numbering. Two
-    /// matchers with equal canonical forms and equal rank tables are
-    /// behaviorally identical (the DFA is a pure function of both). The
-    /// property suite uses this to prove patched ≡ recompiled.
-    pub fn canonical_form(&self) -> String {
-        let mut out = String::new();
-        self.canonical_node(TRIE_ROOT, &mut String::new(), &mut out);
-        out
+        symbol_offsets.push(symbol_text.len() as u32);
+        symbol_text.shrink_to_fit();
+        let dfa = self.determinize(max_dfa_states);
+        let nfa = dfa.is_none();
+        let mut rows = dfa.unwrap_or_else(|| self.nfa_rows());
+        // The rows grew by pushes; what stays resident is what they hold.
+        rows.edges.shrink_to_fit();
+        for words in [
+            &mut rows.offsets,
+            &mut rows.default,
+            &mut rows.accept,
+            &mut rows.accept_rank,
+        ] {
+            words.shrink_to_fit();
+        }
+        MatchTables {
+            rows,
+            nfa,
+            symbol_offsets,
+            symbol_text,
+            symbol_slots,
+            nodes: self.ranks.len(),
+        }
     }
 
     fn canonical_node(&self, node: u32, prefix: &mut String, out: &mut String) {
         let trie_node = &self.trie[node as usize];
         if !trie_node.accepts.is_empty() {
-            let mut accepts: Vec<(u32, usize)> = trie_node
-                .accepts
-                .iter()
-                .map(|id| (self.ranks.get(id.0).copied().unwrap_or(NONE), id.0))
-                .collect();
+            let ranked = |id: &NodeId| (self.ranks.get(id.0).copied().unwrap_or(NONE), id.0);
+            let mut accepts: Vec<(u32, usize)> = trie_node.accepts.iter().map(ranked).collect();
             accepts.sort_unstable();
-            out.push_str(prefix);
-            out.push_str(" => ");
-            for (rank, id) in accepts {
-                out.push_str(&format!("[rank {rank} node {id}]"));
-            }
-            out.push('\n');
+            let listed = accepts
+                .iter()
+                .map(|(rank, id)| format!("[rank {rank} node {id}]"));
+            out.push_str(&format!("{prefix} => {}\n", listed.collect::<String>()));
         }
-        let mut edges: Vec<(&str, u32)> = trie_node
-            .edges
-            .iter()
-            .map(|&(sym, child)| (self.interner.text(sym), child))
-            .collect();
+        let text = |&(sym, child): &(u32, u32)| (self.interner.text(sym), child);
+        let mut edges: Vec<(&str, u32)> = trie_node.edges.iter().map(text).collect();
         edges.sort_unstable();
+        // The wildcard edge last, whatever the texts sort like.
+        edges.extend(Some(("<*>", trie_node.wildcard)).filter(|&(_, child)| child != NONE));
         for (text, child) in edges {
             let saved = prefix.len();
             prefix.push(' ');
@@ -769,12 +705,121 @@ impl CompiledMatcher {
             self.canonical_node(child, prefix, out);
             prefix.truncate(saved);
         }
-        if trie_node.wildcard != NONE {
-            let saved = prefix.len();
-            prefix.push_str(" <*>");
-            self.canonical_node(trie_node.wildcard, prefix, out);
-            prefix.truncate(saved);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// CompiledMatcher
+// ---------------------------------------------------------------------------
+
+/// Monotone generation counter: every compiled snapshot gets a process-unique
+/// generation, which is the cache-invalidation key for [`MatchCache`].
+static GENERATION: AtomicU64 = AtomicU64::new(1);
+
+/// A compiled snapshot of one model's live template set: the [`MatchTables`] plus the
+/// patch state the next [`refreshed`](CompiledMatcher::refreshed) starts from.
+/// Immutable once built; the service layer shares it via `Arc` and swaps whole
+/// snapshots at delta boundaries (same lifecycle as the saturation ladder).
+#[derive(Debug, Clone)]
+pub struct CompiledMatcher {
+    tables: MatchTables,
+    patch: PatchState,
+    max_dfa_states: usize,
+    generation: u64,
+}
+
+impl CompiledMatcher {
+    /// Compile `model`'s live (non-retired) template set from scratch.
+    pub fn compile(model: &ParserModel) -> Self {
+        Self::compile_with_limit(model, DEFAULT_MAX_DFA_STATES)
+    }
+
+    /// [`compile`](CompiledMatcher::compile) with an explicit determinization
+    /// cap — tests use a tiny cap to force the NFA fallback path.
+    pub fn compile_with_limit(model: &ParserModel, max_dfa_states: usize) -> Self {
+        Self::finalize(PatchState::new(), model, max_dfa_states)
+    }
+
+    /// Produce a new snapshot consistent with `model` by *patching* this one:
+    /// templates that are unchanged keep their trie paths untouched; retired
+    /// or rewritten templates are pruned; new templates are inserted; the tables
+    /// are rebuilt from the patched trie. Only the patch state is copied. Called at
+    /// every `apply_delta`/`swap_model` boundary. Equivalent (proven by the property
+    /// suite) to [`CompiledMatcher::compile`] on the post-delta model.
+    pub fn refreshed(&self, model: &ParserModel) -> Self {
+        Self::finalize(self.patch.clone(), model, self.max_dfa_states)
+    }
+
+    /// Shared tail of compile/refresh: reconcile the patch state with `model`,
+    /// build the tables from it, and stamp a fresh generation.
+    fn finalize(mut patch: PatchState, model: &ParserModel, max_dfa_states: usize) -> Self {
+        patch.reconcile(model);
+        CompiledMatcher {
+            tables: patch.tables(max_dfa_states),
+            patch,
+            max_dfa_states,
+            generation: GENERATION.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    /// What matching reads.
+    pub fn tables(&self) -> &MatchTables {
+        &self.tables
+    }
+
+    /// Keep what matching reads and drop the patch state: for a holder that will
+    /// compile again rather than patch.
+    pub fn into_tables(self) -> MatchTables {
+        self.tables
+    }
+
+    /// Process-unique id of this snapshot; [`MatchCache`] keys on it.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Number of live templates compiled in.
+    pub fn live_templates(&self) -> usize {
+        self.patch.templates.len()
+    }
+
+    /// Number of live trie nodes (structural sharing makes this far smaller
+    /// than total template tokens on real template sets).
+    pub fn trie_nodes(&self) -> usize {
+        self.patch.trie.len() - self.patch.free_trie.len()
+    }
+
+    /// [`MatchTables::dfa_states`] of this snapshot.
+    pub fn dfa_states(&self) -> Option<usize> {
+        self.tables.dfa_states()
+    }
+
+    /// Number of distinct interned const tokens.
+    pub fn interned_symbols(&self) -> usize {
+        self.patch.interner.ids.len()
+    }
+
+    /// [`MatchTables::uses_nfa_fallback`] of this snapshot.
+    pub fn uses_nfa_fallback(&self) -> bool {
+        self.tables.uses_nfa_fallback()
+    }
+
+    /// [`MatchTables::match_view`] of this snapshot.
+    pub fn match_view(&self, view: &TokenView<'_>) -> Option<NodeId> {
+        self.tables.match_view(view)
+    }
+
+    /// Canonical description of the compiled template set: a deterministic
+    /// trie traversal with edges ordered by token text and accepts ordered by
+    /// rank, independent of insertion/removal history and node numbering. Two
+    /// matchers with equal canonical forms and equal rank tables are
+    /// behaviorally identical (the tables are a pure function of both). The
+    /// property suite uses this to prove patched ≡ recompiled.
+    pub fn canonical_form(&self) -> String {
+        let mut out = String::new();
+        self.patch
+            .canonical_node(TRIE_ROOT, &mut String::new(), &mut out);
+        out
     }
 }
 
@@ -832,9 +877,10 @@ impl MatchCache {
         }
     }
 
-    /// Match `record` through the cache, hashing the line first. Prefer
-    /// [`match_record_hashed`](MatchCache::match_record_hashed) when the
-    /// caller already carries the record's line hash.
+    /// Match `record` through the cache, hashing the line first; a miss is matched on
+    /// `compiled`'s tables. Prefer
+    /// [`match_record_hashed`](MatchCache::match_record_hashed) when the caller already
+    /// carries the record's line hash.
     pub fn match_record(
         &mut self,
         compiled: &CompiledMatcher,
@@ -842,27 +888,25 @@ impl MatchCache {
         scratch: &mut TokenScratch,
         record: &str,
     ) -> Option<NodeId> {
-        let line_hash = logtok::hash_line(record);
-        self.match_record_hashed(compiled, preprocessor, scratch, record, line_hash)
+        let miss = || compiled.match_view(&preprocessor.token_view(record, scratch));
+        self.match_record_hashed(compiled.generation, record, logtok::hash_line(record), miss)
     }
 
-    /// Match `record` through the cache keyed by its precomputed FNV line
-    /// hash: exact-line hits return the stored assignment; misses preprocess
-    /// and match via `compiled` and remember the result. A `compiled`
-    /// snapshot from a different generation than the cached entries
-    /// invalidates the whole cache first.
+    /// Look `record` up by its precomputed FNV line hash: an exact-line hit returns the
+    /// stored assignment; on a miss `miss` matches the record (against the snapshot
+    /// `generation` names) and the result is remembered. A `generation` other than the
+    /// cached entries' invalidates the whole cache first.
     pub fn match_record_hashed(
         &mut self,
-        compiled: &CompiledMatcher,
-        preprocessor: &Preprocessor,
-        scratch: &mut TokenScratch,
+        generation: u64,
         record: &str,
         line_hash: u64,
+        miss: impl FnOnce() -> Option<NodeId>,
     ) -> Option<NodeId> {
-        if self.generation != compiled.generation {
+        if self.generation != generation {
             self.current.clear();
             self.previous.clear();
-            self.generation = compiled.generation;
+            self.generation = generation;
         }
         if let Some(entry) = self.current.get(&line_hash) {
             if &*entry.line == record {
@@ -879,8 +923,7 @@ impl MatchCache {
             }
         }
         self.misses += 1;
-        let view = preprocessor.token_view(record, scratch);
-        let node = compiled.match_view(&view);
+        let node = miss();
         self.insert(
             line_hash,
             CacheEntry {
@@ -963,7 +1006,7 @@ mod tests {
 
     /// Match a literal token sequence (no preprocessing).
     fn match_literal(compiled: &CompiledMatcher, tokens: &[&str]) -> Option<NodeId> {
-        compiled.match_symbols(tokens.iter().copied())
+        compiled.tables.match_symbols(tokens.iter().copied())
     }
 
     fn assert_agrees(model: &ParserModel, compiled: &CompiledMatcher, pre: &Preprocessor) {

@@ -9,8 +9,11 @@
 //!    ([`saturation`]) that strictly increases with depth and quantifies how precisely the
 //!    node's logs have been resolved into constants and variables.
 //! 2. **Online matching** ([`matcher`]): incoming logs are matched position-by-position
-//!    against the stored template texts in descending saturation order; unmatched logs
-//!    become temporary single-log templates that the next training cycle absorbs.
+//!    against the stored template texts in descending saturation order — one walk of the
+//!    automaton compiled from them ([`automaton`]), behind one kernel
+//!    ([`matcher::match_compiled`]); unmatched logs become temporary single-log templates
+//!    that the next training cycle absorbs. The linear tree walk ([`matcher::match_view`])
+//!    and [`merge::merge_models`] are the oracles the kernel and [`incremental`] are held to.
 //!
 //! Query-time precision control ([`query`]) walks from the matched (most precise) template
 //! up the tree to the coarsest ancestor whose saturation still meets a user threshold, so
@@ -48,7 +51,7 @@ pub mod saturation;
 pub mod train;
 pub mod tree;
 
-pub use automaton::{CompiledMatcher, MatchCache};
+pub use automaton::{CompiledMatcher, MatchCache, MatchTables};
 pub use config::{AblationConfig, TrainConfig};
 pub use incremental::{
     apply_delta, train_delta, DeltaParent, DriftConfig, DriftDecision, DriftDetector, ModelDelta,

@@ -5,8 +5,13 @@
 //! template token or the template holds a wildcard. This avoids recomputing positional
 //! similarity distances and traversing the tree online, which is what keeps the model
 //! small (no per-node token statistics) and matching cheap.
+//!
+//! That definition is [`match_view`], the linear tree walk. Nothing in production runs
+//! it: every match decision — [`ByteBrainParser`](crate::ByteBrainParser), the service's
+//! batch path, pool workers and stale re-match — is one call of [`match_compiled`], which
+//! reads the compiled [`MatchTables`] and, under debug assertions, checks itself against it.
 
-use crate::automaton::CompiledMatcher;
+use crate::automaton::MatchTables;
 use crate::model::ParserModel;
 use crate::parallel::run_parallel;
 use crate::tree::NodeId;
@@ -29,13 +34,22 @@ impl MatchResult {
     pub fn is_matched(&self) -> bool {
         self.node.is_some()
     }
+
+    /// Render the match decision `node` for `record`.
+    pub(crate) fn of(model: &ParserModel, record: &str, node: Option<NodeId>) -> Self {
+        let hit = node.map(|id| &model.nodes[id.0]);
+        MatchResult {
+            node,
+            saturation: hit.map_or(0.0, |n| n.saturation),
+            template: hit.map_or_else(|| record.to_string(), |n| n.template_text()),
+        }
+    }
 }
 
-/// The linear tree walk (§4.8): match a [`TokenView`] produced by
-/// [`Preprocessor::token_view`] against the templates in match order, without
-/// allocating owned token strings or a rendered template. Returns the first (most
-/// precise) matching template id. This is [`ByteBrainParser`](crate::ByteBrainParser)'s
-/// engine and the reference the compiled automaton is differentially tested against.
+/// The linear tree walk (§4.8), kept as the **oracle**: match a [`TokenView`] produced by
+/// [`Preprocessor::token_view`] against the templates in match order and return the first
+/// (most precise) matching template id. It has no production caller — [`match_compiled`]'s
+/// debug assertion and the differential suites are what run it.
 pub fn match_view(model: &ParserModel, view: &TokenView<'_>) -> Option<NodeId> {
     model
         .match_order()
@@ -44,70 +58,38 @@ pub fn match_view(model: &ParserModel, view: &TokenView<'_>) -> Option<NodeId> {
         .find(|id| model.nodes[id.0].matches(view.iter()))
 }
 
-/// [`match_record`] through caller-provided scratch buffers: only the rendered
-/// template of the *result* allocates; preprocessing and matching reuse `scratch`.
-fn match_record_with_scratch(
+/// The one production match decision: `tables`, compiled from `model`, plus a linear look
+/// at the nodes appended to `model` since. Those can only be temporary templates
+/// ([`ParserModel::insert_temporary`]; every other model change recompiles) — exact-token
+/// templates of lines that everything older missed, so at most one of them matches a
+/// record, and only a record the tables miss. Together that is the live model, without
+/// recompiling once per inserted temporary. Builds with debug assertions hold every
+/// decision to the tree walk.
+pub fn match_compiled(
     model: &ParserModel,
-    preprocessor: &Preprocessor,
-    record: &str,
-    scratch: &mut TokenScratch,
-) -> MatchResult {
-    let view = preprocessor.token_view(record, scratch);
-    match match_view(model, &view) {
-        Some(id) => {
-            let node = &model.nodes[id.0];
-            MatchResult {
-                node: Some(id),
-                saturation: node.saturation,
-                template: node.template_text(),
-            }
-        }
-        None => MatchResult {
-            node: None,
-            saturation: 0.0,
-            template: record.to_string(),
-        },
-    }
-}
-
-/// Match a raw log record (running the same preprocessing pipeline used for training).
-pub fn match_record(model: &ParserModel, preprocessor: &Preprocessor, record: &str) -> MatchResult {
-    let mut scratch = TokenScratch::new();
-    match_record_with_scratch(model, preprocessor, record, &mut scratch)
+    tables: &MatchTables,
+    view: &TokenView<'_>,
+) -> Option<NodeId> {
+    let node = tables.match_view(view).or_else(|| {
+        let mut appended = model.nodes[tables.nodes..].iter();
+        appended.find(|n| n.matches(view.iter())).map(|n| n.id)
+    });
+    debug_assert_eq!(
+        node,
+        match_view(model, view),
+        "automaton diverged from the tree walk on {:?}",
+        view.iter().collect::<Vec<_>>()
+    );
+    node
 }
 
 /// Match a batch of raw records, optionally across `workers` threads (§3 "Parallel": the
-/// online phase parallelises template matching across logs).
-pub fn match_batch(
-    model: &ParserModel,
-    preprocessor: &Preprocessor,
-    records: &[String],
-    workers: usize,
-) -> Vec<MatchResult> {
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<TokenScratch> =
-            std::cell::RefCell::new(TokenScratch::new());
-    }
-    let indexed: Vec<(usize, &String)> = records.iter().enumerate().collect();
-    let mut results = run_parallel(workers, indexed, |(idx, record)| {
-        SCRATCH.with(|scratch| {
-            let result =
-                match_record_with_scratch(model, preprocessor, record, &mut scratch.borrow_mut());
-            (idx, result)
-        })
-    });
-    results.sort_by_key(|(idx, _)| *idx);
-    results.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Lean batch matcher: like [`match_batch`] but returns `(node, saturation)` pairs
-/// without rendering template texts — the service layer's ingest and maintenance
-/// re-match paths only need the assignment. Records go through `compiled`, the
-/// automaton compiled from `model`; debug builds check every decision against
-/// the tree walk.
+/// online phase parallelises template matching across logs), returning
+/// `(node, saturation)` pairs in input order without rendering template texts. Each record
+/// is preprocessed on a per-thread scratch and decided by [`match_compiled`].
 pub fn match_ids_batch<S: AsRef<str> + Sync>(
     model: &ParserModel,
-    compiled: &CompiledMatcher,
+    tables: &MatchTables,
     preprocessor: &Preprocessor,
     records: &[S],
     workers: usize,
@@ -116,139 +98,47 @@ pub fn match_ids_batch<S: AsRef<str> + Sync>(
         static SCRATCH: std::cell::RefCell<TokenScratch> =
             std::cell::RefCell::new(TokenScratch::new());
     }
-    let indexed: Vec<(usize, &str)> = records
-        .iter()
-        .map(|record| record.as_ref())
-        .enumerate()
-        .collect();
-    let mut results = run_parallel(workers, indexed, |(idx, record)| {
+    let lines: Vec<&str> = records.iter().map(|record| record.as_ref()).collect();
+    run_parallel(workers, lines, |record| {
         SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
             let view = preprocessor.token_view(record, &mut scratch);
-            let node = compiled.match_view(&view);
-            debug_assert_eq!(
-                node,
-                match_view(model, &view),
-                "automaton diverged from the tree walk on {record:?}"
-            );
-            let saturation = node.map(|id| model.nodes[id.0].saturation).unwrap_or(0.0);
-            (idx, (node, saturation))
+            let node = match_compiled(model, tables, &view);
+            (node, node.map_or(0.0, |id| model.nodes[id.0].saturation))
         })
-    });
-    results.sort_by_key(|(idx, _)| *idx);
-    results.into_iter().map(|(_, r)| r).collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::automaton::CompiledMatcher;
     use crate::config::TrainConfig;
     use crate::train::train;
 
-    fn trained_model() -> (ParserModel, Preprocessor) {
-        let mut records = Vec::new();
-        for i in 0..40 {
-            records.push(format!(
-                "Accepted password for user{} from 10.0.0.{} port 22",
-                i % 5,
-                i % 9
-            ));
-            records.push(format!(
-                "Failed password for user{} from 10.0.0.{} port 22",
-                i % 5,
-                i % 9
-            ));
-            records.push(format!("Connection closed by 10.0.0.{}", i % 9));
-        }
+    #[test]
+    fn kernel_sees_temporaries_appended_since_the_tables_were_built() {
+        let records: Vec<String> = (0..40)
+            .map(|i| format!("Connection closed by 10.0.0.{}", i % 9))
+            .collect();
         let config = TrainConfig::default();
-        let outcome = train(&records, &config);
-        (outcome.model, Preprocessor::new(config.preprocess.clone()))
-    }
-
-    #[test]
-    fn known_patterns_match_trained_templates() {
-        let (model, pre) = trained_model();
-        let result = match_record(
-            &model,
-            &pre,
-            "Accepted password for user99 from 10.0.0.77 port 22",
-        );
-        assert!(result.is_matched());
-        assert!(result.template.contains("Accepted password for"));
-        assert!(result.saturation > 0.5);
-    }
-
-    #[test]
-    fn unknown_pattern_is_unmatched() {
-        let (model, pre) = trained_model();
-        let result = match_record(&model, &pre, "kernel panic: attempted to kill init");
-        assert!(!result.is_matched());
-        assert_eq!(result.template, "kernel panic: attempted to kill init");
-        assert_eq!(result.saturation, 0.0);
-    }
-
-    #[test]
-    fn most_precise_template_wins() {
-        let (model, pre) = trained_model();
-        let result = match_record(
-            &model,
-            &pre,
-            "Failed password for user1 from 10.0.0.3 port 22",
-        );
-        let node = model.node(result.node.unwrap()).unwrap();
-        // The matched node must distinguish Accepted from Failed (i.e. not be a coarse
-        // ancestor with a wildcard at the first position).
-        assert!(node.template_text().starts_with("Failed"));
-    }
-
-    #[test]
-    fn batch_matching_preserves_order_and_agrees_with_single() {
-        let (model, pre) = trained_model();
-        let records: Vec<String> = vec![
-            "Connection closed by 10.0.0.3".into(),
-            "Accepted password for userX from 10.0.0.1 port 22".into(),
-            "totally novel log statement".into(),
-        ];
-        let batch = match_batch(&model, &pre, &records, 3);
-        assert_eq!(batch.len(), 3);
-        for (record, result) in records.iter().zip(&batch) {
-            let single = match_record(&model, &pre, record);
-            assert_eq!(single.node, result.node);
-        }
-    }
-
-    #[test]
-    fn empty_model_matches_nothing() {
-        let model = ParserModel::new();
-        let pre = Preprocessor::default_pipeline();
-        let result = match_record(&model, &pre, "anything at all");
-        assert!(!result.is_matched());
-    }
-
-    #[test]
-    fn training_assignment_agrees_with_online_matching_most_of_the_time() {
-        // §5.4.1: text-based matching does not compromise accuracy. On the training data
-        // the online matcher should group logs (almost) identically to the clustering
-        // assignment.
-        let mut records = Vec::new();
-        for i in 0..60 {
-            records.push(format!("block blk_{} replicated to node{}", i, i % 4));
-            records.push(format!("block blk_{} deleted from node{}", i, i % 4));
-        }
-        let config = TrainConfig::default();
-        let outcome = train(&records, &config);
+        let mut model = train(&records, &config).model;
         let pre = Preprocessor::new(config.preprocess.clone());
-        let mut agree = 0usize;
-        for (record, assigned) in records.iter().zip(&outcome.training_assignment) {
-            let matched = match_record(&outcome.model, &pre, record);
-            if matched.node == Some(*assigned) {
-                agree += 1;
-            }
-        }
-        let ratio = agree as f64 / records.len() as f64;
-        assert!(
-            ratio > 0.8,
-            "online matching diverged from training assignment: {ratio}"
-        );
+        let tables = CompiledMatcher::compile(&model).into_tables();
+        assert_eq!(tables.nodes, model.len());
+        let novel = [
+            "kernel panic: attempted to kill init",
+            "segfault at deadbeef",
+        ];
+        let ids = novel.map(|line| model.insert_temporary(&pre.tokens_of(line)));
+        let mut probes: Vec<String> = novel.iter().map(|line| line.to_string()).collect();
+        probes.push("Connection closed by 10.0.0.77".into());
+        probes.push("matches nothing at all".into());
+        // Input order is kept across workers; the seam assertion runs on every line.
+        let results = match_ids_batch(&model, &tables, &pre, &probes, 3);
+        assert_eq!(results[0], (Some(ids[0]), 1.0));
+        assert_eq!(results[1], (Some(ids[1]), 1.0));
+        assert!(results[2].0.is_some_and(|id| id.0 < tables.nodes));
+        assert_eq!(results[3], (None, 0.0));
     }
 }

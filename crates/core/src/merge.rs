@@ -27,11 +27,12 @@ pub fn template_similarity(a: &[TemplateToken], b: &[TemplateToken]) -> f64 {
 /// logs are represented in `incoming` by construction (the service retrains on recent
 /// logs, which include previously-unmatched ones).
 ///
-/// This is the **reference** definition of the merge: it rebuilds the tree and renumbers
-/// every node. The service never calls it — its retrains land through
-/// [`train_delta`](crate::incremental::train_delta), the same rules expressed against
-/// stable node ids — and the differential suites hold that path to this one. The other
-/// caller is [`ByteBrainParser::train_incremental`](crate::ByteBrainParser::train_incremental).
+/// This is the **reference** definition of the merge — an oracle with no production
+/// caller: it rebuilds the tree and renumbers every node. Every landing, the service's
+/// retrains and [`ByteBrainParser::train_incremental`](crate::ByteBrainParser::train_incremental)
+/// alike, goes through [`train_delta`](crate::incremental::train_delta), the same rules
+/// expressed against stable node ids, and the differential suites hold that path to this
+/// one.
 pub fn merge_models(base: &ParserModel, incoming: &ParserModel, threshold: f64) -> ParserModel {
     let mut merged = ParserModel::new();
     // 1. Copy the non-temporary part of `base`.
@@ -161,9 +162,14 @@ fn merge_subtree(
 mod tests {
     use super::*;
     use crate::config::TrainConfig;
-    use crate::matcher::match_record;
+    use crate::matcher::match_view;
     use crate::train::train;
-    use logtok::Preprocessor;
+    use logtok::{Preprocessor, TokenScratch};
+
+    /// The tree walk's answer for `line` (these tests are about the model, not the engine).
+    fn walk(model: &ParserModel, pre: &Preprocessor, line: &str) -> Option<NodeId> {
+        match_view(model, &pre.token_view(line, &mut TokenScratch::new()))
+    }
 
     fn t(parts: &[&str]) -> Vec<TemplateToken> {
         parts
@@ -207,8 +213,7 @@ mod tests {
         let merged = merge_models(&first, &second, 0.5);
         assert_eq!(merged.trained_records(), 2 * records.len() as u64);
         let pre = Preprocessor::new(config.preprocess.clone());
-        let result = match_record(&merged, &pre, "job 999 finished in 5ms");
-        assert!(result.is_matched());
+        assert!(walk(&merged, &pre, "job 999 finished in 5ms").is_some());
     }
 
     #[test]
@@ -223,13 +228,13 @@ mod tests {
         let merged = merge_models(&a, &b, 0.6);
         assert_eq!(merged.roots.len(), a.roots.len() + b.roots.len());
         let pre = Preprocessor::new(config.preprocess.clone());
-        assert!(match_record(&merged, &pre, "cache hit for key 7").is_matched());
-        assert!(match_record(
+        assert!(walk(&merged, &pre, "cache hit for key 7").is_some());
+        assert!(walk(
             &merged,
             &pre,
             "connection refused from 10.0.0.9 after retry"
         )
-        .is_matched());
+        .is_some());
     }
 
     #[test]

@@ -3,13 +3,12 @@
 //! The paper parallelises preprocessing, per-group clustering, online matching and query
 //! processing, but caps production deployments at 1–5 cores (§3 "Parallel"). A simple
 //! chunked scoped-thread map is all that is needed: tasks are independent (one per initial
-//! group or one per batch of logs) and results are re-ordered by the caller.
+//! group or one per batch of logs) and results come back in input order.
 
 /// Apply `f` to every item of `items`, using up to `workers` OS threads. With
 /// `workers <= 1` (or a single item) the map runs inline on the calling thread.
 ///
-/// Results are returned in an arbitrary order; callers that need the input order should
-/// carry the index inside the item (as `train_from_batch` does).
+/// Results come back in input order: the chunks are contiguous and joined in order.
 pub fn run_parallel<T, R, F>(workers: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -57,19 +56,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_path_produces_all_results() {
+    fn parallel_path_preserves_order() {
         let input: Vec<u64> = (0..1000).collect();
         let out = run_parallel(4, input.clone(), |x| x * 2);
-        let expected: HashSet<u64> = input.iter().map(|x| x * 2).collect();
-        let got: HashSet<u64> = out.into_iter().collect();
-        assert_eq!(got, expected);
+        let expected: Vec<u64> = input.iter().map(|x| x * 2).collect();
+        assert_eq!(out, expected);
     }
 
     #[test]
     fn more_workers_than_items() {
         let out = run_parallel(16, vec![1, 2, 3], |x| x + 1);
-        let got: HashSet<i32> = out.into_iter().collect();
-        assert_eq!(got, HashSet::from([2, 3, 4]));
+        assert_eq!(out, vec![2, 3, 4]);
     }
 
     #[test]

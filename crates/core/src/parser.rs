@@ -1,23 +1,31 @@
 //! High-level parser facade combining training, matching, querying and merging.
 
+use crate::automaton::{CompiledMatcher, MatchTables};
 use crate::config::TrainConfig;
-use crate::matcher::{match_batch, match_record, MatchResult};
-use crate::merge::merge_models;
+use crate::incremental::{apply_delta, train_delta};
+use crate::matcher::{match_ids_batch, MatchResult};
 use crate::model::ParserModel;
 use crate::query::{presentation_template, resolve_with_threshold};
-use crate::train::{train, TrainOutcome};
+use crate::train::train;
 use crate::tree::NodeId;
 use logtok::Preprocessor;
 
-/// The ByteBrain log parser: owns the preprocessing pipeline, the trained model, and the
-/// configuration. This is the type examples and the service layer interact with.
+/// The ByteBrain log parser: owns the preprocessing pipeline, the trained model, the
+/// automaton compiled from it, and the configuration. This is the type examples and the
+/// paper-protocol benchmark interact with.
 #[derive(Debug)]
 pub struct ByteBrainParser {
     config: TrainConfig,
     preprocessor: Preprocessor,
     model: ParserModel,
-    /// Per-record node assignment of the *last* training batch (used by the "w/ naive
-    /// match" ablation variant and by grouping-accuracy evaluation on training data).
+    /// `model` as the last training call compiled it — match tables only: the facade
+    /// recompiles, it never patches. A temporary inserted since is an appended node,
+    /// which [`match_compiled`](crate::matcher::match_compiled) checks after the tables.
+    tables: MatchTables,
+    /// Per-record node assignment of the last [`train`](ByteBrainParser::train) batch (the
+    /// "w/ naive match" ablation and accuracy on training data read it). Empty after
+    /// [`train_incremental`](ByteBrainParser::train_incremental): a batch clustered on its
+    /// own and folded in as a delta has node ids that name nothing in the merged model.
     last_training_assignment: Vec<NodeId>,
 }
 
@@ -25,10 +33,12 @@ impl ByteBrainParser {
     /// Create an untrained parser.
     pub fn new(config: TrainConfig) -> Self {
         let preprocessor = Preprocessor::new(config.preprocess.clone());
+        let model = ParserModel::new();
         ByteBrainParser {
             config,
             preprocessor,
-            model: ParserModel::new(),
+            tables: CompiledMatcher::compile(&model).into_tables(),
+            model,
             last_training_assignment: Vec::new(),
         }
     }
@@ -55,58 +65,58 @@ impl ByteBrainParser {
 
     /// Train on a batch of raw records, replacing any existing model.
     pub fn train(&mut self, records: &[String]) -> &ParserModel {
-        let TrainOutcome {
-            model,
-            training_assignment,
-            ..
-        } = train(records, &self.config);
-        self.model = model;
-        self.last_training_assignment = training_assignment;
+        let outcome = train(records, &self.config);
+        self.install(outcome.model, outcome.training_assignment);
         &self.model
     }
 
     /// Train on a new batch and merge the result into the existing model (periodic
-    /// retraining in production, §3). `similarity_threshold` controls when templates from
-    /// the two models are considered the same.
+    /// retraining in production, §3) the way every service landing does — a
+    /// [`train_delta`] applied against stable node ids, absorbing the temporaries.
+    /// `similarity_threshold` controls when two templates are considered the same.
     pub fn train_incremental(&mut self, records: &[String], similarity_threshold: f64) {
-        let outcome = train(records, &self.config);
         if self.model.is_empty() {
-            self.model = outcome.model;
-        } else {
-            self.model = merge_models(&self.model, &outcome.model, similarity_threshold);
+            self.train(records);
+            return;
         }
-        self.last_training_assignment = outcome.training_assignment;
+        let delta = train_delta(&self.model, records, &self.config, similarity_threshold);
+        self.install(apply_delta(&self.model, &delta), Vec::new());
+    }
+
+    /// Take `model` as the current one and compile it.
+    fn install(&mut self, model: ParserModel, training_assignment: Vec<NodeId>) {
+        self.model = model;
+        self.tables = CompiledMatcher::compile(&self.model).into_tables();
+        self.last_training_assignment = training_assignment;
+    }
+
+    fn match_node(&self, record: &str) -> Option<NodeId> {
+        match_ids_batch(&self.model, &self.tables, &self.preprocessor, &[record], 1)[0].0
     }
 
     /// Match one raw log against the model. Unmatched logs are inserted as temporary
     /// templates (§3 "Online Matching") so subsequent identical logs match.
     pub fn match_log(&mut self, record: &str) -> MatchResult {
-        let result = match_record(&self.model, &self.preprocessor, record);
-        if result.is_matched() {
-            return result;
-        }
-        let tokens = self.preprocessor.tokens_of(record);
-        let id = self.model.insert_temporary(&tokens);
-        MatchResult {
-            node: Some(id),
-            saturation: 1.0,
-            template: self.model.nodes[id.0].template_text(),
-        }
+        let node = self.match_node(record).unwrap_or_else(|| {
+            let tokens = self.preprocessor.tokens_of(record);
+            self.model.insert_temporary(&tokens)
+        });
+        MatchResult::of(&self.model, record, Some(node))
     }
 
     /// Match one raw log without inserting temporary templates (read-only).
     pub fn match_log_readonly(&self, record: &str) -> MatchResult {
-        match_record(&self.model, &self.preprocessor, record)
+        MatchResult::of(&self.model, record, self.match_node(record))
     }
 
     /// Match a batch of raw logs (read-only) using the configured parallelism.
     pub fn match_batch(&self, records: &[String]) -> Vec<MatchResult> {
-        match_batch(
-            &self.model,
-            &self.preprocessor,
-            records,
-            self.config.parallelism,
-        )
+        let (model, workers) = (&self.model, self.config.parallelism);
+        let ids = match_ids_batch(model, &self.tables, &self.preprocessor, records, workers);
+        let decided = records.iter().zip(ids);
+        decided
+            .map(|(record, (node, _))| MatchResult::of(model, record, node))
+            .collect()
     }
 
     /// Train on `records` and return, for every record, an opaque group id at the given
@@ -175,6 +185,138 @@ mod tests {
             ));
         }
         records
+    }
+
+    fn ssh_parser() -> ByteBrainParser {
+        let mut records = Vec::new();
+        for i in 0..40 {
+            records.push(format!(
+                "Accepted password for user{} from 10.0.0.{} port 22",
+                i % 5,
+                i % 9
+            ));
+            records.push(format!(
+                "Failed password for user{} from 10.0.0.{} port 22",
+                i % 5,
+                i % 9
+            ));
+            records.push(format!("Connection closed by 10.0.0.{}", i % 9));
+        }
+        let mut parser = ByteBrainParser::default_parser();
+        parser.train(&records);
+        parser
+    }
+
+    #[test]
+    fn known_patterns_match_trained_templates() {
+        let parser = ssh_parser();
+        let result =
+            parser.match_log_readonly("Accepted password for user99 from 10.0.0.77 port 22");
+        assert!(result.is_matched());
+        assert!(result.template.contains("Accepted password for"));
+        assert!(result.saturation > 0.5);
+    }
+
+    #[test]
+    fn unknown_pattern_is_unmatched() {
+        let parser = ssh_parser();
+        let result = parser.match_log_readonly("kernel panic: attempted to kill init");
+        assert!(!result.is_matched());
+        assert_eq!(result.template, "kernel panic: attempted to kill init");
+        assert_eq!(result.saturation, 0.0);
+    }
+
+    #[test]
+    fn most_precise_template_wins() {
+        let parser = ssh_parser();
+        let result = parser.match_log_readonly("Failed password for user1 from 10.0.0.3 port 22");
+        let node = parser.model().node(result.node.unwrap()).unwrap();
+        // The matched node must distinguish Accepted from Failed (i.e. not be a coarse
+        // ancestor with a wildcard at the first position).
+        assert!(node.template_text().starts_with("Failed"));
+    }
+
+    #[test]
+    fn batch_matching_preserves_order_and_agrees_with_single() {
+        let mut parser = ssh_parser();
+        parser.config.parallelism = 3;
+        let records: Vec<String> = vec![
+            "Connection closed by 10.0.0.3".into(),
+            "Accepted password for userX from 10.0.0.1 port 22".into(),
+            "totally novel log statement".into(),
+        ];
+        let batch = parser.match_batch(&records);
+        assert_eq!(batch.len(), 3);
+        for (record, result) in records.iter().zip(&batch) {
+            assert_eq!(&parser.match_log_readonly(record), result);
+        }
+        assert_eq!(batch[2].node, None);
+    }
+
+    #[test]
+    fn untrained_parser_matches_nothing() {
+        let parser = ByteBrainParser::default_parser();
+        assert!(!parser.match_log_readonly("anything at all").is_matched());
+        assert_eq!(
+            parser.match_batch(&["anything at all".to_string()])[0].node,
+            None
+        );
+    }
+
+    #[test]
+    fn training_assignment_agrees_with_online_matching_most_of_the_time() {
+        // §5.4.1: text-based matching does not compromise accuracy. On the training data
+        // the online matcher should group logs (almost) identically to the clustering
+        // assignment.
+        let mut records = Vec::new();
+        for i in 0..60 {
+            records.push(format!("block blk_{} replicated to node{}", i, i % 4));
+            records.push(format!("block blk_{} deleted from node{}", i, i % 4));
+        }
+        let mut parser = ByteBrainParser::default_parser();
+        parser.train(&records);
+        let matched = parser.match_batch(&records);
+        let assigned = parser.last_training_assignment.iter();
+        let agree = matched
+            .iter()
+            .zip(assigned)
+            .filter(|(m, a)| m.node == Some(**a));
+        let ratio = agree.count() as f64 / records.len() as f64;
+        assert!(
+            ratio > 0.8,
+            "online matching diverged from training assignment: {ratio}"
+        );
+    }
+
+    /// Every stored training-assignment id names the node of `parser.model()` whose
+    /// template covers its record — after `train`, and (the ids of a batch clustered on
+    /// its own would name unrelated nodes of the merged model) after `train_incremental`.
+    #[test]
+    fn training_assignment_resolves_against_the_current_model() {
+        let covers_its_record = |parser: &ByteBrainParser, batch: &[String]| {
+            let assigned = parser.last_training_assignment.iter();
+            batch.iter().zip(assigned).all(|(record, id)| {
+                let tokens = parser.preprocessor().tokens_of(record);
+                let node = parser.model().node(*id);
+                node.is_some_and(|n| !n.retired && n.matches(tokens.iter().map(String::as_str)))
+            })
+        };
+        let records = wakelock_records();
+        let mut parser = ByteBrainParser::default_parser();
+        parser.train(&records);
+        assert_eq!(parser.last_training_assignment.len(), records.len());
+        assert!(covers_its_record(&parser, &records));
+        let gc_records: Vec<String> = (0..30)
+            .map(|i| format!("GC pause of {}ms in generation {}", i * 3 + 1, i % 3))
+            .collect();
+        parser.train_incremental(&gc_records, 0.6);
+        assert!(covers_its_record(&parser, &gc_records));
+        assert!(parser.last_training_assignment.is_empty());
+        // The first call of an untrained parser is a plain `train`.
+        let mut fresh = ByteBrainParser::default_parser();
+        fresh.train_incremental(&gc_records, 0.6);
+        assert_eq!(fresh.last_training_assignment.len(), gc_records.len());
+        assert!(covers_its_record(&fresh, &gc_records));
     }
 
     #[test]

@@ -259,14 +259,16 @@ fn matcher_probe(rng: &mut StdRng) -> String {
     }
 }
 
-/// The matching entry points agree on adversarial probes: `match_view` through a
-/// long-lived scratch, `match_batch` (per-thread scratches) and the owned-allocation
-/// `match_record` return the same node, saturation and template — and the matched
-/// template positionally matches the owned tokens `tokens_of` produces.
+/// The facade's entry points agree with the tree walk on adversarial probes:
+/// `match_batch` (per-thread scratches) and the one-record `match_log_readonly` return
+/// the node `match_view` finds through a long-lived scratch, with its saturation and
+/// template — and the matched template positionally matches the owned tokens
+/// `tokens_of` produces.
 #[test]
 fn zero_copy_matching_agrees_with_owned_path() {
-    use bytebrain::matcher::{match_batch, match_record, match_view};
-    use logtok::{Preprocessor, TokenScratch};
+    use bytebrain::matcher::match_view;
+    use bytebrain::ByteBrainParser;
+    use logtok::TokenScratch;
 
     let mut rng = StdRng::seed_from_u64(adversarial_seed() ^ 0xAD7E_0004);
     let mut records = Vec::new();
@@ -280,24 +282,29 @@ fn zero_copy_matching_agrees_with_owned_path() {
         records.push(format!("任务 {} 在 节点 {} 完成", i, i % 4));
         records.push(format!("cache {} invalidated after {} hits", i % 9, i * 3));
     }
-    let config = TrainConfig::default();
-    let model = train(&records, &config).model;
-    let pre = Preprocessor::new(config.preprocess.clone());
+    let mut parser = ByteBrainParser::new(TrainConfig::default().with_parallelism(2));
+    parser.train(&records);
+    let (model, pre) = (parser.model(), parser.preprocessor());
     let mut scratch = TokenScratch::new();
     let probes: Vec<String> = (0..600).map(|_| matcher_probe(&mut rng)).collect();
-    let batched = match_batch(&model, &pre, &probes, 2);
+    let batched = parser.match_batch(&probes);
     for (probe, batched) in probes.iter().zip(&batched) {
-        let owned = match_record(&model, &pre, probe);
+        let owned = parser.match_log_readonly(probe);
         assert_eq!(&owned, batched, "batch path diverged on {probe:?}");
         let view = pre.token_view(probe, &mut scratch);
-        let view_node = match_view(&model, &view);
+        let view_node = match_view(model, &view);
         assert_eq!(owned.node, view_node, "view path diverged on {probe:?}");
-        if let Some(id) = view_node {
-            let tokens = pre.tokens_of(probe);
-            assert!(
-                model.nodes[id.0].matches(tokens.iter().map(String::as_str)),
-                "owned tokens disagree with the view on {probe:?}"
-            );
+        match view_node {
+            Some(id) => {
+                let tokens = pre.tokens_of(probe);
+                assert!(
+                    model.nodes[id.0].matches(tokens.iter().map(String::as_str)),
+                    "owned tokens disagree with the view on {probe:?}"
+                );
+                assert_eq!(owned.saturation, model.nodes[id.0].saturation);
+                assert_eq!(owned.template, model.nodes[id.0].template_text());
+            }
+            None => assert_eq!(&owned.template, probe),
         }
     }
 }
@@ -583,7 +590,10 @@ fn match_order_is_maintained_across_insert_retire_and_delta() {
 /// a model whose start state fans out over hundreds of const edges (the widest
 /// binary search a transition can face), across delta/retire/temporary churn that
 /// recycles most interned symbol ids between mid-stream hot-swaps. The hashed match
-/// cache, kept across the swaps, must agree too.
+/// cache, kept across the swaps, must agree too — and so must the match tables on
+/// their own, with the patch state dropped, both as DFA rows and, on a second chain
+/// patched under a tiny determinization cap, as NFA rows over the trie: the tables
+/// are sufficient to match.
 #[test]
 fn sorted_edge_dfa_equals_tree_walk_under_wide_fanout_and_churn() {
     use bytebrain::incremental::{apply_delta, train_delta};
@@ -616,6 +626,7 @@ fn sorted_edge_dfa_equals_tree_walk_under_wide_fanout_and_churn() {
             .collect();
         assert_eq!(leading.len(), 300, "masking collapsed the fan-out");
         let mut compiled = CompiledMatcher::compile(&model);
+        let mut capped = CompiledMatcher::compile_with_limit(&model, 2);
         let symbols_at_start = compiled.interned_symbols();
         // Kept *across* hot-swaps: generation invalidation (not staleness) must
         // keep hits equal to misses.
@@ -683,6 +694,12 @@ fn sorted_edge_dfa_equals_tree_walk_under_wide_fanout_and_churn() {
                 "patched/scratch canonical forms diverged (case {case}, step {step})"
             );
             assert!(!compiled.uses_nfa_fallback());
+            capped = capped.refreshed(&model);
+            assert!(capped.uses_nfa_fallback());
+            let (dfa_rows, nfa_rows) =
+                (compiled.clone().into_tables(), capped.clone().into_tables());
+            assert_eq!(dfa_rows.dfa_states(), compiled.dfa_states());
+            assert_eq!(nfa_rows.dfa_states(), None);
 
             for i in 0..50 {
                 let probe = if i < 20 {
@@ -695,11 +712,20 @@ fn sorted_edge_dfa_equals_tree_walk_under_wide_fanout_and_churn() {
                 };
                 let view = pre.token_view(&probe, &mut scratch);
                 let tree = match_view(&model, &view);
-                assert_eq!(
-                    compiled.match_view(&view),
-                    tree,
-                    "DFA diverged from tree walk (case {case}, step {step}, {probe:?})"
-                );
+                for (mode, on_tables, full) in [
+                    (
+                        "DFA",
+                        dfa_rows.match_view(&view),
+                        compiled.match_view(&view),
+                    ),
+                    ("NFA", nfa_rows.match_view(&view), capped.match_view(&view)),
+                ] {
+                    assert_eq!(
+                        (on_tables, full),
+                        (tree, tree),
+                        "{mode} rows diverged (case {case}, step {step}, {probe:?})"
+                    );
+                }
                 let cached = cache.match_record(&compiled, &pre, &mut scratch, &probe);
                 assert_eq!(
                     cached, tree,

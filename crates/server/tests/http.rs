@@ -798,11 +798,16 @@ fn write_lock_is_not_held_while_a_batch_is_matched() {
     server.shutdown();
 }
 
-/// Under a saturating two-tenant workload, the rate-limited tenant sheds with 429s
-/// while the in-quota tenant's ingest throughput stays within 20% of its solo rate.
+/// Under a saturating two-tenant workload the rate-limited tenant sheds with 429s while
+/// the in-quota tenant is admitted in full. Isolation is read from what the server
+/// counts (`/metrics`), not from the wall clocks of two separately booted servers: a
+/// 25 % bound on those failed about one run in fourteen on a two-core host. One loose
+/// wall-clock bound stays, against a flood that starves the steady tenant outright.
 #[test]
 fn fair_share_isolates_the_in_quota_tenant() {
-    let flood_quota = TenantQuota::default().with_rate(200.0).with_burst(200);
+    const RATE: f64 = 200.0;
+    const BURST: u64 = 200;
+    let flood_quota = TenantQuota::default().with_rate(RATE).with_burst(BURST);
     let admission = AdmissionConfig::default().with_tenant_quota("flood", flood_quota);
     let payload_batches: Vec<Vec<String>> =
         (0..12).map(|i| lines("steady", i * 2_000, 2_000)).collect();
@@ -839,14 +844,14 @@ fn fair_share_isolates_the_in_quota_tenant() {
     )
     .expect("serve contended");
     let addr = contended_server.addr();
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let flood_handle = {
-        let stop = std::sync::Arc::clone(&stop);
-        std::thread::spawn(move || {
+    let stop = AtomicBool::new(false);
+    let flood_started = Instant::now();
+    let (contended, sheds) = std::thread::scope(|scope| {
+        let flood = scope.spawn(|| {
             let mut client = ClientConn::connect(addr).unwrap();
             let batch = ingest_body(&lines("flood", 0, 50));
             let mut sheds = 0u64;
-            while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+            while !stop.load(Ordering::SeqCst) {
                 let (status, _) = post(&mut client, "/v1/flood/logs/ingest", &batch);
                 if status == 429 {
                     sheds += 1;
@@ -856,21 +861,36 @@ fn fair_share_isolates_the_in_quota_tenant() {
                 std::thread::sleep(Duration::from_millis(10));
             }
             sheds
-        })
-    };
-    let contended = run_steady(addr);
-    stop.store(true, std::sync::atomic::Ordering::SeqCst);
-    let sheds = flood_handle.join().expect("flood thread");
+        });
+        let contended = run_steady(addr);
+        stop.store(true, Ordering::SeqCst);
+        (contended, flood.join().expect("flood thread"))
+    });
+    // The flood's bucket was created, full, no earlier than this clock started.
+    let flood_budget = BURST as f64 + RATE * flood_started.elapsed().as_secs_f64();
+    let (status, body) = get(&mut ClientConn::connect(addr).unwrap(), "/metrics");
+    assert_eq!(status, 200);
+    let metrics = serde_json::parse_value(&body).expect("metrics is JSON");
     contended_server.shutdown();
 
+    let sent: usize = payload_batches.iter().map(Vec::len).sum();
+    let tenant = |name, field| counter(&metrics, &["tenants", name, field]);
+    assert_eq!(tenant("steady", "shed_batches"), 0);
+    assert_eq!(tenant("steady", "admitted_records"), sent as u64);
     assert!(
         sheds > 0,
         "the flooding tenant must have been shed at least once"
     );
+    assert_eq!(tenant("flood", "shed_batches"), sheds);
+    let admitted = tenant("flood", "admitted_records");
+    assert!(
+        admitted as f64 <= flood_budget,
+        "flood admitted {admitted} records on a budget of {flood_budget:.0}"
+    );
     let ratio = contended.as_secs_f64() / solo.as_secs_f64();
     assert!(
-        ratio <= 1.25,
-        "in-quota tenant slowed by more than 20% under flood: solo {solo:?}, contended {contended:?} (ratio {ratio:.2})"
+        ratio <= 3.0,
+        "in-quota tenant starved under flood: solo {solo:?}, contended {contended:?} (ratio {ratio:.2})"
     );
 }
 

@@ -595,7 +595,7 @@ impl MatchContext {
     ) -> Vec<(Option<NodeId>, f64)> {
         match_ids_batch(
             &self.model,
-            &self.compiled,
+            self.compiled.tables(),
             &self.preprocessor,
             batch,
             self.parallelism,

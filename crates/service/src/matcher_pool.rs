@@ -16,7 +16,7 @@
 //! rendering entirely. This is the path the streaming ingestion engine
 //! ([`crate::ingest`]) drives.
 
-use bytebrain::matcher::match_view;
+use bytebrain::matcher::match_compiled;
 use bytebrain::{CompiledMatcher, MatchCache, NodeId, ParserModel};
 use logtok::{Preprocessor, TokenScratch};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -169,32 +169,19 @@ impl MatcherPool {
                                 continue;
                             }
                         }
-                        let node = cache.match_record_hashed(
-                            &compiled,
-                            &preprocessor,
-                            &mut scratch,
-                            &record.line,
-                            record.line_hash,
-                        );
-                        debug_assert_eq!(
-                            node,
-                            match_view(
-                                &job_model,
-                                &preprocessor.token_view(&record.line, &mut scratch)
-                            ),
-                            "cached automaton diverged from the tree walk on {:?}",
-                            record.line
-                        );
-                        let id = match node {
-                            Some(id) => MatchId {
-                                node: Some(id),
-                                saturation: job_model.nodes[id.0].saturation,
-                            },
-                            None => MatchId {
-                                node: None,
-                                saturation: 0.0,
-                            },
+                        let line = &record.line;
+                        let miss = || {
+                            let view = preprocessor.token_view(line, &mut scratch);
+                            match_compiled(&job_model, compiled.tables(), &view)
                         };
+                        let node = cache.match_record_hashed(
+                            compiled.generation(),
+                            line,
+                            record.line_hash,
+                            miss,
+                        );
+                        let saturation = node.map_or(0.0, |id| job_model.nodes[id.0].saturation);
+                        let id = MatchId { node, saturation };
                         results[idx as usize] = id;
                         prev = Some((idx, id));
                     }

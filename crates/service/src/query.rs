@@ -351,61 +351,59 @@ fn run_plan(
     let compiled = plan.predicate().map(CompiledPredicate::compile);
     let node_only = plan.is_node_only();
     let want_indices = matches!(plan.output(), PlanOutput::Groups { .. });
-    let mut text_of: HashMap<NodeId, String> = HashMap::new();
-    let mut template_ok: HashMap<NodeId, bool> = HashMap::new();
-    let mut groups: HashMap<String, GroupAccumulator> = HashMap::new();
+    // Grouping is by presentation text, but the text is rendered — and a template
+    // predicate judged: `None` is a rejection — once per resolved node. Postings
+    // accumulate under the node; nodes presenting one text merge into one group below.
+    let mut by_node: HashMap<NodeId, Option<(String, GroupAccumulator)>> = HashMap::new();
     for ((_, posting), &res) in index.non_empty().zip(resolved.iter()) {
-        let text = text_of
-            .entry(res)
-            .or_insert_with(|| merge_consecutive_wildcards(&model.nodes[res.0].template_text()))
-            .clone();
+        let entry = by_node.entry(res).or_insert_with(|| {
+            let text = merge_consecutive_wildcards(&model.nodes[res.0].template_text());
+            let judge = compiled.as_ref().filter(|_| node_only);
+            let rejected = judge.is_some_and(|compiled| !compiled.matches_template(&text));
+            (!rejected).then(|| (text, GroupAccumulator::default()))
+        });
+        let Some((text, acc)) = entry else {
+            continue;
+        };
+        let count = acc.members.entry(res).or_insert(0);
         if node_only {
-            if let Some(compiled) = &compiled {
-                let ok = *template_ok
-                    .entry(res)
-                    .or_insert_with(|| compiled.matches_template(&text));
-                if !ok {
-                    continue;
-                }
-            }
-            let acc = groups.entry(text).or_default();
-            *acc.members.entry(res).or_insert(0) += posting.len();
+            *count += posting.len();
             if want_indices {
                 acc.record_indices
                     .extend(posting.iter().map(|&i| i as usize));
             }
-        } else {
-            let access = access.expect("record-level predicates require record access");
-            let compiled = compiled
-                .as_ref()
-                .expect("record-level plans carry a predicate");
-            let mut accepted = 0usize;
-            let mut indices: Vec<usize> = Vec::new();
-            for &i in posting {
-                let idx = i as usize;
-                if access.skipped(idx) {
-                    continue;
-                }
-                let stored = &access.records[idx];
-                let vars =
-                    variables_of(model, access.preprocessor, &stored.record, stored.template);
-                let view = RecordView {
-                    template: &text,
-                    seq: access.first_seq + idx as u64,
-                    variables: &vars,
-                };
-                if compiled.matches(&view) {
-                    accepted += 1;
-                    if want_indices {
-                        indices.push(idx);
-                    }
+            continue;
+        }
+        let access = access.expect("record-level predicates require record access");
+        let compiled = compiled
+            .as_ref()
+            .expect("record-level plans carry a predicate");
+        for &i in posting {
+            let idx = i as usize;
+            if access.skipped(idx) {
+                continue;
+            }
+            let stored = &access.records[idx];
+            let vars = variables_of(model, access.preprocessor, &stored.record, stored.template);
+            let view = RecordView {
+                template: text,
+                seq: access.first_seq + idx as u64,
+                variables: &vars,
+            };
+            if compiled.matches(&view) {
+                *count += 1;
+                if want_indices {
+                    acc.record_indices.push(idx);
                 }
             }
-            if accepted > 0 {
-                let acc = groups.entry(text).or_default();
-                *acc.members.entry(res).or_insert(0) += accepted;
-                acc.record_indices.extend(indices);
-            }
+        }
+    }
+    let mut groups: HashMap<String, GroupAccumulator> = HashMap::new();
+    for (res, (text, acc)) in by_node.into_iter().filter_map(|(res, e)| Some((res, e?))) {
+        if acc.members[&res] > 0 {
+            let group = groups.entry(text).or_default();
+            group.members.extend(acc.members);
+            group.record_indices.extend(acc.record_indices);
         }
     }
     finish(model, groups, plan)

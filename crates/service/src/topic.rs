@@ -30,7 +30,7 @@ use crate::storage::{
 use crate::store::ModelStore;
 use crate::trigger::{TrainingTrigger, TriggerDecision};
 use bytebrain::incremental::{apply_delta, train_delta, DriftConfig, DriftDetector, ModelDelta};
-use bytebrain::matcher::match_view;
+use bytebrain::matcher::match_compiled;
 use bytebrain::train::train;
 use bytebrain::{
     CompiledMatcher, NodeId, ParserModel, QueryPlan, SaturationLadder, TemplateToken, TrainConfig,
@@ -903,13 +903,10 @@ impl LogTopic {
             }
         }
         let count = records.len() as u64;
-        // Stale records re-match on the topic's engine as it stands now, plus the
-        // temporaries this chunk inserts from here on: exact-token templates appended
-        // to `model.nodes`, at most one of which can match a record that everything
-        // older missed. Together that is the live model, without recompiling the
-        // automaton once per inserted temporary.
+        // Stale records re-match on the topic's engine as it stands now; the temporaries
+        // this chunk inserts from here on are nodes appended since that snapshot was
+        // built, which the kernel checks after its tables.
         let compiled = rematch_stale.then(|| self.compiled_snapshot());
-        let chunk_start = self.model.len();
         let mut scratch = TokenScratch::new();
         for matched in records {
             let rematch = compiled.as_ref().filter(|_| match matched.node {
@@ -921,17 +918,7 @@ impl LogTopic {
             let (node, saturation) = match rematch {
                 Some(compiled) => {
                     let view = self.preprocessor.token_view(&matched.record, &mut scratch);
-                    let node = compiled.match_view(&view).or_else(|| {
-                        let inserted = &self.model.nodes[chunk_start..];
-                        let hit = inserted.iter().find(|n| n.matches(view.iter()));
-                        hit.map(|n| n.id)
-                    });
-                    debug_assert_eq!(
-                        node,
-                        match_view(&self.model, &view),
-                        "stale re-match diverged from the tree walk on {:?}",
-                        matched.record
-                    );
+                    let node = match_compiled(&self.model, compiled.tables(), &view);
                     let saturation = node.map(|id| self.model.nodes[id.0].saturation);
                     (node, saturation.unwrap_or(0.0))
                 }

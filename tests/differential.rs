@@ -14,7 +14,7 @@
 //! The base seed is `BYTEBRAIN_TEST_SEED` (default 1); CI runs a seed matrix.
 
 use bytebrain_repro::bytebrain::incremental::DriftConfig;
-use bytebrain_repro::bytebrain::matcher::match_batch;
+use bytebrain_repro::bytebrain::matcher::match_ids_batch;
 use bytebrain_repro::bytebrain::NodeId;
 use bytebrain_repro::datasets::{GeneratorConfig, LabeledDataset};
 use bytebrain_repro::eval::ga::grouping_report;
@@ -257,10 +257,20 @@ fn incremental_maintenance_converges_with_full_retrain_on_drifting_workload() {
     // maintenance strategies, and both models cover the drifted workload.
     let probe_records = probes(seed, 2_000);
     let preprocessor = full_topic.preprocessor_snapshot();
-    let full_results = match_batch(full_topic.model(), &preprocessor, &probe_records, 2);
-    let inc_results = match_batch(inc_topic.model(), &preprocessor, &probe_records, 2);
-    let full_matched = full_results.iter().filter(|r| r.is_matched()).count();
-    let inc_matched = inc_results.iter().filter(|r| r.is_matched()).count();
+    let match_probes = |topic: &mut LogTopic| {
+        let compiled = topic.compiled_snapshot();
+        match_ids_batch(
+            topic.model(),
+            compiled.tables(),
+            &preprocessor,
+            &probe_records,
+            2,
+        )
+    };
+    let full_results = match_probes(&mut full_topic);
+    let inc_results = match_probes(&mut inc_topic);
+    let full_matched = full_results.iter().filter(|r| r.0.is_some()).count();
+    let inc_matched = inc_results.iter().filter(|r| r.0.is_some()).count();
     assert!(
         full_matched as f64 >= 0.98 * probe_records.len() as f64,
         "full-retrain model must cover the workload ({full_matched}/{})",
@@ -277,7 +287,7 @@ fn incremental_maintenance_converges_with_full_retrain_on_drifting_workload() {
     // resolved at the standard threshold (0.6), compared as normalized template
     // text. Unmatched probes become singletons.
     let label = |model: &bytebrain_repro::bytebrain::ParserModel,
-                 results: &[bytebrain_repro::bytebrain::MatchResult]|
+                 results: &[(Option<NodeId>, f64)]|
      -> Vec<usize> {
         use bytebrain_repro::bytebrain::merge_consecutive_wildcards;
         use bytebrain_repro::bytebrain::query::{presentation_template, resolve_with_threshold};
@@ -286,7 +296,7 @@ fn incremental_maintenance_converges_with_full_retrain_on_drifting_workload() {
         results
             .iter()
             .enumerate()
-            .map(|(i, r)| match r.node {
+            .map(|(i, r)| match r.0 {
                 Some(id) => {
                     let resolved = resolve_with_threshold(model, id, 0.6);
                     let text = merge_consecutive_wildcards(&presentation_template(model, resolved));
@@ -490,14 +500,15 @@ fn indexed_query_path_is_byte_identical_to_scan_path() {
 }
 
 /// The compiled automaton match path must be **byte-identical** to the tree walk
-/// it replaced. The contract is stated where it is used: each of the three
-/// production match sites — `match_ids_batch`, the pool worker behind the line
-/// cache, and the stale re-match after a hot swap — `debug_assert_eq!`s its
-/// decision against `matcher::match_view` on the very model it matched with. This
-/// test drives all three trajectories (batch, stream, drifting stream with a
+/// it replaced. The contract is stated where it is used: the one kernel every
+/// production match decision goes through, `matcher::match_compiled`,
+/// `debug_assert_eq!`s its decision against `matcher::match_view` on the very model
+/// it matched with. This test drives the service's three call sites of it —
+/// `match_ids_batch`, the pool worker behind the line cache, and the stale re-match
+/// after a hot swap — as three trajectories (batch, stream, drifting stream with a
 /// mid-stream hot swap) on one topic; per-decision equality along one trajectory
-/// is, by induction, equality of the whole run. Runs under the CI seed matrix via
-/// `BYTEBRAIN_TEST_SEED`.
+/// is, by induction, equality of the whole run (`tests/facade.rs` does the same for
+/// the library facade). Runs under the CI seed matrix via `BYTEBRAIN_TEST_SEED`.
 #[test]
 // Constant per build, which is the point: a release run without the seam
 // assertions must fail, not pass vacuously.
