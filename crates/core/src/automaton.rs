@@ -3,23 +3,21 @@
 //! costs one state transition per token instead of one positional comparison per
 //! template per token.
 //!
-//! A compiled snapshot ([`CompiledMatcher`]) is two things, for two readers. The
-//! **match tables** ([`MatchTables`]) are everything a match reads, as flat vectors:
-//! transition rows, the text of every interned symbol in one arena, and an
-//! open-addressing probe table from token text to symbol id. A holder that never
-//! patches keeps only these ([`CompiledMatcher::into_tables`]), as
-//! [`ByteBrainParser`](crate::ByteBrainParser) does. The **patch state** — token
-//! interner, template trie, ranks — is read only by [`CompiledMatcher::refreshed`].
+//! A compiled snapshot ([`CompiledMatcher`]) is everything a match reads, as flat
+//! vectors: transition rows, the text of every interned symbol in one arena, and an
+//! open-addressing probe table from token text to symbol id. What the rows are built
+//! from — a token interner and a template trie — lives only while
+//! [`CompiledMatcher::compile`] runs.
 //!
 //! The construction is the token-trie → subset-construction DFA move reported by
 //! production log pipelines (trie with wildcard edges, determinized with structural
 //! sharing of suffix state sets, fronted by a keyed match cache):
 //!
-//! 1. **Trie** (patch state): every live template contributes a path of interned
+//! 1. **Trie** (a local of compile): every live template contributes a path of interned
 //!    const-token edges and `<*>` wildcard edges. Templates with identical token
 //!    sequences share the whole path; templates with a shared prefix share the prefix.
-//!    Nodes are reference-counted so template *removal* (retirement during incremental
-//!    maintenance) prunes exactly the now-unused suffix.
+//!    A trie node remembers the one template ending at it that the tree walk would try
+//!    first.
 //! 2. **DFA rows**: the trie is a nondeterministic automaton (a token can follow a
 //!    const edge *and* a wildcard edge), so it is determinized: a DFA state is a
 //!    hash-consed sorted set of trie nodes, held once in an arena while the construction
@@ -36,16 +34,18 @@
 //!    the tables only.
 //! 4. **Match cache** ([`MatchCache`]): a keyed LRU over raw record lines.
 //!    Production log streams are highly repetitive, so an exact-line hit skips
-//!    preprocessing *and* matching. Entries are invalidated wholesale when the
-//!    compiled snapshot's [`generation`](CompiledMatcher::generation) changes.
+//!    preprocessing *and* matching. An entry is an answer under one pair — the
+//!    snapshot's [`generation`](CompiledMatcher::generation) and the length of the
+//!    model whose appended nodes the kernel scans — and the cache is dropped wholesale
+//!    when the pair changes.
 //!
-//! Lifecycle: the service layer keeps an `Arc<CompiledMatcher>` snapshot next to the
-//! model and the saturation ladder. Training compiles from scratch
-//! ([`CompiledMatcher::compile`]); a [`ModelDelta`](crate::incremental) boundary or a
-//! batch of temporary insertions patches the previous snapshot
-//! ([`CompiledMatcher::refreshed`]): the patch state is copied, only changed templates
-//! are removed/inserted, and new tables are built from the patched trie. Readers never
-//! observe a partially updated automaton: they hold the old `Arc` until the swap.
+//! Lifecycle: one snapshot lives next to its model and is compiled from the whole model
+//! when the model is trained, lands a delta or (in the service) is recovered — at no
+//! other time, and never patched. A temporary template inserted in between is an
+//! appended node, which [`match_compiled`](crate::matcher::match_compiled) scans after
+//! the tables miss: it costs a scan of the nodes appended since the compile, paid only
+//! by records the tables miss, not a compile. Readers never observe a partially built
+//! automaton: they hold the old `Arc` until the swap.
 
 use crate::model::ParserModel;
 use crate::tree::{NodeId, TemplateToken};
@@ -103,7 +103,7 @@ fn fnv1a(mut hash: u64, bytes: impl Iterator<Item = u8>) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Match tables
+// Transition rows
 // ---------------------------------------------------------------------------
 
 /// Entry `i` of an arena addressed through `offsets`: `offsets[i]..offsets[i + 1]`.
@@ -138,6 +138,13 @@ struct Rows {
 }
 
 impl Rows {
+    fn new() -> Self {
+        Rows {
+            offsets: vec![0],
+            ..Rows::default()
+        }
+    }
+
     /// Close the row whose edges were just pushed.
     fn finish_row(&mut self, default: u32, accept: u32) {
         self.offsets.push(self.edges.len() as u32);
@@ -151,242 +158,35 @@ impl Rows {
     }
 }
 
-/// Everything a match reads and nothing a patch needs (module docs); immutable once built.
-#[derive(Debug, Clone)]
-pub struct MatchTables {
-    rows: Rows,
-    /// Rows are trie nodes, matched by active-set simulation (the DFA hit the cap).
-    nfa: bool,
-    /// Text of symbol `s` is `symbol_text[symbol_offsets[s]..symbol_offsets[s + 1]]`
-    /// (empty for a recycled id, which no row and no probe slot names).
-    symbol_offsets: Vec<u32>,
-    symbol_text: String,
-    /// Token text → symbol id, open addressing with linear probing at ≤ 50 % load: a
-    /// slot is `(tag, symbol)` — 32 bits of the text's FNV hash; [`NONE`] marks an empty
-    /// slot. One hash, one masked index and (almost always) one slot load per token; a
-    /// tag hit is confirmed against the arena, so a collision costs a comparison, never
-    /// a wrong symbol: byte-identity with the tree walk is absolute, not probabilistic.
-    symbol_slots: Vec<(u32, u32)>,
-    /// `model.nodes.len()` at compile time. Nodes appended since (temporary templates)
-    /// are not compiled in: [`match_compiled`](crate::matcher::match_compiled) checks them.
-    pub(crate) nodes: usize,
-}
-
-/// Probe tag of a token text: where its slot search starts, and what a slot remembers.
-#[inline]
-fn symbol_tag(text: &str) -> u32 {
-    let hash = fnv1a(FNV_OFFSET, text.bytes());
-    (hash ^ (hash >> 32)) as u32
-}
-
-impl MatchTables {
-    fn symbol_text(&self, symbol: u32) -> &str {
-        &self.symbol_text[span(&self.symbol_offsets, symbol)]
-    }
-
-    /// Resolve `token` to its symbol id, or `None` when no live template holds it.
-    #[inline]
-    fn symbol_of(&self, token: &str) -> Option<u32> {
-        let (tag, mask) = (symbol_tag(token), self.symbol_slots.len() - 1);
-        let mut idx = tag as usize & mask;
-        loop {
-            let (slot_tag, symbol) = self.symbol_slots[idx];
-            if symbol == NONE {
-                return None;
-            }
-            if slot_tag == tag && self.symbol_text(symbol) == token {
-                return Some(symbol);
-            }
-            idx = (idx + 1) & mask;
-        }
-    }
-
-    /// Match a token stream; `tokens` yields each masked token once, in order.
-    fn match_symbols<'a>(&self, tokens: impl Iterator<Item = &'a str>) -> Option<NodeId> {
-        let rows = &self.rows;
-        let accept = if self.nfa {
-            // A trie node has one parent, so successor sets never repeat a node.
-            let mut active: Vec<u32> = vec![TRIE_ROOT];
-            let mut next: Vec<u32> = Vec::new();
-            for token in tokens {
-                let symbol = self.symbol_of(token);
-                next.clear();
-                for &row in &active {
-                    next.extend(symbol.and_then(|s| rows.edge(row, s)));
-                    if rows.default[row as usize] != NONE {
-                        next.push(rows.default[row as usize]);
-                    }
-                }
-                std::mem::swap(&mut active, &mut next);
-                if active.is_empty() {
-                    return None;
-                }
-            }
-            let ranked = |&row: &u32| (rows.accept_rank[row as usize], rows.accept[row as usize]);
-            active.iter().map(ranked).min().map_or(NONE, |(_, id)| id)
-        } else {
-            let mut at = 0u32;
-            for token in tokens {
-                let edge = self.symbol_of(token).and_then(|s| rows.edge(at, s));
-                at = edge.unwrap_or(rows.default[at as usize]);
-                if at == NONE {
-                    return None;
-                }
-            }
-            rows.accept[at as usize]
-        };
-        (accept != NONE).then_some(NodeId(accept as usize))
-    }
-
-    /// Match a preprocessed [`TokenView`] (the zero-copy streaming path).
-    pub fn match_view(&self, view: &TokenView<'_>) -> Option<NodeId> {
-        self.match_symbols(view.iter())
-    }
-
-    /// Number of DFA states, or `None` when running in NFA fallback mode.
-    pub fn dfa_states(&self) -> Option<usize> {
-        (!self.nfa).then_some(self.rows.default.len())
-    }
-
-    /// True when subset construction hit the cap and matching simulates the NFA rows.
-    pub fn uses_nfa_fallback(&self) -> bool {
-        self.nfa
-    }
-
-    /// Heap bytes the tables hold, counted from capacities.
-    pub fn heap_bytes(&self) -> usize {
-        let (rows, slots) = (&self.rows, &self.symbol_slots);
-        let words = [
-            &rows.offsets,
-            &rows.default,
-            &rows.accept,
-            &rows.accept_rank,
-        ];
-        let words = words.iter().map(|v| v.capacity()).sum::<usize>();
-        4 * (words + self.symbol_offsets.capacity())
-            + 8 * (rows.edges.capacity() + slots.capacity())
-            + self.symbol_text.capacity()
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Patch state: token interner
+// Template trie (lives while compile runs)
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-struct SymbolEntry {
-    text: Box<str>,
-    /// Number of (template, position) usages; 0 marks a recycled slot.
-    refs: u32,
-}
-
-/// Interns const template tokens to dense `u32` symbols so trie edges and DFA
-/// transitions compare integers, not strings. Slots are reference-counted and
-/// recycled when the last template using a token is removed.
-#[derive(Debug, Clone, Default)]
-struct Interner {
-    ids: FnvMap<Box<str>, u32>,
-    symbols: Vec<SymbolEntry>,
-    free: Vec<u32>,
-}
-
-impl Interner {
-    /// Intern `text`, bumping its refcount.
-    fn intern(&mut self, text: &str) -> u32 {
-        if let Some(&sym) = self.ids.get(text) {
-            self.symbols[sym as usize].refs += 1;
-            return sym;
-        }
-        let entry = SymbolEntry {
-            text: text.into(),
-            refs: 1,
-        };
-        let sym = match self.free.pop() {
-            Some(slot) => {
-                self.symbols[slot as usize] = entry;
-                slot
-            }
-            None => {
-                self.symbols.push(entry);
-                (self.symbols.len() - 1) as u32
-            }
-        };
-        self.ids.insert(text.into(), sym);
-        sym
-    }
-
-    fn text(&self, sym: u32) -> &str {
-        &self.symbols[sym as usize].text
-    }
-
-    /// Drop one usage of `sym`; recycles the slot when the count reaches zero.
-    fn release(&mut self, sym: u32) {
-        let entry = &mut self.symbols[sym as usize];
-        entry.refs -= 1;
-        if entry.refs == 0 {
-            self.ids.remove(&entry.text);
-            self.free.push(sym);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Patch state: template trie
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
 struct TrieNode {
     /// Const-token edges, sorted by symbol id for binary search.
     edges: Vec<(u32, u32)>,
     /// Wildcard (`<*>`) edge, taken by *any* token.
     wildcard: u32,
-    /// Templates whose token sequence ends exactly here.
-    accepts: Vec<NodeId>,
-    /// Number of template sequences whose path passes through (or ends at)
-    /// this node; 0 marks a recycled slot.
-    refs: u32,
-    /// The node this one hangs off, and the symbol on that edge ([`NONE`] for the
-    /// wildcard edge): a template's tokens read back from where it ends.
-    parent: u32,
-    via: u32,
+    /// `(rank, NodeId.0)` of the lowest-rank template whose token sequence ends here,
+    /// or `(NONE, NONE)`; rank is the position in [`ParserModel::match_order`].
+    accept: (u32, u32),
 }
 
 impl TrieNode {
-    fn fresh(parent: u32, via: u32) -> Self {
-        TrieNode {
-            edges: Vec::new(),
-            wildcard: NONE,
-            accepts: Vec::new(),
-            refs: 0,
-            parent,
-            via,
-        }
-    }
-
-    /// The child along `via` ([`NONE`] for the wildcard edge), or [`NONE`].
-    fn child(&self, via: u32) -> u32 {
-        match via {
-            NONE => self.wildcard,
-            sym => edge_target(&self.edges, sym).unwrap_or(NONE),
-        }
-    }
+    const EMPTY: TrieNode = TrieNode {
+        edges: Vec::new(),
+        wildcard: NONE,
+        accept: (NONE, NONE),
+    };
 }
 
 const TRIE_ROOT: u32 = 0;
 
-/// What [`CompiledMatcher::refreshed`] patches and the tables are built from; no match
-/// reads it.
-#[derive(Debug, Clone)]
-struct PatchState {
-    interner: Interner,
-    trie: Vec<TrieNode>,
-    free_trie: Vec<u32>,
-    /// Where each live template's path ends, by `NodeId.0`, so a later patch knows
-    /// which path to remove when a template is retired or rewritten.
-    templates: FnvMap<usize, u32>,
-    /// `rank[id]` = position of `NodeId(id)` in the model's match order
-    /// (`u32::MAX` for non-live nodes). Lower rank wins.
-    ranks: Vec<u32>,
+/// The live templates as a trie over interned symbols: what compile determinizes.
+struct Trie<'a> {
+    nodes: Vec<TrieNode>,
+    /// Text of each const token, by symbol id.
+    symbols: Vec<&'a str>,
 }
 
 /// The member sets of the DFA states under construction, each stored once: state `s`
@@ -425,149 +225,73 @@ impl StateSets {
     }
 }
 
-impl PatchState {
-    fn new() -> Self {
-        PatchState {
-            interner: Interner::default(),
-            trie: vec![TrieNode {
-                refs: 1, // the root is never recycled
-                ..TrieNode::fresh(NONE, NONE)
-            }],
-            free_trie: Vec::new(),
-            templates: FnvMap::default(),
-            ranks: Vec::new(),
-        }
-    }
-
-    /// Bring trie + templates + ranks in sync with `model`'s live set.
-    fn reconcile(&mut self, model: &ParserModel) {
-        // Refresh ranks first: matching priority may change even when no
-        // template text does (saturation updates reorder the match order).
-        self.ranks = vec![NONE; model.nodes.len()];
-        for (rank, &id) in model.match_order().iter().enumerate() {
-            self.ranks[id.0] = rank as u32;
-        }
-
-        // Remove templates that are gone (retired) or rewritten (delta patched
-        // the template text, e.g. new wildcard positions after absorption).
-        let stale: Vec<usize> = self
-            .templates
-            .keys()
-            .copied()
-            .filter(|&id| {
-                let node = model.nodes.get(id);
-                node.is_none_or(|n| n.retired || !self.template_unchanged(id, &n.template))
-            })
-            .collect();
-        for id in stale {
-            self.remove_template(id);
-        }
-
-        // Insert live templates not yet present.
-        for node in &model.nodes {
-            if !node.retired && !self.templates.contains_key(&node.id.0) {
-                self.insert_template(node.id, &node.template);
-            }
-        }
-    }
-
-    /// Whether the path ending where template `id` was inserted still spells `template`.
-    fn template_unchanged(&self, id: usize, template: &[TemplateToken]) -> bool {
-        let Some(&end) = self.templates.get(&id) else {
-            return false;
+impl<'a> Trie<'a> {
+    /// The trie of `model`'s live templates, i.e. its match order.
+    fn build(model: &'a ParserModel) -> Self {
+        let mut trie = Trie {
+            nodes: vec![TrieNode::EMPTY],
+            symbols: Vec::new(),
         };
-        let mut at = end;
-        for token in template.iter().rev() {
-            let node = &self.trie[at as usize];
-            let same = match token {
-                _ if at == TRIE_ROOT => false,
-                TemplateToken::Wildcard => node.via == NONE,
-                TemplateToken::Const(c) => node.via != NONE && self.interner.text(node.via) == &**c,
-            };
-            if !same {
-                return false;
-            }
-            at = node.parent;
-        }
-        at == TRIE_ROOT
-    }
-
-    fn insert_template(&mut self, id: NodeId, template: &[TemplateToken]) {
-        let mut at = TRIE_ROOT;
-        for token in template {
-            let via = match token {
-                TemplateToken::Wildcard => NONE,
-                TemplateToken::Const(text) => self.interner.intern(text),
-            };
-            let mut next = self.trie[at as usize].child(via);
-            if next == NONE {
-                let node = TrieNode::fresh(at, via);
-                next = match self.free_trie.pop() {
-                    Some(slot) => {
-                        self.trie[slot as usize] = node;
-                        slot
-                    }
-                    None => {
-                        self.trie.push(node);
-                        (self.trie.len() - 1) as u32
-                    }
+        let mut ids: FnvMap<&'a str, u32> = FnvMap::default();
+        for (rank, &id) in model.match_order().iter().enumerate() {
+            let mut at = TRIE_ROOT;
+            for token in &model.nodes[id.0].template {
+                let via = match token {
+                    TemplateToken::Wildcard => NONE,
+                    TemplateToken::Const(text) => *ids.entry(text).or_insert_with(|| {
+                        trie.symbols.push(text);
+                        trie.symbols.len() as u32 - 1
+                    }),
                 };
-                let parent = &mut self.trie[at as usize];
-                match via {
-                    NONE => parent.wildcard = next,
-                    sym => {
-                        let pos = parent.edges.partition_point(|&(e, _)| e < sym);
-                        parent.edges.insert(pos, (sym, next));
+                at = trie.child(at, via);
+            }
+            let end = &mut trie.nodes[at as usize];
+            if (rank as u32) < end.accept.0 {
+                end.accept = (rank as u32, id.0 as u32);
+            }
+        }
+        trie
+    }
+
+    /// The child of `at` along `via` ([`NONE`] for the wildcard edge), created if new.
+    fn child(&mut self, at: u32, via: u32) -> u32 {
+        let fresh = self.nodes.len() as u32;
+        let parent = &mut self.nodes[at as usize];
+        let child = match via {
+            NONE if parent.wildcard == NONE => {
+                parent.wildcard = fresh;
+                fresh
+            }
+            NONE => parent.wildcard,
+            sym => {
+                let pos = parent.edges.partition_point(|&(e, _)| e < sym);
+                match parent.edges.get(pos) {
+                    Some(&(e, child)) if e == sym => child,
+                    _ => {
+                        parent.edges.insert(pos, (sym, fresh));
+                        fresh
                     }
                 }
             }
-            self.trie[next as usize].refs += 1;
-            at = next;
+        };
+        if child == fresh {
+            self.nodes.push(TrieNode::EMPTY);
         }
-        self.trie[at as usize].accepts.push(id);
-        self.templates.insert(id.0, at);
+        child
     }
 
-    fn remove_template(&mut self, id: usize) {
-        let mut at = self.templates.remove(&id).expect("template present");
-        self.trie[at as usize].accepts.retain(|a| a.0 != id);
-        // Walk back to the root: drop one reference per path node; unlink and recycle
-        // any node whose count reaches zero (no other template shares its suffix).
-        while at != TRIE_ROOT {
-            let node = &mut self.trie[at as usize];
-            let (parent, via) = (node.parent, node.via);
-            node.refs -= 1;
-            if node.refs == 0 {
-                debug_assert!(node.accepts.is_empty() && node.edges.is_empty());
-                debug_assert_eq!(node.wildcard, NONE);
-                match via {
-                    NONE => self.trie[parent as usize].wildcard = NONE,
-                    sym => self.trie[parent as usize].edges.retain(|&(e, _)| e != sym),
-                }
-                self.free_trie.push(at);
-            }
-            if via != NONE {
-                self.interner.release(via);
-            }
-            at = parent;
-        }
-    }
-
-    /// Winning `(rank, NodeId.0)` of a set of trie nodes: minimum rank, i.e. the
-    /// template the linear scan over `match_order` would hit first; `(NONE, NONE)`
-    /// when no member accepts.
-    fn best_accept(&self, members: &[u32]) -> (u32, u32) {
+    /// `NodeId.0` of the winning accept of a set of trie nodes: minimum rank, i.e. the
+    /// template the linear scan over `match_order` would hit first; [`NONE`] when no
+    /// member accepts.
+    fn best_accept(&self, members: &[u32]) -> u32 {
         let mut best = (NONE, NONE);
         for &member in members {
-            for &id in &self.trie[member as usize].accepts {
-                let rank = self.ranks.get(id.0).copied().unwrap_or(NONE);
-                debug_assert_ne!(rank, NONE, "accept for non-live template");
-                if rank < best.0 {
-                    best = (rank, id.0 as u32);
-                }
+            let (rank, id) = self.nodes[member as usize].accept;
+            if rank < best.0 {
+                best = (rank, id);
             }
         }
-        best
+        best.1
     }
 
     /// Subset construction over the trie, writing each state's row as the state is
@@ -579,10 +303,7 @@ impl PatchState {
             ..StateSets::default()
         };
         sets.intern(&[TRIE_ROOT]);
-        let mut rows = Rows {
-            offsets: vec![0],
-            ..Rows::default()
-        };
+        let mut rows = Rows::new();
         let (mut members, mut default_set) = (Vec::new(), Vec::new());
         let (mut const_edges, mut target) = (Vec::new(), Vec::new());
         while rows.default.len() < sets.older.len() {
@@ -595,14 +316,14 @@ impl PatchState {
             // canonical form) but never deduplication.
             // Wildcard-only successors form the default transition.
             default_set.clear();
-            default_set.extend(members.iter().map(|&m| self.trie[m as usize].wildcard));
+            default_set.extend(members.iter().map(|&m| self.nodes[m as usize].wildcard));
             default_set.retain(|&w| w != NONE);
             default_set.sort_unstable();
             // One transition per const symbol present at any member; a token
             // equal to that symbol also follows every wildcard edge.
             const_edges.clear();
             for &m in &members {
-                const_edges.extend_from_slice(&self.trie[m as usize].edges);
+                const_edges.extend_from_slice(&self.nodes[m as usize].edges);
             }
             const_edges.sort_unstable();
             for same_symbol in const_edges.chunk_by(|a, b| a.0 == b.0) {
@@ -617,51 +338,92 @@ impl PatchState {
             } else {
                 sets.intern(&default_set)
             };
-            rows.finish_row(default, self.best_accept(&members).1);
+            rows.finish_row(default, self.best_accept(&members));
         }
         Some(rows)
     }
 
-    /// The row format laid over the trie itself: row `n` is trie node `n` (a recycled
-    /// slot is an empty row nothing points at).
+    /// The row format laid over the trie itself: row `n` is trie node `n`.
     fn nfa_rows(&self) -> Rows {
-        let mut rows = Rows {
-            offsets: vec![0],
-            ..Rows::default()
-        };
-        for (n, node) in self.trie.iter().enumerate() {
+        let mut rows = Rows::new();
+        for node in &self.nodes {
             rows.edges.extend_from_slice(&node.edges);
-            let (rank, accept) = self.best_accept(&[n as u32]);
-            rows.finish_row(node.wildcard, accept);
-            rows.accept_rank.push(rank);
+            rows.finish_row(node.wildcard, node.accept.1);
+            rows.accept_rank.push(node.accept.0);
         }
         rows
     }
+}
 
-    /// Build the match tables from the (reconciled) patch state.
-    fn tables(&self, max_dfa_states: usize) -> MatchTables {
-        let symbols = &self.interner.symbols;
+// ---------------------------------------------------------------------------
+// CompiledMatcher
+// ---------------------------------------------------------------------------
+
+/// Monotone generation counter: every compiled snapshot gets a process-unique
+/// generation, half of the cache-invalidation key of [`MatchCache`].
+static GENERATION: AtomicU64 = AtomicU64::new(1);
+
+/// A compiled snapshot of one model's live template set: everything a match reads and
+/// nothing else (module docs). Immutable once built; the service layer shares it via
+/// `Arc` and swaps whole snapshots when a model lands (same lifecycle as the saturation
+/// ladder).
+#[derive(Debug, Clone)]
+pub struct CompiledMatcher {
+    rows: Rows,
+    /// Rows are trie nodes, matched by active-set simulation (the DFA hit the cap).
+    nfa: bool,
+    /// Text of symbol `s` is `symbol_text[symbol_offsets[s]..symbol_offsets[s + 1]]`.
+    symbol_offsets: Vec<u32>,
+    symbol_text: String,
+    /// Token text → symbol id, open addressing with linear probing at ≤ 50 % load: a
+    /// slot is `(tag, symbol)` — 32 bits of the text's FNV hash; [`NONE`] marks an empty
+    /// slot. One hash, one masked index and (almost always) one slot load per token; a
+    /// tag hit is confirmed against the arena, so a collision costs a comparison, never
+    /// a wrong symbol: byte-identity with the tree walk is absolute, not probabilistic.
+    symbol_slots: Vec<(u32, u32)>,
+    /// `model.len()` at compile time. Nodes appended since (temporary templates) are not
+    /// compiled in: [`match_compiled`](crate::matcher::match_compiled) scans them.
+    nodes: usize,
+    max_dfa_states: usize,
+    generation: u64,
+}
+
+/// Probe tag of a token text: where its slot search starts, and what a slot remembers.
+#[inline]
+fn symbol_tag(text: &str) -> u32 {
+    let hash = fnv1a(FNV_OFFSET, text.bytes());
+    (hash ^ (hash >> 32)) as u32
+}
+
+impl CompiledMatcher {
+    /// Compile `model`'s live (non-retired) template set.
+    pub fn compile(model: &ParserModel) -> Self {
+        Self::compile_with_limit(model, DEFAULT_MAX_DFA_STATES)
+    }
+
+    /// [`compile`](CompiledMatcher::compile) with an explicit determinization
+    /// cap — tests use a tiny cap to force the NFA fallback path.
+    pub fn compile_with_limit(model: &ParserModel, max_dfa_states: usize) -> Self {
+        let trie = Trie::build(model);
         let mut symbol_text = String::new();
-        let mut symbol_offsets = Vec::with_capacity(symbols.len() + 1);
-        let slots = (self.interner.ids.len() * 2).next_power_of_two().max(16);
+        let mut symbol_offsets = Vec::with_capacity(trie.symbols.len() + 1);
+        let slots = (trie.symbols.len() * 2).next_power_of_two().max(16);
         let mut symbol_slots = vec![(0, NONE); slots];
-        for (symbol, entry) in symbols.iter().enumerate() {
+        for (symbol, text) in trie.symbols.iter().enumerate() {
             symbol_offsets.push(symbol_text.len() as u32);
-            if entry.refs > 0 {
-                symbol_text.push_str(&entry.text);
-                let tag = symbol_tag(&entry.text);
-                let mut idx = tag as usize & (slots - 1);
-                while symbol_slots[idx].1 != NONE {
-                    idx = (idx + 1) & (slots - 1);
-                }
-                symbol_slots[idx] = (tag, symbol as u32);
+            symbol_text.push_str(text);
+            let tag = symbol_tag(text);
+            let mut idx = tag as usize & (slots - 1);
+            while symbol_slots[idx].1 != NONE {
+                idx = (idx + 1) & (slots - 1);
             }
+            symbol_slots[idx] = (tag, symbol as u32);
         }
         symbol_offsets.push(symbol_text.len() as u32);
         symbol_text.shrink_to_fit();
-        let dfa = self.determinize(max_dfa_states);
+        let dfa = trie.determinize(max_dfa_states);
         let nfa = dfa.is_none();
-        let mut rows = dfa.unwrap_or_else(|| self.nfa_rows());
+        let mut rows = dfa.unwrap_or_else(|| trie.nfa_rows());
         // The rows grew by pushes; what stays resident is what they hold.
         rows.edges.shrink_to_fit();
         for words in [
@@ -672,105 +434,23 @@ impl PatchState {
         ] {
             words.shrink_to_fit();
         }
-        MatchTables {
+        CompiledMatcher {
             rows,
             nfa,
             symbol_offsets,
             symbol_text,
             symbol_slots,
-            nodes: self.ranks.len(),
-        }
-    }
-
-    fn canonical_node(&self, node: u32, prefix: &mut String, out: &mut String) {
-        let trie_node = &self.trie[node as usize];
-        if !trie_node.accepts.is_empty() {
-            let ranked = |id: &NodeId| (self.ranks.get(id.0).copied().unwrap_or(NONE), id.0);
-            let mut accepts: Vec<(u32, usize)> = trie_node.accepts.iter().map(ranked).collect();
-            accepts.sort_unstable();
-            let listed = accepts
-                .iter()
-                .map(|(rank, id)| format!("[rank {rank} node {id}]"));
-            out.push_str(&format!("{prefix} => {}\n", listed.collect::<String>()));
-        }
-        let text = |&(sym, child): &(u32, u32)| (self.interner.text(sym), child);
-        let mut edges: Vec<(&str, u32)> = trie_node.edges.iter().map(text).collect();
-        edges.sort_unstable();
-        // The wildcard edge last, whatever the texts sort like.
-        edges.extend(Some(("<*>", trie_node.wildcard)).filter(|&(_, child)| child != NONE));
-        for (text, child) in edges {
-            let saved = prefix.len();
-            prefix.push(' ');
-            prefix.push_str(text);
-            self.canonical_node(child, prefix, out);
-            prefix.truncate(saved);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CompiledMatcher
-// ---------------------------------------------------------------------------
-
-/// Monotone generation counter: every compiled snapshot gets a process-unique
-/// generation, which is the cache-invalidation key for [`MatchCache`].
-static GENERATION: AtomicU64 = AtomicU64::new(1);
-
-/// A compiled snapshot of one model's live template set: the [`MatchTables`] plus the
-/// patch state the next [`refreshed`](CompiledMatcher::refreshed) starts from.
-/// Immutable once built; the service layer shares it via `Arc` and swaps whole
-/// snapshots at delta boundaries (same lifecycle as the saturation ladder).
-#[derive(Debug, Clone)]
-pub struct CompiledMatcher {
-    tables: MatchTables,
-    patch: PatchState,
-    max_dfa_states: usize,
-    generation: u64,
-}
-
-impl CompiledMatcher {
-    /// Compile `model`'s live (non-retired) template set from scratch.
-    pub fn compile(model: &ParserModel) -> Self {
-        Self::compile_with_limit(model, DEFAULT_MAX_DFA_STATES)
-    }
-
-    /// [`compile`](CompiledMatcher::compile) with an explicit determinization
-    /// cap — tests use a tiny cap to force the NFA fallback path.
-    pub fn compile_with_limit(model: &ParserModel, max_dfa_states: usize) -> Self {
-        Self::finalize(PatchState::new(), model, max_dfa_states)
-    }
-
-    /// Produce a new snapshot consistent with `model` by *patching* this one:
-    /// templates that are unchanged keep their trie paths untouched; retired
-    /// or rewritten templates are pruned; new templates are inserted; the tables
-    /// are rebuilt from the patched trie. Only the patch state is copied. Called at
-    /// every `apply_delta`/`swap_model` boundary. Equivalent (proven by the property
-    /// suite) to [`CompiledMatcher::compile`] on the post-delta model.
-    pub fn refreshed(&self, model: &ParserModel) -> Self {
-        Self::finalize(self.patch.clone(), model, self.max_dfa_states)
-    }
-
-    /// Shared tail of compile/refresh: reconcile the patch state with `model`,
-    /// build the tables from it, and stamp a fresh generation.
-    fn finalize(mut patch: PatchState, model: &ParserModel, max_dfa_states: usize) -> Self {
-        patch.reconcile(model);
-        CompiledMatcher {
-            tables: patch.tables(max_dfa_states),
-            patch,
+            nodes: model.len(),
             max_dfa_states,
             generation: GENERATION.fetch_add(1, Ordering::Relaxed),
         }
     }
 
-    /// What matching reads.
-    pub fn tables(&self) -> &MatchTables {
-        &self.tables
-    }
-
-    /// Keep what matching reads and drop the patch state: for a holder that will
-    /// compile again rather than patch.
-    pub fn into_tables(self) -> MatchTables {
-        self.tables
+    /// Compile `model` under this snapshot's determinization cap — what a holder calls
+    /// when its model is trained, lands a delta or is recovered. Nothing else of `self`
+    /// is read: a snapshot is never patched.
+    pub fn refreshed(&self, model: &ParserModel) -> Self {
+        Self::compile_with_limit(model, self.max_dfa_states)
     }
 
     /// Process-unique id of this snapshot; [`MatchCache`] keys on it.
@@ -778,48 +458,104 @@ impl CompiledMatcher {
         self.generation
     }
 
-    /// Number of live templates compiled in.
-    pub fn live_templates(&self) -> usize {
-        self.patch.templates.len()
+    /// `model.len()` when this snapshot was compiled: the nodes appended since are the
+    /// tail [`match_compiled`](crate::matcher::match_compiled) scans.
+    pub fn nodes(&self) -> usize {
+        self.nodes
     }
 
-    /// Number of live trie nodes (structural sharing makes this far smaller
-    /// than total template tokens on real template sets).
-    pub fn trie_nodes(&self) -> usize {
-        self.patch.trie.len() - self.patch.free_trie.len()
+    fn symbol_text(&self, symbol: u32) -> &str {
+        &self.symbol_text[span(&self.symbol_offsets, symbol)]
     }
 
-    /// [`MatchTables::dfa_states`] of this snapshot.
-    pub fn dfa_states(&self) -> Option<usize> {
-        self.tables.dfa_states()
+    /// Resolve `token` to its symbol id, or `None` when no live template holds it.
+    #[inline]
+    fn symbol_of(&self, token: &str) -> Option<u32> {
+        let (tag, mask) = (symbol_tag(token), self.symbol_slots.len() - 1);
+        let mut idx = tag as usize & mask;
+        loop {
+            let (slot_tag, symbol) = self.symbol_slots[idx];
+            if symbol == NONE {
+                return None;
+            }
+            if slot_tag == tag && self.symbol_text(symbol) == token {
+                return Some(symbol);
+            }
+            idx = (idx + 1) & mask;
+        }
     }
 
-    /// Number of distinct interned const tokens.
-    pub fn interned_symbols(&self) -> usize {
-        self.patch.interner.ids.len()
+    /// Match a token stream on the tables; `tokens` yields each masked token once, in
+    /// order.
+    pub(crate) fn match_symbols<'a>(
+        &self,
+        tokens: impl Iterator<Item = &'a str>,
+    ) -> Option<NodeId> {
+        let rows = &self.rows;
+        let accept = if self.nfa {
+            // A trie node has one parent, so successor sets never repeat a node.
+            let mut active: Vec<u32> = vec![TRIE_ROOT];
+            let mut next: Vec<u32> = Vec::new();
+            for token in tokens {
+                let symbol = self.symbol_of(token);
+                next.clear();
+                for &row in &active {
+                    next.extend(symbol.and_then(|s| rows.edge(row, s)));
+                    if rows.default[row as usize] != NONE {
+                        next.push(rows.default[row as usize]);
+                    }
+                }
+                std::mem::swap(&mut active, &mut next);
+                if active.is_empty() {
+                    return None;
+                }
+            }
+            let ranked = |&row: &u32| (rows.accept_rank[row as usize], rows.accept[row as usize]);
+            active.iter().map(ranked).min().map_or(NONE, |(_, id)| id)
+        } else {
+            let mut at = 0u32;
+            for token in tokens {
+                let edge = self.symbol_of(token).and_then(|s| rows.edge(at, s));
+                at = edge.unwrap_or(rows.default[at as usize]);
+                if at == NONE {
+                    return None;
+                }
+            }
+            rows.accept[at as usize]
+        };
+        (accept != NONE).then_some(NodeId(accept as usize))
     }
 
-    /// [`MatchTables::uses_nfa_fallback`] of this snapshot.
-    pub fn uses_nfa_fallback(&self) -> bool {
-        self.tables.uses_nfa_fallback()
-    }
-
-    /// [`MatchTables::match_view`] of this snapshot.
+    /// Match a preprocessed [`TokenView`] on the tables alone: the nodes appended to the
+    /// model since the compile are not looked at. Benchmarks and tests call it;
+    /// production matching is [`match_compiled`](crate::matcher::match_compiled).
     pub fn match_view(&self, view: &TokenView<'_>) -> Option<NodeId> {
-        self.tables.match_view(view)
+        self.match_symbols(view.iter())
     }
 
-    /// Canonical description of the compiled template set: a deterministic
-    /// trie traversal with edges ordered by token text and accepts ordered by
-    /// rank, independent of insertion/removal history and node numbering. Two
-    /// matchers with equal canonical forms and equal rank tables are
-    /// behaviorally identical (the tables are a pure function of both). The
-    /// property suite uses this to prove patched ≡ recompiled.
-    pub fn canonical_form(&self) -> String {
-        let mut out = String::new();
-        self.patch
-            .canonical_node(TRIE_ROOT, &mut String::new(), &mut out);
-        out
+    /// Number of DFA states, or `None` when running in NFA fallback mode.
+    pub fn dfa_states(&self) -> Option<usize> {
+        (!self.nfa).then_some(self.rows.default.len())
+    }
+
+    /// True when subset construction hit the cap and matching simulates the NFA rows.
+    pub fn uses_nfa_fallback(&self) -> bool {
+        self.nfa
+    }
+
+    /// Heap bytes the snapshot holds, counted from capacities.
+    pub fn heap_bytes(&self) -> usize {
+        let (rows, slots) = (&self.rows, &self.symbol_slots);
+        let words = [
+            &rows.offsets,
+            &rows.default,
+            &rows.accept,
+            &rows.accept_rank,
+        ];
+        let words = words.iter().map(|v| v.capacity()).sum::<usize>();
+        4 * (words + self.symbol_offsets.capacity())
+            + 8 * (rows.edges.capacity() + slots.capacity())
+            + self.symbol_text.capacity()
     }
 }
 
@@ -831,8 +567,9 @@ impl CompiledMatcher {
 /// set of exact-duplicate lines; a hit skips preprocessing and matching
 /// entirely. Implemented as a segmented (two-generation) LRU — constant-time
 /// probe/insert, bounded at `2 × capacity` entries — and owned per worker
-/// thread, so the hot path takes no lock. Entries are tagged with the compiled
-/// snapshot's generation and the whole cache is dropped on a snapshot swap.
+/// thread, so the hot path takes no lock. Entries are tagged with the
+/// `(generation, model length)` pair they were decided under, and the whole cache is
+/// dropped when the pair changes.
 ///
 /// Keys are precomputed 64-bit FNV line hashes ([`logtok::hash_line`]): the
 /// stream layer hashes each record once at admission and carries the
@@ -842,7 +579,7 @@ impl CompiledMatcher {
 #[derive(Debug)]
 pub struct MatchCache {
     capacity: usize,
-    generation: u64,
+    snapshot: (u64, usize),
     current: FnvMap<u64, CacheEntry>,
     previous: FnvMap<u64, CacheEntry>,
     hits: u64,
@@ -869,7 +606,7 @@ impl MatchCache {
     pub fn new(capacity: usize) -> Self {
         MatchCache {
             capacity: capacity.max(1),
-            generation: 0,
+            snapshot: (0, 0),
             current: FnvMap::default(),
             previous: FnvMap::default(),
             hits: 0,
@@ -878,9 +615,9 @@ impl MatchCache {
     }
 
     /// Match `record` through the cache, hashing the line first; a miss is matched on
-    /// `compiled`'s tables. Prefer
-    /// [`match_record_hashed`](MatchCache::match_record_hashed) when the caller already
-    /// carries the record's line hash.
+    /// `compiled`'s tables alone ([`CompiledMatcher::match_view`] — no tail of appended
+    /// nodes). Benchmarks and tests call it; the pool worker calls
+    /// [`match_record_hashed`](MatchCache::match_record_hashed) with the kernel.
     pub fn match_record(
         &mut self,
         compiled: &CompiledMatcher,
@@ -889,24 +626,26 @@ impl MatchCache {
         record: &str,
     ) -> Option<NodeId> {
         let miss = || compiled.match_view(&preprocessor.token_view(record, scratch));
-        self.match_record_hashed(compiled.generation, record, logtok::hash_line(record), miss)
+        let snapshot = (compiled.generation, compiled.nodes);
+        self.match_record_hashed(snapshot, record, logtok::hash_line(record), miss)
     }
 
     /// Look `record` up by its precomputed FNV line hash: an exact-line hit returns the
-    /// stored assignment; on a miss `miss` matches the record (against the snapshot
-    /// `generation` names) and the result is remembered. A `generation` other than the
-    /// cached entries' invalidates the whole cache first.
+    /// stored assignment; on a miss `miss` matches the record and the result is
+    /// remembered. `snapshot` names everything `miss` decides on — the compiled
+    /// snapshot's generation and the length of the model whose appended nodes it scans
+    /// — and a pair other than the cached entries' invalidates the whole cache first.
     pub fn match_record_hashed(
         &mut self,
-        generation: u64,
+        snapshot: (u64, usize),
         record: &str,
         line_hash: u64,
         miss: impl FnOnce() -> Option<NodeId>,
     ) -> Option<NodeId> {
-        if self.generation != generation {
+        if self.snapshot != snapshot {
             self.current.clear();
             self.previous.clear();
-            self.generation = generation;
+            self.snapshot = snapshot;
         }
         if let Some(entry) = self.current.get(&line_hash) {
             if &*entry.line == record {
@@ -1006,7 +745,7 @@ mod tests {
 
     /// Match a literal token sequence (no preprocessing).
     fn match_literal(compiled: &CompiledMatcher, tokens: &[&str]) -> Option<NodeId> {
-        compiled.tables.match_symbols(tokens.iter().copied())
+        compiled.match_symbols(tokens.iter().copied())
     }
 
     fn assert_agrees(model: &ParserModel, compiled: &CompiledMatcher, pre: &Preprocessor) {
@@ -1044,41 +783,25 @@ mod tests {
         let compiled = CompiledMatcher::compile(&model);
         assert_eq!(match_literal(&compiled, &["anything"]), None);
         assert_eq!(match_literal(&compiled, &[]), None);
-        assert_eq!(compiled.live_templates(), 0);
+        assert_eq!(compiled.nodes(), 0);
     }
 
     #[test]
-    fn temporary_templates_are_compiled_in_and_retirement_prunes_them() {
-        let (mut model, _) = trained();
-        let compiled = CompiledMatcher::compile(&model);
-        let before = compiled.canonical_form();
+    fn refreshed_compiles_the_given_model_under_the_same_cap() {
+        let (mut model, pre) = trained();
+        let capped = CompiledMatcher::compile_with_limit(&model, 2);
         let tokens = ["gamma", "ray", "burst"];
         let id = model.insert_temporary(&tokens.map(String::from));
-        let with_temp = compiled.refreshed(&model);
-        assert_eq!(match_literal(&with_temp, &tokens), Some(id));
-        assert_eq!(with_temp.live_templates(), compiled.live_templates() + 1);
-        model.retire(id);
-        model.rebuild_match_order();
-        let pruned = with_temp.refreshed(&model);
-        assert_eq!(match_literal(&pruned, &tokens), None);
-        // Structural GC: pruning the only template through those nodes returns
-        // the trie (and interner) to its pre-insertion shape.
-        assert_eq!(pruned.canonical_form(), before);
-        assert_eq!(pruned.trie_nodes(), compiled.trie_nodes());
-        assert_eq!(pruned.interned_symbols(), compiled.interned_symbols());
-    }
-
-    #[test]
-    fn refreshed_equals_scratch_compile() {
-        let (mut model, _) = trained();
-        let compiled = CompiledMatcher::compile(&model);
-        model.insert_temporary(&["one".into(), "off".into()]);
-        let id = model.insert_temporary(&["another".into(), "one".into()]);
-        model.retire(id);
-        model.rebuild_match_order();
-        let patched = compiled.refreshed(&model);
-        let scratch = CompiledMatcher::compile(&model);
-        assert_eq!(patched.canonical_form(), scratch.canonical_form());
+        assert_eq!(
+            match_literal(&capped, &tokens),
+            None,
+            "a snapshot never changes"
+        );
+        let recompiled = capped.refreshed(&model);
+        assert!(recompiled.uses_nfa_fallback());
+        assert_eq!(recompiled.nodes(), model.len());
+        assert_eq!(match_literal(&recompiled, &tokens), Some(id));
+        assert_agrees(&model, &recompiled, &pre);
     }
 
     #[test]
@@ -1149,12 +872,11 @@ mod tests {
         assert!(miss.is_some());
 
         // A new snapshot invalidates every cached line.
-        let id = model.insert_temporary(&["fresh".into(), "template".into()]);
+        model.insert_temporary(&["fresh".into(), "template".into()]);
         let swapped = compiled.refreshed(&model);
         let after = cache.match_record(&swapped, &pre, &mut scratch, line);
         assert_eq!(after, miss);
         assert_eq!(cache.stats(), (1, 2), "generation change must re-match");
-        let _ = id;
     }
 
     #[test]

@@ -360,13 +360,13 @@ struct DeltaBuilder<'m> {
     base: &'m ParserModel,
     threshold: f64,
     /// Patch working state per base node, indexed by `NodeId.0` (sparse).
-    patches: Vec<Option<PatchState>>,
+    patches: Vec<Option<ExistingNodeState>>,
     /// Patched base nodes in first-touch order (deterministic output order).
     patched_order: Vec<NodeId>,
     new_nodes: Vec<NewNodeState>,
 }
 
-struct PatchState {
+struct ExistingNodeState {
     log_count_add: u64,
     unique_count_add: u64,
     template: Vec<TemplateToken>,
@@ -432,10 +432,10 @@ impl<'m> DeltaBuilder<'m> {
     }
 
     /// Ensure a patch working copy exists for `id` and return it.
-    fn patch_mut(&mut self, id: NodeId) -> &mut PatchState {
+    fn patch_mut(&mut self, id: NodeId) -> &mut ExistingNodeState {
         if self.patches[id.0].is_none() {
             let node = &self.base.nodes[id.0];
-            self.patches[id.0] = Some(PatchState {
+            self.patches[id.0] = Some(ExistingNodeState {
                 log_count_add: 0,
                 unique_count_add: 0,
                 template: node.template.clone(),

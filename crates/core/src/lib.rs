@@ -11,8 +11,9 @@
 //! 2. **Online matching** ([`matcher`]): incoming logs are matched position-by-position
 //!    against the stored template texts in descending saturation order — one walk of the
 //!    automaton compiled from them ([`automaton`]), behind one kernel
-//!    ([`matcher::match_compiled`]); unmatched logs become temporary single-log templates
-//!    that the next training cycle absorbs. The linear tree walk ([`matcher::match_view`])
+//!    ([`matcher::match_compiled`]); unmatched logs become temporary single-log templates,
+//!    which the kernel scans after the automaton until the next training cycle absorbs
+//!    them and compiles the automaton anew. The linear tree walk ([`matcher::match_view`])
 //!    and [`merge::merge_models`] are the oracles the kernel and [`incremental`] are held to.
 //!
 //! Query-time precision control ([`query`]) walks from the matched (most precise) template
@@ -51,7 +52,7 @@ pub mod saturation;
 pub mod train;
 pub mod tree;
 
-pub use automaton::{CompiledMatcher, MatchCache, MatchTables};
+pub use automaton::{CompiledMatcher, MatchCache};
 pub use config::{AblationConfig, TrainConfig};
 pub use incremental::{
     apply_delta, train_delta, DeltaParent, DriftConfig, DriftDecision, DriftDetector, ModelDelta,

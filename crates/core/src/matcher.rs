@@ -8,10 +8,12 @@
 //!
 //! That definition is [`match_view`], the linear tree walk. Nothing in production runs
 //! it: every match decision — [`ByteBrainParser`](crate::ByteBrainParser), the service's
-//! batch path, pool workers and stale re-match — is one call of [`match_compiled`], which
-//! reads the compiled [`MatchTables`] and, under debug assertions, checks itself against it.
+//! batch path, pool workers and stale re-match — is one call of [`match_compiled`]. It
+//! reads the [`CompiledMatcher`] its holder compiled when the model was last trained,
+//! landed or recovered, scans the temporary templates appended since when that misses,
+//! and under debug assertions checks itself against the walk.
 
-use crate::automaton::MatchTables;
+use crate::automaton::CompiledMatcher;
 use crate::model::ParserModel;
 use crate::parallel::run_parallel;
 use crate::tree::NodeId;
@@ -58,20 +60,21 @@ pub fn match_view(model: &ParserModel, view: &TokenView<'_>) -> Option<NodeId> {
         .find(|id| model.nodes[id.0].matches(view.iter()))
 }
 
-/// The one production match decision: `tables`, compiled from `model`, plus a linear look
-/// at the nodes appended to `model` since. Those can only be temporary templates
-/// ([`ParserModel::insert_temporary`]; every other model change recompiles) — exact-token
-/// templates of lines that everything older missed, so at most one of them matches a
-/// record, and only a record the tables miss. Together that is the live model, without
-/// recompiling once per inserted temporary. Builds with debug assertions hold every
-/// decision to the tree walk.
+/// The one production match decision: `compiled`, compiled from `model` at its last
+/// training, landing or recovery, plus a linear look at the nodes appended to `model`
+/// since — the tail. Those can only be temporary templates
+/// ([`ParserModel::insert_temporary`]; every other model change compiles anew) —
+/// exact-token templates of lines that everything older missed, so at most one of them
+/// matches a record, and only a record the tables miss. Together that is the live model:
+/// a temporary costs a scan, paid only by records the tables miss, never a compile.
+/// Builds with debug assertions hold every decision to the tree walk.
 pub fn match_compiled(
     model: &ParserModel,
-    tables: &MatchTables,
+    compiled: &CompiledMatcher,
     view: &TokenView<'_>,
 ) -> Option<NodeId> {
-    let node = tables.match_view(view).or_else(|| {
-        let mut appended = model.nodes[tables.nodes..].iter();
+    let node = compiled.match_symbols(view.iter()).or_else(|| {
+        let mut appended = model.nodes[compiled.nodes()..].iter();
         appended.find(|n| n.matches(view.iter())).map(|n| n.id)
     });
     debug_assert_eq!(
@@ -89,7 +92,7 @@ pub fn match_compiled(
 /// is preprocessed on a per-thread scratch and decided by [`match_compiled`].
 pub fn match_ids_batch<S: AsRef<str> + Sync>(
     model: &ParserModel,
-    tables: &MatchTables,
+    compiled: &CompiledMatcher,
     preprocessor: &Preprocessor,
     records: &[S],
     workers: usize,
@@ -103,7 +106,7 @@ pub fn match_ids_batch<S: AsRef<str> + Sync>(
         SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
             let view = preprocessor.token_view(record, &mut scratch);
-            let node = match_compiled(model, tables, &view);
+            let node = match_compiled(model, compiled, &view);
             (node, node.map_or(0.0, |id| model.nodes[id.0].saturation))
         })
     })
@@ -112,7 +115,6 @@ pub fn match_ids_batch<S: AsRef<str> + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::automaton::CompiledMatcher;
     use crate::config::TrainConfig;
     use crate::train::train;
 
@@ -124,8 +126,8 @@ mod tests {
         let config = TrainConfig::default();
         let mut model = train(&records, &config).model;
         let pre = Preprocessor::new(config.preprocess.clone());
-        let tables = CompiledMatcher::compile(&model).into_tables();
-        assert_eq!(tables.nodes, model.len());
+        let compiled = CompiledMatcher::compile(&model);
+        assert_eq!(compiled.nodes(), model.len());
         let novel = [
             "kernel panic: attempted to kill init",
             "segfault at deadbeef",
@@ -135,10 +137,10 @@ mod tests {
         probes.push("Connection closed by 10.0.0.77".into());
         probes.push("matches nothing at all".into());
         // Input order is kept across workers; the seam assertion runs on every line.
-        let results = match_ids_batch(&model, &tables, &pre, &probes, 3);
+        let results = match_ids_batch(&model, &compiled, &pre, &probes, 3);
         assert_eq!(results[0], (Some(ids[0]), 1.0));
         assert_eq!(results[1], (Some(ids[1]), 1.0));
-        assert!(results[2].0.is_some_and(|id| id.0 < tables.nodes));
+        assert!(results[2].0.is_some_and(|id| id.0 < compiled.nodes()));
         assert_eq!(results[3], (None, 0.0));
     }
 }

@@ -1,6 +1,6 @@
 //! High-level parser facade combining training, matching, querying and merging.
 
-use crate::automaton::{CompiledMatcher, MatchTables};
+use crate::automaton::CompiledMatcher;
 use crate::config::TrainConfig;
 use crate::incremental::{apply_delta, train_delta};
 use crate::matcher::{match_ids_batch, MatchResult};
@@ -18,10 +18,10 @@ pub struct ByteBrainParser {
     config: TrainConfig,
     preprocessor: Preprocessor,
     model: ParserModel,
-    /// `model` as the last training call compiled it — match tables only: the facade
-    /// recompiles, it never patches. A temporary inserted since is an appended node,
-    /// which [`match_compiled`](crate::matcher::match_compiled) checks after the tables.
-    tables: MatchTables,
+    /// `model` as the last training call compiled it. A temporary inserted since is an
+    /// appended node, which [`match_compiled`](crate::matcher::match_compiled) scans after
+    /// the tables miss.
+    compiled: CompiledMatcher,
     /// Per-record node assignment of the last [`train`](ByteBrainParser::train) batch (the
     /// "w/ naive match" ablation and accuracy on training data read it). Empty after
     /// [`train_incremental`](ByteBrainParser::train_incremental): a batch clustered on its
@@ -37,7 +37,7 @@ impl ByteBrainParser {
         ByteBrainParser {
             config,
             preprocessor,
-            tables: CompiledMatcher::compile(&model).into_tables(),
+            compiled: CompiledMatcher::compile(&model),
             model,
             last_training_assignment: Vec::new(),
         }
@@ -86,12 +86,13 @@ impl ByteBrainParser {
     /// Take `model` as the current one and compile it.
     fn install(&mut self, model: ParserModel, training_assignment: Vec<NodeId>) {
         self.model = model;
-        self.tables = CompiledMatcher::compile(&self.model).into_tables();
+        self.compiled = CompiledMatcher::compile(&self.model);
         self.last_training_assignment = training_assignment;
     }
 
     fn match_node(&self, record: &str) -> Option<NodeId> {
-        match_ids_batch(&self.model, &self.tables, &self.preprocessor, &[record], 1)[0].0
+        let pre = &self.preprocessor;
+        match_ids_batch(&self.model, &self.compiled, pre, &[record], 1)[0].0
     }
 
     /// Match one raw log against the model. Unmatched logs are inserted as temporary
@@ -112,7 +113,7 @@ impl ByteBrainParser {
     /// Match a batch of raw logs (read-only) using the configured parallelism.
     pub fn match_batch(&self, records: &[String]) -> Vec<MatchResult> {
         let (model, workers) = (&self.model, self.config.parallelism);
-        let ids = match_ids_batch(model, &self.tables, &self.preprocessor, records, workers);
+        let ids = match_ids_batch(model, &self.compiled, &self.preprocessor, records, workers);
         let decided = records.iter().zip(ids);
         decided
             .map(|(record, (node, _))| MatchResult::of(model, record, node))

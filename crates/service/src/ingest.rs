@@ -595,7 +595,7 @@ impl MatchContext {
     ) -> Vec<(Option<NodeId>, f64)> {
         match_ids_batch(
             &self.model,
-            self.compiled.tables(),
+            &self.compiled,
             &self.preprocessor,
             batch,
             self.parallelism,
@@ -605,8 +605,8 @@ impl MatchContext {
 
 /// One ingest, in three phases, of which only the outer two touch the topic:
 ///
-/// 1. **prepare** (`LogTopic::prepare`, microseconds): refresh the automaton if
-///    stale, snapshot `(model, automaton, preprocessor)` and note the model version.
+/// 1. **prepare** (`LogTopic::prepare`, microseconds): snapshot
+///    `(model, automaton, preprocessor)` and note the model version; it never compiles.
 ///    With no model yet there is nothing to match against, and the cold-start batch
 ///    is applied (and trained on) whole inside this one `with`.
 /// 2. **match** (no topic state): mask → tokenise → DFA over the snapshots, on the
@@ -697,9 +697,9 @@ pub fn drive<A: TopicAccess>(
                         replaced.then(|| (topic.model_snapshot(), topic.compiled_snapshot()))
                     });
                     if let Some((model, compiled)) = swap {
-                        // Roll the patched model and its recompiled automaton
-                        // into the running stream as one consistent snapshot
-                        // pair; batches flushed from here on match against it.
+                        // Roll the topic's model and its automaton into the
+                        // running stream as one consistent snapshot pair;
+                        // batches flushed from here on match against it.
                         ingestor.swap_model(model, compiled);
                         swapped = true;
                     }

@@ -112,7 +112,7 @@ impl MatcherPool {
             handles.push(std::thread::spawn(move || {
                 // One scratch per worker: the whole pool runs preprocessing on the
                 // zero-copy fast path. The match cache is also per-worker, so
-                // the automaton hot path takes no lock; generation tags keep it
+                // the automaton hot path takes no lock; snapshot tags keep it
                 // consistent across mid-stream snapshot swaps. The order buffer
                 // (cache-warm batch reordering) is likewise recycled across
                 // batches, so the steady-state loop performs no per-record
@@ -172,14 +172,14 @@ impl MatcherPool {
                         let line = &record.line;
                         let miss = || {
                             let view = preprocessor.token_view(line, &mut scratch);
-                            match_compiled(&job_model, compiled.tables(), &view)
+                            match_compiled(&job_model, &compiled, &view)
                         };
-                        let node = cache.match_record_hashed(
-                            compiled.generation(),
-                            line,
-                            record.line_hash,
-                            miss,
-                        );
+                        // The answer reads the tables *and* the temporaries appended
+                        // to the job's model since they were compiled, which move
+                        // no generation.
+                        let snapshot = (compiled.generation(), job_model.len());
+                        let node =
+                            cache.match_record_hashed(snapshot, line, record.line_hash, miss);
                         let saturation = node.map_or(0.0, |id| job_model.nodes[id.0].saturation);
                         let id = MatchId { node, saturation };
                         results[idx as usize] = id;
@@ -323,6 +323,26 @@ mod tests {
         assert_eq!(result.results.len(), 1);
         assert_eq!(result.results[0].node, None);
         assert_eq!(result.results[0].saturation, 0.0);
+    }
+
+    /// A worker's line cache names what its answer depends on: the compiled tables *and*
+    /// the temporaries appended to the job's model since. A miss cached for a line must
+    /// not outlive the temporary a later job's model holds for it under the same
+    /// compiled snapshot.
+    #[test]
+    fn cached_miss_yields_to_a_temporary_appended_under_the_same_snapshot() {
+        let (model, compiled, pre) = trained();
+        let mut pool = MatcherPool::new(Arc::clone(&pre), 1);
+        let line = "completely novel kernel message";
+        let mut submit = |model: Arc<ParserModel>| {
+            let record = StreamRecord::new(0, line.to_string());
+            pool.submit_ids(vec![record], model, Arc::clone(&compiled));
+            pool.recv_ids().expect("one batch").results[0].node
+        };
+        assert_eq!(submit(Arc::clone(&model)), None);
+        let mut grown = (*model).clone();
+        let id = grown.insert_temporary(&pre.tokens_of(line));
+        assert_eq!(submit(Arc::new(grown)), Some(id));
     }
 
     #[test]

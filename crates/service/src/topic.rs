@@ -9,13 +9,13 @@
 //!
 //! After the first training every model change lands the same way (`land_delta`): a
 //! window of stored records is clustered and folded into the live model as a
-//! copy-on-write delta ([`bytebrain::incremental`]) — node ids stay stable, the ladder and
-//! the automaton are patched, the delta is persisted as lineage, stored records are
-//! re-matched and a durable topic logs one event. The maintenance policies decide only
-//! *when* that runs and *what* it is handed. [`MaintenancePolicy::FullRetrain`] (the
-//! default) fires on the volume/time trigger, trains on the training window (the records
-//! stored since the last training run, capped at `training_buffer`) and re-matches every
-//! stored record. [`MaintenancePolicy::Incremental`] also watches drift (unmatched-rate
+//! copy-on-write delta ([`bytebrain::incremental`]) — node ids stay stable, the ladder is
+//! patched and the automaton compiled anew, the delta is persisted as lineage, stored
+//! records are re-matched and a durable topic logs one event. The maintenance policies
+//! decide only *when* that runs and *what* it is handed.
+//! [`MaintenancePolicy::FullRetrain`] (the default) fires on the volume/time trigger,
+//! trains on the training window (the records stored since the last training run,
+//! capped at `training_buffer`) and re-matches every stored record. [`MaintenancePolicy::Incremental`] also watches drift (unmatched-rate
 //! surges, saturation decay), trains on the records that matched nothing since the last
 //! run, re-matches only records left unassigned or on a retired temporary, and hot-swaps
 //! the refreshed snapshot into a running stream at a flush boundary.
@@ -201,14 +201,10 @@ pub struct LogTopic {
     config: TopicConfig,
     preprocessor: Arc<Preprocessor>,
     model: Arc<ParserModel>,
-    /// Compiled automaton snapshot paired with `model`. Compiled at the first
-    /// training, patched per delta, and refreshed lazily after
-    /// temporary-template insertions — same swap lifecycle as the ladder.
+    /// Compiled automaton snapshot paired with `model`: compiled from the whole model
+    /// when it is trained, lands a delta or is recovered (`recompile`), and at no other
+    /// time. Temporaries inserted since are the tail the match kernel scans.
     compiled: Arc<CompiledMatcher>,
-    /// Set when the model changed since `compiled` was built (temporary
-    /// insertions arrive one record at a time; recompiling per record would be
-    /// a quadratic storm, so the refresh is deferred to the next match batch).
-    compiled_stale: bool,
     /// Precomputed per-node ancestor ladders for indexed query resolution; built at the
     /// first training, patched per delta, extended per temporary insertion.
     ladder: Arc<SaturationLadder>,
@@ -257,7 +253,6 @@ impl LogTopic {
             preprocessor,
             compiled: Arc::new(CompiledMatcher::compile(&model)),
             model: Arc::new(model),
-            compiled_stale: false,
             ladder: Arc::new(SaturationLadder::default()),
             index: Arc::new(QueryIndex::new()),
             model_version: 0,
@@ -433,7 +428,7 @@ impl LogTopic {
 
         let next_seq = storage.next_seq();
         topic.model = Arc::new(model);
-        topic.compiled_stale = true;
+        topic.recompile();
         topic.ladder = Arc::new(SaturationLadder::build(&topic.model));
         topic.index = Arc::new(index);
         let window_start_seq = storage.training_window_start().max(first_live);
@@ -628,10 +623,10 @@ impl LogTopic {
         drive(self, records, Route::Batch).0.outcome
     }
 
-    /// Phase one of an ingest (see [`drive`]): refresh the automaton if stale and
-    /// snapshot what matching reads, stamped with the model version the apply phase
-    /// will check. `None` while no model exists — there is nothing to match against.
-    pub(crate) fn prepare(&mut self) -> Option<MatchContext> {
+    /// Phase one of an ingest (see [`drive`]): snapshot what matching reads, stamped
+    /// with the model version the apply phase will check. `None` while no model exists
+    /// — there is nothing to match against.
+    pub(crate) fn prepare(&self) -> Option<MatchContext> {
         if self.model.is_empty() {
             return None;
         }
@@ -753,11 +748,10 @@ impl LogTopic {
                 } else {
                     let tokens = self.preprocessor.tokens_of(&record);
                     let id = Arc::make_mut(&mut self.model).insert_temporary(&tokens);
-                    // The ladder and the cache key track every model change;
-                    // the compiled automaton catches up at the next match batch.
+                    // The ladder and the cache key track every model change; the
+                    // automaton does not — the match kernel scans appended nodes.
                     Arc::make_mut(&mut self.ladder).push_root(&self.model, id);
                     self.model_version += 1;
-                    self.compiled_stale = true;
                     Some(id)
                 }
             }
@@ -788,16 +782,17 @@ impl LogTopic {
         Arc::clone(&self.model)
     }
 
-    /// The compiled automaton snapshot paired with the current model, refreshed
-    /// first if the model changed since the last compile.
-    pub fn compiled_snapshot(&mut self) -> Arc<CompiledMatcher> {
-        if self.compiled_stale {
-            // Patch the previous snapshot: unchanged templates keep their
-            // trie paths, only the diff is re-inserted/pruned.
-            self.compiled = Arc::new(self.compiled.refreshed(&self.model));
-            self.compiled_stale = false;
-        }
+    /// The compiled automaton snapshot paired with the current model: compiled at its
+    /// last training, landing or recovery, with the temporaries inserted since left to
+    /// the match kernel's tail.
+    pub fn compiled_snapshot(&self) -> Arc<CompiledMatcher> {
         Arc::clone(&self.compiled)
+    }
+
+    /// Compile the automaton from the whole current model: the one way a snapshot is
+    /// built once the topic exists, at a training, a landing or a recovery.
+    fn recompile(&mut self) {
+        self.compiled = Arc::new(self.compiled.refreshed(&self.model));
     }
 
     /// A cheap shared handle to the topic's preprocessing pipeline.
@@ -918,7 +913,7 @@ impl LogTopic {
             let (node, saturation) = match rematch {
                 Some(compiled) => {
                     let view = self.preprocessor.token_view(&matched.record, &mut scratch);
-                    let node = match_compiled(&self.model, compiled.tables(), &view);
+                    let node = match_compiled(&self.model, compiled, &view);
                     let saturation = node.map(|id| self.model.nodes[id.0].saturation);
                     (node, saturation.unwrap_or(0.0))
                 }
@@ -990,8 +985,7 @@ impl LogTopic {
         let model = train(&self.window_texts(true), &self.config.train).model;
         self.model = Arc::new(model);
         let base_version = self.store.save(&self.model).version;
-        self.compiled = Arc::new(CompiledMatcher::compile(&self.model));
-        self.compiled_stale = false;
+        self.recompile();
         self.ladder = Arc::new(SaturationLadder::build(&self.model));
         self.finish_run(true, started);
         self.rematch(true);
@@ -1000,11 +994,11 @@ impl LogTopic {
 
     /// The one way a model change lands once a model exists. The window (see
     /// [`LogTopic::window_texts`]) is clustered on its own and merged into the live
-    /// model as a delta — node ids stay stable, so the ladder and the automaton are
-    /// patched, not rebuilt — the delta is persisted with its lineage, stored records
-    /// are re-matched (all of them after a retrain, the orphaned ones otherwise), and
-    /// a durable topic appends one event: everything replay needs to fold the delta
-    /// back in without matching a single line.
+    /// model as a delta — node ids stay stable, so the ladder is patched, not rebuilt;
+    /// the automaton is compiled anew — the delta is persisted with its lineage, stored
+    /// records are re-matched (all of them after a retrain, the orphaned ones
+    /// otherwise), and a durable topic appends one event: everything replay needs to
+    /// fold the delta back in without matching a single line.
     fn land_delta(&mut self, retrain: bool) {
         let started = Instant::now();
         let delta = train_delta(
@@ -1017,8 +1011,8 @@ impl LogTopic {
         // Only the subtrees the delta touched recompute.
         Arc::make_mut(&mut self.ladder).apply_delta(&self.model, &delta);
         Arc::make_mut(&mut self.index).ensure_nodes(self.model.len());
-        // The next compiled_snapshot() folds the delta into the trie.
-        self.compiled_stale = true;
+        // Before the re-match, which matches on it.
+        self.recompile();
         let version = self.store.save_delta(&delta, &self.model).version;
         let elapsed_seconds = self.finish_run(retrain, started);
         let moves = self.rematch(retrain);
@@ -1292,6 +1286,72 @@ mod tests {
         // The identical record now matches.
         let outcome2 = topic.ingest(&novel);
         assert_eq!(outcome2.matched, 1);
+    }
+
+    /// The automaton's one lifecycle: compiled from the whole model when the model is
+    /// trained, lands a delta (retrain or incremental) or is recovered — each leaving no
+    /// tail of uncompiled nodes and a new generation — and at no other time: temporaries
+    /// ride the kernel's tail, and `prepare` hands out the topic's own snapshot.
+    #[test]
+    fn automaton_is_compiled_at_training_landing_and_recovery_only() {
+        let compiled_whole = |topic: &LogTopic| {
+            let compiled = topic.compiled_snapshot();
+            assert_eq!(
+                compiled.nodes(),
+                topic.model().len(),
+                "a landing leaves no tail"
+            );
+            compiled.generation()
+        };
+        let dir = std::env::temp_dir().join(format!("bb-lifecycle-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = TopicConfig::new("lifecycle").with_volume_threshold(1_000_000);
+        let mut topic = LogTopic::durable(config, &dir, StorageConfig::default()).unwrap();
+        topic.ingest(&web_access_batch(0, 300));
+        let trained = compiled_whole(&topic);
+
+        let novel = [
+            "kernel oops at address ffffffffc0401234 cpu 3",
+            "gpu watchdog fired while idle",
+        ];
+        assert_eq!(topic.ingest(&novel).unmatched, 2);
+        let compiled = topic.compiled_snapshot();
+        assert_eq!(
+            compiled.generation(),
+            trained,
+            "a temporary compiles nothing"
+        );
+        assert_eq!(compiled.nodes() + 2, topic.model().len());
+        let nodes = topic.model().len();
+        assert_eq!(
+            topic.ingest(&novel).matched,
+            2,
+            "the tail matches its temporaries"
+        );
+        assert_eq!(topic.model().len(), nodes);
+        let context = topic.prepare().expect("a model exists");
+        assert!(
+            Arc::ptr_eq(&context.compiled, &compiled),
+            "prepare never compiles"
+        );
+        drop((context, compiled));
+
+        topic.run_training();
+        let retrained = compiled_whole(&topic);
+        assert_ne!(retrained, trained);
+        // Leave a tail behind for recovery to compile in.
+        assert_eq!(topic.ingest(&["segfault while idle"]).unmatched, 1);
+        drop(topic);
+        let reopened = LogTopic::open(&dir, StorageConfig::default()).unwrap();
+        assert_ne!(compiled_whole(&reopened), retrained);
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let mut topic = incremental_topic(1_000_000);
+        topic.ingest(&web_access_batch(0, 400));
+        let trained = compiled_whole(&topic);
+        assert!(topic.ingest(&novel_batch(0, 200)).maintained >= 1);
+        assert_ne!(compiled_whole(&topic), trained);
     }
 
     #[test]

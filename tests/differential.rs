@@ -257,18 +257,12 @@ fn incremental_maintenance_converges_with_full_retrain_on_drifting_workload() {
     // maintenance strategies, and both models cover the drifted workload.
     let probe_records = probes(seed, 2_000);
     let preprocessor = full_topic.preprocessor_snapshot();
-    let match_probes = |topic: &mut LogTopic| {
+    let match_probes = |topic: &LogTopic| {
         let compiled = topic.compiled_snapshot();
-        match_ids_batch(
-            topic.model(),
-            compiled.tables(),
-            &preprocessor,
-            &probe_records,
-            2,
-        )
+        match_ids_batch(topic.model(), &compiled, &preprocessor, &probe_records, 2)
     };
-    let full_results = match_probes(&mut full_topic);
-    let inc_results = match_probes(&mut inc_topic);
+    let full_results = match_probes(&full_topic);
+    let inc_results = match_probes(&inc_topic);
     let full_matched = full_results.iter().filter(|r| r.0.is_some()).count();
     let inc_matched = inc_results.iter().filter(|r| r.0.is_some()).count();
     assert!(
@@ -545,7 +539,7 @@ fn automaton_match_path_is_byte_identical_to_tree_walk() {
     // (model, automaton) pair is hot-swapped. Then a second novel family, five
     // lines on repeat: each first sighting misses the swapped-in snapshot and
     // becomes a temporary, every repeat is a stale re-match hit — on the
-    // temporaries appended this chunk, then on the refreshed automaton.
+    // temporaries appended this chunk, on the kernel's tail after the tables.
     let regions = ["north", "south", "east", "west", "core"];
     let mut tail = stream[16_000..].to_vec();
     tail.extend((0..3_000).map(|i| format!("cache ring {} rebalanced", regions[i % 5])));

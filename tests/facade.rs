@@ -194,11 +194,11 @@ fn train_incremental_equals_merge_reference() {
 }
 
 /// The paper-protocol benchmark keeps 14 trained parsers alive, and its `peak_rss_mb`
-/// bound is what kept the facade off the automaton (a resident `CompiledMatcher` was
-/// ≈ 0.7 MiB each). What a parser keeps now is `MatchTables` — a type with no trie,
-/// interner or per-template sequence in it, whose `heap_bytes` destructures every
-/// field — so bounding that over the 14 families at the benchmark's 1,024 records
-/// bounds the resident cost where `cargo test` sees it.
+/// bound is what kept the facade off the automaton (a resident `CompiledMatcher` with
+/// its trie and interner was ≈ 0.7 MiB each). A `CompiledMatcher` now is match tables
+/// only — no trie, interner or per-template sequence outlives the compile, and
+/// `heap_bytes` counts every heap field — so bounding that over the 14 families at the
+/// benchmark's 1,024 records bounds the resident cost where `cargo test` sees it.
 #[test]
 fn resident_match_tables_stay_within_their_budget() {
     const BUDGET: usize = 1_536 * 1_024;
@@ -210,8 +210,7 @@ fn resident_match_tables_stay_within_their_budget() {
         let states = compiled
             .dfa_states()
             .expect("no family needs the NFA fallback");
-        let tables = compiled.into_tables();
-        let bytes = tables.heap_bytes();
+        let bytes = compiled.heap_bytes();
         eprintln!(
             "[tables] {name}: {} templates, {states} DFA states, {bytes} bytes ({} per state)",
             model.len(),
