@@ -128,6 +128,27 @@ pub enum Ast {
 }
 
 impl Ast {
+    /// The pattern read right to left: it matches the reversed bytes of every match of
+    /// `self`. Anchors trade places, because in reversed offsets the end of the
+    /// haystack is where a run begins and the start is where it ends.
+    pub fn reversed(&self) -> Ast {
+        match self {
+            Ast::Empty => Ast::Empty,
+            Ast::Class(class) => Ast::Class(class.clone()),
+            Ast::Concat(items) => Ast::Concat(items.iter().rev().map(Ast::reversed).collect()),
+            Ast::Alternate(branches) => {
+                Ast::Alternate(branches.iter().map(Ast::reversed).collect())
+            }
+            Ast::Repeat { node, min, max } => Ast::Repeat {
+                node: Box::new(node.reversed()),
+                min: *min,
+                max: *max,
+            },
+            Ast::StartAnchor => Ast::EndAnchor,
+            Ast::EndAnchor => Ast::StartAnchor,
+        }
+    }
+
     /// Render the AST back into pattern syntax such that re-parsing the output yields a
     /// structurally identical AST (`parse(ast.to_pattern()) == *ast`, verified by the
     /// seeded fuzz suite). Because the printer is deterministic, `parse → print` is a

@@ -19,7 +19,8 @@ pub enum Inst {
     Match,
 }
 
-/// A compiled NFA program: a flat instruction list executed by the Pike VM.
+/// A compiled NFA program: a flat instruction list executed by the Pike VM and
+/// determinised into the pattern's DFA tables (`crate::table`).
 #[derive(Debug, Clone)]
 pub struct Program {
     pub insts: Vec<Inst>,
@@ -154,16 +155,22 @@ impl std::fmt::Debug for StartBytes {
 
 /// Compile `ast` into a [`Program`] ending in [`Inst::Match`].
 pub fn compile(ast: &Ast) -> Program {
-    let mut c = Compiler { insts: Vec::new() };
-    c.emit_ast(ast);
-    c.insts.push(Inst::Match);
-    let start_bytes = compute_start_bytes(&c.insts);
+    let insts = instructions(ast);
+    let start_bytes = compute_start_bytes(&insts);
     let required_bytes = compute_required_bytes(ast);
     Program {
-        insts: c.insts,
+        insts,
         start_bytes,
         required_bytes,
     }
+}
+
+/// The instruction list of `ast`, ending in [`Inst::Match`], without the prefilters.
+pub(crate) fn instructions(ast: &Ast) -> Vec<Inst> {
+    let mut c = Compiler { insts: Vec::new() };
+    c.emit_ast(ast);
+    c.insts.push(Inst::Match);
+    c.insts
 }
 
 /// Collect byte sets such that every match of `ast` must contain at least one

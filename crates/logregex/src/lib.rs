@@ -3,7 +3,7 @@
 //!
 //! The paper (§4.1.1) tokenizes logs with regular expressions and explicitly forbids
 //! non-linear features such as look-around so that matching stays `O(n)`. This crate
-//! implements exactly that subset as a Thompson-NFA / Pike-VM engine:
+//! implements exactly that subset:
 //!
 //! * literals, `.`, escapes (`\d`, `\w`, `\s`, `\D`, `\W`, `\S`, `\n`, `\t`, `\r`, `\\`, …)
 //! * character classes `[...]` with ranges and negation
@@ -14,6 +14,19 @@
 //!
 //! Look-around, back-references and other exponential-worst-case features are rejected at
 //! parse time, mirroring the restriction the paper places on user-supplied patterns.
+//!
+//! # Which path runs
+//!
+//! [`Regex::new`] compiles a pattern once into a Thompson-NFA [`Program`] and, from it,
+//! an immutable DFA table over byte equivalence classes. Every search
+//! ([`Regex::find_at`], and through it `find`, `find_iter`, `replace_all`, `split`)
+//! walks the table in two passes: forward to the end of the leftmost-longest match,
+//! then the reversed pattern backward from there to its start. Each pass reads each
+//! byte at most once, so a search costs `O(haystack)` table steps — never more than
+//! twice the bytes the Pike VM would read, each step one lookup where the VM advances
+//! every live thread. The Pike VM runs only for a pattern whose table would pass a
+//! constant state cap; in debug builds it also re-derives every table answer (one
+//! `debug_assert_eq!`, in [`Regex::find_at`]).
 //!
 //! # Example
 //!
@@ -31,18 +44,25 @@ mod compile;
 mod error;
 mod matcher;
 mod parser;
+mod table;
 
 pub use compile::{BytePresence, ByteSet, Program, StartBytes};
 pub use error::RegexError;
 
+use std::sync::Arc;
+use table::DfaTable;
+
 /// A compiled regular expression.
 ///
-/// Construction parses and compiles the pattern once; matching is then linear in the
-/// input length (Pike-VM simulation), with no pathological backtracking.
+/// Construction parses and compiles the pattern once, into the NFA program and its DFA
+/// table; matching is then a table walk, linear in the input length, with no
+/// pathological backtracking. Clones share the table.
 #[derive(Debug, Clone)]
 pub struct Regex {
     pattern: String,
     program: Program,
+    /// `None` when the pattern passes the state cap; every search then runs on the VM.
+    table: Option<Arc<DfaTable>>,
 }
 
 /// A single match: byte offsets `[start, end)` into the haystack.
@@ -79,10 +99,29 @@ impl Regex {
     pub fn new(pattern: &str) -> Result<Self, RegexError> {
         let ast = parser::parse(pattern)?;
         let program = compile::compile(&ast);
+        let table = DfaTable::build(&ast, &program, table::MAX_STATES).map(Arc::new);
         Ok(Regex {
             pattern: pattern.to_string(),
             program,
+            table,
         })
+    }
+
+    /// This pattern without its DFA table: every search runs on the Pike VM. The
+    /// reference the table is tested against (the differential suites); no production
+    /// path calls it.
+    pub fn pike_vm_only(&self) -> Regex {
+        Regex {
+            table: None,
+            ..self.clone()
+        }
+    }
+
+    /// Number of states of the pattern's DFA table (both directions, dead states
+    /// included), or `None` when the pattern passed the state cap and runs on the Pike
+    /// VM alone.
+    pub fn dfa_states(&self) -> Option<usize> {
+        self.table.as_ref().map(|table| table.states())
     }
 
     /// The original pattern string.
@@ -109,30 +148,40 @@ impl Regex {
     }
 
     /// Leftmost-longest match starting at or after byte offset `start`.
+    ///
+    /// The DFA table answers; the Pike VM runs only for a pattern without a table. In
+    /// debug builds the VM also re-derives every table answer (the seam's one
+    /// `debug_assert_eq!`).
     pub fn find_at(&self, haystack: &str, start: usize) -> Option<Match> {
-        matcher::find_at(&self.program, haystack.as_bytes(), start, haystack.len())
+        let bytes = haystack.as_bytes();
+        let Some(table) = &self.table else {
+            return matcher::find_at(&self.program, bytes, start, bytes.len());
+        };
+        let found = table.find_at(bytes, start);
+        debug_assert_eq!(
+            found,
+            matcher::find_at(&self.program, bytes, start, bytes.len()),
+            "DFA table of {:?} diverged from the Pike VM at offset {start} of {haystack:?}",
+            self.pattern
+        );
+        found
     }
 
-    /// Iterator over all non-overlapping matches, left to right.
+    /// Iterator over all non-overlapping matches, left to right. After an empty match
+    /// the scan resumes at the next character boundary, never inside a multi-byte
+    /// character.
     pub fn find_iter<'r, 'h>(&'r self, haystack: &'h str) -> Matches<'r, 'h> {
-        self.find_iter_at(haystack, 0)
-    }
-
-    /// Like [`Regex::find_iter`], but starting from byte offset `start`. Hot
-    /// paths that already located the first match use this to resume scanning
-    /// without re-walking the prefix.
-    pub fn find_iter_at<'r, 'h>(&'r self, haystack: &'h str, start: usize) -> Matches<'r, 'h> {
         Matches {
             regex: self,
             haystack,
-            pos: start,
+            pos: 0,
         }
     }
 
     /// True when `presence` (a one-pass byte bitmap of some haystack, see
     /// [`BytePresence::scan`]) does not rule out a match of this pattern.
     /// `false` is definitive — the pattern cannot match that haystack; `true`
-    /// means the full VM must decide. Lets callers probing many patterns
+    /// means a search must decide. Lets callers probing many patterns
     /// against the same line (the masking pipeline) skip most of them in O(1).
     #[inline]
     pub fn may_match(&self, presence: &BytePresence) -> bool {
@@ -211,9 +260,18 @@ impl<'r, 'h> Iterator for Matches<'r, 'h> {
             return None;
         }
         let m = self.regex.find_at(self.haystack, self.pos)?;
-        // Advance past the match; for empty matches step one byte forward so the
-        // iterator always terminates.
-        self.pos = if m.end == m.start { m.end + 1 } else { m.end };
+        // Advance past the match; past an empty match, to the next character boundary
+        // (one byte would land inside a multi-byte character), so the iterator always
+        // terminates and never slices a character.
+        self.pos = if m.is_empty() {
+            let mut next = m.end + 1;
+            while next < self.haystack.len() && !self.haystack.is_char_boundary(next) {
+                next += 1;
+            }
+            next
+        } else {
+            m.end
+        };
         Some(m)
     }
 }
@@ -405,6 +463,44 @@ mod tests {
         let re = Regex::new("(foo|foobar)").unwrap();
         let m = re.find("xfoobar").unwrap();
         assert_eq!(m.as_str("xfoobar"), "foobar");
+    }
+
+    #[test]
+    fn empty_matches_step_over_whole_characters() {
+        // One byte past the empty match at 0 is inside `é`: resuming there would
+        // slice the haystack mid-character. Both search paths must step over it.
+        let re = Regex::new(r"\d*").unwrap();
+        for re in [re.clone(), re.pike_vm_only()] {
+            assert_eq!(re.replace_all("é1", "<*>"), "<*>é<*><*>");
+            assert_eq!(re.split("用户 42"), vec!["", "用", "户", " ", "", ""]);
+        }
+    }
+
+    #[test]
+    fn long_digit_run_stays_linear() {
+        // Every start of the run walks to its end before failing on the space: a table
+        // restarted at each start would take ~20,000²/2 steps.
+        let re = Regex::new(r"\d+(\.\d+)?(KB|MB|GB|TB|kb|mb|gb|B)").unwrap();
+        let haystack = format!("{} B", "1".repeat(20_000));
+        let started = std::time::Instant::now();
+        assert_eq!(re.find(&haystack), None);
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_millis(100),
+            "search took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn default_patterns_get_tables_and_clones_share_them() {
+        let re = Regex::new(r"\d+(\.\d+)?(ms|us|ns|sec|secs|seconds)").unwrap();
+        assert!(re.dfa_states().is_some());
+        let clone = re.clone();
+        assert!(Arc::ptr_eq(
+            re.table.as_ref().unwrap(),
+            clone.table.as_ref().unwrap()
+        ));
+        assert_eq!(re.pike_vm_only().dfa_states(), None);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //!
 //! The simulation runs in `O(haystack_len * program_len)` time and constant extra space
 //! per program instruction — no backtracking, matching the paper's requirement that user
-//! patterns stay linear-time (§4.1.1).
+//! patterns stay linear-time (§4.1.1). It has two jobs: finishing the searches the DFA
+//! table does not cover (`crate::table`), and checking the table's answers in debug
+//! builds. Both calls are in `Regex::find_at`.
 
 use crate::compile::{Inst, Program};
 use crate::Match;

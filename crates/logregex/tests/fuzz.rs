@@ -104,6 +104,93 @@ fn compiled_arbitrary_patterns_match_safely() {
     assert!(exercised > 200, "too few valid patterns exercised");
 }
 
+/// A haystack over the alphabet `metachar_soup` patterns are written in, plus
+/// multi-byte characters, so random patterns actually match (and match next to
+/// character boundaries).
+fn pattern_alphabet_haystack(rng: &mut StdRng, max_len: usize) -> String {
+    const PIECES: &[&str] = &[
+        "a", "b", "Z", "0", "9", "_", " ", "-", ":", "/", ".", "A", "\n", "\t", "é", "用", "🦀",
+    ];
+    let len = rng.gen_range(0..max_len + 1);
+    (0..len)
+        .map(|_| PIECES[rng.gen_range(0..PIECES.len())])
+        .collect()
+}
+
+/// Every search position of `haystack` answers the same through the DFA table as
+/// through the Pike VM alone, and so do the iterators built on it.
+fn assert_table_matches_vm(re: &Regex, haystack: &str) {
+    let vm = re.pike_vm_only();
+    for from in 0..=haystack.len() + 1 {
+        assert_eq!(
+            re.find_at(haystack, from),
+            vm.find_at(haystack, from),
+            "{:?} at offset {from} of {haystack:?}",
+            re.as_str()
+        );
+    }
+    assert!(
+        re.find_iter(haystack).eq(vm.find_iter(haystack)),
+        "{:?} on {haystack:?}",
+        re.as_str()
+    );
+}
+
+#[test]
+fn dfa_table_agrees_with_pike_vm_on_random_patterns() {
+    let mut rng = StdRng::seed_from_u64(base_seed() ^ 0xDFA0);
+    let (mut tabled, mut anchored, mut empty_matching, mut bounded) = (0, 0, 0, 0);
+    for _ in 0..1_500 {
+        let pattern = metachar_soup(&mut rng, 12);
+        let Ok(re) = Regex::new(&pattern) else {
+            continue;
+        };
+        tabled += usize::from(re.dfa_states().is_some());
+        anchored += usize::from(pattern.contains(['^', '$']));
+        empty_matching += usize::from(re.is_match(""));
+        bounded += usize::from(pattern.contains('{'));
+        for _ in 0..3 {
+            assert_table_matches_vm(&re, &ascii_haystack(&mut rng, 40));
+            assert_table_matches_vm(&re, &pattern_alphabet_haystack(&mut rng, 30));
+        }
+        assert_table_matches_vm(&re, "");
+    }
+    // The generator must reach every construct the table handles specially.
+    assert!(tabled > 300, "too few tabled patterns: {tabled}");
+    assert!(anchored > 50, "too few anchored patterns: {anchored}");
+    assert!(
+        empty_matching > 50,
+        "too few empty-matching patterns: {empty_matching}"
+    );
+    assert!(bounded > 50, "too few bounded repeats: {bounded}");
+}
+
+#[test]
+fn dfa_table_agrees_with_pike_vm_past_the_state_cap_and_on_long_runs() {
+    let mut rng = StdRng::seed_from_u64(base_seed() ^ 0xDFA1);
+    // Past the state cap: no table at all, so every search is the fallback.
+    for n in 11..14 {
+        let re = Regex::new(&format!("(a|b)*a(a|b){{{n}}}")).unwrap();
+        assert_eq!(re.dfa_states(), None, "{:?}", re.as_str());
+        let haystack: String = (0..60)
+            .map(|_| if rng.gen_bool(0.5) { 'a' } else { 'b' })
+            .collect();
+        assert_table_matches_vm(&re, &haystack);
+    }
+    // Long runs every start walks to the end of: one forward group per start offset,
+    // and the backward pass walks the whole run.
+    for pattern in [r"\d+(\.\d+)?(KB|MB|GB|TB|kb|mb|gb|B)", r"[0-9a]+x", r"a*b"] {
+        let re = Regex::new(pattern).unwrap();
+        assert!(re.dfa_states().is_some());
+        for _ in 0..3 {
+            let run = rng.gen_range(300..600usize);
+            let tail = ["", " B", "B", "x", "b", "é"][rng.gen_range(0..6usize)];
+            let digit = ["1", "a"][rng.gen_range(0..2usize)];
+            assert_table_matches_vm(&re, &format!("{}{tail}", digit.repeat(run)));
+        }
+    }
+}
+
 #[test]
 fn parse_print_parse_round_trips_are_stable() {
     let mut rng = StdRng::seed_from_u64(base_seed() ^ 0x2007);

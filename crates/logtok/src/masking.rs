@@ -128,11 +128,13 @@ impl Masker {
     /// left in `out`, with `swap` used as the ping-pong buffer between rules. Both
     /// buffers are reused across calls, so after warm-up no heap allocation happens.
     ///
-    /// Two filters keep the per-record regex work proportional to the rules that can
-    /// actually fire: a one-pass [`BytePresence`] bitmap rejects rules whose mandatory
-    /// bytes are absent from the line (a line with no `-` can never contain a UUID or
-    /// ISO timestamp), and rules that pass are driven by a single find-then-resume scan
-    /// instead of an `is_match` probe followed by a full re-scan.
+    /// Rules run one after another, each over the previous rule's output (rule k sees
+    /// rule k−1's replacements). Each rule's matches come from its pattern's immutable
+    /// DFA table — a forward and a backward pass per match, linear in the line (see
+    /// [`logregex`]'s crate docs) — so no lock is taken and one masker is shared by
+    /// every pool worker. A one-pass [`BytePresence`] bitmap first rejects rules whose
+    /// mandatory bytes are absent from the line (a line with no `-` can never contain a
+    /// UUID or ISO timestamp), and a rule that finds nothing copies nothing.
     pub fn mask_into(&self, record: &str, out: &mut String, swap: &mut String) {
         out.clear();
         out.push_str(record);
@@ -144,21 +146,13 @@ impl Masker {
             if !rule.regex.may_match(&presence) {
                 continue;
             }
-            let Some(first) = rule.regex.find(out) else {
+            let mut matches = rule.regex.find_iter(out);
+            let Some(first) = matches.next() else {
                 continue;
             };
             swap.clear();
-            swap.push_str(&out[..first.start]);
-            swap.push_str(&rule.replacement);
-            let mut last = first.end;
-            // Resume past the first match; for an empty match step one byte so
-            // the scan always advances (mirrors `find_iter` semantics).
-            let resume = if first.is_empty() {
-                first.end + 1
-            } else {
-                first.end
-            };
-            for m in rule.regex.find_iter_at(out, resume) {
+            let mut last = 0;
+            for m in std::iter::once(first).chain(matches) {
                 swap.push_str(&out[last..m.start]);
                 swap.push_str(&rule.replacement);
                 last = m.end;
@@ -174,6 +168,21 @@ impl Masker {
     /// Names of the configured rules, in application order.
     pub fn rule_names(&self) -> Vec<&str> {
         self.rules.iter().map(|r| r.name.as_str()).collect()
+    }
+
+    /// The same rules with every pattern's DFA table dropped
+    /// ([`Regex::pike_vm_only`]): the reference the table-driven masker is tested
+    /// against. No production path calls it.
+    pub fn pike_vm_only(&self) -> Masker {
+        let rules = self
+            .rules
+            .iter()
+            .map(|rule| MaskRule {
+                regex: rule.regex.pike_vm_only(),
+                ..rule.clone()
+            })
+            .collect();
+        Masker { rules }
     }
 }
 
@@ -251,5 +260,37 @@ mod tests {
     fn memory_and_duration_units() {
         let m = Masker::default_rules();
         assert_eq!(m.mask("allocated 512MB in 35ms"), "allocated <*> in <*>");
+    }
+
+    #[test]
+    fn empty_matching_rule_keeps_multibyte_characters_whole() {
+        // A user rule that can match empty must not resume one byte into `用`.
+        let mut m = Masker::empty();
+        m.add_pattern("digits", r"\d*").unwrap();
+        for m in [m.clone(), m.pike_vm_only()] {
+            assert_eq!(m.mask("用户 42"), "<*>用<*>户<*> <*><*>");
+        }
+    }
+
+    #[test]
+    fn masking_a_long_digit_run_stays_linear() {
+        // Restarting a table run at every digit would walk the run once per digit
+        // (hundreds of milliseconds); each table pass reads every byte once.
+        let line = format!("{} B", "1".repeat(20_000));
+        let default = Masker::default_rules();
+        let mut mem_size = Masker::empty();
+        mem_size
+            .add_pattern("mem-size", r"\d+(\.\d+)?(KB|MB|GB|TB|kb|mb|gb|B)")
+            .unwrap();
+        for masker in [&default, &mem_size] {
+            let started = std::time::Instant::now();
+            let masked = masker.mask(&line);
+            let elapsed = started.elapsed();
+            assert_eq!(masked, masker.pike_vm_only().mask(&line));
+            assert!(
+                elapsed < std::time::Duration::from_millis(100),
+                "masking took {elapsed:?}"
+            );
+        }
     }
 }

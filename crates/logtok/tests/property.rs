@@ -291,6 +291,35 @@ fn mask_into_agrees_with_mask_on_adversarial_inputs() {
     }
 }
 
+/// The table-driven masker agrees with the VM-only one on every line of every
+/// `datasets` family, and on the adversarial records.
+#[test]
+fn table_masker_agrees_with_pike_vm_masker() {
+    let masker = Masker::default_rules();
+    let reference = masker.pike_vm_only();
+    let mut out = String::new();
+    let mut swap = String::new();
+    let (mut lines, mut masked) = (0usize, 0usize);
+    for family in datasets::dataset_names() {
+        for record in &datasets::LabeledDataset::loghub(family).records {
+            masker.mask_into(record, &mut out, &mut swap);
+            assert_eq!(out, reference.mask(record), "{family} line {record:?}");
+            lines += 1;
+            masked += usize::from(out != *record);
+        }
+    }
+    assert!(masked * 4 > lines, "only {masked} of {lines} lines masked");
+    let mut rng = StdRng::seed_from_u64(adversarial_seed() ^ 0xAD7E_0005);
+    for _ in 0..400 {
+        let record = adversarial_record(&mut rng);
+        assert_eq!(
+            masker.mask(&record),
+            reference.mask(&record),
+            "adversarial line {record:?}"
+        );
+    }
+}
+
 /// `Tokenizer::tokenize_spans` emits spans that slice back to exactly the tokens of
 /// `Tokenizer::tokenize`, with in-bounds, ordered, non-overlapping offsets — on
 /// adversarial inputs.

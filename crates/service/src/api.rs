@@ -2,9 +2,11 @@
 //!
 //! The HTTP front end (`crates/server`), library callers, and the integration tests
 //! all speak these structs, so "what goes over the wire" is defined once here rather
-//! than per-endpoint. Everything renders through the vendored serde shim's [`Value`]
-//! data model; object key order is insertion order, which makes every encoding in
-//! this module **deterministic** — the loopback differential suite compares response
+//! than per-endpoint. Requests, stats and the query AST render through the vendored
+//! serde shim's [`Value`] data model; query results, the one large body, are written
+//! straight into the reply string by [`query_value_to_json`] with the shim's own string
+//! and number writers. Object key order is fixed either way, which makes every encoding
+//! in this module **deterministic** — the loopback differential suite compares response
 //! bodies byte for byte against direct [`crate::ServiceManager`] calls and relies on
 //! that.
 //!
@@ -28,7 +30,7 @@
 //! `"aggregate"` is `"group_by"`, `"distribution"`, `"count_distinct"`, or
 //! `{"top_k": k}`; `"predicate"` and `"threshold"` may be omitted.
 
-use crate::query::{QueryValue, TemplateGroup};
+use crate::query::QueryValue;
 use crate::topic::{IngestOutcome, TopicStats};
 use bytebrain::{Aggregate, Predicate, Query};
 use serde::{Deserialize, Error, Serialize, Value};
@@ -313,69 +315,78 @@ pub fn query_to_json(query: &Query) -> String {
 
 // --- query results ----------------------------------------------------------------------
 
-fn group_to_value(group: &TemplateGroup) -> Value {
-    object(vec![
-        ("node", Value::UInt(group.node.0 as u64)),
-        ("template", Value::String(group.template.clone())),
-        ("saturation", Value::Float(group.saturation)),
-        (
-            "record_indices",
-            Value::Array(
-                group
-                    .record_indices
-                    .iter()
-                    .map(|i| Value::UInt(*i as u64))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Encode a [`QueryValue`] into the deterministic response shape:
+/// Render a [`QueryValue`] to its canonical JSON response body:
 /// `{"kind": "groups" | "distribution" | "count", ...payload}`. Groups are encoded in
 /// full — node id, template text, saturation, and every record index — so the
 /// loopback differential is sensitive to any divergence from the library path.
-pub fn query_value_to_value(result: &QueryValue) -> Value {
-    match result {
-        QueryValue::Groups(groups) => object(vec![
-            ("kind", Value::String("groups".to_string())),
-            (
-                "groups",
-                Value::Array(groups.iter().map(group_to_value).collect()),
-            ),
-        ]),
-        QueryValue::Distribution(pairs) => object(vec![
-            ("kind", Value::String("distribution".to_string())),
-            (
-                "distribution",
-                Value::Array(
-                    pairs
-                        .iter()
-                        .map(|(template, count)| {
-                            object(vec![
-                                ("template", Value::String(template.clone())),
-                                ("count", Value::UInt(*count)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        QueryValue::Count(count) => object(vec![
-            ("kind", Value::String("count".to_string())),
-            ("count", Value::UInt(*count)),
-        ]),
-    }
-}
-
-/// Render a [`QueryValue`] to its canonical JSON response body.
+///
+/// The body is written straight into one `String`, sized up front; no [`Value`] tree is
+/// built (a 0.6 grouping would build one per record index). Strings, floats and
+/// integers go through `serde_json`'s own writers, so the bytes are exactly what
+/// rendering the equivalent [`Value`] produces (the `query_value_to_value` oracle in
+/// this module's tests).
 pub fn query_value_to_json(result: &QueryValue) -> String {
-    serde_json::to_string(&query_value_to_value(result)).expect("value rendering is infallible")
+    match result {
+        QueryValue::Groups(groups) => {
+            let size: usize = groups
+                .iter()
+                .map(|g| 80 + g.template.len() + 8 * g.record_indices.len())
+                .sum();
+            let mut out = String::with_capacity(32 + size);
+            out.push_str(r#"{"kind":"groups","groups":["#);
+            for (i, group) in groups.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(r#"{"node":"#);
+                serde_json::write_uint(group.node.0 as u64, &mut out);
+                out.push_str(r#","template":"#);
+                serde_json::write_string(&group.template, &mut out);
+                out.push_str(r#","saturation":"#);
+                serde_json::write_float(group.saturation, &mut out);
+                out.push_str(r#","record_indices":["#);
+                for (j, &index) in group.record_indices.iter().enumerate() {
+                    if j > 0 {
+                        out.push(',');
+                    }
+                    serde_json::write_uint(index as u64, &mut out);
+                }
+                out.push_str("]}");
+            }
+            out.push_str("]}");
+            out
+        }
+        QueryValue::Distribution(pairs) => {
+            let size: usize = pairs.iter().map(|(t, _)| 40 + t.len()).sum();
+            let mut out = String::with_capacity(40 + size);
+            out.push_str(r#"{"kind":"distribution","distribution":["#);
+            for (i, (template, count)) in pairs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(r#"{"template":"#);
+                serde_json::write_string(template, &mut out);
+                out.push_str(r#","count":"#);
+                serde_json::write_uint(*count, &mut out);
+                out.push('}');
+            }
+            out.push_str("]}");
+            out
+        }
+        QueryValue::Count(count) => {
+            let mut out = String::with_capacity(48);
+            out.push_str(r#"{"kind":"count","count":"#);
+            serde_json::write_uint(*count, &mut out);
+            out.push('}');
+            out
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::TemplateGroup;
     use bytebrain::NodeId;
     use std::sync::Arc;
 
@@ -440,6 +451,92 @@ mod tests {
         let body = serde_json::to_string(&request).unwrap();
         let back: IngestRequest = serde_json::from_str(&body).unwrap();
         assert_eq!(back, request);
+    }
+
+    /// The [`Value`] tree [`query_value_to_json`] must render byte for byte: the
+    /// encoding the wire format was defined by, kept as the writer's oracle.
+    fn query_value_to_value(result: &QueryValue) -> Value {
+        let group_to_value = |group: &TemplateGroup| {
+            object(vec![
+                ("node", Value::UInt(group.node.0 as u64)),
+                ("template", Value::String(group.template.clone())),
+                ("saturation", Value::Float(group.saturation)),
+                (
+                    "record_indices",
+                    Value::Array(
+                        group
+                            .record_indices
+                            .iter()
+                            .map(|i| Value::UInt(*i as u64))
+                            .collect(),
+                    ),
+                ),
+            ])
+        };
+        match result {
+            QueryValue::Groups(groups) => object(vec![
+                ("kind", Value::String("groups".to_string())),
+                (
+                    "groups",
+                    Value::Array(groups.iter().map(group_to_value).collect()),
+                ),
+            ]),
+            QueryValue::Distribution(pairs) => object(vec![
+                ("kind", Value::String("distribution".to_string())),
+                (
+                    "distribution",
+                    Value::Array(
+                        pairs
+                            .iter()
+                            .map(|(template, count)| {
+                                object(vec![
+                                    ("template", Value::String(template.clone())),
+                                    ("count", Value::UInt(*count)),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ]),
+            QueryValue::Count(count) => object(vec![
+                ("kind", Value::String("count".to_string())),
+                ("count", Value::UInt(*count)),
+            ]),
+        }
+    }
+
+    #[test]
+    fn direct_encoding_matches_the_value_oracle() {
+        let group =
+            |node: usize, template: &str, saturation: f64, indices: Vec<usize>| TemplateGroup {
+                node: NodeId(node),
+                template: template.to_string(),
+                saturation,
+                record_indices: indices,
+            };
+        let cases = [
+            QueryValue::Groups(Arc::new(vec![
+                group(4, "job <*> finished", 0.75, vec![0, 2, 5]),
+                group(0, r#"say "hi" \ tab\tnew\nline \u{1} end"#, 1.0, vec![]),
+                group(17, "用户 <*> 登录 ü 🦀", 0.0, vec![usize::MAX >> 1]),
+                group(3, "", f64::NAN, vec![9; 3]),
+                group(1, "big", 1e20, vec![1]),
+                group(2, "neg", -0.0, vec![1, 10, 100]),
+                group(5, "inf", f64::INFINITY, vec![42]),
+            ])),
+            QueryValue::Groups(Arc::new(Vec::new())),
+            QueryValue::Distribution(Arc::new(vec![
+                ("x <*>".to_string(), 3),
+                ("quote \" and \u{7f}".to_string(), u64::MAX),
+            ])),
+            QueryValue::Distribution(Arc::new(Vec::new())),
+            QueryValue::Count(0),
+            QueryValue::Count(9),
+        ];
+        for case in &cases {
+            let oracle = serde_json::to_string(&query_value_to_value(case)).unwrap();
+            assert_eq!(query_value_to_json(case), oracle);
+        }
     }
 
     #[test]
