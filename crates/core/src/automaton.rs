@@ -34,10 +34,12 @@
 //!    the tables only.
 //! 4. **Match cache** ([`MatchCache`]): a keyed LRU over raw record lines.
 //!    Production log streams are highly repetitive, so an exact-line hit skips
-//!    preprocessing *and* matching. An entry is an answer under one pair — the
-//!    snapshot's [`generation`](CompiledMatcher::generation) and the length of the
-//!    model whose appended nodes the kernel scans — and the cache is dropped wholesale
-//!    when the pair changes.
+//!    preprocessing *and* matching, and hands back the variable slots the miss
+//!    extracted (spans of the line, so valid for every copy of it). An entry is an
+//!    answer under one pair — the snapshot's
+//!    [`generation`](CompiledMatcher::generation) and the length of the model whose
+//!    appended nodes the kernel scans — and the cache is dropped wholesale when the
+//!    pair changes.
 //!
 //! Lifecycle: one snapshot lives next to its model and is compiled from the whole model
 //! when the model is trained, lands a delta or (in the service) is recovered — at no
@@ -47,6 +49,7 @@
 //! by records the tables miss, not a compile. Readers never observe a partially built
 //! automaton: they hold the old `Arc` until the swap.
 
+use crate::matcher::{SlotBuffer, SlotRange};
 use crate::model::ParserModel;
 use crate::tree::{NodeId, TemplateToken};
 use logtok::{Preprocessor, TokenScratch, TokenView};
@@ -575,13 +578,18 @@ impl CompiledMatcher {
 /// stream layer hashes each record once at admission and carries the
 /// hash through the job, so a cache probe re-hashes 8 bytes instead of the
 /// whole line. Each entry stores the full line and verifies it on a hit, so a
-/// hash collision degrades to a miss — results stay byte-identical.
+/// hash collision degrades to a miss — results stay byte-identical. An entry's slots
+/// live in its segment's one [`SlotBuffer`], so remembering them allocates nothing
+/// per line.
 #[derive(Debug)]
 pub struct MatchCache {
     capacity: usize,
     snapshot: (u64, usize),
     current: FnvMap<u64, CacheEntry>,
     previous: FnvMap<u64, CacheEntry>,
+    /// The slots of `current`'s and `previous`'s entries.
+    current_slots: SlotBuffer,
+    previous_slots: SlotBuffer,
     hits: u64,
     misses: u64,
 }
@@ -590,6 +598,9 @@ pub struct MatchCache {
 struct CacheEntry {
     line: Box<str>,
     node: Option<NodeId>,
+    /// The slots the miss extracted, in its segment's buffer: spans of the line, so
+    /// valid for every copy of it.
+    slots: SlotRange,
 }
 
 /// Default per-worker cache capacity (segment size).
@@ -609,6 +620,8 @@ impl MatchCache {
             snapshot: (0, 0),
             current: FnvMap::default(),
             previous: FnvMap::default(),
+            current_slots: SlotBuffer::new(),
+            previous_slots: SlotBuffer::new(),
             hits: 0,
             misses: 0,
         }
@@ -616,7 +629,7 @@ impl MatchCache {
 
     /// Match `record` through the cache, hashing the line first; a miss is matched on
     /// `compiled`'s tables alone ([`CompiledMatcher::match_view`] — no tail of appended
-    /// nodes). Benchmarks and tests call it; the pool worker calls
+    /// nodes) and extracts no slots. Benchmarks and tests call it; the pool worker calls
     /// [`match_record_hashed`](MatchCache::match_record_hashed) with the kernel.
     pub fn match_record(
         &mut self,
@@ -625,60 +638,86 @@ impl MatchCache {
         scratch: &mut TokenScratch,
         record: &str,
     ) -> Option<NodeId> {
-        let miss = || compiled.match_view(&preprocessor.token_view(record, scratch));
+        let miss =
+            |_: &mut SlotBuffer| compiled.match_view(&preprocessor.token_view(record, scratch));
         let snapshot = (compiled.generation, compiled.nodes);
-        self.match_record_hashed(snapshot, record, logtok::hash_line(record), miss)
+        let hash = logtok::hash_line(record);
+        let mut no_slots = SlotBuffer::new();
+        self.match_record_hashed(snapshot, record, hash, &mut no_slots, miss)
+            .0
     }
 
     /// Look `record` up by its precomputed FNV line hash: an exact-line hit returns the
-    /// stored assignment; on a miss `miss` matches the record and the result is
-    /// remembered. `snapshot` names everything `miss` decides on — the compiled
-    /// snapshot's generation and the length of the model whose appended nodes it scans
-    /// — and a pair other than the cached entries' invalidates the whole cache first.
+    /// stored assignment and appends the stored slots to `slots`; on a miss `miss`
+    /// matches the record, appending its slots to `slots`, and both are remembered.
+    /// `snapshot` names everything `miss` decides on — the compiled snapshot's
+    /// generation and the length of the model whose appended nodes it scans — and a
+    /// pair other than the cached entries' invalidates the whole cache first.
     pub fn match_record_hashed(
         &mut self,
         snapshot: (u64, usize),
         record: &str,
         line_hash: u64,
-        miss: impl FnOnce() -> Option<NodeId>,
-    ) -> Option<NodeId> {
+        slots: &mut SlotBuffer,
+        miss: impl FnOnce(&mut SlotBuffer) -> Option<NodeId>,
+    ) -> (Option<NodeId>, SlotRange) {
         if self.snapshot != snapshot {
             self.current.clear();
             self.previous.clear();
+            self.current_slots.clear();
+            self.previous_slots.clear();
             self.snapshot = snapshot;
         }
         if let Some(entry) = self.current.get(&line_hash) {
             if &*entry.line == record {
                 self.hits += 1;
-                return entry.node;
+                return (
+                    entry.node,
+                    slots.append_from(&self.current_slots, entry.slots),
+                );
             }
         }
         if let Some(entry) = self.previous.remove(&line_hash) {
             if &*entry.line == record {
                 self.hits += 1;
-                let node = entry.node;
-                self.insert(line_hash, entry);
-                return node;
+                let (node, range) = (
+                    entry.node,
+                    slots.append_from(&self.previous_slots, entry.slots),
+                );
+                self.insert(line_hash, entry, slots, range);
+                return (node, range);
             }
         }
         self.misses += 1;
-        let node = miss();
-        self.insert(
-            line_hash,
-            CacheEntry {
-                line: record.into(),
-                node,
-            },
-        );
-        node
+        let before = slots.len();
+        let node = miss(slots);
+        let range = slots.since(before);
+        let entry = CacheEntry {
+            line: record.into(),
+            node,
+            slots: SlotRange::default(),
+        };
+        self.insert(line_hash, entry, slots, range);
+        (node, range)
     }
 
-    fn insert(&mut self, line_hash: u64, entry: CacheEntry) {
+    /// Remember `entry` with the slots `range` of `slots` (the caller's buffer, which
+    /// already holds them: a promoted entry's own segment may be the one rotated out).
+    fn insert(
+        &mut self,
+        line_hash: u64,
+        mut entry: CacheEntry,
+        slots: &SlotBuffer,
+        range: SlotRange,
+    ) {
         if self.current.len() >= self.capacity {
             // Rotate segments: the old `current` becomes `previous` (probed,
             // promoted on hit) and the evicted segment is dropped wholesale.
             self.previous = std::mem::take(&mut self.current);
+            std::mem::swap(&mut self.previous_slots, &mut self.current_slots);
+            self.current_slots.clear();
         }
+        entry.slots = self.current_slots.append_from(slots, range);
         self.current.insert(line_hash, entry);
     }
 
@@ -702,7 +741,7 @@ impl MatchCache {
 mod tests {
     use super::*;
     use crate::config::TrainConfig;
-    use crate::matcher::match_view;
+    use crate::matcher::{match_view, SlotBuffer};
     use crate::train::train;
     use logtok::Preprocessor;
 
@@ -877,6 +916,43 @@ mod tests {
         let after = cache.match_record(&swapped, &pre, &mut scratch, line);
         assert_eq!(after, miss);
         assert_eq!(cache.stats(), (1, 2), "generation change must re-match");
+    }
+
+    /// Slots come back from a hit in either segment — a promoted entry's included, and
+    /// across the rotation its promotion may trigger — as the miss extracted them.
+    #[test]
+    fn match_cache_hits_hand_back_the_slots_their_miss_extracted() {
+        let mut cache = MatchCache::new(2);
+        let lines: Vec<String> = (0..7)
+            .map(|i| format!("job {i} took {}ms", 10 * i))
+            .collect();
+        let probe = |cache: &mut MatchCache, line: &str| {
+            let mut slots = SlotBuffer::new();
+            slots.push_values("unrelated line", ["line"]);
+            let miss = |slots: &mut SlotBuffer| {
+                let values = line.split(' ').filter(|t| t.starts_with(char::is_numeric));
+                slots.push_values(line, values);
+                Some(NodeId(line.len()))
+            };
+            let hash = logtok::hash_line(line);
+            let (node, range) = cache.match_record_hashed((1, 1), line, hash, &mut slots, miss);
+            assert_eq!(node, Some(NodeId(line.len())));
+            slots
+                .values(line, range)
+                .map(String::from)
+                .collect::<Vec<_>>()
+        };
+        let want = |line: &str| {
+            let values = line.split(' ').filter(|t| t.starts_with(char::is_numeric));
+            values.map(String::from).collect::<Vec<_>>()
+        };
+        for round in 0..3 {
+            for line in lines.iter().chain(lines.iter().rev()) {
+                assert_eq!(probe(&mut cache, line), want(line), "round {round}");
+            }
+        }
+        let (hits, misses) = cache.stats();
+        assert!(hits > 0 && misses > 0, "{hits} hits, {misses} misses");
     }
 
     #[test]

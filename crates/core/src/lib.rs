@@ -57,7 +57,7 @@ pub use config::{AblationConfig, TrainConfig};
 pub use incremental::{
     apply_delta, train_delta, DeltaParent, DriftConfig, DriftDecision, DriftDetector, ModelDelta,
 };
-pub use matcher::MatchResult;
+pub use matcher::{BatchMatch, MatchResult, SlotBuffer, SlotRange};
 pub use model::ParserModel;
 pub use parser::ByteBrainParser;
 pub use query::ast::{Aggregate, Predicate, Query};

@@ -92,7 +92,7 @@ impl ByteBrainParser {
 
     fn match_node(&self, record: &str) -> Option<NodeId> {
         let pre = &self.preprocessor;
-        match_ids_batch(&self.model, &self.compiled, pre, &[record], 1)[0].0
+        match_ids_batch(&self.model, &self.compiled, pre, &[record], 1).ids[0].0
     }
 
     /// Match one raw log against the model. Unmatched logs are inserted as temporary
@@ -113,10 +113,10 @@ impl ByteBrainParser {
     /// Match a batch of raw logs (read-only) using the configured parallelism.
     pub fn match_batch(&self, records: &[String]) -> Vec<MatchResult> {
         let (model, workers) = (&self.model, self.config.parallelism);
-        let ids = match_ids_batch(model, &self.compiled, &self.preprocessor, records, workers);
-        let decided = records.iter().zip(ids);
+        let batch = match_ids_batch(model, &self.compiled, &self.preprocessor, records, workers);
+        let decided = records.iter().zip(batch.ids);
         decided
-            .map(|(record, (node, _))| MatchResult::of(model, record, node))
+            .map(|(record, (node, _, _))| MatchResult::of(model, record, node))
             .collect()
     }
 

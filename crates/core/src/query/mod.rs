@@ -36,7 +36,7 @@ pub mod plan;
 
 use crate::incremental::ModelDelta;
 use crate::model::ParserModel;
-use crate::tree::NodeId;
+use crate::tree::{NodeId, TemplateToken};
 use std::collections::HashMap;
 
 /// The default saturation threshold used when a query supplies none (or NaN): the value
@@ -246,8 +246,35 @@ impl SaturationLadder {
 /// Template text for a node after applying the query-result optimisation of §7: runs of
 /// consecutive wildcards collapse into a single `*`, so `users * * *` and `users *`
 /// present identically even though the underlying fixed-length templates differ.
+///
+/// Rendered in one pass into one allocation — a query renders one per resolved node —
+/// and equal, by test, to [`merge_consecutive_wildcards`] of the node's
+/// [`template_text`](crate::TreeNode::template_text).
 pub fn presentation_template(model: &ParserModel, node: NodeId) -> String {
-    merge_consecutive_wildcards(&model.nodes[node.0].template_text())
+    fn text(token: &TemplateToken) -> &str {
+        match token {
+            TemplateToken::Const(constant) => constant,
+            TemplateToken::Wildcard => "*",
+        }
+    }
+    let template = &model.nodes[node.0].template;
+    let mut out = String::with_capacity(template.iter().map(|t| text(t).len() + 1).sum());
+    let mut previous_was_wildcard = false;
+    for piece in template
+        .iter()
+        .flat_map(|token| text(token).split_whitespace())
+    {
+        let is_wildcard = piece == "*";
+        if is_wildcard && previous_was_wildcard {
+            continue;
+        }
+        if !out.is_empty() {
+            out.push(' ');
+        }
+        out.push_str(piece);
+        previous_was_wildcard = is_wildcard;
+    }
+    out
 }
 
 /// Collapse runs of consecutive `*` tokens in a space-separated template string.
@@ -294,6 +321,51 @@ mod tests {
             unique_count: 1,
             temporary: false,
             retired: false,
+        }
+    }
+
+    /// The one-pass rendering is the two-pass definition, on the tokens that make them
+    /// differ from a plain join: runs of wildcards, a constant `*`, constants holding
+    /// whitespace, and the empty template.
+    #[test]
+    fn presentation_template_is_merged_wildcards_of_the_template_text() {
+        use TemplateToken::{Const, Wildcard};
+        let c = |text: &str| Const(text.to_string());
+        let templates = [
+            vec![],
+            vec![Wildcard],
+            vec![c("users"), Wildcard, Wildcard, Wildcard],
+            vec![Wildcard, c("*"), Wildcard, c("a"), Wildcard, Wildcard],
+            vec![
+                c("a b"),
+                Wildcard,
+                c(" * "),
+                Wildcard,
+                c("x\u{2003}y"),
+                c("\t"),
+            ],
+            vec![
+                c("用户"),
+                Wildcard,
+                c("登录"),
+                Wildcard,
+                Wildcard,
+                c("成功"),
+            ],
+        ];
+        let mut model = ParserModel::new();
+        for template in templates {
+            let id = model.push_node(TreeNode {
+                template,
+                ..make_node(1.0, 0, &[])
+            });
+            let node = &model.nodes[id.0];
+            assert_eq!(
+                presentation_template(&model, id),
+                merge_consecutive_wildcards(&node.template_text()),
+                "{:?}",
+                node.template
+            );
         }
     }
 

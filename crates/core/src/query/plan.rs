@@ -265,7 +265,10 @@ fn fingerprint_of(threshold: f64, output: PlanOutput, predicate: Option<&Predica
     hash
 }
 
-/// One record as the predicate evaluator sees it.
+/// One record as the predicate evaluator sees it: borrowed throughout, so the planned
+/// executor fills one per candidate from the record store's columns without allocating
+/// (the variables are slices of the store's text arena), and the scan oracle from what
+/// it re-derives.
 #[derive(Debug, Clone, Copy)]
 pub struct RecordView<'a> {
     /// Resolved presentation template text (coarsened to the plan threshold).
@@ -273,7 +276,7 @@ pub struct RecordView<'a> {
     /// Record sequence number.
     pub seq: u64,
     /// Variable tokens at the wildcard positions of the assigned template.
-    pub variables: &'a [String],
+    pub variables: &'a [&'a str],
 }
 
 /// A normalized predicate with its regex literals compiled, ready for
@@ -489,7 +492,7 @@ mod tests {
             .plan()
             .unwrap();
         let compiled = CompiledPredicate::compile(plan.predicate().unwrap());
-        let vars = vec!["7".to_string(), "12ms".to_string()];
+        let vars = ["7", "12ms"];
         let hit = RecordView {
             template: "gpu worker <*> evicted tensor block <*>",
             seq: 50,
@@ -503,9 +506,8 @@ mod tests {
             ..hit
         };
         assert!(!compiled.matches(&wrong_template));
-        let no_vars: Vec<String> = Vec::new();
         let wrong_vars = RecordView {
-            variables: &no_vars,
+            variables: &[],
             ..hit
         };
         assert!(!compiled.matches(&wrong_vars));

@@ -101,6 +101,12 @@ impl ByteClass {
     pub fn dot() -> Self {
         ByteClass::single(b'\n').negate()
     }
+
+    /// True when every non-ASCII byte is a member: the class says "any character but
+    /// these ASCII ones" (`.`, a negated ASCII class, `\D`, `\W`, `\S`).
+    fn admits_all_non_ascii(&self) -> bool {
+        (0x80..=0xFF).all(|b| self.contains(b))
+    }
 }
 
 /// A parsed regular expression node.
@@ -146,6 +152,54 @@ impl Ast {
             },
             Ast::StartAnchor => Ast::EndAnchor,
             Ast::EndAnchor => Ast::StartAnchor,
+        }
+    }
+
+    /// This pattern with every class that admits all non-ASCII bytes rewritten to
+    /// consume a whole UTF-8 scalar where it consumed one byte: its ASCII members, or a
+    /// lead byte and as many continuation bytes as the lead announces. Over valid UTF-8
+    /// such a class then matches one *character*, so `x.` matches `xé` whole instead of
+    /// ending inside the `é`, and no match can start on a continuation byte. Classes
+    /// naming some non-ASCII bytes only (`\xa9`) keep byte semantics. What
+    /// [`Regex::new`](crate::Regex::new) compiles — the VM's program and both tables
+    /// alike; the canonical form (`to_pattern`) is of the pattern as written.
+    pub fn whole_scalars(&self) -> Ast {
+        match self {
+            Ast::Class(class) if class.admits_all_non_ascii() => {
+                let byte_range = |lo, hi| {
+                    Ast::Class(ByteClass {
+                        ranges: vec![(lo, hi)],
+                    })
+                };
+                let scalar = |lead: Ast, continuations| {
+                    let tail = std::iter::repeat_n(byte_range(0x80, 0xBF), continuations);
+                    Ast::Concat(std::iter::once(lead).chain(tail).collect())
+                };
+                let ascii: Vec<(u8, u8)> = class
+                    .ranges
+                    .iter()
+                    .filter(|&&(lo, _)| lo < 0x80)
+                    .map(|&(lo, hi)| (lo, hi.min(0x7F)))
+                    .collect();
+                let mut branches = Vec::with_capacity(4);
+                if !ascii.is_empty() {
+                    branches.push(Ast::Class(ByteClass { ranges: ascii }));
+                }
+                branches.push(scalar(byte_range(0xC0, 0xDF), 1));
+                branches.push(scalar(byte_range(0xE0, 0xEF), 2));
+                branches.push(scalar(byte_range(0xF0, 0xF7), 3));
+                Ast::Alternate(branches)
+            }
+            Ast::Empty | Ast::Class(_) | Ast::StartAnchor | Ast::EndAnchor => self.clone(),
+            Ast::Concat(items) => Ast::Concat(items.iter().map(Ast::whole_scalars).collect()),
+            Ast::Alternate(branches) => {
+                Ast::Alternate(branches.iter().map(Ast::whole_scalars).collect())
+            }
+            Ast::Repeat { node, min, max } => Ast::Repeat {
+                node: Box::new(node.whole_scalars()),
+                min: *min,
+                max: *max,
+            },
         }
     }
 

@@ -15,6 +15,12 @@
 //! Look-around, back-references and other exponential-worst-case features are rejected at
 //! parse time, mirroring the restriction the paper places on user-supplied patterns.
 //!
+//! Matching runs over bytes. `.`, negated ASCII classes and `\D` / `\W` / `\S` consume
+//! one whole UTF-8 character where they would consume a non-ASCII byte, and
+//! [`Regex::find_iter`] (with everything built on it: `replace_all`, `split`, the
+//! masking pipeline) never yields a match that starts or ends inside a character — so
+//! the text around a match is always a valid `&str` slice.
+//!
 //! # Which path runs
 //!
 //! [`Regex::new`] compiles a pattern once into a Thompson-NFA [`Program`] and, from it,
@@ -97,7 +103,7 @@ impl Regex {
     /// Returns [`RegexError`] for syntax errors or for constructs outside the supported
     /// linear-time subset.
     pub fn new(pattern: &str) -> Result<Self, RegexError> {
-        let ast = parser::parse(pattern)?;
+        let ast = parser::parse(pattern)?.whole_scalars();
         let program = compile::compile(&ast);
         let table = DfaTable::build(&ast, &program, table::MAX_STATES).map(Arc::new);
         Ok(Regex {
@@ -169,7 +175,8 @@ impl Regex {
 
     /// Iterator over all non-overlapping matches, left to right. After an empty match
     /// the scan resumes at the next character boundary, never inside a multi-byte
-    /// character.
+    /// character, and a match that would start or end inside one (a byte-level class
+    /// such as `\xa9`) is skipped: the scan resumes at the next boundary past its start.
     pub fn find_iter<'r, 'h>(&'r self, haystack: &'h str) -> Matches<'r, 'h> {
         Matches {
             regex: self,
@@ -256,23 +263,33 @@ impl<'r, 'h> Iterator for Matches<'r, 'h> {
     type Item = Match;
 
     fn next(&mut self) -> Option<Match> {
-        if self.pos > self.haystack.len() {
-            return None;
-        }
-        let m = self.regex.find_at(self.haystack, self.pos)?;
-        // Advance past the match; past an empty match, to the next character boundary
-        // (one byte would land inside a multi-byte character), so the iterator always
-        // terminates and never slices a character.
-        self.pos = if m.is_empty() {
-            let mut next = m.end + 1;
-            while next < self.haystack.len() && !self.haystack.is_char_boundary(next) {
+        let haystack = self.haystack;
+        // The first character boundary after `at` (one past the end at the end).
+        let boundary_after = |at: usize| {
+            let mut next = at + 1;
+            while next < haystack.len() && !haystack.is_char_boundary(next) {
                 next += 1;
             }
             next
-        } else {
-            m.end
         };
-        Some(m)
+        loop {
+            if self.pos > haystack.len() {
+                return None;
+            }
+            let m = self.regex.find_at(haystack, self.pos)?;
+            if !(haystack.is_char_boundary(m.start) && haystack.is_char_boundary(m.end)) {
+                self.pos = boundary_after(m.start);
+                continue;
+            }
+            // Advance past the match; past an empty match, to the next character
+            // boundary, so the iterator always terminates.
+            self.pos = if m.is_empty() {
+                boundary_after(m.end)
+            } else {
+                m.end
+            };
+            return Some(m);
+        }
     }
 }
 
@@ -473,6 +490,31 @@ mod tests {
         for re in [re.clone(), re.pike_vm_only()] {
             assert_eq!(re.replace_all("é1", "<*>"), "<*>é<*><*>");
             assert_eq!(re.split("用户 42"), vec!["", "用", "户", " ", "", ""]);
+        }
+    }
+
+    #[test]
+    fn dot_and_negated_classes_consume_whole_characters() {
+        // `.` used to stop one byte into `é` and slicing there panicked.
+        for (pattern, haystack, masked) in [
+            ("x.", "axé b", "a<*> b"),
+            ("id=.", "user id=é ok", "user <*> ok"),
+            ("[^ ]+", "用户 登录", "<*> <*>"),
+            (r"\S\D", "🦀é", "<*>"),
+            ("a.{2}b", "a用户b aéb", "<*> aéb"),
+        ] {
+            let re = Regex::new(pattern).unwrap();
+            for re in [re.clone(), re.pike_vm_only()] {
+                assert_eq!(re.replace_all(haystack, "<*>"), masked, "{pattern:?}");
+            }
+        }
+        // A byte-level class can still match inside a character: such a match is
+        // skipped, never sliced.
+        let re = Regex::new(r"\xa9x").unwrap();
+        assert_eq!(re.find("éx"), Some(Match { start: 1, end: 3 }));
+        for re in [re.clone(), re.pike_vm_only()] {
+            assert_eq!(re.replace_all("éx éx", "<*>"), "éx éx");
+            assert_eq!(re.find_iter("éx").count(), 0);
         }
     }
 

@@ -56,6 +56,43 @@ pub struct Masker {
     rules: Vec<MaskRule>,
 }
 
+/// A run of masked text that masking left as it was in the raw record: the `len`
+/// bytes at `masked` in the masked text are the bytes at `raw` in the record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct KeptRun {
+    pub(crate) masked: usize,
+    pub(crate) raw: usize,
+    pub(crate) len: usize,
+}
+
+/// Append to `next` the parts of `runs` (ascending, disjoint) inside `[from, to)` of
+/// the text they describe, placed at `at` of the text being built. `cursor` skips the
+/// runs already left behind: regions come in ascending order.
+fn keep(
+    runs: &[KeptRun],
+    cursor: &mut usize,
+    (from, to): (usize, usize),
+    at: usize,
+    next: &mut Vec<KeptRun>,
+) {
+    while runs
+        .get(*cursor)
+        .is_some_and(|run| run.masked + run.len <= from)
+    {
+        *cursor += 1;
+    }
+    for run in runs[*cursor..].iter().take_while(|run| run.masked < to) {
+        let (lo, hi) = (from.max(run.masked), to.min(run.masked + run.len));
+        if lo < hi {
+            next.push(KeptRun {
+                masked: at + lo - from,
+                raw: run.raw + lo - run.masked,
+                len: hi - lo,
+            });
+        }
+    }
+}
+
 impl Masker {
     /// A masker with no rules (masking disabled).
     pub fn empty() -> Self {
@@ -136,8 +173,30 @@ impl Masker {
     /// mandatory bytes are absent from the line (a line with no `-` can never contain a
     /// UUID or ISO timestamp), and a rule that finds nothing copies nothing.
     pub fn mask_into(&self, record: &str, out: &mut String, swap: &mut String) {
+        self.mask_kept(record, out, swap, None);
+    }
+
+    /// [`Masker::mask_into`] that, given `kept`, also leaves in `kept.0` the runs of
+    /// `out` masking left as they were in `record` (ascending; `kept.1` is their
+    /// ping-pong buffer), so a token of the masked text maps back to a span of the
+    /// record.
+    pub(crate) fn mask_kept(
+        &self,
+        record: &str,
+        out: &mut String,
+        swap: &mut String,
+        mut kept: Option<&mut (Vec<KeptRun>, Vec<KeptRun>)>,
+    ) {
         out.clear();
         out.push_str(record);
+        if let Some((runs, _)) = kept.as_deref_mut() {
+            runs.clear();
+            runs.push(KeptRun {
+                masked: 0,
+                raw: 0,
+                len: record.len(),
+            });
+        }
         if self.rules.is_empty() {
             return;
         }
@@ -151,14 +210,26 @@ impl Masker {
                 continue;
             };
             swap.clear();
+            let mut cursor = 0;
+            let mut keep_region = |region: (usize, usize), at: usize| {
+                if let Some((runs, next)) = kept.as_deref_mut() {
+                    keep(runs, &mut cursor, region, at, next);
+                }
+            };
             let mut last = 0;
             for m in std::iter::once(first).chain(matches) {
+                keep_region((last, m.start), swap.len());
                 swap.push_str(&out[last..m.start]);
                 swap.push_str(&rule.replacement);
                 last = m.end;
             }
+            keep_region((last, out.len()), swap.len());
             swap.push_str(&out[last..]);
             std::mem::swap(out, swap);
+            if let Some((runs, next)) = kept.as_deref_mut() {
+                std::mem::swap(runs, next);
+                next.clear();
+            }
             // The replacement changed the byte population; rescan for the
             // remaining rules (only paid when a rule actually fired).
             presence = BytePresence::scan(out.as_bytes());
@@ -270,6 +341,22 @@ mod tests {
         for m in [m.clone(), m.pike_vm_only()] {
             assert_eq!(m.mask("用户 42"), "<*>用<*>户<*> <*><*>");
         }
+    }
+
+    #[test]
+    fn a_rule_ending_on_a_multibyte_character_masks_it_whole() {
+        // `id=.` used to end one byte into `é`, and slicing there killed the worker.
+        let mut m = Masker::empty();
+        m.add_pattern("id", "id=.").unwrap();
+        for m in [m.clone(), m.pike_vm_only()] {
+            assert_eq!(m.mask("user id=é ok"), "user <*> ok");
+            assert_eq!(m.mask("id=用户 id=x"), "<*>户 <*>");
+        }
+        let pre = crate::Preprocessor::new(crate::PreprocessConfig {
+            extra_masks: vec![("id".into(), "id=.".into())],
+            ..crate::PreprocessConfig::default()
+        });
+        assert_eq!(pre.tokens_of("user id=é ok"), ["user", "<*>", "ok"]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::dedup::{DedupStats, Deduplicator, UniqueLog};
 use crate::hashenc::EncodedLog;
-use crate::masking::Masker;
+use crate::masking::{KeptRun, Masker};
 use crate::tokenizer::{Tokenizer, TokenizerConfig};
 use serde::{Deserialize, Serialize};
 
@@ -60,6 +60,9 @@ pub struct TokenScratch {
     swap: String,
     /// Byte spans of the tokens within `masked`.
     spans: Vec<(usize, usize)>,
+    /// The runs of `masked` that masking left as they were in the record, and their
+    /// ping-pong buffer.
+    kept: (Vec<KeptRun>, Vec<KeptRun>),
 }
 
 impl TokenScratch {
@@ -71,11 +74,12 @@ impl TokenScratch {
 
 /// A borrowed view of one preprocessed record: the masked text plus token spans, both
 /// living inside a [`TokenScratch`]. Provides positional access without owning any
-/// token storage.
+/// token storage, and maps every token masking left intact back to the record.
 #[derive(Debug, Clone, Copy)]
 pub struct TokenView<'s> {
     text: &'s str,
     spans: &'s [(usize, usize)],
+    kept: &'s [KeptRun],
 }
 
 impl<'s> TokenView<'s> {
@@ -101,6 +105,22 @@ impl<'s> TokenView<'s> {
     /// Iterator over the tokens, in record order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &'s str> + Clone + '_ {
         self.spans.iter().map(move |&(s, e)| &self.text[s..e])
+    }
+
+    /// Byte span `[start, end)` of the `i`-th token in the *raw* record the view was
+    /// made from, when masking left the whole token as it was there; `None` for a token
+    /// masking rewrote (in whole or in part, such as `user<*>`).
+    ///
+    /// # Panics
+    /// Panics when `i >= self.len()`.
+    pub fn raw_span(&self, i: usize) -> Option<(usize, usize)> {
+        let (start, end) = self.spans[i];
+        let at = self.kept.partition_point(|run| run.masked <= start);
+        let run = self.kept[..at].last()?;
+        (end <= run.masked + run.len).then(|| {
+            let raw = run.raw + start - run.masked;
+            (raw, raw + end - start)
+        })
     }
 
     /// Materialise the tokens as owned strings (used when a cold path — e.g. inserting
@@ -161,16 +181,34 @@ impl Preprocessor {
     /// borrowed [`TokenView`] over the result. Unlike [`Preprocessor::tokens_of`], this
     /// performs no heap allocation once the scratch buffers have grown to a typical
     /// record size, which is what keeps the online matching path of the streaming
-    /// ingestion engine cheap.
+    /// ingestion engine cheap. The view maps the tokens masking left intact back to
+    /// `record` ([`TokenView::raw_span`]), which is what a match stores its slots as.
     pub fn token_view<'s>(&self, record: &str, scratch: &'s mut TokenScratch) -> TokenView<'s> {
+        let (masked, swap) = (&mut scratch.masked, &mut scratch.swap);
         self.masker
-            .mask_into(record, &mut scratch.masked, &mut scratch.swap);
+            .mask_kept(record, masked, swap, Some(&mut scratch.kept));
         self.tokenizer
             .tokenize_spans(&scratch.masked, &mut scratch.spans);
         TokenView {
             text: &scratch.masked,
             spans: &scratch.spans,
+            kept: &scratch.kept.0,
         }
+    }
+
+    /// The masked tokens of `record`, in `scratch` — [`Preprocessor::token_view`]
+    /// without the map back to the record, which training has no use for.
+    fn masked_tokens<'s>(
+        &self,
+        record: &str,
+        scratch: &'s mut TokenScratch,
+    ) -> impl ExactSizeIterator<Item = &'s str> + Clone {
+        self.masker
+            .mask_into(record, &mut scratch.masked, &mut scratch.swap);
+        self.tokenizer
+            .tokenize_spans(&scratch.masked, &mut scratch.spans);
+        let (text, spans) = (&scratch.masked, &scratch.spans);
+        spans.iter().map(move |&(s, e)| &text[s..e])
     }
 
     /// Run the full pipeline over a batch of raw records.
@@ -183,8 +221,8 @@ impl Preprocessor {
         if self.deduplicate {
             let mut dedup = Deduplicator::new();
             for (idx, record) in records.iter().enumerate() {
-                let view = self.token_view(record.as_ref(), &mut scratch);
-                record_to_unique.push(dedup.push(idx, view.iter()));
+                let tokens = self.masked_tokens(record.as_ref(), &mut scratch);
+                record_to_unique.push(dedup.push(idx, tokens));
             }
             let stats = dedup.stats();
             PreprocessedBatch {
@@ -197,9 +235,9 @@ impl Preprocessor {
             // collapse step is skipped (used by the ablation study, Fig. 9).
             let mut unique_logs = Vec::with_capacity(records.len());
             for (idx, record) in records.iter().enumerate() {
-                let view = self.token_view(record.as_ref(), &mut scratch);
+                let tokens = self.masked_tokens(record.as_ref(), &mut scratch);
                 unique_logs.push(UniqueLog {
-                    encoded: EncodedLog::from_tokens(view.iter()),
+                    encoded: EncodedLog::from_tokens(tokens),
                     record_indices: vec![idx],
                 });
                 record_to_unique.push(idx);
@@ -274,6 +312,36 @@ mod tests {
         let batch = pre.preprocess(&records);
         assert_eq!(batch.unique_logs.len(), 3);
         assert_eq!(batch.record_to_unique, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn raw_spans_map_intact_tokens_back_to_the_record() {
+        let mut config = PreprocessConfig::default();
+        config.extra_masks.push(("pid".into(), r"pid\d+".into()));
+        let pre = Preprocessor::new(config);
+        let mut scratch = TokenScratch::new();
+        for record in [
+            "2025-04-12 08:00:01 user alice from 10.0.0.5 took 35ms ok",
+            "no rule fires on this line at all",
+            "at10.0.0.5 pid42 pid7x 10.1.1.1:80 用户 é 12:00:01",
+            "",
+        ] {
+            let view = pre.token_view(record, &mut scratch);
+            for i in 0..view.len() {
+                let token = view.get(i);
+                match view.raw_span(i) {
+                    Some((start, end)) => assert_eq!(&record[start..end], token),
+                    None => assert!(token.contains("<*>"), "{token:?} of {record:?}"),
+                }
+            }
+        }
+        // Every token of a line no rule touched maps back; a rewritten one does not.
+        let view = pre.token_view("no rule fires here", &mut scratch);
+        assert!((0..view.len()).all(|i| view.raw_span(i).is_some()));
+        let view = pre.token_view("from at10.0.0.5 to", &mut scratch);
+        assert_eq!(view.get(1), "at<*>");
+        assert_eq!((view.raw_span(0), view.raw_span(1)), (Some((0, 4)), None));
+        assert_eq!(view.raw_span(2), Some((16, 18)));
     }
 
     #[test]

@@ -366,6 +366,14 @@ fn token_view_agrees_with_tokens_of_on_adversarial_inputs() {
         assert_eq!(view.is_empty(), owned.is_empty());
         let viewed: Vec<String> = view.to_owned_tokens();
         assert_eq!(viewed, owned, "token mismatch on {record:?}");
+        // A token masking left intact maps back to the very bytes of the record; only a
+        // token holding a replacement does not.
+        for (i, token) in owned.iter().enumerate() {
+            match view.raw_span(i) {
+                Some((start, end)) => assert_eq!(&record[start..end], token),
+                None => assert!(token.contains("<*>"), "{token:?} of {record:?}"),
+            }
+        }
     }
 }
 

@@ -12,7 +12,8 @@
 //! The matching hot path is zero-copy end to end: every pool worker keeps a private
 //! [`logtok::TokenScratch`], records travel to the workers and back by move, and the
 //! lean [`MatchId`](crate::matcher_pool::MatchId) results carry no rendered template
-//! text.
+//! text — only the node and the range of the record's variable slots, which the worker
+//! read off the view it matched on and the topic stores as they are.
 //!
 //! Back-pressure is explicit: at most `max_in_flight` batches may be submitted and
 //! unharvested; a `push` that would exceed the bound first blocks on the next finished
@@ -40,7 +41,7 @@
 use crate::matcher_pool::{IdBatchResult, MatcherPool, StreamRecord};
 use crate::topic::{IngestOutcome, LogTopic, StreamOutcome, StreamOverloaded};
 use bytebrain::matcher::match_ids_batch;
-use bytebrain::{CompiledMatcher, NodeId, ParserModel};
+use bytebrain::{BatchMatch, CompiledMatcher, NodeId, ParserModel, SlotBuffer, SlotRange};
 use logtok::Preprocessor;
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
@@ -173,6 +174,19 @@ pub struct MatchedRecord {
     pub node: Option<NodeId>,
     /// Saturation of the matched template (0 when unmatched).
     pub saturation: f64,
+    /// The record's variable slots, in the [`SlotBuffer`] it travels with — every
+    /// token when no template matched ([`SlotBuffer::extract`]).
+    pub slots: SlotRange,
+}
+
+/// Records that completed matching, in arrival order, and the variable slots their
+/// matches extracted (each record's [`MatchedRecord::slots`] names a range of `slots`).
+#[derive(Debug, Default)]
+pub struct MatchedChunk {
+    /// The records with their match outcomes.
+    pub records: Vec<MatchedRecord>,
+    /// The slots the records' ranges point into.
+    pub slots: SlotBuffer,
 }
 
 /// Result of a completed streaming run.
@@ -183,6 +197,8 @@ pub struct IngestReport {
     /// holds only the records released after the last harvest; [`IngestStats`]
     /// always covers the full run.
     pub records: Vec<MatchedRecord>,
+    /// The variable slots `records` name.
+    pub slots: SlotBuffer,
     /// Counters and back-pressure statistics of the run.
     pub stats: IngestStats,
     /// Wall-clock duration from engine construction to `finish`.
@@ -477,16 +493,18 @@ impl StreamIngestor {
     /// drift — while the stream is still running; the contiguity guarantee keeps
     /// downstream application order identical to the batch path regardless of how
     /// batches raced through the pool.
-    pub fn drain_completed(&mut self) -> Vec<MatchedRecord> {
+    pub fn drain_completed(&mut self) -> MatchedChunk {
         self.drain_ready();
-        let mut out = Vec::new();
+        let mut out = MatchedChunk::default();
         while matches!(self.completed.front(), Some(Some(_))) {
             let IdBatchResult {
                 mut records,
                 results,
+                slots,
                 ..
             } = self.completed.pop_front().flatten().expect("checked Some");
-            out.extend(
+            let moved = out.slots.append(&slots);
+            out.records.extend(
                 records
                     .drain(..)
                     .zip(results)
@@ -495,6 +513,7 @@ impl StreamIngestor {
                         record: record.line,
                         node: id.node,
                         saturation: id.saturation,
+                        slots: id.slots.shifted(moved),
                     }),
             );
             self.spare_batches.push(records);
@@ -531,9 +550,11 @@ impl StreamIngestor {
     /// be silently dropped from the report).
     pub fn finish(mut self) -> IngestReport {
         self.sync();
+        let MatchedChunk { records, slots } = self.drain_completed();
         IngestReport {
             elapsed: self.started.elapsed(),
-            records: self.drain_completed(),
+            records,
+            slots,
             stats: std::mem::take(&mut self.stats),
         }
     }
@@ -589,10 +610,7 @@ pub(crate) struct MatchContext {
 
 impl MatchContext {
     /// Match a batch on the calling thread's scoped workers (the batch path).
-    pub(crate) fn match_batch<S: AsRef<str> + Sync>(
-        &self,
-        batch: &[S],
-    ) -> Vec<(Option<NodeId>, f64)> {
+    pub(crate) fn match_batch<S: AsRef<str> + Sync>(&self, batch: &[S]) -> BatchMatch {
         match_ids_batch(
             &self.model,
             &self.compiled,
@@ -631,9 +649,12 @@ pub fn drive<A: TopicAccess>(
     let prepared = access.with(|topic| match topic.prepare() {
         Some(context) => Some((context, records)),
         None => {
-            let nothing_matches = vec![(None, 0.0); records.len()];
-            let cold = matched_chunk(records, nothing_matches);
-            apply(topic, cold, topic.model_version(), false, &mut outcome);
+            let nothing_matches = BatchMatch {
+                ids: vec![(None, 0.0, SlotRange::default()); records.len()],
+                slots: SlotBuffer::new(),
+            };
+            let mut cold = matched_chunk(records, nothing_matches);
+            apply(topic, &mut cold, topic.model_version(), false, &mut outcome);
             None
         }
     });
@@ -647,8 +668,8 @@ pub fn drive<A: TopicAccess>(
             // Release the snapshots before applying: a temporary insertion must
             // patch the topic's model in place, not copy a shared one.
             drop(context);
-            let chunk = matched_chunk(records, results);
-            access.with(|topic| apply(topic, chunk, matched_at, false, &mut outcome));
+            let mut chunk = matched_chunk(records, results);
+            access.with(|topic| apply(topic, &mut chunk, matched_at, false, &mut outcome));
         }
         Route::Stream {
             config,
@@ -688,11 +709,12 @@ pub fn drive<A: TopicAccess>(
                     // patched model — depend on worker scheduling, which broke
                     // run-to-run byte-identity of the incremental path.
                     ingestor.sync();
-                    let drained = ingestor.drain_completed();
+                    let mut drained = ingestor.drain_completed();
                     // Durability tracks the checkpoint: the drained records and any
                     // maintenance event land on disk before the stream resumes.
                     let swap = access.with(|topic| {
-                        let replaced = apply(topic, drained, matched_at, swapped, &mut outcome);
+                        let replaced =
+                            apply(topic, &mut drained, matched_at, swapped, &mut outcome);
                         matched_at = topic.model_version();
                         replaced.then(|| (topic.model_snapshot(), topic.compiled_snapshot()))
                     });
@@ -712,9 +734,13 @@ pub fn drive<A: TopicAccess>(
             // the empty-report path clamps to 0.0).
             let throughput = report.records_per_second();
             stats = report.stats;
+            let mut chunk = MatchedChunk {
+                records: report.records,
+                slots: report.slots,
+            };
             access.with(|topic| {
                 topic.set_ingest_throughput(throughput);
-                apply(topic, report.records, matched_at, swapped, &mut outcome);
+                apply(topic, &mut chunk, matched_at, swapped, &mut outcome);
             });
         }
     }
@@ -734,26 +760,33 @@ pub(crate) fn shed_as_error(
 }
 
 /// Pair a batch's records with their match results, in arrival order.
-fn matched_chunk(records: Vec<String>, results: Vec<(Option<NodeId>, f64)>) -> Vec<MatchedRecord> {
-    let pairs = records.into_iter().zip(results).enumerate();
-    pairs
-        .map(|(seq, (record, (node, saturation)))| MatchedRecord {
+fn matched_chunk(records: Vec<String>, results: BatchMatch) -> MatchedChunk {
+    let pairs = records.into_iter().zip(results.ids).enumerate();
+    let records = pairs
+        .map(|(seq, (record, (node, saturation, slots)))| MatchedRecord {
             seq: seq as u64,
             record,
             node,
             saturation,
+            slots,
         })
-        .collect()
+        .collect();
+    MatchedChunk {
+        records,
+        slots: results.slots,
+    }
 }
 
 /// The apply phase of [`drive`], on whatever hold `with` took: store the chunk,
-/// maintain, commit. Returns whether the model the chunk was matched against has
+/// maintain, commit. The store copies the chunk's text; the chunk, a string per
+/// record, is the caller's to drop — after `with` returns, so no reader waits on the
+/// frees. Returns whether the model the chunk was matched against has
 /// been replaced — by a maintenance run this phase, or before it (a stale context,
 /// re-matched by `LogTopic::apply_stream_records`) — so a running stream must
 /// take the topic's new snapshot pair.
 fn apply(
     topic: &mut LogTopic,
-    chunk: Vec<MatchedRecord>,
+    chunk: &mut MatchedChunk,
     matched_at: u64,
     rematch_stale: bool,
     outcome: &mut IngestOutcome,
@@ -926,6 +959,7 @@ mod tests {
         // Zero-duration report constructed directly (fields are public).
         let zero = IngestReport {
             records: Vec::new(),
+            slots: SlotBuffer::new(),
             stats: report.stats,
             elapsed: Duration::ZERO,
         };

@@ -10,6 +10,8 @@
 //! Modules:
 //!
 //! * [`topic`] — the `LogTopic`: ingestion, online matching, training lifecycle.
+//! * [`records`] — the record store: each record's text in one arena beside its
+//!   template and variable-slot columns, exactly as the match produced them.
 //! * [`ingest`] — the batched streaming ingestion engine: one open batch → parallel
 //!   match over an immutable model snapshot, with back-pressure stats.
 //! * [`matcher_pool`] — the worker pool that executes matching for the engine.
@@ -56,6 +58,7 @@ pub mod library;
 pub mod manager;
 pub mod matcher_pool;
 pub mod query;
+pub mod records;
 pub mod storage;
 pub mod store;
 pub mod topic;
@@ -70,13 +73,14 @@ pub use api::{ErrorBody, IngestRequest, IngestResponse, StatsResponse};
 pub use bytebrain::{CompiledMatcher, MatchCache};
 pub use compare::{compare_snapshots, compare_windows, DistributionShift};
 pub use ingest::{
-    drive, IngestConfig, IngestReport, IngestStats, MatchedRecord, Overloaded, Route,
+    drive, IngestConfig, IngestReport, IngestStats, MatchedChunk, MatchedRecord, Overloaded, Route,
     StreamIngestor, TopicAccess,
 };
 pub use library::TemplateLibrary;
 pub use manager::{FleetStats, ServiceManager, TenantDefaults};
 pub use matcher_pool::{IdBatchResult, MatchId, MatcherPool, StreamRecord};
 pub use query::{QueryCache, QueryEngine, QueryIndex, QuerySnapshot, QueryValue, TemplateGroup};
+pub use records::{RecordStore, StoredRecord};
 pub use storage::{RecoveredTopic, StorageConfig, TopicMeta, TopicStorage};
 pub use store::{ModelStore, SnapshotInfo, SnapshotKind};
 pub use topic::{

@@ -12,12 +12,12 @@
 //! per-record preprocessing runs on the zero-copy fast path.
 //!
 //! Jobs are lean ([`MatcherPool::submit_ids`]): a batch returns only
-//! `(node id, saturation)` pairs plus the original records, skipping template
-//! rendering entirely. This is the path the streaming ingestion engine
-//! ([`crate::ingest`]) drives.
+//! `(node id, saturation, slot range)` triples plus the original records and the
+//! batch's variable slots, skipping template rendering entirely. This is the path the
+//! streaming ingestion engine ([`crate::ingest`]) drives.
 
 use bytebrain::matcher::match_compiled;
-use bytebrain::{CompiledMatcher, MatchCache, NodeId, ParserModel};
+use bytebrain::{CompiledMatcher, MatchCache, NodeId, ParserModel, SlotBuffer, SlotRange};
 use logtok::{Preprocessor, TokenScratch};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -64,14 +64,18 @@ struct Job {
     compiled: Arc<CompiledMatcher>,
 }
 
-/// Lean per-record outcome of the ingestion path: the matched node and its saturation,
-/// without the rendered template text (which the ingest engine does not need).
+/// Lean per-record outcome of the ingestion path: the matched node, its saturation and
+/// the record's variable slots, without the rendered template text (which the ingest
+/// engine does not need).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatchId {
     /// Matched node, `None` when no template matched.
     pub node: Option<NodeId>,
     /// Saturation of the matched node (0 when unmatched).
     pub saturation: f64,
+    /// The record's variable slots in [`IdBatchResult::slots`] — every token when no
+    /// template matched ([`SlotBuffer::extract`]).
+    pub slots: SlotRange,
 }
 
 /// The result of one lean (ingestion) batch: the original records travel back with
@@ -85,6 +89,9 @@ pub struct IdBatchResult {
     pub records: Vec<StreamRecord>,
     /// One match id per record, in submission order.
     pub results: Vec<MatchId>,
+    /// The slots the match ids name: spans of the records' lines. Records repeating a
+    /// line share its range.
+    pub slots: SlotBuffer,
 }
 
 /// A pool of matcher workers. Every job names the (model, automaton) snapshot pair it
@@ -156,9 +163,11 @@ impl MatcherPool {
                         MatchId {
                             node: None,
                             saturation: 0.0,
+                            slots: SlotRange::default(),
                         };
                         records.len()
                     ];
+                    let mut slots = SlotBuffer::new();
                     let mut prev: Option<(u32, MatchId)> = None;
                     for &idx in &order {
                         let record = &records[idx as usize];
@@ -170,18 +179,26 @@ impl MatcherPool {
                             }
                         }
                         let line = &record.line;
-                        let miss = || {
+                        // Masked once: the slots come off the view the match decided on.
+                        let miss = |slots: &mut SlotBuffer| {
                             let view = preprocessor.token_view(line, &mut scratch);
-                            match_compiled(&job_model, &compiled, &view)
+                            let node = match_compiled(&job_model, &compiled, &view);
+                            slots.extract(&job_model, node, line, &view);
+                            node
                         };
                         // The answer reads the tables *and* the temporaries appended
                         // to the job's model since they were compiled, which move
                         // no generation.
                         let snapshot = (compiled.generation(), job_model.len());
-                        let node =
-                            cache.match_record_hashed(snapshot, line, record.line_hash, miss);
+                        let hash = record.line_hash;
+                        let (node, range) =
+                            cache.match_record_hashed(snapshot, line, hash, &mut slots, miss);
                         let saturation = node.map_or(0.0, |id| job_model.nodes[id.0].saturation);
-                        let id = MatchId { node, saturation };
+                        let id = MatchId {
+                            node,
+                            saturation,
+                            slots: range,
+                        };
                         results[idx as usize] = id;
                         prev = Some((idx, id));
                     }
@@ -190,6 +207,7 @@ impl MatcherPool {
                         batch_id,
                         records,
                         results,
+                        slots,
                     });
                 }
             }));

@@ -31,10 +31,11 @@
 //! [`NodeId`] — and the reported saturation is the minimum across the merged
 //! nodes (the honest precision of the combined group).
 
-use crate::topic::{variables_of, LogTopic, StoredRecord};
+use crate::records::RecordStore;
+use crate::topic::{variables_of, LogTopic};
 use bytebrain::query::ast::Query;
 use bytebrain::query::plan::{CompiledPredicate, PlanOutput, QueryPlan, RecordView};
-use bytebrain::query::{merge_consecutive_wildcards, resolve_with_threshold, SaturationLadder};
+use bytebrain::query::{presentation_template, resolve_with_threshold, SaturationLadder};
 use bytebrain::{NodeId, ParserModel};
 use logtok::Preprocessor;
 use std::collections::{BTreeMap, HashMap};
@@ -188,7 +189,7 @@ impl QueryIndex {
 
     /// Rebuild the whole index from the record store (used after retention drained a
     /// prefix of it, which shifts every record index).
-    pub fn rebuild(records: &[StoredRecord], model_len: usize) -> Self {
+    pub fn rebuild(records: &RecordStore, model_len: usize) -> Self {
         let mut index = QueryIndex::new();
         index.ensure_nodes(model_len);
         for (idx, stored) in records.iter().enumerate() {
@@ -227,12 +228,12 @@ impl QueryIndex {
 // ---------------------------------------------------------------------------
 
 /// Everything the planned executor needs to evaluate record-level predicates:
-/// the record store, the preprocessor (for variable extraction), the sequence
-/// number of the first stored record, and the push-down result — index ranges
-/// that storage summaries proved cannot match, skipped before any record is
-/// touched.
+/// the record store (whose slot column holds every record's variables), the
+/// preprocessor (the slot column's debug-build oracle), the sequence number of the
+/// first stored record, and the push-down result — index ranges that storage
+/// summaries proved cannot match, skipped before any record is touched.
 pub(crate) struct RecordAccess<'a> {
-    pub(crate) records: &'a [StoredRecord],
+    pub(crate) records: &'a RecordStore,
     pub(crate) preprocessor: &'a Preprocessor,
     /// Sequence number of `records[0]` (`first_live_seq` for durable topics).
     pub(crate) first_seq: u64,
@@ -336,7 +337,9 @@ fn finish(
 /// The planned execution path. Node-only work (threshold resolution via
 /// [`SaturationLadder::resolve_batch`], template predicates, presentation
 /// texts) happens once per posting node; record-level predicates run only
-/// over posting entries that survived segment pruning (`access.skip`).
+/// over posting entries that survived segment pruning (`access.skip`), on the
+/// record store's columns: a candidate's variables are slices of the text arena,
+/// gathered into one reused buffer, so evaluating it allocates nothing.
 /// `access` may be `None` only for node-only plans ([`QuerySnapshot::execute`]
 /// checks; [`LogTopic::record_access`] supplies it for every other plan).
 fn run_plan(
@@ -355,9 +358,10 @@ fn run_plan(
     // predicate judged: `None` is a rejection — once per resolved node. Postings
     // accumulate under the node; nodes presenting one text merge into one group below.
     let mut by_node: HashMap<NodeId, Option<(String, GroupAccumulator)>> = HashMap::new();
+    let mut variables: Vec<&str> = Vec::new();
     for ((_, posting), &res) in index.non_empty().zip(resolved.iter()) {
         let entry = by_node.entry(res).or_insert_with(|| {
-            let text = merge_consecutive_wildcards(&model.nodes[res.0].template_text());
+            let text = presentation_template(model, res);
             let judge = compiled.as_ref().filter(|_| node_only);
             let rejected = judge.is_some_and(|compiled| !compiled.matches_template(&text));
             (!rejected).then(|| (text, GroupAccumulator::default()))
@@ -383,12 +387,23 @@ fn run_plan(
             if access.skipped(idx) {
                 continue;
             }
-            let stored = &access.records[idx];
-            let vars = variables_of(model, access.preprocessor, &stored.record, stored.template);
+            variables.clear();
+            variables.extend(access.records.variables(idx));
+            debug_assert_eq!(
+                variables,
+                variables_of(
+                    model,
+                    access.preprocessor,
+                    access.records.text(idx),
+                    access.records.template(idx)
+                ),
+                "the slot column diverged from variables_of on record {idx} {:?}",
+                access.records.text(idx)
+            );
             let view = RecordView {
                 template: text,
                 seq: access.first_seq + idx as u64,
-                variables: &vars,
+                variables: &variables,
             };
             if compiled.matches(&view) {
                 *count += 1;
@@ -410,14 +425,14 @@ fn run_plan(
 }
 
 /// The retained scan oracle: resolve every stored record through the
-/// pointer-walk path, extract its variables, and evaluate the full predicate
-/// per record — no postings, no ladder, no pruning. Differential-identical
-/// to [`run_plan`] by test. `preprocessor` is only needed when the plan
-/// carries a predicate (variable extraction).
+/// pointer-walk path, re-derive its variables from the text ([`variables_of`],
+/// not the slot column), and evaluate the full predicate per record — no
+/// postings, no ladder, no pruning. Differential-identical to [`run_plan`] by
+/// test. `preprocessor` is only needed when the plan carries a predicate.
 fn scan_plan(
     model: &ParserModel,
     preprocessor: Option<&Preprocessor>,
-    records: &[StoredRecord],
+    records: &RecordStore,
     first_seq: u64,
     plan: &QueryPlan,
 ) -> QueryValue {
@@ -429,11 +444,12 @@ fn scan_plan(
             continue;
         };
         let resolved = resolve_with_threshold(model, node, plan.threshold());
-        let text = merge_consecutive_wildcards(&model.nodes[resolved.0].template_text());
+        let text = presentation_template(model, resolved);
         if let Some(compiled) = &compiled {
             let preprocessor =
                 preprocessor.expect("scanning with a predicate requires the preprocessor");
-            let vars = variables_of(model, preprocessor, &stored.record, stored.template);
+            let vars = variables_of(model, preprocessor, stored.record, stored.template);
+            let vars: Vec<&str> = vars.iter().map(String::as_str).collect();
             let view = RecordView {
                 template: &text,
                 seq: first_seq + idx as u64,
@@ -488,7 +504,8 @@ impl CacheKey {
 
 /// A small LRU cache of query results, safe to use through `&self` (interior mutex) so
 /// concurrent readers of a topic can share it. Invalidated wholesale when maintenance
-/// hot-swaps the model; naturally missed when the version or record count moves.
+/// hot-swaps the model; when the version or record count moves, the next result cached
+/// drops every entry of the earlier state.
 #[derive(Debug, Default)]
 pub struct QueryCache {
     inner: Mutex<CacheInner>,
@@ -522,9 +539,16 @@ impl QueryCache {
         }
     }
 
+    /// Remember `value` under `key`. Every key a topic computes names its current
+    /// state, which only moves forward, so an entry cached under another state can
+    /// never hit again: it is dropped here rather than left to age out of the LRU
+    /// holding its (record-count-sized) result.
     fn put(&self, key: CacheKey, value: QueryValue) {
         let mut inner = self.inner.lock().expect("query cache poisoned");
-        inner.entries.retain(|(k, _)| *k != key);
+        let same_state = |k: &CacheKey| {
+            (k.version, k.generation, k.records) == (key.version, key.generation, key.records)
+        };
+        inner.entries.retain(|(k, _)| same_state(k) && *k != key);
         inner.entries.insert(0, (key, value));
         inner.entries.truncate(QUERY_CACHE_CAPACITY);
     }
@@ -712,7 +736,7 @@ impl LogTopic {
 mod tests {
     use super::*;
     use crate::topic::{LogTopic, TopicConfig};
-    use bytebrain::{Predicate, TemplateToken, TreeNode};
+    use bytebrain::{Predicate, SlotBuffer, SlotRange, TemplateToken, TreeNode};
 
     fn group_plan(threshold: f64) -> QueryPlan {
         Query::group_by().at_threshold(threshold).plan().unwrap()
@@ -1021,6 +1045,21 @@ mod tests {
         );
     }
 
+    /// A result cached under a newer topic state drops the entries of the older one,
+    /// which no later key can name.
+    #[test]
+    fn query_cache_keeps_only_the_current_state() {
+        let mut topic = topic_with_data();
+        let cached = |topic: &LogTopic| topic.query_cache().inner.lock().unwrap().entries.len();
+        for threshold in [0.3, 0.6, 0.9] {
+            topic.execute(&distribution_plan(threshold));
+        }
+        assert_eq!(cached(&topic), 3);
+        topic.ingest(&["user u1 logged in from 10.0.0.9".to_string()]);
+        topic.execute(&distribution_plan(0.6));
+        assert_eq!(cached(&topic), 1, "the earlier state's entries are gone");
+    }
+
     /// Satellite regression: eviction. Cycling more distinct plans than the
     /// cache holds evicts the oldest; re-running it misses but still returns
     /// the correct (recomputed) result.
@@ -1052,13 +1091,24 @@ mod tests {
 
     // -- merged-group determinism (satellite) --------------------------------
 
+    /// A store of hand-assigned records (no slots: these plans carry no predicate) and
+    /// its postings.
+    fn store_of(records: &[(NodeId, &str)]) -> (RecordStore, QueryIndex) {
+        let (mut store, mut index) = (RecordStore::new(), QueryIndex::new());
+        for (idx, &(node, text)) in records.iter().enumerate() {
+            store.push(text, Some(node), &SlotBuffer::new(), SlotRange::default());
+            index.assign(node, idx);
+        }
+        (store, index)
+    }
+
     /// Predicate-free groups of a hand-built model at `threshold`, through the
     /// planned executor and the scan oracle.
     fn both_paths(
         model: &ParserModel,
         ladder: &SaturationLadder,
         index: &QueryIndex,
-        records: &[StoredRecord],
+        records: &RecordStore,
         threshold: f64,
     ) -> [Arc<Vec<TemplateGroup>>; 2] {
         let plan = group_plan(threshold);
@@ -1103,7 +1153,7 @@ mod tests {
         model.rebuild_match_order();
         let ladder = SaturationLadder::build(&model);
 
-        let records: Vec<StoredRecord> = [
+        let (records, index) = store_of(&[
             // The longer variant comes FIRST in record order but covers fewer records:
             // a first-record-wins implementation would report `long`.
             (long, "users a b c"),
@@ -1111,17 +1161,7 @@ mod tests {
             (short, "users x y"),
             (long, "users d e f"),
             (short, "users p q"),
-        ]
-        .iter()
-        .map(|(node, text)| StoredRecord {
-            record: text.to_string(),
-            template: Some(*node),
-        })
-        .collect();
-        let mut index = QueryIndex::new();
-        for (idx, r) in records.iter().enumerate() {
-            index.assign(r.template.unwrap(), idx);
-        }
+        ]);
 
         for groups in both_paths(&model, &ladder, &index, &records, 0.8) {
             assert_eq!(groups.len(), 1, "variants must merge into one group");
@@ -1163,17 +1203,7 @@ mod tests {
         model.add_root(b);
         model.rebuild_match_order();
         let ladder = SaturationLadder::build(&model);
-        let records: Vec<StoredRecord> = [(b, "evt x y"), (a, "evt z")]
-            .iter()
-            .map(|(node, text)| StoredRecord {
-                record: text.to_string(),
-                template: Some(*node),
-            })
-            .collect();
-        let mut index = QueryIndex::new();
-        for (idx, r) in records.iter().enumerate() {
-            index.assign(r.template.unwrap(), idx);
-        }
+        let (records, index) = store_of(&[(b, "evt x y"), (a, "evt z")]);
         for groups in both_paths(&model, &ladder, &index, &records, 0.5) {
             assert_eq!(groups.len(), 1);
             assert_eq!(groups[0].node, a, "tie must break to the smallest node id");
@@ -1219,12 +1249,7 @@ mod tests {
         model.attach_child(root, leaf);
         model.rebuild_match_order();
         let ladder = SaturationLadder::build(&model);
-        let records = vec![StoredRecord {
-            record: "evt x".to_string(),
-            template: Some(leaf),
-        }];
-        let mut index = QueryIndex::new();
-        index.assign(leaf, 0);
+        let (records, index) = store_of(&[(leaf, "evt x")]);
         for threshold in [0.8995, 0.9001] {
             let [indexed, scanned] = both_paths(&model, &ladder, &index, &records, threshold);
             assert_eq!(indexed, scanned);

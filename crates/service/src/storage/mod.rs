@@ -55,7 +55,8 @@ pub use segment::Segment;
 pub use summary::SegmentSummary;
 pub use wal::{DeltaEvent, RecordMove, WalRecord};
 
-use crate::topic::{MaintenancePolicy, StoredRecord, TopicConfig, TopicStats};
+use crate::records::RecordStore;
+use crate::topic::{MaintenancePolicy, TopicConfig, TopicStats};
 use bytebrain::incremental::DriftConfig;
 use bytebrain::{NodeId, TrainConfig};
 use framing::FrameLog;
@@ -530,9 +531,9 @@ impl TopicStorage {
         self.events.append(&event.encode())
     }
 
-    /// Commit point: seal full segments out of the WAL (extracting variable
-    /// columns via `vars_of`), then fsync every dirty log in one batch.
-    /// Returns the number of segments sealed.
+    /// Commit point: seal full segments out of the WAL (their variable columns
+    /// from `vars_of` — the topic copies its slot column), then fsync every dirty
+    /// log in one batch. Returns the number of segments sealed.
     pub fn commit(
         &mut self,
         mut vars_of: impl FnMut(&WalRecord) -> Vec<String>,
@@ -592,18 +593,17 @@ impl TopicStorage {
     }
 
     /// Epoch checkpoint: rewrite every live record as fresh baseline segments
-    /// carrying the current assignments, truncate the WAL and event log, and
-    /// swap the manifest. Must directly follow a training run's re-match: the
-    /// flags of `records` are cleared — the new epoch's model replay starts
-    /// from the full `base_version` snapshot — so the model may hold no live
-    /// temporary and no record may be waiting unmatched.
+    /// carrying the current assignments and slot columns, truncate the WAL and
+    /// event log, and swap the manifest. Must directly follow a training run's
+    /// re-match: the flags of `records` are cleared — the new epoch's model
+    /// replay starts from the full `base_version` snapshot — so the model may
+    /// hold no live temporary and no record may be waiting unmatched.
     pub fn checkpoint_epoch(
         &mut self,
-        records: &[StoredRecord],
+        records: &RecordStore,
         base_version: u64,
         model_version: u64,
         stats: &TopicStats,
-        mut vars_of: impl FnMut(&WalRecord) -> Vec<String>,
     ) -> io::Result<()> {
         let first_live = self.manifest.first_live_seq;
         debug_assert_eq!(
@@ -611,6 +611,8 @@ impl TopicStorage {
             self.next_seq,
             "live records must cover the retained sequence range"
         );
+        let mut vars_of =
+            |rec: &WalRecord| records.owned_variables((rec.seq - first_live) as usize);
         let old_segments = std::mem::take(&mut self.manifest.segments);
         self.summaries.clear();
         let mut baseline: Vec<WalRecord> = Vec::with_capacity(self.config.segment_records);
@@ -619,7 +621,7 @@ impl TopicStorage {
                 seq,
                 unmatched: false,
                 node: stored.template,
-                text: stored.record.clone(),
+                text: stored.record.to_owned(),
             });
             if baseline.len() == self.config.segment_records {
                 self.seal_segment(&baseline, &mut vars_of)?;

@@ -21,11 +21,13 @@
 //! the refreshed snapshot into a running stream at a flush boundary.
 
 use crate::ingest::{
-    drive, shed_as_error, IngestConfig, IngestStats, MatchContext, MatchedRecord, Route,
+    drive, shed_as_error, IngestConfig, IngestStats, MatchContext, MatchedChunk, Route,
 };
 use crate::query::{QueryCache, QueryIndex, RecordAccess};
+use crate::records::RecordStore;
 use crate::storage::{
-    DeltaEvent, RecordMove, RetentionOutcome, StorageConfig, TopicMeta, TopicStorage, WalRecord,
+    DeltaEvent, RecordMove, RecoveredTopic, RetentionOutcome, StorageConfig, TopicMeta,
+    TopicStorage,
 };
 use crate::store::ModelStore;
 use crate::trigger::{TrainingTrigger, TriggerDecision};
@@ -33,7 +35,8 @@ use bytebrain::incremental::{apply_delta, train_delta, DriftConfig, DriftDetecto
 use bytebrain::matcher::match_compiled;
 use bytebrain::train::train;
 use bytebrain::{
-    CompiledMatcher, NodeId, ParserModel, QueryPlan, SaturationLadder, TemplateToken, TrainConfig,
+    CompiledMatcher, NodeId, ParserModel, QueryPlan, SaturationLadder, SlotBuffer, SlotRange,
+    TemplateToken, TrainConfig,
 };
 use logtok::{Preprocessor, TokenScratch};
 use std::io;
@@ -115,16 +118,6 @@ impl TopicConfig {
         self.maintenance = maintenance;
         self
     }
-}
-
-/// One record retained by the topic: the raw text plus the most precise template id the
-/// online matcher assigned (None until the first model exists).
-#[derive(Debug, Clone)]
-pub struct StoredRecord {
-    /// The raw log text.
-    pub record: String,
-    /// Most precise matched template, when a model existed at ingest time.
-    pub template: Option<NodeId>,
 }
 
 /// Outcome of one `ingest` call.
@@ -224,7 +217,7 @@ pub struct LogTopic {
     /// maintenance landing, pending absorption (at most `training_buffer` of them).
     unmatched: Vec<usize>,
     drift: Option<DriftDetector>,
-    records: Vec<StoredRecord>,
+    records: RecordStore,
     total_bytes: u64,
     training_runs: u64,
     last_training_seconds: f64,
@@ -262,7 +255,7 @@ impl LogTopic {
             window_start: 0,
             unmatched: Vec::new(),
             drift,
-            records: Vec::new(),
+            records: RecordStore::new(),
             total_bytes: 0,
             training_runs: 0,
             last_training_seconds: 0.0,
@@ -377,7 +370,7 @@ impl LogTopic {
                     .map(|mv| ((mv.seq - first_live) as usize, mv.old, mv.new))
                     .collect();
                 for &(idx, _, new) in &moves {
-                    topic.records[idx].template = new;
+                    topic.records.set_template(idx, new);
                 }
                 index.reassign(&moves);
                 if event.retrain {
@@ -413,10 +406,13 @@ impl LogTopic {
                     }
                 }
             }
-            topic.records.push(StoredRecord {
-                record: rec.text.clone(),
-                template: rec.node,
-            });
+            // Slots are filled in below, once the replay has settled every template.
+            topic.records.push(
+                &rec.text,
+                rec.node,
+                &SlotBuffer::new(),
+                SlotRange::default(),
+            );
             // Segment records arrived through their postings columns; only the
             // WAL tail (never sealed) assigns here.
             if rec.seq >= manifest.sealed_end_seq() {
@@ -428,6 +424,7 @@ impl LogTopic {
 
         let next_seq = storage.next_seq();
         topic.model = Arc::new(model);
+        topic.recover_slots(&recovered, storage.last_delta_seq());
         topic.recompile();
         topic.ladder = Arc::new(SaturationLadder::build(&topic.model));
         topic.index = Arc::new(index);
@@ -461,8 +458,9 @@ impl LogTopic {
         &self.model
     }
 
-    /// The stored records (raw text + matched template id).
-    pub fn records(&self) -> &[StoredRecord] {
+    /// The record store: every record's raw text, matched template and variable slots
+    /// — the structured form the match produced, which queries read and segments seal.
+    pub fn records(&self) -> &RecordStore {
         &self.records
     }
 
@@ -510,8 +508,8 @@ impl LogTopic {
         &self.query_cache
     }
 
-    /// The topic's preprocessor (masking + tokenization), shared with the
-    /// ingest path so query-time variable extraction agrees with sealing.
+    /// The topic's preprocessor (masking + tokenization): the one the ingest path
+    /// matched with, and so the one the scan oracle's `variables_of` re-derives with.
     pub(crate) fn preprocessor(&self) -> &Preprocessor {
         &self.preprocessor
     }
@@ -550,8 +548,8 @@ impl LogTopic {
     /// from its variable column — the latter only for segments sealed at or
     /// after the latest incremental delta
     /// ([`TopicStorage::last_delta_seq`]), since deltas can re-match sealed
-    /// records or patch node templates and thereby change what query-time
-    /// extraction returns. WAL-tail and in-memory records are never pruned.
+    /// records or patch node templates and thereby change their variables.
+    /// WAL-tail and in-memory records are never pruned.
     fn prune_ranges(&self, plan: &QueryPlan, first_seq: u64) -> Vec<(usize, usize)> {
         let Some(storage) = self.storage.as_ref() else {
             return Vec::new();
@@ -604,15 +602,15 @@ impl LogTopic {
     }
 
     /// The records the next training run reads: the first `training_buffer` stored
-    /// since the last one — a view of the record store, which retention never drains.
-    fn training_window(&self) -> &[StoredRecord] {
+    /// since the last one — a range of the record store, which retention never drains.
+    fn training_window(&self) -> std::ops::Range<usize> {
         // What a reopen would derive.
         debug_assert!(self.storage.as_ref().is_none_or(|s| {
             let first_live = s.first_live_seq();
             s.training_window_start().max(first_live) - first_live == self.window_start as u64
         }));
-        let window = &self.records[self.window_start..];
-        &window[..window.len().min(self.config.training_buffer)]
+        let end = self.records.len();
+        self.window_start..end.min(self.window_start + self.config.training_buffer)
     }
 
     /// Ingest a batch of records: match them online, store them, and run a
@@ -649,14 +647,13 @@ impl LogTopic {
     /// log in one batch. Called at the end of each ingest call and at streaming
     /// checkpoints. No-op for in-memory topics.
     pub(crate) fn commit_storage(&mut self) {
-        if self.storage.is_none() {
+        let Some(storage) = &mut self.storage else {
             return;
-        }
-        let model = Arc::clone(&self.model);
-        let preprocessor = Arc::clone(&self.preprocessor);
-        let storage = self.storage.as_mut().expect("storage just checked");
+        };
+        // A sealed segment's variable column is a copy of the slot column.
+        let (records, first_live) = (&self.records, storage.first_live_seq());
         storage
-            .commit(|rec| extract_variables(&model, &preprocessor, rec))
+            .commit(|rec| records.owned_variables((rec.seq - first_live) as usize))
             .expect("storage commit");
     }
 
@@ -674,7 +671,7 @@ impl LogTopic {
         let merges = storage.compaction_pass().expect("compaction pass");
         if outcome.dropped_records > 0 {
             let dropped = outcome.dropped_records as usize;
-            self.records.drain(..dropped);
+            self.records.drain_front(dropped);
             // Every record index shifted: the window start and the pending unmatched
             // records (retention drops neither) move along, the postings are rebuilt.
             self.window_start = self.window_start.saturating_sub(dropped);
@@ -720,13 +717,16 @@ impl LogTopic {
     }
 
     /// Apply one matched record to the topic state: count it, insert a temporary
-    /// template when unmatched (§3), account bytes, and move it into the store — the one
-    /// copy of its text, which the training window and the unmatched list point into.
-    /// Shared by the batch and streaming paths so the invariants live in one place.
+    /// template when unmatched (§3) — its tokens are the `slots` the missed match read
+    /// off its view — account bytes, and append it to the store — the one copy of its
+    /// text, which the training window and the unmatched list point into — with the
+    /// slots its match extracted. Shared by the batch and streaming paths so the
+    /// invariants live in one place.
     fn apply_record(
         &mut self,
-        record: String,
+        record: &str,
         matched: Option<NodeId>,
+        (slots, range): (&SlotBuffer, SlotRange),
         outcome: &mut IngestOutcome,
     ) {
         let unmatched_at_ingest = matched.is_none();
@@ -746,7 +746,7 @@ impl LogTopic {
                 if self.model.is_empty() {
                     None
                 } else {
-                    let tokens = self.preprocessor.tokens_of(&record);
+                    let tokens: Vec<String> = slots.values(record, range).map(Into::into).collect();
                     let id = Arc::make_mut(&mut self.model).insert_temporary(&tokens);
                     // The ladder and the cache key track every model change; the
                     // automaton does not — the match kernel scans appended nodes.
@@ -760,11 +760,17 @@ impl LogTopic {
             // WAL first: the flag is the ingest-time outcome (replay re-executes the
             // temporary insertion), the node is the final assignment.
             storage
-                .append_record(unmatched_at_ingest, template, &record)
+                .append_record(unmatched_at_ingest, template, record)
                 .expect("WAL append");
         }
         self.total_bytes += record.len() as u64 + 1;
-        self.records.push(StoredRecord { record, template });
+        // A temporary template has no wildcard, nor an unassigned record a template.
+        let range = if unmatched_at_ingest {
+            SlotRange::default()
+        } else {
+            range
+        };
+        self.records.push(record, template, slots, range);
         if let Some(node) = template {
             // Postings grow in ingest order, so per-node index lists stay sorted.
             Arc::make_mut(&mut self.index).assign(node, self.records.len() - 1);
@@ -879,13 +885,17 @@ impl LogTopic {
     /// generalises and retires nodes — the ids are discarded and the chunk re-matched here,
     /// against the live model, exactly as a one-shot ingest would have matched it.
     /// Returns whether that happened.
+    ///
+    /// The chunk is borrowed: the store copies each record's text, and the caller
+    /// frees the records' own strings after releasing whatever hold it applied under.
     pub(crate) fn apply_stream_records(
         &mut self,
-        mut records: Vec<MatchedRecord>,
+        chunk: &mut MatchedChunk,
         matched_at: u64,
         rematch_stale: bool,
         outcome: &mut IngestOutcome,
     ) -> bool {
+        let MatchedChunk { records, slots } = chunk;
         let stale_context = self.model_version != matched_at;
         if stale_context {
             let texts: Vec<&str> = records.iter().map(|r| r.record.as_str()).collect();
@@ -893,9 +903,10 @@ impl LogTopic {
                 .prepare()
                 .expect("matched against a model, so one exists");
             let fresh = context.match_batch(&texts);
-            for (record, (node, saturation)) in records.iter_mut().zip(fresh) {
-                (record.node, record.saturation) = (node, saturation);
+            for (record, (node, saturation, range)) in records.iter_mut().zip(fresh.ids) {
+                (record.node, record.saturation, record.slots) = (node, saturation, range);
             }
+            *slots = fresh.slots;
         }
         let count = records.len() as u64;
         // Stale records re-match on the topic's engine as it stands now; the temporaries
@@ -903,23 +914,25 @@ impl LogTopic {
         // built, which the kernel checks after its tables.
         let compiled = rematch_stale.then(|| self.compiled_snapshot());
         let mut scratch = TokenScratch::new();
-        for matched in records {
+        for matched in records.iter() {
             let rematch = compiled.as_ref().filter(|_| match matched.node {
                 // A pre-swap match can point at a node the delta retired (absorbed
                 // temporaries keep their slot but must not be stored against).
                 Some(id) => self.model.node(id).map(|n| n.retired).unwrap_or(true),
                 None => true,
             });
-            let (node, saturation) = match rematch {
+            let (node, saturation, range) = match rematch {
                 Some(compiled) => {
-                    let view = self.preprocessor.token_view(&matched.record, &mut scratch);
+                    let line = matched.record.as_str();
+                    let view = self.preprocessor.token_view(line, &mut scratch);
                     let node = match_compiled(&self.model, compiled, &view);
-                    let saturation = node.map(|id| self.model.nodes[id.0].saturation);
-                    (node, saturation.unwrap_or(0.0))
+                    let range = slots.extract(&self.model, node, line, &view);
+                    let saturation = node.map_or(0.0, |id| self.model.nodes[id.0].saturation);
+                    (node, saturation, range)
                 }
-                None => (matched.node, matched.saturation),
+                None => (matched.node, matched.saturation, matched.slots),
             };
-            self.apply_record(matched.record, node, outcome);
+            self.apply_record(&matched.record, node, (slots, range), outcome);
             if let Some(detector) = &mut self.drift {
                 detector.observe(node.is_some(), saturation);
             }
@@ -965,14 +978,11 @@ impl LogTopic {
     /// The text a run trains on, borrowed from the record store: the training window
     /// for a training run, the pending unmatched records for an incremental one.
     fn window_texts(&self, retrain: bool) -> Vec<&str> {
+        let text = |idx: usize| self.records.text(idx);
         if retrain {
-            let window = self.training_window().iter();
-            window.map(|stored| stored.record.as_str()).collect()
+            self.training_window().map(text).collect()
         } else {
-            let pending = self.unmatched.iter();
-            pending
-                .map(|&idx| self.records[idx].record.as_str())
-                .collect()
+            self.unmatched.iter().map(|&idx| text(idx)).collect()
         }
     }
 
@@ -1007,7 +1017,15 @@ impl LogTopic {
             &self.config.train,
             self.config.merge_threshold,
         );
-        self.model = Arc::new(apply_delta(&self.model, &delta));
+        let landed = Arc::new(apply_delta(&self.model, &delta));
+        let before = std::mem::replace(&mut self.model, landed);
+        // A retrain's re-match re-derives every record's slots; otherwise the records
+        // on nodes the delta's patches generalised keep their node but gain slots. Done
+        // before the re-match: a record it moves onto a patched node brings its slots.
+        if !retrain {
+            self.generalise_slots(&before, &delta);
+        }
+        drop(before);
         // Only the subtrees the delta touched recompute.
         Arc::make_mut(&mut self.ladder).apply_delta(&self.model, &delta);
         Arc::make_mut(&mut self.index).ensure_nodes(self.model.len());
@@ -1076,17 +1094,69 @@ impl LogTopic {
         let Some(storage) = &mut self.storage else {
             return;
         };
-        let (model, preprocessor) = (&self.model, &self.preprocessor);
-        let vars_of = |rec: &WalRecord| extract_variables(model, preprocessor, rec);
         storage
-            .checkpoint_epoch(
-                &self.records,
-                base_version,
-                self.model_version,
-                &stats,
-                vars_of,
-            )
+            .checkpoint_epoch(&self.records, base_version, self.model_version, &stats)
             .expect("storage epoch checkpoint");
+    }
+
+    /// The slots of the records on nodes `delta` patched, re-derived without a re-match:
+    /// a patch only turns constants into wildcards (the token count stays), so a record
+    /// that matched the old template holds, at every newly wildcarded position, the
+    /// constant it matched there; its other slots are the ones it had.
+    fn generalise_slots(&mut self, before: &ParserModel, delta: &ModelDelta) {
+        let is_wildcard = |token: &TemplateToken| matches!(token, TemplateToken::Wildcard);
+        let mut fresh = SlotBuffer::new();
+        let mut updates = Vec::new();
+        for patch in &delta.patches {
+            let old = &before.nodes[patch.node.0].template;
+            let new = &self.model.nodes[patch.node.0].template;
+            let positions = || old.iter().zip(new).filter(|(_, n)| is_wildcard(n));
+            if positions().all(|(o, _)| is_wildcard(o)) {
+                continue;
+            }
+            for &idx in self.index.postings_of(patch.node) {
+                let idx = idx as usize;
+                let mut kept = self.records.variables(idx);
+                let values = positions().map(|(o, _)| match o {
+                    TemplateToken::Const(constant) => constant.as_str(),
+                    TemplateToken::Wildcard => kept.next().expect("one slot per old wildcard"),
+                });
+                updates.push((idx, fresh.push_values(self.records.text(idx), values)));
+            }
+        }
+        updates.sort_unstable_by_key(|&(idx, _)| idx);
+        self.records.replace_slots(&fresh, &updates);
+    }
+
+    /// Fill the slot column of a topic just replayed from `recovered`: a segment whose
+    /// records all arrived after the last delta (`first_seq >= last_delta_seq`, the
+    /// freshness rule pruning uses) carries the column as it stands and is loaded;
+    /// older segments — a delta since may have moved their records or patched their
+    /// templates — and the WAL tail, which has no column, are re-derived from the text.
+    fn recover_slots(&mut self, recovered: &RecoveredTopic, last_delta_seq: u64) {
+        let mut scratch = TokenScratch::new();
+        let mut fresh = SlotBuffer::new();
+        let mut updates = Vec::with_capacity(self.records.len());
+        let segments = recovered.segments.iter();
+        let loaded = segments.flat_map(|segment| {
+            let current = segment.first_seq >= last_delta_seq;
+            let column = segment.variables.iter();
+            column.map(move |vars| current.then_some(vars))
+        });
+        let tail = recovered.wal_tail.iter().map(|_| None);
+        for (idx, column) in loaded.chain(tail).enumerate() {
+            let text = self.records.text(idx);
+            let range = match (column, self.records.template(idx)) {
+                (Some(vars), _) => fresh.push_values(text, vars.iter().map(String::as_str)),
+                (None, None) => SlotRange::default(),
+                (None, node) => {
+                    let view = self.preprocessor.token_view(text, &mut scratch);
+                    fresh.extract(&self.model, node, text, &view)
+                }
+            };
+            updates.push((idx, range));
+        }
+        self.records.replace_slots(&fresh, &updates);
     }
 
     /// Re-assign template ids against the current model: for every stored record after
@@ -1098,25 +1168,30 @@ impl LogTopic {
         let Some(context) = self.prepare() else {
             return Vec::new();
         };
-        let orphaned = |stored: &StoredRecord| match stored.template {
+        let orphaned = |idx: usize| match self.records.template(idx) {
             None => true,
             Some(id) => self.model.node(id).map(|node| node.retired).unwrap_or(true),
         };
         let candidates: Vec<usize> = (0..self.records.len())
-            .filter(|&idx| every_record || orphaned(&self.records[idx]))
+            .filter(|&idx| every_record || orphaned(idx))
             .collect();
         let texts: Vec<&str> = candidates
             .iter()
-            .map(|&idx| self.records[idx].record.as_str())
+            .map(|&idx| self.records.text(idx))
             .collect();
         let results = context.match_batch(&texts);
         let mut moves = Vec::new();
-        for (&idx, (node, _)) in candidates.iter().zip(results) {
-            let old = std::mem::replace(&mut self.records[idx].template, node);
+        let mut updates = Vec::with_capacity(candidates.len());
+        for (&idx, &(node, _, slots)) in candidates.iter().zip(&results.ids) {
+            let old = self.records.set_template(idx, node);
             if old != node {
                 moves.push((idx, old, node));
             }
+            // A record left unassigned has no variables (its slots are its tokens).
+            updates.push((idx, node.map_or(SlotRange::default(), |_| slots)));
         }
+        // Every re-matched record's slots come from its re-match, moved or not.
+        self.records.replace_slots(&results.slots, &updates);
         Arc::make_mut(&mut self.index).reassign(&moves);
         moves
     }
@@ -1136,13 +1211,14 @@ impl LogTopic {
     }
 }
 
-/// Best-effort variable extraction: the tokens sitting at the wildcard positions of a
-/// record's assigned template. Empty when the record has no assignment, the node is
-/// gone, or the token count disagrees with the template (replay correctness never
-/// depends on this column — it is query metadata). The same definition serves segment
-/// sealing and query-time predicate evaluation, so `VariableEquals` semantics cannot
-/// drift between the planned path and the storage summaries.
-pub(crate) fn variables_of(
+/// The definition of a record's variables, kept as the **oracle**: mask and tokenise
+/// the text afresh and take the tokens at the wildcard positions of the assigned
+/// template. Empty when the record has no assignment, the node is gone, or the token
+/// count disagrees with the template. No production path calls it — the slot column
+/// ([`RecordStore::variables`]) is what ingest stores, segments seal and queries read;
+/// the scan oracle evaluates predicates on this, and the planned path's one
+/// `debug_assert_eq!` holds the column to it, so `VariableEquals` semantics cannot drift.
+pub fn variables_of(
     model: &ParserModel,
     preprocessor: &Preprocessor,
     text: &str,
@@ -1164,15 +1240,6 @@ pub(crate) fn variables_of(
         .filter(|(_, slot)| matches!(slot, TemplateToken::Wildcard))
         .map(|(token, _)| token)
         .collect()
-}
-
-/// [`variables_of`] over a WAL record about to be sealed into a segment.
-fn extract_variables(
-    model: &ParserModel,
-    preprocessor: &Preprocessor,
-    rec: &WalRecord,
-) -> Vec<String> {
-    variables_of(model, preprocessor, &rec.text, rec.node)
 }
 
 #[cfg(test)]
@@ -1425,7 +1492,7 @@ mod tests {
         let outcome = topic.ingest(&novel_batch(0, 200));
         assert!(outcome.maintained >= 1);
         // Every pre-drift record kept its template id — no re-match pass happened.
-        for (before, stored) in assignment_before.iter().zip(topic.records()) {
+        for (before, stored) in assignment_before.iter().zip(topic.records().iter()) {
             assert_eq!(*before, stored.template, "node id changed for {stored:?}");
         }
     }
@@ -1563,7 +1630,21 @@ mod tests {
             let assigned =
                 |t: &LogTopic| t.records().iter().map(|r| r.template).collect::<Vec<_>>();
             assert_eq!(assigned(&phased), assigned(&one_shot));
+            assert_eq!(slot_column(&phased), slot_column(&one_shot));
         }
+    }
+
+    /// Every record's slots as the column holds them, each held to the oracle.
+    fn slot_column(topic: &LogTopic) -> Vec<Vec<String>> {
+        let records = topic.records();
+        let column = (0..records.len()).map(|idx| {
+            let (text, node) = (records.text(idx), records.template(idx));
+            let slots = records.owned_variables(idx);
+            let oracle = variables_of(topic.model(), topic.preprocessor(), text, node);
+            assert_eq!(slots, oracle, "record {idx} {text:?}");
+            slots
+        });
+        column.collect()
     }
 
     #[test]

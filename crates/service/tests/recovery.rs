@@ -149,7 +149,11 @@ fn capture(topic: &LogTopic) -> Expectation {
         model_version: topic.model_version(),
         model_json: serde_json::to_string(topic.model()).expect("model serializes"),
         record_count: topic.records().len(),
-        records: topic.records().iter().map(|r| r.record.clone()).collect(),
+        records: topic
+            .records()
+            .iter()
+            .map(|r| r.record.to_owned())
+            .collect(),
         groups: THRESHOLDS.iter().map(|&t| groups_at(topic, t)).collect(),
         distribution: distribution_of(topic),
     }
@@ -164,7 +168,7 @@ fn assert_recovered(recovered: &LogTopic, expected: &Expectation, ctx: &str) {
     let recovered_records: Vec<String> = recovered
         .records()
         .iter()
-        .map(|r| r.record.clone())
+        .map(|r| r.record.to_owned())
         .collect();
     assert_eq!(recovered_records, expected.records, "{ctx}: record texts");
     assert_eq!(
@@ -677,4 +681,111 @@ fn manager_fleet_recovery_round_trips_all_topics() {
     }
     assert_eq!(recovered.fleet_stats(), fleet_before);
     fs::remove_dir_all(&root).ok();
+}
+
+// ---------------------------------------------------------------------------
+// Variable queries read the slot column, which a reopen loads or re-derives
+// ---------------------------------------------------------------------------
+
+/// `worker <name> finished job <n> on <host><ip> in <t>ms after <k> steps`, cycling
+/// through `names`; the host and address mask to `<host><*>`, a slot masking rewrote.
+fn worker_batch(rng: &mut Rng, names: &[&str], n: usize) -> Vec<String> {
+    (0..n)
+        .map(|i| {
+            format!(
+                "worker {} finished job {} on {}10.0.{}.{} in {}ms after {} steps",
+                names[i % names.len()],
+                rng.below(5_000),
+                ["edge", "core", "db"][rng.below(3) as usize],
+                rng.below(8),
+                rng.below(250),
+                1 + rng.below(900),
+                1 + rng.below(40)
+            )
+        })
+        .collect()
+}
+
+/// `var_eq` and `window_var` read the slot column. A reopen loads it from segments
+/// whose records all arrived after the last delta and re-derives it for the rest: here
+/// a delta generalised nodes holding sealed records — `alpha`, a constant when they
+/// were sealed, is a slot of theirs now — so those segments' stored columns are stale,
+/// and the reopened topic must answer both shapes, and every other, exactly as live.
+#[test]
+fn variable_queries_recover_after_a_delta_generalised_sealed_records() {
+    let dir = scratch_dir("generalised");
+    let config = TopicConfig::new("generalised")
+        .with_volume_threshold(100_000)
+        .with_incremental_maintenance(
+            DriftConfig::default()
+                .with_window(200)
+                .with_min_samples(50)
+                .with_max_unmatched_rate(0.2),
+        );
+    let mut topic = LogTopic::durable(config, &dir, fast_storage()).expect("create durable topic");
+    let mut rng = Rng(base_seed());
+    let var_eq = Query::group_by()
+        .at_threshold(0.6)
+        .filter(Predicate::variable_equals("alpha"))
+        .plan()
+        .expect("valid plan");
+    let alpha_records = |topic: &LogTopic| match topic.execute(&var_eq) {
+        QueryValue::Groups(groups) => groups
+            .iter()
+            .flat_map(|group| group.record_indices.clone())
+            .collect::<Vec<usize>>(),
+        other => panic!("groups plan answered {other:?}"),
+    };
+
+    topic.ingest(&worker_batch(&mut rng, &["alpha"], 300));
+    assert!(alpha_records(&topic).is_empty(), "`alpha` is a constant");
+    let segments = topic.storage().expect("durable").segments();
+    let sealed_before: u64 = segments.iter().map(|segment| segment.records).sum();
+    let sealed_before = sealed_before as usize;
+    topic.ingest(&worker_batch(&mut rng, &["beta", "alpha", "gamma"], 300));
+    assert!(
+        topic.stats().maintenance_runs >= 1,
+        "the drift lands a delta"
+    );
+    assert!(
+        alpha_records(&topic).iter().any(|&idx| idx < sealed_before),
+        "the delta made `alpha` a slot of records sealed while it was a constant"
+    );
+    // Segments sealed after the delta: their stored columns load as they are.
+    topic.ingest(&worker_batch(&mut rng, &["alpha", "delta"], 300));
+
+    let records = topic.records().len() as u64;
+    let mut plans = operator_battery(records);
+    plans.push(var_eq.clone());
+    plans.push(
+        Query::distribution()
+            .at_threshold(0.6)
+            .filter(Predicate::time_window(records / 4, 3 * records / 4))
+            .filter(Predicate::variable_contains("1"))
+            .plan()
+            .expect("valid plan"),
+    );
+    let answers: Vec<QueryValue> = plans.iter().map(|plan| topic.execute(plan)).collect();
+    let column = |topic: &LogTopic| {
+        let records = topic.records();
+        let column = (0..records.len()).map(|idx| records.owned_variables(idx));
+        column.collect::<Vec<_>>()
+    };
+    let live_column = column(&topic);
+    let expected = capture(&topic);
+    drop(topic);
+
+    let recovered = LogTopic::open(&dir, fast_storage()).expect("recover topic");
+    assert_recovered(&recovered, &expected, "generalised recovery");
+    for (plan, want) in plans.iter().zip(&answers) {
+        assert_eq!(
+            &recovered.execute(plan),
+            want,
+            "{:?} {:?}",
+            plan.output(),
+            plan.predicate()
+        );
+    }
+    assert_eq!(column(&recovered), live_column, "slot column");
+    fs::remove_dir_all(&dir).ok();
 }

@@ -15,7 +15,7 @@
 
 use bytebrain_repro::bytebrain::incremental::DriftConfig;
 use bytebrain_repro::bytebrain::matcher::match_ids_batch;
-use bytebrain_repro::bytebrain::NodeId;
+use bytebrain_repro::bytebrain::{NodeId, SlotRange};
 use bytebrain_repro::datasets::{GeneratorConfig, LabeledDataset};
 use bytebrain_repro::eval::ga::grouping_report;
 use bytebrain_repro::service::{IngestConfig, LogTopic, MaintenancePolicy, TopicConfig};
@@ -36,10 +36,8 @@ fn workload(dataset: &str, total: usize, warmup: usize) -> (Vec<String>, Vec<Str
 
 /// The per-record template assignment of everything ingested after the warm-up.
 fn assignment_after(topic: &LogTopic, warmup: usize) -> Vec<Option<NodeId>> {
-    topic.records()[warmup..]
-        .iter()
-        .map(|r| r.template)
-        .collect()
+    let stored = topic.records().iter().skip(warmup);
+    stored.map(|r| r.template).collect()
 }
 
 /// Reference behaviour: one batch `ingest` call over the whole stream.
@@ -259,7 +257,7 @@ fn incremental_maintenance_converges_with_full_retrain_on_drifting_workload() {
     let preprocessor = full_topic.preprocessor_snapshot();
     let match_probes = |topic: &LogTopic| {
         let compiled = topic.compiled_snapshot();
-        match_ids_batch(topic.model(), &compiled, &preprocessor, &probe_records, 2)
+        match_ids_batch(topic.model(), &compiled, &preprocessor, &probe_records, 2).ids
     };
     let full_results = match_probes(&full_topic);
     let inc_results = match_probes(&inc_topic);
@@ -281,7 +279,7 @@ fn incremental_maintenance_converges_with_full_retrain_on_drifting_workload() {
     // resolved at the standard threshold (0.6), compared as normalized template
     // text. Unmatched probes become singletons.
     let label = |model: &bytebrain_repro::bytebrain::ParserModel,
-                 results: &[(Option<NodeId>, f64)]|
+                 results: &[(Option<NodeId>, f64, SlotRange)]|
      -> Vec<usize> {
         use bytebrain_repro::bytebrain::merge_consecutive_wildcards;
         use bytebrain_repro::bytebrain::query::{presentation_template, resolve_with_threshold};
@@ -355,7 +353,7 @@ fn retrain_landing_is_byte_identical_to_merge_and_rematch_reference() {
             if let Some(idx) = (0..want.len()).find(|&idx| got[idx] != want[idx]) {
                 panic!(
                     "{at}, threshold {threshold}: record {idx} {:?} presents as {:?}, reference {:?}",
-                    topic.records()[idx].record,
+                    topic.records().text(idx),
                     got[idx],
                     want[idx]
                 );
@@ -548,10 +546,8 @@ fn automaton_match_path_is_byte_identical_to_tree_walk() {
         drifting.outcome.maintained >= 1 && drifting.stats.model_swaps >= 1,
         "drift must trigger a mid-stream hot swap: {drifting:?}"
     );
-    let repeated: std::collections::HashSet<Option<NodeId>> = topic.records()[stream.len()..]
-        .iter()
-        .map(|r| r.template)
-        .collect();
+    let tail = topic.records().iter().skip(stream.len());
+    let repeated: std::collections::HashSet<Option<NodeId>> = tail.map(|r| r.template).collect();
     assert_eq!(repeated.len(), 5, "repeats must re-match, not re-insert");
     assert_eq!(topic.records().len(), stream.len() + 3_000);
     assert_eq!(topic.stats().training_runs, 1, "cold start only");
@@ -717,5 +713,128 @@ fn planned_operators_match_scan_oracle_under_maintenance_and_recovery() {
     drop(topic);
     let recovered = LogTopic::open(&dir, storage).expect("recover topic");
     assert_agree(&recovered, "inc/after-recovery");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every stored record's slots against the oracle: what `variables_of` re-derives by
+/// masking and tokenising the text again, under the topic's current model.
+fn assert_slots_are_the_oracle(topic: &LogTopic, at: &str) {
+    use bytebrain_repro::service::topic::variables_of;
+    let (records, preprocessor) = (topic.records(), topic.preprocessor_snapshot());
+    for idx in 0..records.len() {
+        let (text, node) = (records.text(idx), records.template(idx));
+        let oracle = variables_of(topic.model(), &preprocessor, text, node);
+        let column: Vec<&str> = records.variables(idx).collect();
+        assert_eq!(column, oracle, "{at}: record {idx} {text:?} on {node:?}");
+    }
+}
+
+/// The slot column is the match's output, stored once and never re-derived from the
+/// text: after every step of a seeded run — the batch route, the stream route with a
+/// mid-stream hot swap, both maintenance policies (an incremental delta generalising
+/// nodes that hold records among them), retention and a reopen — every record's slots
+/// equal what the oracle re-derives.
+#[test]
+fn slot_column_equals_the_variables_oracle_at_every_step() {
+    use bytebrain_repro::service::StorageConfig;
+    use std::time::Duration;
+    let seed = base_seed();
+    let scratch = |tag: &str| {
+        let dir = std::env::temp_dir().join(format!("bb-diff-slots-{tag}-{}", std::process::id()));
+        if dir.exists() {
+            std::fs::remove_dir_all(&dir).expect("clear stale scratch dir");
+        }
+        dir
+    };
+    let stream_config = IngestConfig::default().with_batch_records(64);
+
+    // Full retrain: every landing re-matches the store; retention drains a prefix.
+    let dir = scratch("full");
+    let storage = StorageConfig::default()
+        .with_segment_records(128)
+        .with_fsync(false)
+        .with_retention_ttl(Duration::ZERO);
+    let mut config = TopicConfig::new("slots-full").with_volume_threshold(1_500);
+    config.training_buffer = 1_000;
+    let mut topic = LogTopic::durable(config, &dir, storage.clone()).expect("durable topic");
+    let stream = drifting_workload(6_000, seed);
+    topic.ingest(&stream[..1_000]);
+    assert_slots_are_the_oracle(&topic, "full: batch, first training");
+    topic.ingest_stream(stream[1_000..3_000].to_vec(), &stream_config);
+    assert_slots_are_the_oracle(&topic, "full: stream, retrain");
+    topic.ingest(&stream[3_000..6_000]);
+    assert!(
+        topic.stats().training_runs >= 3,
+        "retrains must have landed"
+    );
+    assert_slots_are_the_oracle(&topic, "full: batch, retrain");
+    let retention = topic.run_storage_maintenance();
+    assert!(
+        retention.dropped_records > 0,
+        "retention must drain a prefix"
+    );
+    assert_slots_are_the_oracle(&topic, "full: retention");
+    drop(topic);
+    let reopened = LogTopic::open(&dir, storage).expect("reopen");
+    assert_slots_are_the_oracle(&reopened, "full: reopened");
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // Incremental: `worker alpha …` trains the model with `alpha` a constant; other
+    // names drift in, and the delta that absorbs them generalises the name position
+    // of nodes holding `alpha` records, which stay where they are. `on edge10.0.1.2`
+    // masks to `on edge<*>`: a slot masking rewrote.
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5107);
+    let mut line = |name: &str| {
+        let host = ["edge", "core", "db"][rng.gen_range(0..3usize)];
+        format!(
+            "worker {name} finished job {} on {host}10.0.{}.{} in {}ms after {} steps",
+            rng.gen_range(0..5_000u32),
+            rng.gen_range(0..8u32),
+            rng.gen_range(0..250u32),
+            rng.gen_range(1..900u32),
+            rng.gen_range(1..40u32),
+        )
+    };
+    let warm: Vec<String> = (0..400).map(|_| line("alpha")).collect();
+    let drifting: Vec<String> = (0..1_200)
+        .map(|i| line(["alpha", "beta", "gamma"][i % 3]))
+        .collect();
+    let late: Vec<String> = (0..300).map(|i| line(["delta", "alpha"][i % 2])).collect();
+    let dir = scratch("inc");
+    let storage = StorageConfig::default()
+        .with_segment_records(64)
+        .with_fsync(false);
+    let config = TopicConfig::new("slots-inc")
+        .with_volume_threshold(100_000)
+        .with_maintenance(MaintenancePolicy::Incremental {
+            drift: DriftConfig::default()
+                .with_window(200)
+                .with_min_samples(50)
+                .with_max_unmatched_rate(0.2),
+            check_interval: 64,
+        });
+    let mut topic = LogTopic::durable(config, &dir, storage.clone()).expect("durable topic");
+    topic.ingest(&warm);
+    assert_slots_are_the_oracle(&topic, "inc: batch, first training");
+    let streamed = topic.ingest_stream(drifting, &stream_config);
+    assert!(
+        streamed.outcome.maintained >= 1 && streamed.stats.model_swaps >= 1,
+        "drift must land a delta mid-stream: {streamed:?}"
+    );
+    assert_slots_are_the_oracle(&topic, "inc: stream, hot swap");
+    let generalised = (0..warm.len())
+        .filter(|&idx| topic.records().variables(idx).any(|v| v == "alpha"))
+        .count();
+    assert!(
+        generalised > 0,
+        "a delta must have turned `alpha` into a slot of records it did not move"
+    );
+    topic.ingest(&late);
+    assert_slots_are_the_oracle(&topic, "inc: batch, delta");
+    drop(topic);
+    let reopened = LogTopic::open(&dir, storage).expect("reopen");
+    assert_slots_are_the_oracle(&reopened, "inc: reopened");
+    drop(reopened);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -131,7 +131,7 @@ fn topic_ingest_stream_matches_batch_ingest_semantics() {
     assert_eq!(stream_result.stats.records, rest.len() as u64);
     // Streamed records are stored in arrival order.
     for (stored, original) in stream_topic.records().iter().skip(4_000).zip(rest) {
-        assert_eq!(&stored.record, original);
+        assert_eq!(stored.record, original);
     }
 }
 

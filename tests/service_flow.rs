@@ -197,7 +197,7 @@ fn hot_swapped_stream_leaves_no_records_on_retired_templates() {
         "model must hot-swap mid-stream"
     );
     // No stored record may point at a retired node, and no query may return one.
-    for stored in topic.records() {
+    for stored in topic.records().iter() {
         if let Some(id) = stored.template {
             assert!(
                 !topic.model().nodes[id.0].retired,

@@ -151,7 +151,7 @@ fn soak_automaton_stream_with_concurrent_queries() {
         );
         // Live-topic leakage check: no stored record on a retired template.
         let model = topic.model();
-        for record in topic.records() {
+        for record in topic.records().iter() {
             if let Some(node) = record.template {
                 assert!(
                     !model.nodes[node.0].retired,
