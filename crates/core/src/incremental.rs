@@ -28,8 +28,8 @@
 //!   new nodes append), so stored records keep valid template ids and no re-match
 //!   pass is needed; absorbed temporary templates are retired, not removed.
 //!
-//! [`ModelDelta`] is serializable, so the model store can persist delta lineage
-//! (base snapshot + chain of deltas) and reconstruct any version.
+//! [`ModelDelta`] is serializable, so a durable service topic can log each delta
+//! it lands and rebuild the live model from a base model plus the logged deltas.
 //!
 //! ```
 //! use bytebrain::incremental::{apply_delta, train_delta};
@@ -283,8 +283,8 @@ pub struct NewNode {
 
 /// A serializable description of an incremental model update: copy-on-write
 /// patches against existing nodes plus appended subtrees. Produced by
-/// [`train_delta`], consumed by [`apply_delta`], persisted by the service's
-/// model store to record delta lineage.
+/// [`train_delta`], consumed by [`apply_delta`], logged by a durable service
+/// topic as one event per landing.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ModelDelta {
     /// Number of nodes in the base model this delta was computed against
@@ -631,8 +631,8 @@ pub fn train_delta<S: AsRef<str>>(
 ///
 /// # Panics
 /// Panics when `base` has more nodes than the model the delta was computed
-/// against (the delta would mis-reference them — the store's lineage chain
-/// prevents this).
+/// against (the delta would mis-reference them — a log replays its deltas in
+/// the order they were landed, which prevents this).
 pub fn apply_delta(base: &ParserModel, delta: &ModelDelta) -> ParserModel {
     assert!(
         base.nodes.len() <= delta.base_nodes,

@@ -221,8 +221,7 @@ impl IngestReport {
     /// [`StreamIngestor::drain_completed`]).
     ///
     /// A report taken before any measurable work (elapsed ≈ 0) yields `0.0`, never
-    /// `inf`/`NaN` — the value is persisted into segment metadata, which forbids
-    /// non-finite floats.
+    /// `inf`/`NaN`.
     pub fn records_per_second(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs > 0.0 && self.stats.records > 0 {
@@ -730,18 +729,12 @@ pub fn drive<A: TopicAccess>(
             // `finish` drops the engine and with it the snapshots, so a temporary
             // insertion below does not copy the model.
             let report = ingestor.finish();
-            // Stamped onto the segments the trailing commit seals (always finite:
-            // the empty-report path clamps to 0.0).
-            let throughput = report.records_per_second();
             stats = report.stats;
             let mut chunk = MatchedChunk {
                 records: report.records,
                 slots: report.slots,
             };
-            access.with(|topic| {
-                topic.set_ingest_throughput(throughput);
-                apply(topic, &mut chunk, matched_at, swapped, &mut outcome);
-            });
+            access.with(|topic| apply(topic, &mut chunk, matched_at, swapped, &mut outcome));
         }
     }
     (StreamOutcome { outcome, stats }, rejected)

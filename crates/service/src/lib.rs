@@ -16,7 +16,9 @@
 //!   match over an immutable model snapshot, with back-pressure stats.
 //! * [`matcher_pool`] — the worker pool that executes matching for the engine.
 //! * [`trigger`] — volume/time training triggers.
-//! * [`store`] — the "internal topic" that persists template metadata snapshots.
+//! * [`storage`] — the durable tier of a topic: WAL, columnar segments, and the
+//!   "internal topic" of the paper as one model log — the epoch's base model in one
+//!   file, and every landing since as one event carrying its delta.
 //! * [`query`] — the one `execute(plan)` query path: per-query precision thresholds
 //!   and template grouping, served from per-node postings aggregated up the
 //!   precomputed saturation ladder (never a record scan), with an LRU result cache
@@ -60,7 +62,6 @@ pub mod matcher_pool;
 pub mod query;
 pub mod records;
 pub mod storage;
-pub mod store;
 pub mod topic;
 pub mod trigger;
 
@@ -82,7 +83,6 @@ pub use matcher_pool::{IdBatchResult, MatchId, MatcherPool, StreamRecord};
 pub use query::{QueryCache, QueryEngine, QueryIndex, QuerySnapshot, QueryValue, TemplateGroup};
 pub use records::{RecordStore, StoredRecord};
 pub use storage::{RecoveredTopic, StorageConfig, TopicMeta, TopicStorage};
-pub use store::{ModelStore, SnapshotInfo, SnapshotKind};
 pub use topic::{
     IngestOutcome, LogTopic, MaintenancePolicy, StreamOutcome, StreamOverloaded, TopicConfig,
     TopicStats,

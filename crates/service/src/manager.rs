@@ -102,9 +102,10 @@ impl ServiceManager {
     }
 
     /// Open (or initialize) a durable service at `root` with default storage tuning:
-    /// every topic store under `<root>/<tenant>/<topic>` is recovered — model lineage
-    /// replayed, postings loaded from segments, no retraining and no re-matching —
-    /// and new topics are auto-created durable.
+    /// every topic store under `<root>/<tenant>/<topic>` is recovered — the epoch's
+    /// base model loaded and its logged deltas folded in, postings loaded from
+    /// segments, no retraining and no re-matching — and new topics are auto-created
+    /// durable. A store in another directory format is refused with `InvalidData`.
     pub fn open(root: &Path) -> io::Result<Self> {
         Self::open_with(root, StorageConfig::default())
     }

@@ -1,5 +1,4 @@
-//! CRC-framed append-log primitives shared by the WAL, the event log and the
-//! lineage log.
+//! CRC-framed append-log primitives shared by the WAL and the event log.
 //!
 //! Every frame on disk is `[len: u32 LE][crc32: u32 LE][payload: len bytes]`.
 //! The CRC covers the payload only; the length is sanity-bounded so a torn or
@@ -48,6 +47,20 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
+}
+
+/// Atomically replace the file at `path` with `bytes` (write `<path>.tmp`, fsync,
+/// rename): a crash leaves the old file or the new one, never a torn one. The
+/// manifest, sealed segments and base files are all written this way.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    {
+        let mut file = File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_data()?;
+    }
+    std::fs::rename(&tmp, path)
 }
 
 /// An append-only log of CRC-framed payloads backed by one file.
@@ -255,11 +268,6 @@ impl<'a> Dec<'a> {
         String::from_utf8(self.bytes()?.to_vec())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "invalid UTF-8 in payload"))
     }
-
-    /// True when the cursor consumed the whole payload.
-    pub fn is_exhausted(&self) -> bool {
-        self.pos == self.buf.len()
-    }
 }
 
 #[cfg(test)]
@@ -336,7 +344,6 @@ mod tests {
         assert_eq!(dec.u64().unwrap(), 1 << 40);
         assert_eq!(dec.f64().unwrap(), 2.0 / 3.0);
         assert_eq!(dec.bytes().unwrap(), b"payload");
-        assert!(dec.is_exhausted());
         assert!(dec.u8().is_err(), "reading past the end must error");
     }
 }

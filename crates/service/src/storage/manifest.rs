@@ -1,19 +1,28 @@
 //! The topic manifest: the single source of truth for what is durable.
 //!
-//! `MANIFEST.json` names the live segments and the epoch/counter state a
-//! replay needs. It is rewritten atomically (tmp + fsync + rename) at every
-//! seal, epoch boundary, retention pass and compaction — a crash leaves either
-//! the old manifest or the new one, never a torn file. Anything on disk the
-//! manifest does not reference (an orphan segment from a crash mid-seal) is
-//! garbage and is deleted on open.
+//! `MANIFEST.json` names the live segments, the epoch's base model file and the
+//! epoch/counter state a replay needs. It is rewritten atomically (tmp + fsync +
+//! rename) at every seal, epoch boundary, retention pass and compaction — a
+//! crash leaves either the old manifest or the new one, never a torn file.
+//! Anything on disk the manifest does not reference (an orphan segment from a
+//! crash mid-seal, a base file written by a checkpoint that never swapped the
+//! manifest) is garbage and is deleted on open.
+//!
+//! The **base file** (`base-<id>.json`) holds the full model an epoch starts
+//! from, as JSON followed by its CRC-32. A checkpoint writes it the way a segment
+//! is sealed (tmp + fsync + rename) before the manifest names it, and deletes the
+//! previous one only after the manifest swap.
 
+use super::framing::{crc32, write_atomic};
+use bytebrain::ParserModel;
 use serde::{Deserialize, Serialize};
-use std::fs::{self, File};
-use std::io::{self, Write};
+use std::fs;
+use std::io;
 use std::path::Path;
 
-/// Current manifest format version.
-pub const MANIFEST_FORMAT: u32 = 1;
+/// Current manifest format version. Format 1 kept the model history in a
+/// separate lineage log; such a directory is refused, not read.
+pub const MANIFEST_FORMAT: u32 = 2;
 
 /// Metadata of one sealed segment, as recorded in the manifest.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -33,9 +42,6 @@ pub struct SegmentMeta {
     pub flagged: u64,
     /// Seal wall-clock time (unix seconds) — the TTL clock.
     pub created_at: u64,
-    /// Ingest throughput (records/s) of the run that sealed the segment; `0.0`
-    /// when unknown. Always finite: the stats path clamps empty reports.
-    pub throughput: f64,
 }
 
 impl SegmentMeta {
@@ -69,10 +75,10 @@ pub struct Manifest {
     /// Sequence position of the last epoch checkpoint: the training window
     /// starts here unless a retrain event was logged since.
     pub epoch_start_seq: u64,
-    /// Model-store version of the epoch's base snapshot (0 = no model yet).
-    /// Replay starts from this full snapshot and folds the event log's deltas
-    /// in — a restart never retrains.
-    pub epoch_base_version: u64,
+    /// Id of the epoch's base file, `base-<id>.json` (0 = no model yet). Replay
+    /// starts from this full model and folds the event log's deltas in — a
+    /// restart never retrains.
+    pub epoch_base: u64,
     /// Topic model version at the epoch boundary (replay adds one bump per
     /// temporary insertion and per delta event, reproducing the live value).
     pub model_version_at_epoch: u64,
@@ -104,7 +110,7 @@ impl Manifest {
             wal_base_seq: 0,
             first_live_seq: 0,
             epoch_start_seq: 0,
-            epoch_base_version: 0,
+            epoch_base: 0,
             model_version_at_epoch: 0,
             maintenance_runs_at_epoch: 0,
             last_maintenance_seconds_at_epoch: 0.0,
@@ -137,13 +143,37 @@ impl Default for Manifest {
 pub fn write_manifest(path: &Path, manifest: &Manifest) -> io::Result<()> {
     let json = serde_json::to_string_pretty(manifest)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let tmp = path.with_extension("json.tmp");
-    {
-        let mut file = File::create(&tmp)?;
-        file.write_all(json.as_bytes())?;
-        file.sync_data()?;
+    write_atomic(path, json.as_bytes())
+}
+
+/// On-disk file name of the base file with id `id`.
+pub fn base_file_name(id: u64) -> String {
+    format!("base-{id:08}.json")
+}
+
+/// Atomically write `model` as the base file `id` in `dir` (tmp + fsync +
+/// rename): a crash leaves either no file or a complete one.
+pub fn write_base(dir: &Path, id: u64, model: &ParserModel) -> io::Result<()> {
+    let json = serde_json::to_string(model)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("base model: {e}")))?;
+    let mut body = json.into_bytes();
+    body.extend_from_slice(&crc32(&body).to_le_bytes());
+    write_atomic(&dir.join(base_file_name(id)), &body)
+}
+
+/// Read and verify the base file `id` in `dir`.
+pub fn read_base(dir: &Path, id: u64) -> io::Result<ParserModel> {
+    let bytes = fs::read(dir.join(base_file_name(id)))?;
+    let corrupt = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let Some(split) = bytes.len().checked_sub(4) else {
+        return Err(corrupt(format!("base file {id} too short")));
+    };
+    let (json, tail) = bytes.split_at(split);
+    if crc32(json) != u32::from_le_bytes(tail.try_into().expect("4 bytes")) {
+        return Err(corrupt(format!("base file {id} checksum mismatch")));
     }
-    fs::rename(&tmp, path)
+    let json = std::str::from_utf8(json).map_err(|e| corrupt(format!("base file {id}: {e}")))?;
+    serde_json::from_str(json).map_err(|e| corrupt(format!("base file {id}: {e}")))
 }
 
 /// Load the manifest at `path`; `Ok(None)` when no manifest exists yet.
@@ -154,14 +184,20 @@ pub fn read_manifest(path: &Path) -> io::Result<Option<Manifest>> {
         Err(e) => return Err(e),
     };
     let corrupt = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let manifest: Manifest =
+    // The format first: another format's fields need not decode as this one's.
+    #[derive(Deserialize)]
+    struct Format {
+        format: u32,
+    }
+    let Format { format } =
         serde_json::from_str(&text).map_err(|e| corrupt(format!("manifest decode error: {e}")))?;
-    if manifest.format != MANIFEST_FORMAT {
+    if format != MANIFEST_FORMAT {
         return Err(corrupt(format!(
-            "unsupported manifest format {}",
-            manifest.format
+            "unsupported manifest format {format} (this build reads format {MANIFEST_FORMAT})"
         )));
     }
+    let manifest: Manifest =
+        serde_json::from_str(&text).map_err(|e| corrupt(format!("manifest decode error: {e}")))?;
     Ok(Some(manifest))
 }
 
@@ -186,7 +222,6 @@ mod tests {
             bytes: 20_000,
             flagged: 0,
             created_at: 1_700_000_000,
-            throughput: 150_000.0,
         });
         write_manifest(&path, &manifest).unwrap();
         let loaded = read_manifest(&path).unwrap().expect("manifest exists");

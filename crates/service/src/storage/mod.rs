@@ -6,10 +6,11 @@
 //! ```text
 //! <topic dir>/
 //!   meta.json       topic configuration (name, policy, train config)
-//!   MANIFEST.json   durable state: live segments, epoch, counters, generation
+//!   MANIFEST.json   durable state: live segments, epoch base, counters, generation
+//!   base-<id>.json  the full model the epoch starts from (one file, named by the manifest)
 //!   wal.log         CRC-framed records since the last segment seal
-//!   events.log      CRC-framed maintenance events since the last epoch checkpoint
-//!   lineage.log     model snapshot/delta lineage (the ModelStore, durable)
+//!   events.log      CRC-framed maintenance landings, each with its delta, since
+//!                   the last epoch checkpoint — the topic's only model log
 //!   segments/       immutable columnar segments (seg-<id>.seg)
 //! ```
 //!
@@ -19,19 +20,21 @@
 //! records accumulate, the commit seals them into a columnar segment —
 //! template-id column, text column, variable column, per-node postings — and
 //! restarts the WAL. Every maintenance landing, retrain or incremental run,
-//! appends one event (delta version, kind of run, record moves) to the event
-//! log. An **epoch checkpoint** ([`TopicStorage::checkpoint_epoch`]) rewrites
-//! every live record into fresh baseline segments carrying the current
-//! assignments, truncates the WAL and event log, and atomically swaps the
-//! manifest: the first training takes one, after that only a retrain that finds
-//! retention stalled ([`TopicStorage::retention_waiting`]).
+//! appends one event (its delta, kind of run, record moves) to the event log:
+//! one frame, so a landing is on disk whole or not at all. An **epoch
+//! checkpoint** ([`TopicStorage::checkpoint_epoch`]) writes the current model
+//! to a fresh base file, rewrites every live record into fresh baseline
+//! segments carrying the current assignments, atomically swaps the manifest to
+//! name both, and only then truncates the WAL and event log and deletes the
+//! previous base file: a topic directory holds exactly one epoch of model
+//! history. The first training takes a checkpoint, after that only a retrain
+//! that finds retention stalled ([`TopicStorage::retention_waiting`]).
 //!
 //! **Recovery** ([`TopicStorage::open`]) replays the manifest's segments, the
-//! WAL tail and the event log on top of the epoch's base model snapshot from
-//! the lineage log. The replay re-executes the deterministic
-//! temporary-template insertions of flagged records and folds in the stored
-//! deltas — it never re-matches a line (postings come from the segments) and
-//! never retrains.
+//! WAL tail and the event log on top of the epoch's base file. The replay
+//! re-executes the deterministic temporary-template insertions of flagged
+//! records and folds in each event's delta — it never re-matches a line
+//! (postings come from the segments) and never retrains.
 //!
 //! **Retention invariant.** A segment may be dropped only when (a) its TTL
 //! expired, (b) it holds zero unmatched-at-ingest records (their texts drive
@@ -43,13 +46,11 @@
 //! **generation**, which is part of the query-cache key.
 
 pub mod framing;
-pub mod lineage;
 pub mod manifest;
 pub mod segment;
 pub mod summary;
 pub mod wal;
 
-pub use lineage::{LineageEntry, LineageSink};
 pub use manifest::{Manifest, SegmentMeta};
 pub use segment::Segment;
 pub use summary::SegmentSummary;
@@ -58,7 +59,7 @@ pub use wal::{DeltaEvent, RecordMove, WalRecord};
 use crate::records::RecordStore;
 use crate::topic::{MaintenancePolicy, TopicConfig, TopicStats};
 use bytebrain::incremental::DriftConfig;
-use bytebrain::{NodeId, TrainConfig};
+use bytebrain::{NodeId, ParserModel, TrainConfig};
 use framing::FrameLog;
 use serde::{Deserialize, Serialize};
 use std::fs;
@@ -213,8 +214,8 @@ pub struct RecoveredTopic {
     pub wal_tail: Vec<WalRecord>,
     /// Maintenance events since the epoch checkpoint, in append order.
     pub events: Vec<DeltaEvent>,
-    /// Model snapshot lineage, in version order.
-    pub lineage: Vec<LineageEntry>,
+    /// The epoch's base model (empty when no model was trained yet).
+    pub base: ParserModel,
 }
 
 /// What a retention pass removed.
@@ -247,7 +248,7 @@ pub fn read_topic_meta(dir: &Path) -> io::Result<TopicMeta> {
     serde_json::from_str(&json).map_err(|e| io_invalid(format!("meta.json: {e}")))
 }
 
-/// The per-topic durable store: WAL + segments + event log + lineage +
+/// The per-topic durable store: WAL + segments + event log + base file +
 /// manifest, all under one directory. Owned by the topic; every mutation goes
 /// through the topic so in-memory and on-disk state advance together.
 #[derive(Debug)]
@@ -257,13 +258,10 @@ pub struct TopicStorage {
     manifest: Manifest,
     wal: FrameLog,
     events: FrameLog,
-    lineage: LineageSink,
     /// WAL records not yet sealed (the WAL file's decoded contents).
     pending: Vec<WalRecord>,
     /// Next sequence number to assign.
     next_seq: u64,
-    /// Throughput metadata stamped on the next sealed segments.
-    last_throughput: f64,
     /// Derived push-down summaries, one per live segment (lockstep with
     /// `manifest.segments`); recomputed from the decoded columns on open.
     summaries: Vec<SegmentSummary>,
@@ -302,26 +300,23 @@ impl TopicStorage {
         manifest::write_manifest(&manifest_path, &manifest)?;
         let wal = FrameLog::open(&wal_path, |_| {})?;
         let events = FrameLog::open(&events_path, |_| {})?;
-        let (lineage, _) = LineageSink::open(dir)?;
         Ok(TopicStorage {
             dir: dir.to_path_buf(),
             config,
             manifest,
             wal,
             events,
-            lineage,
             pending: Vec::new(),
             next_seq: 0,
-            last_throughput: 0.0,
             summaries: Vec::new(),
             last_delta_seq: 0,
             last_retrain_seq: 0,
         })
     }
 
-    /// Open an existing topic store: verify and load the manifest's segments,
-    /// replay the WAL tail and event log, restore the lineage, delete orphan
-    /// files from crashed seals, and bump the recovery generation.
+    /// Open an existing topic store: verify and load the manifest's segments
+    /// and base file, replay the WAL tail and event log, delete orphan files
+    /// from crashed seals and checkpoints, and bump the recovery generation.
     pub fn open(dir: &Path, config: StorageConfig) -> io::Result<(Self, RecoveredTopic)> {
         let (meta_path, manifest_path, wal_path, events_path) = Self::paths(dir);
         let meta_json = fs::read_to_string(&meta_path)?;
@@ -331,7 +326,20 @@ impl TopicStorage {
             .ok_or_else(|| io_invalid("missing MANIFEST.json".to_string()))?;
 
         // Garbage-collect files the manifest does not reference: a crash
-        // between segment write and manifest rewrite leaves orphans behind.
+        // between a segment or base file write and the manifest rewrite leaves
+        // orphans behind.
+        let base_name = manifest::base_file_name(manifest.epoch_base);
+        for entry in fs::read_dir(dir)? {
+            let entry = entry?;
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if name.starts_with("base-") && name != base_name {
+                let _ = fs::remove_file(entry.path());
+            }
+        }
+        let base = match manifest.epoch_base {
+            0 => ParserModel::new(),
+            id => manifest::read_base(dir, id)?,
+        };
         let seg_dir = dir.join("segments");
         fs::create_dir_all(&seg_dir)?;
         let live: std::collections::HashSet<String> = manifest
@@ -384,7 +392,6 @@ impl TopicStorage {
         if bad {
             return Err(io_invalid("undecodable event frame".to_string()));
         }
-        let (lineage, lineage_entries) = LineageSink::open(dir)?;
 
         let next_seq = wal_tail.last().map(|r| r.seq + 1).unwrap_or(sealed_end);
         // Recovery is a state change the query cache must observe: a recovered
@@ -408,7 +415,7 @@ impl TopicStorage {
             segments,
             wal_tail: wal_tail.clone(),
             events: events_list,
-            lineage: lineage_entries,
+            base,
         };
         Ok((
             TopicStorage {
@@ -417,10 +424,8 @@ impl TopicStorage {
                 manifest,
                 wal,
                 events,
-                lineage,
                 pending: wal_tail,
                 next_seq,
-                last_throughput: 0.0,
                 summaries,
                 last_delta_seq,
                 last_retrain_seq,
@@ -482,23 +487,6 @@ impl TopicStorage {
         self.manifest.epoch_start_seq.max(self.last_retrain_seq)
     }
 
-    /// A shared handle to the lineage sink (attached to the topic's
-    /// [`ModelStore`](crate::store::ModelStore)).
-    pub fn lineage_sink(&self) -> LineageSink {
-        self.lineage.clone()
-    }
-
-    /// Stamp the throughput recorded on segments sealed by the next commits
-    /// (the streaming engine reports it per run; must be finite).
-    pub fn set_ingest_throughput(&mut self, records_per_second: f64) {
-        debug_assert!(records_per_second.is_finite());
-        self.last_throughput = if records_per_second.is_finite() {
-            records_per_second
-        } else {
-            0.0
-        };
-    }
-
     /// Append one ingested record to the WAL (durability lands at the next
     /// [`TopicStorage::commit`]). Returns the record's sequence number.
     pub fn append_record(
@@ -519,16 +507,17 @@ impl TopicStorage {
         Ok(self.next_seq - 1)
     }
 
-    /// Append one maintenance event (delta version + kind of run + record
-    /// moves) to the event log. Marks summaries of every already-sealed
+    /// Append one maintenance event (its delta + kind of run + record moves)
+    /// to the event log, as one frame. Marks summaries of every already-sealed
     /// segment stale for push-down pruning (see
     /// [`TopicStorage::last_delta_seq`]); a retrain restarts the training window.
     pub fn append_delta_event(&mut self, event: &DeltaEvent) -> io::Result<()> {
+        let frame = event.encode()?;
         self.last_delta_seq = self.last_delta_seq.max(event.at_seq);
         if event.retrain {
             self.last_retrain_seq = self.last_retrain_seq.max(event.at_seq);
         }
-        self.events.append(&event.encode())
+        self.events.append(&frame)
     }
 
     /// Commit point: seal full segments out of the WAL (their variable columns
@@ -557,7 +546,6 @@ impl TopicStorage {
         if self.config.fsync {
             self.wal.sync()?;
             self.events.sync()?;
-            self.lineage.sync()?;
         }
         Ok(sealed)
     }
@@ -586,22 +574,22 @@ impl TopicStorage {
             bytes: chunk.iter().map(|r| r.accounted_bytes()).sum(),
             flagged: chunk.iter().filter(|r| r.unmatched).count() as u64,
             created_at: unix_now(),
-            throughput: self.last_throughput,
         });
         self.manifest.wal_base_seq = chunk.last().expect("non-empty chunk").seq + 1;
         Ok(())
     }
 
-    /// Epoch checkpoint: rewrite every live record as fresh baseline segments
-    /// carrying the current assignments and slot columns, truncate the WAL and
-    /// event log, and swap the manifest. Must directly follow a training run's
-    /// re-match: the flags of `records` are cleared — the new epoch's model
-    /// replay starts from the full `base_version` snapshot — so the model may
-    /// hold no live temporary and no record may be waiting unmatched.
+    /// Epoch checkpoint: write `model` to a fresh base file, rewrite every live
+    /// record as fresh baseline segments carrying the current assignments and
+    /// slot columns, swap the manifest to name both, then truncate the WAL and
+    /// event log and delete what the old manifest named. Must directly follow a
+    /// training run's re-match: the flags of `records` are cleared — the new
+    /// epoch's model replay starts from `model` — so the model may hold no live
+    /// temporary and no record may be waiting unmatched.
     pub fn checkpoint_epoch(
         &mut self,
         records: &RecordStore,
-        base_version: u64,
+        model: &ParserModel,
         model_version: u64,
         stats: &TopicStats,
     ) -> io::Result<()> {
@@ -611,6 +599,9 @@ impl TopicStorage {
             self.next_seq,
             "live records must cover the retained sequence range"
         );
+        let old_base = self.manifest.epoch_base;
+        let base = old_base + 1;
+        manifest::write_base(&self.dir, base, model)?;
         let mut vars_of =
             |rec: &WalRecord| records.owned_variables((rec.seq - first_live) as usize);
         let old_segments = std::mem::take(&mut self.manifest.segments);
@@ -633,15 +624,15 @@ impl TopicStorage {
         }
         self.manifest.wal_base_seq = self.next_seq;
         self.manifest.epoch_start_seq = self.next_seq;
-        self.manifest.epoch_base_version = base_version;
+        self.manifest.epoch_base = base;
         self.manifest.model_version_at_epoch = model_version;
         self.manifest.maintenance_runs_at_epoch = stats.maintenance_runs;
         self.manifest.last_maintenance_seconds_at_epoch = stats.last_maintenance_seconds;
         self.manifest.training_runs = stats.training_runs;
         self.manifest.last_training_seconds = stats.last_training_seconds;
         manifest::write_manifest(&self.dir.join("MANIFEST.json"), &self.manifest)?;
-        // Only now is the old epoch unreachable: drop its WAL, events and
-        // superseded segment files.
+        // Only now is the old epoch unreachable: drop its WAL, events, base
+        // file and superseded segment files.
         self.pending.clear();
         self.wal.truncate()?;
         self.events.truncate()?;
@@ -656,8 +647,8 @@ impl TopicStorage {
                     .join(segment::segment_file_name(old.id)),
             );
         }
-        if self.config.fsync {
-            self.lineage.sync()?;
+        if old_base > 0 {
+            let _ = fs::remove_file(self.dir.join(manifest::base_file_name(old_base)));
         }
         Ok(())
     }
@@ -756,12 +747,6 @@ impl TopicStorage {
                 flagged: a.flagged + b.flagged,
                 // The younger seal time: TTL expiry is delayed, never hastened.
                 created_at: a.created_at.max(b.created_at),
-                throughput: if a.records + b.records > 0 {
-                    (a.throughput * a.records as f64 + b.throughput * b.records as f64)
-                        / (a.records + b.records) as f64
-                } else {
-                    0.0
-                },
             };
             stale_ids.push(a.id);
             stale_ids.push(b.id);

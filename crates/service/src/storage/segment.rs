@@ -12,7 +12,7 @@
 //! text offsets      : (count+1) × u32 into the text blob
 //! text blob         : concatenated UTF-8 record texts
 //! variable offsets  : (count+1) × u32 into the variable blob
-//! variable blob     : per record, `u16 n` then n length-prefixed tokens
+//! variable blob     : per record, `u32 n` then n × (u32 len | bytes) tokens
 //! postings          : u32 node_count, then per node
 //!                     (u32 node | u32 len | len × u32 local record offsets)
 //! crc32 u32         : over everything before it
@@ -29,14 +29,14 @@
 //! best-effort metadata for segment consumers (the template text plus the
 //! variables reconstruct the record): replay correctness never depends on it.
 
-use super::framing::crc32;
+use super::framing::{crc32, write_atomic};
 use super::wal::{decode_node, encode_node, WalRecord, NO_NODE};
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::fs::OpenOptions;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"BBSG";
-const FORMAT: u32 = 1;
+const FORMAT: u32 = 2;
 
 /// A fully decoded segment: the records it sealed plus the inverted postings.
 #[derive(Debug, Clone)]
@@ -97,14 +97,14 @@ pub fn write_segment(
     for rec in records {
         body.extend_from_slice(rec.text.as_bytes());
     }
-    // Variable column: offsets then blob of `u16 n | n × (u16 len | bytes)`.
+    // Variable column: offsets then blob of `u32 n | n × (u32 len | bytes)`.
     let mut var_blob = Vec::new();
     let mut var_offsets = Vec::with_capacity(records.len() + 1);
     for vars in variables {
         var_offsets.push(var_blob.len() as u32);
-        var_blob.extend_from_slice(&(vars.len() as u16).to_le_bytes());
+        var_blob.extend_from_slice(&(vars.len() as u32).to_le_bytes());
         for var in vars {
-            var_blob.extend_from_slice(&(var.len() as u16).to_le_bytes());
+            var_blob.extend_from_slice(&(var.len() as u32).to_le_bytes());
             var_blob.extend_from_slice(var.as_bytes());
         }
     }
@@ -138,13 +138,7 @@ pub fn write_segment(
     body.extend_from_slice(&checksum.to_le_bytes());
 
     let final_path = dir.join(segment_file_name(id));
-    let tmp_path = dir.join(format!("{}.tmp", segment_file_name(id)));
-    {
-        let mut file = File::create(&tmp_path)?;
-        file.write_all(&body)?;
-        file.sync_data()?;
-    }
-    fs::rename(&tmp_path, &final_path)?;
+    write_atomic(&final_path, &body)?;
     Ok(final_path)
 }
 
@@ -215,24 +209,24 @@ pub fn read_segment(path: &Path) -> io::Result<Segment> {
             .get(var_offsets[i]..var_offsets[i + 1])
             .ok_or_else(|| corrupt("variable offsets out of range"))?;
         let mut vars = Vec::new();
-        if slice.len() < 2 {
+        if slice.len() < 4 {
             return Err(corrupt("truncated variable entry"));
         }
-        let n = u16::from_le_bytes(slice[..2].try_into().expect("2")) as usize;
-        slice = &slice[2..];
+        let n = u32::from_le_bytes(slice[..4].try_into().expect("4")) as usize;
+        slice = &slice[4..];
         for _ in 0..n {
-            if slice.len() < 2 {
+            if slice.len() < 4 {
                 return Err(corrupt("truncated variable token"));
             }
-            let len = u16::from_le_bytes(slice[..2].try_into().expect("2")) as usize;
+            let len = u32::from_le_bytes(slice[..4].try_into().expect("4")) as usize;
             let token = slice
-                .get(2..2 + len)
+                .get(4..4 + len)
                 .ok_or_else(|| corrupt("variable token out of range"))?;
             vars.push(
                 String::from_utf8(token.to_vec())
                     .map_err(|_| corrupt("invalid UTF-8 in variable column"))?,
             );
-            slice = &slice[2 + len..];
+            slice = &slice[4 + len..];
         }
         variables.push(vars);
     }

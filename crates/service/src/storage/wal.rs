@@ -7,12 +7,15 @@
 //!   seal*: sequence number, ingest-time match outcome, and the raw text.
 //!   Sealed records move into immutable columnar segments and the WAL restarts.
 //! * `events.log` — one [`DeltaEvent`] per maintenance landing *since the last
-//!   epoch checkpoint*: the snapshot version the delta produced, the sequence
-//!   position it fired at, the kind of run, and the record moves its re-match
-//!   produced. A checkpoint truncates the event log — the baseline segments it
-//!   rewrites already carry the final assignments.
+//!   epoch checkpoint*: the sequence position it fired at, the kind of run, the
+//!   record moves its re-match produced and the [`ModelDelta`] itself. It is the
+//!   topic's only model log: replay folds each event's delta into the epoch's
+//!   base model. A checkpoint truncates the event log — the base file it writes
+//!   holds the model, and the baseline segments it rewrites already carry the
+//!   final assignments.
 
 use super::framing::{Dec, Enc};
+use bytebrain::incremental::ModelDelta;
 use bytebrain::NodeId;
 use std::io;
 
@@ -93,12 +96,10 @@ pub struct RecordMove {
     pub new: Option<NodeId>,
 }
 
-/// One maintenance landing, as logged in `events.log`.
-#[derive(Debug, Clone, PartialEq)]
+/// One maintenance landing, as logged in `events.log`: one frame holds all a
+/// replay needs to fold the landing back in.
+#[derive(Debug, Clone)]
 pub struct DeltaEvent {
-    /// The snapshot version the delta produced (its payload lives in the
-    /// lineage log under this version).
-    pub version: u64,
     /// Sequence position the maintenance run fired at: every record with
     /// `seq < at_seq` was already stored when the delta applied. Replay
     /// interleaves events with records on this boundary.
@@ -108,15 +109,18 @@ pub struct DeltaEvent {
     /// Record moves from the post-delta re-match.
     pub moves: Vec<RecordMove>,
     /// The run was a retrain, not an incremental fold: replay counts it as a
-    /// training run and restarts the training window at `at_seq`. A trailing byte;
-    /// a frame from before the tag existed ends at the moves and decodes `false`.
+    /// training run and restarts the training window at `at_seq`.
     pub retrain: bool,
+    /// The delta the landing applied, stored as JSON so every f64 round-trips
+    /// exactly (shortest-representation floats).
+    pub delta: ModelDelta,
 }
 
 impl DeltaEvent {
-    pub(crate) fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> io::Result<Vec<u8>> {
+        let delta = serde_json::to_string(&self.delta)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("delta: {e}")))?;
         let mut enc = Enc::new();
-        enc.u64(self.version);
         enc.u64(self.at_seq);
         enc.f64(self.elapsed_seconds);
         enc.u32(self.moves.len() as u32);
@@ -126,12 +130,13 @@ impl DeltaEvent {
             enc.u32(encode_node(mv.new));
         }
         enc.u8(self.retrain as u8);
-        enc.finish()
+        enc.bytes(delta.as_bytes());
+        Ok(enc.finish())
     }
 
-    pub(crate) fn decode(payload: &[u8]) -> io::Result<Self> {
+    /// Decode one `events.log` frame.
+    pub fn decode(payload: &[u8]) -> io::Result<Self> {
         let mut dec = Dec::new(payload);
-        let version = dec.u64()?;
         let at_seq = dec.u64()?;
         let elapsed_seconds = dec.f64()?;
         let count = dec.u32()? as usize;
@@ -143,13 +148,15 @@ impl DeltaEvent {
                 new: decode_node(dec.u32()?),
             });
         }
-        let retrain = !dec.is_exhausted() && dec.u8()? != 0;
+        let retrain = dec.u8()? != 0;
+        let delta = serde_json::from_str(&dec.string()?)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("delta: {e}")))?;
         Ok(DeltaEvent {
-            version,
             at_seq,
             elapsed_seconds,
             moves,
             retrain,
+            delta,
         })
     }
 }
@@ -178,8 +185,17 @@ mod tests {
 
     #[test]
     fn delta_event_round_trip() {
+        use bytebrain::incremental::train_delta;
+        use bytebrain::{train::train, TrainConfig};
+
+        let lines = |tag: &str| -> Vec<String> {
+            let line = |i| format!("{tag} request {i} served in {}.25ms", i * 3);
+            (0..30).map(line).collect()
+        };
+        let config = TrainConfig::default();
+        let model = train(&lines("cache"), &config).model;
+        let delta = train_delta(&model, &lines("disk"), &config, 0.6);
         let event = DeltaEvent {
-            version: 3,
             at_seq: 1_000,
             elapsed_seconds: 0.125,
             moves: vec![
@@ -195,18 +211,22 @@ mod tests {
                 },
             ],
             retrain: true,
+            delta,
         };
-        let bytes = event.encode();
-        assert_eq!(DeltaEvent::decode(&bytes).unwrap(), event);
-        // A frame from before the tag existed stops at the moves.
-        let untagged = DeltaEvent::decode(&bytes[..bytes.len() - 1]).unwrap();
+        let bytes = event.encode().unwrap();
+        let decoded = DeltaEvent::decode(&bytes).unwrap();
+        assert_eq!(decoded.at_seq, event.at_seq);
+        assert_eq!(decoded.elapsed_seconds, event.elapsed_seconds);
+        assert_eq!(decoded.moves, event.moves);
+        assert_eq!(decoded.retrain, event.retrain);
+        let json = |delta: &ModelDelta| serde_json::to_string(delta).unwrap();
         assert_eq!(
-            untagged,
-            DeltaEvent {
-                retrain: false,
-                ..event
-            }
+            json(&decoded.delta),
+            json(&event.delta),
+            "the delta, exactly"
         );
+        // An event without its delta is no event.
+        assert!(DeltaEvent::decode(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

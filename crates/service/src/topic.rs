@@ -10,8 +10,8 @@
 //! After the first training every model change lands the same way (`land_delta`): a
 //! window of stored records is clustered and folded into the live model as a
 //! copy-on-write delta ([`bytebrain::incremental`]) — node ids stay stable, the ladder is
-//! patched and the automaton compiled anew, the delta is persisted as lineage, stored
-//! records are re-matched and a durable topic logs one event. The maintenance policies
+//! patched and the automaton compiled anew, stored records are re-matched and a durable
+//! topic logs one event carrying the delta. The maintenance policies
 //! decide only *when* that runs and *what* it is handed.
 //! [`MaintenancePolicy::FullRetrain`] (the default) fires on the volume/time trigger,
 //! trains on the training window (the records stored since the last training run,
@@ -29,7 +29,6 @@ use crate::storage::{
     DeltaEvent, RecordMove, RecoveredTopic, RetentionOutcome, StorageConfig, TopicMeta,
     TopicStorage,
 };
-use crate::store::ModelStore;
 use crate::trigger::{TrainingTrigger, TriggerDecision};
 use bytebrain::incremental::{apply_delta, train_delta, DriftConfig, DriftDetector, ModelDelta};
 use bytebrain::matcher::match_compiled;
@@ -66,7 +65,7 @@ pub enum MaintenancePolicy {
 /// Configuration of a log topic.
 #[derive(Debug, Clone)]
 pub struct TopicConfig {
-    /// Topic name (used in reports and the model store).
+    /// Topic name (used in reports and as the standalone durable topic's key).
     pub name: String,
     /// Parser training configuration.
     pub train: TrainConfig,
@@ -209,7 +208,6 @@ pub struct LogTopic {
     model_version: u64,
     /// LRU cache of query results, cleared when maintenance hot-swaps the model.
     query_cache: QueryCache,
-    store: ModelStore,
     trigger: TrainingTrigger,
     /// Index into `records` of the first record stored since the last training run.
     window_start: usize,
@@ -223,7 +221,7 @@ pub struct LogTopic {
     last_training_seconds: f64,
     maintenance_runs: u64,
     last_maintenance_seconds: f64,
-    /// Durable storage tier (WAL + segments + lineage); `None` for in-memory topics.
+    /// Durable storage tier (WAL + segments + model log); `None` for in-memory topics.
     storage: Option<TopicStorage>,
     /// Monotonic topic generation mirrored from the storage manifest: bumped on
     /// recovery, TTL retention and compaction. Part of the query-cache key — a
@@ -250,7 +248,6 @@ impl LogTopic {
             index: Arc::new(QueryIndex::new()),
             model_version: 0,
             query_cache: QueryCache::default(),
-            store: ModelStore::new(),
             trigger,
             window_start: 0,
             unmatched: Vec::new(),
@@ -286,40 +283,31 @@ impl LogTopic {
         let meta = TopicMeta::from_config(tenant, topic, &config);
         let storage = TopicStorage::create(dir, storage, &meta)?;
         let mut created = LogTopic::new(config);
-        created.store.attach_sink(storage.lineage_sink());
         created.generation = storage.generation();
         created.storage = Some(storage);
         Ok(created)
     }
 
     /// Reopen a durable topic from its storage directory, replaying WAL + segments +
-    /// event log on top of the epoch's base model snapshot from the lineage log.
+    /// event log on top of the epoch's base model file.
     ///
     /// The replay is **deterministic and match-free**: the postings index loads
     /// straight from the segments' columnar posting lists, flagged records re-execute
     /// the deterministic temporary-template insertion they performed live (no
     /// matching — the flag and the resulting node id are on disk), and maintenance
-    /// events — retrains included — re-apply the stored [`ModelDelta`]s and record
-    /// moves. A recovered topic therefore answers every query byte-identically to one
-    /// that never restarted, never retrains on open, and goes on to train on the same
-    /// window the live topic would have.
+    /// events — retrains included — re-apply the [`ModelDelta`] and record moves each
+    /// one carries. A recovered topic therefore answers every query byte-identically to
+    /// one that never restarted, never retrains on open, and goes on to train on the
+    /// same window the live topic would have.
     pub fn open(dir: &Path, storage_config: StorageConfig) -> io::Result<Self> {
-        let (storage, recovered) = TopicStorage::open(dir, storage_config)?;
+        let (storage, mut recovered) = TopicStorage::open(dir, storage_config)?;
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         let mut topic = LogTopic::new(recovered.meta.to_config());
-        topic.store = ModelStore::restore(&recovered.lineage);
-        topic.store.attach_sink(storage.lineage_sink());
 
-        // Epoch base: the full snapshot and the counters the replay builds on.
+        // Epoch base: the full model and the counters the replay builds on.
+        let mut model = std::mem::take(&mut recovered.base);
         let manifest = &recovered.manifest;
         let first_live = manifest.first_live_seq;
-        let mut model = match manifest.epoch_base_version {
-            0 => ParserModel::new(),
-            base => topic
-                .store
-                .load(base)
-                .ok_or_else(|| invalid(format!("epoch base snapshot v{base} unreconstructable")))?,
-        };
         topic.model_version = manifest.model_version_at_epoch;
         topic.total_bytes = manifest.bytes_dropped;
         topic.training_runs = manifest.training_runs;
@@ -338,11 +326,6 @@ impl LogTopic {
             }
         }
 
-        // Delta payloads by version, for event replay.
-        let lineage = recovered.lineage.iter();
-        let delta_of: std::collections::HashMap<u64, &str> = lineage
-            .map(|entry| (entry.info.version, entry.payload.as_str()))
-            .collect();
         let mut events = recovered.events.iter().peekable();
         let segments = recovered.segments.iter();
         let mut stored = segments.flat_map(|s| &s.records).chain(&recovered.wal_tail);
@@ -352,13 +335,7 @@ impl LogTopic {
             // after the last stored record trails them all.
             let upto = rec.map_or(u64::MAX, |rec| rec.seq);
             while let Some(event) = events.next_if(|event| event.at_seq <= upto) {
-                let version = event.version;
-                let payload = delta_of.get(&version).ok_or_else(|| {
-                    invalid(format!("delta event v{version} missing from lineage"))
-                })?;
-                let delta: ModelDelta = serde_json::from_str(payload)
-                    .map_err(|e| invalid(format!("delta v{version} payload: {e}")))?;
-                model = apply_delta(&model, &delta);
+                model = apply_delta(&model, &event.delta);
                 index.ensure_nodes(model.len());
                 topic.model_version += 1;
                 // The landing absorbed the pending unmatched records.
@@ -462,11 +439,6 @@ impl LogTopic {
     /// — the structured form the match produced, which queries read and segments seal.
     pub fn records(&self) -> &RecordStore {
         &self.records
-    }
-
-    /// The model snapshot store.
-    pub fn store(&self) -> &ModelStore {
-        &self.store
     }
 
     /// The current model version: bumped on every model change (training run,
@@ -860,13 +832,6 @@ impl LogTopic {
         shed_as_error(drive(self, records.into_iter().collect(), route))
     }
 
-    /// Stamp the streaming run's throughput onto the segments the next commit seals.
-    pub(crate) fn set_ingest_throughput(&mut self, records_per_second: f64) {
-        if let Some(storage) = &mut self.storage {
-            storage.set_ingest_throughput(records_per_second);
-        }
-    }
-
     /// Apply a chunk of completed streaming records (already in arrival order) to the
     /// topic state, feeding the drift detector.
     ///
@@ -994,21 +959,20 @@ impl LogTopic {
         let started = Instant::now();
         let model = train(&self.window_texts(true), &self.config.train).model;
         self.model = Arc::new(model);
-        let base_version = self.store.save(&self.model).version;
         self.recompile();
         self.ladder = Arc::new(SaturationLadder::build(&self.model));
         self.finish_run(true, started);
         self.rematch(true);
-        self.checkpoint_epoch(base_version);
+        self.checkpoint_epoch();
     }
 
     /// The one way a model change lands once a model exists. The window (see
     /// [`LogTopic::window_texts`]) is clustered on its own and merged into the live
     /// model as a delta — node ids stay stable, so the ladder is patched, not rebuilt;
-    /// the automaton is compiled anew — the delta is persisted with its lineage, stored
-    /// records are re-matched (all of them after a retrain, the orphaned ones
-    /// otherwise), and a durable topic appends one event: everything replay needs to
-    /// fold the delta back in without matching a single line.
+    /// the automaton is compiled anew — stored records are re-matched (all of them after
+    /// a retrain, the orphaned ones otherwise), and a durable topic appends one event
+    /// carrying the delta: everything replay needs to fold it back in without matching
+    /// a single line. An in-memory topic serializes nothing.
     fn land_delta(&mut self, retrain: bool) {
         let started = Instant::now();
         let delta = train_delta(
@@ -1031,7 +995,6 @@ impl LogTopic {
         Arc::make_mut(&mut self.index).ensure_nodes(self.model.len());
         // Before the re-match, which matches on it.
         self.recompile();
-        let version = self.store.save_delta(&delta, &self.model).version;
         let elapsed_seconds = self.finish_run(retrain, started);
         let moves = self.rematch(retrain);
         let Some(storage) = &mut self.storage else {
@@ -1044,19 +1007,18 @@ impl LogTopic {
             new,
         };
         let event = DeltaEvent {
-            version,
             at_seq: storage.next_seq(),
             elapsed_seconds,
             moves: moves.iter().map(moved).collect(),
             retrain,
+            delta,
         };
         storage.append_delta_event(&event).expect("event append");
         // Flagged records pin their segments until an epoch checkpoint clears the
         // flags. A retrain has just absorbed every one of them, so it is the point
         // where a checkpoint is sound — taken only if retention is stalled on it.
         if retrain && storage.retention_waiting(self.config.training_buffer as u64) {
-            let base_version = self.store.save(&self.model).version;
-            self.checkpoint_epoch(base_version);
+            self.checkpoint_epoch();
         }
     }
 
@@ -1084,18 +1046,18 @@ impl LogTopic {
         elapsed_seconds
     }
 
-    /// Epoch checkpoint of a durable topic: rewrite every live record as baseline
-    /// segments carrying its current assignment, truncate the WAL and event log, and
-    /// anchor the manifest at `base_version`, the full snapshot just saved — restart
-    /// replays from here. Called right after a training run's re-match, when no
-    /// temporary is live and no unmatched record is pending.
-    fn checkpoint_epoch(&mut self, base_version: u64) {
+    /// Epoch checkpoint of a durable topic: write the current model as the epoch's base
+    /// file, rewrite every live record as baseline segments carrying its current
+    /// assignment, and truncate the WAL and event log — restart replays from here.
+    /// Called right after a training run's re-match, when no temporary is live and no
+    /// unmatched record is pending. No-op for in-memory topics.
+    fn checkpoint_epoch(&mut self) {
         let stats = self.stats();
         let Some(storage) = &mut self.storage else {
             return;
         };
         storage
-            .checkpoint_epoch(&self.records, base_version, self.model_version, &stats)
+            .checkpoint_epoch(&self.records, &self.model, self.model_version, &stats)
             .expect("storage epoch checkpoint");
     }
 
@@ -1449,14 +1411,6 @@ mod tests {
         assert_eq!(topic.name(), "web-access");
     }
 
-    #[test]
-    fn model_snapshots_are_persisted_per_training() {
-        let mut topic = small_topic(100);
-        topic.ingest(&web_access_batch(0, 150));
-        topic.ingest(&web_access_batch(150, 150));
-        assert!(topic.store().len() >= 2);
-    }
-
     // -- incremental maintenance --------------------------------------------
 
     #[test]
@@ -1495,21 +1449,6 @@ mod tests {
         for (before, stored) in assignment_before.iter().zip(topic.records().iter()) {
             assert_eq!(*before, stored.template, "node id changed for {stored:?}");
         }
-    }
-
-    #[test]
-    fn incremental_maintenance_records_delta_lineage() {
-        let mut topic = incremental_topic(1_000_000);
-        topic.ingest(&web_access_batch(0, 400)); // v1: full snapshot
-        topic.ingest(&novel_batch(0, 200)); // v2: delta
-        let store = topic.store();
-        assert_eq!(store.len(), 2);
-        let latest = store.latest_info().unwrap();
-        assert_eq!(latest.kind, crate::store::SnapshotKind::Delta);
-        assert_eq!(latest.parent, Some(1));
-        // The delta version reconstructs to the live model.
-        let reconstructed = store.load(latest.version).unwrap();
-        assert_eq!(reconstructed.len(), topic.model().len());
     }
 
     #[test]

@@ -7,12 +7,15 @@
 //! `kill -9` freezes the disk), reopen with [`LogTopic::open`] /
 //! [`ServiceManager::open_with`], and assert the recovered topic is byte-identical
 //! to the never-restarted one. The fuzz test varies the interleaving of
-//! ingest / retrain / delta maintenance / snapshot prune / retention with the
-//! base seed taken from `BYTEBRAIN_TEST_SEED` (CI varies it across a matrix).
+//! ingest / retrain / delta maintenance / retention with the base seed taken
+//! from `BYTEBRAIN_TEST_SEED` (CI varies it across a matrix), and holds the
+//! directory to its one model log after every step.
 
 use bytebrain::incremental::DriftConfig;
 use bytebrain::{Predicate, Query, QueryPlan};
 use service::ingest::IngestConfig;
+use service::storage::framing::FrameLog;
+use service::storage::DeltaEvent;
 use service::{
     LogTopic, MaintenancePolicy, QueryValue, ServiceManager, StorageConfig, TopicConfig, TopicStats,
 };
@@ -118,6 +121,26 @@ fn novel_batch(offset: usize, n: usize) -> Vec<String> {
             )
         })
         .collect()
+}
+
+/// The topic directory's base files (`base-<id>.json`), sorted.
+fn base_files(dir: &Path) -> Vec<String> {
+    let names = fs::read_dir(dir).expect("read topic dir").map(|entry| {
+        let name = entry.expect("dir entry").file_name();
+        name.to_string_lossy().into_owned()
+    });
+    let mut bases: Vec<String> = names.filter(|name| name.starts_with("base-")).collect();
+    bases.sort_unstable();
+    bases
+}
+
+/// Every event `events.log` holds, decoded.
+fn logged_events(dir: &Path) -> Vec<DeltaEvent> {
+    let mut frames = Vec::new();
+    FrameLog::open(&dir.join("events.log"), |frame| frames.push(frame.to_vec()))
+        .expect("read events.log");
+    let decode = |frame: &Vec<u8>| DeltaEvent::decode(frame).expect("event decodes");
+    frames.iter().map(decode).collect()
 }
 
 const THRESHOLDS: [f64; 6] = [0.0, 0.35, 0.6, 0.8, 0.9, 1.0];
@@ -437,8 +460,14 @@ fn wal_replay_equals_live_at_every_boundary() {
 
         let mut rng = Rng(seed);
         let mut offset = 0usize;
+        // The landings since the last checkpoint, `(at_seq, retrain)`, and the base
+        // file that checkpoint wrote.
+        let mut landings: Vec<(u64, bool)> = Vec::new();
+        let mut base = base_files(&dir);
         const OPS: usize = 10;
         for op_index in 0..OPS {
+            let runs = |stats: TopicStats| (stats.training_runs, stats.maintenance_runs);
+            let runs_before = runs(topic.stats());
             let op = rng.below(6);
             match op {
                 0 | 1 => {
@@ -456,10 +485,28 @@ fn wal_replay_equals_live_at_every_boundary() {
                     topic.run_incremental_maintenance();
                 }
                 _ => {
-                    topic.store().prune(2);
                     topic.run_storage_maintenance();
                 }
             }
+            let ctx = format!("{tag} boundary after op {op_index} (kind {op})");
+
+            // One model log: a base file once a model exists, no lineage log, and an
+            // event per landing since the checkpoint that wrote that base file.
+            let bases = base_files(&dir);
+            let want_bases = usize::from(!topic.model().is_empty());
+            assert_eq!(bases.len(), want_bases, "{ctx}: base files {bases:?}");
+            assert!(!dir.join("lineage.log").exists(), "{ctx}: lineage.log");
+            let (trainings, maintenances) = runs(topic.stats());
+            if bases != base {
+                landings.clear();
+                base = bases;
+            } else if (trainings, maintenances) != runs_before {
+                let at_seq = topic.first_record_seq() + topic.records().len() as u64;
+                landings.push((at_seq, trainings != runs_before.0));
+            }
+            let events = logged_events(&dir);
+            let logged: Vec<(u64, bool)> = events.iter().map(|e| (e.at_seq, e.retrain)).collect();
+            assert_eq!(logged, landings, "{ctx}: events.log");
 
             // Kill here: freeze the directory exactly as the crash would leave it,
             // then recover from the frozen copy and compare against the live topic.
@@ -468,8 +515,7 @@ fn wal_replay_equals_live_at_every_boundary() {
             copy_dir_all(&dir, &frozen);
             let expected = capture(&topic);
             let mut recovered = LogTopic::open(&frozen, storage.clone())
-                .unwrap_or_else(|e| panic!("{tag} op {op_index} ({op}): recover: {e}"));
-            let ctx = format!("{tag} boundary after op {op_index} (kind {op})");
+                .unwrap_or_else(|e| panic!("{ctx}: recover: {e}"));
             assert_recovered(&recovered, &expected, &ctx);
 
             // Recovery continues where live does: the reopened topic and the one
@@ -493,47 +539,93 @@ fn wal_replay_equals_live_at_every_boundary() {
 }
 
 // ---------------------------------------------------------------------------
-// An events.log from before retrains were events still opens
+// A directory in the format-1 layout (model history in lineage.log) is refused
 // ---------------------------------------------------------------------------
 
 #[test]
-fn events_log_without_the_retrain_tag_reopens() {
-    use service::storage::framing::FrameLog;
+fn format_1_directory_is_refused_with_invalid_data() {
+    let root = scratch_dir("format-1");
+    let mut manager = ServiceManager::durable(&root, fast_storage()).expect("durable manager");
+    manager.ingest("acme", "web", &web_access_batch(0, 200));
+    let topic = manager.topic("acme", "web").expect("topic exists");
+    let dir = topic.storage().expect("durable").dir().to_path_buf();
+    drop(manager);
 
-    let dir = scratch_dir("untagged-events");
-    let config = TopicConfig::new("untagged")
-        .with_volume_threshold(100_000)
-        .with_incremental_maintenance(
-            DriftConfig::default()
-                .with_window(200)
-                .with_min_samples(50)
-                .with_max_unmatched_rate(0.3),
+    // The manifest as format 1 wrote it: it named a lineage-log version, not a base file.
+    let format_1 = r#"{
+  "format": 1,
+  "generation": 1,
+  "wal_base_seq": 200,
+  "first_live_seq": 0,
+  "epoch_start_seq": 200,
+  "epoch_base_version": 1,
+  "model_version_at_epoch": 1,
+  "maintenance_runs_at_epoch": 0,
+  "last_maintenance_seconds_at_epoch": 0.0,
+  "training_runs": 1,
+  "last_training_seconds": 0.01,
+  "bytes_dropped": 0,
+  "next_segment_id": 5,
+  "segments": []
+}"#;
+    fs::write(dir.join("MANIFEST.json"), format_1).expect("write format-1 manifest");
+
+    let refused = |result: std::io::Result<()>, what: &str| {
+        let error = result.expect_err(what);
+        assert_eq!(
+            error.kind(),
+            std::io::ErrorKind::InvalidData,
+            "{what}: {error}"
         );
+        assert!(error.to_string().contains("format 1"), "{what}: {error}");
+    };
+    refused(
+        LogTopic::open(&dir, fast_storage()).map(drop),
+        "LogTopic::open",
+    );
+    refused(
+        ServiceManager::open_with(&root, fast_storage()).map(drop),
+        "ServiceManager::open",
+    );
+    fs::remove_dir_all(&root).ok();
+}
+
+// ---------------------------------------------------------------------------
+// Segments keep variables longer than 64 KiB
+// ---------------------------------------------------------------------------
+
+#[test]
+fn variables_longer_than_64_kib_survive_a_reopen() {
+    let dir = scratch_dir("long-variables");
+    let config = TopicConfig::new("long").with_volume_threshold(1_000_000);
     let mut topic = LogTopic::durable(config, &dir, fast_storage()).expect("create durable topic");
-    topic.ingest(&web_access_batch(0, 300));
-    topic.ingest(&novel_batch(0, 200));
-    topic.ingest(&web_access_batch(300, 100));
-    topic.ingest(&auth_batch(0, 200));
-    assert!(topic.stats().maintenance_runs >= 2, "two delta events");
-    let expected = capture(&topic);
+    let letters = |n: usize| {
+        (b'a'..=b'z')
+            .cycle()
+            .take(n)
+            .map(char::from)
+            .collect::<String>()
+    };
+    let lines: Vec<String> = (0..200)
+        .map(|i| format!("upload from user{} body {}", i % 5, letters(70_000 + i)))
+        .collect();
+    topic.ingest(&lines);
+    assert!(!topic.storage().expect("durable").segments().is_empty());
+    let column = |topic: &LogTopic| {
+        let records = topic.records();
+        let column = (0..records.len()).map(|idx| records.owned_variables(idx));
+        column.collect::<Vec<_>>()
+    };
+    let live = column(&topic);
+    let longest = live.iter().flatten().map(String::len).max();
+    assert!(
+        longest >= Some(70_000),
+        "the body is a variable: {longest:?}"
+    );
     drop(topic);
 
-    // Rewrite every frame the way it was written before the tag existed: an
-    // incremental run's event, ending at its moves.
-    let mut frames: Vec<Vec<u8>> = Vec::new();
-    let path = dir.join("events.log");
-    let mut log = FrameLog::open(&path, |frame| frames.push(frame.to_vec())).expect("read events");
-    assert!(frames.len() >= 2);
-    log.truncate().expect("truncate events");
-    for frame in &frames {
-        let (tag, untagged) = frame.split_last().expect("non-empty frame");
-        assert_eq!(*tag, 0, "an incremental run is tagged as no retrain");
-        log.append(untagged).expect("append untagged frame");
-    }
-    drop(log);
-
-    let recovered = LogTopic::open(&dir, fast_storage()).expect("untagged events.log must open");
-    assert_recovered(&recovered, &expected, "untagged events");
+    let reopened = LogTopic::open(&dir, fast_storage()).expect("recover topic");
+    assert!(column(&reopened) == live, "reopened slots ≡ live slots");
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -623,6 +715,12 @@ fn torn_wal_tail_and_orphan_segments_are_discarded() {
     // and garbage-collected.
     let orphan = dir.join("segments").join("seg-99999999.seg");
     fs::write(&orphan, b"not a segment").expect("plant orphan segment");
+    // Orphan base files: a checkpoint wrote them, the crash hit before the manifest
+    // swap named one.
+    let orphan_bases = ["base-99999999.json", "base-99999999.json.tmp"].map(|name| dir.join(name));
+    for orphan_base in &orphan_bases {
+        fs::write(orphan_base, b"not a model").expect("plant orphan base file");
+    }
 
     let recovered = LogTopic::open(&dir, fast_storage()).expect("recover after crash");
     assert_recovered(&recovered, &expected, "crash-window recovery");
@@ -630,6 +728,11 @@ fn torn_wal_tail_and_orphan_segments_are_discarded() {
         !orphan.exists(),
         "orphan segment file must be garbage-collected on open"
     );
+    assert!(
+        orphan_bases.iter().all(|orphan_base| !orphan_base.exists()),
+        "orphan base files must be garbage-collected on open"
+    );
+    assert_eq!(base_files(&dir).len(), 1, "the manifest's base file stays");
     fs::remove_dir_all(&dir).ok();
 }
 

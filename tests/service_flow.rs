@@ -1,13 +1,16 @@
 //! Cross-crate test of the cloud-service workflow: topic ingestion, triggered training,
-//! querying, anomaly detection and alerting on a realistic synthetic stream.
+//! querying, anomaly detection, alerting and the durable model log on a realistic
+//! synthetic stream.
 
 use bytebrain_repro::bytebrain::incremental::DriftConfig;
 use bytebrain_repro::bytebrain::Query;
 use bytebrain_repro::datasets::LabeledDataset;
 use bytebrain_repro::service::library::AlertRule;
+use bytebrain_repro::service::storage::framing::FrameLog;
+use bytebrain_repro::service::storage::DeltaEvent;
 use bytebrain_repro::service::{
-    AnomalyDetector, AnomalyKind, IngestConfig, LogTopic, MaintenancePolicy, TemplateGroup,
-    TemplateLibrary, TopicConfig,
+    AnomalyDetector, AnomalyKind, IngestConfig, LogTopic, MaintenancePolicy, StorageConfig,
+    TemplateGroup, TemplateLibrary, TopicConfig,
 };
 use std::sync::Arc;
 
@@ -210,14 +213,64 @@ fn hot_swapped_stream_leaves_no_records_on_retired_templates() {
     }
 }
 
+/// A durable topic's model lives in one log: the first training writes the epoch's
+/// base file, a landing since rides in one event carrying its delta — smaller than the
+/// base it applies to — and a reopen folds that event into the base to the live model.
 #[test]
-fn model_snapshots_round_trip_through_the_store() {
-    let corpus = LabeledDataset::loghub("HDFS");
-    let mut topic = LogTopic::new(TopicConfig::new("hdfs").with_volume_threshold(u64::MAX));
-    topic.ingest(&corpus.records);
-    topic.run_training();
-    let info = topic.store().latest_info().expect("snapshot saved");
-    assert!(info.num_templates > 0);
-    let restored = topic.store().load_latest().expect("snapshot loads");
-    assert_eq!(restored.len(), topic.model().len());
+fn model_changes_round_trip_through_the_one_log() {
+    let dir = std::env::temp_dir().join(format!("bb-one-log-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = TopicConfig::new("one-log")
+        .with_volume_threshold(u64::MAX)
+        .with_incremental_maintenance(
+            DriftConfig::default()
+                .with_window(200)
+                .with_min_samples(50)
+                .with_max_unmatched_rate(0.3),
+        );
+    let mut topic = LogTopic::durable(config, &dir, StorageConfig::default()).unwrap();
+    let known: Vec<String> = (0..400)
+        .map(|i| format!("request {} served from cache {} in {}ms", i, i % 4, i % 9))
+        .collect();
+    assert!(topic.ingest(&known).trained, "the first training");
+    let novel: Vec<String> = (0..200)
+        .map(|i| format!("circuit breaker opened for upstream svc-{}", i % 6))
+        .collect();
+    assert_eq!(
+        topic.ingest(&novel).maintained,
+        1,
+        "one incremental landing"
+    );
+
+    let files = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path());
+    let bases: Vec<_> = files
+        .filter(|path| {
+            path.file_name()
+                .unwrap()
+                .to_string_lossy()
+                .starts_with("base-")
+        })
+        .collect();
+    assert_eq!(bases.len(), 1, "one base file: {bases:?}");
+    let base_bytes = std::fs::metadata(&bases[0]).unwrap().len() as usize;
+    let mut events = Vec::new();
+    FrameLog::open(&dir.join("events.log"), |frame| {
+        events.push(DeltaEvent::decode(frame).unwrap())
+    })
+    .unwrap();
+    assert_eq!(events.len(), 1, "one event");
+    assert!(!events[0].retrain);
+    let delta_bytes = serde_json::to_string(&events[0].delta).unwrap().len();
+    assert!(
+        delta_bytes < base_bytes,
+        "the delta ({delta_bytes} B) undercuts the base it applies to ({base_bytes} B)"
+    );
+
+    let live = serde_json::to_string(topic.model()).unwrap();
+    drop(topic);
+    let reopened = LogTopic::open(&dir, StorageConfig::default()).unwrap();
+    assert_eq!(serde_json::to_string(reopened.model()).unwrap(), live);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
