@@ -35,9 +35,6 @@ pub struct AblationConfig {
     /// Assign templates to training logs with the online text matcher (§4.8). Disabled →
     /// use the clustering assignment directly ("w/ naive match").
     pub text_based_matching: bool,
-    /// Use hash encoding for tokens. Disabled → ordinal (dictionary) encoding, the
-    /// "ordinal encoding" ablation variant of Fig. 9 / Fig. 10.
-    pub hash_encoding: bool,
 }
 
 impl Default for AblationConfig {
@@ -52,7 +49,6 @@ impl Default for AblationConfig {
             early_stopping: true,
             deduplication: true,
             text_based_matching: true,
-            hash_encoding: true,
         }
     }
 }
@@ -64,7 +60,8 @@ impl AblationConfig {
     }
 
     /// Named ablation variants exactly as they appear in Fig. 8 / Fig. 9, mapping the
-    /// variant label to its configuration.
+    /// variant label to its configuration. Fig. 9's "ordinal encoding" is absent:
+    /// tokens are always hash-encoded, so it would train exactly as "ByteBrain".
     pub fn named_variants() -> Vec<(&'static str, AblationConfig)> {
         let full = AblationConfig::full();
         vec![
@@ -131,13 +128,6 @@ impl AblationConfig {
                     deduplication: false,
                     balanced_grouping: false,
                     early_stopping: false,
-                    ..full
-                },
-            ),
-            (
-                "ordinal encoding",
-                AblationConfig {
-                    hash_encoding: false,
                     ..full
                 },
             ),
@@ -221,7 +211,6 @@ mod tests {
         assert!(a.position_importance);
         assert!(a.deduplication);
         assert!(a.text_based_matching);
-        assert!(a.hash_encoding);
     }
 
     #[test]
@@ -239,7 +228,6 @@ mod tests {
             "w/o balanced group",
             "w/o early stopping",
             "w/o deduplication&related techs",
-            "ordinal encoding",
         ] {
             assert!(names.contains(&expected), "missing variant {expected}");
         }

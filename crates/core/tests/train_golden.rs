@@ -165,7 +165,6 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("HealthApp", "w/o balanced group", 0x38b7ec88c89ed37a),
     ("HealthApp", "w/o early stopping", 0x93df41b5f1e9f1bd),
     ("HealthApp", "w/o deduplication&related techs", 0x9a11b6efc8973737),
-    ("HealthApp", "ordinal encoding", 0xbd4b51e999bbff15),
     ("OpenStack", "ByteBrain", 0xf3132e808afa2d8d),
     ("OpenStack", "w/ naive match", 0xf3132e808afa2d8d),
     ("OpenStack", "w/o variable in saturation", 0xb1dbf230ca85683e),
@@ -176,7 +175,6 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("OpenStack", "w/o balanced group", 0xcae9664a9fc051d0),
     ("OpenStack", "w/o early stopping", 0xfa426b098b4c84da),
     ("OpenStack", "w/o deduplication&related techs", 0xefdf7463097e38f7),
-    ("OpenStack", "ordinal encoding", 0xf3132e808afa2d8d),
     ("OpenSSH", "ByteBrain", 0x52f7bb045b5f75e7),
     ("OpenSSH", "w/ naive match", 0x52f7bb045b5f75e7),
     ("OpenSSH", "w/o variable in saturation", 0x0948a6ff0cd8315e),
@@ -187,7 +185,6 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("OpenSSH", "w/o balanced group", 0x6e675b8e2d32700f),
     ("OpenSSH", "w/o early stopping", 0xc0d70f0996b0d1dd),
     ("OpenSSH", "w/o deduplication&related techs", 0xfa4be92943f8df98),
-    ("OpenSSH", "ordinal encoding", 0x52f7bb045b5f75e7),
     ("Proxifier", "ByteBrain", 0x67df0e714471c28e),
     ("Proxifier", "w/ naive match", 0x67df0e714471c28e),
     ("Proxifier", "w/o variable in saturation", 0x7b1fd8ef01f361be),
@@ -198,7 +195,6 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("Proxifier", "w/o balanced group", 0x584f258f9a739919),
     ("Proxifier", "w/o early stopping", 0xe1daca0264023dc7),
     ("Proxifier", "w/o deduplication&related techs", 0xc0a525645444af6b),
-    ("Proxifier", "ordinal encoding", 0x67df0e714471c28e),
     ("HPC", "ByteBrain", 0xc8d2a62803bc4819),
     ("HPC", "w/ naive match", 0xc8d2a62803bc4819),
     ("HPC", "w/o variable in saturation", 0x83f72801c262b51b),
@@ -209,7 +205,6 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("HPC", "w/o balanced group", 0x48e72e896b6d4396),
     ("HPC", "w/o early stopping", 0x2cf65e67e7c62ed1),
     ("HPC", "w/o deduplication&related techs", 0xc11cba9cc2be6363),
-    ("HPC", "ordinal encoding", 0xc8d2a62803bc4819),
     ("Zookeeper", "ByteBrain", 0xc1bb4966f92f880d),
     ("Zookeeper", "w/ naive match", 0xc1bb4966f92f880d),
     ("Zookeeper", "w/o variable in saturation", 0xa34f49281b31a19f),
@@ -220,7 +215,6 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("Zookeeper", "w/o balanced group", 0x69bbea12d1c04d2c),
     ("Zookeeper", "w/o early stopping", 0x141b44bce5f6c768),
     ("Zookeeper", "w/o deduplication&related techs", 0x0d2e4a29c26f598f),
-    ("Zookeeper", "ordinal encoding", 0xc1bb4966f92f880d),
     ("Mac", "ByteBrain", 0xfeaf80a200c6f0f0),
     ("Mac", "w/ naive match", 0xfeaf80a200c6f0f0),
     ("Mac", "w/o variable in saturation", 0x10cfd2a90399d562),
@@ -231,7 +225,6 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("Mac", "w/o balanced group", 0x8ed6cca2ab126dd8),
     ("Mac", "w/o early stopping", 0xf8461bedc5a86318),
     ("Mac", "w/o deduplication&related techs", 0x4497cfceb07080c6),
-    ("Mac", "ordinal encoding", 0xfeaf80a200c6f0f0),
     ("Hadoop", "ByteBrain", 0x3ecbc973ef663c90),
     ("Hadoop", "w/ naive match", 0x3ecbc973ef663c90),
     ("Hadoop", "w/o variable in saturation", 0x177ffff85d11a9e2),
@@ -242,7 +235,6 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("Hadoop", "w/o balanced group", 0xa7488166513146c2),
     ("Hadoop", "w/o early stopping", 0x485b5fd20fa8e3ce),
     ("Hadoop", "w/o deduplication&related techs", 0xa6d3bd1c7b261938),
-    ("Hadoop", "ordinal encoding", 0x3ecbc973ef663c90),
     ("Linux", "ByteBrain", 0xfecd822186927f6f),
     ("Linux", "w/ naive match", 0xfecd822186927f6f),
     ("Linux", "w/o variable in saturation", 0xa7198a712ffc6cc3),
@@ -253,7 +245,6 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("Linux", "w/o balanced group", 0x605140f4b692a037),
     ("Linux", "w/o early stopping", 0xe786dc07b8b6bbf4),
     ("Linux", "w/o deduplication&related techs", 0x33085f4a2819a16e),
-    ("Linux", "ordinal encoding", 0xfecd822186927f6f),
     ("HDFS", "ByteBrain", 0xa36201e490f37537),
     ("HDFS", "w/ naive match", 0xa36201e490f37537),
     ("HDFS", "w/o variable in saturation", 0x903a0f89a3d9f20a),
@@ -264,7 +255,6 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("HDFS", "w/o balanced group", 0x33bbb88d8e254c0e),
     ("HDFS", "w/o early stopping", 0x6e2c30f2a84bb913),
     ("HDFS", "w/o deduplication&related techs", 0x40d4dd9a1829fbf5),
-    ("HDFS", "ordinal encoding", 0xa36201e490f37537),
     ("BGL", "ByteBrain", 0xb4c12219424612b2),
     ("BGL", "w/ naive match", 0xb4c12219424612b2),
     ("BGL", "w/o variable in saturation", 0x6ad168ec0ae2073c),
@@ -275,7 +265,6 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("BGL", "w/o balanced group", 0xf98a12f592d06978),
     ("BGL", "w/o early stopping", 0xe4ecf79df75545f0),
     ("BGL", "w/o deduplication&related techs", 0x189da22606757201),
-    ("BGL", "ordinal encoding", 0xb4c12219424612b2),
     ("Apache", "ByteBrain", 0x368f69d37111298e),
     ("Apache", "w/ naive match", 0x368f69d37111298e),
     ("Apache", "w/o variable in saturation", 0xe8bac9cc9fddf87f),
@@ -286,7 +275,6 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("Apache", "w/o balanced group", 0x9a784d8a08a573a4),
     ("Apache", "w/o early stopping", 0xf75cd195107d94e3),
     ("Apache", "w/o deduplication&related techs", 0x280722b4b7a032bf),
-    ("Apache", "ordinal encoding", 0x368f69d37111298e),
     ("Thunderbird", "ByteBrain", 0xc3127f8a6c18210d),
     ("Thunderbird", "w/ naive match", 0xc3127f8a6c18210d),
     ("Thunderbird", "w/o variable in saturation", 0x03c15fd95e9f530a),
@@ -297,7 +285,6 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("Thunderbird", "w/o balanced group", 0x8ea96964c8be5dd8),
     ("Thunderbird", "w/o early stopping", 0x2c57694602e01007),
     ("Thunderbird", "w/o deduplication&related techs", 0x0060282c7500d3c2),
-    ("Thunderbird", "ordinal encoding", 0xc3127f8a6c18210d),
     ("Spark", "ByteBrain", 0x5ce8b09094d0371f),
     ("Spark", "w/ naive match", 0x5ce8b09094d0371f),
     ("Spark", "w/o variable in saturation", 0x3100ee39f86bd054),
@@ -308,7 +295,6 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("Spark", "w/o balanced group", 0xb6fdb140b29a5a0a),
     ("Spark", "w/o early stopping", 0xbeba50a86bb107b7),
     ("Spark", "w/o deduplication&related techs", 0x6fc9963399da0e78),
-    ("Spark", "ordinal encoding", 0x5ce8b09094d0371f),
     ("multi-group", "parallelism 1", 0xbc87611faa637d28),
     ("multi-group", "parallelism 4", 0xbc87611faa637d28),
 ];

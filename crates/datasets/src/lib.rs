@@ -18,13 +18,11 @@
 pub mod catalog;
 pub mod generator;
 pub mod loader;
-pub mod stats;
 pub mod template;
 pub mod variables;
 pub mod zipf;
 
 pub use catalog::{dataset_names, dataset_spec, loghub2_dataset_names, DatasetSpec};
 pub use generator::{GeneratorConfig, LabeledDataset};
-pub use stats::DatasetStats;
 pub use template::{Segment, TemplateSpec, VarKind};
 pub use zipf::Zipf;

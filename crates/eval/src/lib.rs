@@ -1,16 +1,11 @@
-//! `eval` — evaluation metrics and experiment plumbing (§5.1.3).
+//! `eval` — the evaluation metric (§5.1.3).
 //!
 //! * [`ga`]: Grouping Accuracy, the strict metric used throughout the paper's accuracy
 //!   tables (a log is correct only if its predicted group contains *exactly* the set of
-//!   logs sharing its ground-truth template).
-//! * [`throughput`]: wall-clock throughput measurement (training + matching combined, as
-//!   the paper defines it).
-//! * [`report`]: small helpers for printing the tables/figures the bench harness emits and
-//!   recording machine-readable results.
+//!   logs sharing its ground-truth template). `tests/accuracy.rs` checks the paper's
+//!   Tables 2 and 3 with it, and `lpbench` scores every workload's `grouping_accuracy`
+//!   with it.
 
 pub mod ga;
-pub mod report;
-pub mod throughput;
 
 pub use ga::{grouping_accuracy, GroupingReport};
-pub use throughput::{measure, ThroughputMeasurement};

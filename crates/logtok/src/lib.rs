@@ -10,8 +10,6 @@
 //!   occurrence counts (Fig. 4 motivates this).
 //! * **Hash encoding** ([`hashenc`]): deterministic 64-bit token hashing so that offline
 //!   training and online matching agree without storing a token dictionary.
-//! * **Ordinal encoding** ([`ordinal`]): the dictionary-based alternative the paper
-//!   compares against in Fig. 10 (ablation: storage cost of the token dictionary).
 //! * **Pipeline** ([`pipeline`]): glues the steps together into the exact preprocessing
 //!   sequence used by both the offline trainer and the online matcher.
 
@@ -20,14 +18,12 @@
 pub mod dedup;
 pub mod hashenc;
 pub mod masking;
-pub mod ordinal;
 pub mod pipeline;
 pub mod tokenizer;
 
 pub use dedup::{DedupStats, Deduplicator, UniqueLog};
 pub use hashenc::{hash_line, hash_token, EncodedLog, WILDCARD_HASH};
 pub use masking::{MaskRule, Masker};
-pub use ordinal::OrdinalEncoder;
 pub use pipeline::{PreprocessConfig, PreprocessedBatch, Preprocessor, TokenScratch, TokenView};
 pub use tokenizer::{tokenize, Tokenizer, TokenizerConfig};
 

@@ -773,3 +773,67 @@ impl TopicStorage {
         Ok(merges)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytebrain::AblationConfig;
+
+    /// A `meta.json` as topics persisted it while `AblationConfig` still had a
+    /// `hash_encoding` switch: the key is ignored on decode, so those topics reopen.
+    const META_WITH_HASH_ENCODING: &str = r#"{
+  "tenant": "acme",
+  "topic": "web",
+  "name": "web",
+  "volume_threshold": 50000,
+  "interval_ms": 600000,
+  "training_buffer": 500000,
+  "merge_threshold": 0.6,
+  "maintenance_kind": "full",
+  "drift": null,
+  "check_interval": 0,
+  "train": {
+    "preprocess": {
+      "tokenizer": {
+        "extra_delimiters": [],
+        "use_default_delimiters": true,
+        "split_sentence_periods": true,
+        "max_tokens": 512
+      },
+      "use_default_masks": true,
+      "extra_masks": [],
+      "deduplicate": true
+    },
+    "prefix_tokens": 0,
+    "max_depth": 24,
+    "max_cluster_iters": 8,
+    "saturation_target": 1.0,
+    "seed": 24301,
+    "parallelism": 1,
+    "max_training_records": 2000000,
+    "ablation": {
+      "position_importance": true,
+      "variable_in_saturation": true,
+      "confidence_factor": true,
+      "kmeanspp_centroids": true,
+      "ensure_saturation_increase": true,
+      "balanced_grouping": true,
+      "early_stopping": true,
+      "deduplication": true,
+      "text_based_matching": true,
+      "hash_encoding": true
+    }
+  }
+}"#;
+
+    #[test]
+    fn meta_with_the_retired_hash_encoding_key_still_decodes() {
+        let meta: TopicMeta = serde_json::from_str(META_WITH_HASH_ENCODING).expect("decodes");
+        assert_eq!(meta.train.ablation, AblationConfig::full());
+        let fresh = TopicMeta::from_config("acme", "web", &TopicConfig::new("web"));
+        assert_eq!(
+            serde_json::to_string(&meta.to_config().train).unwrap(),
+            serde_json::to_string(&fresh.train).unwrap()
+        );
+    }
+}

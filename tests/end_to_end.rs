@@ -2,8 +2,8 @@
 //! through training, online matching, query-time precision control and model merging.
 
 use bytebrain_repro::bytebrain::query::merge_consecutive_wildcards;
-use bytebrain_repro::bytebrain::{ByteBrainParser, TrainConfig};
-use bytebrain_repro::datasets::LabeledDataset;
+use bytebrain_repro::bytebrain::{resolve_with_threshold, ByteBrainParser, NodeId, TrainConfig};
+use bytebrain_repro::datasets::{dataset_names, LabeledDataset};
 use bytebrain_repro::eval::grouping_accuracy;
 
 #[test]
@@ -25,19 +25,71 @@ fn training_plus_online_matching_covers_unseen_logs_of_known_templates() {
     assert!(rate > 0.9, "online match rate too low: {rate:.3}");
 }
 
+/// Table 4's source logs: Android wakelock acquire/release records.
+fn wakelock_records() -> Vec<String> {
+    let tags = [
+        "View Lock",
+        "*launch*",
+        "WindowManager",
+        "RILJ_ACK_WL",
+        "AudioMix",
+    ];
+    let names = ["android", "systemui", "phone", "audioserver"];
+    let mut records = Vec::new();
+    for i in 0..600usize {
+        let action = if i % 2 == 0 { "release" } else { "acquire" };
+        let flag_word = if i % 2 == 0 { "flg" } else { "flags" };
+        let ws = if i % 3 == 0 {
+            "null".to_string()
+        } else {
+            format!("WS{{10{}}}", i % 90)
+        };
+        records.push(format!(
+            "{action} lock={lock}, {flag_word}=0x{flg:x}, tag=\"{tag}\", name={name}, ws={ws}, uid={uid}, pid={pid}",
+            lock = i * 37 % 4096,
+            flg = i % 4,
+            tag = tags[i % tags.len()],
+            name = names[i % names.len()],
+            uid = 10_000 + i % 50,
+            pid = 1_000 + i % 900,
+        ));
+    }
+    records
+}
+
 #[test]
 fn query_threshold_is_monotone_in_group_count() {
-    let ds = LabeledDataset::loghub("Hadoop");
-    let mut parser = ByteBrainParser::new(TrainConfig::default());
-    let mut previous = 0usize;
-    for threshold in [0.1, 0.3, 0.5, 0.7, 0.9] {
-        let groups = parser.parse_with_threshold(&ds.records, threshold);
-        let distinct: std::collections::HashSet<usize> = groups.into_iter().collect();
-        assert!(
-            distinct.len() >= previous,
-            "group count decreased as threshold rose"
-        );
-        previous = distinct.len();
+    // Fig. 11's threshold sweep on every LogHub corpus, and Table 4's thresholds on its
+    // wakelock logs: one training per corpus, and a higher query threshold never
+    // presents fewer groups. Records no node matches are left out; they are singletons
+    // at every threshold.
+    let fig11 = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
+    let mut corpora: Vec<(&str, Vec<String>, &[f64])> = dataset_names()
+        .into_iter()
+        .map(|name| (name, LabeledDataset::loghub(name).records, &fig11[..]))
+        .collect();
+    corpora.push(("wakelock", wakelock_records(), &[0.05, 0.78, 0.9, 0.95]));
+    for (corpus, records, thresholds) in corpora {
+        let mut parser = ByteBrainParser::new(TrainConfig::default());
+        parser.train(&records);
+        let matched: Vec<NodeId> = parser
+            .match_batch(&records)
+            .into_iter()
+            .filter_map(|result| result.node)
+            .collect();
+        let mut previous = 0usize;
+        for &threshold in thresholds {
+            let distinct: std::collections::HashSet<NodeId> = matched
+                .iter()
+                .map(|&node| resolve_with_threshold(parser.model(), node, threshold))
+                .collect();
+            assert!(
+                distinct.len() >= previous,
+                "{corpus}: group count fell from {previous} to {} at threshold {threshold}",
+                distinct.len()
+            );
+            previous = distinct.len();
+        }
     }
 }
 
