@@ -93,6 +93,24 @@ fn actual_rows() -> Vec<(String, String, u64)> {
             ));
         }
     }
+    // Short and long refinement runs of the full variant: one iteration ends right after
+    // the first assignment, two can end on a growth step whose seed has no members, 32
+    // run the refinement loop to convergence on every split.
+    for family in loghub2_dataset_names() {
+        let records = LabeledDataset::loghub2(family, LOGS_PER_FAMILY).records;
+        for max_cluster_iters in [1usize, 2, 32] {
+            let config = TrainConfig {
+                max_cluster_iters,
+                ..TrainConfig::default()
+            };
+            let outcome = train(&records, &config);
+            rows.push((
+                family.to_string(),
+                format!("max_cluster_iters {max_cluster_iters}"),
+                fingerprint(&outcome),
+            ));
+        }
+    }
     let records = multi_group_records();
     for parallelism in [1usize, 4] {
         let config = TrainConfig {
@@ -152,7 +170,8 @@ fn multi_group_rows_agree_across_parallelism() {
     assert_eq!(rows[0].2, rows[1].2);
 }
 
-/// (family, variant, fingerprint), captured at commit 5750591 (the HashMap trainer).
+/// (family, variant, fingerprint). The ablation and multi-group rows were captured at
+/// commit 5750591 (the HashMap trainer).
 #[rustfmt::skip]
 const GOLDEN: &[(&str, &str, u64)] = &[
     ("HealthApp", "ByteBrain", 0xbd4b51e999bbff15),
@@ -295,6 +314,50 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("Spark", "w/o balanced group", 0xb6fdb140b29a5a0a),
     ("Spark", "w/o early stopping", 0xbeba50a86bb107b7),
     ("Spark", "w/o deduplication&related techs", 0x6fc9963399da0e78),
+    // The `max_cluster_iters` rows were captured at commit 8dbfdba, before refinement
+    // became incremental.
+    ("HealthApp", "max_cluster_iters 1", 0x4f6813d77298217f),
+    ("HealthApp", "max_cluster_iters 2", 0x1b142fd1fea7ecf5),
+    ("HealthApp", "max_cluster_iters 32", 0xdf1f02619e748aeb),
+    ("OpenStack", "max_cluster_iters 1", 0xc5aae59661395778),
+    ("OpenStack", "max_cluster_iters 2", 0x0096725bd5d3cfdd),
+    ("OpenStack", "max_cluster_iters 32", 0xce88568478b549d4),
+    ("OpenSSH", "max_cluster_iters 1", 0xc7debd708b19949c),
+    ("OpenSSH", "max_cluster_iters 2", 0x93886cdde241f23d),
+    ("OpenSSH", "max_cluster_iters 32", 0x696a05792af52ded),
+    ("Proxifier", "max_cluster_iters 1", 0x0d4b1a51eda30792),
+    ("Proxifier", "max_cluster_iters 2", 0xa381c3ebf4e3adc6),
+    ("Proxifier", "max_cluster_iters 32", 0x28349e56d95a28cb),
+    ("HPC", "max_cluster_iters 1", 0x96b8327504bba625),
+    ("HPC", "max_cluster_iters 2", 0xfdac3c589c6ad7bd),
+    ("HPC", "max_cluster_iters 32", 0xdcf648c1770cf493),
+    ("Zookeeper", "max_cluster_iters 1", 0x612b32585ad14714),
+    ("Zookeeper", "max_cluster_iters 2", 0x32b25a0a8c1ed818),
+    ("Zookeeper", "max_cluster_iters 32", 0x13658b72c693adcf),
+    ("Mac", "max_cluster_iters 1", 0x0b8a040fc6747fef),
+    ("Mac", "max_cluster_iters 2", 0xdf2fa4913381ba39),
+    ("Mac", "max_cluster_iters 32", 0x93f1d6d9fe61e7c7),
+    ("Hadoop", "max_cluster_iters 1", 0xb557a05b95226dda),
+    ("Hadoop", "max_cluster_iters 2", 0xaa1f9a7f4768f67b),
+    ("Hadoop", "max_cluster_iters 32", 0xa9ecf5820db3c3da),
+    ("Linux", "max_cluster_iters 1", 0xc916d7e576722822),
+    ("Linux", "max_cluster_iters 2", 0xce44898319373c9a),
+    ("Linux", "max_cluster_iters 32", 0x44e6f8092bd82b3a),
+    ("HDFS", "max_cluster_iters 1", 0xeaa26d003822d250),
+    ("HDFS", "max_cluster_iters 2", 0x33956dc9bce85b4e),
+    ("HDFS", "max_cluster_iters 32", 0xa126c25d4c7635f9),
+    ("BGL", "max_cluster_iters 1", 0x20135bfc15c6a71b),
+    ("BGL", "max_cluster_iters 2", 0xb397c3b20f9e50a0),
+    ("BGL", "max_cluster_iters 32", 0x01a7553ef082759a),
+    ("Apache", "max_cluster_iters 1", 0x83f287181f574283),
+    ("Apache", "max_cluster_iters 2", 0x6a8e2ebaf1e7480f),
+    ("Apache", "max_cluster_iters 32", 0x6f9ccceebdc75634),
+    ("Thunderbird", "max_cluster_iters 1", 0x5d321eea9eb68f8b),
+    ("Thunderbird", "max_cluster_iters 2", 0xe6b93ac799d90de4),
+    ("Thunderbird", "max_cluster_iters 32", 0x30180851e3186b96),
+    ("Spark", "max_cluster_iters 1", 0x3b2c21bc30c102b2),
+    ("Spark", "max_cluster_iters 2", 0x4fa93589f352e972),
+    ("Spark", "max_cluster_iters 32", 0xe3b3ba7d14a41a69),
     ("multi-group", "parallelism 1", 0xbc87611faa637d28),
     ("multi-group", "parallelism 4", 0xbc87611faa637d28),
 ];
