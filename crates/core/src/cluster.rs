@@ -10,8 +10,12 @@
 //! The group's token hashes are interned once into a [`TokenTable`]; each node being
 //! split re-interns its own rows, so the flat count tables of its clusters are sized by
 //! the node's token cardinality and shrink as the tree deepens. Nothing below the
-//! interning hashes a token, and a cluster's statistics are counted once: the profile the
-//! split ends with is the profile its child node is rendered from.
+//! interning hashes a token.
+//!
+//! Refinement is incremental. A cluster's member statistics change only as rows move in
+//! or out of it, and the split keeps every member's distance to every cluster in one
+//! column per cluster, re-scored only after that cluster's members changed. The profile
+//! the split ends with is the profile its child node is rendered from.
 
 use crate::config::TrainConfig;
 use crate::distance::{DenseProfile, TokenTable};
@@ -61,6 +65,10 @@ pub fn cluster_group(logs: &[&UniqueLog], config: &TrainConfig, seed: u64) -> Ve
         remap: Vec::new(),
         profiles: Vec::new(),
         spare: Vec::new(),
+        seed: DenseProfile::default(),
+        columns: Vec::new(),
+        stale: Vec::new(),
+        live: Vec::new(),
         distances: Vec::new(),
     };
     let root = Cluster {
@@ -146,10 +154,20 @@ struct Splitter<'a> {
     node: TokenTable,
     /// Scratch of [`TokenTable::project_into`].
     remap: Vec<u32>,
-    /// The current clusters of the split in progress.
+    /// Per cluster of the split in progress: the statistics of its members, kept current
+    /// as rows move in and out.
     profiles: Vec<DenseProfile>,
     /// Profiles not in use, kept for their allocations.
     spare: Vec<DenseProfile>,
+    /// The one-member profile a seed's column is scored from; empty between seeds.
+    seed: DenseProfile,
+    /// Every member slot's distance to every cluster, column-major: cluster `c`'s column
+    /// is `columns[c × slots..(c + 1) × slots]`.
+    columns: Vec<f64>,
+    /// Per cluster: its members changed since its column was scored.
+    stale: Vec<bool>,
+    /// The clusters the next read of the columns takes, in index order.
+    live: Vec<usize>,
     /// Per member slot: a distance, while looking for the farthest member.
     distances: Vec<f64>,
 }
@@ -199,13 +217,17 @@ impl Splitter<'_> {
         // Seeding: first centre random; second centre farthest from the first
         // (K-Means++-like) unless the ablation asks for random centroid selection.
         self.spare.append(&mut self.profiles);
+        self.columns.clear();
+        self.stale.clear();
+        self.seed.reset(&self.node);
         let first = rng.gen_range(0..slots);
-        let first_seed = self.seed_profile(first);
+        self.push_seed(first);
         let second = if ablation.kmeanspp_centroids {
             // `max_by` keeps the last of equally distant members.
+            let first_column = &self.columns[..slots];
             (0..slots)
                 .filter(|&slot| slot != first)
-                .map(|slot| (slot, first_seed.distance(self.node.row(slot))))
+                .map(|slot| (slot, first_column[slot]))
                 .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal))?
                 .0
         } else {
@@ -213,27 +235,23 @@ impl Splitter<'_> {
             let candidate = rng.gen_range(0..slots - 1);
             candidate + usize::from(candidate >= first)
         };
-        let second_seed = self.seed_profile(second);
-        self.profiles.push(first_seed);
-        self.profiles.push(second_seed);
+        self.push_seed(second);
 
+        // Clusters from this index on are seeds that have not been through an assignment
+        // step: they have no members yet, and their columns are their seeds'.
+        let mut seeded_from = 0;
         let mut assignment: Vec<Option<usize>> = vec![None; slots];
         let mut best: Vec<usize> = Vec::new();
         for _iteration in 0..config.max_cluster_iters {
-            // Assignment step.
+            // Assignment step, against the clusters as they stand before it: a row moves
+            // only when its cluster changes.
+            self.refresh(seeded_from);
             let mut changed = false;
-            let mut new_profiles: Vec<DenseProfile> = (0..self.profiles.len())
-                .map(|_| self.fresh_profile())
-                .collect();
             for (slot, assigned) in assignment.iter_mut().enumerate() {
-                let row = self.node.row(slot);
                 best.clear();
                 let mut best_distance = f64::INFINITY;
-                for (cluster_idx, profile) in self.profiles.iter().enumerate() {
-                    if profile.is_empty() {
-                        continue;
-                    }
-                    let d = profile.distance(row);
+                for &cluster_idx in &self.live {
+                    let d = self.columns[cluster_idx * slots + slot];
                     if d < best_distance - 1e-12 {
                         best_distance = d;
                         best.clear();
@@ -252,15 +270,17 @@ impl Splitter<'_> {
                 };
                 if *assigned != Some(chosen) {
                     changed = true;
+                    let (row, weight) = (self.node.row(slot), self.node.weight(slot));
+                    if let Some(old) = *assigned {
+                        self.profiles[old].remove(row, weight);
+                        self.stale[old] = true;
+                    }
+                    self.profiles[chosen].add(row, weight);
+                    self.stale[chosen] = true;
                     *assigned = Some(chosen);
                 }
-                new_profiles[chosen].add(row, self.node.weight(slot));
             }
-            for profile in &mut new_profiles {
-                profile.seal(ablation.position_importance);
-            }
-            self.spare.append(&mut self.profiles);
-            self.profiles = new_profiles;
+            seeded_from = self.profiles.len();
 
             // Growth step: when a non-trivial cluster fails to improve on the parent's
             // saturation, add a cluster seeded by the member farthest from every centre.
@@ -272,14 +292,13 @@ impl Splitter<'_> {
                 });
             let position_bound = self.node.positions() + 1;
             if needs_growth && self.profiles.len() < position_bound.min(slots) {
+                self.refresh(seeded_from);
                 self.distances.clear();
                 for slot in 0..slots {
-                    let row = self.node.row(slot);
                     let nearest = self
-                        .profiles
+                        .live
                         .iter()
-                        .filter(|profile| !profile.is_empty())
-                        .map(|profile| profile.distance(row))
+                        .map(|&cluster_idx| self.columns[cluster_idx * slots + slot])
                         .fold(f64::INFINITY, f64::min);
                     self.distances.push(nearest);
                 }
@@ -290,8 +309,7 @@ impl Splitter<'_> {
                             .unwrap_or(Ordering::Equal)
                     })
                     .expect("members is non-empty");
-                let seed = self.seed_profile(farthest);
-                self.profiles.push(seed);
+                self.push_seed(farthest);
                 // Re-run assignment against the enlarged cluster set.
                 continue;
             }
@@ -299,6 +317,24 @@ impl Splitter<'_> {
                 break;
             }
         }
+        debug_assert!(
+            self.profiles
+                .iter()
+                .enumerate()
+                .all(|(cluster_idx, profile)| {
+                    let mut rebuilt = DenseProfile::default();
+                    rebuilt.reset(&self.node);
+                    for (slot, _) in assignment
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, &a)| a == Some(cluster_idx))
+                    {
+                        rebuilt.add(self.node.row(slot), self.node.weight(slot));
+                    }
+                    profile.same_statistics(&rebuilt)
+                }),
+            "incremental cluster statistics diverged from a rebuild from the members"
+        );
 
         // Materialise the partition, dropping empty clusters. `profiles[c]` holds exactly
         // the members assigned to `c`: a seed pushed by a final growth step has none.
@@ -344,19 +380,40 @@ impl Splitter<'_> {
             .collect()
     }
 
-    /// An empty profile sized for the node being split.
-    fn fresh_profile(&mut self) -> DenseProfile {
+    /// Open a cluster seeded with one member of the node being split: its column is the
+    /// seed's, scored once, and its member statistics start empty.
+    fn push_seed(&mut self, slot: usize) {
         let mut profile = self.spare.pop().unwrap_or_default();
         profile.reset(&self.node);
-        profile
+        self.profiles.push(profile);
+        self.stale.push(false);
+        let (row, weight) = (self.node.row(slot), self.node.weight(slot));
+        self.seed.add(row, weight);
+        self.seed
+            .seal(&self.node, self.config.ablation.position_importance);
+        let start = self.columns.len();
+        self.columns.resize(start + self.node.rows(), 0.0);
+        self.seed.score(&self.node, &mut self.columns[start..]);
+        self.seed.remove(row, weight);
     }
 
-    /// The profile of a cluster seeded with one member of the node being split.
-    fn seed_profile(&mut self, slot: usize) -> DenseProfile {
-        let mut profile = self.fresh_profile();
-        profile.add(self.node.row(slot), self.node.weight(slot));
-        profile.seal(self.config.ablation.position_importance);
-        profile
+    /// Decide which clusters the next read of the columns takes: the seeds from
+    /// `seeded_from` on, and every cluster with members. Re-score each stale one of them.
+    fn refresh(&mut self, seeded_from: usize) {
+        let slots = self.node.rows();
+        self.live.clear();
+        for (cluster_idx, profile) in self.profiles.iter_mut().enumerate() {
+            if cluster_idx < seeded_from && profile.is_empty() {
+                continue;
+            }
+            if self.stale[cluster_idx] {
+                profile.seal(&self.node, self.config.ablation.position_importance);
+                let column = &mut self.columns[cluster_idx * slots..(cluster_idx + 1) * slots];
+                profile.score(&self.node, column);
+                self.stale[cluster_idx] = false;
+            }
+            self.live.push(cluster_idx);
+        }
     }
 }
 

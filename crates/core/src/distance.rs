@@ -17,7 +17,9 @@
 //!
 //! Two implementations live here. [`TokenTable`] + [`DenseProfile`] are the trainer's
 //! kernel: token hashes are interned once into dense ids, and a cluster's statistics are
-//! one flat count array indexed by id, so a distance evaluation hashes nothing.
+//! one flat count array indexed by id, kept current as rows move in and out. Sealing a
+//! profile turns the counts into one Eq. 2 term per id, so scoring a row is a sum of
+//! table lookups, and [`DenseProfile::score`] scores every row of a table at once.
 //! [`ClusterProfile`] is the readable `HashMap` rendering of the same equations, kept as
 //! the reference the property tests compare the kernel against.
 
@@ -37,7 +39,8 @@ pub struct TokenTable {
     weights: Vec<u64>,
     /// Per position: number of distinct tokens among the rows.
     distinct: Vec<u32>,
-    id_count: usize,
+    /// Per id: the position its token sits at.
+    position_of: Vec<u32>,
 }
 
 impl TokenTable {
@@ -59,13 +62,13 @@ impl TokenTable {
                 let next = interned.len() as u32;
                 let id = *interned.entry((pos as u32, token)).or_insert_with(|| {
                     table.distinct[pos] += 1;
+                    table.position_of.push(pos as u32);
                     next
                 });
                 table.ids.push(id);
             }
             table.weights.push(log.count);
         }
-        table.id_count = interned.len();
         table
     }
 
@@ -76,28 +79,27 @@ impl TokenTable {
     /// `remap` is scratch owned by the caller; it is left as it was found (every entry
     /// `u32::MAX`), only grown to `self.id_count()`.
     pub fn project_into(&self, rows: &[usize], remap: &mut Vec<u32>, out: &mut TokenTable) {
-        if remap.len() < self.id_count {
-            remap.resize(self.id_count, u32::MAX);
+        if remap.len() < self.id_count() {
+            remap.resize(self.id_count(), u32::MAX);
         }
         out.positions = self.positions;
         out.ids.clear();
         out.weights.clear();
         out.distinct.clear();
         out.distinct.resize(self.positions, 0);
-        let mut next = 0u32;
+        out.position_of.clear();
         for &row in rows {
             for (pos, &id) in self.row(row).iter().enumerate() {
                 let slot = &mut remap[id as usize];
                 if *slot == u32::MAX {
-                    *slot = next;
-                    next += 1;
+                    *slot = out.position_of.len() as u32;
+                    out.position_of.push(pos as u32);
                     out.distinct[pos] += 1;
                 }
                 out.ids.push(*slot);
             }
             out.weights.push(self.weights[row]);
         }
-        out.id_count = next as usize;
         for &row in rows {
             for &id in self.row(row) {
                 remap[id as usize] = u32::MAX;
@@ -112,7 +114,12 @@ impl TokenTable {
 
     /// Number of distinct (position, token) ids.
     pub fn id_count(&self) -> usize {
-        self.id_count
+        self.position_of.len()
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.weights.len()
     }
 
     /// The token ids of one row.
@@ -139,8 +146,10 @@ impl TokenTable {
 /// Per-position token statistics of a cluster of rows of one [`TokenTable`]: the flat
 /// counterpart of [`ClusterProfile`], bit-identical to it in every derived number.
 ///
-/// Life cycle: [`reset`](Self::reset) for a table, [`add`](Self::add) the member rows,
-/// [`seal`](Self::seal), then evaluate [`distance`](Self::distance).
+/// Life cycle: [`reset`](Self::reset) for a table; [`add`](Self::add) and
+/// [`remove`](Self::remove) rows as the cluster's members change; [`seal`](Self::seal),
+/// then [`score`](Self::score) rows of the table. Counts are integers, so after any
+/// sequence of moves the profile equals one rebuilt from its current members.
 #[derive(Debug, Clone, Default)]
 pub struct DenseProfile {
     /// Weighted occurrence count per token id.
@@ -153,6 +162,9 @@ pub struct DenseProfile {
     weights: Vec<f64>,
     /// `Σ w_i`, accumulated in position order.
     weight_total: f64,
+    /// Per id: its Eq. 2 term `w_i · f_i`, the weight of its position times its
+    /// frequency. Built by `seal` when the profile has members.
+    terms: Vec<f64>,
 }
 
 impl DenseProfile {
@@ -182,9 +194,25 @@ impl DenseProfile {
         self.weights.clear();
     }
 
-    /// Fix the position weights for the rows added so far. `position_importance = false`
-    /// is the "w/o position importance" ablation: every weight becomes 1.
-    pub fn seal(&mut self, position_importance: bool) {
+    /// Remove one row added earlier with the same weight: the exact inverse of
+    /// [`add`](Self::add).
+    pub fn remove(&mut self, row: &[u32], weight: u64) {
+        debug_assert_eq!(row.len(), self.distinct.len());
+        for (&id, distinct) in row.iter().zip(&mut self.distinct) {
+            let count = &mut self.counts[id as usize];
+            *count -= weight;
+            *distinct -= u32::from(*count == 0);
+        }
+        self.total_weight -= weight;
+        self.unique_count -= 1;
+        self.weights.clear();
+    }
+
+    /// Fix the position weights and the per-id terms for the current members of a
+    /// profile over `table`. `position_importance = false` is the "w/o position
+    /// importance" ablation: every weight becomes 1.
+    pub fn seal(&mut self, table: &TokenTable, position_importance: bool) {
+        debug_assert_eq!(table.id_count(), self.counts.len());
         self.weights.clear();
         self.weight_total = 0.0;
         for &n_i in &self.distinct {
@@ -196,24 +224,70 @@ impl DenseProfile {
             self.weights.push(weight);
             self.weight_total += weight;
         }
+        self.terms.clear();
+        if self.total_weight > 0 {
+            let total = self.total_weight as f64;
+            let weighted = self.counts.iter().zip(&table.position_of);
+            self.terms.extend(
+                weighted.map(|(&count, &pos)| self.weights[pos as usize] * (count as f64 / total)),
+            );
+        }
     }
 
-    /// Positional similarity distance (Eq. 2) between a row of the profile's table and
-    /// this cluster.
+    /// Positional similarity distance (Eq. 2) between every row of `table` and this
+    /// cluster: `column[row]` for each row.
+    ///
+    /// A row's distance is `1 − Σ terms / Σ w_i`, its terms summed in position order
+    /// from zero, the expression [`ClusterProfile::distance`] evaluates. Rows are summed
+    /// four at a time in independent accumulators, which overlaps the latency of their
+    /// additions without reordering any one row's.
     ///
     /// # Panics
-    /// Panics when the profile has not been sealed since its last `add`.
-    pub fn distance(&self, row: &[u32]) -> f64 {
-        assert_eq!(row.len(), self.weights.len(), "profile is not sealed");
+    /// Panics when the profile has not been sealed since it last changed.
+    pub fn score(&self, table: &TokenTable, column: &mut [f64]) {
+        assert_eq!(
+            table.positions(),
+            self.weights.len(),
+            "profile is not sealed"
+        );
+        assert_eq!(column.len(), table.rows());
         if self.total_weight == 0 || self.weight_total == 0.0 {
-            return 1.0;
+            column.fill(1.0);
+            return;
         }
-        let total = self.total_weight as f64;
-        let mut weighted_sum = 0.0;
-        for (&id, &weight) in row.iter().zip(&self.weights) {
-            weighted_sum += weight * (self.counts[id as usize] as f64 / total);
+        let (terms, positions, weight_total) = (&self.terms, table.positions, self.weight_total);
+        let term = |id: &u32| terms[*id as usize];
+        let blocks = table.ids.chunks_exact(4 * positions);
+        let tail = blocks.remainder();
+        let mut out = column.chunks_exact_mut(4);
+        for (block, out) in blocks.zip(&mut out) {
+            let (r0, rest) = block.split_at(positions);
+            let (r1, rest) = rest.split_at(positions);
+            let (r2, r3) = rest.split_at(positions);
+            let mut sums = [0.0f64; 4];
+            for (((a, b), c), d) in r0.iter().zip(r1).zip(r2).zip(r3) {
+                sums[0] += term(a);
+                sums[1] += term(b);
+                sums[2] += term(c);
+                sums[3] += term(d);
+            }
+            for (distance, sum) in out.iter_mut().zip(sums) {
+                *distance = 1.0 - sum / weight_total;
+            }
         }
-        1.0 - weighted_sum / self.weight_total
+        for (row, distance) in tail.chunks_exact(positions).zip(out.into_remainder()) {
+            let sum = row.iter().fold(0.0, |sum, id| sum + term(id));
+            *distance = 1.0 - sum / weight_total;
+        }
+    }
+
+    /// True when both profiles hold the same member statistics: counts, distinct
+    /// counts and totals. Sealed state is not compared; it is derived from these.
+    pub fn same_statistics(&self, other: &DenseProfile) -> bool {
+        self.counts == other.counts
+            && self.distinct == other.distinct
+            && self.total_weight == other.total_weight
+            && self.unique_count == other.unique_count
     }
 
     /// Per position: number of distinct tokens.
@@ -424,14 +498,14 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "not sealed")]
-    fn dense_distance_requires_a_sealed_profile() {
+    fn scoring_requires_a_sealed_profile() {
         let a = log(&["open", "file"]);
         let table = TokenTable::intern(2, [&a]);
         let mut profile = DenseProfile::default();
         profile.reset(&table);
-        profile.seal(true);
+        profile.seal(&table, true);
         profile.add(table.row(0), table.weight(0));
-        profile.distance(table.row(0));
+        profile.score(&table, &mut [0.0]);
     }
 
     #[test]

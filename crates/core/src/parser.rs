@@ -23,10 +23,11 @@ pub struct ByteBrainParser {
     /// the tables miss.
     compiled: CompiledMatcher,
     /// Per-record node assignment of the last [`train`](ByteBrainParser::train) batch (the
-    /// "w/ naive match" ablation and accuracy on training data read it). Empty after
+    /// "w/ naive match" ablation and accuracy on training data read it), `None` for a
+    /// record the training sample left out. Empty after
     /// [`train_incremental`](ByteBrainParser::train_incremental): a batch clustered on its
     /// own and folded in as a delta has node ids that name nothing in the merged model.
-    last_training_assignment: Vec<NodeId>,
+    last_training_assignment: Vec<Option<NodeId>>,
 }
 
 impl ByteBrainParser {
@@ -84,7 +85,7 @@ impl ByteBrainParser {
     }
 
     /// Take `model` as the current one and compile it.
-    fn install(&mut self, model: ParserModel, training_assignment: Vec<NodeId>) {
+    fn install(&mut self, model: ParserModel, training_assignment: Vec<Option<NodeId>>) {
         self.model = model;
         self.compiled = CompiledMatcher::compile(&self.model);
         self.last_training_assignment = training_assignment;
@@ -98,11 +99,16 @@ impl ByteBrainParser {
     /// Match one raw log against the model. Unmatched logs are inserted as temporary
     /// templates (§3 "Online Matching") so subsequent identical logs match.
     pub fn match_log(&mut self, record: &str) -> MatchResult {
-        let node = self.match_node(record).unwrap_or_else(|| {
+        let node = self.match_or_insert(record);
+        MatchResult::of(&self.model, record, Some(node))
+    }
+
+    /// The node `record` matches, inserted as a temporary template when there is none.
+    fn match_or_insert(&mut self, record: &str) -> NodeId {
+        self.match_node(record).unwrap_or_else(|| {
             let tokens = self.preprocessor.tokens_of(record);
             self.model.insert_temporary(&tokens)
-        });
-        MatchResult::of(&self.model, record, Some(node))
+        })
     }
 
     /// Match one raw log without inserting temporary templates (read-only).
@@ -123,21 +129,33 @@ impl ByteBrainParser {
     /// Train on `records` and return, for every record, an opaque group id at the given
     /// saturation threshold. This is the entry point used by the grouping-accuracy
     /// experiments: records sharing a group id are considered to have the same template.
+    ///
+    /// A record takes the node the text match gives it, or its clustering assignment
+    /// when the match misses; "w/ naive match" takes the clustering assignment first. A
+    /// record outside the training sample that no template matches goes through
+    /// [`match_log`](Self::match_log): the first one of its text becomes a temporary.
     pub fn parse_with_threshold(&mut self, records: &[String], threshold: f64) -> Vec<usize> {
         self.train(records);
-        let assignments: Vec<NodeId> = if self.config.ablation.text_based_matching {
-            self.match_batch(records)
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| r.node.unwrap_or(self.last_training_assignment[i]))
-                .collect()
-        } else {
-            // "w/ naive match": reuse the clustering assignment directly.
-            self.last_training_assignment.clone()
-        };
-        assignments
+        let naive = !self.config.ablation.text_based_matching;
+        let (model, workers) = (&self.model, self.config.parallelism);
+        let matched = match_ids_batch(model, &self.compiled, &self.preprocessor, records, workers);
+        let decided = matched.ids.into_iter().zip(&self.last_training_assignment);
+        let nodes: Vec<Option<NodeId>> = decided
+            .map(|((text, _, _), &clustered)| {
+                if naive {
+                    clustered.or(text)
+                } else {
+                    text.or(clustered)
+                }
+            })
+            .collect();
+        nodes
             .into_iter()
-            .map(|node| resolve_with_threshold(&self.model, node, threshold).0)
+            .zip(records)
+            .map(|(node, record)| {
+                let node = node.unwrap_or_else(|| self.match_or_insert(record));
+                resolve_with_threshold(&self.model, node, threshold).0
+            })
             .collect()
     }
 
@@ -278,10 +296,7 @@ mod tests {
         parser.train(&records);
         let matched = parser.match_batch(&records);
         let assigned = parser.last_training_assignment.iter();
-        let agree = matched
-            .iter()
-            .zip(assigned)
-            .filter(|(m, a)| m.node == Some(**a));
+        let agree = matched.iter().zip(assigned).filter(|(m, a)| m.node == **a);
         let ratio = agree.count() as f64 / records.len() as f64;
         assert!(
             ratio > 0.8,
@@ -298,7 +313,7 @@ mod tests {
             let assigned = parser.last_training_assignment.iter();
             batch.iter().zip(assigned).all(|(record, id)| {
                 let tokens = parser.preprocessor().tokens_of(record);
-                let node = parser.model().node(*id);
+                let node = id.and_then(|id| parser.model().node(id));
                 node.is_some_and(|n| !n.retired && n.matches(tokens.iter().map(String::as_str)))
             })
         };
@@ -401,6 +416,44 @@ mod tests {
                 "release:lock=100, flg=0x0, tag=\"View Lock\", name=systemui, ws=null"
             )
             .is_matched());
+    }
+
+    /// A batch over `max_training_records` is clustered on a sample. Every record still
+    /// gets a group id under both matching settings, and identical records share one,
+    /// whether or not the sample holds them.
+    #[test]
+    fn sampled_training_groups_every_record() {
+        let mut records: Vec<String> = (0..1000)
+            .map(|i| match i % 3 {
+                0 => format!("job {i} started on node{}", i % 7),
+                1 => format!("job {i} finished in {} ms", i % 50),
+                _ => format!("disk sd{} is {}% full", i % 4, i % 100),
+            })
+            .collect();
+        for i in [500, 501, 700] {
+            records[i] = "kernel panic at cpu 3 after watchdog timeout".to_string();
+        }
+        for text_based_matching in [true, false] {
+            let ablation = crate::config::AblationConfig {
+                text_based_matching,
+                ..crate::config::AblationConfig::full()
+            };
+            let config = TrainConfig {
+                max_training_records: 100,
+                ..TrainConfig::default().with_ablation(ablation)
+            };
+            let mut parser = ByteBrainParser::new(config);
+            let groups = parser.parse_with_threshold(&records, 0.6);
+            assert_eq!(groups.len(), records.len(), "{text_based_matching}");
+            assert_eq!(groups[500], groups[501], "{text_based_matching}");
+            assert_eq!(groups[500], groups[700], "{text_based_matching}");
+            let sampled = parser.last_training_assignment.iter().flatten().count();
+            assert_eq!(sampled, 100, "{text_based_matching}");
+            // The sample holds none of the three copies, and no trained template matches
+            // them: the first became a temporary, which the other two matched.
+            let temporaries = parser.model.nodes.iter().filter(|n| n.temporary).count();
+            assert_eq!(temporaries, 1, "{text_based_matching}");
+        }
     }
 
     #[test]

@@ -17,10 +17,10 @@ use rand::SeedableRng;
 pub struct TrainOutcome {
     /// The trained model.
     pub model: ParserModel,
-    /// For every input record, the node id its unique log was assigned to by clustering
-    /// (the most precise template containing it). Used by the "w/ naive match" ablation
-    /// variant and by tests.
-    pub training_assignment: Vec<NodeId>,
+    /// For every input record, the node its unique log was clustered into (the most
+    /// precise template containing it), or `None` for a record the OOM guard's sample
+    /// left out. Used by the "w/ naive match" ablation variant and by tests.
+    pub training_assignment: Vec<Option<NodeId>>,
     /// Preprocessing statistics of the training batch.
     pub dedup_stats: logtok::DedupStats,
 }
@@ -28,23 +28,28 @@ pub struct TrainOutcome {
 /// Train a model from raw records.
 pub fn train<S: AsRef<str>>(records: &[S], config: &TrainConfig) -> TrainOutcome {
     let preprocessor = Preprocessor::new(config.preprocess.clone());
+    if records.len() <= config.max_training_records {
+        return train_from_batch(&preprocessor.preprocess(records), config);
+    }
     // OOM guard (§3): sample uniformly when the batch exceeds the configured cap.
-    let batch = if records.len() > config.max_training_records {
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5A5A);
-        let mut indices: Vec<usize> = (0..records.len()).collect();
-        indices.shuffle(&mut rng);
-        indices.truncate(config.max_training_records);
-        indices.sort_unstable();
-        let sampled: Vec<&str> = indices.iter().map(|&i| records[i].as_ref()).collect();
-        preprocessor.preprocess(&sampled)
-    } else {
-        preprocessor.preprocess(records)
-    };
-    train_from_batch(&batch, config)
+    let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5A5A);
+    let mut indices: Vec<usize> = (0..records.len()).collect();
+    indices.shuffle(&mut rng);
+    indices.truncate(config.max_training_records);
+    indices.sort_unstable();
+    let sampled: Vec<&str> = indices.iter().map(|&i| records[i].as_ref()).collect();
+    let mut outcome = train_from_batch(&preprocessor.preprocess(&sampled), config);
+    let mut assignment = vec![None; records.len()];
+    for (&i, node) in indices.iter().zip(&outcome.training_assignment) {
+        assignment[i] = *node;
+    }
+    outcome.training_assignment = assignment;
+    outcome
 }
 
 /// Train a model from an already-preprocessed batch (used by the service layer, which
-/// preprocesses incrementally as records arrive).
+/// preprocesses incrementally as records arrive). Every record of the batch is
+/// clustered, so its `training_assignment` has no `None`.
 pub fn train_from_batch(batch: &PreprocessedBatch, config: &TrainConfig) -> TrainOutcome {
     let unique_logs = &batch.unique_logs;
     let groups = initial_groups(unique_logs, config.prefix_tokens);
@@ -112,10 +117,10 @@ pub fn train_from_batch(batch: &PreprocessedBatch, config: &TrainConfig) -> Trai
     model.rebuild_match_order();
 
     // Expand the per-unique-log assignment to per-record.
-    let training_assignment: Vec<NodeId> = batch
+    let training_assignment: Vec<Option<NodeId>> = batch
         .record_to_unique
         .iter()
-        .map(|&u| unique_assignment[u].expect("every unique log is assigned to a leaf"))
+        .map(|&u| Some(unique_assignment[u].expect("every unique log is assigned to a leaf")))
         .collect();
 
     TrainOutcome {
@@ -168,7 +173,7 @@ mod tests {
         let preprocessor = logtok::Preprocessor::new(config.preprocess.clone());
         for (record, node_id) in records.iter().zip(&outcome.training_assignment) {
             let tokens = preprocessor.tokens_of(record);
-            let node = outcome.model.node(*node_id).unwrap();
+            let node = node_id.and_then(|id| outcome.model.node(id)).unwrap();
             assert!(
                 node.matches(tokens.iter().map(String::as_str)),
                 "record {record:?} assigned to non-matching template {:?}",
@@ -209,6 +214,9 @@ mod tests {
         };
         let outcome = train(&records, &config);
         assert!(outcome.model.trained_records() <= 100);
+        // One entry per input record; only the sampled ones were clustered.
+        assert_eq!(outcome.training_assignment.len(), records.len());
+        assert_eq!(outcome.training_assignment.iter().flatten().count(), 100);
     }
 
     #[test]

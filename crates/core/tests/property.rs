@@ -137,6 +137,26 @@ fn adversarial_seed() -> u64 {
         .unwrap_or(1)
 }
 
+/// Random weighted logs of `positions` tokens, each position drawn from a vocabulary of
+/// 1, 2, 3 or 50 tokens: small vocabularies give shared tokens, large ones completely
+/// distinct positions.
+fn weighted_logs(rng: &mut StdRng, positions: usize, rows: usize) -> Vec<EncodedLog> {
+    let vocab: Vec<usize> = (0..positions)
+        .map(|_| [1, 2, 3, 50][rng.gen_range(0..4usize)])
+        .collect();
+    (0..rows)
+        .map(|_| {
+            let tokens: Vec<String> = vocab
+                .iter()
+                .map(|&v| format!("t{}", rng.gen_range(0..v)))
+                .collect();
+            let mut log = EncodedLog::from_tokens(&tokens);
+            log.count = rng.gen_range(1..1_000u64);
+            log
+        })
+        .collect()
+}
+
 /// The trainer's dense kernel (`TokenTable` + `DenseProfile`) equals the reference
 /// `ClusterProfile` bit for bit: for random equal-length weighted log sets, a random
 /// node (subset, re-interned) and a random partition of it into clusters, every
@@ -148,22 +168,8 @@ fn dense_kernel_equals_reference_profile() {
     let mut rng = StdRng::seed_from_u64(adversarial_seed() ^ 0xDE5E);
     for case in 0..120 {
         let positions = rng.gen_range(1..7usize);
-        // Small vocabularies give shared tokens; large ones give completely distinct
-        // positions.
-        let vocab: Vec<usize> = (0..positions)
-            .map(|_| [1, 2, 3, 50][rng.gen_range(0..4usize)])
-            .collect();
-        let logs: Vec<EncodedLog> = (0..rng.gen_range(1..30usize))
-            .map(|_| {
-                let tokens: Vec<String> = vocab
-                    .iter()
-                    .map(|&v| format!("t{}", rng.gen_range(0..v)))
-                    .collect();
-                let mut log = EncodedLog::from_tokens(&tokens);
-                log.count = rng.gen_range(1..1_000u64);
-                log
-            })
-            .collect();
+        let rows = rng.gen_range(1..30usize);
+        let logs = weighted_logs(&mut rng, positions, rows);
         let group = TokenTable::intern(positions, logs.iter());
 
         // The node: a random non-empty subset of the group, in group order.
@@ -199,10 +205,12 @@ fn dense_kernel_equals_reference_profile() {
             assert_eq!(dense.total_weight(), reference.total_weight());
             assert_eq!(dense.is_empty(), reference.is_empty());
             for importance in [true, false] {
-                dense.seal(importance);
+                dense.seal(&node, importance);
+                let mut column = vec![0.0; node.rows()];
+                dense.score(&node, &mut column);
                 for (slot, &member) in members.iter().enumerate() {
                     assert_eq!(
-                        dense.distance(node.row(slot)).to_bits(),
+                        column[slot].to_bits(),
                         reference.distance(&logs[member], importance).to_bits(),
                         "case {case}: distance of member {member}, importance {importance}"
                     );
@@ -225,6 +233,92 @@ fn dense_kernel_equals_reference_profile() {
         let whole = ClusterProfile::from_logs(positions, members.iter().map(|&m| &logs[m]));
         assert_eq!(node.distinct(), whole.distinct());
         assert_eq!(node.total_weight(), whole.total_weight());
+    }
+}
+
+/// The column of `profile` over `table`, sealed with `importance`, as raw bits.
+fn column_bits(profile: &mut DenseProfile, table: &TokenTable, importance: bool) -> Vec<u64> {
+    profile.seal(table, importance);
+    let mut column = vec![0.0; table.rows()];
+    profile.score(table, &mut column);
+    column.iter().map(|d| d.to_bits()).collect()
+}
+
+/// A profile kept by moves — random sequences of `add` and `remove` — is exactly the
+/// profile rebuilt from the rows it holds: counts, distinct counts, totals, and every
+/// distance bit for bit, under both settings of position importance.
+#[test]
+fn profile_kept_by_moves_equals_a_rebuild() {
+    let mut rng = StdRng::seed_from_u64(adversarial_seed() ^ 0x30E5);
+    for case in 0..80 {
+        let positions = rng.gen_range(1..7usize);
+        let rows = rng.gen_range(1..24usize);
+        let table = TokenTable::intern(positions, weighted_logs(&mut rng, positions, rows).iter());
+        let mut kept = DenseProfile::default();
+        kept.reset(&table);
+        let mut members = vec![false; rows];
+        for step in 0..rng.gen_range(1..60usize) {
+            let row = rng.gen_range(0..rows);
+            if members[row] {
+                kept.remove(table.row(row), table.weight(row));
+            } else {
+                kept.add(table.row(row), table.weight(row));
+            }
+            members[row] = !members[row];
+
+            let mut rebuilt = DenseProfile::default();
+            rebuilt.reset(&table);
+            for row in (0..rows).filter(|&row| members[row]) {
+                rebuilt.add(table.row(row), table.weight(row));
+            }
+            assert!(kept.same_statistics(&rebuilt), "case {case}, step {step}");
+            assert_eq!(kept.distinct(), rebuilt.distinct());
+            assert_eq!(kept.total_weight(), rebuilt.total_weight());
+            assert_eq!(kept.unique_count(), rebuilt.unique_count());
+            for importance in [true, false] {
+                assert_eq!(
+                    column_bits(&mut kept, &table, importance),
+                    column_bits(&mut rebuilt, &table, importance),
+                    "case {case}, step {step}, importance {importance}"
+                );
+            }
+        }
+    }
+}
+
+/// The column scorer equals the reference distance bit for bit at every row count from
+/// 1 to 9, which takes every tail of its four-row blocks, for both settings of position
+/// importance; an empty profile scores every row 1.0.
+#[test]
+fn column_scorer_equals_reference_at_every_tail() {
+    let mut rng = StdRng::seed_from_u64(adversarial_seed() ^ 0xC011);
+    for rows in 1..=9usize {
+        for case in 0..20 {
+            let positions = rng.gen_range(1..7usize);
+            let logs = weighted_logs(&mut rng, positions, rows);
+            let table = TokenTable::intern(positions, logs.iter());
+            let members: Vec<usize> = (0..rows).filter(|_| rng.gen_bool(0.5)).collect();
+            let reference = ClusterProfile::from_logs(positions, members.iter().map(|&m| &logs[m]));
+            let mut dense = DenseProfile::default();
+            dense.reset(&table);
+            for &row in &members {
+                dense.add(table.row(row), table.weight(row));
+            }
+            for importance in [true, false] {
+                let expected: Vec<u64> = logs
+                    .iter()
+                    .map(|log| reference.distance(log, importance).to_bits())
+                    .collect();
+                assert_eq!(
+                    column_bits(&mut dense, &table, importance),
+                    expected,
+                    "{rows} rows, case {case}, importance {importance}"
+                );
+                if members.is_empty() {
+                    assert!(expected.iter().all(|&bits| bits == 1.0f64.to_bits()));
+                }
+            }
+        }
     }
 }
 

@@ -62,7 +62,7 @@ fn fingerprint(outcome: &TrainOutcome) -> u64 {
     }
     h.u64(outcome.training_assignment.len() as u64);
     for id in &outcome.training_assignment {
-        h.u64(id.0 as u64);
+        h.u64(id.map_or(u64::MAX, |id| id.0 as u64));
     }
     h.0
 }
