@@ -310,15 +310,30 @@ impl SlotBuffer {
     }
 }
 
-/// What [`match_ids_batch`] decided for a batch.
+/// What a match kernel decided for a batch: [`match_ids_batch`], or a streaming
+/// worker over the same kernel.
 #[derive(Debug, Default)]
 pub struct BatchMatch {
-    /// Per record, in input order: the matched node (`None` when no template matched),
-    /// its saturation (0 when unmatched) and the record's slots in `slots` (see
-    /// [`SlotBuffer::extract`]; every token when unmatched).
-    pub ids: Vec<(Option<NodeId>, f64, SlotRange)>,
+    /// Per record, in input order: the matched node (`None` when no template matched)
+    /// and the record's slots in `slots` (see [`SlotBuffer::extract`]; every token when
+    /// unmatched).
+    pub ids: Vec<(Option<NodeId>, SlotRange)>,
     /// The slots `ids` name, spans of the records they were extracted from.
     pub slots: SlotBuffer,
+}
+
+impl BatchMatch {
+    /// Append the decisions for the records that follow this batch's.
+    pub fn append(&mut self, other: BatchMatch) {
+        if self.ids.is_empty() {
+            *self = other;
+            return;
+        }
+        let moved = self.slots.append(&other.slots);
+        let ids = other.ids.into_iter();
+        self.ids
+            .extend(ids.map(|(node, slots)| (node, slots.shifted(moved))));
+    }
 }
 
 /// Match a batch of raw records, optionally across `workers` threads (§3 "Parallel": the
@@ -338,33 +353,22 @@ pub fn match_ids_batch<S: AsRef<str> + Sync>(
     }
     let lines: Vec<&str> = records.iter().map(|record| record.as_ref()).collect();
     let chunk = lines.len().div_ceil(workers.max(1)).max(1);
-    let mut parts = run_parallel(workers, lines.chunks(chunk).collect(), |lines| {
+    let parts = run_parallel(workers, lines.chunks(chunk).collect(), |lines| {
         SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
             let mut part = BatchMatch::default();
             for &line in lines {
                 let view = preprocessor.token_view(line, &mut scratch);
                 let node = match_compiled(model, compiled, &view);
-                let saturation = node.map_or(0.0, |id| model.nodes[id.0].saturation);
                 let slots = part.slots.extract(model, node, line, &view);
-                part.ids.push((node, saturation, slots));
+                part.ids.push((node, slots));
             }
             part
         })
     });
-    if parts.len() <= 1 {
-        return parts.pop().unwrap_or_default();
-    }
-    let mut whole = BatchMatch {
-        ids: Vec::with_capacity(records.len()),
-        slots: SlotBuffer::new(),
-    };
+    let mut whole = BatchMatch::default();
     for part in parts {
-        let moved = whole.slots.append(&part.slots);
-        let ids = part.ids.into_iter();
-        whole
-            .ids
-            .extend(ids.map(|(node, sat, slots)| (node, sat, slots.shifted(moved))));
+        whole.append(part);
     }
     whole
 }
@@ -395,11 +399,10 @@ mod tests {
         probes.push("matches nothing at all".into());
         // Input order is kept across workers; the seam assertion runs on every line.
         let results = match_ids_batch(&model, &compiled, &pre, &probes, 3).ids;
-        let decided = |i: usize| (results[i].0, results[i].1);
-        assert_eq!(decided(0), (Some(ids[0]), 1.0));
-        assert_eq!(decided(1), (Some(ids[1]), 1.0));
+        assert_eq!(results[0].0, Some(ids[0]));
+        assert_eq!(results[1].0, Some(ids[1]));
         assert!(results[2].0.is_some_and(|id| id.0 < compiled.nodes()));
-        assert_eq!(decided(3), (None, 0.0));
+        assert_eq!(results[3].0, None);
     }
 
     /// The tokens at the matched template's wildcard positions — all of them when
@@ -446,7 +449,7 @@ mod tests {
         for workers in [1, 3] {
             let batch = match_ids_batch(&model, &compiled, &pre, &probes, workers);
             assert_eq!(batch.ids.len(), probes.len());
-            for (probe, &(_, _, range)) in probes.iter().zip(&batch.ids) {
+            for (probe, &(_, range)) in probes.iter().zip(&batch.ids) {
                 let got: Vec<&str> = batch.slots.values(probe, range).collect();
                 assert_eq!(got, wildcard_tokens(&model, &pre, probe), "{probe:?}");
             }

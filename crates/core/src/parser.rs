@@ -122,7 +122,7 @@ impl ByteBrainParser {
         let batch = match_ids_batch(model, &self.compiled, &self.preprocessor, records, workers);
         let decided = records.iter().zip(batch.ids);
         decided
-            .map(|(record, (node, _, _))| MatchResult::of(model, record, node))
+            .map(|(record, (node, _))| MatchResult::of(model, record, node))
             .collect()
     }
 
@@ -141,7 +141,7 @@ impl ByteBrainParser {
         let matched = match_ids_batch(model, &self.compiled, &self.preprocessor, records, workers);
         let decided = matched.ids.into_iter().zip(&self.last_training_assignment);
         let nodes: Vec<Option<NodeId>> = decided
-            .map(|((text, _, _), &clustered)| {
+            .map(|((text, _), &clustered)| {
                 if naive {
                     clustered.or(text)
                 } else {

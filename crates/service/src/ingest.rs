@@ -1,37 +1,38 @@
 //! Batched streaming ingestion engine (§3 "System Design": online matching must keep up
 //! with ingestion across thousands of topics).
 //!
-//! [`StreamIngestor`] is the high-throughput alternative to calling
-//! [`LogTopic::ingest`](crate::topic::LogTopic::ingest) one record (or one small batch)
-//! at a time. [`StreamIngestor::push`] appends records to the one open batch, which is
-//! flushed when it reaches `batch_records` (size bound) or when its oldest record has
-//! waited `flush_interval` (time bound). Every flushed batch is a contiguous run of
-//! arrival sequence numbers, and flushed batches are matched in parallel by the shared
-//! [`MatcherPool`] over an immutable (model, automaton) snapshot pair.
+//! [`StreamIngestor`] is the high-throughput alternative to matching a whole
+//! in-memory batch on the calling thread. [`StreamIngestor::push`] appends records to
+//! the one open batch, which is flushed when it reaches `batch_records`, and
+//! [`StreamIngestor::sync`] / [`StreamIngestor::finish`] flush the remainder. Every
+//! flushed batch is a contiguous run of arrivals, and flushed batches are matched in
+//! parallel by the shared [`MatcherPool`] over an immutable (model, automaton) snapshot
+//! pair.
 //!
 //! The matching hot path is zero-copy end to end: every pool worker keeps a private
 //! [`logtok::TokenScratch`], records travel to the workers and back by move, and the
-//! lean [`MatchId`](crate::matcher_pool::MatchId) results carry no rendered template
-//! text — only the node and the range of the record's variable slots, which the worker
-//! read off the view it matched on and the topic stores as they are.
+//! decisions come back as the [`BatchMatch`] the batch kernel also produces — no
+//! rendered template text, only each record's node and the range of its variable
+//! slots, which the worker read off the view it matched on and the topic stores as
+//! they are.
 //!
 //! Back-pressure is explicit: at most `max_in_flight` batches may be submitted and
 //! unharvested; a `push` that would exceed the bound first blocks on the next finished
 //! batch — indefinitely, or for the caller's wait bound, after which the record comes
 //! back in [`Overloaded`]. [`IngestStats`] reports the waits, the high-water mark, and
-//! the record/flush counters so saturation is observable rather than silent.
+//! the record/batch counters so saturation is observable rather than silent.
 //!
 //! ```text
 //!        push
 //!         │
 //!         ▼
-//!    [open batch]            one buffer; size / time / forced flush
-//!         │ contiguous seq run
+//!    [open batch]            one buffer; size-bound or forced flush
+//!         │ contiguous run of arrivals
 //!         ▼
 //!    MatcherPool             worker threads, one (model, automaton) pair per
 //!         │                  batch, per-worker TokenScratch and MatchCache
 //!         ▼
-//!    IdBatchResult  ──────►  released in batch order (= arrival order)
+//!    (lines, BatchMatch) ──► joined in batch order (= arrival order)
 //! ```
 //!
 //! The module also holds the ingest **driver**, [`drive`]: the prepare → match → apply
@@ -39,28 +40,19 @@
 //! reaches the topic ([`TopicAccess`]) and by which engine matches ([`Route`]).
 
 use crate::matcher_pool::{IdBatchResult, MatcherPool, StreamRecord};
-use crate::topic::{IngestOutcome, LogTopic, StreamOutcome, StreamOverloaded};
+use crate::topic::{IngestOutcome, LogTopic, StreamOutcome};
 use bytebrain::matcher::match_ids_batch;
-use bytebrain::{BatchMatch, CompiledMatcher, NodeId, ParserModel, SlotBuffer, SlotRange};
+use bytebrain::{BatchMatch, CompiledMatcher, ParserModel, SlotBuffer, SlotRange};
 use logtok::Preprocessor;
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-
-/// Pushes between time-bound staleness checks on the hot path: `push` consults
-/// the clock only every this many records (plus whenever a batch flushes),
-/// keeping `Instant::now` off the per-record cost. [`StreamIngestor::poll`]
-/// always applies the time bound exactly.
-const STALE_CHECK_INTERVAL: u64 = 64;
 
 /// Configuration of the streaming ingestion engine.
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
     /// Size bound: the open batch flushes when it holds this many records.
     pub batch_records: usize,
-    /// Time bound: a partial batch flushes once its oldest record has waited this
-    /// long (checked periodically on push and exactly in [`StreamIngestor::poll`]).
-    pub flush_interval: Duration,
     /// Back-pressure bound: the maximum number of flushed-but-unharvested batches.
     pub max_in_flight: usize,
     /// Matcher pool worker threads (the paper bounds production topics to 1–5 cores).
@@ -71,7 +63,6 @@ impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
             batch_records: 512,
-            flush_interval: Duration::from_millis(50),
             max_in_flight: 8,
             workers: 4,
         }
@@ -88,12 +79,6 @@ impl IngestConfig {
     /// Override the worker thread count (clamped to at least 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Override the time-based flush bound.
-    pub fn with_flush_interval(mut self, interval: Duration) -> Self {
-        self.flush_interval = interval;
         self
     }
 
@@ -115,19 +100,14 @@ pub struct IngestStats {
     pub matched: u64,
     /// Harvested records that matched no template.
     pub unmatched: u64,
-    /// Flushes triggered by the size bound.
-    pub size_flushes: u64,
-    /// Flushes triggered by the time bound.
-    pub time_flushes: u64,
-    /// Flushes triggered by an explicit [`StreamIngestor::flush`] / `finish`.
-    pub forced_flushes: u64,
-    /// Batches submitted to the matcher pool (the sum of the three flush counters).
+    /// Batches submitted to the matcher pool: one per size-bound flush, plus one per
+    /// [`StreamIngestor::sync`] or `finish` that found a partial batch open.
     pub submitted_batches: u64,
     /// Batches whose results have been harvested.
     pub completed_batches: u64,
     /// Blocked back-pressure episodes: times a flush parked on the results channel
     /// because `max_in_flight` batches were outstanding. Counted once per episode
-    /// (not once per poll), so it is bounded by `submitted_batches` — a spin-poll
+    /// (not once per wake-up), so it is bounded by `submitted_batches` — a spin-poll
     /// regression would blow far past that bound.
     pub backpressure_waits: u64,
     /// High-water mark of outstanding batches.
@@ -163,86 +143,36 @@ impl std::fmt::Display for Overloaded {
 
 impl std::error::Error for Overloaded {}
 
-/// One record that has completed matching.
-#[derive(Debug, Clone)]
-pub struct MatchedRecord {
-    /// Arrival sequence number (0-based); [`IngestReport::records`] is sorted by it.
-    pub seq: u64,
-    /// The raw record text.
-    pub record: String,
-    /// Matched template, `None` when no template matched.
-    pub node: Option<NodeId>,
-    /// Saturation of the matched template (0 when unmatched).
-    pub saturation: f64,
-    /// The record's variable slots, in the [`SlotBuffer`] it travels with — every
-    /// token when no template matched ([`SlotBuffer::extract`]).
-    pub slots: SlotRange,
-}
-
-/// Records that completed matching, in arrival order, and the variable slots their
-/// matches extracted (each record's [`MatchedRecord::slots`] names a range of `slots`).
-#[derive(Debug, Default)]
-pub struct MatchedChunk {
-    /// The records with their match outcomes.
-    pub records: Vec<MatchedRecord>,
-    /// The slots the records' ranges point into.
-    pub slots: SlotBuffer,
-}
-
-/// Result of a completed streaming run.
-#[derive(Debug)]
-pub struct IngestReport {
-    /// The completed records with their match outcomes, sorted by arrival order.
-    /// When [`StreamIngestor::drain_completed`] harvested records mid-stream, this
-    /// holds only the records released after the last harvest; [`IngestStats`]
-    /// always covers the full run.
-    pub records: Vec<MatchedRecord>,
-    /// The variable slots `records` name.
-    pub slots: SlotBuffer,
-    /// Counters and back-pressure statistics of the run.
-    pub stats: IngestStats,
-    /// Wall-clock duration from engine construction to `finish`.
-    pub elapsed: Duration,
-}
-
-impl IngestReport {
-    /// Records matched to an existing template.
-    pub fn matched(&self) -> u64 {
-        self.stats.matched
-    }
-
-    /// Records that matched no template.
-    pub fn unmatched(&self) -> u64 {
-        self.stats.unmatched
-    }
-
-    /// Throughput of the run in records per second, counting every ingested record
-    /// (including those harvested mid-stream via
-    /// [`StreamIngestor::drain_completed`]).
-    ///
-    /// A report taken before any measurable work (elapsed ≈ 0) yields `0.0`, never
-    /// `inf`/`NaN`.
-    pub fn records_per_second(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 && self.stats.records > 0 {
-            self.stats.records as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Why a batch is being flushed (drives the flush counters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlushReason {
-    Size,
-    Time,
-    Forced,
-}
-
 /// The streaming ingestion engine: accumulates records into one open batch and
 /// drives flushed batches through a [`MatcherPool`] in parallel. See the module
 /// documentation for the data flow.
+///
+/// # Example
+///
+/// ```
+/// use bytebrain::{train::train, TrainConfig};
+/// use logtok::Preprocessor;
+/// use service::{IngestConfig, StreamIngestor};
+/// use std::sync::Arc;
+///
+/// let lines: Vec<String> = (0..200)
+///     .map(|i| format!("GET /api/items/{} took {}ms", i % 20, i % 90))
+///     .collect();
+/// let config = TrainConfig::default();
+/// let model = Arc::new(train(&lines, &config).model);
+/// let preprocessor = Arc::new(Preprocessor::new(config.preprocess.clone()));
+///
+/// let mut ingestor = StreamIngestor::new(model, preprocessor, IngestConfig::default());
+/// for line in lines {
+///     // `None`: park on back-pressure, never shed; `Some(wait)` sheds past `wait`.
+///     ingestor.push(line, None).expect("an unbounded push never sheds");
+/// }
+/// // Every line, in arrival order, with its node and variable slots.
+/// let (lines, matches, stats) = ingestor.finish();
+/// assert_eq!(lines.len(), 200);
+/// assert_eq!(matches.ids.len(), 200);
+/// assert_eq!(stats.matched, 200);
+/// ```
 #[derive(Debug)]
 pub struct StreamIngestor {
     config: IngestConfig,
@@ -256,12 +186,10 @@ pub struct StreamIngestor {
     compiled: OnceLock<Arc<CompiledMatcher>>,
     /// Records of the open batch, each carrying its admission-time line hash.
     pending: Vec<StreamRecord>,
-    /// When the oldest pending record arrived (None while the batch is empty).
-    opened_at: Option<Instant>,
     stats: IngestStats,
     /// Finished batches as a batch-indexed ring: slot `i` holds batch
-    /// `next_release + i` (None until it lands). Batches are contiguous sequence
-    /// runs submitted in order, so releasing them front to back releases records
+    /// `next_release + i` (None until it lands). Batches are contiguous runs of
+    /// arrivals submitted in order, so releasing them front to back releases records
     /// in arrival order however the batches raced through the pool.
     completed: VecDeque<Option<IdBatchResult>>,
     /// First batch id not yet released by [`StreamIngestor::drain_completed`].
@@ -270,7 +198,6 @@ pub struct StreamIngestor {
     /// Emptied batch buffers recycled into the open batch, so steady-state pushes
     /// append into already-allocated Vecs.
     spare_batches: Vec<Vec<StreamRecord>>,
-    started: Instant,
 }
 
 impl StreamIngestor {
@@ -287,7 +214,6 @@ impl StreamIngestor {
             batch_records: config.batch_records.max(1),
             max_in_flight: config.max_in_flight.max(1),
             workers: config.workers.max(1),
-            ..config
         };
         StreamIngestor {
             pool: MatcherPool::new(preprocessor, config.workers),
@@ -295,13 +221,11 @@ impl StreamIngestor {
             model,
             compiled: OnceLock::new(),
             pending: Vec::new(),
-            opened_at: None,
             stats: IngestStats::default(),
             completed: VecDeque::new(),
             next_release: 0,
             in_flight: 0,
             spare_batches: Vec::new(),
-            started: Instant::now(),
         }
     }
 
@@ -322,16 +246,6 @@ impl StreamIngestor {
         self.model = model;
         self.compiled = OnceLock::from(compiled);
         self.stats.model_swaps += 1;
-    }
-
-    /// The model snapshot that the next flushed batch will be matched against.
-    pub fn current_model(&self) -> &Arc<ParserModel> {
-        &self.model
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &IngestConfig {
-        &self.config
     }
 
     /// Current statistics (updated as batches flush and results are harvested).
@@ -374,54 +288,25 @@ impl StreamIngestor {
             }
         }
         let record = record.into();
-        let seq = self.stats.records;
         self.stats.records += 1;
         self.stats.bytes += record.len() as u64;
-        if self.pending.is_empty() {
-            self.opened_at = Some(Instant::now());
-        }
-        self.pending.push(StreamRecord::new(seq, record));
+        self.pending.push(StreamRecord::new(record));
         if self.pending.len() >= self.config.batch_records {
             // Harvest finished batches at flush boundaries (bounded lag: at
             // most `max_in_flight` batches ever wait in the result channel).
             self.drain_ready();
-            self.flush_batch(FlushReason::Size);
-        } else if seq.is_multiple_of(STALE_CHECK_INTERVAL) {
-            self.flush_if_stale();
+            self.flush();
         }
         Ok(())
     }
 
-    /// Flush the open batch if it has exceeded the time bound and harvest finished
-    /// results. Long-lived callers with bursty input should call this periodically;
-    /// `push` also applies the time bound every few records.
-    pub fn poll(&mut self) {
-        self.flush_if_stale();
-        self.drain_ready();
-    }
-
-    /// Force-flush the open batch regardless of the size/time bounds.
-    pub fn flush(&mut self) {
-        self.flush_batch(FlushReason::Forced);
-    }
-
-    fn flush_if_stale(&mut self) {
-        let interval = self.config.flush_interval;
-        if self
-            .opened_at
-            .is_some_and(|opened| opened.elapsed() >= interval)
-        {
-            self.flush_batch(FlushReason::Time);
-        }
-    }
-
-    fn flush_batch(&mut self, reason: FlushReason) {
+    /// Submit the open batch, if any, to the pool.
+    fn flush(&mut self) {
         if self.pending.is_empty() {
             return;
         }
         let refill = self.spare_batches.pop().unwrap_or_default();
         let batch = std::mem::replace(&mut self.pending, refill);
-        self.opened_at = None;
         // Back-pressure: park on the results channel until a slot frees up. One
         // blocked episode is counted once, however many batches it takes to drain
         // below the bound — `recv_ids` is a blocking channel `recv`, so a stalled
@@ -431,11 +316,6 @@ impl StreamIngestor {
             while self.in_flight >= self.config.max_in_flight {
                 self.absorb_next();
             }
-        }
-        match reason {
-            FlushReason::Size => self.stats.size_flushes += 1,
-            FlushReason::Time => self.stats.time_flushes += 1,
-            FlushReason::Forced => self.stats.forced_flushes += 1,
         }
         let compiled = Arc::clone(
             self.compiled
@@ -474,9 +354,10 @@ impl StreamIngestor {
     fn absorb(&mut self, result: IdBatchResult) {
         self.in_flight -= 1;
         self.stats.completed_batches += 1;
-        let matched = result.results.iter().filter(|id| id.node.is_some()).count() as u64;
+        let ids = &result.matches.ids;
+        let matched = ids.iter().filter(|(node, _)| node.is_some()).count() as u64;
         self.stats.matched += matched;
-        self.stats.unmatched += result.results.len() as u64 - matched;
+        self.stats.unmatched += ids.len() as u64 - matched;
         // Slot `batch_id - next_release` in the completed ring; a released batch
         // never lands again, so the index never underflows.
         let slot = (result.batch_id - self.next_release) as usize;
@@ -488,37 +369,25 @@ impl StreamIngestor {
 
     /// Harvest finished batches without blocking and return the records that form a
     /// contiguous arrival-order prefix (i.e. every batch up to the first one still
-    /// outstanding). Long-lived callers use this to apply results — and detect
-    /// drift — while the stream is still running; the contiguity guarantee keeps
-    /// downstream application order identical to the batch path regardless of how
-    /// batches raced through the pool.
-    pub fn drain_completed(&mut self) -> MatchedChunk {
+    /// outstanding), each with what was decided for it. Long-lived callers use this to
+    /// apply results — and detect drift — while the stream is still running; the
+    /// contiguity guarantee keeps downstream application order identical to the batch
+    /// path regardless of how batches raced through the pool.
+    pub fn drain_completed(&mut self) -> (Vec<String>, BatchMatch) {
         self.drain_ready();
-        let mut out = MatchedChunk::default();
+        let (mut lines, mut matches) = (Vec::new(), BatchMatch::default());
         while matches!(self.completed.front(), Some(Some(_))) {
             let IdBatchResult {
-                mut records,
-                results,
-                slots,
+                records: mut batch,
+                matches: decided,
                 ..
             } = self.completed.pop_front().flatten().expect("checked Some");
-            let moved = out.slots.append(&slots);
-            out.records.extend(
-                records
-                    .drain(..)
-                    .zip(results)
-                    .map(|(record, id)| MatchedRecord {
-                        seq: record.seq,
-                        record: record.line,
-                        node: id.node,
-                        saturation: id.saturation,
-                        slots: id.slots.shifted(moved),
-                    }),
-            );
-            self.spare_batches.push(records);
+            lines.extend(batch.drain(..).map(|record| record.line));
+            matches.append(decided);
+            self.spare_batches.push(batch);
             self.next_release += 1;
         }
-        out
+        (lines, matches)
     }
 
     /// Force-flush the open batch and block until every in-flight batch has been
@@ -540,22 +409,18 @@ impl StreamIngestor {
     }
 
     /// Flush everything, wait for all outstanding batches, shut the pool down, and
-    /// return the full report with records in arrival order. When
-    /// [`StreamIngestor::drain_completed`] harvested records mid-stream, the report
-    /// contains only the records released after the last harvest.
+    /// return the records not yet drained, in arrival order, with their matches and
+    /// the counters of the whole run. When [`StreamIngestor::drain_completed`]
+    /// harvested records mid-stream, only the records released after the last harvest
+    /// come back.
     ///
     /// # Panics
     /// Panics if pool workers died with batches outstanding (records would otherwise
-    /// be silently dropped from the report).
-    pub fn finish(mut self) -> IngestReport {
+    /// be silently dropped).
+    pub fn finish(mut self) -> (Vec<String>, BatchMatch, IngestStats) {
         self.sync();
-        let MatchedChunk { records, slots } = self.drain_completed();
-        IngestReport {
-            elapsed: self.started.elapsed(),
-            records,
-            slots,
-            stats: std::mem::take(&mut self.stats),
-        }
+        let (lines, matches) = self.drain_completed();
+        (lines, matches, std::mem::take(&mut self.stats))
     }
 }
 
@@ -648,12 +513,19 @@ pub fn drive<A: TopicAccess>(
     let prepared = access.with(|topic| match topic.prepare() {
         Some(context) => Some((context, records)),
         None => {
-            let nothing_matches = BatchMatch {
-                ids: vec![(None, 0.0, SlotRange::default()); records.len()],
+            let mut nothing_matches = BatchMatch {
+                ids: vec![(None, SlotRange::default()); records.len()],
                 slots: SlotBuffer::new(),
             };
-            let mut cold = matched_chunk(records, nothing_matches);
-            apply(topic, &mut cold, topic.model_version(), false, &mut outcome);
+            let version = topic.model_version();
+            apply(
+                topic,
+                &records,
+                &mut nothing_matches,
+                version,
+                false,
+                &mut outcome,
+            );
             None
         }
     });
@@ -662,13 +534,21 @@ pub fn drive<A: TopicAccess>(
     };
     match route {
         Route::Batch => {
-            let results = context.match_batch(&records);
+            let mut matches = context.match_batch(&records);
             let matched_at = context.model_version;
             // Release the snapshots before applying: a temporary insertion must
             // patch the topic's model in place, not copy a shared one.
             drop(context);
-            let mut chunk = matched_chunk(records, results);
-            access.with(|topic| apply(topic, &mut chunk, matched_at, false, &mut outcome));
+            access.with(|topic| {
+                apply(
+                    topic,
+                    &records,
+                    &mut matches,
+                    matched_at,
+                    false,
+                    &mut outcome,
+                )
+            });
         }
         Route::Stream {
             config,
@@ -708,12 +588,18 @@ pub fn drive<A: TopicAccess>(
                     // patched model — depend on worker scheduling, which broke
                     // run-to-run byte-identity of the incremental path.
                     ingestor.sync();
-                    let mut drained = ingestor.drain_completed();
+                    let (lines, mut matches) = ingestor.drain_completed();
                     // Durability tracks the checkpoint: the drained records and any
                     // maintenance event land on disk before the stream resumes.
                     let swap = access.with(|topic| {
-                        let replaced =
-                            apply(topic, &mut drained, matched_at, swapped, &mut outcome);
+                        let replaced = apply(
+                            topic,
+                            &lines,
+                            &mut matches,
+                            matched_at,
+                            swapped,
+                            &mut outcome,
+                        );
                         matched_at = topic.model_version();
                         replaced.then(|| (topic.model_snapshot(), topic.compiled_snapshot()))
                     });
@@ -728,63 +614,40 @@ pub fn drive<A: TopicAccess>(
             }
             // `finish` drops the engine and with it the snapshots, so a temporary
             // insertion below does not copy the model.
-            let report = ingestor.finish();
-            stats = report.stats;
-            let mut chunk = MatchedChunk {
-                records: report.records,
-                slots: report.slots,
-            };
-            access.with(|topic| apply(topic, &mut chunk, matched_at, swapped, &mut outcome));
+            let (lines, mut matches, finished) = ingestor.finish();
+            stats = finished;
+            access.with(|topic| {
+                apply(
+                    topic,
+                    &lines,
+                    &mut matches,
+                    matched_at,
+                    swapped,
+                    &mut outcome,
+                )
+            });
         }
     }
     (StreamOutcome { outcome, stats }, rejected)
 }
 
-/// What [`drive`] returns as the bounded entry points' `Result`: a shed suffix makes
-/// the call an `Err` carrying the committed prefix's outcome.
-pub(crate) fn shed_as_error(
-    (outcome, rejected): (StreamOutcome, Vec<String>),
-) -> Result<StreamOutcome, Box<StreamOverloaded>> {
-    if rejected.is_empty() {
-        Ok(outcome)
-    } else {
-        Err(Box::new(StreamOverloaded { outcome, rejected }))
-    }
-}
-
-/// Pair a batch's records with their match results, in arrival order.
-fn matched_chunk(records: Vec<String>, results: BatchMatch) -> MatchedChunk {
-    let pairs = records.into_iter().zip(results.ids).enumerate();
-    let records = pairs
-        .map(|(seq, (record, (node, saturation, slots)))| MatchedRecord {
-            seq: seq as u64,
-            record,
-            node,
-            saturation,
-            slots,
-        })
-        .collect();
-    MatchedChunk {
-        records,
-        slots: results.slots,
-    }
-}
-
-/// The apply phase of [`drive`], on whatever hold `with` took: store the chunk,
-/// maintain, commit. The store copies the chunk's text; the chunk, a string per
-/// record, is the caller's to drop — after `with` returns, so no reader waits on the
-/// frees. Returns whether the model the chunk was matched against has
+/// The apply phase of [`drive`], on whatever hold `with` took: store the lines with
+/// their matches, maintain, commit. The store copies the text; the lines, a string per
+/// record, are the caller's to drop — after `with` returns, so no reader waits on the
+/// frees. Returns whether the model the lines were matched against has
 /// been replaced — by a maintenance run this phase, or before it (a stale context,
 /// re-matched by `LogTopic::apply_stream_records`) — so a running stream must
 /// take the topic's new snapshot pair.
 fn apply(
     topic: &mut LogTopic,
-    chunk: &mut MatchedChunk,
+    lines: &[String],
+    matches: &mut BatchMatch,
     matched_at: u64,
     rematch_stale: bool,
     outcome: &mut IngestOutcome,
 ) -> bool {
-    let stale_context = topic.apply_stream_records(chunk, matched_at, rematch_stale, outcome);
+    let stale_context =
+        topic.apply_stream_records(lines, matches, matched_at, rematch_stale, outcome);
     let maintained_before = outcome.maintained;
     topic.maintain(outcome);
     topic.commit_storage();
@@ -842,63 +705,38 @@ mod tests {
         let mut ingestor =
             StreamIngestor::new(model, pre, IngestConfig::default().with_batch_records(64));
         push_all(&mut ingestor, stream(1_000));
-        let report = ingestor.finish();
-        assert_eq!(report.records.len(), 1_000);
-        for (i, record) in report.records.iter().enumerate() {
-            assert_eq!(record.seq, i as u64, "records must be seq-ordered");
-        }
-        assert_eq!(report.stats.records, 1_000);
-        assert!(report.stats.bytes > 0);
-        assert_eq!(report.matched() + report.unmatched(), 1_000);
-        assert!(
-            report.matched() > 900,
-            "stream shape was trained: {report:?}"
+        let (lines, matches, stats) = ingestor.finish();
+        assert_eq!(
+            lines,
+            stream(1_000),
+            "records must come back in arrival order"
         );
+        assert_eq!(matches.ids.len(), 1_000);
+        assert_eq!(stats.records, 1_000);
+        assert!(stats.bytes > 0);
+        assert_eq!(stats.matched + stats.unmatched, 1_000);
+        assert!(stats.matched > 900, "stream shape was trained: {stats:?}");
     }
 
     #[test]
-    fn batches_are_contiguous_sequence_runs() {
+    fn batches_are_contiguous_runs_of_arrivals() {
         let (model, pre) = trained();
-        let config = IngestConfig::default()
-            .with_batch_records(64)
-            .with_flush_interval(Duration::from_secs(3_600));
+        let config = IngestConfig::default().with_batch_records(64);
         let mut ingestor = StreamIngestor::new(model, pre, config);
         push_all(&mut ingestor, stream(1_000));
         ingestor.sync();
-        // ⌈1000/64⌉ batches, all full but the last, each one run of sequence numbers.
+        // ⌈1000/64⌉ batches, all full but the last, each one run of arrivals.
+        let all = stream(1_000);
         assert_eq!(ingestor.completed.len(), 16);
         for (i, slot) in ingestor.completed.iter().enumerate() {
             let batch = slot.as_ref().expect("synced");
-            let start = i as u64 * 64;
-            let len = if i < 15 { 64 } else { 1_000 - 15 * 64 };
+            let start = i * 64;
+            let end = (start + 64).min(1_000);
             assert_eq!(batch.batch_id, i as u64);
-            assert!(batch.records.iter().map(|r| r.seq).eq(start..start + len));
+            assert!(batch.records.iter().map(|r| &r.line).eq(&all[start..end]));
         }
-        assert_eq!(ingestor.stats().size_flushes, 15);
-        assert_eq!(ingestor.stats().forced_flushes, 1);
-        assert_eq!(ingestor.finish().records.len(), 1_000);
-    }
-
-    #[test]
-    fn time_bound_flushes_partial_batches() {
-        let (model, pre) = trained();
-        let config = IngestConfig::default()
-            .with_batch_records(1_000_000)
-            .with_flush_interval(Duration::from_millis(1));
-        let mut ingestor = StreamIngestor::new(model, pre, config);
-        push_all(
-            &mut ingestor,
-            ["job 1 finished on host node-01 in 5ms".to_string()],
-        );
-        std::thread::sleep(Duration::from_millis(5));
-        ingestor.poll();
-        assert_eq!(
-            ingestor.stats().time_flushes,
-            1,
-            "stale partial batch must flush on poll"
-        );
-        let report = ingestor.finish();
-        assert_eq!(report.records.len(), 1);
+        assert_eq!(ingestor.stats().submitted_batches, 16);
+        assert_eq!(ingestor.finish().0.len(), 1_000);
     }
 
     #[test]
@@ -909,54 +747,38 @@ mod tests {
             .with_max_in_flight(2);
         let mut ingestor = StreamIngestor::new(model, pre, config);
         push_all(&mut ingestor, stream(2_000));
-        let report = ingestor.finish();
-        assert_eq!(report.records.len(), 2_000);
+        let (lines, _, stats) = ingestor.finish();
+        assert_eq!(lines.len(), 2_000);
         assert!(
-            report.stats.max_in_flight_observed <= 2,
+            stats.max_in_flight_observed <= 2,
             "bound violated: {}",
-            report.stats.max_in_flight_observed
+            stats.max_in_flight_observed
         );
-        assert_eq!(
-            report.stats.submitted_batches,
-            report.stats.completed_batches
-        );
+        assert_eq!(stats.submitted_batches, stats.completed_batches);
         // The blocked-wait counter must still increment (200 batches through a
         // 2-deep window has to park), but each episode is counted exactly once:
         // a busy-wait loop would rack up counts far past the number of batches
         // that could possibly have released it.
         assert!(
-            report.stats.backpressure_waits > 0,
+            stats.backpressure_waits > 0,
             "200 batches through max_in_flight=2 must block at least once"
         );
         assert!(
-            report.stats.backpressure_waits <= report.stats.submitted_batches,
+            stats.backpressure_waits <= stats.submitted_batches,
             "spin-poll detected: {} waits for {} batches",
-            report.stats.backpressure_waits,
-            report.stats.submitted_batches
+            stats.backpressure_waits,
+            stats.submitted_batches
         );
     }
 
     #[test]
-    fn empty_report_throughput_is_finite_zero() {
+    fn finishing_an_empty_engine_returns_nothing() {
         let (model, pre) = trained();
-        // Finish immediately: no records, elapsed ≈ 0 — the old code returned
-        // `inf` here, which is now persisted into segment metadata and must be 0.
         let ingestor = StreamIngestor::new(model, pre, IngestConfig::default());
-        let report = ingestor.finish();
-        assert_eq!(report.records.len(), 0);
-        assert_eq!(report.stats, IngestStats::default());
-        let rps = report.records_per_second();
-        assert!(rps.is_finite(), "throughput must be finite, got {rps}");
-        assert_eq!(rps, 0.0);
-
-        // Zero-duration report constructed directly (fields are public).
-        let zero = IngestReport {
-            records: Vec::new(),
-            slots: SlotBuffer::new(),
-            stats: report.stats,
-            elapsed: Duration::ZERO,
-        };
-        assert_eq!(zero.records_per_second(), 0.0);
+        let (lines, matches, stats) = ingestor.finish();
+        assert!(lines.is_empty());
+        assert!(matches.ids.is_empty());
+        assert_eq!(stats, IngestStats::default());
     }
 
     #[test]
@@ -970,12 +792,11 @@ mod tests {
                 "segfault at 0xffff in thread reaper".to_string(),
             ],
         );
-        let report = ingestor.finish();
-        assert_eq!(report.matched(), 1);
-        assert_eq!(report.unmatched(), 1);
-        let unmatched_record = report.records.iter().find(|r| r.node.is_none()).unwrap();
-        assert!(unmatched_record.record.contains("segfault"));
-        assert_eq!(unmatched_record.saturation, 0.0);
+        let (lines, matches, stats) = ingestor.finish();
+        assert_eq!(stats.matched, 1);
+        assert_eq!(stats.unmatched, 1);
+        let unmatched = matches.ids.iter().position(|(node, _)| node.is_none());
+        assert!(lines[unmatched.unwrap()].contains("segfault"));
     }
 
     #[test]
@@ -1007,18 +828,8 @@ mod tests {
         ingestor
             .push(rejected.record, Some(Duration::from_secs(30)))
             .expect("bounded push must succeed once the worker drains the batch");
-        let report = ingestor.finish();
-        assert_eq!(report.records.len(), 40_001, "rejected record re-admitted");
-        assert_eq!(report.stats.overload_rejections, 1);
-    }
-
-    #[test]
-    fn report_throughput_is_positive() {
-        let (model, pre) = trained();
-        let mut ingestor = StreamIngestor::new(model, pre, IngestConfig::default());
-        push_all(&mut ingestor, stream(100));
-        let report = ingestor.finish();
-        assert!(report.records_per_second() > 0.0);
-        assert!(report.elapsed > Duration::ZERO);
+        let (lines, _, stats) = ingestor.finish();
+        assert_eq!(lines.len(), 40_001, "rejected record re-admitted");
+        assert_eq!(stats.overload_rejections, 1);
     }
 }

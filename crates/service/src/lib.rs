@@ -12,9 +12,15 @@
 //! * [`topic`] — the `LogTopic`: ingestion, online matching, training lifecycle.
 //! * [`records`] — the record store: each record's text in one arena beside its
 //!   template and variable-slot columns, exactly as the match produced them.
-//! * [`ingest`] — the batched streaming ingestion engine: one open batch → parallel
-//!   match over an immutable model snapshot, with back-pressure stats.
+//! * [`ingest`] — the ingest driver [`drive`] (prepare → match → apply), which every
+//!   ingest runs on one of two routes — the batch kernel (`LogTopic::ingest`) or the
+//!   streaming engine [`StreamIngestor`] (`LogTopic::ingest_stream`, and the server's
+//!   engine thread above its stream threshold) — and that engine: one open batch →
+//!   parallel match over an immutable model snapshot, with back-pressure stats. Both
+//!   routes hand the topic one [`BatchMatch`](bytebrain::BatchMatch) per batch.
 //! * [`matcher_pool`] — the worker pool that executes matching for the engine.
+//! * [`manager`] — the multi-tenant `ServiceManager`: topics created on first use
+//!   with per-tenant defaults, fleet statistics, durable open/recovery.
 //! * [`trigger`] — volume/time training triggers.
 //! * [`storage`] — the durable tier of a topic: WAL, columnar segments, and the
 //!   "internal topic" of the paper as one model log — the epoch's base model in one
@@ -74,17 +80,15 @@ pub use api::{ErrorBody, IngestRequest, IngestResponse, StatsResponse};
 pub use bytebrain::{CompiledMatcher, MatchCache};
 pub use compare::{compare_snapshots, compare_windows, DistributionShift};
 pub use ingest::{
-    drive, IngestConfig, IngestReport, IngestStats, MatchedChunk, MatchedRecord, Overloaded, Route,
-    StreamIngestor, TopicAccess,
+    drive, IngestConfig, IngestStats, Overloaded, Route, StreamIngestor, TopicAccess,
 };
 pub use library::TemplateLibrary;
 pub use manager::{FleetStats, ServiceManager, TenantDefaults};
-pub use matcher_pool::{IdBatchResult, MatchId, MatcherPool, StreamRecord};
+pub use matcher_pool::{IdBatchResult, MatcherPool, StreamRecord};
 pub use query::{QueryCache, QueryEngine, QueryIndex, QuerySnapshot, QueryValue, TemplateGroup};
 pub use records::{RecordStore, StoredRecord};
 pub use storage::{RecoveredTopic, StorageConfig, TopicMeta, TopicStorage};
 pub use topic::{
-    IngestOutcome, LogTopic, MaintenancePolicy, StreamOutcome, StreamOverloaded, TopicConfig,
-    TopicStats,
+    IngestOutcome, LogTopic, MaintenancePolicy, StreamOutcome, TopicConfig, TopicStats,
 };
 pub use trigger::{TrainingTrigger, TriggerDecision};

@@ -3,16 +3,13 @@
 //! The paper's setting is a cloud log service where many tenants each own many log
 //! topics, every topic gets out-of-the-box parsing, and compute is bounded per topic
 //! (1–5 cores, §3 "Parallel"). `ServiceManager` is the thin multi-tenant layer on top of
-//! [`LogTopic`]: it routes ingestion to the right topic, creates topics on first use with
-//! per-tenant defaults, and exposes fleet-wide statistics of the kind Table 5 reports.
+//! [`LogTopic`]: it creates topics on first use with per-tenant defaults — ingestion
+//! reaches one through [`ServiceManager::topic_mut`] and [`crate::drive`] — and exposes
+//! fleet-wide statistics of the kind Table 5 reports.
 
-use crate::ingest::{drive, shed_as_error, IngestConfig, Route};
 use crate::query::{QuerySnapshot, QueryValue};
 use crate::storage::{self, RetentionOutcome, StorageConfig, TopicStorage};
-use crate::topic::{
-    IngestOutcome, LogTopic, MaintenancePolicy, StreamOutcome, StreamOverloaded, TopicConfig,
-    TopicStats,
-};
+use crate::topic::{LogTopic, MaintenancePolicy, TopicConfig, TopicStats};
 use bytebrain::QueryPlan;
 use std::collections::BTreeMap;
 use std::fs;
@@ -209,43 +206,6 @@ impl ServiceManager {
         self.topics.get(&(tenant.to_string(), topic.to_string()))
     }
 
-    /// Ingest a batch into a tenant's topic (creating it on first use).
-    pub fn ingest<S: AsRef<str> + Sync>(
-        &mut self,
-        tenant: &str,
-        topic: &str,
-        batch: &[S],
-    ) -> IngestOutcome {
-        self.topic_mut(tenant, topic).ingest(batch)
-    }
-
-    /// Ingest a record stream into a tenant's topic (creating it on first use) through
-    /// the streaming engine, shedding instead of blocking indefinitely when the
-    /// pool saturates past `wait` (see [`LogTopic::ingest_stream_bounded`] for the
-    /// prefix/remainder contract). The engine's worker count is clamped to the topic's
-    /// provisioned per-topic parallelism, mirroring the paper's 1–5 core bound.
-    pub fn ingest_stream_bounded<I>(
-        &mut self,
-        tenant: &str,
-        topic: &str,
-        records: I,
-        config: &IngestConfig,
-        wait: std::time::Duration,
-    ) -> Result<StreamOutcome, Box<StreamOverloaded>>
-    where
-        I: IntoIterator<Item = String>,
-    {
-        // The clamp is against what the topic was provisioned with, not the (mutable)
-        // tenant-defaults map — later default changes must not widen existing topics.
-        let route = Route::Stream {
-            config,
-            wait: Some(wait),
-            clamp_to_topic: true,
-        };
-        let records = records.into_iter().collect();
-        shed_as_error(drive(self.topic_mut(tenant, topic), records, route))
-    }
-
     /// Execute a composed [`QueryPlan`] against a tenant's topic through the
     /// planned push-down path (cached). Returns `None` when the topic does not
     /// exist. This is the full query surface — predicates, time windows,
@@ -318,9 +278,15 @@ mod tests {
     fn topics_are_created_on_first_ingest() {
         let mut manager = ServiceManager::new();
         assert_eq!(manager.topic_count(), 0);
-        manager.ingest("tenant-a", "web", &batch("web", 200));
-        manager.ingest("tenant-a", "db", &batch("db", 200));
-        manager.ingest("tenant-b", "web", &batch("web", 200));
+        manager
+            .topic_mut("tenant-a", "web")
+            .ingest(&batch("web", 200));
+        manager
+            .topic_mut("tenant-a", "db")
+            .ingest(&batch("db", 200));
+        manager
+            .topic_mut("tenant-b", "web")
+            .ingest(&batch("web", 200));
         assert_eq!(manager.topic_count(), 3);
         assert_eq!(manager.topics_of("tenant-a"), vec!["db", "web"]);
     }
@@ -328,8 +294,8 @@ mod tests {
     #[test]
     fn topics_are_isolated_between_tenants() {
         let mut manager = ServiceManager::new();
-        manager.ingest("a", "logs", &batch("alpha", 300));
-        manager.ingest("b", "logs", &batch("beta", 100));
+        manager.topic_mut("a", "logs").ingest(&batch("alpha", 300));
+        manager.topic_mut("b", "logs").ingest(&batch("beta", 100));
         let a = manager.topic("a", "logs").unwrap().stats();
         let b = manager.topic("b", "logs").unwrap().stats();
         assert_eq!(a.total_records, 300);
@@ -356,17 +322,21 @@ mod tests {
             },
         );
         // The low volume threshold makes the second small batch trigger retraining.
-        manager.ingest("big-tenant", "app", &batch("app", 50));
-        let outcome = manager.ingest("big-tenant", "app", &batch("app", 50));
+        manager
+            .topic_mut("big-tenant", "app")
+            .ingest(&batch("app", 50));
+        let outcome = manager
+            .topic_mut("big-tenant", "app")
+            .ingest(&batch("app", 50));
         assert!(outcome.trained);
     }
 
     #[test]
     fn fleet_stats_aggregate_all_topics() {
         let mut manager = ServiceManager::new();
-        manager.ingest("a", "x", &batch("x", 100));
-        manager.ingest("a", "y", &batch("y", 100));
-        manager.ingest("b", "z", &batch("z", 100));
+        manager.topic_mut("a", "x").ingest(&batch("x", 100));
+        manager.topic_mut("a", "y").ingest(&batch("y", 100));
+        manager.topic_mut("b", "z").ingest(&batch("z", 100));
         let fleet = manager.fleet_stats();
         assert_eq!(fleet.tenants, 2);
         assert_eq!(fleet.topics, 3);
@@ -385,7 +355,7 @@ mod tests {
     #[test]
     fn query_entry_point_serves_indexed_groups() {
         let mut manager = ServiceManager::new();
-        manager.ingest("a", "web", &batch("web", 300));
+        manager.topic_mut("a", "web").ingest(&batch("web", 300));
         let groups = manager
             .execute("a", "web", &group_plan())
             .expect("topic exists");
@@ -403,7 +373,7 @@ mod tests {
     #[test]
     fn snapshot_queries_run_concurrently_with_ingestion() {
         let mut manager = ServiceManager::new();
-        manager.ingest("a", "web", &batch("web", 400));
+        manager.topic_mut("a", "web").ingest(&batch("web", 400));
         let snapshot = manager.query_snapshot("a", "web").expect("topic exists");
         let plan = group_plan();
         let baseline = snapshot.execute(&plan).expect("node-only plan");
@@ -416,7 +386,7 @@ mod tests {
                 })
                 .collect();
             // ...while the manager keeps ingesting into the same topic.
-            manager.ingest("a", "web", &batch("more", 200));
+            manager.topic_mut("a", "web").ingest(&batch("more", 200));
             for worker in workers {
                 let groups = worker.join().expect("query thread panicked");
                 assert_eq!(groups, baseline, "snapshot must be immutable under ingest");
@@ -445,12 +415,14 @@ mod tests {
                 ..TenantDefaults::default()
             },
         );
-        manager.ingest("evolving", "app", &batch("app", 300));
+        manager
+            .topic_mut("evolving", "app")
+            .ingest(&batch("app", 300));
         // A drifting follow-up maintains incrementally instead of retraining.
         let novel: Vec<String> = (0..150)
             .map(|i| format!("thermal throttle on core {} at {} mC", i % 8, 70_000 + i))
             .collect();
-        let outcome = manager.ingest("evolving", "app", &novel);
+        let outcome = manager.topic_mut("evolving", "app").ingest(&novel);
         assert!(!outcome.trained);
         assert!(outcome.maintained >= 1, "drift must maintain: {outcome:?}");
         let stats = manager.topic("evolving", "app").unwrap().stats();

@@ -11,27 +11,24 @@
 //! acquisition per batch). Every worker keeps a private [`TokenScratch`] alive, so
 //! per-record preprocessing runs on the zero-copy fast path.
 //!
-//! Jobs are lean ([`MatcherPool::submit_ids`]): a batch returns only
-//! `(node id, saturation, slot range)` triples plus the original records and the
-//! batch's variable slots, skipping template rendering entirely. This is the path the
-//! streaming ingestion engine ([`crate::ingest`]) drives.
+//! Jobs are lean ([`MatcherPool::submit_ids`]): a batch returns its records with the
+//! [`BatchMatch`] the batch kernel also produces — a node and a slot range per record —
+//! skipping template rendering entirely. This is the path the streaming ingestion
+//! engine ([`crate::ingest`]) drives.
 
 use bytebrain::matcher::match_compiled;
-use bytebrain::{CompiledMatcher, MatchCache, NodeId, ParserModel, SlotBuffer, SlotRange};
+use bytebrain::{BatchMatch, CompiledMatcher, MatchCache, ParserModel, SlotBuffer, SlotRange};
 use logtok::{Preprocessor, TokenScratch};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// One record travelling through the lean streaming path: its arrival sequence
-/// number, the FNV line hash computed once at admission
-/// ([`logtok::hash_line`]), and the raw line. The hash rides along so nothing
-/// downstream — batch reordering, the per-worker match cache — re-hashes the
+/// One record travelling through the lean streaming path: the FNV line hash computed
+/// once at admission ([`logtok::hash_line`]) and the raw line. The hash rides along so
+/// nothing downstream — batch reordering, the per-worker match cache — re-hashes the
 /// full text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamRecord {
-    /// Arrival sequence number assigned by the ingestion engine.
-    pub seq: u64,
     /// FNV-1a hash of `line`, computed exactly once at admission.
     pub line_hash: u64,
     /// The raw record text.
@@ -41,13 +38,9 @@ pub struct StreamRecord {
 impl StreamRecord {
     /// Wrap `line`, hashing it. The streaming engine is the normal caller; the
     /// constructor is public so tests and benches can build batches directly.
-    pub fn new(seq: u64, line: String) -> Self {
+    pub fn new(line: String) -> Self {
         let line_hash = logtok::hash_line(&line);
-        StreamRecord {
-            seq,
-            line_hash,
-            line,
-        }
+        StreamRecord { line_hash, line }
     }
 }
 
@@ -64,22 +57,9 @@ struct Job {
     compiled: Arc<CompiledMatcher>,
 }
 
-/// Lean per-record outcome of the ingestion path: the matched node, its saturation and
-/// the record's variable slots, without the rendered template text (which the ingest
-/// engine does not need).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MatchId {
-    /// Matched node, `None` when no template matched.
-    pub node: Option<NodeId>,
-    /// Saturation of the matched node (0 when unmatched).
-    pub saturation: f64,
-    /// The record's variable slots in [`IdBatchResult::slots`] — every token when no
-    /// template matched ([`SlotBuffer::extract`]).
-    pub slots: SlotRange,
-}
-
 /// The result of one lean (ingestion) batch: the original records travel back with
-/// their match ids so the coordinator never has to clone or re-associate them.
+/// what was decided for them, so the coordinator never has to clone or re-associate
+/// them.
 #[derive(Debug)]
 pub struct IdBatchResult {
     /// Identifier returned by [`MatcherPool::submit_ids`].
@@ -87,11 +67,9 @@ pub struct IdBatchResult {
     /// The records exactly as submitted (workers reorder internally for cache
     /// warmth but always hand the batch back in submission order).
     pub records: Vec<StreamRecord>,
-    /// One match id per record, in submission order.
-    pub results: Vec<MatchId>,
-    /// The slots the match ids name: spans of the records' lines. Records repeating a
-    /// line share its range.
-    pub slots: SlotBuffer,
+    /// One decision per record, in submission order. Records repeating a line share
+    /// its slot range.
+    pub matches: BatchMatch,
 }
 
 /// A pool of matcher workers. Every job names the (model, automaton) snapshot pair it
@@ -159,22 +137,15 @@ impl MatcherPool {
                     order.clear();
                     order.extend(0..records.len() as u32);
                     order.sort_unstable_by_key(|&i| records[i as usize].line_hash);
-                    let mut results = vec![
-                        MatchId {
-                            node: None,
-                            saturation: 0.0,
-                            slots: SlotRange::default(),
-                        };
-                        records.len()
-                    ];
+                    let mut ids = vec![(None, SlotRange::default()); records.len()];
                     let mut slots = SlotBuffer::new();
-                    let mut prev: Option<(u32, MatchId)> = None;
+                    let mut prev = None;
                     for &idx in &order {
                         let record = &records[idx as usize];
                         if let Some((prev_idx, id)) = prev {
                             let p = &records[prev_idx as usize];
                             if p.line_hash == record.line_hash && p.line == record.line {
-                                results[idx as usize] = id;
+                                ids[idx as usize] = id;
                                 continue;
                             }
                         }
@@ -191,23 +162,15 @@ impl MatcherPool {
                         // no generation.
                         let snapshot = (compiled.generation(), job_model.len());
                         let hash = record.line_hash;
-                        let (node, range) =
-                            cache.match_record_hashed(snapshot, line, hash, &mut slots, miss);
-                        let saturation = node.map_or(0.0, |id| job_model.nodes[id.0].saturation);
-                        let id = MatchId {
-                            node,
-                            saturation,
-                            slots: range,
-                        };
-                        results[idx as usize] = id;
+                        let id = cache.match_record_hashed(snapshot, line, hash, &mut slots, miss);
+                        ids[idx as usize] = id;
                         prev = Some((idx, id));
                     }
                     // The receiver may already be gone during shutdown; that is fine.
                     let _ = result_tx.send(IdBatchResult {
                         batch_id,
                         records,
-                        results,
-                        slots,
+                        matches: BatchMatch { ids, slots },
                     });
                 }
             }));
@@ -299,10 +262,12 @@ mod tests {
     fn requests(range: std::ops::Range<u64>) -> Vec<StreamRecord> {
         range
             .map(|i| {
-                StreamRecord::new(
+                StreamRecord::new(format!(
+                    "request {} routed to shard {} in {}ms",
                     i,
-                    format!("request {} routed to shard {} in {}ms", i, i % 8, i % 50),
-                )
+                    i % 8,
+                    i % 50
+                ))
             })
             .collect()
     }
@@ -311,9 +276,10 @@ mod tests {
     fn pool_matches_batches_in_parallel() {
         let (model, compiled, pre) = trained();
         let mut pool = MatcherPool::new(pre, 4);
+        let b_range = |b: u64| b * 50..(b + 1) * 50;
         for b in 0..8 {
             let id = pool.submit_ids(
-                requests(b * 50..(b + 1) * 50),
+                requests(b_range(b)),
                 Arc::clone(&model),
                 Arc::clone(&compiled),
             );
@@ -324,9 +290,9 @@ mod tests {
         results.sort_by_key(|b| b.batch_id);
         for (expected_id, batch) in results.iter().enumerate() {
             assert_eq!(batch.batch_id, expected_id as u64);
-            assert_eq!(batch.records[0].seq, expected_id as u64 * 50);
-            assert_eq!(batch.results.len(), 50);
-            assert!(batch.results.iter().all(|r| r.node.is_some()));
+            assert_eq!(batch.records, requests(b_range(expected_id as u64)));
+            assert_eq!(batch.matches.ids.len(), 50);
+            assert!(batch.matches.ids.iter().all(|(node, _)| node.is_some()));
         }
         assert!(pool.try_recv_ids().is_none());
     }
@@ -335,12 +301,11 @@ mod tests {
     fn unmatched_records_are_reported_not_dropped() {
         let (model, compiled, pre) = trained();
         let mut pool = MatcherPool::new(pre, 1);
-        let record = StreamRecord::new(0, "completely novel kernel message".to_string());
+        let record = StreamRecord::new("completely novel kernel message".to_string());
         pool.submit_ids(vec![record], model, compiled);
         let result = pool.recv_ids().expect("one batch");
-        assert_eq!(result.results.len(), 1);
-        assert_eq!(result.results[0].node, None);
-        assert_eq!(result.results[0].saturation, 0.0);
+        assert_eq!(result.matches.ids.len(), 1);
+        assert_eq!(result.matches.ids[0].0, None);
     }
 
     /// A worker's line cache names what its answer depends on: the compiled tables *and*
@@ -353,9 +318,9 @@ mod tests {
         let mut pool = MatcherPool::new(Arc::clone(&pre), 1);
         let line = "completely novel kernel message";
         let mut submit = |model: Arc<ParserModel>| {
-            let record = StreamRecord::new(0, line.to_string());
+            let record = StreamRecord::new(line.to_string());
             pool.submit_ids(vec![record], model, Arc::clone(&compiled));
-            pool.recv_ids().expect("one batch").results[0].node
+            pool.recv_ids().expect("one batch").matches.ids[0].0
         };
         assert_eq!(submit(Arc::clone(&model)), None);
         let mut grown = (*model).clone();
@@ -378,18 +343,19 @@ mod tests {
         // duplicate-reuse path behind hash reordering) sees hits too.
         let records: Vec<StreamRecord> = (0..40)
             .map(|i| {
-                StreamRecord::new(
-                    i,
-                    format!("request {} routed to shard {} in {}ms", i % 5, i % 2, i % 3),
-                )
+                StreamRecord::new(format!(
+                    "request {} routed to shard {} in {}ms",
+                    i % 5,
+                    i % 2,
+                    i % 3
+                ))
             })
             .collect();
         let id = pool.submit_ids(records.clone(), model, compiled);
         let result = pool.recv_ids().expect("one lean batch");
         assert_eq!(result.batch_id, id);
         assert_eq!(result.records, records);
-        assert_eq!(result.results.len(), 40);
-        assert!(result.results.iter().all(|r| r.node.is_some()));
-        assert!(result.results.iter().all(|r| r.saturation > 0.0));
+        assert_eq!(result.matches.ids.len(), 40);
+        assert!(result.matches.ids.iter().all(|(node, _)| node.is_some()));
     }
 }

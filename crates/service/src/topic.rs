@@ -20,9 +20,7 @@
 //! run, re-matches only records left unassigned or on a retired temporary, and hot-swaps
 //! the refreshed snapshot into a running stream at a flush boundary.
 
-use crate::ingest::{
-    drive, shed_as_error, IngestConfig, IngestStats, MatchContext, MatchedChunk, Route,
-};
+use crate::ingest::{drive, IngestConfig, IngestStats, MatchContext, Route};
 use crate::query::{QueryCache, QueryIndex, RecordAccess};
 use crate::records::RecordStore;
 use crate::storage::{
@@ -34,8 +32,8 @@ use bytebrain::incremental::{apply_delta, train_delta, DriftConfig, DriftDetecto
 use bytebrain::matcher::match_compiled;
 use bytebrain::train::train;
 use bytebrain::{
-    CompiledMatcher, NodeId, ParserModel, QueryPlan, SaturationLadder, SlotBuffer, SlotRange,
-    TemplateToken, TrainConfig,
+    BatchMatch, CompiledMatcher, NodeId, ParserModel, QueryPlan, SaturationLadder, SlotBuffer,
+    SlotRange, TemplateToken, TrainConfig,
 };
 use logtok::{Preprocessor, TokenScratch};
 use std::io;
@@ -162,29 +160,6 @@ pub struct StreamOutcome {
     /// Counters and back-pressure stats of the streaming run (all zero when the
     /// cold-start fallback took the batch path).
     pub stats: IngestStats,
-}
-
-/// Typed shed from [`LogTopic::ingest_stream_bounded`]: the pool stayed saturated
-/// past the wait bound mid-stream. The accepted prefix was applied and committed
-/// exactly as [`LogTopic::ingest_stream`] would have; `rejected` holds the record
-/// that hit the bound plus every record after it, unconsumed and in order.
-#[derive(Debug)]
-pub struct StreamOverloaded {
-    /// Outcome of the accepted (applied and committed) prefix.
-    pub outcome: StreamOutcome,
-    /// The shed suffix: first the record that timed out, then the un-pushed tail.
-    pub rejected: Vec<String>,
-}
-
-impl std::fmt::Display for StreamOverloaded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "stream overloaded: {} records shed after an accepted prefix of {}",
-            self.rejected.len(),
-            self.outcome.outcome.matched + self.outcome.outcome.unmatched
-        )
-    }
 }
 
 /// A log topic with online matching and periodic training.
@@ -779,8 +754,8 @@ impl LogTopic {
     }
 
     /// Ingest a stream of records through the streaming engine
-    /// ([`StreamIngestor`](crate::ingest::StreamIngestor)): records are batched by
-    /// size/time, matched in parallel against an immutable snapshot of the current
+    /// ([`StreamIngestor`](crate::ingest::StreamIngestor)): records are cut into
+    /// `batch_records`-sized batches, matched in parallel against an immutable snapshot of the current
     /// model (the match phase of [`drive`]), and then applied to the topic exactly as
     /// [`LogTopic::ingest`] would — unmatched records become temporary templates,
     /// everything lands in the store, and the volume/time trigger may start a
@@ -809,31 +784,10 @@ impl LogTopic {
         outcome
     }
 
-    /// Bounded-back-pressure variant of [`LogTopic::ingest_stream`]: when the pool's
-    /// `max_in_flight` stays saturated past `wait` for some record, the stream stops
-    /// there instead of parking indefinitely. The already-accepted prefix is applied
-    /// (and committed to storage) exactly as the unbounded path would, and the
-    /// rejected record plus the entire un-pushed remainder ride back in
-    /// [`StreamOverloaded`] so the caller can retry or shed them.
-    pub fn ingest_stream_bounded<I>(
-        &mut self,
-        records: I,
-        config: &IngestConfig,
-        wait: Duration,
-    ) -> Result<StreamOutcome, Box<StreamOverloaded>>
-    where
-        I: IntoIterator<Item = String>,
-    {
-        let route = Route::Stream {
-            config,
-            wait: Some(wait),
-            clamp_to_topic: false,
-        };
-        shed_as_error(drive(self, records.into_iter().collect(), route))
-    }
-
-    /// Apply a chunk of completed streaming records (already in arrival order) to the
-    /// topic state, feeding the drift detector.
+    /// Apply matched records (in arrival order, `matches.ids[i]` deciding `lines[i]`)
+    /// to the topic state, feeding the drift detector the saturation of each record's
+    /// node in the model checked against `matched_at` — a stale chunk is re-matched
+    /// first, so that is the model the node was decided on.
     ///
     /// `rematch_stale` is set once a maintenance run hot-swapped the model
     /// mid-stream: records that raced through the pool against the *pre-swap*
@@ -847,62 +801,55 @@ impl LogTopic {
     /// `matched_at` is the model version the chunk's ids belong to (the context's at
     /// [`LogTopic::prepare`], or the previous apply phase's end). The phases rest on
     /// nothing changing the model in between; should something have — a retrain
-    /// generalises and retires nodes — the ids are discarded and the chunk re-matched here,
-    /// against the live model, exactly as a one-shot ingest would have matched it.
-    /// Returns whether that happened.
+    /// generalises and retires nodes — the ids are discarded and the lines re-matched
+    /// here, against the live model, exactly as a one-shot ingest would have matched
+    /// them. Returns whether that happened.
     ///
-    /// The chunk is borrowed: the store copies each record's text, and the caller
-    /// frees the records' own strings after releasing whatever hold it applied under.
+    /// The lines are borrowed: the store copies each record's text, and the caller
+    /// frees the lines after releasing whatever hold it applied under.
     pub(crate) fn apply_stream_records(
         &mut self,
-        chunk: &mut MatchedChunk,
+        lines: &[String],
+        matches: &mut BatchMatch,
         matched_at: u64,
         rematch_stale: bool,
         outcome: &mut IngestOutcome,
     ) -> bool {
-        let MatchedChunk { records, slots } = chunk;
         let stale_context = self.model_version != matched_at;
         if stale_context {
-            let texts: Vec<&str> = records.iter().map(|r| r.record.as_str()).collect();
             let context = self
                 .prepare()
                 .expect("matched against a model, so one exists");
-            let fresh = context.match_batch(&texts);
-            for (record, (node, saturation, range)) in records.iter_mut().zip(fresh.ids) {
-                (record.node, record.saturation, record.slots) = (node, saturation, range);
-            }
-            *slots = fresh.slots;
+            *matches = context.match_batch(lines);
         }
-        let count = records.len() as u64;
+        let BatchMatch { ids, slots } = matches;
         // Stale records re-match on the topic's engine as it stands now; the temporaries
         // this chunk inserts from here on are nodes appended since that snapshot was
         // built, which the kernel checks after its tables.
         let compiled = rematch_stale.then(|| self.compiled_snapshot());
         let mut scratch = TokenScratch::new();
-        for matched in records.iter() {
-            let rematch = compiled.as_ref().filter(|_| match matched.node {
+        for (line, &(matched, range)) in lines.iter().zip(ids.iter()) {
+            let rematch = compiled.as_ref().filter(|_| match matched {
                 // A pre-swap match can point at a node the delta retired (absorbed
                 // temporaries keep their slot but must not be stored against).
                 Some(id) => self.model.node(id).map(|n| n.retired).unwrap_or(true),
                 None => true,
             });
-            let (node, saturation, range) = match rematch {
+            let (node, range) = match rematch {
                 Some(compiled) => {
-                    let line = matched.record.as_str();
                     let view = self.preprocessor.token_view(line, &mut scratch);
                     let node = match_compiled(&self.model, compiled, &view);
-                    let range = slots.extract(&self.model, node, line, &view);
-                    let saturation = node.map_or(0.0, |id| self.model.nodes[id.0].saturation);
-                    (node, saturation, range)
+                    (node, slots.extract(&self.model, node, line, &view))
                 }
-                None => (matched.node, matched.saturation, matched.slots),
+                None => (matched, range),
             };
-            self.apply_record(&matched.record, node, (slots, range), outcome);
+            self.apply_record(line, node, (slots, range), outcome);
             if let Some(detector) = &mut self.drift {
+                let saturation = node.map_or(0.0, |id| self.model.nodes[id.0].saturation);
                 detector.observe(node.is_some(), saturation);
             }
         }
-        self.trigger.observe(count);
+        self.trigger.observe(lines.len() as u64);
         stale_context
     }
 
@@ -1144,7 +1091,7 @@ impl LogTopic {
         let results = context.match_batch(&texts);
         let mut moves = Vec::new();
         let mut updates = Vec::with_capacity(candidates.len());
-        for (&idx, &(node, _, slots)) in candidates.iter().zip(&results.ids) {
+        for (&idx, &(node, slots)) in candidates.iter().zip(&results.ids) {
             let old = self.records.set_template(idx, node);
             if old != node {
                 moves.push((idx, old, node));
@@ -1161,7 +1108,7 @@ impl LogTopic {
     /// Current topic statistics.
     pub fn stats(&self) -> TopicStats {
         TopicStats {
-            total_records: self.records.len() as u64,
+            total_records: self.first_record_seq() + self.records.len() as u64,
             total_bytes: self.total_bytes,
             templates: self.model.len() - self.model.retired_count(),
             model_size_bytes: self.model.approx_size_bytes(),

@@ -546,7 +546,9 @@ fn wal_replay_equals_live_at_every_boundary() {
 fn format_1_directory_is_refused_with_invalid_data() {
     let root = scratch_dir("format-1");
     let mut manager = ServiceManager::durable(&root, fast_storage()).expect("durable manager");
-    manager.ingest("acme", "web", &web_access_batch(0, 200));
+    manager
+        .topic_mut("acme", "web")
+        .ingest(&web_access_batch(0, 200));
     let topic = manager.topic("acme", "web").expect("topic exists");
     let dir = topic.storage().expect("durable").dir().to_path_buf();
     drop(manager);
@@ -655,6 +657,11 @@ fn query_cache_generation_prevents_stale_hits_after_eviction() {
     let outcome = topic.run_storage_maintenance();
     assert_eq!(outcome.dropped_records, 300, "TTL=0 must evict everything");
     assert!(topic.records().is_empty());
+    assert_eq!(
+        topic.stats().total_records,
+        300,
+        "records ingested, like bytes ingested, survive retention"
+    );
     assert!(
         topic.generation() > generation_before,
         "retention must bump the generation"
@@ -682,6 +689,12 @@ fn query_cache_generation_prevents_stale_hits_after_eviction() {
     let (hits, misses) = topic.query_cache_stats();
     assert_eq!(hits, 0, "no query may hit across the eviction");
     assert_eq!(misses, 2);
+
+    // The evicted 300 still count after a reopen, beside the 300 live ones.
+    drop(topic);
+    let reopened = LogTopic::open(&dir, fast_storage()).expect("reopen");
+    assert_eq!(reopened.records().len(), 300);
+    assert_eq!(reopened.stats().total_records, 600);
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -749,10 +762,18 @@ fn manager_fleet_recovery_round_trips_all_topics() {
 
     // Tenant/topic names with separators and non-ASCII exercise the directory
     // encoding; each topic gets a distinct workload.
-    manager.ingest("acme", "web", &web_access_batch(0, 200));
-    manager.ingest("acme", "auth:prod", &auth_batch(0, 180));
-    manager.ingest("globex/β", "scrub", &novel_batch(0, 160));
-    manager.ingest("acme", "web", &web_access_batch(200, 120));
+    manager
+        .topic_mut("acme", "web")
+        .ingest(&web_access_batch(0, 200));
+    manager
+        .topic_mut("acme", "auth:prod")
+        .ingest(&auth_batch(0, 180));
+    manager
+        .topic_mut("globex/β", "scrub")
+        .ingest(&novel_batch(0, 160));
+    manager
+        .topic_mut("acme", "web")
+        .ingest(&web_access_batch(200, 120));
 
     let keys = [
         ("acme", "web"),

@@ -279,7 +279,7 @@ fn incremental_maintenance_converges_with_full_retrain_on_drifting_workload() {
     // resolved at the standard threshold (0.6), compared as normalized template
     // text. Unmatched probes become singletons.
     let label = |model: &bytebrain_repro::bytebrain::ParserModel,
-                 results: &[(Option<NodeId>, f64, SlotRange)]|
+                 results: &[(Option<NodeId>, SlotRange)]|
      -> Vec<usize> {
         use bytebrain_repro::bytebrain::merge_consecutive_wildcards;
         use bytebrain_repro::bytebrain::query::{presentation_template, resolve_with_threshold};

@@ -1,6 +1,6 @@
 //! Cross-crate tests of the batched streaming ingestion engine at scale: a 100k-line
 //! synthetic corpus flows through contiguous batches with parallel matching, both via
-//! the raw [`StreamIngestor`] and via the topic/manager entry points.
+//! the raw [`StreamIngestor`] and via the topic entry points and the driver behind them.
 
 use bytebrain_repro::bytebrain::incremental::DriftConfig;
 use bytebrain_repro::bytebrain::train::train;
@@ -8,11 +8,11 @@ use bytebrain_repro::bytebrain::TrainConfig;
 use bytebrain_repro::datasets::LabeledDataset;
 use bytebrain_repro::logtok::Preprocessor;
 use bytebrain_repro::service::{
-    IngestConfig, LogTopic, MaintenancePolicy, ServiceManager, StreamIngestor, TenantDefaults,
-    TopicConfig,
+    drive, IngestConfig, LogTopic, MaintenancePolicy, Route, ServiceManager, StreamIngestor,
+    TenantDefaults, TopicConfig,
 };
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[test]
 fn stream_ingestor_handles_100k_lines_in_contiguous_batches() {
@@ -22,52 +22,57 @@ fn stream_ingestor_handles_100k_lines_in_contiguous_batches() {
     let model = Arc::new(train(&corpus.records[..10_000], &config).model);
     let preprocessor = Arc::new(Preprocessor::new(config.preprocess.clone()));
 
-    // No time bound, so only the size bound and the final flush cut batches.
     let ingest = IngestConfig::default()
         .with_batch_records(512)
-        .with_flush_interval(Duration::from_secs(3_600))
         .with_workers(4);
+    let started = Instant::now();
     let mut ingestor = StreamIngestor::new(model, preprocessor, ingest);
     for record in &corpus.records {
         ingestor
             .push(record.clone(), None)
             .expect("an unbounded push never rejects");
     }
-    let report = ingestor.finish();
+    let (lines, matches, stats) = ingestor.finish();
+    let elapsed = started.elapsed();
 
-    // Every line came back, in arrival order.
-    assert_eq!(report.records.len(), 100_000);
-    assert!(report.records.iter().map(|r| r.seq).eq(0..100_000));
+    // Every line came back, in arrival order, with one decision each.
+    assert_eq!(lines, corpus.records);
+    assert_eq!(matches.ids.len(), 100_000);
 
     // ⌈100000/512⌉ batches: 195 full ones cut by the size bound and one 160-record
     // remainder cut by `finish` (the engine's unit tests check each is one
-    // contiguous sequence run).
-    assert_eq!(report.stats.records, 100_000);
-    assert_eq!(report.stats.size_flushes, 195);
-    assert_eq!(report.stats.forced_flushes, 1);
-    assert_eq!(report.stats.time_flushes, 0);
-    assert_eq!(report.stats.submitted_batches, 196);
-    assert_eq!(report.stats.completed_batches, 196);
+    // contiguous run of arrivals).
+    assert_eq!(stats.records, 100_000);
+    assert_eq!(stats.submitted_batches, 196);
+    assert_eq!(stats.completed_batches, 196);
 
     // The trained prefix covers the corpus shape: the stream overwhelmingly matches.
-    let matched_ratio = report.matched() as f64 / 100_000.0;
+    let matched = matches
+        .ids
+        .iter()
+        .filter(|(node, _)| node.is_some())
+        .count();
+    assert_eq!(matched as u64, stats.matched);
+    let matched_ratio = matched as f64 / 100_000.0;
     assert!(
         matched_ratio > 0.95,
         "only {matched_ratio:.3} of the stream matched"
     );
     eprintln!(
         "[ingest_stream] 100k lines: {:.0} records/s, {} batches, {} backpressure waits",
-        report.records_per_second(),
-        report.stats.submitted_batches,
-        report.stats.backpressure_waits
+        100_000.0 / elapsed.as_secs_f64(),
+        stats.submitted_batches,
+        stats.backpressure_waits
     );
 }
 
-/// `ingest` and `ingest_stream` share one definition of drift: the same drifting
-/// records leave the detector in the same state and fire the same maintenance.
+/// `ingest` and `ingest_stream` share one definition of drift: the same matched
+/// traffic sets the same saturation baseline, and the same drifting records leave the
+/// detector in the same state and fire the same maintenance.
 #[test]
 fn batch_and_stream_ingest_agree_on_drift() {
-    let corpus = LabeledDataset::loghub2("Apache", 2_000);
+    let corpus = LabeledDataset::loghub2("Apache", 3_000);
+    let (known, healthy) = corpus.records.split_at(2_000);
     let novel: Vec<String> = (0..400)
         .map(|i| format!("disk scrubber repaired sector {i} on vol-{}", i % 3))
         .collect();
@@ -84,19 +89,35 @@ fn batch_and_stream_ingest_agree_on_drift() {
                     check_interval: novel.len(),
                 }),
         );
-        topic.ingest(&corpus.records);
-        let maintained = if stream {
-            let result = topic.ingest_stream(novel.clone(), &IngestConfig::default());
-            result.outcome.maintained
-        } else {
-            topic.ingest(&novel).maintained
+        topic.ingest(known);
+        let mut route = |records: &[String]| {
+            if stream {
+                let result = topic.ingest_stream(records.to_vec(), &IngestConfig::default());
+                result.outcome.maintained
+            } else {
+                topic.ingest(records).maintained
+            }
         };
+        // Matched traffic first: it sets the baseline the saturation check reads.
+        let healthy_maintained = route(healthy);
+        let maintained = route(&novel);
         let detector = topic.drift_detector().expect("incremental topic");
-        (maintained, detector.observations(), detector.assess())
+        (
+            healthy_maintained,
+            maintained,
+            detector.baseline(),
+            detector.observations(),
+            detector.assess(),
+        )
     };
     let (batch, streamed) = (run(false), run(true));
+    assert_eq!(batch.0, 0, "matched traffic must not drift");
+    assert!(
+        batch.2.is_some(),
+        "1,000 matched records must set the 400-record baseline"
+    );
     assert_eq!(
-        batch.0, 1,
+        batch.1, 1,
         "400 novel records must trip the 200-sample window"
     );
     assert_eq!(streamed, batch);
@@ -148,16 +169,17 @@ fn manager_ingest_stream_routes_to_tenant_topics() {
     );
     let corpus = LabeledDataset::loghub2("HDFS", 9_000);
     let (train_part, stream_part) = corpus.records.split_at(3_000);
-    manager.ingest("acme", "hdfs", train_part);
-    let result = manager
-        .ingest_stream_bounded(
-            "acme",
-            "hdfs",
-            stream_part.to_vec(),
-            &IngestConfig::default(),
-            Duration::from_secs(60),
-        )
-        .expect("a minute-long wait bound never sheds here");
+    manager.topic_mut("acme", "hdfs").ingest(train_part);
+    // The route the server takes for a large POST: bounded pushes, workers clamped to
+    // the topic's provisioned parallelism.
+    let route = Route::Stream {
+        config: &IngestConfig::default(),
+        wait: Some(Duration::from_secs(60)),
+        clamp_to_topic: true,
+    };
+    let topic = manager.topic_mut("acme", "hdfs");
+    let (result, shed) = drive(topic, stream_part.to_vec(), route);
+    assert!(shed.is_empty(), "a minute-long wait bound never sheds here");
     assert_eq!(
         result.outcome.matched + result.outcome.unmatched,
         stream_part.len()
