@@ -52,9 +52,8 @@
 use crate::matcher::{SlotBuffer, SlotRange};
 use crate::model::ParserModel;
 use crate::tree::{NodeId, TemplateToken};
-use logtok::{Preprocessor, TokenScratch, TokenView};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use logtok::{hash_line, FnvHasher, FnvMap, Preprocessor, TokenScratch, TokenView};
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Determinization cap: past this many DFA states the compiler abandons subset
@@ -63,47 +62,6 @@ pub const DEFAULT_MAX_DFA_STATES: usize = 65_536;
 
 /// Sentinel for "none" in trie links, row targets, accepts and probe slots.
 const NONE: u32 = u32::MAX;
-
-// ---------------------------------------------------------------------------
-// FNV hashing (same function family as logtok's token hash-encoder)
-// ---------------------------------------------------------------------------
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a streaming hasher: fast on the short keys (tokens, log lines) this
-/// module hashes, and free of the per-instance random state `SipHash` pays for
-/// (so deterministic across processes).
-#[derive(Debug, Clone, Copy)]
-pub struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(FNV_OFFSET)
-    }
-}
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        self.0 = fnv1a(self.0, bytes.iter().copied());
-    }
-}
-
-type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
-
-/// FNV-1a over `bytes`, continuing from `hash` ([`FNV_OFFSET`] to start).
-#[inline]
-fn fnv1a(mut hash: u64, bytes: impl Iterator<Item = u8>) -> u64 {
-    for byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 // ---------------------------------------------------------------------------
 // Transition rows
@@ -211,7 +169,9 @@ impl StateSets {
 
     /// The state whose member set is `set` (sorted), created if new.
     fn intern(&mut self, set: &[u32]) -> u32 {
-        let hash = fnv1a(FNV_OFFSET, set.iter().flat_map(|m| m.to_le_bytes()));
+        let mut hasher = FnvHasher::default();
+        set.iter().for_each(|m| hasher.write(&m.to_le_bytes()));
+        let hash = hasher.finish();
         let mut state = self.newest.get(&hash).copied().unwrap_or(NONE);
         while state != NONE {
             if self.get(state) == set {
@@ -394,7 +354,7 @@ pub struct CompiledMatcher {
 /// Probe tag of a token text: where its slot search starts, and what a slot remembers.
 #[inline]
 fn symbol_tag(text: &str) -> u32 {
-    let hash = fnv1a(FNV_OFFSET, text.bytes());
+    let hash = hash_line(text);
     (hash ^ (hash >> 32)) as u32
 }
 
@@ -766,8 +726,9 @@ mod tests {
 
     fn trained() -> (ParserModel, Preprocessor) {
         let config = TrainConfig::default();
-        let outcome = train(&corpus(), &config);
-        (outcome.model, Preprocessor::new(config.preprocess.clone()))
+        let pre = Preprocessor::new(config.preprocess.clone());
+        let outcome = train(&corpus(), &pre, &config);
+        (outcome.model, pre)
     }
 
     fn probes() -> Vec<String> {

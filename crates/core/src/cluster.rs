@@ -120,12 +120,11 @@ fn make_node(
     let template = match cluster.members.first() {
         Some(&first) => logs[first]
             .encoded
-            .tokens
-            .iter()
+            .tokens()
             .zip(&cluster.distinct)
             .map(|(token, &distinct)| {
                 if distinct <= 1 {
-                    TemplateToken::Const(token.clone())
+                    TemplateToken::Const(token.to_string())
                 } else {
                     TemplateToken::Wildcard
                 }

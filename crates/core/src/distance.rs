@@ -23,7 +23,7 @@
 //! [`ClusterProfile`] is the readable `HashMap` rendering of the same equations, kept as
 //! the reference the property tests compare the kernel against.
 
-use logtok::EncodedLog;
+use logtok::{EncodedLog, FnvMap};
 use std::collections::HashMap;
 
 /// Dense token ids of a set of equal-length logs.
@@ -44,8 +44,9 @@ pub struct TokenTable {
 }
 
 impl TokenTable {
-    /// Intern the token hashes of `logs` (all `positions` tokens long). This is the only
-    /// place the trainer hashes a token.
+    /// Intern the token hashes of `logs` (all `positions` tokens long) into dense ids.
+    /// The trainer hashes no token: the deduplicator hashed each once, and this is where
+    /// those hashes are read.
     pub fn intern<'a, I>(positions: usize, logs: I) -> Self
     where
         I: IntoIterator<Item = &'a EncodedLog>,
@@ -55,7 +56,7 @@ impl TokenTable {
             distinct: vec![0; positions],
             ..TokenTable::default()
         };
-        let mut interned: HashMap<(u32, u64), u32> = HashMap::new();
+        let mut interned: FnvMap<(u32, u64), u32> = FnvMap::default();
         for log in logs {
             debug_assert_eq!(log.len(), positions);
             for (pos, &token) in log.encoded.iter().enumerate() {

@@ -35,12 +35,14 @@
 //! use bytebrain::incremental::{apply_delta, train_delta};
 //! use bytebrain::train::train;
 //! use bytebrain::TrainConfig;
+//! use logtok::Preprocessor;
 //!
 //! let config = TrainConfig::default();
+//! let pre = Preprocessor::new(config.preprocess.clone());
 //! let base: Vec<String> = (0..50).map(|i| format!("request {i} served in {i}ms")).collect();
-//! let model = train(&base, &config).model;
+//! let model = train(&base, &pre, &config).model;
 //! let drift: Vec<String> = (0..20).map(|i| format!("cache miss for key k{i}")).collect();
-//! let delta = train_delta(&model, &drift, &config, 0.6);
+//! let delta = train_delta(&model, &drift, &pre, &config, 0.6);
 //! let updated = apply_delta(&model, &delta);
 //! assert!(updated.len() > model.len());
 //! ```
@@ -50,6 +52,7 @@ use crate::model::ParserModel;
 use crate::train::train;
 use crate::tree::{NodeId, TemplateToken, TreeNode};
 use crate::TrainConfig;
+use logtok::Preprocessor;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -559,7 +562,8 @@ impl<'m> DeltaBuilder<'m> {
 }
 
 /// Train an incremental delta: cluster `records` (a topic's training window, or just
-/// its unmatched records) on their own and express the result as a [`ModelDelta`]
+/// its unmatched records) on their own, preprocessed by the caller's `preprocessor` (see
+/// [`train`]), and express the result as a [`ModelDelta`]
 /// against `model`, using the same similarity-driven merge rules as
 /// [`merge_models`](crate::merge::merge_models) with `merge_threshold`.
 ///
@@ -569,6 +573,7 @@ impl<'m> DeltaBuilder<'m> {
 pub fn train_delta<S: AsRef<str>>(
     model: &ParserModel,
     records: &[S],
+    preprocessor: &Preprocessor,
     config: &TrainConfig,
     merge_threshold: f64,
 ) -> ModelDelta {
@@ -580,7 +585,7 @@ pub fn train_delta<S: AsRef<str>>(
         delta.retire_temporaries = false;
         return delta;
     }
-    let incoming = train(records, config).model;
+    let incoming = train(records, preprocessor, config).model;
     // Candidate roots: active (non-temporary, non-retired) base roots first, in
     // base order, then delta roots as they are added — the exact candidate order
     // `merge_models` sees.
@@ -736,11 +741,12 @@ mod tests {
     #[test]
     fn delta_matches_merge_models_on_new_root_family() {
         let config = TrainConfig::default();
-        let model = train(&base_records(), &config).model;
+        let pre = Preprocessor::new(config.preprocess.clone());
+        let model = train(&base_records(), &pre, &config).model;
         let batch = drift_records();
-        let delta = train_delta(&model, &batch, &config, 0.6);
+        let delta = train_delta(&model, &batch, &pre, &config, 0.6);
         let patched = apply_delta(&model, &delta);
-        let merged = merge_models(&model, &train(&batch, &config).model, 0.6);
+        let merged = merge_models(&model, &train(&batch, &pre, &config).model, 0.6);
         assert_eq!(sorted_texts(&patched), sorted_texts(&merged));
         assert_eq!(patched.roots.len(), merged.roots.len());
     }
@@ -748,14 +754,15 @@ mod tests {
     #[test]
     fn delta_matches_merge_models_when_folding_into_existing_trees() {
         let config = TrainConfig::default();
-        let model = train(&base_records(), &config).model;
+        let pre = Preprocessor::new(config.preprocess.clone());
+        let model = train(&base_records(), &pre, &config).model;
         // Same family, different value distribution: folds into the existing trees.
         let batch: Vec<String> = (100..140)
             .map(|i| format!("request {} served from cache {} in {}ms", i, i % 3, i % 7))
             .collect();
-        let delta = train_delta(&model, &batch, &config, 0.6);
+        let delta = train_delta(&model, &batch, &pre, &config, 0.6);
         let patched = apply_delta(&model, &delta);
-        let merged = merge_models(&model, &train(&batch, &config).model, 0.6);
+        let merged = merge_models(&model, &train(&batch, &pre, &config).model, 0.6);
         assert_eq!(sorted_texts(&patched), sorted_texts(&merged));
         assert_eq!(patched.trained_records(), merged.trained_records());
     }
@@ -763,8 +770,9 @@ mod tests {
     #[test]
     fn apply_delta_preserves_existing_node_ids() {
         let config = TrainConfig::default();
-        let model = train(&base_records(), &config).model;
-        let delta = train_delta(&model, &drift_records(), &config, 0.6);
+        let pre = Preprocessor::new(config.preprocess.clone());
+        let model = train(&base_records(), &pre, &config).model;
+        let delta = train_delta(&model, &drift_records(), &pre, &config, 0.6);
         let patched = apply_delta(&model, &delta);
         assert!(patched.len() >= model.len());
         for (before, after) in model.nodes.iter().zip(patched.nodes.iter()) {
@@ -777,10 +785,10 @@ mod tests {
     #[test]
     fn patched_model_matches_both_old_and_new_patterns() {
         let config = TrainConfig::default();
-        let model = train(&base_records(), &config).model;
-        let delta = train_delta(&model, &drift_records(), &config, 0.6);
-        let patched = apply_delta(&model, &delta);
         let pre = Preprocessor::new(config.preprocess.clone());
+        let model = train(&base_records(), &pre, &config).model;
+        let delta = train_delta(&model, &drift_records(), &pre, &config, 0.6);
+        let patched = apply_delta(&model, &delta);
         assert!(walk(&patched, &pre, "request 999 served from cache 1 in 3ms").is_some());
         assert!(walk(&patched, &pre, "circuit breaker opened for upstream svc-99").is_some());
     }
@@ -788,12 +796,12 @@ mod tests {
     #[test]
     fn delta_retires_absorbed_temporaries() {
         let config = TrainConfig::default();
-        let mut model = train(&base_records(), &config).model;
         let pre = Preprocessor::new(config.preprocess.clone());
+        let mut model = train(&base_records(), &pre, &config).model;
         let temp_id =
             model.insert_temporary(&pre.tokens_of("circuit breaker opened for upstream svc-0"));
         assert_eq!(model.temporary_count(), 1);
-        let delta = train_delta(&model, &drift_records(), &config, 0.6);
+        let delta = train_delta(&model, &drift_records(), &pre, &config, 0.6);
         let patched = apply_delta(&model, &delta);
         assert_eq!(patched.temporary_count(), 0);
         assert_eq!(patched.retired_count(), 1);
@@ -808,8 +816,9 @@ mod tests {
     #[test]
     fn empty_batch_yields_empty_delta() {
         let config = TrainConfig::default();
-        let model = train(&base_records(), &config).model;
-        let delta = train_delta(&model, &[] as &[String], &config, 0.6);
+        let pre = Preprocessor::new(config.preprocess.clone());
+        let model = train(&base_records(), &pre, &config).model;
+        let delta = train_delta(&model, &[] as &[String], &pre, &config, 0.6);
         assert!(delta.is_empty());
         assert_eq!(delta.batch_records, 0);
         let patched = apply_delta(&model, &delta);
@@ -819,8 +828,9 @@ mod tests {
     #[test]
     fn delta_round_trips_through_json() {
         let config = TrainConfig::default();
-        let model = train(&base_records(), &config).model;
-        let delta = train_delta(&model, &drift_records(), &config, 0.6);
+        let pre = Preprocessor::new(config.preprocess.clone());
+        let model = train(&base_records(), &pre, &config).model;
+        let delta = train_delta(&model, &drift_records(), &pre, &config, 0.6);
         let payload = serde_json::to_string(&delta).expect("delta serializes");
         let restored: ModelDelta = serde_json::from_str(&payload).expect("delta deserializes");
         let a = apply_delta(&model, &delta);
@@ -833,8 +843,9 @@ mod tests {
     #[should_panic(expected = "delta was computed against a model")]
     fn apply_delta_rejects_wider_base() {
         let config = TrainConfig::default();
-        let model = train(&base_records(), &config).model;
-        let mut delta = train_delta(&model, &drift_records(), &config, 0.6);
+        let pre = Preprocessor::new(config.preprocess.clone());
+        let model = train(&base_records(), &pre, &config).model;
+        let mut delta = train_delta(&model, &drift_records(), &pre, &config, 0.6);
         // Pretend the delta was computed against a narrower model: the wider live
         // model could hold nodes the delta never saw.
         delta.base_nodes = model.len() - 1;
@@ -844,12 +855,13 @@ mod tests {
     #[test]
     fn apply_delta_pads_narrower_base_with_retired_slots() {
         let config = TrainConfig::default();
-        let persisted = train(&base_records(), &config).model;
+        let pre = Preprocessor::new(config.preprocess.clone());
+        let persisted = train(&base_records(), &pre, &config).model;
         // The live model accumulated temporaries after `persisted` was stored.
         let mut live = persisted.clone();
         live.insert_temporary(&["ephemeral".into(), "event".into(), "one".into()]);
         live.insert_temporary(&["ephemeral".into(), "event".into(), "two".into()]);
-        let delta = train_delta(&live, &drift_records(), &config, 0.6);
+        let delta = train_delta(&live, &drift_records(), &pre, &config, 0.6);
         let from_live = apply_delta(&live, &delta);
         let from_persisted = apply_delta(&persisted, &delta);
         // Node ids align: same width, and every active node carries the same template.

@@ -33,7 +33,10 @@
 //! let mut parser = ByteBrainParser::new(TrainConfig::default());
 //! parser.train(&logs);
 //! let result = parser.match_log("Accepted password for carol from 10.0.0.7 port 22");
-//! assert!(result.template.contains("Accepted password for"));
+//! // A match is ids only (`result.node`, `result.saturation`); its text is rendered on
+//! // demand. `*` is a position clustering left variable, `<*>` a value masking replaced.
+//! let template = parser.template(&result).unwrap();
+//! assert_eq!(template, "Accepted password for * from <*> port 22");
 //! ```
 
 pub mod automaton;

@@ -26,15 +26,14 @@ use crate::tree::{NodeId, TemplateToken};
 use logtok::{Preprocessor, TokenScratch, TokenView};
 use serde::{Deserialize, Serialize};
 
-/// The result of matching one log.
+/// The result of matching one log: ids only. The template text is rendered on demand,
+/// by [`ByteBrainParser::template`](crate::ByteBrainParser::template).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MatchResult {
     /// Matched node (most precise template), `None` when no template matched.
     pub node: Option<NodeId>,
     /// Saturation of the matched node (0 when unmatched).
     pub saturation: f64,
-    /// Rendered template text (the raw log itself when unmatched).
-    pub template: String,
 }
 
 impl MatchResult {
@@ -43,13 +42,11 @@ impl MatchResult {
         self.node.is_some()
     }
 
-    /// Render the match decision `node` for `record`.
-    pub(crate) fn of(model: &ParserModel, record: &str, node: Option<NodeId>) -> Self {
-        let hit = node.map(|id| &model.nodes[id.0]);
+    /// The match decision `node` of `model`.
+    pub(crate) fn of(model: &ParserModel, node: Option<NodeId>) -> Self {
         MatchResult {
             node,
-            saturation: hit.map_or(0.0, |n| n.saturation),
-            template: hit.map_or_else(|| record.to_string(), |n| n.template_text()),
+            saturation: node.map_or(0.0, |id| model.nodes[id.0].saturation),
         }
     }
 }
@@ -59,11 +56,19 @@ impl MatchResult {
 /// (most precise) matching template id. It has no production caller — [`match_compiled`]'s
 /// debug assertion and the differential suites are what run it.
 pub fn match_view(model: &ParserModel, view: &TokenView<'_>) -> Option<NodeId> {
+    walk(model, view.iter())
+}
+
+/// [`match_view`] over any masked token stream.
+fn walk<'t>(
+    model: &ParserModel,
+    tokens: impl ExactSizeIterator<Item = &'t str> + Clone,
+) -> Option<NodeId> {
     model
         .match_order()
         .iter()
         .copied()
-        .find(|id| model.nodes[id.0].matches(view.iter()))
+        .find(|id| model.nodes[id.0].matches(tokens.clone()))
 }
 
 /// The one production match decision: `compiled`, compiled from `model` at its last
@@ -74,20 +79,23 @@ pub fn match_view(model: &ParserModel, view: &TokenView<'_>) -> Option<NodeId> {
 /// matches a record, and only a record the tables miss. Together that is the live model:
 /// a temporary costs a scan, paid only by records the tables miss, never a compile.
 /// Builds with debug assertions hold every decision to the tree walk.
-pub fn match_compiled(
+///
+/// `tokens` are the record's masked tokens, in order: a [`TokenView`]'s
+/// [`iter`](TokenView::iter), or the tokens a unique log of a preprocessed batch kept.
+pub fn match_compiled<'t>(
     model: &ParserModel,
     compiled: &CompiledMatcher,
-    view: &TokenView<'_>,
+    tokens: impl ExactSizeIterator<Item = &'t str> + Clone,
 ) -> Option<NodeId> {
-    let node = compiled.match_symbols(view.iter()).or_else(|| {
+    let node = compiled.match_symbols(tokens.clone()).or_else(|| {
         let mut appended = model.nodes[compiled.nodes()..].iter();
-        appended.find(|n| n.matches(view.iter())).map(|n| n.id)
+        appended.find(|n| n.matches(tokens.clone())).map(|n| n.id)
     });
     debug_assert_eq!(
         node,
-        match_view(model, view),
+        walk(model, tokens.clone()),
         "automaton diverged from the tree walk on {:?}",
-        view.iter().collect::<Vec<_>>()
+        tokens.collect::<Vec<_>>()
     );
     node
 }
@@ -359,7 +367,7 @@ pub fn match_ids_batch<S: AsRef<str> + Sync>(
             let mut part = BatchMatch::default();
             for &line in lines {
                 let view = preprocessor.token_view(line, &mut scratch);
-                let node = match_compiled(model, compiled, &view);
+                let node = match_compiled(model, compiled, view.iter());
                 let slots = part.slots.extract(model, node, line, &view);
                 part.ids.push((node, slots));
             }
@@ -385,8 +393,8 @@ mod tests {
             .map(|i| format!("Connection closed by 10.0.0.{}", i % 9))
             .collect();
         let config = TrainConfig::default();
-        let mut model = train(&records, &config).model;
         let pre = Preprocessor::new(config.preprocess.clone());
+        let mut model = train(&records, &pre, &config).model;
         let compiled = CompiledMatcher::compile(&model);
         assert_eq!(compiled.nodes(), model.len());
         let novel = [
@@ -412,7 +420,7 @@ mod tests {
         let tokens = pre.tokens_of(line);
         let compiled = CompiledMatcher::compile(model);
         let mut scratch = TokenScratch::new();
-        let node = match_compiled(model, &compiled, &pre.token_view(line, &mut scratch));
+        let node = match_compiled(model, &compiled, pre.token_view(line, &mut scratch).iter());
         let Some(node) = node.map(|id| &model.nodes[id.0]) else {
             return tokens;
         };
@@ -435,8 +443,8 @@ mod tests {
             )
         };
         let config = TrainConfig::default();
-        let model = train(&(0..60).map(line).collect::<Vec<_>>(), &config).model;
         let pre = Preprocessor::new(config.preprocess.clone());
+        let model = train(&(0..60).map(line).collect::<Vec<_>>(), &pre, &config).model;
         let compiled = CompiledMatcher::compile(&model);
         let mut probes: Vec<String> = (100..130).map(line).collect();
         probes.push("conn user3 from 用户10.0.0.9 port 4".into());

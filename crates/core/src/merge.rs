@@ -208,11 +208,11 @@ mod tests {
             .map(|i| format!("job {} finished in {}ms", i, i * 3))
             .collect();
         let config = TrainConfig::default();
-        let first = train(&records, &config).model;
-        let second = train(&records, &config).model;
+        let pre = Preprocessor::new(config.preprocess.clone());
+        let first = train(&records, &pre, &config).model;
+        let second = train(&records, &pre, &config).model;
         let merged = merge_models(&first, &second, 0.5);
         assert_eq!(merged.trained_records(), 2 * records.len() as u64);
-        let pre = Preprocessor::new(config.preprocess.clone());
         assert!(walk(&merged, &pre, "job 999 finished in 5ms").is_some());
     }
 
@@ -223,11 +223,11 @@ mod tests {
             .map(|i| format!("connection refused from 10.0.0.{i} after retry"))
             .collect();
         let config = TrainConfig::default();
-        let a = train(&a_records, &config).model;
-        let b = train(&b_records, &config).model;
+        let pre = Preprocessor::new(config.preprocess.clone());
+        let a = train(&a_records, &pre, &config).model;
+        let b = train(&b_records, &pre, &config).model;
         let merged = merge_models(&a, &b, 0.6);
         assert_eq!(merged.roots.len(), a.roots.len() + b.roots.len());
-        let pre = Preprocessor::new(config.preprocess.clone());
         assert!(walk(&merged, &pre, "cache hit for key 7").is_some());
         assert!(walk(
             &merged,
@@ -241,10 +241,11 @@ mod tests {
     fn temporary_templates_are_dropped_on_merge() {
         let records: Vec<String> = (0..20).map(|i| format!("metric {} emitted", i)).collect();
         let config = TrainConfig::default();
-        let mut base = train(&records, &config).model;
+        let pre = Preprocessor::new(config.preprocess.clone());
+        let mut base = train(&records, &pre, &config).model;
         base.insert_temporary(&["unseen".into(), "event".into()]);
         assert_eq!(base.temporary_count(), 1);
-        let incoming = train(&records, &config).model;
+        let incoming = train(&records, &pre, &config).model;
         let merged = merge_models(&base, &incoming, 0.5);
         assert_eq!(merged.temporary_count(), 0);
     }

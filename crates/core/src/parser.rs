@@ -3,10 +3,10 @@
 use crate::automaton::CompiledMatcher;
 use crate::config::TrainConfig;
 use crate::incremental::{apply_delta, train_delta};
-use crate::matcher::{match_ids_batch, MatchResult};
+use crate::matcher::{match_compiled, match_ids_batch, MatchResult};
 use crate::model::ParserModel;
 use crate::query::{presentation_template, resolve_with_threshold};
-use crate::train::train;
+use crate::train::{spread_sample, train, train_keeping_batch};
 use crate::tree::NodeId;
 use logtok::Preprocessor;
 
@@ -66,7 +66,7 @@ impl ByteBrainParser {
 
     /// Train on a batch of raw records, replacing any existing model.
     pub fn train(&mut self, records: &[String]) -> &ParserModel {
-        let outcome = train(records, &self.config);
+        let outcome = train(records, &self.preprocessor, &self.config);
         self.install(outcome.model, outcome.training_assignment);
         &self.model
     }
@@ -80,7 +80,8 @@ impl ByteBrainParser {
             self.train(records);
             return;
         }
-        let delta = train_delta(&self.model, records, &self.config, similarity_threshold);
+        let (pre, config) = (&self.preprocessor, &self.config);
+        let delta = train_delta(&self.model, records, pre, config, similarity_threshold);
         self.install(apply_delta(&self.model, &delta), Vec::new());
     }
 
@@ -100,7 +101,7 @@ impl ByteBrainParser {
     /// templates (§3 "Online Matching") so subsequent identical logs match.
     pub fn match_log(&mut self, record: &str) -> MatchResult {
         let node = self.match_or_insert(record);
-        MatchResult::of(&self.model, record, Some(node))
+        MatchResult::of(&self.model, Some(node))
     }
 
     /// The node `record` matches, inserted as a temporary template when there is none.
@@ -113,17 +114,23 @@ impl ByteBrainParser {
 
     /// Match one raw log without inserting temporary templates (read-only).
     pub fn match_log_readonly(&self, record: &str) -> MatchResult {
-        MatchResult::of(&self.model, record, self.match_node(record))
+        MatchResult::of(&self.model, self.match_node(record))
     }
 
     /// Match a batch of raw logs (read-only) using the configured parallelism.
     pub fn match_batch(&self, records: &[String]) -> Vec<MatchResult> {
         let (model, workers) = (&self.model, self.config.parallelism);
         let batch = match_ids_batch(model, &self.compiled, &self.preprocessor, records, workers);
-        let decided = records.iter().zip(batch.ids);
+        let decided = batch.ids.into_iter();
         decided
-            .map(|(record, (node, _))| MatchResult::of(model, record, node))
+            .map(|(node, _)| MatchResult::of(model, node))
             .collect()
+    }
+
+    /// The template text of a match (`*` at each wildcard), `None` when nothing matched.
+    /// Matching renders no text; this is where a caller that shows one pays for it.
+    pub fn template(&self, result: &MatchResult) -> Option<String> {
+        result.node.map(|id| self.model.nodes[id.0].template_text())
     }
 
     /// Train on `records` and return, for every record, an opaque group id at the given
@@ -132,16 +139,35 @@ impl ByteBrainParser {
     ///
     /// A record takes the node the text match gives it, or its clustering assignment
     /// when the match misses; "w/ naive match" takes the clustering assignment first. A
-    /// record outside the training sample that no template matches goes through
-    /// [`match_log`](Self::match_log): the first one of its text becomes a temporary.
+    /// record outside the training sample goes through [`match_log`](Self::match_log):
+    /// the first one of its text that no template matches becomes a temporary.
+    ///
+    /// A record of the training batch is masked once: the batch's unique logs are
+    /// matched from the tokens preprocessing kept, and each decision is copied to every
+    /// record that collapsed into the log.
     pub fn parse_with_threshold(&mut self, records: &[String], threshold: f64) -> Vec<usize> {
-        self.train(records);
+        let (outcome, batch, sample) =
+            train_keeping_batch(records, &self.preprocessor, &self.config);
+        self.install(outcome.model, outcome.training_assignment);
+        let (model, compiled) = (&self.model, &self.compiled);
+        let unique_logs = batch.unique_logs.iter();
+        let by_unique: Vec<Option<NodeId>> = unique_logs
+            .map(|unique| match_compiled(model, compiled, unique.encoded.tokens()))
+            .collect();
+        let by_record: Vec<Option<NodeId>> = batch
+            .record_to_unique
+            .iter()
+            .map(|&u| by_unique[u])
+            .collect();
+        // A record the sample left out has neither: `match_or_insert` matches its text.
+        let text = match &sample {
+            None => by_record,
+            Some(indices) => spread_sample(indices, &by_record, records.len()),
+        };
         let naive = !self.config.ablation.text_based_matching;
-        let (model, workers) = (&self.model, self.config.parallelism);
-        let matched = match_ids_batch(model, &self.compiled, &self.preprocessor, records, workers);
-        let decided = matched.ids.into_iter().zip(&self.last_training_assignment);
+        let decided = text.into_iter().zip(&self.last_training_assignment);
         let nodes: Vec<Option<NodeId>> = decided
-            .map(|((text, _), &clustered)| {
+            .map(|(text, &clustered)| {
                 if naive {
                     clustered.or(text)
                 } else {
@@ -186,6 +212,7 @@ impl ByteBrainParser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::train::train_from_batch;
 
     fn wakelock_records() -> Vec<String> {
         let mut records = Vec::new();
@@ -232,7 +259,8 @@ mod tests {
         let result =
             parser.match_log_readonly("Accepted password for user99 from 10.0.0.77 port 22");
         assert!(result.is_matched());
-        assert!(result.template.contains("Accepted password for"));
+        let template = parser.template(&result).unwrap();
+        assert!(template.contains("Accepted password for"));
         assert!(result.saturation > 0.5);
     }
 
@@ -241,7 +269,7 @@ mod tests {
         let parser = ssh_parser();
         let result = parser.match_log_readonly("kernel panic: attempted to kill init");
         assert!(!result.is_matched());
-        assert_eq!(result.template, "kernel panic: attempted to kill init");
+        assert_eq!(parser.template(&result), None);
         assert_eq!(result.saturation, 0.0);
     }
 
@@ -352,9 +380,10 @@ mod tests {
         if let (Some(r), Some(a)) = (release.node, acquire.node) {
             assert_ne!(r, a);
         }
-        assert!(release.template.contains("lock"));
+        let template = parser.template(&release).unwrap();
+        assert!(template.contains("lock"));
         // The matched template must not claim the opposite action.
-        assert!(!release.template.starts_with("acquire"));
+        assert!(!template.starts_with("acquire"));
     }
 
     #[test]
@@ -454,6 +483,37 @@ mod tests {
             let temporaries = parser.model.nodes.iter().filter(|n| n.temporary).count();
             assert_eq!(temporaries, 1, "{text_based_matching}");
         }
+    }
+
+    /// A parser trains with the preprocessor it matches with, user masks included: its
+    /// model is the one `train_from_batch` builds from a preprocessor made afresh from
+    /// the same configuration, and a token the user's rule masks is `<*>` in every
+    /// template. Without the rule, the block ids stay constants of some templates.
+    #[test]
+    fn parser_trains_with_its_own_masks() {
+        let records: Vec<String> = (0..90)
+            .map(|i| {
+                let block = [7, -7, 12][i % 3];
+                format!("block blk_{block} replicated to node{}", i % 4)
+            })
+            .collect();
+        let mut config = TrainConfig::default();
+        let block = ("block".to_string(), r"blk_-?\d+".to_string());
+        config.preprocess.extra_masks.push(block);
+        let mut parser = ByteBrainParser::new(config.clone());
+        parser.train(&records);
+        let fresh = Preprocessor::new(config.preprocess.clone());
+        let reference = train_from_batch(&fresh.preprocess(&records), &config).model;
+        assert_eq!(format!("{:?}", parser.model()), format!("{reference:?}"));
+        let texts = |model: &ParserModel| -> Vec<String> {
+            model.nodes.iter().map(|n| n.template_text()).collect()
+        };
+        for text in texts(parser.model()) {
+            assert!(text.starts_with("block <*> replicated to"), "{text:?}");
+        }
+        let mut unmasked = ByteBrainParser::default_parser();
+        unmasked.train(&records);
+        assert!(texts(unmasked.model()).iter().any(|t| t.contains("blk_")));
     }
 
     #[test]

@@ -299,6 +299,7 @@ mod tests {
     use crate::train::train;
     use crate::tree::{TemplateToken, TreeNode};
     use crate::TrainConfig;
+    use logtok::Preprocessor;
 
     fn make_node(sat: f64, depth: usize, text: &[&str]) -> TreeNode {
         TreeNode {
@@ -521,7 +522,12 @@ mod tests {
         let records: Vec<String> = (0..80)
             .map(|i| format!("request {} served from cache {} in {}ms", i, i % 4, i % 9))
             .collect();
-        let model = train(&records, &TrainConfig::default()).model;
+        let model = train(
+            &records,
+            &Preprocessor::default_pipeline(),
+            &TrainConfig::default(),
+        )
+        .model;
         let ladder = SaturationLadder::build(&model);
         assert_eq!(ladder.len(), model.len());
         for id in 0..model.len() {
@@ -557,7 +563,12 @@ mod tests {
         let records: Vec<String> = (0..40)
             .map(|i| format!("request {} served in {}ms", i, i % 9))
             .collect();
-        let mut model = train(&records, &TrainConfig::default()).model;
+        let mut model = train(
+            &records,
+            &Preprocessor::default_pipeline(),
+            &TrainConfig::default(),
+        )
+        .model;
         let mut ladder = SaturationLadder::build(&model);
         let temp = model.insert_temporary(&["never".into(), "seen".into()]);
         ladder.push_root(&model, temp);
@@ -569,17 +580,18 @@ mod tests {
     #[test]
     fn delta_patched_ladder_equals_a_full_rebuild() {
         let config = TrainConfig::default();
+        let pre = Preprocessor::new(config.preprocess.clone());
         let base: Vec<String> = (0..60)
             .map(|i| format!("request {} served from cache {} in {}ms", i, i % 4, i % 9))
             .collect();
-        let mut model = train(&base, &config).model;
+        let mut model = train(&base, &pre, &config).model;
         // Live temporaries that the delta will retire.
         model.insert_temporary(&["circuit".into(), "breaker".into(), "opened".into()]);
         let mut ladder = SaturationLadder::build(&model);
         let drift: Vec<String> = (0..30)
             .map(|i| format!("circuit breaker opened for upstream svc-{}", i % 6))
             .collect();
-        let delta = train_delta(&model, &drift, &config, 0.6);
+        let delta = train_delta(&model, &drift, &pre, &config, 0.6);
         let patched = crate::incremental::apply_delta(&model, &delta);
         ladder.apply_delta(&patched, &delta);
         assert_eq!(
@@ -591,7 +603,7 @@ mod tests {
         let folding: Vec<String> = (100..140)
             .map(|i| format!("request {} served from cache {} in {}ms", i, i % 3, i % 7))
             .collect();
-        let delta2 = train_delta(&patched, &folding, &config, 0.6);
+        let delta2 = train_delta(&patched, &folding, &pre, &config, 0.6);
         let patched2 = crate::incremental::apply_delta(&patched, &delta2);
         ladder.apply_delta(&patched2, &delta2);
         assert_eq!(ladder, SaturationLadder::build(&patched2));

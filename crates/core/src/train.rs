@@ -25,26 +25,56 @@ pub struct TrainOutcome {
     pub dedup_stats: logtok::DedupStats,
 }
 
-/// Train a model from raw records.
-pub fn train<S: AsRef<str>>(records: &[S], config: &TrainConfig) -> TrainOutcome {
-    let preprocessor = Preprocessor::new(config.preprocess.clone());
+/// Train a model from raw records, preprocessed by `preprocessor` — the one its caller
+/// matches with, built from `config.preprocess` (a [`ByteBrainParser`]'s own, or a
+/// service topic's).
+///
+/// [`ByteBrainParser`]: crate::ByteBrainParser
+pub fn train<S: AsRef<str>>(
+    records: &[S],
+    preprocessor: &Preprocessor,
+    config: &TrainConfig,
+) -> TrainOutcome {
+    train_keeping_batch(records, preprocessor, config).0
+}
+
+/// [`train`], also returning the batch it clustered and, when the OOM guard (§3)
+/// sampled `max_training_records` of the records uniformly, the indices of the records
+/// the batch holds, in input order.
+pub(crate) fn train_keeping_batch<S: AsRef<str>>(
+    records: &[S],
+    preprocessor: &Preprocessor,
+    config: &TrainConfig,
+) -> (TrainOutcome, PreprocessedBatch, Option<Vec<usize>>) {
     if records.len() <= config.max_training_records {
-        return train_from_batch(&preprocessor.preprocess(records), config);
+        let batch = preprocessor.preprocess(records);
+        return (train_from_batch(&batch, config), batch, None);
     }
-    // OOM guard (§3): sample uniformly when the batch exceeds the configured cap.
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5A5A);
     let mut indices: Vec<usize> = (0..records.len()).collect();
     indices.shuffle(&mut rng);
     indices.truncate(config.max_training_records);
     indices.sort_unstable();
     let sampled: Vec<&str> = indices.iter().map(|&i| records[i].as_ref()).collect();
-    let mut outcome = train_from_batch(&preprocessor.preprocess(&sampled), config);
-    let mut assignment = vec![None; records.len()];
-    for (&i, node) in indices.iter().zip(&outcome.training_assignment) {
-        assignment[i] = *node;
+    let batch = preprocessor.preprocess(&sampled);
+    let mut outcome = train_from_batch(&batch, config);
+    let clustered = &outcome.training_assignment;
+    outcome.training_assignment = spread_sample(&indices, clustered, records.len());
+    (outcome, batch, Some(indices))
+}
+
+/// Per record of a batch of `len`: the node of its place in the sample `indices`, `None`
+/// for a record the sample left out.
+pub(crate) fn spread_sample(
+    indices: &[usize],
+    sampled: &[Option<NodeId>],
+    len: usize,
+) -> Vec<Option<NodeId>> {
+    let mut spread = vec![None; len];
+    for (&i, &node) in indices.iter().zip(sampled) {
+        spread[i] = node;
     }
-    outcome.training_assignment = assignment;
-    outcome
+    spread
 }
 
 /// Train a model from an already-preprocessed batch (used by the service layer, which
@@ -135,6 +165,10 @@ mod tests {
     use super::*;
     use crate::config::TrainConfig;
 
+    fn preprocessor() -> Preprocessor {
+        Preprocessor::new(TrainConfig::default().preprocess)
+    }
+
     fn ssh_like_records() -> Vec<String> {
         let mut records = Vec::new();
         for i in 0..30 {
@@ -156,7 +190,7 @@ mod tests {
     #[test]
     fn training_builds_a_nonempty_model() {
         let records = ssh_like_records();
-        let outcome = train(&records, &TrainConfig::default());
+        let outcome = train(&records, &preprocessor(), &TrainConfig::default());
         assert!(!outcome.model.is_empty());
         assert_eq!(outcome.training_assignment.len(), records.len());
         assert!(
@@ -169,8 +203,8 @@ mod tests {
     fn assignment_points_to_matching_templates() {
         let records = ssh_like_records();
         let config = TrainConfig::default();
-        let outcome = train(&records, &config);
-        let preprocessor = logtok::Preprocessor::new(config.preprocess.clone());
+        let preprocessor = Preprocessor::new(config.preprocess.clone());
+        let outcome = train(&records, &preprocessor, &config);
         for (record, node_id) in records.iter().zip(&outcome.training_assignment) {
             let tokens = preprocessor.tokens_of(record);
             let node = node_id.and_then(|id| outcome.model.node(id)).unwrap();
@@ -185,7 +219,7 @@ mod tests {
     #[test]
     fn record_counts_are_preserved() {
         let records = ssh_like_records();
-        let outcome = train(&records, &TrainConfig::default());
+        let outcome = train(&records, &preprocessor(), &TrainConfig::default());
         assert_eq!(outcome.model.trained_records(), records.len() as u64);
         assert_eq!(outcome.dedup_stats.total_records, records.len() as u64);
         assert!(outcome.dedup_stats.unique_records < records.len() as u64);
@@ -194,7 +228,7 @@ mod tests {
     #[test]
     fn distinct_log_statements_get_distinct_leaf_templates() {
         let records = ssh_like_records();
-        let outcome = train(&records, &TrainConfig::default());
+        let outcome = train(&records, &preprocessor(), &TrainConfig::default());
         let accepted = &outcome.training_assignment[0];
         let closed = &outcome.training_assignment[1];
         assert_ne!(
@@ -212,7 +246,11 @@ mod tests {
             max_training_records: 100,
             ..TrainConfig::default()
         };
-        let outcome = train(&records, &config);
+        let outcome = train(
+            &records,
+            &Preprocessor::new(config.preprocess.clone()),
+            &config,
+        );
         assert!(outcome.model.trained_records() <= 100);
         // One entry per input record; only the sampled ones were clustered.
         assert_eq!(outcome.training_assignment.len(), records.len());
@@ -222,8 +260,16 @@ mod tests {
     #[test]
     fn parallel_training_matches_sequential_structure() {
         let records = ssh_like_records();
-        let seq = train(&records, &TrainConfig::default().with_parallelism(1));
-        let par = train(&records, &TrainConfig::default().with_parallelism(4));
+        let seq = train(
+            &records,
+            &preprocessor(),
+            &TrainConfig::default().with_parallelism(1),
+        );
+        let par = train(
+            &records,
+            &preprocessor(),
+            &TrainConfig::default().with_parallelism(4),
+        );
         assert_eq!(seq.model.roots.len(), par.model.roots.len());
         assert_eq!(seq.model.len(), par.model.len());
         // Identical seeds per group make the trees identical regardless of thread count.
@@ -236,7 +282,7 @@ mod tests {
 
     #[test]
     fn empty_input_trains_empty_model() {
-        let outcome = train(&[] as &[String], &TrainConfig::default());
+        let outcome = train(&[] as &[String], &preprocessor(), &TrainConfig::default());
         assert!(outcome.model.is_empty());
         assert!(outcome.training_assignment.is_empty());
     }

@@ -9,7 +9,7 @@ use bytebrain::query::merge_consecutive_wildcards;
 use bytebrain::saturation::{breakdown, saturation};
 use bytebrain::train::train;
 use bytebrain::{AblationConfig, TrainConfig};
-use logtok::EncodedLog;
+use logtok::{EncodedLog, Preprocessor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -90,7 +90,8 @@ fn training_invariants() {
         let corpus = corpus(&mut rng);
         let records: Vec<String> = corpus.iter().map(|t| t.join(" ")).collect();
         let config = TrainConfig::default();
-        let outcome = train(&records, &config);
+        let pre = Preprocessor::new(config.preprocess.clone());
+        let outcome = train(&records, &pre, &config);
         assert_eq!(outcome.training_assignment.len(), records.len());
         for node in &outcome.model.nodes {
             if let Some(parent) = node.parent {
@@ -355,8 +356,8 @@ fn matcher_probe(rng: &mut StdRng) -> String {
 
 /// The facade's entry points agree with the tree walk on adversarial probes:
 /// `match_batch` (per-thread scratches) and the one-record `match_log_readonly` return
-/// the node `match_view` finds through a long-lived scratch, with its saturation and
-/// template — and the matched template positionally matches the owned tokens
+/// the node `match_view` finds through a long-lived scratch, with its saturation, and
+/// `template` renders that node's text — and the matched template positionally matches the owned tokens
 /// `tokens_of` produces.
 #[test]
 fn zero_copy_matching_agrees_with_owned_path() {
@@ -396,9 +397,10 @@ fn zero_copy_matching_agrees_with_owned_path() {
                     "owned tokens disagree with the view on {probe:?}"
                 );
                 assert_eq!(owned.saturation, model.nodes[id.0].saturation);
-                assert_eq!(owned.template, model.nodes[id.0].template_text());
+                let template = model.nodes[id.0].template_text();
+                assert_eq!(parser.template(&owned), Some(template));
             }
-            None => assert_eq!(&owned.template, probe),
+            None => assert_eq!(parser.template(&owned), None),
         }
     }
 }
@@ -528,7 +530,7 @@ fn kernel_on_the_last_landing_equals_tree_walk_and_fresh_compile_under_churn() {
     use bytebrain::incremental::{apply_delta, train_delta};
     use bytebrain::matcher::{match_compiled, match_view};
     use bytebrain::{CompiledMatcher, NodeId, ParserModel};
-    use logtok::{Preprocessor, TokenScratch};
+    use logtok::TokenScratch;
 
     fn compile(model: &ParserModel) -> [CompiledMatcher; 2] {
         let compiled = CompiledMatcher::compile(model);
@@ -549,8 +551,8 @@ fn kernel_on_the_last_landing_equals_tree_walk_and_fresh_compile_under_churn() {
             let view = pre.token_view(probe, &mut scratch);
             let tree = match_view(model, &view);
             for (mode, rows) in [("DFA", 0), ("NFA", 1)] {
-                let on_last = match_compiled(model, &landed[rows], &view);
-                let on_fresh = match_compiled(model, &fresh[rows], &view);
+                let on_last = match_compiled(model, &landed[rows], view.iter());
+                let on_fresh = match_compiled(model, &fresh[rows], view.iter());
                 assert_eq!(
                     (on_last, on_fresh),
                     (tree, tree),
@@ -570,7 +572,7 @@ fn kernel_on_the_last_landing_equals_tree_walk_and_fresh_compile_under_churn() {
         let warm: Vec<String> = (0..rng.gen_range(40..120usize))
             .map(|_| family_record(&mut rng, 0))
             .collect();
-        let mut model = train(&warm, &config).model;
+        let mut model = train(&warm, &pre, &config).model;
         let mut landed = compile(&model);
         let mut inserted: Vec<String> = Vec::new();
 
@@ -587,7 +589,7 @@ fn kernel_on_the_last_landing_equals_tree_walk_and_fresh_compile_under_churn() {
                     }
                 };
                 let view = pre.token_view(&line, &mut scratch);
-                if match_compiled(&model, &landed[0], &view).is_none() {
+                if match_compiled(&model, &landed[0], view.iter()).is_none() {
                     model.insert_temporary(&pre.tokens_of(&line));
                     inserted.push(line);
                 }
@@ -618,7 +620,7 @@ fn kernel_on_the_last_landing_equals_tree_walk_and_fresh_compile_under_churn() {
                     let batch: Vec<String> = (0..rng.gen_range(5..40usize))
                         .map(|_| family_record(&mut rng, family))
                         .collect();
-                    let delta = train_delta(&model, &batch, &config, 0.6);
+                    let delta = train_delta(&model, &batch, &pre, &config, 0.6);
                     model = apply_delta(&model, &delta);
                 }
                 1 => {
@@ -665,7 +667,6 @@ fn kernel_on_the_last_landing_equals_tree_walk_and_fresh_compile_under_churn() {
 fn match_order_is_maintained_across_insert_retire_and_delta() {
     use bytebrain::incremental::{apply_delta, train_delta};
     use bytebrain::NodeId;
-    use logtok::Preprocessor;
 
     let mut rng = StdRng::seed_from_u64(adversarial_seed() ^ 0xA070_0003);
     let config = TrainConfig::default();
@@ -675,7 +676,7 @@ fn match_order_is_maintained_across_insert_retire_and_delta() {
         let warm: Vec<String> = (0..rng.gen_range(40..120usize))
             .map(|_| family_record(&mut rng, 0))
             .collect();
-        let mut model = train(&warm, &config).model;
+        let mut model = train(&warm, &pre, &config).model;
         for step in 0..40 {
             match rng.gen_range(0..6u32) {
                 0 => {
@@ -683,7 +684,7 @@ fn match_order_is_maintained_across_insert_retire_and_delta() {
                     let batch: Vec<String> = (0..rng.gen_range(5..40usize))
                         .map(|_| family_record(&mut rng, family))
                         .collect();
-                    let delta = train_delta(&model, &batch, &config, 0.6);
+                    let delta = train_delta(&model, &batch, &pre, &config, 0.6);
                     model = apply_delta(&model, &delta);
                 }
                 1 => {
@@ -729,7 +730,7 @@ fn sorted_edge_dfa_equals_tree_walk_under_wide_fanout_and_churn() {
     use bytebrain::incremental::{apply_delta, train_delta};
     use bytebrain::matcher::match_view;
     use bytebrain::{CompiledMatcher, MatchCache, NodeId};
-    use logtok::{Preprocessor, TokenScratch};
+    use logtok::TokenScratch;
 
     let mut rng = StdRng::seed_from_u64(adversarial_seed() ^ 0xDE2E_0002);
     let config = TrainConfig::default();
@@ -743,7 +744,7 @@ fn sorted_edge_dfa_equals_tree_walk_under_wide_fanout_and_churn() {
         let warm: Vec<String> = (0..rng.gen_range(40..120usize))
             .map(|_| family_record(&mut rng, 0))
             .collect();
-        let mut model = train(&warm, &config).model;
+        let mut model = train(&warm, &pre, &config).model;
         let mut wide: Vec<(NodeId, String)> = (0..300)
             .map(|i| {
                 let line = wide_line(0, i);
@@ -768,7 +769,7 @@ fn sorted_edge_dfa_equals_tree_walk_under_wide_fanout_and_churn() {
                     let batch: Vec<String> = (0..rng.gen_range(5..40usize))
                         .map(|_| family_record(&mut rng, family))
                         .collect();
-                    let delta = train_delta(&model, &batch, &config, 0.6);
+                    let delta = train_delta(&model, &batch, &pre, &config, 0.6);
                     model = apply_delta(&model, &delta);
                     // The delta absorbs temporaries; probe only the survivors.
                     wide.retain(|(id, _)| !model.nodes[id.0].retired);
@@ -903,7 +904,7 @@ fn fuzz_line(rng: &mut StdRng) -> String {
 fn fuzz_compiler_and_match_cache_on_arbitrary_lines() {
     use bytebrain::matcher::match_view;
     use bytebrain::{CompiledMatcher, MatchCache};
-    use logtok::{Preprocessor, TokenScratch};
+    use logtok::TokenScratch;
 
     let mut rng = StdRng::seed_from_u64(adversarial_seed() ^ 0xF0_22ED);
     let config = TrainConfig::default();
@@ -914,7 +915,7 @@ fn fuzz_compiler_and_match_cache_on_arbitrary_lines() {
         let corpus: Vec<String> = (0..rng.gen_range(1..50usize))
             .map(|_| fuzz_line(&mut rng))
             .collect();
-        let mut model = train(&corpus, &config).model;
+        let mut model = train(&corpus, &pre, &config).model;
         // Fuzzed temporaries: raw token sequences, including wildcard-text
         // tokens and empty templates.
         for _ in 0..rng.gen_range(0..8usize) {

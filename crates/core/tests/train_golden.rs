@@ -12,6 +12,7 @@ use bytebrain::train::{train, TrainOutcome};
 use bytebrain::tree::TemplateToken;
 use bytebrain::{AblationConfig, TrainConfig};
 use datasets::{loghub2_dataset_names, LabeledDataset};
+use logtok::Preprocessor;
 
 const LOGS_PER_FAMILY: usize = 1024;
 
@@ -85,7 +86,11 @@ fn actual_rows() -> Vec<(String, String, u64)> {
         let records = LabeledDataset::loghub2(family, LOGS_PER_FAMILY).records;
         for (variant, ablation) in AblationConfig::named_variants() {
             let config = TrainConfig::default().with_ablation(ablation);
-            let outcome = train(&records, &config);
+            let outcome = train(
+                &records,
+                &Preprocessor::new(config.preprocess.clone()),
+                &config,
+            );
             rows.push((
                 family.to_string(),
                 variant.to_string(),
@@ -103,7 +108,11 @@ fn actual_rows() -> Vec<(String, String, u64)> {
                 max_cluster_iters,
                 ..TrainConfig::default()
             };
-            let outcome = train(&records, &config);
+            let outcome = train(
+                &records,
+                &Preprocessor::new(config.preprocess.clone()),
+                &config,
+            );
             rows.push((
                 family.to_string(),
                 format!("max_cluster_iters {max_cluster_iters}"),
@@ -117,7 +126,11 @@ fn actual_rows() -> Vec<(String, String, u64)> {
             prefix_tokens: 1,
             ..TrainConfig::default().with_parallelism(parallelism)
         };
-        let outcome = train(&records, &config);
+        let outcome = train(
+            &records,
+            &Preprocessor::new(config.preprocess.clone()),
+            &config,
+        );
         rows.push((
             "multi-group".to_string(),
             format!("parallelism {parallelism}"),

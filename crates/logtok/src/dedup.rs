@@ -5,8 +5,7 @@
 //! shrinks the clustering input and lets every downstream statistic (position frequencies,
 //! saturation, grouping accuracy) be computed over weighted unique logs.
 
-use crate::hashenc::{hash_token, EncodedLog};
-use std::collections::HashMap;
+use crate::hashenc::{hash_token, EncodedLog, FnvMap};
 
 /// A unique log produced by deduplication: the encoded log plus the indices of the raw
 /// records that collapsed into it (so parse results can be mapped back to every record).
@@ -18,7 +17,8 @@ pub struct UniqueLog {
     pub record_indices: Vec<usize>,
 }
 
-/// Summary statistics of one deduplication pass, used by the Fig. 4 reproduction.
+/// Summary statistics of one deduplication pass: how many records a batch collapsed into
+/// how few unique logs (`lpbench` reports the factor as `logtok.dedup_factor`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DedupStats {
     /// Number of raw records processed.
@@ -43,10 +43,12 @@ impl DedupStats {
 pub struct Deduplicator {
     /// Key: (sequence hash, token count) → slot in `unique`. Two different sequences
     /// with one key are told apart by their texts; the later one is filed under the next
-    /// free sequence hash (see `push_hashed`).
-    index: HashMap<(u64, usize), usize>,
+    /// free sequence hash (see `push_keyed`).
+    index: FnvMap<(u64, usize), usize>,
     unique: Vec<UniqueLog>,
     total: u64,
+    /// The token hashes of the record being pushed; a new unique log keeps a copy.
+    hashes: Vec<u64>,
 }
 
 impl Deduplicator {
@@ -57,36 +59,38 @@ impl Deduplicator {
 
     /// Add one tokenized record (by index) and return the slot of its unique log.
     ///
-    /// `tokens` is walked once to hash it and once more per candidate it is compared
-    /// with; token texts are allocated only when the sequence is new.
+    /// Each token is hashed once, and the hashes become the new unique log's encoding.
+    /// `tokens` is walked once more per candidate whose hashes agree; token texts are
+    /// copied only when the sequence is new.
     pub fn push<I>(&mut self, record_index: usize, tokens: I) -> usize
     where
         I: IntoIterator + Clone,
         I::Item: AsRef<str>,
     {
-        let mut seq_hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut len = 0usize;
-        for t in tokens.clone() {
-            // Order-sensitive combination of per-token hashes.
-            seq_hash = seq_hash.rotate_left(5).wrapping_mul(0x0000_0100_0000_01b3)
-                ^ hash_token(t.as_ref());
-            len += 1;
-        }
-        self.push_hashed(record_index, (seq_hash, len), tokens)
+        self.push_keyed(record_index, tokens, |seq_hash| seq_hash)
     }
 
-    /// [`Deduplicator::push`] with the key — (sequence hash, token count) — supplied by
-    /// the caller (tests force collisions through it).
-    pub(crate) fn push_hashed<I>(
+    /// [`Deduplicator::push`] with the sequence hash the record is filed under mapped
+    /// through `key` (tests force collisions through it).
+    pub(crate) fn push_keyed<I>(
         &mut self,
         record_index: usize,
-        mut key: (u64, usize),
         tokens: I,
+        key: impl FnOnce(u64) -> u64,
     ) -> usize
     where
         I: IntoIterator + Clone,
         I::Item: AsRef<str>,
     {
+        self.hashes.clear();
+        let mut seq_hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for t in tokens.clone() {
+            let hash = hash_token(t.as_ref());
+            // Order-sensitive combination of per-token hashes.
+            seq_hash = seq_hash.rotate_left(5).wrapping_mul(0x0000_0100_0000_01b3) ^ hash;
+            self.hashes.push(hash);
+        }
+        let mut key = (key(seq_hash), self.hashes.len());
         self.total += 1;
         // Every hit is verified against the token texts. On a mismatch (a sequence-hash
         // collision, astronomically unlikely) the probe moves to the next sequence hash:
@@ -95,13 +99,15 @@ impl Deduplicator {
         while let Some(&slot) = self.index.get(&key) {
             let existing = &mut self.unique[slot];
             // The key holds the token count, so the two sequences are equally long.
-            debug_assert_eq!(existing.encoded.tokens.len(), key.1);
-            if existing
-                .encoded
-                .tokens
-                .iter()
-                .zip(tokens.clone())
-                .all(|(a, b)| a == b.as_ref())
+            debug_assert_eq!(existing.encoded.len(), key.1);
+            // Equal texts have equal hashes: comparing those first only skips the text
+            // comparison of a sequence that differs.
+            if existing.encoded.encoded == self.hashes
+                && existing
+                    .encoded
+                    .tokens()
+                    .zip(tokens.clone())
+                    .all(|(a, b)| a == b.as_ref())
             {
                 existing.encoded.count += 1;
                 existing.record_indices.push(record_index);
@@ -111,7 +117,7 @@ impl Deduplicator {
         }
         let slot = self.unique.len();
         self.unique.push(UniqueLog {
-            encoded: EncodedLog::from_tokens(tokens),
+            encoded: EncodedLog::from_hashed(tokens, self.hashes.clone()),
             record_indices: vec![record_index],
         });
         self.index.insert(key, slot);
@@ -214,14 +220,14 @@ mod tests {
         let (a, b, c) = (["a", "x"], ["b", "y"], ["c", "z"]);
         let mut slots = Vec::new();
         for (idx, tokens) in [a, b, a, b, b, a, c, a, c].iter().enumerate() {
-            slots.push(d.push_hashed(idx, (42, 2), tokens));
+            slots.push(d.push_keyed(idx, tokens, |_| 42));
         }
         assert_eq!(slots, vec![0, 1, 0, 1, 1, 0, 2, 0, 2]);
         assert_eq!(d.unique_len(), 3);
         // A sequence whose own hash is the key a collision spilled into is unaffected.
-        assert_eq!(d.push_hashed(9, (43, 2), &["d", "w"]), 3);
-        assert_eq!(d.push_hashed(10, (43, 2), &["d", "w"]), 3);
-        assert_eq!(d.push_hashed(11, (42, 2), &b), 1);
+        assert_eq!(d.push_keyed(9, &["d", "w"], |_| 43), 3);
+        assert_eq!(d.push_keyed(10, &["d", "w"], |_| 43), 3);
+        assert_eq!(d.push_keyed(11, &b, |_| 42), 1);
         for unique in d.unique() {
             assert_eq!(unique.encoded.count, unique.record_indices.len() as u64);
         }

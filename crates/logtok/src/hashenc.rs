@@ -8,7 +8,8 @@
 //! The collision probability follows the birthday bound the paper derives in Eq. 1: for
 //! 10 million distinct tokens it is ≈ 0.000271 %, negligible in practice.
 
-use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Reserved hash value representing the wildcard (`*`) position in an encoded template.
 ///
@@ -20,14 +21,20 @@ pub const WILDCARD_HASH: u64 = u64::MAX;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Deterministic 64-bit hash of a token (FNV-1a over the UTF-8 bytes).
+/// FNV-1a over `bytes`, continuing from `hash` ([`FNV_OFFSET`] to start).
 #[inline]
-pub fn hash_token(token: &str) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &byte in token.as_bytes() {
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
         hash ^= byte as u64;
         hash = hash.wrapping_mul(FNV_PRIME);
     }
+    hash
+}
+
+/// Deterministic 64-bit hash of a token (FNV-1a over the UTF-8 bytes).
+#[inline]
+pub fn hash_token(token: &str) -> u64 {
+    let hash = fnv1a(FNV_OFFSET, token.as_bytes());
     // Keep the sentinel reserved for wildcards.
     if hash == WILDCARD_HASH {
         hash - 1
@@ -42,23 +49,46 @@ pub fn hash_token(token: &str) -> u64 {
 /// consumers (batch reordering, the match cache) never re-hash the full text.
 #[inline]
 pub fn hash_line(line: &str) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &byte in line.as_bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+    fnv1a(FNV_OFFSET, line.as_bytes())
 }
 
-/// A log record after preprocessing: the hashed token vector plus bookkeeping needed to
-/// render templates and count duplicates.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// FNV-1a as a streaming [`Hasher`]: fast on the short keys — token texts, and keys
+/// that are hashes already — that the deduplicator, the trainer's token table and the
+/// automaton map, and free of the per-map random state `SipHash` pays for. None of
+/// those maps is iterated, so the hasher decides nothing but speed.
+#[derive(Debug, Clone, Copy)]
+pub struct FnvHasher(u64);
+
+impl Default for FnvHasher {
+    fn default() -> Self {
+        FnvHasher(FNV_OFFSET)
+    }
+}
+
+impl Hasher for FnvHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a(self.0, bytes);
+    }
+}
+
+/// A `HashMap` hashed by [`FnvHasher`].
+pub type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
+
+/// A log record after preprocessing: the hashed token vector plus the token texts,
+/// which cluster nodes render template constants from. Deduplication means one copy is
+/// stored per unique log, and the texts are one string with an end offset per token.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedLog {
     /// Hash of each token, in order.
     pub encoded: Vec<u64>,
-    /// The token texts (post-masking). Kept so that cluster nodes can render template
-    /// strings; deduplication means only one copy is stored per unique log.
-    pub tokens: Vec<String>,
+    /// The token texts (post-masking), back to back.
+    text: String,
+    /// Where each token of `text` ends.
+    ends: Vec<u32>,
     /// Number of raw records collapsed into this unique log by deduplication.
     pub count: u64,
 }
@@ -70,13 +100,58 @@ impl EncodedLog {
         I: IntoIterator,
         I::Item: AsRef<str>,
     {
-        let token_vec: Vec<String> = tokens.into_iter().map(|t| t.as_ref().to_string()).collect();
-        let encoded = token_vec.iter().map(|t| hash_token(t)).collect();
+        let mut log = EncodedLog::with_hashes(Vec::new(), 0);
+        for token in tokens {
+            let token = token.as_ref();
+            log.encoded.push(hash_token(token));
+            log.push_text(token);
+        }
+        log
+    }
+
+    /// Encode a token sequence whose hashes the caller computed already: `encoded[i]` is
+    /// the [`hash_token`] of the `i`-th token.
+    pub(crate) fn from_hashed<I>(tokens: I, encoded: Vec<u64>) -> Self
+    where
+        I: IntoIterator + Clone,
+        I::Item: AsRef<str>,
+    {
+        let bytes = tokens.clone().into_iter().map(|t| t.as_ref().len()).sum();
+        let mut log = EncodedLog::with_hashes(encoded, bytes);
+        for token in tokens {
+            log.push_text(token.as_ref());
+        }
+        debug_assert_eq!(log.ends.len(), log.encoded.len());
+        log
+    }
+
+    fn with_hashes(encoded: Vec<u64>, bytes: usize) -> Self {
         EncodedLog {
+            ends: Vec::with_capacity(encoded.len()),
             encoded,
-            tokens: token_vec,
+            text: String::with_capacity(bytes),
             count: 1,
         }
+    }
+
+    fn push_text(&mut self, token: &str) {
+        self.text.push_str(token);
+        let end = u32::try_from(self.text.len()).expect("a log's tokens fit 4 GiB");
+        self.ends.push(end);
+    }
+
+    /// The `i`-th token's text.
+    ///
+    /// # Panics
+    /// Panics when `i >= self.len()`.
+    pub fn token(&self, i: usize) -> &str {
+        let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.text[start as usize..self.ends[i] as usize]
+    }
+
+    /// The token texts, in order.
+    pub fn tokens(&self) -> impl ExactSizeIterator<Item = &str> + Clone + '_ {
+        (0..self.ends.len()).map(move |i| self.token(i))
     }
 
     /// Number of token positions.
@@ -126,7 +201,9 @@ mod tests {
         assert_eq!(log.len(), 4);
         assert_eq!(log.count, 1);
         assert_eq!(log.encoded[0], hash_token("open"));
-        assert_eq!(log.tokens[2], "/tmp/x");
+        assert_eq!(log.token(2), "/tmp/x");
+        let tokens: Vec<&str> = log.tokens().collect();
+        assert_eq!(tokens, ["open", "file", "/tmp/x", "ok"]);
         assert!(!log.is_empty());
     }
 
@@ -135,6 +212,18 @@ mod tests {
         let log = EncodedLog::from_tokens(Vec::<&str>::new());
         assert!(log.is_empty());
         assert_eq!(log.len(), 0);
+        assert_eq!(log.tokens().count(), 0);
+    }
+
+    /// Empty tokens keep their positions: a text of one string cannot tell them apart
+    /// by content, only by its end offsets.
+    #[test]
+    fn empty_tokens_keep_their_positions() {
+        let log = EncodedLog::from_tokens(["", "a", "", "", "bc", ""]);
+        let tokens: Vec<&str> = log.tokens().collect();
+        assert_eq!(tokens, ["", "a", "", "", "bc", ""]);
+        let hashed = EncodedLog::from_hashed(["", "a", "", "", "bc", ""], log.encoded.clone());
+        assert_eq!(hashed, log);
     }
 
     #[test]

@@ -214,7 +214,8 @@ impl Preprocessor {
     /// Run the full pipeline over a batch of raw records.
     ///
     /// Every record is masked and tokenized into one reused [`TokenScratch`]; token
-    /// texts are copied out only for the first record of each unique sequence.
+    /// texts are copied out only for the first record of each unique sequence, into
+    /// one string per unique log.
     pub fn preprocess<S: AsRef<str>>(&self, records: &[S]) -> PreprocessedBatch {
         let mut scratch = TokenScratch::new();
         let mut record_to_unique = Vec::with_capacity(records.len());
@@ -254,8 +255,8 @@ impl Preprocessor {
         }
     }
 
-    /// Access to the configured masker (used by the Fig. 4 experiment to compare
-    /// duplication with and without variable replacement).
+    /// The configured masker (the `lpbench` ledger times masking alone through it, as
+    /// `logtok.mask_ns_per_rec`).
     pub fn masker(&self) -> &Masker {
         &self.masker
     }

@@ -28,7 +28,8 @@ pub struct TokenizerConfig {
     pub split_sentence_periods: bool,
     /// Maximum number of tokens to produce per record; the remainder of the record is
     /// appended as one final token. Guards against pathological records (e.g. megabyte
-    /// JSON blobs) blowing up clustering cost.
+    /// JSON blobs) blowing up clustering cost. A cap of 0 reads as 1: the whole record
+    /// is one token.
     pub max_tokens: usize,
 }
 
@@ -89,6 +90,7 @@ impl Tokenizer {
         let mut start = 0usize;
         let mut i = 0usize;
         let len = bytes.len();
+        let cap = self.config.max_tokens.max(1);
 
         while i < len {
             // The wildcard token `<*>` produced by variable masking must survive
@@ -103,8 +105,13 @@ impl Tokenizer {
             let (is_delim, delim_len) = self.delimiter_at(bytes, i);
             if is_delim {
                 if i > start {
+                    if cap == 1 {
+                        // The first token is the last: it runs to the end of the record.
+                        spans.push((start, start + record[start..].trim_end().len()));
+                        return;
+                    }
                     spans.push((start, i));
-                    if spans.len() + 1 >= self.config.max_tokens {
+                    if spans.len() + 1 >= cap {
                         // Emit the rest of the record as one tail token and stop.
                         let rest_start = i + delim_len;
                         if rest_start < len {
@@ -294,6 +301,32 @@ mod tests {
         // All input content is preserved across the emitted tokens.
         let rejoined: String = tokens.join(" ");
         assert!(rejoined.contains('g'));
+    }
+
+    /// At most `max(max_tokens, 1)` tokens, the last holding the rest of the record; a
+    /// cap of 0 or 1 used to split off a second token all the same.
+    #[test]
+    fn max_tokens_caps_of_zero_to_three() {
+        let expected: [&[&str]; 4] = [
+            &["a b c d e"],
+            &["a b c d e"],
+            &["a", "b c d e"],
+            &["a", "b", "c d e"],
+        ];
+        for (max_tokens, expected) in expected.into_iter().enumerate() {
+            let t = Tokenizer::new(TokenizerConfig {
+                max_tokens,
+                ..TokenizerConfig::default()
+            });
+            assert_eq!(t.tokenize("a b c d e"), expected, "max_tokens {max_tokens}");
+            assert_eq!(
+                t.tokenize("  a b c d e  "),
+                expected,
+                "max_tokens {max_tokens}"
+            );
+            assert_eq!(t.tokenize("abc"), ["abc"], "max_tokens {max_tokens}");
+            assert!(t.tokenize(" ( ) ").is_empty(), "max_tokens {max_tokens}");
+        }
     }
 
     #[test]

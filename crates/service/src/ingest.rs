@@ -159,8 +159,8 @@ impl std::error::Error for Overloaded {}
 ///     .map(|i| format!("GET /api/items/{} took {}ms", i % 20, i % 90))
 ///     .collect();
 /// let config = TrainConfig::default();
-/// let model = Arc::new(train(&lines, &config).model);
 /// let preprocessor = Arc::new(Preprocessor::new(config.preprocess.clone()));
+/// let model = Arc::new(train(&lines, &preprocessor, &config).model);
 ///
 /// let mut ingestor = StreamIngestor::new(model, preprocessor, IngestConfig::default());
 /// for line in lines {
@@ -672,11 +672,9 @@ mod tests {
             })
             .collect();
         let config = TrainConfig::default();
-        let model = train(&records, &config).model;
-        (
-            Arc::new(model),
-            Arc::new(Preprocessor::new(config.preprocess.clone())),
-        )
+        let preprocessor = Preprocessor::new(config.preprocess.clone());
+        let model = train(&records, &preprocessor, &config).model;
+        (Arc::new(model), Arc::new(preprocessor))
     }
 
     /// Push with an unbounded park, which never rejects.

@@ -153,7 +153,7 @@ impl MatcherPool {
                         // Masked once: the slots come off the view the match decided on.
                         let miss = |slots: &mut SlotBuffer| {
                             let view = preprocessor.token_view(line, &mut scratch);
-                            let node = match_compiled(&job_model, &compiled, &view);
+                            let node = match_compiled(&job_model, &compiled, view.iter());
                             slots.extract(&job_model, node, line, &view);
                             node
                         };
@@ -250,13 +250,10 @@ mod tests {
             .map(|i| format!("request {} routed to shard {} in {}ms", i, i % 8, i % 90))
             .collect();
         let config = TrainConfig::default();
-        let model = train(&records, &config).model;
+        let preprocessor = Preprocessor::new(config.preprocess.clone());
+        let model = train(&records, &preprocessor, &config).model;
         let compiled = CompiledMatcher::compile(&model);
-        (
-            Arc::new(model),
-            Arc::new(compiled),
-            Arc::new(Preprocessor::new(config.preprocess.clone())),
-        )
+        (Arc::new(model), Arc::new(compiled), Arc::new(preprocessor))
     }
 
     fn requests(range: std::ops::Range<u64>) -> Vec<StreamRecord> {

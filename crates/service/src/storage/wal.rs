@@ -193,8 +193,9 @@ mod tests {
             (0..30).map(line).collect()
         };
         let config = TrainConfig::default();
-        let model = train(&lines("cache"), &config).model;
-        let delta = train_delta(&model, &lines("disk"), &config, 0.6);
+        let pre = logtok::Preprocessor::new(config.preprocess.clone());
+        let model = train(&lines("cache"), &pre, &config).model;
+        let delta = train_delta(&model, &lines("disk"), &pre, &config, 0.6);
         let event = DeltaEvent {
             at_seq: 1_000,
             elapsed_seconds: 0.125,

@@ -838,7 +838,7 @@ impl LogTopic {
             let (node, range) = match rematch {
                 Some(compiled) => {
                     let view = self.preprocessor.token_view(line, &mut scratch);
-                    let node = match_compiled(&self.model, compiled, &view);
+                    let node = match_compiled(&self.model, compiled, view.iter());
                     (node, slots.extract(&self.model, node, line, &view))
                 }
                 None => (matched, range),
@@ -904,7 +904,8 @@ impl LogTopic {
     /// epoch from the result.
     fn run_first_training(&mut self) {
         let started = Instant::now();
-        let model = train(&self.window_texts(true), &self.config.train).model;
+        let texts = self.window_texts(true);
+        let model = train(&texts, &self.preprocessor, &self.config.train).model;
         self.model = Arc::new(model);
         self.recompile();
         self.ladder = Arc::new(SaturationLadder::build(&self.model));
@@ -925,6 +926,7 @@ impl LogTopic {
         let delta = train_delta(
             &self.model,
             &self.window_texts(retrain),
+            &self.preprocessor,
             &self.config.train,
             self.config.merge_threshold,
         );

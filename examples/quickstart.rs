@@ -47,10 +47,13 @@ fn main() {
         "error: kex_exchange_identification: read: Connection reset by peer",
     ] {
         let result = parser.match_log(log);
+        let template = parser
+            .template(&result)
+            .expect("match_log matches every log");
         println!("log     : {log}");
         println!(
-            "template: {}  (saturation {:.2})\n",
-            result.template, result.saturation
+            "template: {template}  (saturation {:.2})\n",
+            result.saturation
         );
     }
 

@@ -67,7 +67,7 @@ impl MergeReference {
     pub fn retrain(&mut self) {
         let window = &self.records[self.window_start..];
         let window = &window[..window.len().min(self.config.training_buffer)];
-        let trained = train(window, &self.config.train).model;
+        let trained = train(window, &self.preprocessor, &self.config.train).model;
         self.model = if self.model.is_empty() {
             trained
         } else {

@@ -15,8 +15,12 @@
 
 use bytebrain_repro::bytebrain::incremental::DriftConfig;
 use bytebrain_repro::bytebrain::matcher::match_ids_batch;
-use bytebrain_repro::bytebrain::{NodeId, SlotRange};
-use bytebrain_repro::datasets::{GeneratorConfig, LabeledDataset};
+use bytebrain_repro::bytebrain::{
+    resolve_with_threshold, ByteBrainParser, NodeId, SlotRange, TrainConfig,
+};
+use bytebrain_repro::datasets::{
+    dataset_names, loghub2_dataset_names, GeneratorConfig, LabeledDataset,
+};
 use bytebrain_repro::eval::ga::grouping_report;
 use bytebrain_repro::service::{IngestConfig, LogTopic, MaintenancePolicy, TopicConfig};
 use rand::rngs::StdRng;
@@ -837,4 +841,52 @@ fn slot_column_equals_the_variables_oracle_at_every_step() {
     assert_slots_are_the_oracle(&reopened, "inc: reopened");
     drop(reopened);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `parse_with_threshold` masks a record once: it matches the training batch's unique
+/// logs from the tokens preprocessing kept and copies each decision to the records that
+/// collapsed into the log. Every record must get the node the raw-text match gives it,
+/// on all 16 LogHub and 14 LogHub-2.0 corpora — with the whole batch clustered, and with
+/// a sample of a third, whose left-out records are matched from their text. At
+/// threshold 1.0 a group id is the record's node: an ancestor never reaches saturation
+/// 1.0, or it would not have been split.
+#[test]
+fn parse_with_threshold_gives_every_record_its_raw_text_match() {
+    let seed = base_seed() ^ 0x9A75_E0CE;
+    let loghub = dataset_names().into_iter().map(GeneratorConfig::loghub);
+    let loghub2 = loghub2_dataset_names()
+        .into_iter()
+        .map(|name| GeneratorConfig::loghub2(name, 1_000));
+    for corpus in loghub.chain(loghub2) {
+        let records = LabeledDataset::generate(&corpus.clone().with_seed(seed)).records;
+        for max_training_records in [usize::MAX, records.len() / 3] {
+            let at = format!(
+                "{} at max_training_records {max_training_records}",
+                corpus.dataset
+            );
+            let config = TrainConfig {
+                max_training_records,
+                ..TrainConfig::default()
+            };
+            let mut parser = ByteBrainParser::new(config);
+            let groups = parser.parse_with_threshold(&records, 1.0);
+            // Read-only, on the model the parse left: its temporaries are those of the
+            // left-out records no template matched, each the node its record got.
+            let raw = parser.match_batch(&records);
+            let mut compared = 0;
+            for ((record, group), raw) in records.iter().zip(&groups).zip(&raw) {
+                if let Some(node) = raw.node {
+                    let node = resolve_with_threshold(parser.model(), node, 1.0);
+                    assert_eq!(*group, node.0, "{at}: {record:?}");
+                    compared += 1;
+                }
+            }
+            // A record the raw match misses takes its clustering assignment.
+            assert!(
+                compared * 100 >= records.len() * 95,
+                "{at}: only {compared} of {} records matched",
+                records.len()
+            );
+        }
+    }
 }

@@ -10,7 +10,7 @@ use bytebrain_repro::bytebrain::matcher::match_view;
 use bytebrain_repro::bytebrain::train::train;
 use bytebrain_repro::bytebrain::{ByteBrainParser, CompiledMatcher, NodeId, TrainConfig};
 use bytebrain_repro::datasets::{loghub2_dataset_names, GeneratorConfig, LabeledDataset};
-use bytebrain_repro::logtok::TokenScratch;
+use bytebrain_repro::logtok::{Preprocessor, TokenScratch};
 use bytebrain_repro::service::TopicConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -205,7 +205,13 @@ fn resident_match_tables_stay_within_their_budget() {
     let mut total = 0;
     for (f, name) in loghub2_dataset_names().iter().enumerate() {
         let records = family(name, 1_024, base_seed() ^ (f as u64) << 8);
-        let model = train(&records, &TrainConfig::default()).model;
+        let config = TrainConfig::default();
+        let model = train(
+            &records,
+            &Preprocessor::new(config.preprocess.clone()),
+            &config,
+        )
+        .model;
         let compiled = CompiledMatcher::compile(&model);
         let states = compiled
             .dfa_states()

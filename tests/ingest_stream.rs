@@ -19,8 +19,8 @@ fn stream_ingestor_handles_100k_lines_in_contiguous_batches() {
     let corpus = LabeledDataset::loghub2("Apache", 100_000);
     // Train on a prefix; stream the full corpus against the snapshot.
     let config = TrainConfig::default();
-    let model = Arc::new(train(&corpus.records[..10_000], &config).model);
     let preprocessor = Arc::new(Preprocessor::new(config.preprocess.clone()));
+    let model = Arc::new(train(&corpus.records[..10_000], &preprocessor, &config).model);
 
     let ingest = IngestConfig::default()
         .with_batch_records(512)
