@@ -722,7 +722,7 @@ fn match_order_is_maintained_across_insert_retire_and_delta() {
 /// The sorted-edge DFA produces **byte-identical** assignments to the tree walk on
 /// a model whose start state fans out over hundreds of const edges (the widest
 /// binary search a transition can face), across delta/retire/temporary churn compiled
-/// anew at every mid-stream hot-swap. The hashed match cache, kept across the swaps,
+/// anew at every landing. The hashed match cache, kept across the landings,
 /// must agree too — as DFA rows and, on a second chain compiled under a tiny
 /// determinization cap, as NFA rows over the trie.
 #[test]
@@ -758,7 +758,7 @@ fn sorted_edge_dfa_equals_tree_walk_under_wide_fanout_and_churn() {
         assert_eq!(leading.len(), 300, "masking collapsed the fan-out");
         let mut compiled = CompiledMatcher::compile(&model);
         let mut capped = CompiledMatcher::compile_with_limit(&model, 2);
-        // Kept *across* hot-swaps: generation invalidation (not staleness) must
+        // Kept *across* landings: generation invalidation (not staleness) must
         // keep hits equal to misses.
         let mut cache = MatchCache::new(64);
 
@@ -814,7 +814,7 @@ fn sorted_edge_dfa_equals_tree_walk_under_wide_fanout_and_churn() {
                 wide.push((model.insert_temporary(&pre.tokens_of(&line)), line));
             }
 
-            // Mid-stream hot-swap: the whole model compiled anew, each chain under
+            // A landing: the whole model compiled anew, each chain under
             // its own cap.
             compiled = compiled.refreshed(&model);
             assert!(!compiled.uses_nfa_fallback());

@@ -459,7 +459,7 @@ fn novel_lines(rng: &mut Rng, n: usize) -> Vec<String> {
 
 /// One tenant's POSTs, on both sides of [`PHASED_STREAM_THRESHOLD`]: training, steady
 /// traffic, then a streamed POST whose last three quarters are a novel family (under
-/// incremental maintenance the delta must land — and swap in — mid-stream), then
+/// incremental maintenance the delta must land between the POST's chunks), then
 /// more of both. The volume also crosses the full-retrain tenant's threshold, so an
 /// inline retrain runs under the reader too.
 fn phased_script(seed: u64) -> Vec<Vec<String>> {
@@ -651,10 +651,10 @@ fn phased_ingest_under_a_concurrent_reader_is_byte_identical_to_one_shot() {
                     "seed {seed}: ingest response {p} diverged for tenant {tenant}"
                 );
                 if p == 3 {
-                    // Most of the novel family matched: the delta swapped in mid-stream.
+                    // Most of the novel family matched: the delta landed between chunks.
                     let novel = DRIFTING_NOVEL as u64;
-                    let swapped = expected.maintained >= 1 && expected.unmatched < novel / 2;
-                    assert_eq!(swapped, *tenant == "inc", "seed {seed}: {expected:?}");
+                    let landed = expected.maintained >= 1 && expected.unmatched < novel / 2;
+                    assert_eq!(landed, *tenant == "inc", "seed {seed}: {expected:?}");
                 }
             }
         }

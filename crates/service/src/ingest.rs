@@ -4,10 +4,9 @@
 //! [`StreamIngestor`] is the high-throughput alternative to matching a whole
 //! in-memory batch on the calling thread. [`StreamIngestor::push`] appends records to
 //! the one open batch, which is flushed when it reaches `batch_records`, and
-//! [`StreamIngestor::sync`] / [`StreamIngestor::finish`] flush the remainder. Every
-//! flushed batch is a contiguous run of arrivals, and flushed batches are matched in
-//! parallel by the shared [`MatcherPool`] over an immutable (model, automaton) snapshot
-//! pair.
+//! [`StreamIngestor::finish`] flushes the remainder. Every flushed batch is a
+//! contiguous run of arrivals, and flushed batches are matched in parallel by the
+//! shared [`MatcherPool`] over one immutable (model, automaton) snapshot pair.
 //!
 //! The matching hot path is zero-copy end to end: every pool worker keeps a private
 //! [`logtok::TokenScratch`], records travel to the workers and back by move, and the
@@ -26,25 +25,25 @@
 //!        push
 //!         │
 //!         ▼
-//!    [open batch]            one buffer; size-bound or forced flush
+//!    [open batch]            one buffer; size-bound flush, or finish
 //!         │ contiguous run of arrivals
 //!         ▼
-//!    MatcherPool             worker threads, one (model, automaton) pair per
-//!         │                  batch, per-worker TokenScratch and MatchCache
+//!    MatcherPool             worker threads, the engine's (model, automaton)
+//!         │                  pair, per-worker TokenScratch and MatchCache
 //!         ▼
-//!    (lines, BatchMatch) ──► joined in batch order (= arrival order)
+//!    (lines, BatchMatch) ──► joined in batch order (= arrival order) at finish
 //! ```
 //!
 //! The module also holds the ingest **driver**, [`drive`]: the prepare → match → apply
-//! sequence every ingest entry point runs, written once and parameterised by how it
-//! reaches the topic ([`TopicAccess`]) and by which engine matches ([`Route`]).
+//! sequence every ingest entry point runs, once per chunk, written once and
+//! parameterised by how it reaches the topic ([`TopicAccess`]) and by which engine
+//! matches ([`Route`]).
 
 use crate::matcher_pool::{IdBatchResult, MatcherPool, StreamRecord};
 use crate::topic::{IngestOutcome, LogTopic, StreamOutcome};
 use bytebrain::matcher::match_ids_batch;
 use bytebrain::{BatchMatch, CompiledMatcher, ParserModel, SlotBuffer, SlotRange};
 use logtok::Preprocessor;
-use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -100,8 +99,8 @@ pub struct IngestStats {
     pub matched: u64,
     /// Harvested records that matched no template.
     pub unmatched: u64,
-    /// Batches submitted to the matcher pool: one per size-bound flush, plus one per
-    /// [`StreamIngestor::sync`] or `finish` that found a partial batch open.
+    /// Batches submitted to the matcher pool: one per size-bound flush, plus one if
+    /// `finish` found a partial batch open.
     pub submitted_batches: u64,
     /// Batches whose results have been harvested.
     pub completed_batches: u64,
@@ -112,8 +111,6 @@ pub struct IngestStats {
     pub backpressure_waits: u64,
     /// High-water mark of outstanding batches.
     pub max_in_flight_observed: usize,
-    /// Model snapshots hot-swapped in via [`StreamIngestor::swap_model`].
-    pub model_swaps: u64,
     /// Records rejected by a bounded [`StreamIngestor::push`] because the pool stayed
     /// saturated past the caller's wait bound.
     pub overload_rejections: u64,
@@ -177,34 +174,25 @@ impl std::error::Error for Overloaded {}
 pub struct StreamIngestor {
     config: IngestConfig,
     pool: MatcherPool,
-    /// The model snapshot captured at the next flush. [`StreamIngestor::swap_model`]
-    /// replaces it; already-flushed batches keep the snapshot they were flushed under.
+    /// The model snapshot every batch is matched against.
     model: Arc<ParserModel>,
-    /// The automaton compiled from `model`, swapped together with it so a flushed
-    /// batch always carries a mutually consistent pair. An engine handed no
-    /// snapshot compiles one at its first flush.
+    /// The automaton compiled from `model`. An engine handed none compiles one at
+    /// its first flush.
     compiled: OnceLock<Arc<CompiledMatcher>>,
     /// Records of the open batch, each carrying its admission-time line hash.
     pending: Vec<StreamRecord>,
     stats: IngestStats,
-    /// Finished batches as a batch-indexed ring: slot `i` holds batch
-    /// `next_release + i` (None until it lands). Batches are contiguous runs of
-    /// arrivals submitted in order, so releasing them front to back releases records
-    /// in arrival order however the batches raced through the pool.
-    completed: VecDeque<Option<IdBatchResult>>,
-    /// First batch id not yet released by [`StreamIngestor::drain_completed`].
-    next_release: u64,
+    /// Finished batches, indexed by batch id (None until it lands). Batches are
+    /// contiguous runs of arrivals submitted in order, so joining them front to back
+    /// returns records in arrival order however the batches raced through the pool.
+    completed: Vec<Option<IdBatchResult>>,
     in_flight: usize,
-    /// Emptied batch buffers recycled into the open batch, so steady-state pushes
-    /// append into already-allocated Vecs.
-    spare_batches: Vec<Vec<StreamRecord>>,
 }
 
 impl StreamIngestor {
     /// Build an engine over an immutable model snapshot. The model is shared with the
-    /// pool workers via `Arc`; training a new model means building a new engine, which
-    /// mirrors how the production system rolls models forward without locking the
-    /// ingestion path.
+    /// pool workers via `Arc`; a changed model means a new engine, which is how
+    /// [`drive`] starts every chunk.
     pub fn new(
         model: Arc<ParserModel>,
         preprocessor: Arc<Preprocessor>,
@@ -222,30 +210,16 @@ impl StreamIngestor {
             compiled: OnceLock::new(),
             pending: Vec::new(),
             stats: IngestStats::default(),
-            completed: VecDeque::new(),
-            next_release: 0,
+            completed: Vec::new(),
             in_flight: 0,
-            spare_batches: Vec::new(),
         }
     }
 
-    /// Hand the engine an automaton already compiled from its current model, sparing
-    /// it the compile at the first flush (builder-style; call before pushing records
-    /// or swap via [`StreamIngestor::swap_model`]).
+    /// Hand the engine an automaton already compiled from its model, sparing it the
+    /// compile at the first flush (builder-style; call before pushing records).
     pub fn with_compiled(mut self, compiled: Arc<CompiledMatcher>) -> Self {
         self.compiled = OnceLock::from(compiled);
         self
-    }
-
-    /// Hot-swap the model snapshot and the automaton compiled from it. The swap
-    /// takes effect at flush boundaries: batches flushed after this call are matched
-    /// against `model`, batches already submitted keep the snapshot pair they were
-    /// flushed under. This is how incremental maintenance rolls a patched model into
-    /// a live stream without tearing down the worker pool or pausing ingestion.
-    pub fn swap_model(&mut self, model: Arc<ParserModel>, compiled: Arc<CompiledMatcher>) {
-        self.model = model;
-        self.compiled = OnceLock::from(compiled);
-        self.stats.model_swaps += 1;
     }
 
     /// Current statistics (updated as batches flush and results are harvested).
@@ -305,8 +279,7 @@ impl StreamIngestor {
         if self.pending.is_empty() {
             return;
         }
-        let refill = self.spare_batches.pop().unwrap_or_default();
-        let batch = std::mem::replace(&mut self.pending, refill);
+        let batch = std::mem::take(&mut self.pending);
         // Back-pressure: park on the results channel until a slot frees up. One
         // blocked episode is counted once, however many batches it takes to drain
         // below the bound — `recv_ids` is a blocking channel `recv`, so a stalled
@@ -358,50 +331,19 @@ impl StreamIngestor {
         let matched = ids.iter().filter(|(node, _)| node.is_some()).count() as u64;
         self.stats.matched += matched;
         self.stats.unmatched += ids.len() as u64 - matched;
-        // Slot `batch_id - next_release` in the completed ring; a released batch
-        // never lands again, so the index never underflows.
-        let slot = (result.batch_id - self.next_release) as usize;
+        let slot = result.batch_id as usize;
         if slot >= self.completed.len() {
             self.completed.resize_with(slot + 1, || None);
         }
         self.completed[slot] = Some(result);
     }
 
-    /// Harvest finished batches without blocking and return the records that form a
-    /// contiguous arrival-order prefix (i.e. every batch up to the first one still
-    /// outstanding), each with what was decided for it. Long-lived callers use this to
-    /// apply results — and detect drift — while the stream is still running; the
-    /// contiguity guarantee keeps downstream application order identical to the batch
-    /// path regardless of how batches raced through the pool.
-    pub fn drain_completed(&mut self) -> (Vec<String>, BatchMatch) {
-        self.drain_ready();
-        let (mut lines, mut matches) = (Vec::new(), BatchMatch::default());
-        while matches!(self.completed.front(), Some(Some(_))) {
-            let IdBatchResult {
-                records: mut batch,
-                matches: decided,
-                ..
-            } = self.completed.pop_front().flatten().expect("checked Some");
-            lines.extend(batch.drain(..).map(|record| record.line));
-            matches.append(decided);
-            self.spare_batches.push(batch);
-            self.next_release += 1;
-        }
-        (lines, matches)
-    }
-
     /// Force-flush the open batch and block until every in-flight batch has been
-    /// absorbed: after `sync` returns, [`StreamIngestor::drain_completed`]
-    /// releases everything pushed so far.
-    /// [`LogTopic::ingest_stream`](crate::LogTopic::ingest_stream) calls this at
-    /// drift-check boundaries so maintenance decisions — and mid-stream model
-    /// hot-swaps — depend only on the record sequence, never on worker
-    /// scheduling. That determinism is what lets the differential suite assert
-    /// *byte-identical* assignments across runs.
+    /// absorbed.
     ///
     /// # Panics
     /// Panics if pool workers died with batches outstanding.
-    pub fn sync(&mut self) {
+    fn settle(&mut self) {
         self.flush();
         while self.in_flight > 0 {
             self.absorb_next();
@@ -409,18 +351,41 @@ impl StreamIngestor {
     }
 
     /// Flush everything, wait for all outstanding batches, shut the pool down, and
-    /// return the records not yet drained, in arrival order, with their matches and
-    /// the counters of the whole run. When [`StreamIngestor::drain_completed`]
-    /// harvested records mid-stream, only the records released after the last harvest
-    /// come back.
+    /// return every pushed record, in arrival order, with its match and the counters
+    /// of the whole run.
     ///
     /// # Panics
     /// Panics if pool workers died with batches outstanding (records would otherwise
     /// be silently dropped).
     pub fn finish(mut self) -> (Vec<String>, BatchMatch, IngestStats) {
-        self.sync();
-        let (lines, matches) = self.drain_completed();
+        self.settle();
+        let mut lines = Vec::with_capacity(self.stats.records as usize);
+        let mut matches = BatchMatch::default();
+        for batch in self.completed.drain(..) {
+            let IdBatchResult {
+                records,
+                matches: decided,
+                ..
+            } = batch.expect("settled: every submitted batch landed");
+            lines.extend(records.into_iter().map(|record| record.line));
+            matches.append(decided);
+        }
         (lines, matches, std::mem::take(&mut self.stats))
+    }
+}
+
+impl IngestStats {
+    /// Fold the counters of one engine run into these (the high-water mark is a max).
+    fn add(&mut self, run: IngestStats) {
+        self.records += run.records;
+        self.bytes += run.bytes;
+        self.matched += run.matched;
+        self.unmatched += run.unmatched;
+        self.submitted_batches += run.submitted_batches;
+        self.completed_batches += run.completed_batches;
+        self.backpressure_waits += run.backpressure_waits;
+        self.max_in_flight_observed = self.max_in_flight_observed.max(run.max_in_flight_observed);
+        self.overload_rejections += run.overload_rejections;
     }
 }
 
@@ -443,7 +408,7 @@ impl TopicAccess for LogTopic {
 /// Which engine matches a batch handed to [`drive`].
 #[derive(Debug, Clone, Copy)]
 pub enum Route<'a> {
-    /// The direct batch path: the whole batch in one `match_ids_batch`.
+    /// The direct batch path: each chunk in one `match_ids_batch`.
     Batch,
     /// The streaming engine ([`StreamIngestor`]).
     Stream {
@@ -468,7 +433,8 @@ pub(crate) struct MatchContext {
     pub(crate) model_version: u64,
     /// The topic's provisioned worker bound.
     pub(crate) parallelism: usize,
-    /// Mid-stream checkpoint spacing under `MaintenancePolicy::Incremental`.
+    /// Chunk length under `MaintenancePolicy::Incremental`; `None` takes the whole
+    /// batch as one chunk.
     pub(crate) check_interval: Option<usize>,
 }
 
@@ -485,20 +451,25 @@ impl MatchContext {
     }
 }
 
-/// One ingest, in three phases, of which only the outer two touch the topic:
+/// One ingest, cut into chunks: under `MaintenancePolicy::Incremental` every
+/// `check_interval` records, otherwise the whole batch. Each chunk runs three phases,
+/// of which only the outer two touch the topic:
 ///
 /// 1. **prepare** (`LogTopic::prepare`, microseconds): snapshot
 ///    `(model, automaton, preprocessor)` and note the model version; it never compiles.
 ///    With no model yet there is nothing to match against, and the cold-start batch
 ///    is applied (and trained on) whole inside this one `with`.
 /// 2. **match** (no topic state): mask → tokenise → DFA over the snapshots, on the
-///    batch path or through a [`StreamIngestor`]. A push that stays saturated past
-///    `wait` ends the stream; the unconsumed suffix is returned as shed.
+///    batch path or through a [`StreamIngestor`] built for the chunk. A push that
+///    stays saturated past `wait` ends the ingest after the accepted prefix; the
+///    unconsumed suffix is returned as shed.
 /// 3. **apply**: store the records, insert temporaries, feed the drift window and
 ///    the trigger, run whatever maintenance fires — a retrain included — and commit
-///    storage. Under incremental maintenance a stream checkpoints every
-///    `check_interval` records: sync, apply the drained prefix, and roll a patched
-///    model into the running engine. Each checkpoint is one more apply phase.
+///    storage.
+///
+/// The route chooses only the engine, so both routes make the same maintenance
+/// decisions at the same records. The chunk's snapshots are released before its
+/// apply phase, so a temporary insertion patches the topic's model in place.
 ///
 /// Returns the outcome of the applied prefix and the shed suffix (empty unless a
 /// bounded stream overloaded).
@@ -510,122 +481,71 @@ pub fn drive<A: TopicAccess>(
     let mut outcome = IngestOutcome::default();
     let mut stats = IngestStats::default();
     let mut rejected = Vec::new();
-    let prepared = access.with(|topic| match topic.prepare() {
-        Some(context) => Some((context, records)),
-        None => {
-            let mut nothing_matches = BatchMatch {
-                ids: vec![(None, SlotRange::default()); records.len()],
-                slots: SlotBuffer::new(),
-            };
-            let version = topic.model_version();
-            apply(
-                topic,
-                &records,
-                &mut nothing_matches,
-                version,
-                false,
-                &mut outcome,
-            );
-            None
-        }
-    });
-    let Some((context, records)) = prepared else {
-        return (StreamOutcome { outcome, stats }, rejected);
-    };
-    match route {
-        Route::Batch => {
-            let mut matches = context.match_batch(&records);
-            let matched_at = context.model_version;
-            // Release the snapshots before applying: a temporary insertion must
-            // patch the topic's model in place, not copy a shared one.
-            drop(context);
-            access.with(|topic| {
-                apply(
-                    topic,
-                    &records,
-                    &mut matches,
-                    matched_at,
-                    false,
-                    &mut outcome,
-                )
-            });
-        }
-        Route::Stream {
-            config,
-            wait,
-            clamp_to_topic,
-        } => {
-            let workers = if clamp_to_topic {
-                config.workers.min(context.parallelism)
-            } else {
-                config.workers
-            };
-            let mut matched_at = context.model_version;
-            let mut ingestor = StreamIngestor::new(
-                context.model,
-                context.preprocessor,
-                config.clone().with_workers(workers),
-            )
-            .with_compiled(context.compiled);
-            let mut since_check = 0usize;
-            let mut swapped = false;
-            let mut records = records.into_iter();
-            for record in records.by_ref() {
-                if let Err(overloaded) = ingestor.push(record, wait) {
-                    // Shed: keep the consistent accepted prefix, hand the
-                    // rejected record and the un-pushed tail back verbatim.
-                    rejected.push(overloaded.record);
-                    rejected.extend(records);
-                    break;
-                }
-                since_check += 1;
-                if context.check_interval.is_some_and(|n| since_check >= n) {
-                    since_check = 0;
-                    // Deterministic checkpoint: flush the open batch and wait for
-                    // all in-flight batches, so the drift detector always sees
-                    // the exact pushed prefix. An opportunistic (non-blocking)
-                    // harvest here made maintenance timing — and therefore the
-                    // patched model — depend on worker scheduling, which broke
-                    // run-to-run byte-identity of the incremental path.
-                    ingestor.sync();
-                    let (lines, mut matches) = ingestor.drain_completed();
-                    // Durability tracks the checkpoint: the drained records and any
-                    // maintenance event land on disk before the stream resumes.
-                    let swap = access.with(|topic| {
-                        let replaced = apply(
-                            topic,
-                            &lines,
-                            &mut matches,
-                            matched_at,
-                            swapped,
-                            &mut outcome,
-                        );
-                        matched_at = topic.model_version();
-                        replaced.then(|| (topic.model_snapshot(), topic.compiled_snapshot()))
-                    });
-                    if let Some((model, compiled)) = swap {
-                        // Roll the topic's model and its automaton into the
-                        // running stream as one consistent snapshot pair;
-                        // batches flushed from here on match against it.
-                        ingestor.swap_model(model, compiled);
-                        swapped = true;
-                    }
-                }
+    let mut rest = records.into_iter();
+    loop {
+        let prepared = access.with(|topic| {
+            let context = topic.prepare();
+            if context.is_none() {
+                let lines = rest.as_slice();
+                let mut nothing_matches = BatchMatch {
+                    ids: vec![(None, SlotRange::default()); lines.len()],
+                    slots: SlotBuffer::new(),
+                };
+                let version = topic.model_version();
+                apply(topic, lines, &mut nothing_matches, version, &mut outcome);
             }
-            // `finish` drops the engine and with it the snapshots, so a temporary
-            // insertion below does not copy the model.
-            let (lines, mut matches, finished) = ingestor.finish();
-            stats = finished;
-            access.with(|topic| {
-                apply(
-                    topic,
-                    &lines,
-                    &mut matches,
-                    matched_at,
-                    swapped,
-                    &mut outcome,
+            context
+        });
+        let Some(context) = prepared else {
+            break;
+        };
+        let matched_at = context.model_version;
+        let len = context
+            .check_interval
+            .map_or(rest.len(), |n| n.min(rest.len()));
+        match route {
+            Route::Batch => {
+                let chunk = &rest.as_slice()[..len];
+                let mut matches = context.match_batch(chunk);
+                drop(context); // the snapshots
+                access.with(|topic| apply(topic, chunk, &mut matches, matched_at, &mut outcome));
+                // The store copied the text: free the chunk outside the hold.
+                rest.by_ref().take(len).for_each(drop);
+            }
+            Route::Stream {
+                config,
+                wait,
+                clamp_to_topic,
+            } => {
+                let workers = if clamp_to_topic {
+                    config.workers.min(context.parallelism)
+                } else {
+                    config.workers
+                };
+                let mut ingestor = StreamIngestor::new(
+                    context.model,
+                    context.preprocessor,
+                    config.clone().with_workers(workers),
                 )
-            });
+                .with_compiled(context.compiled);
+                let pushed = rest
+                    .by_ref()
+                    .take(len)
+                    .try_for_each(|record| ingestor.push(record, wait));
+                if let Err(overloaded) = pushed {
+                    // Shed: keep the consistent accepted prefix, hand the rejected
+                    // record and the un-pushed tail back verbatim.
+                    rejected.push(overloaded.record);
+                    rejected.extend(rest.by_ref());
+                }
+                // `finish` drops the engine and with it the snapshots.
+                let (lines, mut matches, run) = ingestor.finish();
+                stats.add(run);
+                access.with(|topic| apply(topic, &lines, &mut matches, matched_at, &mut outcome));
+            }
+        }
+        if rest.len() == 0 {
+            break;
         }
     }
     (StreamOutcome { outcome, stats }, rejected)
@@ -634,24 +554,17 @@ pub fn drive<A: TopicAccess>(
 /// The apply phase of [`drive`], on whatever hold `with` took: store the lines with
 /// their matches, maintain, commit. The store copies the text; the lines, a string per
 /// record, are the caller's to drop — after `with` returns, so no reader waits on the
-/// frees. Returns whether the model the lines were matched against has
-/// been replaced — by a maintenance run this phase, or before it (a stale context,
-/// re-matched by `LogTopic::apply_stream_records`) — so a running stream must
-/// take the topic's new snapshot pair.
+/// frees.
 fn apply(
     topic: &mut LogTopic,
     lines: &[String],
     matches: &mut BatchMatch,
     matched_at: u64,
-    rematch_stale: bool,
     outcome: &mut IngestOutcome,
-) -> bool {
-    let stale_context =
-        topic.apply_stream_records(lines, matches, matched_at, rematch_stale, outcome);
-    let maintained_before = outcome.maintained;
+) {
+    topic.apply_stream_records(lines, matches, matched_at, outcome);
     topic.maintain(outcome);
     topic.commit_storage();
-    stale_context || outcome.maintained > maintained_before
 }
 
 #[cfg(test)]
@@ -722,7 +635,7 @@ mod tests {
         let config = IngestConfig::default().with_batch_records(64);
         let mut ingestor = StreamIngestor::new(model, pre, config);
         push_all(&mut ingestor, stream(1_000));
-        ingestor.sync();
+        ingestor.settle();
         // ⌈1000/64⌉ batches, all full but the last, each one run of arrivals.
         let all = stream(1_000);
         assert_eq!(ingestor.completed.len(), 16);

@@ -12,12 +12,15 @@
 //! * [`topic`] — the `LogTopic`: ingestion, online matching, training lifecycle.
 //! * [`records`] — the record store: each record's text in one arena beside its
 //!   template and variable-slot columns, exactly as the match produced them.
-//! * [`ingest`] — the ingest driver [`drive`] (prepare → match → apply), which every
-//!   ingest runs on one of two routes — the batch kernel (`LogTopic::ingest`) or the
-//!   streaming engine [`StreamIngestor`] (`LogTopic::ingest_stream`, and the server's
-//!   engine thread above its stream threshold) — and that engine: one open batch →
-//!   parallel match over an immutable model snapshot, with back-pressure stats. Both
-//!   routes hand the topic one [`BatchMatch`](bytebrain::BatchMatch) per batch.
+//! * [`ingest`] — the ingest driver [`drive`] (prepare → match → apply, once per
+//!   chunk: `check_interval` records under incremental maintenance, the whole batch
+//!   otherwise), which every ingest runs on one of two routes — the batch kernel
+//!   (`LogTopic::ingest`) or the streaming engine [`StreamIngestor`]
+//!   (`LogTopic::ingest_stream`, and the server's engine thread above its stream
+//!   threshold) — and that engine: one open batch → parallel match over one immutable
+//!   model snapshot, with back-pressure stats. The route chooses only the engine: both
+//!   hand the topic one [`BatchMatch`](bytebrain::BatchMatch) per chunk, so both make
+//!   the same maintenance decisions.
 //! * [`matcher_pool`] — the worker pool that executes matching for the engine.
 //! * [`manager`] — the multi-tenant `ServiceManager`: topics created on first use
 //!   with per-tenant defaults, fleet statistics, durable open/recovery.

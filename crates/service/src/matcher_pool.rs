@@ -45,10 +45,8 @@ impl StreamRecord {
 }
 
 /// A batch of records submitted to the pool, tagged so results can be re-associated.
-/// The job carries the (model, automaton) snapshot pair it must match against, so the
-/// ingestion engine can hot-swap to a refreshed model at a flush boundary without
-/// tearing the pool down — batches flushed before the swap keep the pair they were
-/// flushed under.
+/// The job carries the (model, automaton) snapshot pair it must match against: the
+/// pool holds no model of its own.
 #[derive(Debug)]
 struct Job {
     batch_id: u64,
@@ -73,7 +71,7 @@ pub struct IdBatchResult {
 }
 
 /// A pool of matcher workers. Every job names the (model, automaton) snapshot pair it
-/// matches against, so rolling a model forward never rebuilds the pool.
+/// matches against.
 #[derive(Debug)]
 pub struct MatcherPool {
     job_tx: Option<Sender<Job>>,
@@ -98,7 +96,7 @@ impl MatcherPool {
                 // One scratch per worker: the whole pool runs preprocessing on the
                 // zero-copy fast path. The match cache is also per-worker, so
                 // the automaton hot path takes no lock; snapshot tags keep it
-                // consistent across mid-stream snapshot swaps. The order buffer
+                // consistent across jobs that carry different snapshots. The order buffer
                 // (cache-warm batch reordering) is likewise recycled across
                 // batches, so the steady-state loop performs no per-record
                 // heap allocation.
@@ -186,8 +184,7 @@ impl MatcherPool {
     /// Submit a batch to be matched against `model` through `compiled`, the
     /// automaton compiled from it; returns the batch id (consecutive from 0). Used
     /// by the streaming ingestion engine, which needs template ids but not rendered
-    /// templates and passes the snapshot pair that was current when the batch was
-    /// flushed (hot-swap happens between batches, never inside one).
+    /// templates and passes the one snapshot pair it was built with.
     pub fn submit_ids(
         &mut self,
         records: Vec<StreamRecord>,

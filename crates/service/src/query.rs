@@ -504,7 +504,7 @@ impl CacheKey {
 
 /// A small LRU cache of query results, safe to use through `&self` (interior mutex) so
 /// concurrent readers of a topic can share it. Invalidated wholesale when maintenance
-/// hot-swaps the model; when the version or record count moves, the next result cached
+/// replaces the model; when the version or record count moves, the next result cached
 /// drops every entry of the earlier state.
 #[derive(Debug, Default)]
 pub struct QueryCache {
@@ -553,7 +553,7 @@ impl QueryCache {
         inner.entries.truncate(QUERY_CACHE_CAPACITY);
     }
 
-    /// Drop every cached result (called when maintenance hot-swaps the model).
+    /// Drop every cached result (called when maintenance replaces the model).
     pub fn clear(&self) {
         self.inner
             .lock()

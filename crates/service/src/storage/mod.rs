@@ -16,7 +16,7 @@
 //!
 //! **Write path.** Every ingested record is appended to the WAL with its
 //! ingest-time match outcome; appends are fsync-batched at commit points (the
-//! end of each ingest call and every maintenance checkpoint). When enough
+//! end of every ingest chunk). When enough
 //! records accumulate, the commit seals them into a columnar segment —
 //! template-id column, text column, variable column, per-node postings — and
 //! restarts the WAL. Every maintenance landing, retrain or incremental run,
@@ -143,7 +143,7 @@ pub struct TopicMeta {
     pub maintenance_kind: String,
     /// Drift bounds (incremental policy only).
     pub drift: Option<DriftConfig>,
-    /// Mid-stream drift check interval (incremental policy only).
+    /// Ingest chunk length, at whose end drift is checked (incremental policy only).
     pub check_interval: u64,
     /// Full training configuration.
     pub train: TrainConfig,

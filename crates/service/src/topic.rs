@@ -15,10 +15,13 @@
 //! decide only *when* that runs and *what* it is handed.
 //! [`MaintenancePolicy::FullRetrain`] (the default) fires on the volume/time trigger,
 //! trains on the training window (the records stored since the last training run,
-//! capped at `training_buffer`) and re-matches every stored record. [`MaintenancePolicy::Incremental`] also watches drift (unmatched-rate
-//! surges, saturation decay), trains on the records that matched nothing since the last
-//! run, re-matches only records left unassigned or on a retired temporary, and hot-swaps
-//! the refreshed snapshot into a running stream at a flush boundary.
+//! capped at `training_buffer`) and re-matches every stored record.
+//! [`MaintenancePolicy::Incremental`] also watches drift (unmatched-rate surges,
+//! saturation decay), trains on the records that matched nothing since the last run,
+//! re-matches only records left unassigned or on a retired temporary, and checks every
+//! `check_interval` records: the ingest driver matches and applies a batch in chunks of
+//! that length on either route, so each chunk is matched against the model the
+//! previous chunk's maintenance left.
 
 use crate::ingest::{drive, IngestConfig, IngestStats, MatchContext, Route};
 use crate::query::{QueryCache, QueryIndex, RecordAccess};
@@ -29,7 +32,6 @@ use crate::storage::{
 };
 use crate::trigger::{TrainingTrigger, TriggerDecision};
 use bytebrain::incremental::{apply_delta, train_delta, DriftConfig, DriftDetector, ModelDelta};
-use bytebrain::matcher::match_compiled;
 use bytebrain::train::train;
 use bytebrain::{
     BatchMatch, CompiledMatcher, NodeId, ParserModel, QueryPlan, SaturationLadder, SlotBuffer,
@@ -54,8 +56,9 @@ pub enum MaintenancePolicy {
     Incremental {
         /// Sliding-window drift detection bounds.
         drift: DriftConfig,
-        /// During [`LogTopic::ingest_stream`], harvest completed records and check for
-        /// drift every this many pushed records (clamped to at least 1).
+        /// Chunk length of every ingest, on both routes: each chunk of this many
+        /// records is matched, applied and checked for drift before the next one is
+        /// matched (clamped to at least 1).
         check_interval: usize,
     },
 }
@@ -101,7 +104,7 @@ impl TopicConfig {
     }
 
     /// Switch the topic to incremental maintenance with the given drift bounds and a
-    /// default mid-stream check interval.
+    /// default check interval of 2,048 records (the chunk length of every ingest).
     pub fn with_incremental_maintenance(mut self, drift: DriftConfig) -> Self {
         self.maintenance = MaintenancePolicy::Incremental {
             drift,
@@ -181,7 +184,7 @@ pub struct LogTopic {
     /// Bumped on every model change (training, delta, temporary insertion); part of
     /// the query cache key.
     model_version: u64,
-    /// LRU cache of query results, cleared when maintenance hot-swaps the model.
+    /// LRU cache of query results, cleared when maintenance replaces the model.
     query_cache: QueryCache,
     trigger: TrainingTrigger,
     /// Index into `records` of the first record stored since the last training run.
@@ -418,7 +421,7 @@ impl LogTopic {
 
     /// The current model version: bumped on every model change (training run,
     /// incremental delta, temporary-template insertion). Part of the query cache key,
-    /// so stale cached results can never be served after a hot swap.
+    /// so stale cached results can never be served after a model change.
     pub fn model_version(&self) -> u64 {
         self.model_version
     }
@@ -562,7 +565,8 @@ impl LogTopic {
 
     /// Ingest a batch of records: match them online, store them, and run a
     /// training cycle (or, under [`MaintenancePolicy::Incremental`], an incremental
-    /// maintenance run) if the trigger fires or drift is detected.
+    /// maintenance run) if the trigger fires or drift is detected — under
+    /// `Incremental`, checked after every `check_interval` records.
     pub fn ingest<S: AsRef<str> + Sync>(&mut self, batch: &[S]) -> IngestOutcome {
         let records = batch.iter().map(|r| r.as_ref().to_owned()).collect();
         drive(self, records, Route::Batch).0.outcome
@@ -591,8 +595,8 @@ impl LogTopic {
     }
 
     /// Storage commit point: seal full segments out of the WAL and fsync every dirty
-    /// log in one batch. Called at the end of each ingest call and at streaming
-    /// checkpoints. No-op for in-memory topics.
+    /// log in one batch. Called at the end of every ingest chunk. No-op for
+    /// in-memory topics.
     pub(crate) fn commit_storage(&mut self) {
         let Some(storage) = &mut self.storage else {
             return;
@@ -761,12 +765,12 @@ impl LogTopic {
     /// everything lands in the store, and the volume/time trigger may start a
     /// training run.
     ///
-    /// Under [`MaintenancePolicy::Incremental`], completed records are additionally
-    /// harvested *while the stream runs* (every `check_interval` pushed records, in
-    /// arrival order): they feed the drift detector, and when drift or a volume
-    /// trigger fires, the unmatched records are folded into the model as a delta and the
-    /// refreshed snapshot is hot-swapped into the running engine at the next flush
-    /// boundary — ingestion never pauses for a full retrain.
+    /// Under [`MaintenancePolicy::Incremental`], the stream is cut into chunks of
+    /// `check_interval` records, as [`LogTopic::ingest`] cuts a batch: each chunk runs
+    /// through its own engine and is applied before the next one is matched, so when
+    /// drift or a volume trigger fires, the unmatched records are folded into the
+    /// model as a delta and the next chunk matches against the patched model —
+    /// ingestion never pauses for a full retrain.
     ///
     /// Falls back to the batch path when no model exists yet (the first training run
     /// needs buffered records, not matching throughput).
@@ -789,21 +793,11 @@ impl LogTopic {
     /// node in the model checked against `matched_at` — a stale chunk is re-matched
     /// first, so that is the model the node was decided on.
     ///
-    /// `rematch_stale` is set once a maintenance run hot-swapped the model
-    /// mid-stream: records that raced through the pool against the *pre-swap*
-    /// snapshot and came back unmatched — or matched to a temporary template the
-    /// maintenance run has since retired — are re-matched against the current model
-    /// before being applied. The maintenance run usually just absorbed their
-    /// pattern; keeping the stale outcome would insert duplicate temporaries (and
-    /// re-trigger maintenance on already-absorbed drift) or store records pointing
-    /// at retired templates, which would then leak into query results.
-    ///
     /// `matched_at` is the model version the chunk's ids belong to (the context's at
-    /// [`LogTopic::prepare`], or the previous apply phase's end). The phases rest on
-    /// nothing changing the model in between; should something have — a retrain
-    /// generalises and retires nodes — the ids are discarded and the lines re-matched
-    /// here, against the live model, exactly as a one-shot ingest would have matched
-    /// them. Returns whether that happened.
+    /// [`LogTopic::prepare`]). The phases rest on nothing changing the model in
+    /// between; should something have — a retrain generalises and retires nodes — the
+    /// ids are discarded and the lines re-matched here, against the live model, exactly
+    /// as a one-shot ingest would have matched them.
     ///
     /// The lines are borrowed: the store copies each record's text, and the caller
     /// frees the lines after releasing whatever hold it applied under.
@@ -812,37 +806,16 @@ impl LogTopic {
         lines: &[String],
         matches: &mut BatchMatch,
         matched_at: u64,
-        rematch_stale: bool,
         outcome: &mut IngestOutcome,
-    ) -> bool {
-        let stale_context = self.model_version != matched_at;
-        if stale_context {
+    ) {
+        if self.model_version != matched_at {
             let context = self
                 .prepare()
                 .expect("matched against a model, so one exists");
             *matches = context.match_batch(lines);
         }
         let BatchMatch { ids, slots } = matches;
-        // Stale records re-match on the topic's engine as it stands now; the temporaries
-        // this chunk inserts from here on are nodes appended since that snapshot was
-        // built, which the kernel checks after its tables.
-        let compiled = rematch_stale.then(|| self.compiled_snapshot());
-        let mut scratch = TokenScratch::new();
-        for (line, &(matched, range)) in lines.iter().zip(ids.iter()) {
-            let rematch = compiled.as_ref().filter(|_| match matched {
-                // A pre-swap match can point at a node the delta retired (absorbed
-                // temporaries keep their slot but must not be stored against).
-                Some(id) => self.model.node(id).map(|n| n.retired).unwrap_or(true),
-                None => true,
-            });
-            let (node, range) = match rematch {
-                Some(compiled) => {
-                    let view = self.preprocessor.token_view(line, &mut scratch);
-                    let node = match_compiled(&self.model, compiled, view.iter());
-                    (node, slots.extract(&self.model, node, line, &view))
-                }
-                None => (matched, range),
-            };
+        for (line, &(node, range)) in lines.iter().zip(ids.iter()) {
             self.apply_record(line, node, (slots, range), outcome);
             if let Some(detector) = &mut self.drift {
                 let saturation = node.map_or(0.0, |id| self.model.nodes[id.0].saturation);
@@ -850,7 +823,6 @@ impl LogTopic {
             }
         }
         self.trigger.observe(lines.len() as u64);
-        stale_context
     }
 
     /// Force a training cycle on the training window: the first training builds the
@@ -1415,7 +1387,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_ingest_hot_swaps_model_mid_stream() {
+    fn streaming_ingest_maintains_between_chunks() {
         let mut topic = LogTopic::new(
             TopicConfig::new("stream-inc")
                 .with_volume_threshold(1_000_000)
@@ -1430,7 +1402,7 @@ mod tests {
         // Cold start: full training.
         topic.ingest(&web_access_batch(0, 500));
         // Stream: known traffic first, then a sustained novel family, long enough
-        // that a mid-stream drift check is guaranteed to see the surge.
+        // that a drift check between two chunks is guaranteed to see the surge.
         let mut stream = web_access_batch(500, 2_000);
         stream.extend(novel_batch(0, 4_000));
         let result = topic.ingest_stream(
@@ -1441,15 +1413,18 @@ mod tests {
         );
         assert!(
             result.outcome.maintained >= 1,
-            "mid-stream drift must trigger maintenance: {:?}",
+            "drift between chunks must trigger maintenance: {:?}",
             result.outcome
         );
-        assert!(
-            result.stats.model_swaps >= 1,
-            "the refreshed model must be hot-swapped into the stream"
-        );
         assert!(!result.outcome.trained, "no stop-the-world retrain");
-        // Post-swap, the tail of the novel family matched against the patched model.
+        assert_eq!(result.stats.records, 6_000);
+        // The last chunk matched against the patched model: its share of the novel
+        // family sits on trained templates, not on temporaries.
+        let model = topic.model();
+        for stored in topic.records().iter().skip(500 + 6_000 - 512) {
+            let node = &model.nodes[stored.template.expect("matched").0];
+            assert!(!node.temporary && !node.retired, "{stored:?}");
+        }
         let followup = topic.ingest(&novel_batch(9_000, 50));
         assert_eq!(followup.matched, 50);
     }

@@ -338,7 +338,7 @@ fn kill_and_recover_incremental_stream_maintenance() {
     let mut topic = LogTopic::durable(config, &dir, fast_storage()).expect("create durable topic");
 
     // Cold-start train on the known family, then stream a drifting workload so the
-    // mid-stream drift check fires incremental maintenance (delta events in the
+    // drift check between its chunks fires incremental maintenance (delta events in the
     // event log, moves re-applied on replay).
     topic.ingest(&web_access_batch(0, 300));
     let stream_config = IngestConfig {

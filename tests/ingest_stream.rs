@@ -66,9 +66,11 @@ fn stream_ingestor_handles_100k_lines_in_contiguous_batches() {
     );
 }
 
-/// `ingest` and `ingest_stream` share one definition of drift: the same matched
-/// traffic sets the same saturation baseline, and the same drifting records leave the
-/// detector in the same state and fire the same maintenance.
+/// `ingest` and `ingest_stream` share one definition of drift and one checkpoint
+/// rule: the same matched traffic sets the same saturation baseline, and the same
+/// drifting records leave the detector in the same state, fire the same maintenance
+/// and leave the same model and assignment — whether the drift check runs once, at
+/// the end of the batch, or every `check_interval` records inside it.
 #[test]
 fn batch_and_stream_ingest_agree_on_drift() {
     let corpus = LabeledDataset::loghub2("Apache", 3_000);
@@ -76,7 +78,7 @@ fn batch_and_stream_ingest_agree_on_drift() {
     let novel: Vec<String> = (0..400)
         .map(|i| format!("disk scrubber repaired sector {i} on vol-{}", i % 3))
         .collect();
-    let run = |stream: bool| {
+    let run = |stream: bool, check_interval: usize| {
         let mut topic = LogTopic::new(
             TopicConfig::new("drift")
                 .with_volume_threshold(u64::MAX)
@@ -85,8 +87,7 @@ fn batch_and_stream_ingest_agree_on_drift() {
                         .with_window(400)
                         .with_min_samples(200)
                         .with_max_unmatched_rate(0.5),
-                    // No mid-stream check: both paths assess once, at the end.
-                    check_interval: novel.len(),
+                    check_interval,
                 }),
         );
         topic.ingest(known);
@@ -102,25 +103,79 @@ fn batch_and_stream_ingest_agree_on_drift() {
         let healthy_maintained = route(healthy);
         let maintained = route(&novel);
         let detector = topic.drift_detector().expect("incremental topic");
+        let assignment: Vec<_> = topic.records().iter().map(|r| r.template).collect();
         (
-            healthy_maintained,
-            maintained,
-            detector.baseline(),
-            detector.observations(),
-            detector.assess(),
+            (healthy_maintained, maintained),
+            (
+                detector.baseline(),
+                detector.observations(),
+                detector.assess(),
+            ),
+            (
+                assignment,
+                topic.model().len(),
+                topic.model().retired_count(),
+            ),
         )
     };
-    let (batch, streamed) = (run(false), run(true));
-    assert_eq!(batch.0, 0, "matched traffic must not drift");
-    assert!(
-        batch.2.is_some(),
-        "1,000 matched records must set the 400-record baseline"
-    );
+    // No check inside either call: both routes assess once, at the end.
+    let (batch, streamed) = (run(false, novel.len()), run(true, novel.len()));
     assert_eq!(
-        batch.1, 1,
+        batch.0,
+        (0, 1),
         "400 novel records must trip the 200-sample window"
     );
+    assert!(
+        batch.1 .0.is_some(),
+        "1,000 matched records must set the 400-record baseline"
+    );
     assert_eq!(streamed, batch);
+    // A check every 128 records, inside each call, on both routes.
+    let (batch, streamed) = (run(false, 128), run(true, 128));
+    assert_eq!(batch.0 .0, 0, "matched traffic must not drift");
+    assert!(batch.0 .1 >= 1, "the novel records must maintain");
+    assert_eq!(streamed, batch);
+}
+
+/// Every chunk releases its snapshots before its apply phase, on both routes, so a
+/// temporary inserted there patches the topic's model in place: with no landing, an
+/// incremental ingest leaves the model in the very allocation it found it in.
+#[test]
+fn incremental_ingest_patches_the_model_in_place_on_both_routes() {
+    let corpus = LabeledDataset::loghub2("Apache", 3_000);
+    let (known, healthy) = corpus.records.split_at(2_000);
+    for stream in [false, true] {
+        let mut topic = LogTopic::new(
+            TopicConfig::new("in-place")
+                .with_volume_threshold(u64::MAX)
+                .with_maintenance(MaintenancePolicy::Incremental {
+                    // A window no ingest here fills: drift is never assessed.
+                    drift: DriftConfig::default()
+                        .with_window(4_096)
+                        .with_min_samples(4_096),
+                    check_interval: 128,
+                }),
+        );
+        topic.ingest(known);
+        // Novel lines first, so the first chunk inserts temporaries.
+        let mut batch: Vec<String> = (0..20)
+            .map(|i| format!("gpu {i} fell off the bus"))
+            .collect();
+        batch.extend_from_slice(healthy);
+        let (model, nodes) = (Arc::as_ptr(&topic.model_snapshot()), topic.model().len());
+        let outcome = if stream {
+            topic.ingest_stream(batch, &IngestConfig::default()).outcome
+        } else {
+            topic.ingest(&batch)
+        };
+        assert_eq!(outcome.maintained, 0, "stream={stream}: no landing");
+        assert!(outcome.unmatched > 0 && topic.model().len() > nodes);
+        assert_eq!(
+            Arc::as_ptr(&topic.model_snapshot()),
+            model,
+            "stream={stream}: a temporary insertion copied the model"
+        );
+    }
 }
 
 #[test]
