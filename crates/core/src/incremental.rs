@@ -309,16 +309,6 @@ impl ModelDelta {
     pub fn is_empty(&self) -> bool {
         self.patches.is_empty() && self.new_nodes.is_empty() && !self.retire_temporaries
     }
-
-    /// Number of nodes this delta appends.
-    pub fn added_nodes(&self) -> usize {
-        self.new_nodes.len()
-    }
-
-    /// Number of existing nodes this delta patches.
-    pub fn patched_nodes(&self) -> usize {
-        self.patches.len()
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -136,9 +136,9 @@ pub struct ServerConfig {
     pub admission: AdmissionConfig,
     /// Engine application tuning.
     pub engine: EngineConfig,
-    /// When set, a tick thread runs fleet-wide storage maintenance (retention +
-    /// compaction) at this interval. `None` (the default, matching library
-    /// behaviour) leaves maintenance to explicit calls.
+    /// When set, a tick thread runs fleet-wide storage maintenance (TTL retention)
+    /// at this interval. `None` (the default, matching library behaviour) leaves
+    /// maintenance to explicit calls.
     pub maintenance_interval: Option<Duration>,
 }
 

@@ -100,9 +100,10 @@ impl ServiceManager {
 
     /// Open (or initialize) a durable service at `root` with default storage tuning:
     /// every topic store under `<root>/<tenant>/<topic>` is recovered — the epoch's
-    /// base model loaded and its logged deltas folded in, postings loaded from
-    /// segments, no retraining and no re-matching — and new topics are auto-created
-    /// durable. A store in another directory format is refused with `InvalidData`.
+    /// base model loaded and its logged deltas folded in, postings rebuilt from the
+    /// stored template ids, no retraining and no re-matching — and new topics are
+    /// auto-created durable. A store in another directory format is refused with
+    /// `InvalidData`.
     pub fn open(root: &Path) -> io::Result<Self> {
         Self::open_with(root, StorageConfig::default())
     }
@@ -135,7 +136,7 @@ impl ServiceManager {
         self.storage_root.as_deref()
     }
 
-    /// Run TTL retention + segment compaction across the whole fleet (the
+    /// Run TTL retention across the whole fleet (the
     /// "background" maintenance pass — call it from a scheduler loop). Returns the
     /// per-topic outcomes of topics that dropped anything.
     pub fn run_storage_maintenance(&mut self) -> Vec<((String, String), RetentionOutcome)> {

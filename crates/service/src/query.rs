@@ -176,17 +176,6 @@ impl QueryIndex {
         self.assigned = self.postings.iter().map(|p| p.len()).sum();
     }
 
-    /// Bulk-load one sealed segment's posting list for `node`: `locals` are
-    /// segment-local record offsets, shifted by the segment's position `base` in the
-    /// record store. Recovery rebuilds the whole index this way — straight from the
-    /// columnar postings, without re-matching a single line. Segments must be fed in
-    /// ascending sequence order (postings stay sorted).
-    pub fn extend_posting(&mut self, node: NodeId, base: usize, locals: &[u32]) {
-        self.ensure_nodes(node.0 + 1);
-        self.postings[node.0].extend(locals.iter().map(|&local| base as u32 + local));
-        self.assigned += locals.len();
-    }
-
     /// Rebuild the whole index from the record store (used after retention drained a
     /// prefix of it, which shifts every record index).
     pub fn rebuild(records: &RecordStore, model_len: usize) -> Self {
@@ -478,7 +467,7 @@ fn scan_plan(
 /// never collide on a key (the old `(threshold, limit)` key could not tell a
 /// filtered query from an unfiltered one).
 ///
-/// The **generation** (bumped on recovery, TTL retention and compaction) exists
+/// The **generation** (bumped on recovery and TTL retention) exists
 /// because `(version, record count)` stops being sound once state persists: retention
 /// can evict old records and later ingest can bring the count back to a previously
 /// cached value with the model version unchanged — a different record *set* under an

@@ -1,21 +1,18 @@
-//! CRC-framed append-log primitives shared by the WAL and the event log.
+//! The storage tier's one binary codec: CRC-framed append logs (the WAL and
+//! the event log), CRC-tailed whole files (sealed segments and base files), and
+//! the little-endian [`Enc`]/[`Dec`] cursors every payload is encoded with.
 //!
 //! Every frame on disk is `[len: u32 LE][crc32: u32 LE][payload: len bytes]`.
-//! The CRC covers the payload only; the length is sanity-bounded so a torn or
-//! garbage header cannot trigger a huge allocation. Readers stop at the first
-//! frame that is short, over-long, or fails its checksum — everything before
-//! that point is intact (frames are appended and fsynced in order), everything
-//! after is a torn tail from a crash mid-write and is discarded by truncating
-//! the file back to the last good frame.
+//! The CRC covers the payload only. Readers stop at the first frame that is
+//! short or fails its checksum — everything before that point is intact (frames
+//! are appended and fsynced in order), everything after is a torn tail from a
+//! crash mid-write and is discarded by truncating the file back to the last
+//! good frame. The reader slices a buffer it has already read whole, so a
+//! garbage length field costs no allocation.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-
-/// Upper bound on a single frame payload (64 MiB): far above any record or
-/// model snapshot this service writes, low enough that a corrupt length field
-/// cannot OOM the reader.
-const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
 /// CRC-32 (IEEE 802.3, reflected) lookup table, built once at first use.
 fn crc32_table() -> &'static [u32; 256] {
@@ -39,7 +36,7 @@ fn crc32_table() -> &'static [u32; 256] {
 }
 
 /// CRC-32 (IEEE) of `bytes` — the checksum in every frame header and at the
-/// tail of every sealed segment.
+/// tail of every checked file.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let table = crc32_table();
     let mut crc = 0xFFFF_FFFFu32;
@@ -61,6 +58,33 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         file.sync_data()?;
     }
     std::fs::rename(&tmp, path)
+}
+
+/// Atomically replace the file at `path` with `body` followed by its CRC-32
+/// (see [`write_atomic`]). Sealed segments and base files are written this way.
+pub fn write_checked(path: &Path, mut body: Vec<u8>) -> io::Result<()> {
+    let checksum = crc32(&body);
+    body.extend_from_slice(&checksum.to_le_bytes());
+    write_atomic(path, &body)
+}
+
+/// Read a file written by [`write_checked`] and return its body, or
+/// `InvalidData` when it is too short for its CRC tail or fails it.
+pub fn read_checked(path: &Path) -> io::Result<Vec<u8>> {
+    let mut bytes = std::fs::read(path)?;
+    let corrupt = |what: &str| {
+        let msg = format!("{}: {what}", path.display());
+        io::Error::new(io::ErrorKind::InvalidData, msg)
+    };
+    let Some(split) = bytes.len().checked_sub(4) else {
+        return Err(corrupt("too short for its checksum"));
+    };
+    let mut tail = Dec::new(&bytes[split..]);
+    if tail.u32()? != crc32(&bytes[..split]) {
+        return Err(corrupt("checksum mismatch"));
+    }
+    bytes.truncate(split);
+    Ok(bytes)
 }
 
 /// An append-only log of CRC-framed payloads backed by one file.
@@ -101,11 +125,15 @@ impl FrameLog {
     }
 
     /// Append one frame. Durability is deferred to [`FrameLog::sync`] — appends
-    /// are batched per ingest call, not fsynced one by one.
+    /// are batched per ingest call, not fsynced one by one. A payload whose
+    /// length does not fit the header's `u32` is refused with `InvalidInput`.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        debug_assert!(payload.len() as u64 <= MAX_FRAME_LEN as u64);
+        let len = u32::try_from(payload.len()).map_err(|_| {
+            let msg = format!("frame payload of {} bytes exceeds u32", payload.len());
+            io::Error::new(io::ErrorKind::InvalidInput, msg)
+        })?;
         let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&len.to_le_bytes());
         frame.extend_from_slice(&crc32(payload).to_le_bytes());
         frame.extend_from_slice(payload);
         self.file.write_all(&frame)?;
@@ -151,10 +179,7 @@ fn scan_frames(bytes: &[u8], mut on_frame: impl FnMut(&[u8])) -> u64 {
         };
         let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
         let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        if len as u32 > MAX_FRAME_LEN {
-            return pos as u64;
-        }
-        let Some(payload) = bytes.get(pos + 8..pos + 8 + len) else {
+        let Some(payload) = bytes.get(pos + 8..).and_then(|rest| rest.get(..len)) else {
             return pos as u64;
         };
         if crc32(payload) != crc {
@@ -326,6 +351,29 @@ mod tests {
         let mut seen = Vec::new();
         FrameLog::open(&path, |p| seen.push(p.to_vec())).unwrap();
         assert_eq!(seen, vec![b"good".to_vec()]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn frame_over_64_mib_round_trips_with_its_neighbours() {
+        let dir = std::env::temp_dir().join(format!("bb-framing-big-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("log");
+        let big = vec![0xA5u8; 64 * 1024 * 1024 + 1];
+        {
+            let mut log = FrameLog::open(&path, |_| {}).unwrap();
+            log.append(b"before").unwrap();
+            log.append(&big).unwrap();
+            log.append(b"after").unwrap();
+            log.sync().unwrap();
+        }
+        let mut seen = Vec::new();
+        let log = FrameLog::open(&path, |p| seen.push(p.to_vec())).unwrap();
+        assert_eq!(seen.len(), 3, "every frame survives the reopen");
+        assert_eq!(seen[0], b"before");
+        assert!(seen[1] == big, "the large frame comes back whole");
+        assert_eq!(seen[2], b"after");
+        assert_eq!(log.len_bytes(), 3 * 8 + 6 + big.len() as u64 + 5);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -2,18 +2,18 @@
 //!
 //! `MANIFEST.json` names the live segments, the epoch's base model file and the
 //! epoch/counter state a replay needs. It is rewritten atomically (tmp + fsync +
-//! rename) at every seal, epoch boundary, retention pass and compaction — a
-//! crash leaves either the old manifest or the new one, never a torn file.
+//! rename) at every seal, epoch boundary, retention pass and recovery — a crash
+//! leaves either the old manifest or the new one, never a torn file.
 //! Anything on disk the manifest does not reference (an orphan segment from a
 //! crash mid-seal, a base file written by a checkpoint that never swapped the
 //! manifest) is garbage and is deleted on open.
 //!
 //! The **base file** (`base-<id>.json`) holds the full model an epoch starts
-//! from, as JSON followed by its CRC-32. A checkpoint writes it the way a segment
-//! is sealed (tmp + fsync + rename) before the manifest names it, and deletes the
-//! previous one only after the manifest swap.
+//! from, as JSON followed by its CRC-32 ([`write_checked`]). A checkpoint writes
+//! it the way a segment is sealed (tmp + fsync + rename) before the manifest
+//! names it, and deletes the previous one only after the manifest swap.
 
-use super::framing::{crc32, write_atomic};
+use super::framing::{read_checked, write_atomic, write_checked};
 use bytebrain::ParserModel;
 use serde::{Deserialize, Serialize};
 use std::fs;
@@ -61,8 +61,8 @@ impl SegmentMeta {
 pub struct Manifest {
     /// Manifest format version.
     pub format: u32,
-    /// Monotonic topic generation: bumped on recovery, retention expiry and
-    /// compaction. Part of the query-cache key, so results cached against a
+    /// Monotonic topic generation: bumped on recovery and retention expiry.
+    /// Part of the query-cache key, so results cached against a
     /// previous record *set* (same count, different records) can never be
     /// served after the set changed.
     pub generation: u64,
@@ -156,23 +156,14 @@ pub fn base_file_name(id: u64) -> String {
 pub fn write_base(dir: &Path, id: u64, model: &ParserModel) -> io::Result<()> {
     let json = serde_json::to_string(model)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("base model: {e}")))?;
-    let mut body = json.into_bytes();
-    body.extend_from_slice(&crc32(&body).to_le_bytes());
-    write_atomic(&dir.join(base_file_name(id)), &body)
+    write_checked(&dir.join(base_file_name(id)), json.into_bytes())
 }
 
 /// Read and verify the base file `id` in `dir`.
 pub fn read_base(dir: &Path, id: u64) -> io::Result<ParserModel> {
-    let bytes = fs::read(dir.join(base_file_name(id)))?;
+    let body = read_checked(&dir.join(base_file_name(id)))?;
     let corrupt = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let Some(split) = bytes.len().checked_sub(4) else {
-        return Err(corrupt(format!("base file {id} too short")));
-    };
-    let (json, tail) = bytes.split_at(split);
-    if crc32(json) != u32::from_le_bytes(tail.try_into().expect("4 bytes")) {
-        return Err(corrupt(format!("base file {id} checksum mismatch")));
-    }
-    let json = std::str::from_utf8(json).map_err(|e| corrupt(format!("base file {id}: {e}")))?;
+    let json = std::str::from_utf8(&body).map_err(|e| corrupt(format!("base file {id}: {e}")))?;
     serde_json::from_str(json).map_err(|e| corrupt(format!("base file {id}: {e}")))
 }
 
@@ -230,6 +221,23 @@ mod tests {
         assert_eq!(loaded.segments.len(), 1);
         assert_eq!(loaded.segments[0].end_seq(), 512);
         assert_eq!(loaded.sealed_end_seq(), 512);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn truncated_base_file_is_refused() {
+        let dir = std::env::temp_dir().join(format!("bb-base-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        write_base(&dir, 1, &ParserModel::new()).unwrap();
+        assert!(read_base(&dir, 1).unwrap().is_empty());
+        let path = dir.join(base_file_name(1));
+        let bytes = std::fs::read(&path).unwrap();
+        // Cut into the CRC tail, then below its four bytes.
+        for len in [bytes.len() - 1, 3] {
+            std::fs::write(&path, &bytes[..len]).unwrap();
+            let err = read_base(&dir, 1).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{len} bytes");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -16,11 +16,10 @@
 //!
 //! **Write path.** Every ingested record is appended to the WAL with its
 //! ingest-time match outcome; appends are fsync-batched at commit points (the
-//! end of every ingest chunk). When enough
-//! records accumulate, the commit seals them into a columnar segment —
-//! template-id column, text column, variable column, per-node postings — and
-//! restarts the WAL. Every maintenance landing, retrain or incremental run,
-//! appends one event (its delta, kind of run, record moves) to the event log:
+//! end of every ingest chunk). When enough records accumulate, the commit
+//! seals them into a columnar segment — flag column, template-id column, text
+//! column, variable column (segment format 3) — and restarts the WAL. Every
+//! maintenance landing, retrain or incremental run, appends one event (its delta, kind of run, record moves) to the event log:
 //! one frame, so a landing is on disk whole or not at all. An **epoch
 //! checkpoint** ([`TopicStorage::checkpoint_epoch`]) writes the current model
 //! to a fresh base file, rewrites every live record into fresh baseline
@@ -33,17 +32,17 @@
 //! **Recovery** ([`TopicStorage::open`]) replays the manifest's segments, the
 //! WAL tail and the event log on top of the epoch's base file. The replay
 //! re-executes the deterministic temporary-template insertions of flagged
-//! records and folds in each event's delta — it never re-matches a line
-//! (postings come from the segments) and never retrains.
+//! records and folds in each event's delta — it never re-matches a line (every
+//! record's template id is on disk) and never retrains.
 //!
 //! **Retention invariant.** A segment may be dropped only when (a) its TTL
 //! expired, (b) it holds zero unmatched-at-ingest records (their texts drive
 //! the epoch's model replay), (c) it sits outside the current training window
 //! ([`TopicStorage::training_window_start`]: sealed before the last retrain, or
 //! past the training-buffer capacity), and (d) every older segment was dropped
-//! first (the record store stays a contiguous sequence range). Compaction
-//! merges adjacent under-filled segments; both passes bump the topic
-//! **generation**, which is part of the query-cache key.
+//! first (the record store stays a contiguous sequence range). A pass that
+//! drops anything bumps the topic **generation**, which is part of the
+//! query-cache key.
 
 pub mod framing;
 pub mod manifest;
@@ -78,8 +77,6 @@ pub struct StorageConfig {
     /// Drop expired segments that satisfy the retention invariant; `None`
     /// keeps everything forever.
     pub retention_ttl: Option<Duration>,
-    /// Compaction merges adjacent segments smaller than this.
-    pub compact_min_records: usize,
 }
 
 impl Default for StorageConfig {
@@ -88,7 +85,6 @@ impl Default for StorageConfig {
             segment_records: 4096,
             fsync: true,
             retention_ttl: None,
-            compact_min_records: 1024,
         }
     }
 }
@@ -109,12 +105,6 @@ impl StorageConfig {
     /// Enable or disable fsync at commit points.
     pub fn with_fsync(mut self, fsync: bool) -> Self {
         self.fsync = fsync;
-        self
-    }
-
-    /// Override the compaction threshold.
-    pub fn with_compact_min_records(mut self, records: usize) -> Self {
-        self.compact_min_records = records;
         self
     }
 }
@@ -439,7 +429,7 @@ impl TopicStorage {
         &self.dir
     }
 
-    /// The monotonic topic generation (recovery / retention / compaction).
+    /// The monotonic topic generation (recovery / retention).
     pub fn generation(&self) -> u64 {
         self.manifest.generation
     }
@@ -710,67 +700,6 @@ impl TopicStorage {
             }
         }
         Ok(outcome)
-    }
-
-    /// Compaction: merge adjacent segments that are both under the configured
-    /// minimum (as long as the merge stays within one segment's capacity).
-    /// Returns the number of merges performed; any merge bumps the generation.
-    pub fn compaction_pass(&mut self) -> io::Result<usize> {
-        let mut merges = 0usize;
-        let mut i = 0usize;
-        let mut stale_ids = Vec::new();
-        while i + 1 < self.manifest.segments.len() {
-            let a = &self.manifest.segments[i];
-            let b = &self.manifest.segments[i + 1];
-            let small = (a.records as usize) < self.config.compact_min_records
-                && (b.records as usize) < self.config.compact_min_records;
-            let fits = (a.records + b.records) as usize <= self.config.segment_records;
-            if !(small && fits) {
-                i += 1;
-                continue;
-            }
-            let seg_dir = self.dir.join("segments");
-            let left = segment::read_segment(&seg_dir.join(segment::segment_file_name(a.id)))?;
-            let right = segment::read_segment(&seg_dir.join(segment::segment_file_name(b.id)))?;
-            let mut records = left.records;
-            records.extend(right.records);
-            let mut variables = left.variables;
-            variables.extend(right.variables);
-            let id = self.manifest.next_segment_id;
-            self.manifest.next_segment_id += 1;
-            segment::write_segment(&seg_dir, id, left.first_seq, &records, &variables)?;
-            let merged = SegmentMeta {
-                id,
-                first_seq: a.first_seq,
-                records: a.records + b.records,
-                bytes: a.bytes + b.bytes,
-                flagged: a.flagged + b.flagged,
-                // The younger seal time: TTL expiry is delayed, never hastened.
-                created_at: a.created_at.max(b.created_at),
-            };
-            stale_ids.push(a.id);
-            stale_ids.push(b.id);
-            self.manifest.segments.splice(i..i + 2, [merged]);
-            // Rebuild the merged summary from the concatenated columns (an
-            // exact rebuild, not a lossy bloom union).
-            self.summaries
-                .splice(i..i + 2, [SegmentSummary::build(&variables)]);
-            merges += 1;
-            // Stay at `i`: the merged segment may merge again with its new
-            // right neighbour.
-        }
-        if merges > 0 {
-            self.manifest.generation += 1;
-            manifest::write_manifest(&self.dir.join("MANIFEST.json"), &self.manifest)?;
-            for id in stale_ids {
-                let _ = fs::remove_file(
-                    self.dir
-                        .join("segments")
-                        .join(segment::segment_file_name(id)),
-                );
-            }
-        }
-        Ok(merges)
     }
 }
 

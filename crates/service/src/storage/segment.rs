@@ -1,44 +1,41 @@
 //! Immutable columnar segments.
 //!
 //! A segment is a batch of consecutive records sealed out of the WAL (or
-//! rewritten wholesale at an epoch boundary). The layout is columnar so that
-//! recovery — and future scans — touch only the columns they need:
+//! rewritten wholesale at an epoch boundary). The layout (format 3) is
+//! columnar so that recovery — and future scans — touch only the columns they
+//! need; every integer is little-endian and every byte string carries a `u32`
+//! length prefix ([`Enc::bytes`]):
 //!
 //! ```text
 //! magic "BBSG" | format u32
 //! first_seq u64 | record_count u32
-//! flags column      : count × u8   (bit 0 = unmatched at ingest)
-//! node column       : count × u32  (ingest-time template id, u32::MAX = none)
-//! text offsets      : (count+1) × u32 into the text blob
-//! text blob         : concatenated UTF-8 record texts
-//! variable offsets  : (count+1) × u32 into the variable blob
-//! variable blob     : per record, `u32 n` then n × (u32 len | bytes) tokens
-//! postings          : u32 node_count, then per node
-//!                     (u32 node | u32 len | len × u32 local record offsets)
-//! crc32 u32         : over everything before it
+//! flags column    : count × u8   (bit 0 = unmatched at ingest)
+//! node column     : count × u32  (ingest-time template id, u32::MAX = none)
+//! text column     : count × (u32 len | UTF-8 bytes)
+//! variable column : per record, `u32 n` then n × (u32 len | bytes) tokens
+//! CRC-32 u32      : over everything before it
 //! ```
 //!
-//! The per-segment postings mirror the node column inverted: they exist so a
-//! restart can rebuild [`QueryIndex`](crate::query::QueryIndex) by
-//! concatenating posting lists — without re-matching a single line. Later
-//! re-assignments (post-delta moves) are logged as events and patched on top;
-//! a sealed segment is never rewritten in place.
+//! The node column is what lets a restart rebuild
+//! [`QueryIndex`](crate::query::QueryIndex) without re-matching a single line.
+//! Later re-assignments (post-delta moves) are logged as events and patched on
+//! top; a sealed segment is never rewritten in place.
 //!
 //! The variable column stores the concrete tokens that sat at the matched
 //! template's wildcard positions, extracted once at seal time. It is
 //! best-effort metadata for segment consumers (the template text plus the
 //! variables reconstruct the record): replay correctness never depends on it.
 
-use super::framing::{crc32, write_atomic};
-use super::wal::{decode_node, encode_node, WalRecord, NO_NODE};
-use std::fs::OpenOptions;
-use std::io::{self, Read};
+use super::framing::{read_checked, write_checked, Dec, Enc};
+use super::wal::{decode_node, encode_node, WalRecord};
+use std::io;
 use std::path::{Path, PathBuf};
 
-const MAGIC: &[u8; 4] = b"BBSG";
-const FORMAT: u32 = 2;
+/// `"BBSG"` read as a little-endian `u32`.
+const MAGIC: u32 = 0x4753_4242;
+const FORMAT: u32 = 3;
 
-/// A fully decoded segment: the records it sealed plus the inverted postings.
+/// A fully decoded segment: the records it sealed and their variable column.
 #[derive(Debug, Clone)]
 pub struct Segment {
     /// Sequence number of the first record.
@@ -47,8 +44,6 @@ pub struct Segment {
     pub records: Vec<WalRecord>,
     /// Per-record variable tokens (wildcard-position tokens at seal time).
     pub variables: Vec<Vec<String>>,
-    /// `(node, ascending local record offsets)` — the node column inverted.
-    pub postings: Vec<(u32, Vec<u32>)>,
 }
 
 impl Segment {
@@ -74,178 +69,68 @@ pub fn write_segment(
     variables: &[Vec<String>],
 ) -> io::Result<PathBuf> {
     debug_assert_eq!(records.len(), variables.len());
-    let mut body = Vec::new();
-    body.extend_from_slice(MAGIC);
-    body.extend_from_slice(&FORMAT.to_le_bytes());
-    body.extend_from_slice(&first_seq.to_le_bytes());
-    body.extend_from_slice(&(records.len() as u32).to_le_bytes());
-    // Flags column.
+    let mut enc = Enc::new();
+    enc.u32(MAGIC);
+    enc.u32(FORMAT);
+    enc.u64(first_seq);
+    enc.u32(records.len() as u32);
     for rec in records {
-        body.push(rec.unmatched as u8);
+        enc.u8(rec.unmatched as u8);
     }
-    // Node column.
     for rec in records {
-        body.extend_from_slice(&encode_node(rec.node).to_le_bytes());
+        enc.u32(encode_node(rec.node));
     }
-    // Text column: offsets then blob.
-    let mut offset = 0u32;
     for rec in records {
-        body.extend_from_slice(&offset.to_le_bytes());
-        offset += rec.text.len() as u32;
+        enc.bytes(rec.text.as_bytes());
     }
-    body.extend_from_slice(&offset.to_le_bytes());
-    for rec in records {
-        body.extend_from_slice(rec.text.as_bytes());
-    }
-    // Variable column: offsets then blob of `u32 n | n × (u32 len | bytes)`.
-    let mut var_blob = Vec::new();
-    let mut var_offsets = Vec::with_capacity(records.len() + 1);
     for vars in variables {
-        var_offsets.push(var_blob.len() as u32);
-        var_blob.extend_from_slice(&(vars.len() as u32).to_le_bytes());
+        enc.u32(vars.len() as u32);
         for var in vars {
-            var_blob.extend_from_slice(&(var.len() as u32).to_le_bytes());
-            var_blob.extend_from_slice(var.as_bytes());
+            enc.bytes(var.as_bytes());
         }
     }
-    var_offsets.push(var_blob.len() as u32);
-    for off in var_offsets {
-        body.extend_from_slice(&off.to_le_bytes());
-    }
-    body.extend_from_slice(&var_blob);
-    // Postings: invert the node column (local offsets ascend naturally).
-    let mut postings: Vec<(u32, Vec<u32>)> = Vec::new();
-    {
-        use std::collections::BTreeMap;
-        let mut by_node: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for (i, rec) in records.iter().enumerate() {
-            let raw = encode_node(rec.node);
-            if raw != NO_NODE {
-                by_node.entry(raw).or_default().push(i as u32);
-            }
-        }
-        postings.extend(by_node);
-    }
-    body.extend_from_slice(&(postings.len() as u32).to_le_bytes());
-    for (node, offsets) in &postings {
-        body.extend_from_slice(&node.to_le_bytes());
-        body.extend_from_slice(&(offsets.len() as u32).to_le_bytes());
-        for off in offsets {
-            body.extend_from_slice(&off.to_le_bytes());
-        }
-    }
-    let checksum = crc32(&body);
-    body.extend_from_slice(&checksum.to_le_bytes());
-
-    let final_path = dir.join(segment_file_name(id));
-    write_atomic(&final_path, &body)?;
-    Ok(final_path)
+    let path = dir.join(segment_file_name(id));
+    write_checked(&path, enc.finish())?;
+    Ok(path)
 }
 
-/// Read and verify a segment file.
+/// Read and verify a segment file. A segment of any other format is refused
+/// with `InvalidData`.
 pub fn read_segment(path: &Path) -> io::Result<Segment> {
-    let mut bytes = Vec::new();
-    OpenOptions::new()
-        .read(true)
-        .open(path)?
-        .read_to_end(&mut bytes)?;
-    let corrupt = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    if bytes.len() < 4 {
-        return Err(corrupt("segment too short for checksum"));
+    let body = read_checked(path)?;
+    let corrupt = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let mut dec = Dec::new(&body);
+    if dec.u32()? != MAGIC {
+        return Err(corrupt("bad segment magic".to_string()));
     }
-    let (body, tail) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(tail.try_into().expect("4 bytes"));
-    if crc32(body) != stored {
-        return Err(corrupt("segment checksum mismatch"));
-    }
-    let mut pos = 0usize;
-    let mut take = |n: usize| -> io::Result<&[u8]> {
-        let slice = body
-            .get(pos..pos + n)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "truncated segment"))?;
-        pos += n;
-        Ok(slice)
-    };
-    if take(4)? != MAGIC {
-        return Err(corrupt("bad segment magic"));
-    }
-    let format = u32::from_le_bytes(take(4)?.try_into().expect("4"));
+    let format = dec.u32()?;
     if format != FORMAT {
-        return Err(corrupt("unknown segment format"));
+        return Err(corrupt(format!(
+            "unsupported segment format {format} (this build reads format {FORMAT})"
+        )));
     }
-    let first_seq = u64::from_le_bytes(take(8)?.try_into().expect("8"));
-    let count = u32::from_le_bytes(take(4)?.try_into().expect("4")) as usize;
-    let flags = take(count)?.to_vec();
-    let mut nodes = Vec::with_capacity(count);
-    for _ in 0..count {
-        nodes.push(u32::from_le_bytes(take(4)?.try_into().expect("4")));
-    }
-    let mut text_offsets = Vec::with_capacity(count + 1);
-    for _ in 0..=count {
-        text_offsets.push(u32::from_le_bytes(take(4)?.try_into().expect("4")) as usize);
-    }
-    let text_blob = take(*text_offsets.last().unwrap_or(&0))?;
+    let first_seq = dec.u64()?;
+    let count = dec.u32()? as usize;
+    let flags: Vec<u8> = (0..count).map(|_| dec.u8()).collect::<io::Result<_>>()?;
+    let nodes: Vec<u32> = (0..count).map(|_| dec.u32()).collect::<io::Result<_>>()?;
     let mut records = Vec::with_capacity(count);
-    for i in 0..count {
-        let text = text_blob
-            .get(text_offsets[i]..text_offsets[i + 1])
-            .ok_or_else(|| corrupt("text offsets out of range"))?;
+    for (i, (flag, node)) in flags.into_iter().zip(nodes).enumerate() {
         records.push(WalRecord {
             seq: first_seq + i as u64,
-            unmatched: flags[i] != 0,
-            node: decode_node(nodes[i]),
-            text: String::from_utf8(text.to_vec())
-                .map_err(|_| corrupt("invalid UTF-8 in text column"))?,
+            unmatched: flag != 0,
+            node: decode_node(node),
+            text: dec.string()?,
         });
     }
-    let mut var_offsets = Vec::with_capacity(count + 1);
-    for _ in 0..=count {
-        var_offsets.push(u32::from_le_bytes(take(4)?.try_into().expect("4")) as usize);
-    }
-    let var_blob = take(*var_offsets.last().unwrap_or(&0))?;
     let mut variables = Vec::with_capacity(count);
-    for i in 0..count {
-        let mut slice = var_blob
-            .get(var_offsets[i]..var_offsets[i + 1])
-            .ok_or_else(|| corrupt("variable offsets out of range"))?;
-        let mut vars = Vec::new();
-        if slice.len() < 4 {
-            return Err(corrupt("truncated variable entry"));
-        }
-        let n = u32::from_le_bytes(slice[..4].try_into().expect("4")) as usize;
-        slice = &slice[4..];
-        for _ in 0..n {
-            if slice.len() < 4 {
-                return Err(corrupt("truncated variable token"));
-            }
-            let len = u32::from_le_bytes(slice[..4].try_into().expect("4")) as usize;
-            let token = slice
-                .get(4..4 + len)
-                .ok_or_else(|| corrupt("variable token out of range"))?;
-            vars.push(
-                String::from_utf8(token.to_vec())
-                    .map_err(|_| corrupt("invalid UTF-8 in variable column"))?,
-            );
-            slice = &slice[4 + len..];
-        }
-        variables.push(vars);
-    }
-    let posting_nodes = u32::from_le_bytes(take(4)?.try_into().expect("4")) as usize;
-    let mut postings = Vec::with_capacity(posting_nodes);
-    for _ in 0..posting_nodes {
-        let node = u32::from_le_bytes(take(4)?.try_into().expect("4"));
-        let len = u32::from_le_bytes(take(4)?.try_into().expect("4")) as usize;
-        let mut offsets = Vec::with_capacity(len);
-        for _ in 0..len {
-            offsets.push(u32::from_le_bytes(take(4)?.try_into().expect("4")));
-        }
-        postings.push((node, offsets));
+    for _ in 0..count {
+        let n = dec.u32()?;
+        variables.push((0..n).map(|_| dec.string()).collect::<io::Result<_>>()?);
     }
     Ok(Segment {
         first_seq,
         records,
         variables,
-        postings,
     })
 }
 
@@ -291,7 +176,7 @@ mod tests {
     }
 
     #[test]
-    fn segment_round_trip_preserves_columns_and_postings() {
+    fn segment_round_trip_preserves_columns() {
         let dir = std::env::temp_dir().join(format!("bb-seg-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let (records, variables) = sample_records();
@@ -301,12 +186,6 @@ mod tests {
         assert_eq!(seg.records, records);
         assert_eq!(seg.variables, variables);
         assert_eq!(seg.end_seq(), 104);
-        // Postings invert the node column, offsets ascending.
-        assert_eq!(
-            seg.postings,
-            vec![(3, vec![0, 2]), (9, vec![1])],
-            "postings must mirror the node column"
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -320,6 +199,27 @@ mod tests {
         bytes[20] ^= 0x55;
         std::fs::write(&path, bytes).unwrap();
         assert!(read_segment(&path).is_err(), "bit rot must not decode");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn segment_of_another_format_is_refused() {
+        let dir = std::env::temp_dir().join(format!("bb-seg-f-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(segment_file_name(3));
+        // A format-2 header with an intact checksum: the CRC passes, the format does not.
+        let mut enc = Enc::new();
+        enc.u32(MAGIC);
+        enc.u32(2);
+        enc.u64(0);
+        enc.u32(0);
+        write_checked(&path, enc.finish()).unwrap();
+        let err = read_segment(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            "unsupported segment format 2 (this build reads format 3)"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

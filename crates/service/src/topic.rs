@@ -202,7 +202,7 @@ pub struct LogTopic {
     /// Durable storage tier (WAL + segments + model log); `None` for in-memory topics.
     storage: Option<TopicStorage>,
     /// Monotonic topic generation mirrored from the storage manifest: bumped on
-    /// recovery, TTL retention and compaction. Part of the query-cache key — a
+    /// recovery and TTL retention. Part of the query-cache key — a
     /// record *set* change without a model change must still miss the cache.
     generation: u64,
 }
@@ -269,12 +269,12 @@ impl LogTopic {
     /// Reopen a durable topic from its storage directory, replaying WAL + segments +
     /// event log on top of the epoch's base model file.
     ///
-    /// The replay is **deterministic and match-free**: the postings index loads
-    /// straight from the segments' columnar posting lists, flagged records re-execute
-    /// the deterministic temporary-template insertion they performed live (no
-    /// matching — the flag and the resulting node id are on disk), and maintenance
-    /// events — retrains included — re-apply the [`ModelDelta`] and record moves each
-    /// one carries. A recovered topic therefore answers every query byte-identically to
+    /// The replay is **deterministic and match-free**: every record, sealed or in the
+    /// WAL tail, joins the postings index under the template id stored beside it,
+    /// flagged records re-execute the deterministic temporary-template insertion they
+    /// performed live (no matching — the flag and the resulting node id are on disk),
+    /// and maintenance events — retrains included — re-apply the [`ModelDelta`] and
+    /// record moves each one carries. A recovered topic therefore answers every query byte-identically to
     /// one that never restarted, never retrains on open, and goes on to train on the
     /// same window the live topic would have.
     pub fn open(dir: &Path, storage_config: StorageConfig) -> io::Result<Self> {
@@ -294,16 +294,8 @@ impl LogTopic {
         topic.last_maintenance_seconds = manifest.last_maintenance_seconds_at_epoch;
         let mut last_reset_seq = manifest.epoch_start_seq.max(first_live);
 
-        // Postings load straight from the segments' columnar posting lists.
         let mut index = QueryIndex::new();
         index.ensure_nodes(model.len());
-        for segment in &recovered.segments {
-            let base = (segment.first_seq - first_live) as usize;
-            for (node, locals) in &segment.postings {
-                index.extend_posting(NodeId(*node as usize), base, locals);
-            }
-        }
-
         let mut events = recovered.events.iter().peekable();
         let segments = recovered.segments.iter();
         let mut stored = segments.flat_map(|s| &s.records).chain(&recovered.wal_tail);
@@ -368,12 +360,10 @@ impl LogTopic {
                 &SlotBuffer::new(),
                 SlotRange::default(),
             );
-            // Segment records arrived through their postings columns; only the
-            // WAL tail (never sealed) assigns here.
-            if rec.seq >= manifest.sealed_end_seq() {
-                if let Some(node) = rec.node {
-                    index.assign(node, topic.records.len() - 1);
-                }
+            // An event moves only records stored before its `at_seq`, so assigning
+            // in stored order yields the index the live topic built.
+            if let Some(node) = rec.node {
+                index.assign(node, topic.records.len() - 1);
             }
         }
 
@@ -431,8 +421,8 @@ impl LogTopic {
         self.query_cache.stats()
     }
 
-    /// The monotonic topic generation: bumped on recovery, TTL retention and
-    /// compaction (always 0 for in-memory topics). Part of the query-cache key.
+    /// The monotonic topic generation: bumped on recovery and TTL retention (always 0
+    /// for in-memory topics). Part of the query-cache key.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -546,11 +536,6 @@ impl LogTopic {
         self.drift.as_ref()
     }
 
-    /// Number of unmatched records pending incremental absorption.
-    pub fn unmatched_pending(&self) -> usize {
-        self.unmatched.len()
-    }
-
     /// The records the next training run reads: the first `training_buffer` stored
     /// since the last one — a range of the record store, which retention never drains.
     fn training_window(&self) -> std::ops::Range<usize> {
@@ -608,10 +593,9 @@ impl LogTopic {
             .expect("storage commit");
     }
 
-    /// TTL retention + segment compaction, in one pass. Expired segments outside the
-    /// training window (and holding no replay-relevant flagged records) are dropped
-    /// oldest-first, the in-memory record prefix is drained in lockstep, and adjacent
-    /// under-filled segments are merged. Any change bumps the topic generation and
+    /// TTL retention. Expired segments outside the training window (and holding no
+    /// replay-relevant flagged records) are dropped oldest-first and the in-memory
+    /// record prefix is drained in lockstep. A drop bumps the topic generation and
     /// clears the query cache. No-op for in-memory topics.
     pub fn run_storage_maintenance(&mut self) -> RetentionOutcome {
         let Some(storage) = &mut self.storage else {
@@ -619,7 +603,6 @@ impl LogTopic {
         };
         let cap = self.config.training_buffer as u64;
         let outcome = storage.retention_pass(cap).expect("retention pass");
-        let merges = storage.compaction_pass().expect("compaction pass");
         if outcome.dropped_records > 0 {
             let dropped = outcome.dropped_records as usize;
             self.records.drain_front(dropped);
@@ -631,7 +614,7 @@ impl LogTopic {
             }
             self.index = Arc::new(QueryIndex::rebuild(&self.records, self.model.len()));
         }
-        if outcome.dropped_segments > 0 || merges > 0 {
+        if outcome.dropped_segments > 0 {
             self.generation = storage.generation();
             self.query_cache.clear();
         }
@@ -726,11 +709,6 @@ impl LogTopic {
             // Postings grow in ingest order, so per-node index lists stay sorted.
             Arc::make_mut(&mut self.index).assign(node, self.records.len() - 1);
         }
-    }
-
-    /// Whether the trigger would start training now (exposed for tests and schedulers).
-    pub fn pending_trigger(&self) -> TriggerDecision {
-        self.trigger.decide(Instant::now())
     }
 
     /// A cheap shared snapshot of the current model (what a match context or a
