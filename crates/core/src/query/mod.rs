@@ -14,9 +14,11 @@
 //! * [`SaturationLadder`] — the indexed path: a precomputed, per-node flat array of
 //!   `(ancestor, saturation)` rungs ordered coarsest-first, so resolution is a single
 //!   scan over contiguous memory instead of repeated pointer-chasing through tree nodes.
-//!   Ladders are (re)built after training ([`SaturationLadder::build`]) and patched
-//!   incrementally after a maintenance delta ([`SaturationLadder::apply_delta`]) — only
-//!   the subtrees a delta touched are recomputed.
+//!   A ladder is built whole from the model ([`SaturationLadder::build`]) whenever the
+//!   model is trained, lands a maintenance delta or is recovered, and extended one node
+//!   at a time as temporaries are inserted ([`SaturationLadder::push_root`]). It is never
+//!   patched: on a drifting stream a rebuild costs less than recomputing the subtrees a
+//!   delta touches (ROADMAP, finding J).
 //!
 //! Both paths implement the same semantics and are kept differential-identical by test:
 //!
@@ -34,7 +36,6 @@
 pub mod ast;
 pub mod plan;
 
-use crate::incremental::ModelDelta;
 use crate::model::ParserModel;
 use crate::tree::{NodeId, TemplateToken};
 use std::collections::HashMap;
@@ -116,12 +117,11 @@ pub struct LadderRung {
 /// no pointer-chasing, no tree-node loads — and returns exactly what
 /// [`resolve_with_threshold`] returns on the same model.
 ///
-/// Lifecycle: built from scratch after (re)training via [`SaturationLadder::build`];
-/// patched in place after an incremental maintenance delta via
-/// [`SaturationLadder::apply_delta`], which recomputes only the subtrees the delta
-/// touched; extended one rung array at a time when the online matcher inserts a
-/// temporary template via [`SaturationLadder::push_root`]. Any out-of-band structural
-/// change (manual [`ParserModel::retire`], re-parenting) requires a rebuild.
+/// Lifecycle: built whole via [`SaturationLadder::build`] whenever the model is
+/// trained, lands a maintenance delta or is recovered; extended one rung array at a
+/// time when the online matcher inserts a temporary template via
+/// [`SaturationLadder::push_root`]; never patched. Any other structural change
+/// (manual [`ParserModel::retire`], re-parenting) requires a rebuild.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SaturationLadder {
     /// `rungs[id]` = live ancestor chain of node `id`, coarsest first. Empty when the
@@ -141,8 +141,7 @@ impl SaturationLadder {
         ladder
     }
 
-    /// The live ancestor chain of one node, coarsest first (direct walk — used for
-    /// builds and for the subtrees a delta touched).
+    /// The live ancestor chain of one node, coarsest first (direct walk).
     fn chain_of(model: &ParserModel, node: NodeId) -> Vec<LadderRung> {
         let mut chain: Vec<LadderRung> = Vec::new();
         let mut current = Some(node);
@@ -208,39 +207,6 @@ impl SaturationLadder {
         debug_assert_eq!(self.rungs.len(), node.0, "ladder out of sync with model");
         self.rungs.push(Self::chain_of(model, node));
     }
-
-    /// Patch the ladder after `delta` was applied to produce `patched` (the model
-    /// returned by [`crate::incremental::apply_delta`]). Only touched subtrees are
-    /// recomputed:
-    ///
-    /// * the subtree under every patched node (its saturation may have changed, and
-    ///   that saturation appears on every descendant's ladder),
-    /// * every appended node,
-    /// * every retired temporary (its own rung array loses its only live entry).
-    ///
-    /// The result is identical to `SaturationLadder::build(patched)` — verified by
-    /// test — at a fraction of the cost when the delta is small.
-    pub fn apply_delta(&mut self, patched: &ParserModel, delta: &ModelDelta) {
-        // Appended nodes (including any retired placeholder padding): fresh chains.
-        while self.rungs.len() < patched.len() {
-            let id = NodeId(self.rungs.len());
-            self.rungs.push(Self::chain_of(patched, id));
-        }
-        // Patched subtrees: the patched node's saturation sits on every descendant's
-        // ladder, so the whole subtree recomputes (children lists in `patched` already
-        // include any appended nodes, whose chains recompute harmlessly).
-        let mut stack: Vec<NodeId> = delta.patches.iter().map(|p| p.node).collect();
-        while let Some(id) = stack.pop() {
-            self.rungs[id.0] = Self::chain_of(patched, id);
-            stack.extend(patched.nodes[id.0].children.iter().copied());
-        }
-        // Retired temporaries: childless roots whose own rung array just emptied.
-        for node in &patched.nodes {
-            if node.temporary && node.retired && node.id.0 < self.rungs.len() {
-                self.rungs[node.id.0] = Self::chain_of(patched, node.id);
-            }
-        }
-    }
 }
 
 /// Template text for a node after applying the query-result optimisation of §7: runs of
@@ -295,7 +261,6 @@ pub fn merge_consecutive_wildcards(template: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::incremental::train_delta;
     use crate::train::train;
     use crate::tree::{TemplateToken, TreeNode};
     use crate::TrainConfig;
@@ -575,38 +540,6 @@ mod tests {
         assert_eq!(ladder.len(), model.len());
         assert_eq!(ladder.resolve(temp, 0.5), temp);
         assert_eq!(ladder, SaturationLadder::build(&model));
-    }
-
-    #[test]
-    fn delta_patched_ladder_equals_a_full_rebuild() {
-        let config = TrainConfig::default();
-        let pre = Preprocessor::new(config.preprocess.clone());
-        let base: Vec<String> = (0..60)
-            .map(|i| format!("request {} served from cache {} in {}ms", i, i % 4, i % 9))
-            .collect();
-        let mut model = train(&base, &pre, &config).model;
-        // Live temporaries that the delta will retire.
-        model.insert_temporary(&["circuit".into(), "breaker".into(), "opened".into()]);
-        let mut ladder = SaturationLadder::build(&model);
-        let drift: Vec<String> = (0..30)
-            .map(|i| format!("circuit breaker opened for upstream svc-{}", i % 6))
-            .collect();
-        let delta = train_delta(&model, &drift, &pre, &config, 0.6);
-        let patched = crate::incremental::apply_delta(&model, &delta);
-        ladder.apply_delta(&patched, &delta);
-        assert_eq!(
-            ladder,
-            SaturationLadder::build(&patched),
-            "incrementally patched ladder must equal a full rebuild"
-        );
-        // And a folding delta (same family) that patches existing subtrees.
-        let folding: Vec<String> = (100..140)
-            .map(|i| format!("request {} served from cache {} in {}ms", i, i % 3, i % 7))
-            .collect();
-        let delta2 = train_delta(&patched, &folding, &pre, &config, 0.6);
-        let patched2 = crate::incremental::apply_delta(&patched, &delta2);
-        ladder.apply_delta(&patched2, &delta2);
-        assert_eq!(ladder, SaturationLadder::build(&patched2));
     }
 
     // -- presentation merging -------------------------------------------------

@@ -69,7 +69,8 @@ use std::time::Duration;
 /// Tuning knobs of the storage tier.
 #[derive(Debug, Clone)]
 pub struct StorageConfig {
-    /// Seal a columnar segment once this many records sit in the WAL.
+    /// Seal a columnar segment once this many records sit in the WAL (clamped to
+    /// at least 1).
     pub segment_records: usize,
     /// fsync at commit points (disable only for benchmarks — a crash may then
     /// lose the tail the OS had not flushed, though framing keeps it safe).
@@ -198,10 +199,9 @@ pub struct RecoveredTopic {
     pub meta: TopicMeta,
     /// The manifest as of open (recovery generation bump already applied).
     pub manifest: Manifest,
-    /// Decoded live segments, ascending by sequence.
+    /// Decoded live segments, ascending by sequence. The WAL tail that follows
+    /// them is [`TopicStorage::wal_tail`].
     pub segments: Vec<Segment>,
-    /// WAL records not yet sealed into a segment, ascending by sequence.
-    pub wal_tail: Vec<WalRecord>,
     /// Maintenance events since the epoch checkpoint, in append order.
     pub events: Vec<DeltaEvent>,
     /// The epoch's base model (empty when no model was trained yet).
@@ -282,6 +282,10 @@ impl TopicStorage {
     /// Initialize a fresh topic store in `dir` (creates the directory tree,
     /// persists `meta.json` and an empty manifest).
     pub fn create(dir: &Path, config: StorageConfig, meta: &TopicMeta) -> io::Result<Self> {
+        let config = StorageConfig {
+            segment_records: config.segment_records.max(1),
+            ..config
+        };
         fs::create_dir_all(dir.join("segments"))?;
         let (meta_path, manifest_path, wal_path, events_path) = Self::paths(dir);
         let json = serde_json::to_string_pretty(meta).map_err(|e| io_invalid(e.to_string()))?;
@@ -308,6 +312,10 @@ impl TopicStorage {
     /// and base file, replay the WAL tail and event log, delete orphan files
     /// from crashed seals and checkpoints, and bump the recovery generation.
     pub fn open(dir: &Path, config: StorageConfig) -> io::Result<(Self, RecoveredTopic)> {
+        let config = StorageConfig {
+            segment_records: config.segment_records.max(1),
+            ..config
+        };
         let (meta_path, manifest_path, wal_path, events_path) = Self::paths(dir);
         let meta_json = fs::read_to_string(&meta_path)?;
         let meta: TopicMeta =
@@ -403,7 +411,6 @@ impl TopicStorage {
             meta,
             manifest: manifest.clone(),
             segments,
-            wal_tail: wal_tail.clone(),
             events: events_list,
             base,
         };
@@ -432,6 +439,12 @@ impl TopicStorage {
     /// The monotonic topic generation (recovery / retention).
     pub fn generation(&self) -> u64 {
         self.manifest.generation
+    }
+
+    /// The records appended since the last segment seal, ascending by sequence: on
+    /// open, the WAL tail recovery replays.
+    pub fn wal_tail(&self) -> &[WalRecord] {
+        &self.pending
     }
 
     /// Next sequence number to assign.

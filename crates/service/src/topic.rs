@@ -10,7 +10,7 @@
 //! After the first training every model change lands the same way (`land_delta`): a
 //! window of stored records is clustered and folded into the live model as a
 //! copy-on-write delta ([`bytebrain::incremental`]) — node ids stay stable, the ladder is
-//! patched and the automaton compiled anew, stored records are re-matched and a durable
+//! rebuilt and the automaton compiled anew, stored records are re-matched and a durable
 //! topic logs one event carrying the delta. The maintenance policies
 //! decide only *when* that runs and *what* it is handed.
 //! [`MaintenancePolicy::FullRetrain`] (the default) fires on the volume/time trigger,
@@ -22,6 +22,12 @@
 //! `check_interval` records: the ingest driver matches and applies a batch in chunks of
 //! that length on either route, so each chunk is matched against the model the
 //! previous chunk's maintenance left.
+//!
+//! Storing a record (`apply_record`) and landing a delta (`land`, `finish_run`,
+//! `apply_moves`) each have one definition, which ingest and [`LogTopic::open`]'s
+//! replay both run: a reopened topic is the live one by construction, and replay adds
+//! only what is on disk in place of what the live topic computed (the flag and node of
+//! each record, the delta, run time and moves of each landing).
 
 use crate::ingest::{drive, IngestConfig, IngestStats, MatchContext, Route};
 use crate::query::{QueryCache, QueryIndex, RecordAccess};
@@ -175,8 +181,9 @@ pub struct LogTopic {
     /// when it is trained, lands a delta or is recovered (`recompile`), and at no other
     /// time. Temporaries inserted since are the tail the match kernel scans.
     compiled: Arc<CompiledMatcher>,
-    /// Precomputed per-node ancestor ladders for indexed query resolution; built at the
-    /// first training, patched per delta, extended per temporary insertion.
+    /// Precomputed per-node ancestor ladders for indexed query resolution: built whole
+    /// when the model is trained, lands a delta or is recovered, extended per temporary
+    /// insertion, never patched.
     ladder: Arc<SaturationLadder>,
     /// Per-node postings (record index lists) maintained at ingest time so queries
     /// never scan the record store.
@@ -269,21 +276,24 @@ impl LogTopic {
     /// Reopen a durable topic from its storage directory, replaying WAL + segments +
     /// event log on top of the epoch's base model file.
     ///
-    /// The replay is **deterministic and match-free**: every record, sealed or in the
-    /// WAL tail, joins the postings index under the template id stored beside it,
-    /// flagged records re-execute the deterministic temporary-template insertion they
-    /// performed live (no matching — the flag and the resulting node id are on disk),
-    /// and maintenance events — retrains included — re-apply the [`ModelDelta`] and
-    /// record moves each one carries. A recovered topic therefore answers every query byte-identically to
-    /// one that never restarted, never retrains on open, and goes on to train on the
-    /// same window the live topic would have.
+    /// The replay is **deterministic and match-free**, and runs the live topic's own
+    /// steps: every record, sealed or in the WAL tail, is stored by
+    /// [`LogTopic::apply_record`] under the template id stored beside it — a flagged
+    /// record re-executes the deterministic temporary-template insertion it performed
+    /// live (no matching: the flag and the resulting node id are on disk) — and every
+    /// maintenance event, retrains included, goes through the live landing's steps with
+    /// the [`ModelDelta`], run time and record moves it carries. Storage is attached
+    /// only once the replay is done, so nothing is logged twice. A recovered topic
+    /// therefore answers every query byte-identically to one that never restarted,
+    /// never retrains on open, and goes on to train on the same window — and land on
+    /// the same trigger count and drift window — as the live topic would have.
     pub fn open(dir: &Path, storage_config: StorageConfig) -> io::Result<Self> {
         let (storage, mut recovered) = TopicStorage::open(dir, storage_config)?;
-        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         let mut topic = LogTopic::new(recovered.meta.to_config());
 
         // Epoch base: the full model and the counters the replay builds on.
-        let mut model = std::mem::take(&mut recovered.base);
+        topic.model = Arc::new(std::mem::take(&mut recovered.base));
+        topic.ladder = Arc::new(SaturationLadder::build(&topic.model));
         let manifest = &recovered.manifest;
         let first_live = manifest.first_live_seq;
         topic.model_version = manifest.model_version_at_epoch;
@@ -292,89 +302,61 @@ impl LogTopic {
         topic.last_training_seconds = manifest.last_training_seconds;
         topic.maintenance_runs = manifest.maintenance_runs_at_epoch;
         topic.last_maintenance_seconds = manifest.last_maintenance_seconds_at_epoch;
-        let mut last_reset_seq = manifest.epoch_start_seq.max(first_live);
+        // The epoch began with a training run, which reset the windows and the trigger.
+        let epoch_start = manifest.epoch_start_seq;
+        let mut last_reset_seq = epoch_start.max(first_live);
+        topic.window_start = (last_reset_seq - first_live) as usize;
 
-        let mut index = QueryIndex::new();
-        index.ensure_nodes(model.len());
         let mut events = recovered.events.iter().peekable();
         let segments = recovered.segments.iter();
-        let mut stored = segments.flat_map(|s| &s.records).chain(&recovered.wal_tail);
+        let mut stored = segments.flat_map(|s| &s.records).chain(storage.wal_tail());
+        let (mut scratch, mut slots) = (TokenScratch::new(), SlotBuffer::new());
         loop {
             let rec = stored.next();
             // An event landed before the record stored at its `at_seq`; a landing
             // after the last stored record trails them all.
             let upto = rec.map_or(u64::MAX, |rec| rec.seq);
             while let Some(event) = events.next_if(|event| event.at_seq <= upto) {
-                model = apply_delta(&model, &event.delta);
-                index.ensure_nodes(model.len());
-                topic.model_version += 1;
-                // The landing absorbed the pending unmatched records.
-                topic.unmatched.clear();
-                // Re-apply the post-delta re-match moves (records dropped by
-                // retention since the event are simply gone).
+                topic.land(&event.delta);
+                topic.finish_run(event.retrain, event.elapsed_seconds);
+                // Records dropped by retention since the event are simply gone.
                 let live = event.moves.iter().filter(|mv| mv.seq >= first_live);
-                let moves: Vec<(usize, Option<NodeId>, Option<NodeId>)> = live
+                let moves: Vec<_> = live
                     .map(|mv| ((mv.seq - first_live) as usize, mv.old, mv.new))
                     .collect();
-                for &(idx, _, new) in &moves {
-                    topic.records.set_template(idx, new);
-                }
-                index.reassign(&moves);
-                if event.retrain {
-                    topic.training_runs += 1;
-                    topic.last_training_seconds = event.elapsed_seconds;
-                } else {
-                    topic.maintenance_runs += 1;
-                    topic.last_maintenance_seconds = event.elapsed_seconds;
-                }
+                topic.apply_moves(&moves);
                 last_reset_seq = event.at_seq;
             }
             let Some(rec) = rec else { break };
-            topic.total_bytes += rec.accounted_bytes();
-            if rec.unmatched {
-                if topic.unmatched.len() < topic.config.training_buffer {
-                    topic.unmatched.push(topic.records.len());
-                }
-                if !model.is_empty() {
-                    // Re-execute the deterministic temporary insertion the live
-                    // topic performed; the resulting node id must reproduce the
-                    // stored assignment or the replay diverged.
-                    let tokens = topic.preprocessor.tokens_of(&rec.text);
-                    let id = model.insert_temporary(&tokens);
-                    topic.model_version += 1;
-                    index.ensure_nodes(model.len());
-                    if rec.node != Some(id) {
-                        return Err(invalid(format!(
-                            "replay diverged at seq {}: temporary {:?} != stored {:?}",
-                            rec.seq,
-                            Some(id),
-                            rec.node
-                        )));
-                    }
-                }
+            // A flagged record's tokens, read as the live match read them; every
+            // other record's slots are filled in below, once every template settled.
+            slots.clear();
+            let (matched, range) = if rec.unmatched {
+                let view = topic.preprocessor.token_view(&rec.text, &mut scratch);
+                (None, slots.extract(&topic.model, None, &rec.text, &view))
+            } else {
+                (rec.node, SlotRange::default())
+            };
+            let node = topic.apply_record(&rec.text, rec.unmatched, matched, (&slots, range));
+            if node != rec.node {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "replay diverged at seq {}: temporary {node:?} != stored {:?}",
+                        rec.seq, rec.node
+                    ),
+                ));
             }
-            // Slots are filled in below, once the replay has settled every template.
-            topic.records.push(
-                &rec.text,
-                rec.node,
-                &SlotBuffer::new(),
-                SlotRange::default(),
-            );
-            // An event moves only records stored before its `at_seq`, so assigning
-            // in stored order yields the index the live topic built.
-            if let Some(node) = rec.node {
-                index.assign(node, topic.records.len() - 1);
+            // The epoch's training reset the drift window; what was stored since
+            // fills it as it did live.
+            if rec.seq >= epoch_start {
+                topic.observe_drift(matched);
             }
         }
 
         let next_seq = storage.next_seq();
-        topic.model = Arc::new(model);
         topic.recover_slots(&recovered, storage.last_delta_seq());
         topic.recompile();
-        topic.ladder = Arc::new(SaturationLadder::build(&topic.model));
-        topic.index = Arc::new(index);
-        let window_start_seq = storage.training_window_start().max(first_live);
-        topic.window_start = (window_start_seq - first_live) as usize;
         // Trigger state: trained (if a model exists), with the volume counter
         // covering the records since the last training/maintenance reset.
         if !topic.model.is_empty() {
@@ -650,56 +632,50 @@ impl LogTopic {
         }
     }
 
-    /// Apply one matched record to the topic state: count it, insert a temporary
-    /// template when unmatched (§3) — its tokens are the `slots` the missed match read
-    /// off its view — account bytes, and append it to the store — the one copy of its
-    /// text, which the training window and the unmatched list point into — with the
-    /// slots its match extracted. Shared by the batch and streaming paths so the
-    /// invariants live in one place.
+    /// Store one record — the one definition, live or replayed: a record `unmatched`
+    /// at ingest joins the pending unmatched list and, once a model exists, becomes a
+    /// temporary template (§3) — its tokens are the `slots` the missed match read off
+    /// its view; any other record is stored under `matched`. Bytes are accounted, the
+    /// WAL appended when storage is attached, and the record appended to the store —
+    /// the one copy of its text, which the training window and the unmatched list
+    /// point into — with the slots its match extracted. Returns the node it is stored
+    /// under.
     fn apply_record(
         &mut self,
         record: &str,
+        unmatched: bool,
         matched: Option<NodeId>,
         (slots, range): (&SlotBuffer, SlotRange),
-        outcome: &mut IngestOutcome,
-    ) {
-        let unmatched_at_ingest = matched.is_none();
-        let template = match matched {
-            Some(id) => {
-                outcome.matched += 1;
-                Some(id)
+    ) -> Option<NodeId> {
+        let template = if !unmatched {
+            matched
+        } else {
+            if self.unmatched.len() < self.config.training_buffer {
+                self.unmatched.push(self.records.len());
             }
-            None => {
-                outcome.unmatched += 1;
-                if self.unmatched.len() < self.config.training_buffer {
-                    self.unmatched.push(self.records.len());
-                }
-                // Rare/unseen logs become temporary templates so identical records
-                // match until the next training cycle absorbs them (§3). With no model
-                // at all there is nothing to insert into yet.
-                if self.model.is_empty() {
-                    None
-                } else {
-                    let tokens: Vec<String> = slots.values(record, range).map(Into::into).collect();
-                    let id = Arc::make_mut(&mut self.model).insert_temporary(&tokens);
-                    // The ladder and the cache key track every model change; the
-                    // automaton does not — the match kernel scans appended nodes.
-                    Arc::make_mut(&mut self.ladder).push_root(&self.model, id);
-                    self.model_version += 1;
-                    Some(id)
-                }
-            }
+            // Rare/unseen logs become temporary templates so identical records match
+            // until the next training cycle absorbs them (§3). With no model at all
+            // there is nothing to insert into yet.
+            (!self.model.is_empty()).then(|| {
+                let tokens: Vec<String> = slots.values(record, range).map(Into::into).collect();
+                let id = Arc::make_mut(&mut self.model).insert_temporary(&tokens);
+                // The ladder and the cache key track every model change; the
+                // automaton does not — the match kernel scans appended nodes.
+                Arc::make_mut(&mut self.ladder).push_root(&self.model, id);
+                self.model_version += 1;
+                id
+            })
         };
         if let Some(storage) = &mut self.storage {
             // WAL first: the flag is the ingest-time outcome (replay re-executes the
             // temporary insertion), the node is the final assignment.
             storage
-                .append_record(unmatched_at_ingest, template, record)
+                .append_record(unmatched, template, record)
                 .expect("WAL append");
         }
         self.total_bytes += record.len() as u64 + 1;
         // A temporary template has no wildcard, nor an unassigned record a template.
-        let range = if unmatched_at_ingest {
+        let range = if unmatched {
             SlotRange::default()
         } else {
             range
@@ -708,6 +684,16 @@ impl LogTopic {
         if let Some(node) = template {
             // Postings grow in ingest order, so per-node index lists stay sorted.
             Arc::make_mut(&mut self.index).assign(node, self.records.len() - 1);
+        }
+        template
+    }
+
+    /// Feed the drift detector one record's match: the saturation of the node it
+    /// matched in the current model, none when it matched nothing.
+    fn observe_drift(&mut self, matched: Option<NodeId>) {
+        if let Some(detector) = &mut self.drift {
+            let saturation = matched.map_or(0.0, |id| self.model.nodes[id.0].saturation);
+            detector.observe(matched.is_some(), saturation);
         }
     }
 
@@ -794,11 +780,12 @@ impl LogTopic {
         }
         let BatchMatch { ids, slots } = matches;
         for (line, &(node, range)) in lines.iter().zip(ids.iter()) {
-            self.apply_record(line, node, (slots, range), outcome);
-            if let Some(detector) = &mut self.drift {
-                let saturation = node.map_or(0.0, |id| self.model.nodes[id.0].saturation);
-                detector.observe(node.is_some(), saturation);
+            match node {
+                Some(_) => outcome.matched += 1,
+                None => outcome.unmatched += 1,
             }
+            self.apply_record(line, node.is_none(), node, (slots, range));
+            self.observe_drift(node);
         }
         self.trigger.observe(lines.len() as u64);
     }
@@ -820,17 +807,11 @@ impl LogTopic {
     /// Fold the unmatched records into the current model (`land_delta`):
     /// existing node ids stay valid, absorbed temporaries are retired, and only the
     /// records the fold orphaned are re-matched. Returns `true` when a delta was
-    /// applied.
+    /// applied. With nothing to absorb it changes nothing — not the trigger count,
+    /// not the drift window — since nothing would be logged for a reopen to replay.
     pub fn run_incremental_maintenance(&mut self) -> bool {
-        if self.model.is_empty() {
-            return false;
-        }
-        if self.unmatched.is_empty() && self.model.temporary_count() == 0 {
-            // Nothing to absorb; restart the trigger clock so the check does not spin.
-            self.trigger.mark_trained(Instant::now());
-            if let Some(detector) = &mut self.drift {
-                detector.reset_window();
-            }
+        let nothing_to_absorb = self.unmatched.is_empty() && self.model.temporary_count() == 0;
+        if self.model.is_empty() || nothing_to_absorb {
             return false;
         }
         self.land_delta(false);
@@ -859,18 +840,19 @@ impl LogTopic {
         self.model = Arc::new(model);
         self.recompile();
         self.ladder = Arc::new(SaturationLadder::build(&self.model));
-        self.finish_run(true, started);
+        self.finish_run(true, started.elapsed().as_secs_f64());
         self.rematch(true);
         self.checkpoint_epoch();
     }
 
     /// The one way a model change lands once a model exists. The window (see
     /// [`LogTopic::window_texts`]) is clustered on its own and merged into the live
-    /// model as a delta — node ids stay stable, so the ladder is patched, not rebuilt;
-    /// the automaton is compiled anew — stored records are re-matched (all of them after
-    /// a retrain, the orphaned ones otherwise), and a durable topic appends one event
-    /// carrying the delta: everything replay needs to fold it back in without matching
-    /// a single line. An in-memory topic serializes nothing.
+    /// model as a delta (node ids stay stable) by the land step replay runs too
+    /// ([`LogTopic::land`]); the automaton is compiled anew, stored records are
+    /// re-matched (all of them after a retrain, the orphaned ones otherwise), and a
+    /// durable topic appends one event carrying the delta: everything replay needs to
+    /// fold it back in without matching a single line. An in-memory topic serializes
+    /// nothing.
     fn land_delta(&mut self, retrain: bool) {
         let started = Instant::now();
         let delta = train_delta(
@@ -880,8 +862,7 @@ impl LogTopic {
             &self.config.train,
             self.config.merge_threshold,
         );
-        let landed = Arc::new(apply_delta(&self.model, &delta));
-        let before = std::mem::replace(&mut self.model, landed);
+        let before = self.land(&delta);
         // A retrain's re-match re-derives every record's slots; otherwise the records
         // on nodes the delta's patches generalised keep their node but gain slots. Done
         // before the re-match: a record it moves onto a patched node brings its slots.
@@ -889,12 +870,10 @@ impl LogTopic {
             self.generalise_slots(&before, &delta);
         }
         drop(before);
-        // Only the subtrees the delta touched recompute.
-        Arc::make_mut(&mut self.ladder).apply_delta(&self.model, &delta);
-        Arc::make_mut(&mut self.index).ensure_nodes(self.model.len());
         // Before the re-match, which matches on it.
         self.recompile();
-        let elapsed_seconds = self.finish_run(retrain, started);
+        let elapsed_seconds = started.elapsed().as_secs_f64();
+        self.finish_run(retrain, elapsed_seconds);
         let moves = self.rematch(retrain);
         let Some(storage) = &mut self.storage else {
             return;
@@ -921,11 +900,21 @@ impl LogTopic {
         }
     }
 
-    /// Bookkeeping shared by every model change: counters, the trigger clock, the
-    /// drift window, the windows the next run will read, the model version and the
-    /// query cache. Returns the run's wall-clock seconds.
-    fn finish_run(&mut self, retrain: bool, started: Instant) -> f64 {
-        let elapsed_seconds = started.elapsed().as_secs_f64();
+    /// The land step, live or replayed: fold `delta` into the model and rebuild what
+    /// is derived from its node set — the saturation ladder, built whole, and the
+    /// postings' node count. Returns the model it replaced.
+    fn land(&mut self, delta: &ModelDelta) -> Arc<ParserModel> {
+        let landed = Arc::new(apply_delta(&self.model, delta));
+        let before = std::mem::replace(&mut self.model, landed);
+        self.ladder = Arc::new(SaturationLadder::build(&self.model));
+        Arc::make_mut(&mut self.index).ensure_nodes(self.model.len());
+        before
+    }
+
+    /// Bookkeeping shared by every model change, live or replayed: counters and the
+    /// run's wall-clock seconds, the trigger clock, the drift window, the windows the
+    /// next run will read, the model version and the query cache.
+    fn finish_run(&mut self, retrain: bool, elapsed_seconds: f64) {
         if retrain {
             self.last_training_seconds = elapsed_seconds;
             self.training_runs += 1;
@@ -942,7 +931,6 @@ impl LogTopic {
         }
         self.model_version += 1;
         self.query_cache.clear();
-        elapsed_seconds
     }
 
     /// Epoch checkpoint of a durable topic: write the current model as the epoch's base
@@ -999,13 +987,14 @@ impl LogTopic {
         let mut fresh = SlotBuffer::new();
         let mut updates = Vec::with_capacity(self.records.len());
         let segments = recovered.segments.iter();
-        let loaded = segments.flat_map(|segment| {
+        let mut loaded = segments.flat_map(|segment| {
             let current = segment.first_seq >= last_delta_seq;
             let column = segment.variables.iter();
             column.map(move |vars| current.then_some(vars))
         });
-        let tail = recovered.wal_tail.iter().map(|_| None);
-        for (idx, column) in loaded.chain(tail).enumerate() {
+        // The WAL tail follows the segments, with no column.
+        for idx in 0..self.records.len() {
+            let column = loaded.next().flatten();
             let text = self.records.text(idx);
             let range = match (column, self.records.template(idx)) {
                 (Some(vars), _) => fresh.push_values(text, vars.iter().map(String::as_str)),
@@ -1044,7 +1033,7 @@ impl LogTopic {
         let mut moves = Vec::new();
         let mut updates = Vec::with_capacity(candidates.len());
         for (&idx, &(node, slots)) in candidates.iter().zip(&results.ids) {
-            let old = self.records.set_template(idx, node);
+            let old = self.records.template(idx);
             if old != node {
                 moves.push((idx, old, node));
             }
@@ -1053,8 +1042,17 @@ impl LogTopic {
         }
         // Every re-matched record's slots come from its re-match, moved or not.
         self.records.replace_slots(&results.slots, &updates);
-        Arc::make_mut(&mut self.index).reassign(&moves);
+        self.apply_moves(&moves);
         moves
+    }
+
+    /// Move records, live or replayed: each `(record index, old, new)` re-assigns the
+    /// record in the store and in the postings.
+    fn apply_moves(&mut self, moves: &[(usize, Option<NodeId>, Option<NodeId>)]) {
+        for &(idx, _, new) in moves {
+            self.records.set_template(idx, new);
+        }
+        Arc::make_mut(&mut self.index).reassign(moves);
     }
 
     /// Current topic statistics.
@@ -1280,6 +1278,37 @@ mod tests {
         let trained = compiled_whole(&topic);
         assert!(topic.ingest(&novel_batch(0, 200)).maintained >= 1);
         assert_ne!(compiled_whole(&topic), trained);
+    }
+
+    /// `StorageConfig`'s fields are public: a `segment_records` of 0 is clamped to 1 on
+    /// create and on open, as `with_segment_records` clamps it, so every commit seals
+    /// one segment per record instead of draining an empty chunk.
+    #[test]
+    fn zero_segment_records_seals_one_record_per_segment() {
+        let dir = std::env::temp_dir().join(format!("bb-zero-segment-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let storage = StorageConfig {
+            segment_records: 0,
+            fsync: false,
+            ..StorageConfig::default()
+        };
+        let config = TopicConfig::new("zero").with_volume_threshold(1_000_000);
+        let mut topic = LogTopic::durable(config, &dir, storage.clone()).unwrap();
+        topic.ingest(&web_access_batch(0, 3));
+        topic.ingest(&web_access_batch(3, 2));
+        let sealed = |topic: &LogTopic| {
+            let segments = topic.storage().expect("durable").segments();
+            assert!(segments.iter().all(|segment| segment.records == 1));
+            segments.len()
+        };
+        assert_eq!(sealed(&topic), 5);
+        drop(topic);
+        let mut reopened = LogTopic::open(&dir, storage).unwrap();
+        assert_eq!(reopened.records().len(), 5);
+        reopened.ingest(&web_access_batch(5, 2));
+        assert_eq!(sealed(&reopened), 7);
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

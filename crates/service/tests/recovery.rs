@@ -8,8 +8,9 @@
 //! [`ServiceManager::open_with`], and assert the recovered topic is byte-identical
 //! to the never-restarted one. The fuzz test varies the interleaving of
 //! ingest / retrain / delta maintenance / retention with the base seed taken
-//! from `BYTEBRAIN_TEST_SEED` (CI varies it across a matrix), and holds the
-//! directory to its one model log after every step.
+//! from `BYTEBRAIN_TEST_SEED` (CI varies it across a matrix), holds the
+//! directory to its one model log after every step, and at every step continues
+//! the reopened topic beside a never-restarted twin until a trigger lands.
 
 use bytebrain::incremental::DriftConfig;
 use bytebrain::{Predicate, Query, QueryPlan};
@@ -422,8 +423,59 @@ fn meta_carrying_the_retired_match_engine_tag_reopens() {
 }
 
 // ---------------------------------------------------------------------------
-// WAL replay ≡ live state at every event boundary (seeded fuzz, satellite 4)
+// WAL replay ≡ live state at every event boundary (seeded fuzz)
 // ---------------------------------------------------------------------------
+
+/// One step of the interleaving fuzz.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Ingest `n` known-family records from `offset`.
+    Known(usize, usize),
+    /// Ingest `n` novel-family records from `offset`.
+    Novel(usize, usize),
+    Retrain,
+    Absorb,
+    Retention,
+}
+
+fn take(topic: &mut LogTopic, step: Step) {
+    match step {
+        Step::Known(offset, n) => _ = topic.ingest(&web_access_batch(offset, n)),
+        Step::Novel(offset, n) => _ = topic.ingest(&novel_batch(offset, n)),
+        Step::Retrain => topic.run_training(),
+        Step::Absorb => _ = topic.run_incremental_maintenance(),
+        Step::Retention => _ = topic.run_storage_maintenance(),
+    }
+}
+
+/// Ingest into `live` and `reopened` alike, in small batches that end past the
+/// volume threshold and carry a family no fuzz step ingests, and never call a
+/// maintenance function: whatever lands, lands on the trigger count, the drift
+/// window, the training window and the pending unmatched records each topic holds.
+/// Every call must have the same outcome on both — a trigger that counts
+/// differently fires at a different call — and the topics must end alike.
+fn continue_alike(live: &mut LogTopic, reopened: &mut LogTopic, offset: usize, ctx: &str) {
+    const BATCH: usize = 50;
+    let batches = live.config().volume_threshold as usize / BATCH + 2;
+    let mut landed = false;
+    for i in 0..batches {
+        let start = offset + i * BATCH;
+        let mut batch = web_access_batch(start, BATCH - 5);
+        batch.extend(auth_batch(start, 5));
+        let outcome = live.ingest(&batch);
+        assert_eq!(
+            reopened.ingest(&batch),
+            outcome,
+            "{ctx}: continued ingest {i}"
+        );
+        landed |= outcome.trained || outcome.maintained > 0;
+    }
+    assert!(
+        landed,
+        "{ctx}: the continuation crossed the volume threshold"
+    );
+    assert_same_but_for_clocks(live, reopened, &format!("{ctx}, continued"));
+}
 
 #[test]
 fn wal_replay_equals_live_at_every_boundary() {
@@ -455,11 +507,14 @@ fn wal_replay_equals_live_at_every_boundary() {
             retention_ttl: *ttl,
             ..fast_storage()
         };
-        let mut topic =
-            LogTopic::durable(config, &dir, storage.clone()).expect("create durable topic");
+        let create = |dir: &Path| {
+            LogTopic::durable(config.clone(), dir, storage.clone()).expect("create durable topic")
+        };
+        let mut topic = create(&dir);
 
         let mut rng = Rng(seed);
         let mut offset = 0usize;
+        let mut steps: Vec<Step> = Vec::new();
         // The landings since the last checkpoint, `(at_seq, retrain)`, and the base
         // file that checkpoint wrote.
         let mut landings: Vec<(u64, bool)> = Vec::new();
@@ -468,27 +523,19 @@ fn wal_replay_equals_live_at_every_boundary() {
         for op_index in 0..OPS {
             let runs = |stats: TopicStats| (stats.training_runs, stats.maintenance_runs);
             let runs_before = runs(topic.stats());
-            let op = rng.below(6);
-            match op {
-                0 | 1 => {
-                    let n = 40 + rng.below(80) as usize;
-                    topic.ingest(&web_access_batch(offset, n));
-                    offset += n;
-                }
-                2 => {
-                    let n = 30 + rng.below(60) as usize;
-                    topic.ingest(&novel_batch(offset, n));
-                    offset += n;
-                }
-                3 => topic.run_training(),
-                4 => {
-                    topic.run_incremental_maintenance();
-                }
-                _ => {
-                    topic.run_storage_maintenance();
-                }
+            let step = match rng.below(6) {
+                0 | 1 => Step::Known(offset, 40 + rng.below(80) as usize),
+                2 => Step::Novel(offset, 30 + rng.below(60) as usize),
+                3 => Step::Retrain,
+                4 => Step::Absorb,
+                _ => Step::Retention,
+            };
+            if let Step::Known(_, n) | Step::Novel(_, n) = step {
+                offset += n;
             }
-            let ctx = format!("{tag} boundary after op {op_index} (kind {op})");
+            take(&mut topic, step);
+            steps.push(step);
+            let ctx = format!("{tag} boundary after op {op_index} ({step:?})");
 
             // One model log: a base file once a model exists, no lineage log, and an
             // event per landing since the checkpoint that wrote that base file.
@@ -518,20 +565,15 @@ fn wal_replay_equals_live_at_every_boundary() {
                 .unwrap_or_else(|e| panic!("{ctx}: recover: {e}"));
             assert_recovered(&recovered, &expected, &ctx);
 
-            // Recovery continues where live does: the reopened topic and the one
-            // that never stopped take the same records, retrain on the same window
-            // and absorb the same unmatched records.
-            if op_index == OPS - 1 {
-                let mut more = web_access_batch(offset, 60);
-                more.extend(novel_batch(offset, 40));
-                for continuing in [&mut topic, &mut recovered] {
-                    continuing.ingest(&more);
-                    continuing.run_training();
-                    continuing.ingest(&novel_batch(offset + 40, 30));
-                    continuing.run_incremental_maintenance();
-                }
-                assert_same_but_for_clocks(&topic, &recovered, &format!("{ctx}, continued"));
-            }
+            // Recovery continues where live does. The live topic's own run goes on
+            // past this boundary, so a twin that never stopped takes the same steps
+            // from scratch and continues in its place.
+            let twin_dir = scratch_dir(&format!("{tag}-twin-{op_index}"));
+            let mut twin = create(&twin_dir);
+            steps.iter().for_each(|&step| take(&mut twin, step));
+            continue_alike(&mut twin, &mut recovered, offset, &ctx);
+            drop((twin, recovered));
+            fs::remove_dir_all(&twin_dir).ok();
             fs::remove_dir_all(&frozen).ok();
         }
         fs::remove_dir_all(&dir).ok();
