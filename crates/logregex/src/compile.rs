@@ -32,118 +32,40 @@ pub struct Program {
     /// or hex-anchored patterns over mostly-alphabetic lines) this removes the
     /// large majority of per-byte thread-seeding work.
     pub start_bytes: Option<StartBytes>,
-    /// Required-byte filter: every match must contain at least one byte from
-    /// *each* of these sets. Derived from the mandatory (non-optional) classes
-    /// of the pattern; empty for empty-matchable patterns. Callers that scan a
-    /// haystack once into a [`BytePresence`] bitmap can reject whole patterns
-    /// in O(1) via [`Program::may_match`] — e.g. a line with no `-` can never
-    /// match a UUID or ISO-timestamp rule, so the VM never runs at all.
-    pub required_bytes: Vec<ByteSet>,
-}
-
-impl Program {
-    /// True when `presence` (the set of bytes occurring in a haystack) does not
-    /// rule out a match. `false` means the pattern provably cannot match any
-    /// haystack with exactly those bytes; `true` means "maybe" — the VM decides.
-    #[inline]
-    pub fn may_match(&self, presence: &BytePresence) -> bool {
-        self.required_bytes
-            .iter()
-            .all(|set| set.intersects(presence))
-    }
-}
-
-/// A set of byte values stored as a 256-bit bitmap.
-#[derive(Clone, PartialEq, Eq)]
-pub struct ByteSet([u64; 4]);
-
-impl ByteSet {
-    fn empty() -> Self {
-        ByteSet([0; 4])
-    }
-
-    fn insert(&mut self, byte: u8) {
-        self.0[(byte >> 6) as usize] |= 1u64 << (byte & 63);
-    }
-
-    fn union_with(&mut self, other: &ByteSet) {
-        for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
-            *a |= b;
-        }
-    }
-
-    fn from_class(class: &ByteClass) -> Self {
-        let mut set = ByteSet::empty();
-        for byte in 0..=255u8 {
-            if class.contains(byte) {
-                set.insert(byte);
-            }
-        }
-        set
-    }
-
-    /// True when a byte from this set occurs in the scanned haystack.
-    #[inline]
-    pub fn intersects(&self, presence: &BytePresence) -> bool {
-        self.0
-            .iter()
-            .zip(presence.0.iter())
-            .any(|(a, b)| a & b != 0)
-    }
-
-    /// Number of member bytes.
-    pub fn len(&self) -> usize {
-        self.0.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True when no byte is a member.
-    pub fn is_empty(&self) -> bool {
-        self.0.iter().all(|&w| w == 0)
-    }
-}
-
-impl std::fmt::Debug for ByteSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ByteSet({} bytes)", self.len())
-    }
-}
-
-/// The set of distinct byte values occurring in a haystack, scanned once and
-/// then shared across every pattern probed against that haystack.
-#[derive(Clone)]
-pub struct BytePresence([u64; 4]);
-
-impl BytePresence {
-    /// Scan `bytes` into a presence bitmap (one pass, no allocation).
-    pub fn scan(bytes: &[u8]) -> Self {
-        let mut words = [0u64; 4];
-        for &b in bytes {
-            words[(b >> 6) as usize] |= 1u64 << (b & 63);
-        }
-        BytePresence(words)
-    }
 }
 
 /// 256-entry membership table of the bytes a match can start with.
 #[derive(Clone)]
-pub struct StartBytes([bool; 256]);
+pub struct StartBytes {
+    bytes: [bool; 256],
+    /// The `Byte` instructions a match attempt starts on, when no anchor lies on the
+    /// way to them: the VM seeds these directly instead of walking the epsilon
+    /// closure from pc 0 at every offset (a union of many rules has a large one).
+    seeds: Option<Box<[usize]>>,
+}
 
 impl StartBytes {
     /// True when a match may begin with `byte`.
     #[inline]
     pub fn contains(&self, byte: u8) -> bool {
-        self.0[byte as usize]
+        self.bytes[byte as usize]
     }
 
     /// Number of member bytes (diagnostics/tests).
     pub fn len(&self) -> usize {
-        self.0.iter().filter(|&&b| b).count()
+        self.bytes.iter().filter(|&&b| b).count()
     }
 
     /// True when no byte can start a match (the pattern is unmatchable on any
     /// non-empty position set — e.g. an alternation of empty-class patterns).
     pub fn is_empty(&self) -> bool {
-        !self.0.iter().any(|&b| b)
+        !self.bytes.iter().any(|&b| b)
+    }
+
+    /// The `Byte` instructions reachable from pc 0 without reading a byte, or `None`
+    /// when an anchor lies on the way (their reach then depends on the offset).
+    pub(crate) fn seeds(&self) -> Option<&[usize]> {
+        self.seeds.as_deref()
     }
 }
 
@@ -157,81 +79,15 @@ impl std::fmt::Debug for StartBytes {
 pub fn compile(ast: &Ast) -> Program {
     let insts = instructions(ast);
     let start_bytes = compute_start_bytes(&insts);
-    let required_bytes = compute_required_bytes(ast);
-    Program {
-        insts,
-        start_bytes,
-        required_bytes,
-    }
+    Program { insts, start_bytes }
 }
 
-/// The instruction list of `ast`, ending in [`Inst::Match`], without the prefilters.
+/// The instruction list of `ast`, ending in [`Inst::Match`], without the prefilter.
 pub(crate) fn instructions(ast: &Ast) -> Vec<Inst> {
     let mut c = Compiler { insts: Vec::new() };
     c.emit_ast(ast);
     c.insts.push(Inst::Match);
     c.insts
-}
-
-/// Collect byte sets such that every match of `ast` must contain at least one
-/// byte from each set, deduplicated and ordered smallest-first (the cheapest
-/// filters reject earliest). Capped at four sets — beyond that the incremental
-/// rejection power is not worth the per-probe intersection cost.
-fn compute_required_bytes(ast: &Ast) -> Vec<ByteSet> {
-    let mut sets = Vec::new();
-    collect_required(ast, &mut sets);
-    sets.sort_by_key(ByteSet::len);
-    sets.dedup();
-    sets.truncate(4);
-    sets
-}
-
-fn collect_required(ast: &Ast, out: &mut Vec<ByteSet>) {
-    match ast {
-        Ast::Empty | Ast::StartAnchor | Ast::EndAnchor => {}
-        Ast::Class(class) => {
-            let set = ByteSet::from_class(class);
-            // An empty class makes the node unmatchable; recording the empty
-            // set would mark the whole pattern as never-matching, which is
-            // correct but surprising — leave rejection to the VM instead.
-            if !set.is_empty() {
-                out.push(set);
-            }
-        }
-        Ast::Concat(items) => {
-            for item in items {
-                collect_required(item, out);
-            }
-        }
-        Ast::Alternate(branches) => {
-            // A match takes exactly one branch. If every branch has at least
-            // one required set, the union of one set per branch is required
-            // for the alternation as a whole.
-            let mut union = ByteSet::empty();
-            let mut every_branch_requires = true;
-            for branch in branches {
-                let mut branch_sets = Vec::new();
-                collect_required(branch, &mut branch_sets);
-                match branch_sets.iter().min_by_key(|s| s.len()) {
-                    Some(smallest) => union.union_with(smallest),
-                    None => {
-                        // A branch with no requirement (e.g. empty-matchable)
-                        // means the alternation as a whole requires nothing.
-                        every_branch_requires = false;
-                        break;
-                    }
-                }
-            }
-            if every_branch_requires {
-                out.push(union);
-            }
-        }
-        Ast::Repeat { node, min, .. } => {
-            if *min >= 1 {
-                collect_required(node, out);
-            }
-        }
-    }
 }
 
 /// Epsilon-closure walk from pc 0 collecting every byte class a match attempt
@@ -243,6 +99,7 @@ fn collect_required(ast: &Ast, out: &mut Vec<ByteSet>) {
 /// end-of-haystack, which also disables the filter.
 fn compute_start_bytes(insts: &[Inst]) -> Option<StartBytes> {
     let mut set = [false; 256];
+    let (mut seeds, mut anchored) = (Vec::new(), false);
     let mut seen = vec![false; insts.len()];
     let mut stack = vec![0usize];
     while let Some(pc) = stack.pop() {
@@ -256,8 +113,12 @@ fn compute_start_bytes(insts: &[Inst]) -> Option<StartBytes> {
                 stack.push(*prefer);
                 stack.push(*other);
             }
-            Inst::AssertStart | Inst::AssertEnd => stack.push(pc + 1),
+            Inst::AssertStart | Inst::AssertEnd => {
+                anchored = true;
+                stack.push(pc + 1);
+            }
             Inst::Byte(class) => {
+                seeds.push(pc);
                 for byte in 0..=255u8 {
                     if class.contains(byte) {
                         set[byte as usize] = true;
@@ -267,7 +128,10 @@ fn compute_start_bytes(insts: &[Inst]) -> Option<StartBytes> {
             Inst::Match => return None,
         }
     }
-    Some(StartBytes(set))
+    Some(StartBytes {
+        bytes: set,
+        seeds: (!anchored).then(|| seeds.into_boxed_slice()),
+    })
 }
 
 struct Compiler {

@@ -23,16 +23,29 @@
 //!
 //! # Which path runs
 //!
-//! [`Regex::new`] compiles a pattern once into a Thompson-NFA [`Program`] and, from it,
-//! an immutable DFA table over byte equivalence classes. Every search
-//! ([`Regex::find_at`], and through it `find`, `find_iter`, `replace_all`, `split`)
-//! walks the table in two passes: forward to the end of the leftmost-longest match,
-//! then the reversed pattern backward from there to its start. Each pass reads each
-//! byte at most once, so a search costs `O(haystack)` table steps — never more than
-//! twice the bytes the Pike VM would read, each step one lookup where the VM advances
-//! every live thread. The Pike VM runs only for a pattern whose table would pass a
-//! constant state cap; in debug builds it also re-derives every table answer (one
-//! `debug_assert_eq!`, in [`Regex::find_at`]).
+//! [`Regex::new`] compiles a pattern once into a Thompson-NFA [`Program`] and a DFA
+//! table over byte equivalence classes whose rows are built lazily: a transition is
+//! computed the first time a search needs it and never changes after, behind the
+//! `Arc` every clone shares (a filled transition is read without a lock, a missing one
+//! is filled under the table's one mutex). Every search ([`Regex::find_at`], and
+//! through it `find`, `find_iter`, `replace_all`, `split`) walks the table in two
+//! passes: forward to the end of the leftmost-longest match, then the reversed pattern
+//! backward from there to its start. Each pass reads each byte at most once, so a
+//! search costs `O(haystack)` table steps — each one lookup where the Pike VM advances
+//! every live thread.
+//!
+//! Each direction of a table may hold a constant budget of states; a search that needs
+//! one more finishes on the Pike VM, with the same answer, so `Regex::new` costs the
+//! same whatever the pattern's state count, and [`Regex::dfa_states`] counts the
+//! states built so far. In debug builds the VM also re-derives every table answer (one
+//! `debug_assert_eq!`, in the search every entry point goes through).
+//!
+//! Iteration is linear too. A forward pass can run far past the match it returns (in
+//! `\d+B|\d{2}` over a digit run, `\d+B` outlives every `\d{2}` match), and the next
+//! pass of the same [`Regex::find_iter`] would read those bytes again. Both engines
+//! keep a trail: a pass that runs well past its first accept records its state at each
+//! offset, and a later pass that reaches a recorded state past the recording pass's
+//! last accept stops there, since its future is the one that accepted nothing more.
 //!
 //! # Example
 //!
@@ -52,7 +65,7 @@ mod matcher;
 mod parser;
 mod table;
 
-pub use compile::{BytePresence, ByteSet, Program, StartBytes};
+pub use compile::{Program, StartBytes};
 pub use error::RegexError;
 
 use std::sync::Arc;
@@ -60,15 +73,21 @@ use table::DfaTable;
 
 /// A compiled regular expression.
 ///
-/// Construction parses and compiles the pattern once, into the NFA program and its DFA
-/// table; matching is then a table walk, linear in the input length, with no
-/// pathological backtracking. Clones share the table.
+/// Construction parses and compiles the pattern once, into the NFA program and its
+/// lazily built DFA table; matching is then a table walk, linear in the input length,
+/// with no pathological backtracking. Clones share the program and the table, so a
+/// state one clone's search builds serves every other clone.
 #[derive(Debug, Clone)]
 pub struct Regex {
+    compiled: Arc<Compiled>,
+}
+
+#[derive(Debug)]
+struct Compiled {
     pattern: String,
     program: Program,
-    /// `None` when the pattern passes the state cap; every search then runs on the VM.
-    table: Option<Arc<DfaTable>>,
+    /// `None` only for [`Regex::pike_vm_only`]: every search then runs on the VM.
+    table: Option<DfaTable>,
 }
 
 /// A single match: byte offsets `[start, end)` into the haystack.
@@ -97,6 +116,14 @@ impl Match {
     }
 }
 
+/// What the passes of one iteration over one haystack leave for the next: each
+/// engine's trail (see the crate docs), and the VM's thread lists.
+#[derive(Debug, Default)]
+struct Trails {
+    table: table::Trail,
+    vm: matcher::Cache,
+}
+
 impl Regex {
     /// Parse and compile `pattern`.
     ///
@@ -105,11 +132,13 @@ impl Regex {
     pub fn new(pattern: &str) -> Result<Self, RegexError> {
         let ast = parser::parse(pattern)?.whole_scalars();
         let program = compile::compile(&ast);
-        let table = DfaTable::build(&ast, &program, table::MAX_STATES).map(Arc::new);
+        let table = Some(DfaTable::build(&ast, &program, table::MAX_STATES));
         Ok(Regex {
-            pattern: pattern.to_string(),
-            program,
-            table,
+            compiled: Arc::new(Compiled {
+                pattern: pattern.to_string(),
+                program,
+                table,
+            }),
         })
     }
 
@@ -118,21 +147,24 @@ impl Regex {
     /// path calls it.
     pub fn pike_vm_only(&self) -> Regex {
         Regex {
-            table: None,
-            ..self.clone()
+            compiled: Arc::new(Compiled {
+                pattern: self.compiled.pattern.clone(),
+                program: self.compiled.program.clone(),
+                table: None,
+            }),
         }
     }
 
-    /// Number of states of the pattern's DFA table (both directions, dead states
-    /// included), or `None` when the pattern passed the state cap and runs on the Pike
-    /// VM alone.
+    /// Number of DFA states built so far (both directions, dead states included): it
+    /// grows as searches need new states, up to a constant budget per direction. `None`
+    /// for [`Regex::pike_vm_only`].
     pub fn dfa_states(&self) -> Option<usize> {
-        self.table.as_ref().map(|table| table.states())
+        self.compiled.table.as_ref().map(DfaTable::states)
     }
 
     /// The original pattern string.
     pub fn as_str(&self) -> &str {
-        &self.pattern
+        &self.compiled.pattern
     }
 
     /// True when the pattern matches anywhere in `haystack`.
@@ -154,22 +186,40 @@ impl Regex {
     }
 
     /// Leftmost-longest match starting at or after byte offset `start`.
-    ///
-    /// The DFA table answers; the Pike VM runs only for a pattern without a table. In
-    /// debug builds the VM also re-derives every table answer (the seam's one
-    /// `debug_assert_eq!`).
     pub fn find_at(&self, haystack: &str, start: usize) -> Option<Match> {
+        self.search(haystack, start, &mut Trails::default())
+    }
+
+    /// The one search every entry point goes through. The DFA table answers; the Pike
+    /// VM runs for a search that needs a state past the table's budget, and for a
+    /// pattern without a table. In debug builds the VM also re-derives every table
+    /// answer (the seam's one `debug_assert_eq!`), with its own trail.
+    fn search(&self, haystack: &str, start: usize, trails: &mut Trails) -> Option<Match> {
         let bytes = haystack.as_bytes();
-        let Some(table) = &self.table else {
-            return matcher::find_at(&self.program, bytes, start, bytes.len());
+        let Compiled {
+            pattern,
+            program,
+            table,
+        } = &*self.compiled;
+        let tabled = table
+            .as_ref()
+            .and_then(|table| table.find_at(bytes, start, &mut trails.table).ok());
+        let found = match tabled {
+            Some(found) => {
+                debug_assert_eq!(
+                    found,
+                    matcher::find_at(program, bytes, start, &mut trails.vm),
+                    "DFA table of {pattern:?} diverged from the Pike VM at offset {start} \
+                     of {haystack:?}"
+                );
+                found
+            }
+            None => matcher::find_at(program, bytes, start, &mut trails.vm),
         };
-        let found = table.find_at(bytes, start);
-        debug_assert_eq!(
-            found,
-            matcher::find_at(&self.program, bytes, start, bytes.len()),
-            "DFA table of {:?} diverged from the Pike VM at offset {start} of {haystack:?}",
-            self.pattern
-        );
+        if let Some(m) = found {
+            trails.table.settle(m.end);
+            trails.vm.settle(m.end);
+        }
         found
     }
 
@@ -177,22 +227,15 @@ impl Regex {
     /// the scan resumes at the next character boundary, never inside a multi-byte
     /// character, and a match that would start or end inside one (a byte-level class
     /// such as `\xa9`) is skipped: the scan resumes at the next boundary past its start.
+    /// The whole iteration reads the haystack in time linear in its length for the
+    /// shapes the crate docs name.
     pub fn find_iter<'r, 'h>(&'r self, haystack: &'h str) -> Matches<'r, 'h> {
         Matches {
             regex: self,
             haystack,
             pos: 0,
+            trails: Trails::default(),
         }
-    }
-
-    /// True when `presence` (a one-pass byte bitmap of some haystack, see
-    /// [`BytePresence::scan`]) does not rule out a match of this pattern.
-    /// `false` is definitive — the pattern cannot match that haystack; `true`
-    /// means a search must decide. Lets callers probing many patterns
-    /// against the same line (the masking pipeline) skip most of them in O(1).
-    #[inline]
-    pub fn may_match(&self, presence: &BytePresence) -> bool {
-        self.program.may_match(presence)
     }
 
     /// Replace every non-overlapping match with `replacement` (a literal string).
@@ -231,13 +274,13 @@ impl Regex {
     /// Number of NFA instructions in the compiled program (useful for testing and for
     /// enforcing complexity budgets on user-supplied patterns).
     pub fn program_len(&self) -> usize {
-        self.program.insts.len()
+        self.compiled.program.insts.len()
     }
 
     /// The compiled NFA program, exposing the first-byte prefilter for
     /// introspection (diagnostics and tests).
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.compiled.program
     }
 }
 
@@ -257,6 +300,7 @@ pub struct Matches<'r, 'h> {
     regex: &'r Regex,
     haystack: &'h str,
     pos: usize,
+    trails: Trails,
 }
 
 impl<'r, 'h> Iterator for Matches<'r, 'h> {
@@ -276,7 +320,7 @@ impl<'r, 'h> Iterator for Matches<'r, 'h> {
             if self.pos > haystack.len() {
                 return None;
             }
-            let m = self.regex.find_at(haystack, self.pos)?;
+            let m = self.regex.search(haystack, self.pos, &mut self.trails)?;
             if !(haystack.is_char_boundary(m.start) && haystack.is_char_boundary(m.end)) {
                 self.pos = boundary_after(m.start);
                 continue;
@@ -534,14 +578,29 @@ mod tests {
     }
 
     #[test]
-    fn default_patterns_get_tables_and_clones_share_them() {
+    fn iterating_past_matches_an_outliving_thread_spans_stays_linear() {
+        // `\d+B` lives to the end of the run while `\d{2}` matches every two digits:
+        // without the trail every pass would walk the rest of the run.
+        let re = Regex::new(r"\d+B|\d{2}").unwrap();
+        let haystack = format!("{} B", "1".repeat(100_000));
+        let started = std::time::Instant::now();
+        let masked = re.replace_all(&haystack, "<*>");
+        let elapsed = started.elapsed();
+        assert_eq!(masked, format!("{} B", "<*>".repeat(50_000)));
+        assert!(
+            elapsed < std::time::Duration::from_millis(500),
+            "iteration took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn clones_share_one_lazily_built_table() {
         let re = Regex::new(r"\d+(\.\d+)?(ms|us|ns|sec|secs|seconds)").unwrap();
-        assert!(re.dfa_states().is_some());
         let clone = re.clone();
-        assert!(Arc::ptr_eq(
-            re.table.as_ref().unwrap(),
-            clone.table.as_ref().unwrap()
-        ));
+        assert!(Arc::ptr_eq(&re.compiled, &clone.compiled));
+        let cold = re.dfa_states().unwrap();
+        assert_eq!(clone.replace_all("took 35ms", "<*>"), "took <*>");
+        assert!(re.dfa_states().unwrap() > cold);
         assert_eq!(re.pike_vm_only().dfa_states(), None);
     }
 

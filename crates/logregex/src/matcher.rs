@@ -2,11 +2,12 @@
 //!
 //! The simulation runs in `O(haystack_len * program_len)` time and constant extra space
 //! per program instruction — no backtracking, matching the paper's requirement that user
-//! patterns stay linear-time (§4.1.1). It has two jobs: finishing the searches the DFA
-//! table does not cover (`crate::table`), and checking the table's answers in debug
-//! builds. Both calls are in `Regex::find_at`.
+//! patterns stay linear-time (§4.1.1). It has two jobs: finishing the searches that
+//! would need a DFA state past the table's budget (`crate::table`), and checking the
+//! table's answers in debug builds. Both calls are in `Regex`'s one search.
 
 use crate::compile::{Inst, Program};
+use crate::table::TRAIL_LAG;
 use crate::Match;
 
 /// A live NFA thread: the instruction it sits on and the haystack offset where its match
@@ -18,6 +19,7 @@ struct Thread {
 }
 
 /// Thread list with O(1) membership test per instruction.
+#[derive(Debug, Default)]
 struct ThreadList {
     threads: Vec<Thread>,
     /// `seen[pc]` holds (generation, start) of the best thread already queued at `pc`.
@@ -26,17 +28,34 @@ struct ThreadList {
 }
 
 impl ThreadList {
-    fn new(prog_len: usize) -> Self {
-        ThreadList {
-            threads: Vec::with_capacity(prog_len),
-            seen: vec![(0, usize::MAX); prog_len],
-            generation: 0,
+    /// Size the list for a program of `prog_len` instructions (a no-op when it is).
+    fn fit(&mut self, prog_len: usize) {
+        if self.seen.len() != prog_len {
+            *self = ThreadList {
+                threads: Vec::with_capacity(prog_len),
+                seen: vec![(0, usize::MAX); prog_len],
+                generation: 0,
+            };
         }
     }
 
     fn clear(&mut self) {
         self.threads.clear();
         self.generation += 1;
+    }
+
+    /// Into `out`, sorted: the instructions of the threads that can still improve a
+    /// match starting at `best_start`.
+    fn live_pcs(&self, best_start: usize, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(
+            self.threads
+                .iter()
+                .filter(|th| th.start <= best_start)
+                .map(|th| th.pc as u32),
+        );
+        out.sort_unstable();
+        out.dedup();
     }
 
     /// Returns true when the thread should be added (either unseen this generation, or
@@ -51,15 +70,89 @@ impl ThreadList {
     }
 }
 
-/// Find the leftmost-longest match whose start offset is `>= from`.
-pub fn find_at(program: &Program, haystack: &[u8], from: usize, len: usize) -> Option<Match> {
+/// What the VM passes of one iteration over one haystack reuse: the thread lists,
+/// sized once for the program, and the trail.
+#[derive(Debug, Default)]
+pub(crate) struct Cache {
+    current: ThreadList,
+    next: ThreadList,
+    live: Vec<u32>,
+    trail: Trail,
+}
+
+impl Cache {
+    /// Note that a pass of this iteration returned a match ending at `end`.
+    pub(crate) fn settle(&mut self, end: usize) {
+        self.trail.settled = self.trail.settled.max(end);
+    }
+}
+
+/// The VM's counterpart of the table's trail (`crate::table`): within one iteration
+/// over one haystack, the set of live instructions a pass held at each offset once it
+/// ran more than `TRAIL_LAG` bytes past its first accept. Once a match is seen no new
+/// thread starts, and a thread's future reaches `Match` or not by its instruction
+/// alone, so a later pass holding the same set at an offset past the recording pass's
+/// last accept accepts nothing more: it stops there.
+#[derive(Debug, Default)]
+struct Trail {
+    /// Offset of `sets[0]`.
+    base: usize,
+    /// Per offset from `base`, the range of `pcs` holding its set (`None`: no record).
+    sets: Vec<Option<(u32, u32)>>,
+    pcs: Vec<u32>,
+    /// The furthest match end any pass of the iteration returned.
+    settled: usize,
+}
+
+impl Trail {
+    /// The set recorded at `pos` past its pass's last accept, if any.
+    fn at(&self, pos: usize) -> Option<&[u32]> {
+        if pos <= self.settled {
+            return None;
+        }
+        let (from, to) = (*self.sets.get(pos.checked_sub(self.base)?)?)?;
+        Some(&self.pcs[from as usize..to as usize])
+    }
+
+    fn record(&mut self, pos: usize, set: &[u32]) {
+        if self.sets.is_empty() {
+            self.base = pos;
+        }
+        let Some(at) = pos.checked_sub(self.base) else {
+            return;
+        };
+        if at >= self.sets.len() {
+            self.sets.resize(at + 1, None);
+        }
+        let from = self.pcs.len() as u32;
+        self.pcs.extend_from_slice(set);
+        self.sets[at] = Some((from, self.pcs.len() as u32));
+    }
+}
+
+/// Find the leftmost-longest match whose start offset is `>= from`. `cache` carries
+/// earlier passes of one iteration over this `haystack`; the caller settles it with
+/// the answer ([`Cache::settle`]).
+pub(crate) fn find_at(
+    program: &Program,
+    haystack: &[u8],
+    from: usize,
+    cache: &mut Cache,
+) -> Option<Match> {
+    let len = haystack.len();
     if from > len {
         return None;
     }
-    let prog_len = program.insts.len();
-    let mut current = ThreadList::new(prog_len);
-    let mut next = ThreadList::new(prog_len);
+    let Cache {
+        current,
+        next,
+        live,
+        trail,
+    } = cache;
+    current.fit(program.insts.len());
+    next.fit(program.insts.len());
     let mut best: Option<Match> = None;
+    let mut first_accept = None;
 
     current.clear();
     let mut pos = from;
@@ -78,10 +171,28 @@ pub fn find_at(program: &Program, haystack: &[u8], from: usize, len: usize) -> O
                         }
                     }
                     if pos < len && start_bytes.contains(haystack[pos]) {
-                        add_thread(program, &mut current, 0, pos, pos, len, &mut best);
+                        match start_bytes.seeds() {
+                            // No anchor on the way, so the closure from pc 0 is the
+                            // same at every offset. Walking it would stop at each
+                            // instruction an earlier start already holds, and every seed
+                            // past one is held by an earlier start too: admitting the
+                            // seeds alone admits the same threads (less those whose
+                            // class misses this byte, which the step would drop).
+                            Some(seeds) => {
+                                for &pc in seeds {
+                                    let Inst::Byte(class) = &program.insts[pc] else {
+                                        continue;
+                                    };
+                                    if class.contains(haystack[pos]) && current.admit(pc, pos) {
+                                        current.threads.push(Thread { pc, start: pos });
+                                    }
+                                }
+                            }
+                            None => add_thread(program, current, 0, pos, pos, len, &mut best),
+                        }
                     }
                 }
-                None => add_thread(program, &mut current, 0, pos, pos, len, &mut best),
+                None => add_thread(program, current, 0, pos, pos, len, &mut best),
             }
         }
         if current.threads.is_empty() && best.is_some() {
@@ -92,6 +203,7 @@ pub fn find_at(program: &Program, haystack: &[u8], from: usize, len: usize) -> O
         }
         let byte = haystack[pos];
         next.clear();
+        let before = best;
         // Iterate by index: add_thread only appends to `next`, never `current`.
         for i in 0..current.threads.len() {
             let th = current.threads[i];
@@ -102,25 +214,34 @@ pub fn find_at(program: &Program, haystack: &[u8], from: usize, len: usize) -> O
             }
             if let Inst::Byte(class) = &program.insts[th.pc] {
                 if class.contains(byte) {
-                    add_thread(
-                        program,
-                        &mut next,
-                        th.pc + 1,
-                        th.start,
-                        pos + 1,
-                        len,
-                        &mut best,
-                    );
+                    add_thread(program, next, th.pc + 1, th.start, pos + 1, len, &mut best);
                 }
             }
         }
-        std::mem::swap(&mut current, &mut next);
+        std::mem::swap(current, next);
         pos += 1;
         if current.threads.is_empty() && best.is_some() {
             break;
         }
         if current.threads.is_empty() && best.is_none() && pos > len {
             break;
+        }
+        let Some(m) = best else {
+            continue;
+        };
+        let first = *first_accept.get_or_insert(m.end);
+        if best != before {
+            continue;
+        }
+        let recording = pos - first > TRAIL_LAG;
+        if recording || trail.at(pos).is_some() {
+            current.live_pcs(m.start, live);
+            if trail.at(pos) == Some(&live[..]) {
+                break;
+            }
+            if recording {
+                trail.record(pos, live);
+            }
         }
     }
     best
@@ -248,7 +369,7 @@ mod tests {
     #[test]
     fn prefilter_agrees_with_unfiltered_vm_on_mixed_haystacks() {
         use crate::compile::compile;
-        use crate::matcher::find_at;
+        use crate::matcher::{find_at, Cache};
         use crate::parser::parse;
 
         let patterns = [
@@ -278,8 +399,9 @@ mod tests {
             unfiltered.start_bytes = None;
             for hay in haystacks {
                 for from in 0..=hay.len() {
-                    let got = find_at(&filtered, hay.as_bytes(), from, hay.len());
-                    let expected = find_at(&unfiltered, hay.as_bytes(), from, hay.len());
+                    let got = find_at(&filtered, hay.as_bytes(), from, &mut Cache::default());
+                    let expected =
+                        find_at(&unfiltered, hay.as_bytes(), from, &mut Cache::default());
                     assert_eq!(got, expected, "pattern={pattern:?} hay={hay:?} from={from}");
                 }
             }

@@ -1,10 +1,19 @@
-//! Per-pattern DFA tables: two subset constructions over byte equivalence classes that
-//! together find exactly the Pike VM's leftmost-longest match, in linear time.
+//! Per-pattern DFA tables, built lazily: two subset constructions over byte equivalence
+//! classes that together find exactly the Pike VM's leftmost-longest match, in linear
+//! time.
 //!
-//! [`Regex::new`](crate::Regex::new) builds one [`DfaTable`] per pattern, eagerly, and
-//! never changes it; clones share it through an `Arc`, so pool workers search it
-//! without a lock. Columns are byte classes (bytes no instruction of the program tells
-//! apart share a column), so the default mask rules need 3–10 columns each.
+//! [`Regex::new`](crate::Regex::new) makes one [`DfaTable`] per pattern and builds only
+//! its start states. Every other transition is computed the first time a search needs
+//! it, as in RE2's lazy DFA or regex-automata's `hybrid::dfa`, and never changes after.
+//! The table lives behind the `Arc` that clones of the pattern share, so every pool
+//! worker and every parser warms and reads one table: a filled transition is read
+//! without a lock, and a missing one is filled under the table's one mutex. Columns
+//! are byte classes (bytes no instruction of the program tells apart share a column).
+//!
+//! Each direction may intern at most [`MAX_STATES`] states. A search that needs one
+//! more gives up, and [`Regex`](crate::Regex) finishes it on the Pike VM, with the same
+//! answer; the states already built keep serving every search that stays on them.
+//! `Regex::new` therefore costs the same whatever a pattern's state count.
 //!
 //! A search makes two passes:
 //!
@@ -21,36 +30,69 @@
 //!   leftmost start of a match ending there, which is the VM's start (no match starts
 //!   further left).
 //!
-//! Each pass reads every byte at most once, so a search costs at most twice the bytes
-//! the VM reads, with no step budget and no restart. A pattern whose table would need
-//! more than [`MAX_STATES`] states per direction (or more construction work than
-//! [`MAX_BUILD_WORK`]) has no table and runs on the VM alone.
+//! Each pass reads every byte at most once. Within one `find_iter`, a forward pass may
+//! still run far past its match end (a thread of `\d+B` outlives every `\d{2}` match
+//! of a digit run), and the next pass would read those bytes again. A [`Trail`] stops
+//! that: a pass that runs more than [`TRAIL_LAG`] bytes past its first accept records
+//! its state at each offset, and a later pass that holds the recorded state at an
+//! offset past the recording pass's last accept stops there — its future is that
+//! pass's, which accepted nothing more.
 
 use crate::ast::Ast;
 use crate::compile::{instructions, Inst, Program};
 use crate::Match;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
-/// Most states one direction's table may hold; past it the pattern has no table and
-/// always runs on the VM (`(a|b)*a(a|b){12}` needs 2¹³).
-pub(crate) const MAX_STATES: usize = 2048;
+/// Most states one direction may intern. A search that needs another finishes on the
+/// VM (`(a|b)*a(a|b){12}` needs 2¹³ forward states on a long enough haystack).
+pub(crate) const MAX_STATES: usize = 4096;
 
-/// Most NFA-instruction visits (plus table cells) one construction may spend before it
-/// gives up, so a huge program (nested bounded repeats) costs milliseconds at
-/// `Regex::new`, not seconds.
-const MAX_BUILD_WORK: usize = 1 << 20;
+/// How far past its first accept a forward pass runs before it records a [`Trail`].
+/// Shorter runs cost their next pass at most this many bytes again.
+pub(crate) const TRAIL_LAG: usize = 32;
 
-/// The dead state: no thread is left, so nothing can change the answer any more.
-const DEAD: u16 = 0;
+/// Rows per allocation: a direction's rows are allocated this many at a time, so a
+/// table holds memory for the states it has built, not for its budget.
+const CHUNK_ROWS: usize = 256;
 
+// A transition cell holds its target state *encoded*: the offset of the state's row
+// (its id times the stride) above `ROW_SHIFT`, the `KNOWN` bit, and the target's
+// accept flags, so a step needs neither a multiply nor a second lookup. A zero cell
+// has not been computed yet.
+
+/// A transition not computed yet.
+const UNKNOWN: u32 = 0;
 /// State flag: a match ends at the offset where this state was entered.
-const ACCEPT: u8 = 1;
+const ACCEPT: u32 = 1;
 /// State flag: a match ends here if this is the end of the input (`ACCEPT`, or a path
 /// through `$` — `^` in the reversed pattern — to the match instruction).
-const ACCEPT_AT_END: u8 = 2;
+const ACCEPT_AT_END: u32 = 2;
+/// Set in every computed cell, so that no encoded state is `UNKNOWN`.
+const KNOWN: u32 = 4;
+const ROW_SHIFT: u32 = 3;
+/// The dead state (id 0, row 0): no thread is left, so nothing can change the answer any more.
+const DEAD: u32 = KNOWN;
 
 /// Terminates each thread group in a forward state's interning key.
 const GROUP_END: u32 = u32::MAX;
+
+/// The row offset of an encoded state.
+#[inline]
+fn row_of(state: u32) -> usize {
+    (state >> ROW_SHIFT) as usize
+}
+
+/// A search needed a state past the budget: the caller finishes it on the VM.
+#[derive(Debug)]
+pub(crate) struct Exhausted;
+
+#[derive(Clone, Copy)]
+enum Dir {
+    Forward,
+    Reverse,
+}
 
 /// The forward and backward tables of one pattern.
 pub(crate) struct DfaTable {
@@ -68,25 +110,45 @@ pub(crate) struct DfaTable {
     can_start: [bool; 256],
     /// Whether the empty haystack matches (`^` and `$` both hold at offset 0).
     empty_haystack_matches: bool,
+    /// What computes a missing transition. Only a miss takes the lock.
+    builder: Mutex<Builder>,
 }
 
-/// One direction's transition table.
+/// One direction's transition cells, read without a lock.
 struct Rows {
-    /// `next[state * stride + class]`: the state after reading a byte of `class`.
-    next: Box<[u16]>,
-    /// `ACCEPT` / `ACCEPT_AT_END` bits per state.
-    flags: Box<[u8]>,
+    /// The rows of the first `CHUNK_ROWS` states: `first[id * stride + class]` is the
+    /// encoded state after reading a byte of `class` in state `id`. States are numbered
+    /// in the order searches first reach them, so the busiest ones live here, read with
+    /// no further indirection.
+    first: Box<[AtomicU32]>,
+    /// The rows of later states, `CHUNK_ROWS` per chunk: state `id`'s row is row
+    /// `id % CHUNK_ROWS` of `rest[id / CHUNK_ROWS - 1]`. A chunk is allocated (under
+    /// the builder's lock) before any cell names a state in it, and a cell is stored
+    /// with `Release` after its target's chunk exists; a search loads it with
+    /// `Acquire`, so the chunk a loaded cell names is always visible.
+    rest: Box<[OnceLock<Box<[AtomicU32]>>]>,
     /// Initial state at an offset where the leading anchor (`^` forward, `$` backward)
     /// cannot hold.
-    start: u16,
+    start: u32,
     /// Initial state at the input's first offset (forward) or last offset (backward).
-    start_at_edge: u16,
+    start_at_edge: u32,
 }
 
 impl Rows {
+    /// The cell of the state whose row starts at `row` on `class`. `first` is
+    /// `self.first`, which a pass holds on to: the bounds check on it is the test for
+    /// the first chunk.
     #[inline]
-    fn accepts(&self, state: u16, flag: u8) -> bool {
-        self.flags[state as usize] & flag != 0
+    fn cell<'r>(&'r self, first: &'r [AtomicU32], row: usize, class: usize) -> &'r AtomicU32 {
+        match first.get(row + class) {
+            Some(cell) => cell,
+            None => {
+                let chunk = self.rest[row / first.len() - 1]
+                    .get()
+                    .expect("a state's rows are allocated before the state is named");
+                &chunk[row % first.len() + class]
+            }
+        }
     }
 }
 
@@ -94,81 +156,157 @@ impl std::fmt::Debug for DfaTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "DfaTable({} + {} states × {} classes)",
-            self.forward.flags.len(),
-            self.reverse.flags.len(),
+            "DfaTable({} states built × {} classes)",
+            self.states(),
             self.stride
         )
     }
 }
 
 impl DfaTable {
-    /// Build the tables of `ast` (compiled to `program`), or `None` when either
-    /// direction needs more than `max_states` states or the construction more work
-    /// than [`MAX_BUILD_WORK`].
-    pub(crate) fn build(ast: &Ast, program: &Program, max_states: usize) -> Option<DfaTable> {
+    /// The table of `ast` (compiled to `program`), with its start states built and each
+    /// direction limited to `max_states` states.
+    pub(crate) fn build(ast: &Ast, program: &Program, max_states: usize) -> DfaTable {
         let (classes, representatives) = byte_classes(&program.insts);
         let stride = representatives.len();
-        let mut work = 0;
-        let forward = build_forward(&program.insts, &representatives, max_states, &mut work)?;
-        let reversed = instructions(&ast.reversed());
-        let reverse = build_anchored(&reversed, &representatives, max_states, &mut work)?;
-
-        let start_row = forward.start as usize * stride;
-        let idle = !forward.accepts(forward.start, ACCEPT);
-        let mut can_start = [true; 256];
-        for (byte, slot) in can_start.iter_mut().enumerate() {
-            *slot = !(idle && forward.next[start_row + classes[byte] as usize] == forward.start);
-        }
-        let mut closure = Closure::new(&program.insts);
+        let mut forward = Side::new(program.insts.clone(), &representatives, true, max_states);
+        let mut reverse = Side::new(
+            instructions(&ast.reversed()),
+            &representatives,
+            false,
+            max_states,
+        );
+        let forward_rows = forward.rows(stride);
+        let reverse_rows = reverse.rows(stride);
         let mut empty = Vec::new();
-        closure.scope();
-        closure.extend(&[0], true, true, &mut empty);
-        Some(DfaTable {
+        forward.closure.scope();
+        forward.closure.extend(&[0], true, true, &mut empty);
+        let mut table = DfaTable {
             classes,
             stride,
-            empty_haystack_matches: closure.contains_match(&empty),
-            forward,
-            reverse,
-            can_start,
-        })
+            forward: forward_rows,
+            reverse: reverse_rows,
+            can_start: [true; 256],
+            empty_haystack_matches: forward.closure.contains_match(&empty),
+            builder: Mutex::new(Builder { forward, reverse }),
+        };
+        // The idle skip needs the start state's whole row.
+        let start = table.forward.start;
+        if start & ACCEPT == 0 {
+            let moves: Vec<bool> = (0..stride)
+                .map(|class| {
+                    table
+                        .fill(Dir::Forward, row_of(start), class)
+                        .map_or(true, |next| next != start)
+                })
+                .collect();
+            for (byte, slot) in table.can_start.iter_mut().enumerate() {
+                *slot = moves[classes[byte] as usize];
+            }
+        }
+        table
     }
 
-    /// Number of states over both directions, the two dead states included.
+    /// Number of states built so far over both directions, the two dead states
+    /// included.
     pub(crate) fn states(&self) -> usize {
-        self.forward.flags.len() + self.reverse.flags.len()
+        let builder = self
+            .builder
+            .lock()
+            .expect("no search panics holding the builder");
+        builder.forward.keys.len() + builder.reverse.keys.len()
     }
 
-    /// Leftmost-longest match starting at or after `from`.
-    pub(crate) fn find_at(&self, haystack: &[u8], from: usize) -> Option<Match> {
+    /// Leftmost-longest match starting at or after `from`, or [`Exhausted`] when the
+    /// search needed a state past the budget. `trail` carries the forward states of
+    /// earlier passes of one iteration over this `haystack`; the caller settles it
+    /// with the answer ([`Trail::settle`]).
+    pub(crate) fn find_at(
+        &self,
+        haystack: &[u8],
+        from: usize,
+        trail: &mut Trail,
+    ) -> Result<Option<Match>, Exhausted> {
         if from > haystack.len() {
-            return None;
+            return Ok(None);
         }
         if haystack.is_empty() {
-            return self
+            return Ok(self
                 .empty_haystack_matches
-                .then_some(Match { start: 0, end: 0 });
+                .then_some(Match { start: 0, end: 0 }));
         }
-        let end = self.match_end(haystack, from)?;
-        let start = self.match_start(haystack, from, end);
-        Some(Match { start, end })
+        let Some(end) = self.match_end(haystack, from, trail)? else {
+            return Ok(None);
+        };
+        let start = self.match_start(haystack, from, end)?;
+        Ok(Some(Match { start, end }))
     }
 
     #[inline]
-    fn step(&self, rows: &Rows, state: u16, byte: u8) -> u16 {
-        rows.next[state as usize * self.stride + self.classes[byte as usize] as usize]
+    fn rows(&self, dir: Dir) -> &Rows {
+        match dir {
+            Dir::Forward => &self.forward,
+            Dir::Reverse => &self.reverse,
+        }
+    }
+
+    /// The encoded state after reading `byte` in `state`, computed now if no search
+    /// has needed it yet. `first` is the direction's first chunk.
+    #[inline]
+    fn step(&self, dir: Dir, first: &[AtomicU32], state: u32, byte: u8) -> Result<u32, Exhausted> {
+        let class = self.classes[byte as usize] as usize;
+        let row = row_of(state);
+        let cell = self
+            .rows(dir)
+            .cell(first, row, class)
+            .load(Ordering::Acquire);
+        if cell != UNKNOWN {
+            return Ok(cell);
+        }
+        self.fill(dir, row, class)
+    }
+
+    /// Compute and store the transition on `class` of the state whose row starts at
+    /// `row`, under the lock.
+    #[cold]
+    #[inline(never)]
+    fn fill(&self, dir: Dir, row: usize, class: usize) -> Result<u32, Exhausted> {
+        let mut builder = self
+            .builder
+            .lock()
+            .expect("no search panics holding the builder");
+        let rows = self.rows(dir);
+        let cell = rows.cell(&rows.first, row, class);
+        // Another search may have filled it while this one waited for the lock.
+        let known = cell.load(Ordering::Acquire);
+        if known != UNKNOWN {
+            return Ok(known);
+        }
+        let side = match dir {
+            Dir::Forward => &mut builder.forward,
+            Dir::Reverse => &mut builder.reverse,
+        };
+        let target = side.successor(row / self.stride, class, rows, self.stride)?;
+        cell.store(target, Ordering::Release);
+        Ok(target)
     }
 
     /// Forward pass: the end of the leftmost-longest match starting at or after `from`.
-    fn match_end(&self, haystack: &[u8], from: usize) -> Option<usize> {
-        let rows = &self.forward;
-        let len = haystack.len();
+    fn match_end(
+        &self,
+        haystack: &[u8],
+        from: usize,
+        trail: &mut Trail,
+    ) -> Result<Option<usize>, Exhausted> {
+        let (rows, len) = (&self.forward, haystack.len());
+        let first = &rows.first[..];
         let mut state = if from == 0 {
             rows.start_at_edge
         } else {
             rows.start
         };
-        let mut end = rows.accepts(state, ACCEPT).then_some(from);
+        let mut end = (state & ACCEPT != 0).then_some(from);
+        let mut first_accept = from;
         let mut pos = from;
         while pos < len {
             if state == rows.start {
@@ -179,49 +317,290 @@ impl DfaTable {
                     break;
                 }
             }
-            state = self.step(rows, state, haystack[pos]);
+            state = self.step(Dir::Forward, first, state, haystack[pos])?;
             pos += 1;
             if state == DEAD {
-                return end;
+                return Ok(end);
             }
-            if rows.accepts(state, ACCEPT) {
+            if state & ACCEPT != 0 {
+                if end.is_none() {
+                    first_accept = pos;
+                }
                 end = Some(pos);
+            } else if end.is_some() {
+                if trail.holds(pos, state) {
+                    return Ok(end);
+                }
+                if pos - first_accept > TRAIL_LAG {
+                    trail.record(pos, state);
+                }
             }
         }
-        if rows.accepts(state, ACCEPT_AT_END) {
+        if state & ACCEPT_AT_END != 0 {
             end = Some(len);
         }
-        end
+        Ok(end)
     }
 
     /// Backward pass: the lowest offset in `from..=end` at which a match ending at
     /// `end` starts.
-    fn match_start(&self, haystack: &[u8], from: usize, end: usize) -> usize {
+    fn match_start(&self, haystack: &[u8], from: usize, end: usize) -> Result<usize, Exhausted> {
         if end == from {
-            return from;
+            return Ok(from);
         }
         let rows = &self.reverse;
+        let first = &rows.first[..];
         let mut state = if end == haystack.len() {
             rows.start_at_edge
         } else {
             rows.start
         };
-        let mut start = rows.accepts(state, ACCEPT).then_some(end);
+        let mut start = (state & ACCEPT != 0).then_some(end);
         let mut pos = end;
         while pos > from {
-            state = self.step(rows, state, haystack[pos - 1]);
+            state = self.step(Dir::Reverse, first, state, haystack[pos - 1])?;
             if state == DEAD {
                 break;
             }
             pos -= 1;
-            if rows.accepts(state, ACCEPT) {
+            if state & ACCEPT != 0 {
                 start = Some(pos);
             }
         }
-        if pos == 0 && rows.accepts(state, ACCEPT_AT_END) {
+        if pos == 0 && state & ACCEPT_AT_END != 0 {
             start = Some(0);
         }
-        start.expect("the forward pass saw a match end here")
+        Ok(start.expect("the forward pass saw a match end here"))
+    }
+}
+
+impl Rows {
+    /// Rows for `max_states` states of `stride` classes, the first chunk allocated; the
+    /// dead state's row (the first) loops back to it.
+    fn new(max_states: usize, stride: usize) -> Rows {
+        Rows {
+            first: (0..CHUNK_ROWS * stride)
+                .map(|cell| AtomicU32::new(if cell < stride { DEAD } else { UNKNOWN }))
+                .collect(),
+            rest: (1..max_states.div_ceil(CHUNK_ROWS))
+                .map(|_| OnceLock::new())
+                .collect(),
+            start: DEAD,
+            start_at_edge: DEAD,
+        }
+    }
+
+    /// Allocate the chunk holding state `id`'s row, if it is not yet.
+    fn allocate(&self, id: usize, stride: usize) {
+        if let Some(chunk) = (id / CHUNK_ROWS).checked_sub(1) {
+            self.rest[chunk].get_or_init(|| {
+                (0..CHUNK_ROWS * stride)
+                    .map(|_| AtomicU32::new(UNKNOWN))
+                    .collect()
+            });
+        }
+    }
+}
+
+/// The two directions' construction state, behind the table's mutex.
+struct Builder {
+    forward: Side,
+    reverse: Side,
+}
+
+/// What computes one direction's transitions: its program, and the key of every state
+/// interned so far.
+struct Side {
+    /// Forward keys are grouped (see the module docs); reverse keys are plain sets.
+    grouped: bool,
+    closure: Closure,
+    /// For every instruction, the byte classes it consumes (a bitset over class ids).
+    consumed: Vec<[u64; 4]>,
+    /// The key of every state, by id; id 0 is the dead state, with an empty key.
+    keys: Vec<Arc<[u32]>>,
+    /// The encoded form of every state, by id.
+    encoded: Vec<u32>,
+    ids: HashMap<Arc<[u32]>, u32>,
+    max_states: usize,
+    key: Vec<u32>,
+    seeds: Vec<u32>,
+}
+
+impl Side {
+    fn new(insts: Vec<Inst>, representatives: &[u8], grouped: bool, max_states: usize) -> Side {
+        Side {
+            grouped,
+            consumed: consumed_classes(&insts, representatives),
+            closure: Closure::new(insts),
+            keys: vec![Arc::from([])],
+            encoded: vec![DEAD],
+            ids: HashMap::new(),
+            max_states,
+            key: Vec::new(),
+            seeds: Vec::new(),
+        }
+    }
+
+    /// This direction's rows, with the dead state and the two start states built.
+    fn rows(&mut self, stride: usize) -> Rows {
+        let rows = Rows::new(self.max_states, stride);
+        let mut start = |at_edge: bool| {
+            self.key.clear();
+            self.closure.scope();
+            if self.grouped {
+                self.key.push(0);
+                self.closure.extend(&[0], at_edge, false, &mut self.key);
+                self.key[0] = u32::from(self.closure.contains_match(&self.key[1..]));
+                self.key.push(GROUP_END);
+            } else {
+                self.closure.extend(&[0], at_edge, false, &mut self.key);
+            }
+            self.intern(&rows, stride)
+                .expect("every budget holds the start states")
+        };
+        let (start, start_at_edge) = (start(false), start(true));
+        Rows {
+            start,
+            start_at_edge,
+            ..rows
+        }
+    }
+
+    /// The encoded state after reading a byte of `class` in state `id`, interned (and
+    /// its rows allocated) if new.
+    fn successor(
+        &mut self,
+        id: usize,
+        class: usize,
+        rows: &Rows,
+        stride: usize,
+    ) -> Result<u32, Exhausted> {
+        let current = Arc::clone(&self.keys[id]);
+        let consumed = &self.consumed;
+        let advance = |seeds: &mut Vec<u32>, set: &[u32]| {
+            seeds.clear();
+            seeds.extend(
+                set.iter()
+                    .filter(|&&pc| consumes(&consumed[pc as usize], class))
+                    .map(|&pc| pc + 1),
+            );
+        };
+        self.key.clear();
+        // One scope per step: an instruction an earlier group reaches is that group's,
+        // as the VM admits the earliest start at each instruction.
+        self.closure.scope();
+        if !self.grouped {
+            advance(&mut self.seeds, &current);
+            self.closure
+                .extend(&self.seeds, false, false, &mut self.key);
+            return self.intern(rows, stride);
+        }
+        let mut matched = current[0] == 1;
+        self.key.push(0);
+        for group in current[1..current.len() - 1].split(|&pc| pc == GROUP_END) {
+            advance(&mut self.seeds, group);
+            let from = self.key.len();
+            if self
+                .closure
+                .extend(&self.seeds, false, false, &mut self.key)
+                == 0
+            {
+                continue;
+            }
+            let hit = self.closure.contains_match(&self.key[from..]);
+            self.key.push(GROUP_END);
+            if hit {
+                // Later starts can no longer win.
+                matched = true;
+                break;
+            }
+        }
+        if !matched {
+            let from = self.key.len();
+            if self.closure.extend(&[0], false, false, &mut self.key) > 0 {
+                matched = self.closure.contains_match(&self.key[from..]);
+                self.key.push(GROUP_END);
+            }
+        }
+        if self.key.len() == 1 {
+            return Ok(DEAD);
+        }
+        self.key[0] = u32::from(matched);
+        self.intern(rows, stride)
+    }
+
+    /// The encoded state of `self.key` (the dead state for an empty one), interned and
+    /// its rows allocated if new; [`Exhausted`] when the budget is spent.
+    fn intern(&mut self, rows: &Rows, stride: usize) -> Result<u32, Exhausted> {
+        if self.key.is_empty() {
+            return Ok(DEAD);
+        }
+        if let Some(&id) = self.ids.get(&self.key[..]) {
+            return Ok(self.encoded[id as usize]);
+        }
+        let id = self.keys.len();
+        if id >= self.max_states {
+            return Err(Exhausted);
+        }
+        // A group holding `Match` is the last one: later groups were cut.
+        let set = &self.key[usize::from(self.grouped)..];
+        let flags = if self.closure.contains_match(set) {
+            ACCEPT | ACCEPT_AT_END
+        } else if self.closure.accepts_at_end(set) {
+            ACCEPT_AT_END
+        } else {
+            0
+        };
+        let key: Arc<[u32]> = Arc::from(&self.key[..]);
+        self.ids.insert(Arc::clone(&key), id as u32);
+        self.keys.push(key);
+        self.encoded
+            .push(((id * stride) as u32) << ROW_SHIFT | KNOWN | flags);
+        rows.allocate(id, stride);
+        Ok(self.encoded[id])
+    }
+}
+
+/// The forward states one iteration's passes left behind them (see the module docs).
+/// Valid for one haystack; an entry at an offset past [`Trail::settle`]'s high-water
+/// mark was recorded by a pass whose last accept lies before it.
+#[derive(Debug, Default)]
+pub(crate) struct Trail {
+    /// Offset of `states[0]`.
+    base: usize,
+    /// Encoded state at each offset from `base`; `UNKNOWN` where none was recorded.
+    states: Vec<u32>,
+    /// The furthest match end any pass of the iteration returned.
+    settled: usize,
+}
+
+impl Trail {
+    /// Whether a pass recorded `state` at `pos`, past its last accept.
+    #[inline]
+    fn holds(&self, pos: usize, state: u32) -> bool {
+        pos > self.settled
+            && pos
+                .checked_sub(self.base)
+                .and_then(|at| self.states.get(at))
+                == Some(&state)
+    }
+
+    fn record(&mut self, pos: usize, state: u32) {
+        if self.states.is_empty() {
+            self.base = pos;
+        }
+        let Some(at) = pos.checked_sub(self.base) else {
+            return;
+        };
+        if at >= self.states.len() {
+            self.states.resize(at + 1, UNKNOWN);
+        }
+        self.states[at] = state;
+    }
+
+    /// Note that a pass of this iteration returned a match ending at `end`.
+    pub(crate) fn settle(&mut self, end: usize) {
+        self.settled = self.settled.max(end);
     }
 }
 
@@ -291,218 +670,21 @@ fn consumes(classes: &[u64; 4], class: usize) -> bool {
     classes[class / 64] & (1 << (class % 64)) != 0
 }
 
-/// The anchored table of the program `insts`: a state is the set of instructions a
-/// run started at one fixed offset waits on.
-fn build_anchored(
-    insts: &[Inst],
-    representatives: &[u8],
-    max_states: usize,
-    work: &mut usize,
-) -> Option<Rows> {
-    let consumed = consumed_classes(insts, representatives);
-    let stride = representatives.len();
-    let mut closure = Closure::new(insts);
-    let mut states = Interner::new(max_states);
-    let mut key = Vec::new();
-    closure.scope();
-    closure.extend(&[0], false, false, &mut key);
-    let start = states.intern(&key)?;
-    key.clear();
-    closure.scope();
-    closure.extend(&[0], true, false, &mut key);
-    let start_at_edge = states.intern(&key)?;
-
-    // Row 0 is the dead state: every class loops back to it.
-    let mut next = vec![DEAD; stride];
-    let mut flags = vec![0u8];
-    let mut seeds = Vec::new();
-    let mut state = 1;
-    while state < states.keys.len() {
-        let set = std::mem::take(&mut states.keys[state]);
-        flags.push(if closure.contains_match(&set) {
-            ACCEPT | ACCEPT_AT_END
-        } else if closure.accepts_at_end(&set) {
-            ACCEPT_AT_END
-        } else {
-            0
-        });
-        for class in 0..stride {
-            seeds.clear();
-            seeds.extend(
-                set.iter()
-                    .filter(|&&pc| consumes(&consumed[pc as usize], class))
-                    .map(|&pc| pc + 1),
-            );
-            key.clear();
-            closure.scope();
-            closure.extend(&seeds, false, false, &mut key);
-            next.push(states.intern(&key)?);
-        }
-        *work += closure.take_work() + stride;
-        if *work > MAX_BUILD_WORK {
-            return None;
-        }
-        state += 1;
-    }
-    Some(Rows {
-        next: next.into_boxed_slice(),
-        flags: flags.into_boxed_slice(),
-        start,
-        start_at_edge,
-    })
-}
-
-/// The forward table of the program `insts`: a state is the VM's thread list at one offset,
-/// grouped by start offset (see the module docs). Its interning key is
-/// `[matched, group₁…, GROUP_END, group₂…, GROUP_END, …]`.
-fn build_forward(
-    insts: &[Inst],
-    representatives: &[u8],
-    max_states: usize,
-    work: &mut usize,
-) -> Option<Rows> {
-    let consumed = consumed_classes(insts, representatives);
-    let stride = representatives.len();
-    let mut closure = Closure::new(insts);
-    let mut states = Interner::new(max_states);
-    let mut key = Vec::new();
-    let mut opening = |closure: &mut Closure, at_edge: bool| {
-        key.clear();
-        key.push(0);
-        closure.scope();
-        closure.extend(&[0], at_edge, false, &mut key);
-        key[0] = u32::from(closure.contains_match(&key[1..]));
-        key.push(GROUP_END);
-        states.intern(&key)
-    };
-    let start = opening(&mut closure, false)?;
-    let start_at_edge = opening(&mut closure, true)?;
-
-    let mut next = vec![DEAD; stride];
-    let mut flags = vec![0u8];
-    let mut seeds = Vec::new();
-    let mut state = 1;
-    while state < states.keys.len() {
-        let current = std::mem::take(&mut states.keys[state]);
-        let matched = current[0] == 1;
-        let groups: Vec<&[u32]> = current[1..current.len() - 1]
-            .split(|&pc| pc == GROUP_END)
-            .collect();
-        // A group holding `Match` is the last one: later groups were cut.
-        flags.push(if closure.contains_match(&current[1..]) {
-            ACCEPT | ACCEPT_AT_END
-        } else if groups.iter().any(|group| closure.accepts_at_end(group)) {
-            ACCEPT_AT_END
-        } else {
-            0
-        });
-        for class in 0..stride {
-            // One scope per step: an instruction an earlier group reaches is that
-            // group's, as the VM admits the earliest start at each instruction.
-            closure.scope();
-            key.clear();
-            key.push(0);
-            let mut now_matched = matched;
-            for group in &groups {
-                seeds.clear();
-                seeds.extend(
-                    group
-                        .iter()
-                        .filter(|&&pc| consumes(&consumed[pc as usize], class))
-                        .map(|&pc| pc + 1),
-                );
-                let from = key.len();
-                if closure.extend(&seeds, false, false, &mut key) == 0 {
-                    continue;
-                }
-                let hit = closure.contains_match(&key[from..]);
-                key.push(GROUP_END);
-                if hit {
-                    // Later starts can no longer win.
-                    now_matched = true;
-                    break;
-                }
-            }
-            if !now_matched {
-                let from = key.len();
-                if closure.extend(&[0], false, false, &mut key) > 0 {
-                    now_matched = closure.contains_match(&key[from..]);
-                    key.push(GROUP_END);
-                }
-            }
-            key[0] = u32::from(now_matched);
-            next.push(if key.len() == 1 {
-                DEAD
-            } else {
-                states.intern(&key)?
-            });
-        }
-        *work += closure.take_work() + stride;
-        if *work > MAX_BUILD_WORK {
-            return None;
-        }
-        state += 1;
-    }
-    Some(Rows {
-        next: next.into_boxed_slice(),
-        flags: flags.into_boxed_slice(),
-        start,
-        start_at_edge,
-    })
-}
-
-/// Interns state keys to ids; id 0 is the dead state and is never interned.
-struct Interner {
-    ids: HashMap<Box<[u32]>, u16>,
-    /// Key of each state; taken (left empty) once the state's row is built.
-    keys: Vec<Box<[u32]>>,
-    max_states: usize,
-}
-
-impl Interner {
-    fn new(max_states: usize) -> Self {
-        Interner {
-            ids: HashMap::default(),
-            keys: vec![Box::default()],
-            max_states,
-        }
-    }
-
-    /// The id of `key` (the dead state for an empty one); `None` past the state cap.
-    fn intern(&mut self, key: &[u32]) -> Option<u16> {
-        if key.is_empty() {
-            return Some(DEAD);
-        }
-        if let Some(&id) = self.ids.get(key) {
-            return Some(id);
-        }
-        if self.keys.len() >= self.max_states {
-            return None;
-        }
-        let id = self.keys.len() as u16;
-        self.ids.insert(key.into(), id);
-        self.keys.push(key.into());
-        Some(id)
-    }
-}
-
 /// Epsilon closures over one program, deduplicated within a scope.
-struct Closure<'p> {
-    insts: &'p [Inst],
+struct Closure {
+    insts: Vec<Inst>,
     seen: Vec<u32>,
     generation: u32,
     stack: Vec<u32>,
-    work: usize,
 }
 
-impl<'p> Closure<'p> {
-    fn new(insts: &'p [Inst]) -> Self {
+impl Closure {
+    fn new(insts: Vec<Inst>) -> Self {
         Closure {
-            insts,
             seen: vec![0; insts.len()],
+            insts,
             generation: 0,
             stack: Vec::new(),
-            work: 0,
         }
     }
 
@@ -510,11 +692,6 @@ impl<'p> Closure<'p> {
     /// reached again.
     fn scope(&mut self) {
         self.generation += 1;
-    }
-
-    /// Instructions visited since the last call.
-    fn take_work(&mut self) -> usize {
-        std::mem::take(&mut self.work)
     }
 
     /// Append to `out` the instructions reachable from `seeds` without reading a byte
@@ -535,7 +712,6 @@ impl<'p> Closure<'p> {
                 continue;
             }
             self.seen[pc as usize] = self.generation;
-            self.work += 1;
             match &self.insts[pc as usize] {
                 Inst::Jump(target) => self.stack.push(*target as u32),
                 Inst::Split { prefer, other } => {
@@ -589,14 +765,20 @@ mod tests {
     use crate::matcher;
     use crate::parser::parse;
 
-    fn table(pattern: &str, max_states: usize) -> Option<DfaTable> {
+    fn table(pattern: &str, max_states: usize) -> DfaTable {
         let ast = parse(pattern).unwrap();
         DfaTable::build(&ast, &compile(&ast), max_states)
     }
 
+    fn find(table: &DfaTable, haystack: &[u8], from: usize) -> Option<Match> {
+        table
+            .find_at(haystack, from, &mut Trail::default())
+            .expect("within the budget")
+    }
+
     #[test]
     fn byte_classes_merge_bytes_no_instruction_tells_apart() {
-        let t = table(r"[0-9a-fA-F]{8}-[0-9a-fA-F]{4}", MAX_STATES).unwrap();
+        let t = table(r"[0-9a-fA-F]{8}-[0-9a-fA-F]{4}", MAX_STATES);
         // Hex digits, `-`, everything else.
         assert_eq!(t.stride, 3);
         assert_eq!(t.classes[b'a' as usize], t.classes[b'7' as usize]);
@@ -605,34 +787,71 @@ mod tests {
     }
 
     #[test]
-    fn state_cap_leaves_the_pattern_to_the_vm() {
-        assert!(table(r"\d+ms", 1).is_none());
-        assert!(table(r"(a|b)*a(a|b){12}", MAX_STATES).is_none());
-        assert!(table(r"\d+ms", MAX_STATES).is_some());
+    fn states_are_built_as_searches_need_them() {
+        let t = table(r"\d+ms", MAX_STATES);
+        let built = t.states();
+        assert_eq!(find(&t, b"took 35ms", 0), Some(Match { start: 5, end: 9 }));
+        assert!(
+            t.states() > built,
+            "{} states before, {} after",
+            built,
+            t.states()
+        );
+        let warm = t.states();
+        assert_eq!(find(&t, b"took 42ms", 0), Some(Match { start: 5, end: 9 }));
+        assert_eq!(t.states(), warm);
+    }
+
+    #[test]
+    fn a_search_past_the_budget_gives_up_and_the_built_states_keep_serving() {
+        let t = table(r"(a|b)*a(a|b){12}", 64);
+        let mut seed = 7u64;
+        let haystack: Vec<u8> = (0..400)
+            .map(|_| {
+                seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                if seed >> 63 == 0 {
+                    b'a'
+                } else {
+                    b'b'
+                }
+            })
+            .collect();
+        assert!(t.find_at(&haystack, 0, &mut Trail::default()).is_err());
+        assert_eq!(
+            t.states(),
+            64 + t.builder.lock().unwrap().reverse.keys.len()
+        );
+        // A haystack that stays on built states is still answered by the table.
+        let program = compile(&parse(r"(a|b)*a(a|b){12}").unwrap());
+        let short = b"ccc";
+        assert_eq!(
+            find(&t, short, 0),
+            matcher::find_at(&program, short, 0, &mut matcher::Cache::default())
+        );
     }
 
     #[test]
     fn unmatchable_pattern_never_leaves_its_idle_state() {
-        let t = table(r"[^\x00-\xff]", MAX_STATES).unwrap();
+        let t = table(r"[^\x00-\xff]", MAX_STATES);
         assert!(!t.can_start.iter().any(|&b| b));
-        assert_eq!(t.find_at(b"anything", 0), None);
+        assert_eq!(find(&t, b"anything", 0), None);
     }
 
     #[test]
     fn anchors_follow_the_offset() {
-        let t = table("^a|b$|^$", MAX_STATES).unwrap();
-        assert_eq!(t.find_at(b"", 0), Some(Match { start: 0, end: 0 }));
-        assert_eq!(t.find_at(b"ab", 0), Some(Match { start: 0, end: 1 }));
-        assert_eq!(t.find_at(b"ab", 1), Some(Match { start: 1, end: 2 }));
-        assert_eq!(t.find_at(b"ba", 0), None);
+        let t = table("^a|b$|^$", MAX_STATES);
+        assert_eq!(find(&t, b"", 0), Some(Match { start: 0, end: 0 }));
+        assert_eq!(find(&t, b"ab", 0), Some(Match { start: 0, end: 1 }));
+        assert_eq!(find(&t, b"ab", 1), Some(Match { start: 1, end: 2 }));
+        assert_eq!(find(&t, b"ba", 0), None);
     }
 
     #[test]
     fn a_later_start_cannot_outrun_the_leftmost_one() {
         // `c` ends first, but the match starting at 0 is the VM's answer.
-        let t = table("abcd|c", MAX_STATES).unwrap();
-        assert_eq!(t.find_at(b"xabcd", 0), Some(Match { start: 1, end: 5 }));
-        assert_eq!(t.find_at(b"xabce", 0), Some(Match { start: 3, end: 4 }));
+        let t = table("abcd|c", MAX_STATES);
+        assert_eq!(find(&t, b"xabcd", 0), Some(Match { start: 1, end: 5 }));
+        assert_eq!(find(&t, b"xabce", 0), Some(Match { start: 3, end: 4 }));
     }
 
     #[test]
@@ -642,13 +861,13 @@ mod tests {
         let pattern = r"\d+(\.\d+)?(KB|MB|GB|TB|kb|mb|gb|B)";
         let ast = parse(pattern).unwrap();
         let program = compile(&ast);
-        let t = DfaTable::build(&ast, &program, MAX_STATES).unwrap();
+        let t = DfaTable::build(&ast, &program, MAX_STATES);
         for hay in [
             format!("{} B", "1".repeat(2_000)),
             format!("x {}KB", "7".repeat(2_000)),
         ] {
-            let vm = matcher::find_at(&program, hay.as_bytes(), 0, hay.len());
-            assert_eq!(t.find_at(hay.as_bytes(), 0), vm);
+            let vm = matcher::find_at(&program, hay.as_bytes(), 0, &mut matcher::Cache::default());
+            assert_eq!(find(&t, hay.as_bytes(), 0), vm);
         }
     }
 }

@@ -117,8 +117,38 @@ fn pattern_alphabet_haystack(rng: &mut StdRng, max_len: usize) -> String {
         .collect()
 }
 
+/// `find_iter` as a loop of independent `find_at` calls: what the iterators must
+/// yield, without the trail one iteration's passes share.
+fn matches_by_find_at(re: &Regex, haystack: &str) -> Vec<logregex::Match> {
+    let boundary_after = |at: usize| {
+        let mut next = at + 1;
+        while next < haystack.len() && !haystack.is_char_boundary(next) {
+            next += 1;
+        }
+        next
+    };
+    let (mut out, mut pos) = (Vec::new(), 0);
+    while pos <= haystack.len() {
+        let Some(m) = re.find_at(haystack, pos) else {
+            break;
+        };
+        if !(haystack.is_char_boundary(m.start) && haystack.is_char_boundary(m.end)) {
+            pos = boundary_after(m.start);
+            continue;
+        }
+        pos = if m.is_empty() {
+            boundary_after(m.end)
+        } else {
+            m.end
+        };
+        out.push(m);
+    }
+    out
+}
+
 /// Every search position of `haystack` answers the same through the DFA table as
-/// through the Pike VM alone, and so do the iterators built on it.
+/// through the Pike VM alone, and so do the iterators built on it — which also yield
+/// what independent searches yield.
 fn assert_table_matches_vm(re: &Regex, haystack: &str) {
     let vm = re.pike_vm_only();
     for from in 0..=haystack.len() + 1 {
@@ -129,11 +159,15 @@ fn assert_table_matches_vm(re: &Regex, haystack: &str) {
             re.as_str()
         );
     }
-    assert!(
-        re.find_iter(haystack).eq(vm.find_iter(haystack)),
-        "{:?} on {haystack:?}",
-        re.as_str()
-    );
+    let expected = matches_by_find_at(&vm, haystack);
+    for engine in [re, &vm] {
+        assert_eq!(
+            engine.find_iter(haystack).collect::<Vec<_>>(),
+            expected,
+            "{:?} on {haystack:?}",
+            re.as_str()
+        );
+    }
 }
 
 #[test]
@@ -168,26 +202,114 @@ fn dfa_table_agrees_with_pike_vm_on_random_patterns() {
 #[test]
 fn dfa_table_agrees_with_pike_vm_past_the_state_cap_and_on_long_runs() {
     let mut rng = StdRng::seed_from_u64(base_seed() ^ 0xDFA1);
-    // Past the state cap: no table at all, so every search is the fallback.
+    // Tables are built lazily: a cold pattern holds its start states alone, whatever
+    // its size, and grows only as searches need states.
     for n in 11..14 {
         let re = Regex::new(&format!("(a|b)*a(a|b){{{n}}}")).unwrap();
-        assert_eq!(re.dfa_states(), None, "{:?}", re.as_str());
+        let cold = re.dfa_states().expect("every pattern has a table");
+        assert!(cold < 64, "{:?} built {cold} states up front", re.as_str());
         let haystack: String = (0..60)
             .map(|_| if rng.gen_bool(0.5) { 'a' } else { 'b' })
             .collect();
         assert_table_matches_vm(&re, &haystack);
+        assert!(re.dfa_states().unwrap() > cold);
     }
+    // Past the state budget: 2¹³ forward states are reachable, and a haystack this long
+    // visits more than one direction may hold, so a search gives up mid-haystack and
+    // finishes on the VM; the states already built go on serving.
+    let re = Regex::new("(a|b)*a(a|b){12}").unwrap();
+    let vm = re.pike_vm_only();
+    for _ in 0..2 {
+        let haystack: String = (0..30_000)
+            .map(|_| if rng.gen_bool(0.5) { 'a' } else { 'b' })
+            .collect();
+        assert!(re.find_iter(&haystack).eq(vm.find_iter(&haystack)));
+        for _ in 0..20 {
+            let from = rng.gen_range(0..haystack.len() + 2);
+            assert_eq!(re.find_at(&haystack, from), vm.find_at(&haystack, from));
+        }
+    }
+    assert!(
+        re.dfa_states().unwrap() > 4096,
+        "the budget was never reached: {:?} states",
+        re.dfa_states()
+    );
     // Long runs every start walks to the end of: one forward group per start offset,
     // and the backward pass walks the whole run.
-    for pattern in [r"\d+(\.\d+)?(KB|MB|GB|TB|kb|mb|gb|B)", r"[0-9a]+x", r"a*b"] {
+    for pattern in [
+        r"\d+(\.\d+)?(KB|MB|GB|TB|kb|mb|gb|B)",
+        r"[0-9a]+x",
+        r"a*b",
+        r"\d+B|\d{2}",
+    ] {
         let re = Regex::new(pattern).unwrap();
-        assert!(re.dfa_states().is_some());
         for _ in 0..3 {
             let run = rng.gen_range(300..600usize);
             let tail = ["", " B", "B", "x", "b", "é"][rng.gen_range(0..6usize)];
             let digit = ["1", "a"][rng.gen_range(0..2usize)];
             assert_table_matches_vm(&re, &format!("{}{tail}", digit.repeat(run)));
         }
+    }
+    // A thread that outlives a run of short matches: each engine's iteration stays
+    // linear over 100,000 digits, and the two agree.
+    let re = Regex::new(r"\d+B|\d{2}").unwrap();
+    for tail in [" B", "B", "1 B", ""] {
+        let haystack = format!("{}{tail}", "7".repeat(100_000));
+        let started = std::time::Instant::now();
+        let tabled: Vec<_> = re.find_iter(&haystack).collect();
+        let vm: Vec<_> = re.pike_vm_only().find_iter(&haystack).collect();
+        let elapsed = started.elapsed();
+        assert_eq!(tabled, vm, "tail {tail:?}");
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "tail {tail:?}: {elapsed:?}"
+        );
+    }
+}
+
+#[test]
+fn two_threads_searching_one_cold_table_get_the_vm_answers() {
+    let mut rng = StdRng::seed_from_u64(base_seed() ^ 0xDFA2);
+    for pattern in [
+        r"(?:\d{4}-\d{2}-\d{2}[ T]\d{2}:\d{2}:\d{2}(\.\d+)?)|(?:[0-9a-f]{32})|(?:\d+(\.\d+)?(KB|MB|B))",
+        "(a|b)*a(a|b){6}",
+        r"[^ ]+=\w*",
+    ] {
+        let re = Regex::new(pattern).unwrap();
+        let vm = re.pike_vm_only();
+        let haystacks: Vec<String> = (0..200)
+            .map(|i| {
+                if i % 2 == 0 {
+                    pattern_alphabet_haystack(&mut rng, 60)
+                } else {
+                    ascii_haystack(&mut rng, 60)
+                }
+            })
+            .chain(["2025-04-12 08:15:12.123 d41d8cd98f00b204e9800998ecf8427e 512MB".into()])
+            .collect();
+        let expected: Vec<Vec<_>> = haystacks
+            .iter()
+            .map(|h| vm.find_iter(h).collect())
+            .collect();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for reverse in [false, true] {
+                let (re, haystacks, expected, barrier) =
+                    (re.clone(), &haystacks, &expected, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let order: Vec<usize> = if reverse {
+                        (0..haystacks.len()).rev().collect()
+                    } else {
+                        (0..haystacks.len()).collect()
+                    };
+                    for i in order {
+                        let got: Vec<_> = re.find_iter(&haystacks[i]).collect();
+                        assert_eq!(got, expected[i], "{pattern:?} on {:?}", haystacks[i]);
+                    }
+                });
+            }
+        });
     }
 }
 

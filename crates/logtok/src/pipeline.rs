@@ -56,13 +56,10 @@ pub struct PreprocessedBatch {
 pub struct TokenScratch {
     /// The masked record text (reused capacity).
     masked: String,
-    /// Ping-pong buffer for multi-rule masking.
-    swap: String,
     /// Byte spans of the tokens within `masked`.
     spans: Vec<(usize, usize)>,
-    /// The runs of `masked` that masking left as they were in the record, and their
-    /// ping-pong buffer.
-    kept: (Vec<KeptRun>, Vec<KeptRun>),
+    /// The runs of `masked` that masking left as they were in the record.
+    kept: Vec<KeptRun>,
 }
 
 impl TokenScratch {
@@ -184,15 +181,14 @@ impl Preprocessor {
     /// ingestion engine cheap. The view maps the tokens masking left intact back to
     /// `record` ([`TokenView::raw_span`]), which is what a match stores its slots as.
     pub fn token_view<'s>(&self, record: &str, scratch: &'s mut TokenScratch) -> TokenView<'s> {
-        let (masked, swap) = (&mut scratch.masked, &mut scratch.swap);
         self.masker
-            .mask_kept(record, masked, swap, Some(&mut scratch.kept));
+            .mask_kept(record, &mut scratch.masked, Some(&mut scratch.kept));
         self.tokenizer
             .tokenize_spans(&scratch.masked, &mut scratch.spans);
         TokenView {
             text: &scratch.masked,
             spans: &scratch.spans,
-            kept: &scratch.kept.0,
+            kept: &scratch.kept,
         }
     }
 
@@ -203,8 +199,7 @@ impl Preprocessor {
         record: &str,
         scratch: &'s mut TokenScratch,
     ) -> impl ExactSizeIterator<Item = &'s str> + Clone {
-        self.masker
-            .mask_into(record, &mut scratch.masked, &mut scratch.swap);
+        self.masker.mask_kept(record, &mut scratch.masked, None);
         self.tokenizer
             .tokenize_spans(&scratch.masked, &mut scratch.spans);
         let (text, spans) = (&scratch.masked, &scratch.spans);

@@ -320,6 +320,43 @@ fn table_masker_agrees_with_pike_vm_masker() {
     }
 }
 
+/// Masking is one leftmost-longest scan over the union of the rules; on every line of
+/// every LogHub (16) and LogHub-2.0 (14) `datasets` corpus, plain and behind an ISO
+/// timestamp header, it gives what applying the rules one after another gives.
+#[test]
+fn one_scan_masking_agrees_with_rule_by_rule_on_every_corpus() {
+    let masker = Masker::default_rules();
+    let mut out = String::new();
+    let (mut lines, mut masked) = (0usize, 0usize);
+    let corpora = datasets::dataset_names()
+        .into_iter()
+        .map(|family| (family, datasets::LabeledDataset::loghub(family)))
+        .chain(
+            datasets::loghub2_dataset_names()
+                .into_iter()
+                .map(|family| (family, datasets::LabeledDataset::loghub2(family, 1_000))),
+        );
+    for (family, corpus) in corpora {
+        for record in &corpus.records {
+            for line in [record.clone(), format!("2025-04-12T08:15:12.123 {record}")] {
+                masker.mask_into(&line, &mut out, &mut String::new());
+                assert_eq!(
+                    out,
+                    masker.mask_rule_by_rule(&line),
+                    "{family} line {line:?}"
+                );
+                lines += 1;
+                masked += usize::from(out.matches("<*>").count() > 1);
+            }
+        }
+    }
+    assert_eq!(lines, 2 * (16 * 2_000 + 14 * 1_000));
+    assert!(
+        masked * 4 > lines,
+        "only {masked} of {lines} lines masked past the header"
+    );
+}
+
 /// `Tokenizer::tokenize_spans` emits spans that slice back to exactly the tokens of
 /// `Tokenizer::tokenize`, with in-bounds, ordered, non-overlapping offsets — on
 /// adversarial inputs.
