@@ -534,11 +534,9 @@ impl CompiledMatcher {
 /// `(generation, model length)` pair they were decided under, and the whole cache is
 /// dropped when the pair changes.
 ///
-/// Keys are precomputed 64-bit FNV line hashes ([`logtok::hash_line`]): the
-/// stream layer hashes each record once at admission and carries the
-/// hash through the job, so a cache probe re-hashes 8 bytes instead of the
-/// whole line. Each entry stores the full line and verifies it on a hit, so a
-/// hash collision degrades to a miss — results stay byte-identical. An entry's slots
+/// Keys are 64-bit FNV line hashes ([`logtok::hash_line`]), taken where the line is
+/// probed, once per probe. Each entry stores the full line and verifies it on a hit, so
+/// a hash collision degrades to a miss — results stay byte-identical. An entry's slots
 /// live in its segment's one [`SlotBuffer`], so remembering them allocates nothing
 /// per line.
 #[derive(Debug)]
@@ -587,10 +585,11 @@ impl MatchCache {
         }
     }
 
-    /// Match `record` through the cache, hashing the line first; a miss is matched on
-    /// `compiled`'s tables alone ([`CompiledMatcher::match_view`] — no tail of appended
-    /// nodes) and extracts no slots. Benchmarks and tests call it; the pool worker calls
-    /// [`match_record_hashed`](MatchCache::match_record_hashed) with the kernel.
+    /// Match `record` through the cache; a miss is matched on `compiled`'s tables alone
+    /// ([`CompiledMatcher::match_view`] — no tail of appended nodes) and extracts no
+    /// slots. Benchmarks and tests call it; the service's stream worker calls
+    /// [`match_record_with`](MatchCache::match_record_with) with the kernel's
+    /// [`match_line`](crate::matcher::match_line).
     pub fn match_record(
         &mut self,
         compiled: &CompiledMatcher,
@@ -601,26 +600,25 @@ impl MatchCache {
         let miss =
             |_: &mut SlotBuffer| compiled.match_view(&preprocessor.token_view(record, scratch));
         let snapshot = (compiled.generation, compiled.nodes);
-        let hash = logtok::hash_line(record);
         let mut no_slots = SlotBuffer::new();
-        self.match_record_hashed(snapshot, record, hash, &mut no_slots, miss)
+        self.match_record_with(snapshot, record, &mut no_slots, miss)
             .0
     }
 
-    /// Look `record` up by its precomputed FNV line hash: an exact-line hit returns the
-    /// stored assignment and appends the stored slots to `slots`; on a miss `miss`
-    /// matches the record, appending its slots to `slots`, and both are remembered.
-    /// `snapshot` names everything `miss` decides on — the compiled snapshot's
-    /// generation and the length of the model whose appended nodes it scans — and a
-    /// pair other than the cached entries' invalidates the whole cache first.
-    pub fn match_record_hashed(
+    /// Look `record` up by its FNV line hash: an exact-line hit returns the stored
+    /// assignment and appends the stored slots to `slots`; on a miss `miss` matches the
+    /// record, appending its slots to `slots`, and both are remembered. `snapshot` names
+    /// everything `miss` decides on — the compiled snapshot's generation and the length
+    /// of the model whose appended nodes it scans — and a pair other than the cached
+    /// entries' invalidates the whole cache first.
+    pub fn match_record_with(
         &mut self,
         snapshot: (u64, usize),
         record: &str,
-        line_hash: u64,
         slots: &mut SlotBuffer,
         miss: impl FnOnce(&mut SlotBuffer) -> Option<NodeId>,
     ) -> (Option<NodeId>, SlotRange) {
+        let line_hash = logtok::hash_line(record);
         if self.snapshot != snapshot {
             self.current.clear();
             self.previous.clear();
@@ -895,8 +893,7 @@ mod tests {
                 slots.push_values(line, values);
                 Some(NodeId(line.len()))
             };
-            let hash = logtok::hash_line(line);
-            let (node, range) = cache.match_record_hashed((1, 1), line, hash, &mut slots, miss);
+            let (node, range) = cache.match_record_with((1, 1), line, &mut slots, miss);
             assert_eq!(node, Some(NodeId(line.len())));
             slots
                 .values(line, range)

@@ -6,8 +6,10 @@
 //!    deduplication, hash encoding — provided by the `logtok` crate), grouped by token
 //!    count and prefix ([`grouping`]), and then hierarchically clustered into a tree of
 //!    templates ([`cluster`], [`tree`]). Each tree node carries a *saturation score*
-//!    ([`saturation`]) that strictly increases with depth and quantifies how precisely the
-//!    node's logs have been resolved into constants and variables.
+//!    ([`saturation`]) that quantifies how precisely the node's logs have been resolved
+//!    into constants and variables. After a training no child scores below its
+//!    parent; a tree patched by incremental deltas does not guarantee even that, so
+//!    [`query`] scans a node's whole ancestor chain.
 //! 2. **Online matching** ([`matcher`]): incoming logs are matched position-by-position
 //!    against the stored template texts in descending saturation order — one walk of the
 //!    automaton compiled from them ([`automaton`]), behind one kernel

@@ -17,7 +17,9 @@
 //! template's wildcard positions. [`SlotBuffer::extract`] takes them from the
 //! [`TokenView`] the match was decided on, so a record is masked once — the structured
 //! form (template id + slots) is what the match produces, not something re-derived
-//! later.
+//! later. [`match_line`] is that step — mask, decide, extract — and the only one a
+//! kernel runs per line: [`match_ids_batch`] on every line, a service stream worker on
+//! every miss of its line cache.
 
 use crate::automaton::CompiledMatcher;
 use crate::model::ParserModel;
@@ -319,7 +321,7 @@ impl SlotBuffer {
 }
 
 /// What a match kernel decided for a batch: [`match_ids_batch`], or a streaming
-/// worker over the same kernel.
+/// worker running [`match_line`] behind its line cache.
 #[derive(Debug, Default)]
 pub struct BatchMatch {
     /// Per record, in input order: the matched node (`None` when no template matched)
@@ -344,10 +346,26 @@ impl BatchMatch {
     }
 }
 
+/// The per-line step of every match kernel: mask `line` into `scratch`, decide it with
+/// [`match_compiled`], and append its slots, read off the same view, to `slots`.
+/// [`match_ids_batch`]'s workers run it on every line; the service's stream workers run
+/// it behind their line cache ([`MatchCache`](crate::MatchCache)), on a miss.
+pub fn match_line(
+    model: &ParserModel,
+    compiled: &CompiledMatcher,
+    preprocessor: &Preprocessor,
+    scratch: &mut TokenScratch,
+    line: &str,
+    slots: &mut SlotBuffer,
+) -> (Option<NodeId>, SlotRange) {
+    let view = preprocessor.token_view(line, scratch);
+    let node = match_compiled(model, compiled, view.iter());
+    (node, slots.extract(model, node, line, &view))
+}
+
 /// Match a batch of raw records, optionally across `workers` threads (§3 "Parallel": the
 /// online phase parallelises template matching across logs), without rendering template
-/// texts. Each record is preprocessed on a per-thread scratch, decided by
-/// [`match_compiled`], and its slots are extracted from the same view.
+/// texts: [`match_line`] on every record, with a per-thread scratch.
 pub fn match_ids_batch<S: AsRef<str> + Sync>(
     model: &ParserModel,
     compiled: &CompiledMatcher,
@@ -366,10 +384,15 @@ pub fn match_ids_batch<S: AsRef<str> + Sync>(
             let mut scratch = scratch.borrow_mut();
             let mut part = BatchMatch::default();
             for &line in lines {
-                let view = preprocessor.token_view(line, &mut scratch);
-                let node = match_compiled(model, compiled, view.iter());
-                let slots = part.slots.extract(model, node, line, &view);
-                part.ids.push((node, slots));
+                let id = match_line(
+                    model,
+                    compiled,
+                    preprocessor,
+                    &mut scratch,
+                    line,
+                    &mut part.slots,
+                );
+                part.ids.push(id);
             }
             part
         })

@@ -23,6 +23,7 @@
 use crate::query::ast::{Aggregate, Predicate, Query};
 use crate::query::clamp_threshold;
 use logregex::{canonicalize, Regex, RegexError};
+use logtok::{fnv1a, FNV_OFFSET};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -238,29 +239,18 @@ fn encode(pred: &Predicate) -> String {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
 fn fingerprint_of(threshold: f64, output: PlanOutput, predicate: Option<&Predicate>) -> u64 {
-    let mut hash = FNV_OFFSET;
-    fnv1a(&mut hash, b"plan-v1|t:");
-    fnv1a(&mut hash, &threshold.to_bits().to_le_bytes());
+    let mut hash = fnv1a(FNV_OFFSET, b"plan-v1|t:");
+    hash = fnv1a(hash, &threshold.to_bits().to_le_bytes());
     let output_tag = match output {
         PlanOutput::Groups { limit } => format!("|g:{limit}"),
         PlanOutput::Distribution => "|d".to_string(),
         PlanOutput::Count => "|c".to_string(),
     };
-    fnv1a(&mut hash, output_tag.as_bytes());
-    fnv1a(&mut hash, b"|p:");
+    hash = fnv1a(hash, output_tag.as_bytes());
+    hash = fnv1a(hash, b"|p:");
     if let Some(pred) = predicate {
-        fnv1a(&mut hash, encode(pred).as_bytes());
+        hash = fnv1a(hash, encode(pred).as_bytes());
     }
     hash
 }

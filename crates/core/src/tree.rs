@@ -56,7 +56,8 @@ pub struct TreeNode {
     pub children: Vec<NodeId>,
     /// The template: one entry per token position.
     pub template: Vec<TemplateToken>,
-    /// Saturation score of the node (strictly increases from parent to child).
+    /// Saturation score of the node (after a training, never below its parent's; a
+    /// tree patched by incremental deltas does not guarantee that).
     pub saturation: f64,
     /// Tree depth (roots are depth 0).
     pub depth: usize,

@@ -18,12 +18,13 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// matching stay consistent.
 pub const WILDCARD_HASH: u64 = u64::MAX;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a's 64-bit offset basis: the state [`fnv1a`] starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over `bytes`, continuing from `hash` ([`FNV_OFFSET`] to start).
 #[inline]
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &byte in bytes {
         hash ^= byte as u64;
         hash = hash.wrapping_mul(FNV_PRIME);
@@ -44,9 +45,8 @@ pub fn hash_token(token: &str) -> u64 {
 }
 
 /// Deterministic 64-bit FNV-1a hash of a raw log line (no wildcard remapping —
-/// lines are never compared against the wildcard sentinel). Computed once per
-/// record at stream admission and carried alongside the line so downstream
-/// consumers (batch reordering, the match cache) never re-hash the full text.
+/// lines are never compared against the wildcard sentinel). It keys the line cache
+/// and the automaton's symbol probe.
 #[inline]
 pub fn hash_line(line: &str) -> u64 {
     fnv1a(FNV_OFFSET, line.as_bytes())

@@ -22,7 +22,9 @@ pub mod pipeline;
 pub mod tokenizer;
 
 pub use dedup::{DedupStats, Deduplicator, UniqueLog};
-pub use hashenc::{hash_line, hash_token, EncodedLog, FnvHasher, FnvMap, WILDCARD_HASH};
+pub use hashenc::{
+    fnv1a, hash_line, hash_token, EncodedLog, FnvHasher, FnvMap, FNV_OFFSET, WILDCARD_HASH,
+};
 pub use masking::{MaskRule, Masker};
 pub use pipeline::{PreprocessConfig, PreprocessedBatch, Preprocessor, TokenScratch, TokenView};
 pub use tokenizer::{tokenize, Tokenizer, TokenizerConfig};

@@ -125,16 +125,20 @@ impl Masker {
         Masker { rules, union }
     }
 
-    /// Append a rule to the set.
-    pub fn add_rule(&mut self, rule: MaskRule) {
-        let mut rules = std::mem::take(&mut self.rules);
-        rules.push(rule);
-        *self = Masker::from_rules(rules);
+    /// This set followed by `extra`, compiled into one union once. With nothing to
+    /// add it is a clone, which shares this set's table.
+    pub fn with_rules(&self, extra: impl IntoIterator<Item = MaskRule>) -> Masker {
+        let mut rules = self.rules.clone();
+        rules.extend(extra);
+        if rules.len() == self.rules.len() {
+            return self.clone();
+        }
+        Masker::from_rules(rules)
     }
 
-    /// Convenience: compile and append a rule.
+    /// Compile and append a rule.
     pub fn add_pattern(&mut self, name: &str, pattern: &str) -> Result<(), RegexError> {
-        self.add_rule(MaskRule::new(name, pattern)?);
+        *self = self.with_rules([MaskRule::new(name, pattern)?]);
         Ok(())
     }
 

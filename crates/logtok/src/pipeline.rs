@@ -4,7 +4,7 @@
 
 use crate::dedup::{DedupStats, Deduplicator, UniqueLog};
 use crate::hashenc::EncodedLog;
-use crate::masking::{KeptRun, Masker};
+use crate::masking::{KeptRun, MaskRule, Masker};
 use crate::tokenizer::{Tokenizer, TokenizerConfig};
 use serde::{Deserialize, Serialize};
 
@@ -142,16 +142,16 @@ impl Preprocessor {
     /// Panics if one of the `extra_masks` patterns fails to compile; user-facing layers
     /// (the service crate) validate patterns before constructing the pipeline.
     pub fn new(config: PreprocessConfig) -> Self {
-        let mut masker = if config.use_default_masks {
+        let base = if config.use_default_masks {
             Masker::default_rules()
         } else {
             Masker::empty()
         };
-        for (name, pattern) in &config.extra_masks {
-            masker
-                .add_pattern(name, pattern)
-                .unwrap_or_else(|e| panic!("mask rule {name:?} failed to compile: {e}"));
-        }
+        let extra = config.extra_masks.iter().map(|(name, pattern)| {
+            MaskRule::new(name, pattern)
+                .unwrap_or_else(|e| panic!("mask rule {name:?} failed to compile: {e}"))
+        });
+        let masker = base.with_rules(extra);
         Preprocessor {
             tokenizer: Tokenizer::new(config.tokenizer),
             masker,

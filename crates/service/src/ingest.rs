@@ -8,12 +8,13 @@
 //! contiguous run of arrivals, and flushed batches are matched in parallel by the
 //! shared [`MatcherPool`] over one immutable (model, automaton) snapshot pair.
 //!
-//! The matching hot path is zero-copy end to end: every pool worker keeps a private
-//! [`logtok::TokenScratch`], records travel to the workers and back by move, and the
-//! decisions come back as the [`BatchMatch`] the batch kernel also produces — no
-//! rendered template text, only each record's node and the range of its variable
-//! slots, which the worker read off the view it matched on and the topic stores as
-//! they are.
+//! The matching hot path is zero-copy end to end: records travel to the workers and
+//! back by move, as the `String`s they were pushed as, and every pool worker runs the
+//! batch kernel's per-line step ([`bytebrain::matcher::match_line`], on a private
+//! [`logtok::TokenScratch`]) behind its line cache ([`bytebrain::MatchCache`]), in
+//! arrival order. The decisions come back as the [`BatchMatch`] the batch kernel also
+//! produces — no rendered template text, only each record's node and the range of its
+//! variable slots, which the topic stores as they are.
 //!
 //! Back-pressure is explicit: at most `max_in_flight` batches may be submitted and
 //! unharvested; a `push` that would exceed the bound first blocks on the next finished
@@ -39,7 +40,7 @@
 //! parameterised by how it reaches the topic ([`TopicAccess`]) and by which engine
 //! matches ([`Route`]).
 
-use crate::matcher_pool::{IdBatchResult, MatcherPool, StreamRecord};
+use crate::matcher_pool::{IdBatchResult, MatcherPool};
 use crate::topic::{IngestOutcome, LogTopic, StreamOutcome};
 use bytebrain::matcher::match_ids_batch;
 use bytebrain::{BatchMatch, CompiledMatcher, ParserModel, SlotBuffer, SlotRange};
@@ -179,8 +180,8 @@ pub struct StreamIngestor {
     /// The automaton compiled from `model`. An engine handed none compiles one at
     /// its first flush.
     compiled: OnceLock<Arc<CompiledMatcher>>,
-    /// Records of the open batch, each carrying its admission-time line hash.
-    pending: Vec<StreamRecord>,
+    /// Records of the open batch.
+    pending: Vec<String>,
     stats: IngestStats,
     /// Finished batches, indexed by batch id (None until it lands). Batches are
     /// contiguous runs of arrivals submitted in order, so joining them front to back
@@ -264,7 +265,7 @@ impl StreamIngestor {
         let record = record.into();
         self.stats.records += 1;
         self.stats.bytes += record.len() as u64;
-        self.pending.push(StreamRecord::new(record));
+        self.pending.push(record);
         if self.pending.len() >= self.config.batch_records {
             // Harvest finished batches at flush boundaries (bounded lag: at
             // most `max_in_flight` batches ever wait in the result channel).
@@ -362,13 +363,9 @@ impl StreamIngestor {
         let mut lines = Vec::with_capacity(self.stats.records as usize);
         let mut matches = BatchMatch::default();
         for batch in self.completed.drain(..) {
-            let IdBatchResult {
-                records,
-                matches: decided,
-                ..
-            } = batch.expect("settled: every submitted batch landed");
-            lines.extend(records.into_iter().map(|record| record.line));
-            matches.append(decided);
+            let batch = batch.expect("settled: every submitted batch landed");
+            lines.extend(batch.lines);
+            matches.append(batch.matches);
         }
         (lines, matches, std::mem::take(&mut self.stats))
     }
@@ -644,7 +641,7 @@ mod tests {
             let start = i * 64;
             let end = (start + 64).min(1_000);
             assert_eq!(batch.batch_id, i as u64);
-            assert!(batch.records.iter().map(|r| &r.line).eq(&all[start..end]));
+            assert_eq!(batch.lines, all[start..end]);
         }
         assert_eq!(ingestor.stats().submitted_batches, 16);
         assert_eq!(ingestor.finish().0.len(), 1_000);

@@ -87,7 +87,7 @@ pub use ingest::{
 };
 pub use library::TemplateLibrary;
 pub use manager::{FleetStats, ServiceManager, TenantDefaults};
-pub use matcher_pool::{IdBatchResult, MatcherPool, StreamRecord};
+pub use matcher_pool::{IdBatchResult, MatcherPool};
 pub use query::{QueryCache, QueryEngine, QueryIndex, QuerySnapshot, QueryValue, TemplateGroup};
 pub use records::{RecordStore, StoredRecord};
 pub use storage::{RecoveredTopic, StorageConfig, TopicMeta, TopicStorage};

@@ -11,38 +11,20 @@
 //! acquisition per batch). Every worker keeps a private [`TokenScratch`] alive, so
 //! per-record preprocessing runs on the zero-copy fast path.
 //!
-//! Jobs are lean ([`MatcherPool::submit_ids`]): a batch returns its records with the
-//! [`BatchMatch`] the batch kernel also produces — a node and a slot range per record —
-//! skipping template rendering entirely. This is the path the streaming ingestion
-//! engine ([`crate::ingest`]) drives.
+//! Jobs are lean ([`MatcherPool::submit_ids`]): a batch returns its lines with the
+//! [`BatchMatch`] the batch kernel also produces — a node and a slot range per line —
+//! skipping template rendering entirely. A worker matches a job's lines in arrival
+//! order, each through its [`MatchCache`], which runs the batch kernel's per-line step
+//! ([`match_line`]) on a miss: a repeated line is answered by the cache, and the two
+//! ingest routes differ only in the pool and the cache in front of one kernel. This is
+//! the path the streaming ingestion engine ([`crate::ingest`]) drives.
 
-use bytebrain::matcher::match_compiled;
-use bytebrain::{BatchMatch, CompiledMatcher, MatchCache, ParserModel, SlotBuffer, SlotRange};
+use bytebrain::matcher::match_line;
+use bytebrain::{BatchMatch, CompiledMatcher, MatchCache, ParserModel, SlotBuffer};
 use logtok::{Preprocessor, TokenScratch};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-
-/// One record travelling through the lean streaming path: the FNV line hash computed
-/// once at admission ([`logtok::hash_line`]) and the raw line. The hash rides along so
-/// nothing downstream — batch reordering, the per-worker match cache — re-hashes the
-/// full text.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamRecord {
-    /// FNV-1a hash of `line`, computed exactly once at admission.
-    pub line_hash: u64,
-    /// The raw record text.
-    pub line: String,
-}
-
-impl StreamRecord {
-    /// Wrap `line`, hashing it. The streaming engine is the normal caller; the
-    /// constructor is public so tests and benches can build batches directly.
-    pub fn new(line: String) -> Self {
-        let line_hash = logtok::hash_line(&line);
-        StreamRecord { line_hash, line }
-    }
-}
 
 /// A batch of records submitted to the pool, tagged so results can be re-associated.
 /// The job carries the (model, automaton) snapshot pair it must match against: the
@@ -50,24 +32,55 @@ impl StreamRecord {
 #[derive(Debug)]
 struct Job {
     batch_id: u64,
-    records: Vec<StreamRecord>,
+    lines: Vec<String>,
     model: Arc<ParserModel>,
     compiled: Arc<CompiledMatcher>,
 }
 
-/// The result of one lean (ingestion) batch: the original records travel back with
+/// The result of one lean (ingestion) batch: the original lines travel back with
 /// what was decided for them, so the coordinator never has to clone or re-associate
 /// them.
 #[derive(Debug)]
 pub struct IdBatchResult {
     /// Identifier returned by [`MatcherPool::submit_ids`].
     pub batch_id: u64,
-    /// The records exactly as submitted (workers reorder internally for cache
-    /// warmth but always hand the batch back in submission order).
-    pub records: Vec<StreamRecord>,
-    /// One decision per record, in submission order. Records repeating a line share
-    /// its slot range.
+    /// The lines exactly as submitted, in submission order.
+    pub lines: Vec<String>,
+    /// One decision per line, in submission order.
     pub matches: BatchMatch,
+}
+
+/// Match a job's lines in arrival order, each through the worker's line cache, which
+/// runs the batch kernel's per-line step on a miss.
+fn match_job(
+    job: Job,
+    preprocessor: &Preprocessor,
+    scratch: &mut TokenScratch,
+    cache: &mut MatchCache,
+) -> IdBatchResult {
+    let Job {
+        batch_id,
+        lines,
+        model,
+        compiled,
+    } = job;
+    // The answer reads the tables *and* the temporaries appended to the job's model
+    // since they were compiled, which move no generation.
+    let snapshot = (compiled.generation(), model.len());
+    let mut matches = BatchMatch::default();
+    matches.ids.reserve(lines.len());
+    for line in &lines {
+        let miss = |slots: &mut SlotBuffer| {
+            match_line(&model, &compiled, preprocessor, scratch, line, slots).0
+        };
+        let id = cache.match_record_with(snapshot, line, &mut matches.slots, miss);
+        matches.ids.push(id);
+    }
+    IdBatchResult {
+        batch_id,
+        lines,
+        matches,
+    }
 }
 
 /// A pool of matcher workers. Every job names the (model, automaton) snapshot pair it
@@ -93,16 +106,11 @@ impl MatcherPool {
             let result_tx = result_tx.clone();
             let preprocessor = Arc::clone(&preprocessor);
             handles.push(std::thread::spawn(move || {
-                // One scratch per worker: the whole pool runs preprocessing on the
-                // zero-copy fast path. The match cache is also per-worker, so
-                // the automaton hot path takes no lock; snapshot tags keep it
-                // consistent across jobs that carry different snapshots. The order buffer
-                // (cache-warm batch reordering) is likewise recycled across
-                // batches, so the steady-state loop performs no per-record
-                // heap allocation.
+                // One scratch and one line cache per worker: preprocessing runs on
+                // the zero-copy fast path and the cache takes no lock; snapshot tags
+                // keep it consistent across jobs that carry different snapshots.
                 let mut scratch = TokenScratch::new();
                 let mut cache = MatchCache::default();
-                let mut order: Vec<u32> = Vec::new();
                 loop {
                     // Hold the lock only while dequeueing, never while matching. A
                     // poisoned lock means a sibling worker panicked mid-dequeue; exit
@@ -119,57 +127,8 @@ impl MatcherPool {
                             Err(_) => break,
                         }
                     };
-                    let Job {
-                        batch_id,
-                        records,
-                        model: job_model,
-                        compiled,
-                    } = job;
-                    // Cache-warm batch reordering: process records grouped by their
-                    // precomputed line hash so exact duplicates run back-to-back (the
-                    // dominant shape of production streams) — the duplicate of the
-                    // record just matched reuses its result directly, and
-                    // near-duplicates keep the MatchCache and DFA working set hot.
-                    // Results are written through the permutation, so the batch is
-                    // handed back in submission order regardless.
-                    order.clear();
-                    order.extend(0..records.len() as u32);
-                    order.sort_unstable_by_key(|&i| records[i as usize].line_hash);
-                    let mut ids = vec![(None, SlotRange::default()); records.len()];
-                    let mut slots = SlotBuffer::new();
-                    let mut prev = None;
-                    for &idx in &order {
-                        let record = &records[idx as usize];
-                        if let Some((prev_idx, id)) = prev {
-                            let p = &records[prev_idx as usize];
-                            if p.line_hash == record.line_hash && p.line == record.line {
-                                ids[idx as usize] = id;
-                                continue;
-                            }
-                        }
-                        let line = &record.line;
-                        // Masked once: the slots come off the view the match decided on.
-                        let miss = |slots: &mut SlotBuffer| {
-                            let view = preprocessor.token_view(line, &mut scratch);
-                            let node = match_compiled(&job_model, &compiled, view.iter());
-                            slots.extract(&job_model, node, line, &view);
-                            node
-                        };
-                        // The answer reads the tables *and* the temporaries appended
-                        // to the job's model since they were compiled, which move
-                        // no generation.
-                        let snapshot = (compiled.generation(), job_model.len());
-                        let hash = record.line_hash;
-                        let id = cache.match_record_hashed(snapshot, line, hash, &mut slots, miss);
-                        ids[idx as usize] = id;
-                        prev = Some((idx, id));
-                    }
                     // The receiver may already be gone during shutdown; that is fine.
-                    let _ = result_tx.send(IdBatchResult {
-                        batch_id,
-                        records,
-                        matches: BatchMatch { ids, slots },
-                    });
+                    let _ = result_tx.send(match_job(job, &preprocessor, &mut scratch, &mut cache));
                 }
             }));
         }
@@ -187,7 +146,7 @@ impl MatcherPool {
     /// templates and passes the one snapshot pair it was built with.
     pub fn submit_ids(
         &mut self,
-        records: Vec<StreamRecord>,
+        lines: Vec<String>,
         model: Arc<ParserModel>,
         compiled: Arc<CompiledMatcher>,
     ) -> u64 {
@@ -198,7 +157,7 @@ impl MatcherPool {
             .expect("pool is running")
             .send(Job {
                 batch_id,
-                records,
+                lines,
                 model,
                 compiled,
             })
@@ -239,8 +198,9 @@ impl Drop for MatcherPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytebrain::matcher::match_ids_batch;
     use bytebrain::train::train;
-    use bytebrain::TrainConfig;
+    use bytebrain::{NodeId, TrainConfig};
 
     fn trained() -> (Arc<ParserModel>, Arc<CompiledMatcher>, Arc<Preprocessor>) {
         let records: Vec<String> = (0..100)
@@ -253,16 +213,9 @@ mod tests {
         (Arc::new(model), Arc::new(compiled), Arc::new(preprocessor))
     }
 
-    fn requests(range: std::ops::Range<u64>) -> Vec<StreamRecord> {
+    fn requests(range: std::ops::Range<u64>) -> Vec<String> {
         range
-            .map(|i| {
-                StreamRecord::new(format!(
-                    "request {} routed to shard {} in {}ms",
-                    i,
-                    i % 8,
-                    i % 50
-                ))
-            })
+            .map(|i| format!("request {} routed to shard {} in {}ms", i, i % 8, i % 50))
             .collect()
     }
 
@@ -284,7 +237,7 @@ mod tests {
         results.sort_by_key(|b| b.batch_id);
         for (expected_id, batch) in results.iter().enumerate() {
             assert_eq!(batch.batch_id, expected_id as u64);
-            assert_eq!(batch.records, requests(b_range(expected_id as u64)));
+            assert_eq!(batch.lines, requests(b_range(expected_id as u64)));
             assert_eq!(batch.matches.ids.len(), 50);
             assert!(batch.matches.ids.iter().all(|(node, _)| node.is_some()));
         }
@@ -295,8 +248,8 @@ mod tests {
     fn unmatched_records_are_reported_not_dropped() {
         let (model, compiled, pre) = trained();
         let mut pool = MatcherPool::new(pre, 1);
-        let record = StreamRecord::new("completely novel kernel message".to_string());
-        pool.submit_ids(vec![record], model, compiled);
+        let line = "completely novel kernel message".to_string();
+        pool.submit_ids(vec![line], model, compiled);
         let result = pool.recv_ids().expect("one batch");
         assert_eq!(result.matches.ids.len(), 1);
         assert_eq!(result.matches.ids[0].0, None);
@@ -312,8 +265,7 @@ mod tests {
         let mut pool = MatcherPool::new(Arc::clone(&pre), 1);
         let line = "completely novel kernel message";
         let mut submit = |model: Arc<ParserModel>| {
-            let record = StreamRecord::new(line.to_string());
-            pool.submit_ids(vec![record], model, Arc::clone(&compiled));
+            pool.submit_ids(vec![line.to_string()], model, Arc::clone(&compiled));
             pool.recv_ids().expect("one batch").matches.ids[0].0
         };
         assert_eq!(submit(Arc::clone(&model)), None);
@@ -329,27 +281,40 @@ mod tests {
         drop(pool); // must not hang or panic
     }
 
+    /// Repeated lines go through the worker's line cache: every record, a repeat
+    /// included, gets the node and slot values the batch kernel gives it, across
+    /// batches and with a novel line repeated too.
     #[test]
     fn lean_batches_return_ids_and_records() {
         let (model, compiled, pre) = trained();
-        let mut pool = MatcherPool::new(pre, 2);
-        // Repeat records so the per-worker match cache (and the in-batch
-        // duplicate-reuse path behind hash reordering) sees hits too.
-        let records: Vec<StreamRecord> = (0..40)
-            .map(|i| {
-                StreamRecord::new(format!(
-                    "request {} routed to shard {} in {}ms",
-                    i % 5,
-                    i % 2,
-                    i % 3
-                ))
-            })
+        let mut pool = MatcherPool::new(Arc::clone(&pre), 2);
+        let mut lines: Vec<String> = (0..40)
+            .map(|i| format!("request {} routed to shard {} in {}ms", i % 5, i % 2, i % 3))
             .collect();
-        let id = pool.submit_ids(records.clone(), model, compiled);
-        let result = pool.recv_ids().expect("one lean batch");
-        assert_eq!(result.batch_id, id);
-        assert_eq!(result.records, records);
-        assert_eq!(result.matches.ids.len(), 40);
-        assert!(result.matches.ids.iter().all(|(node, _)| node.is_some()));
+        lines.extend([
+            "novel kernel message".to_string(),
+            "novel kernel message".to_string(),
+        ]);
+        // Per line: its node and its slot values.
+        let decided = |matches: &BatchMatch| -> Vec<(Option<NodeId>, Vec<String>)> {
+            let ids = lines.iter().zip(&matches.ids);
+            ids.map(|(line, &(node, range))| {
+                let values = matches.slots.values(line, range).map(String::from);
+                (node, values.collect())
+            })
+            .collect()
+        };
+        let want = decided(&match_ids_batch(&model, &compiled, &pre, &lines, 1));
+        assert!(want.iter().any(|(node, _)| node.is_none()));
+        assert!(want
+            .iter()
+            .any(|(node, values)| node.is_some() && !values.is_empty()));
+        for _ in 0..3 {
+            let id = pool.submit_ids(lines.clone(), Arc::clone(&model), Arc::clone(&compiled));
+            let result = pool.recv_ids().expect("one lean batch");
+            assert_eq!(result.batch_id, id);
+            assert_eq!(result.lines, lines);
+            assert_eq!(decided(&result.matches), want);
+        }
     }
 }

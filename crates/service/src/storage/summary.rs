@@ -23,22 +23,12 @@
 //! every segment with current assignments and resets that bound. Stale
 //! segments are never pruned, merely evaluated record by record.
 
+use logtok::{fnv1a, FNV_OFFSET};
+
 /// Bloom bits budgeted per variable token (~3% false positives at 3 probes).
 const BITS_PER_ITEM: usize = 8;
 /// Number of bloom probes per value (double hashing).
 const PROBES: u64 = 3;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut hash = seed;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// Summary of one segment's variable column: bloom filter + min/max token.
 /// `may_contain` answers "could any record in this segment carry this exact

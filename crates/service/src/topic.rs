@@ -278,7 +278,7 @@ impl LogTopic {
     ///
     /// The replay is **deterministic and match-free**, and runs the live topic's own
     /// steps: every record, sealed or in the WAL tail, is stored by
-    /// [`LogTopic::apply_record`] under the template id stored beside it — a flagged
+    /// `LogTopic::apply_record` under the template id stored beside it — a flagged
     /// record re-executes the deterministic temporary-template insertion it performed
     /// live (no matching: the flag and the resulting node id are on disk) — and every
     /// maintenance event, retrains included, goes through the live landing's steps with

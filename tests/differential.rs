@@ -9,7 +9,9 @@
 //! converges to the same template groupings without a single stop-the-world
 //! retrain. A third holds the one path every retrain lands through to its
 //! library-only reference (`common::MergeReference`): train the window, `merge_models`,
-//! re-match everything.
+//! re-match everything. A fourth holds every landing of a drifting stream to the
+//! template tree's covering invariants: a parent covers its children, and every stored
+//! record fits the template it resolves to.
 //!
 //! The base seed is `BYTEBRAIN_TEST_SEED` (default 1); CI runs a seed matrix.
 
@@ -894,5 +896,130 @@ fn parse_with_threshold_gives_every_record_its_raw_text_match() {
                 records.len()
             );
         }
+    }
+}
+
+/// A drifting stream from `datasets`' generator, in `phases` phases of `per_phase`
+/// records: a steady HDFS core throughout, and in each phase a share of lines from one
+/// more family, which that phase introduces.
+fn phased_drift(phases: usize, per_phase: usize, seed: u64) -> Vec<String> {
+    const NOVEL: [&str; 4] = ["OpenSSH", "Hadoop", "Zookeeper", "Proxifier"];
+    let total = phases * per_phase;
+    let core = GeneratorConfig::loghub2("HDFS", total).with_seed(seed ^ 0xC07E);
+    let core = LabeledDataset::generate(&core).records;
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9A5E);
+    let mut out = Vec::with_capacity(total);
+    for (phase, core) in core.chunks(per_phase).enumerate() {
+        let family = NOVEL[phase % NOVEL.len()];
+        let novel = GeneratorConfig::loghub2(family, per_phase).with_seed(seed ^ phase as u64);
+        let mut novel = LabeledDataset::generate(&novel).records.into_iter();
+        for line in core {
+            let drifted = rng.gen_bool(0.4).then(|| novel.next()).flatten();
+            out.push(drifted.unwrap_or_else(|| line.clone()));
+        }
+    }
+    out
+}
+
+/// Two invariants a query's precision control rests on, held after every training run
+/// and landing of a drifting stream under both maintenance policies:
+///
+/// 1. **A parent template covers its children.** Every live node has the length of
+///    its nearest live ancestor, and that ancestor's constant wherever the ancestor
+///    has one — so whatever a child matches, its ancestors match too.
+/// 2. **Every stored record fits the template it resolves to**: its masked tokens
+///    match its node resolved at thresholds 0.3, 0.5, 0.6 and 0.9.
+///
+/// Runs under the CI seed matrix via `BYTEBRAIN_TEST_SEED`.
+#[test]
+fn parent_templates_cover_their_children_and_records_fit_what_they_resolve_to() {
+    use bytebrain_repro::bytebrain::{ParserModel, TemplateToken};
+    use bytebrain_repro::logtok::Preprocessor;
+
+    const THRESHOLDS: [f64; 4] = [0.3, 0.5, 0.6, 0.9];
+    let nearest_live_ancestor = |model: &ParserModel, id: NodeId| {
+        let mut current = model.nodes[id.0].parent;
+        while let Some(parent) = current.filter(|p| model.nodes[p.0].retired) {
+            current = model.nodes[parent.0].parent;
+        }
+        current
+    };
+    // Returns the number of parent → child edges and record resolutions checked.
+    let check = |topic: &LogTopic, tokens: &[Vec<String>], at: &str| -> (usize, usize) {
+        let model = topic.model();
+        let mut edges = 0;
+        for child in model.nodes.iter().filter(|n| !n.retired) {
+            let Some(parent) = nearest_live_ancestor(model, child.id) else {
+                continue;
+            };
+            let parent = &model.nodes[parent.0];
+            assert_eq!(
+                parent.template.len(),
+                child.template.len(),
+                "{at}: {} is not as long as its parent {}",
+                child.id,
+                parent.id
+            );
+            for (p, c) in parent.template.iter().zip(&child.template) {
+                assert!(
+                    matches!(p, TemplateToken::Wildcard) || p == c,
+                    "{at}: {} does not keep the constant {p} of its parent {}",
+                    child.id,
+                    parent.id
+                );
+            }
+            edges += 1;
+        }
+        let mut resolutions = 0;
+        for (stored, tokens) in topic.records().iter().zip(tokens) {
+            let Some(node) = stored.template else {
+                continue;
+            };
+            for threshold in THRESHOLDS {
+                let resolved = resolve_with_threshold(model, node, threshold);
+                assert!(
+                    model.nodes[resolved.0].matches(tokens.iter().map(String::as_str)),
+                    "{at}: {:?} does not fit {resolved}, its node {node} at {threshold}",
+                    stored.record
+                );
+                resolutions += 1;
+            }
+        }
+        (edges, resolutions)
+    };
+
+    let stream = phased_drift(4, 2_560, base_seed());
+    let incremental = MaintenancePolicy::Incremental {
+        drift: DriftConfig::default()
+            .with_window(2_048)
+            .with_min_samples(512)
+            .with_max_unmatched_rate(0.1),
+        check_interval: 1_024,
+    };
+    for (label, policy) in [
+        ("full-retrain", MaintenancePolicy::FullRetrain),
+        ("incremental", incremental),
+    ] {
+        let config = TopicConfig::new("cover")
+            .with_volume_threshold(2_048)
+            .with_maintenance(policy);
+        let preprocessor = Preprocessor::new(config.train.preprocess.clone());
+        let mut topic = LogTopic::new(config);
+        let mut tokens = Vec::with_capacity(stream.len());
+        let (mut landings, mut edges, mut resolutions) = (0, 0, 0);
+        for (i, post) in stream.chunks(128).enumerate() {
+            let outcome = topic.ingest(post);
+            tokens.extend(post.iter().map(|line| preprocessor.tokens_of(line)));
+            if outcome.trained || outcome.maintained > 0 {
+                landings += 1;
+                let (e, r) = check(&topic, &tokens, &format!("{label}, ingest {i}"));
+                edges += e;
+                resolutions += r;
+            }
+        }
+        check(&topic, &tokens, &format!("{label}, at the end"));
+        eprintln!("[cover] {label}: {landings} landings, {edges} edges, {resolutions} resolutions");
+        assert!(landings >= 3, "{label}: only {landings} landings");
+        assert!(edges > 0 && resolutions > 0, "{label}: nothing checked");
     }
 }
