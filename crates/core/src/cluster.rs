@@ -21,7 +21,7 @@ use crate::config::TrainConfig;
 use crate::distance::{DenseProfile, TokenTable};
 use crate::saturation::{breakdown, saturation};
 use crate::tree::TemplateToken;
-use logtok::UniqueLog;
+use logtok::EncodedLog;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
@@ -55,11 +55,11 @@ struct Cluster {
 
 /// Build the clustering tree for one initial group. `logs` are the group's unique logs
 /// (all with the same token count); the returned vector's first element is the root.
-pub fn cluster_group(logs: &[&UniqueLog], config: &TrainConfig, seed: u64) -> Vec<LocalNode> {
+pub fn cluster_group(logs: &[&EncodedLog], config: &TrainConfig, seed: u64) -> Vec<LocalNode> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let positions = logs.first().map_or(0, |log| log.encoded.len());
+    let positions = logs.first().map_or(0, |log| log.len());
     let mut splitter = Splitter {
-        group: TokenTable::intern(positions, logs.iter().map(|log| &log.encoded)),
+        group: TokenTable::intern(positions, logs.iter().copied()),
         config,
         node: TokenTable::default(),
         remap: Vec::new(),
@@ -111,7 +111,7 @@ pub fn cluster_group(logs: &[&UniqueLog], config: &TrainConfig, seed: u64) -> Ve
 /// Construct a node (template + saturation) for a cluster: constant positions keep their
 /// token text, others become wildcards.
 fn make_node(
-    logs: &[&UniqueLog],
+    logs: &[&EncodedLog],
     cluster: Cluster,
     parent: Option<usize>,
     depth: usize,
@@ -119,7 +119,6 @@ fn make_node(
 ) -> LocalNode {
     let template = match cluster.members.first() {
         Some(&first) => logs[first]
-            .encoded
             .tokens()
             .zip(&cluster.distinct)
             .map(|(token, &distinct)| {
@@ -421,20 +420,17 @@ mod tests {
     use super::*;
     use crate::config::TrainConfig;
 
-    fn unique(tokens: &[&str], count: u64) -> UniqueLog {
-        let mut encoded = logtok::EncodedLog::from_tokens(tokens);
+    fn unique(tokens: &[&str], count: u64) -> EncodedLog {
+        let mut encoded = EncodedLog::from_tokens(tokens);
         encoded.count = count;
-        UniqueLog {
-            encoded,
-            record_indices: Vec::new(),
-        }
+        encoded
     }
 
     fn config() -> TrainConfig {
         TrainConfig::default()
     }
 
-    fn refs(logs: &[UniqueLog]) -> Vec<&UniqueLog> {
+    fn refs(logs: &[EncodedLog]) -> Vec<&EncodedLog> {
         logs.iter().collect()
     }
 
@@ -579,7 +575,7 @@ mod tests {
     #[test]
     fn deep_recursion_is_bounded() {
         // Many logs sharing no structure: the tree must stay bounded and finite.
-        let logs: Vec<UniqueLog> = (0..64)
+        let logs: Vec<EncodedLog> = (0..64)
             .map(|i| unique(&[&format!("tok{i}"), &format!("val{}", i % 7), "end"], 1))
             .collect();
         let shallow = TrainConfig {

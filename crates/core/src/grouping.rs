@@ -9,7 +9,7 @@
 //! 2. **Prefix** — optionally, the first `k` tokens (user-configured, 0 by default) must
 //!    also agree.
 
-use logtok::UniqueLog;
+use logtok::EncodedLog;
 use std::collections::HashMap;
 
 /// Key identifying one initial group.
@@ -33,15 +33,15 @@ pub struct InitialGroup {
 /// Partition `logs` into initial groups using token count and a `prefix_tokens`-token
 /// prefix. Groups are returned in a deterministic order (sorted by key) so that training
 /// is reproducible regardless of hash-map iteration order.
-pub fn initial_groups(logs: &[UniqueLog], prefix_tokens: usize) -> Vec<InitialGroup> {
+pub fn initial_groups(logs: &[EncodedLog], prefix_tokens: usize) -> Vec<InitialGroup> {
     let mut map: HashMap<GroupKey, Vec<usize>> = HashMap::new();
     for (idx, log) in logs.iter().enumerate() {
-        let length = log.encoded.len();
+        let length = log.len();
         let prefix_hash = if prefix_tokens == 0 {
             0
         } else {
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for &token in log.encoded.encoded.iter().take(prefix_tokens) {
+            for &token in log.encoded.iter().take(prefix_tokens) {
                 h = h.rotate_left(7).wrapping_mul(0x100_0000_01b3) ^ token;
             }
             h
@@ -64,13 +64,9 @@ pub fn initial_groups(logs: &[UniqueLog], prefix_tokens: usize) -> Vec<InitialGr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logtok::{EncodedLog, UniqueLog};
 
-    fn unique(tokens: &[&str]) -> UniqueLog {
-        UniqueLog {
-            encoded: EncodedLog::from_tokens(tokens),
-            record_indices: vec![0],
-        }
+    fn unique(tokens: &[&str]) -> EncodedLog {
+        EncodedLog::from_tokens(tokens)
     }
 
     #[test]
@@ -137,7 +133,7 @@ mod tests {
 
     #[test]
     fn every_log_lands_in_exactly_one_group() {
-        let logs: Vec<UniqueLog> = (0..50)
+        let logs: Vec<EncodedLog> = (0..50)
             .map(|i| {
                 let tokens: Vec<String> = (0..(i % 5 + 1)).map(|j| format!("t{j}")).collect();
                 let refs: Vec<&str> = tokens.iter().map(|s| s.as_str()).collect();

@@ -346,36 +346,22 @@ fn fold_node(
     *saturation = saturation.min(source.saturation);
 }
 
-/// Builder state: working copies of patched templates and the growing new-node
-/// list, so that later merge decisions see earlier generalisations exactly as
-/// [`merge_models`](crate::merge::merge_models) would.
+/// Builder state: the patches and new nodes of the delta being built, each updated in
+/// place, so that later merge decisions see earlier generalisations exactly as
+/// [`merge_models`](crate::merge::merge_models) would. The new children of every
+/// patched and every new node are kept beside them: the delta records only parents.
 struct DeltaBuilder<'m> {
     base: &'m ParserModel,
     threshold: f64,
-    /// Patch working state per base node, indexed by `NodeId.0` (sparse).
-    patches: Vec<Option<ExistingNodeState>>,
+    /// Index into `patches` of each base node's patch, indexed by `NodeId.0` (sparse).
+    patch_of: Vec<Option<usize>>,
     /// Patched base nodes in first-touch order (deterministic output order).
-    patched_order: Vec<NodeId>,
-    new_nodes: Vec<NewNodeState>,
-}
-
-struct ExistingNodeState {
-    log_count_add: u64,
-    unique_count_add: u64,
-    template: Vec<TemplateToken>,
-    saturation: f64,
-    /// New children appended under this existing node.
-    children_added: Vec<usize>,
-}
-
-struct NewNodeState {
-    parent: DeltaParent,
-    template: Vec<TemplateToken>,
-    saturation: f64,
-    depth: usize,
-    log_count: u64,
-    unique_count: u64,
-    children: Vec<usize>,
+    patches: Vec<NodePatch>,
+    /// New children appended under each patched node (lockstep with `patches`).
+    patch_children: Vec<Vec<usize>>,
+    new_nodes: Vec<NewNode>,
+    /// Children of each new node (lockstep with `new_nodes`).
+    new_children: Vec<Vec<usize>>,
 }
 
 impl<'m> DeltaBuilder<'m> {
@@ -383,17 +369,19 @@ impl<'m> DeltaBuilder<'m> {
         DeltaBuilder {
             base,
             threshold,
-            patches: (0..base.nodes.len()).map(|_| None).collect(),
-            patched_order: Vec::new(),
+            patch_of: vec![None; base.nodes.len()],
+            patches: Vec::new(),
+            patch_children: Vec::new(),
             new_nodes: Vec::new(),
+            new_children: Vec::new(),
         }
     }
 
     /// The current template of a slot, reflecting any generalisation applied so far.
     fn template_of(&self, slot: Slot) -> &[TemplateToken] {
         match slot {
-            Slot::Existing(id) => match &self.patches[id.0] {
-                Some(patch) => &patch.template,
+            Slot::Existing(id) => match self.patch_of[id.0] {
+                Some(patch) => &self.patches[patch].template,
                 None => &self.base.nodes[id.0].template,
             },
             Slot::New(idx) => &self.new_nodes[idx].template,
@@ -411,33 +399,32 @@ impl<'m> DeltaBuilder<'m> {
                     .iter()
                     .map(|&c| Slot::Existing(c))
                     .collect();
-                if let Some(patch) = &self.patches[id.0] {
-                    out.extend(patch.children_added.iter().map(|&i| Slot::New(i)));
+                if let Some(patch) = self.patch_of[id.0] {
+                    out.extend(self.patch_children[patch].iter().map(|&i| Slot::New(i)));
                 }
                 out
             }
-            Slot::New(idx) => self.new_nodes[idx]
-                .children
+            Slot::New(idx) => self.new_children[idx]
                 .iter()
                 .map(|&i| Slot::New(i))
                 .collect(),
         }
     }
 
-    /// Ensure a patch working copy exists for `id` and return it.
-    fn patch_mut(&mut self, id: NodeId) -> &mut ExistingNodeState {
-        if self.patches[id.0].is_none() {
+    /// The index into `patches` of `id`'s patch, opened on first touch.
+    fn patch_index(&mut self, id: NodeId) -> usize {
+        *self.patch_of[id.0].get_or_insert_with(|| {
             let node = &self.base.nodes[id.0];
-            self.patches[id.0] = Some(ExistingNodeState {
+            self.patches.push(NodePatch {
+                node: id,
                 log_count_add: 0,
                 unique_count_add: 0,
                 template: node.template.clone(),
                 saturation: node.saturation,
-                children_added: Vec::new(),
             });
-            self.patched_order.push(id);
-        }
-        self.patches[id.0].as_mut().expect("patch just ensured")
+            self.patch_children.push(Vec::new());
+            self.patches.len() - 1
+        })
     }
 
     /// Merge the subtree rooted at `incoming_node` (of the delta-trained mini
@@ -448,7 +435,8 @@ impl<'m> DeltaBuilder<'m> {
         // one shared fold so the patch path and the new-node path cannot diverge.
         let (log_count, unique_count, template, saturation) = match target {
             Slot::Existing(id) => {
-                let patch = self.patch_mut(id);
+                let patch = self.patch_index(id);
+                let patch = &mut self.patches[patch];
                 (
                     &mut patch.log_count_add,
                     &mut patch.unique_count_add,
@@ -497,18 +485,21 @@ impl<'m> DeltaBuilder<'m> {
     fn copy_subtree(&mut self, incoming: &ParserModel, node: NodeId, parent: DeltaParent) -> usize {
         let source = &incoming.nodes[node.0];
         let idx = self.new_nodes.len();
-        self.new_nodes.push(NewNodeState {
+        self.new_nodes.push(NewNode {
             parent,
             template: source.template.clone(),
             saturation: source.saturation,
             depth: source.depth,
             log_count: source.log_count,
             unique_count: source.unique_count,
-            children: Vec::new(),
         });
+        self.new_children.push(Vec::new());
         match parent {
-            DeltaParent::Existing(id) => self.patch_mut(id).children_added.push(idx),
-            DeltaParent::New(parent_idx) => self.new_nodes[parent_idx].children.push(idx),
+            DeltaParent::Existing(id) => {
+                let patch = self.patch_index(id);
+                self.patch_children[patch].push(idx);
+            }
+            DeltaParent::New(parent_idx) => self.new_children[parent_idx].push(idx),
             DeltaParent::Root => {}
         }
         for &child in &source.children {
@@ -518,33 +509,10 @@ impl<'m> DeltaBuilder<'m> {
     }
 
     fn finish(self, batch_records: u64) -> ModelDelta {
-        let mut patches = Vec::new();
-        for id in &self.patched_order {
-            let state = self.patches[id.0].as_ref().expect("id was patched");
-            patches.push(NodePatch {
-                node: *id,
-                log_count_add: state.log_count_add,
-                unique_count_add: state.unique_count_add,
-                template: state.template.clone(),
-                saturation: state.saturation,
-            });
-        }
-        let new_nodes = self
-            .new_nodes
-            .into_iter()
-            .map(|n| NewNode {
-                parent: n.parent,
-                template: n.template,
-                saturation: n.saturation,
-                depth: n.depth,
-                log_count: n.log_count,
-                unique_count: n.unique_count,
-            })
-            .collect();
         ModelDelta {
             base_nodes: self.base.nodes.len(),
-            patches,
-            new_nodes,
+            patches: self.patches,
+            new_nodes: self.new_nodes,
             retire_temporaries: true,
             batch_records,
         }

@@ -152,7 +152,7 @@ impl ByteBrainParser {
         let (model, compiled) = (&self.model, &self.compiled);
         let unique_logs = batch.unique_logs.iter();
         let by_unique: Vec<Option<NodeId>> = unique_logs
-            .map(|unique| match_compiled(model, compiled, unique.encoded.tokens()))
+            .map(|unique| match_compiled(model, compiled, unique.tokens()))
             .collect();
         let by_record: Vec<Option<NodeId>> = batch
             .record_to_unique

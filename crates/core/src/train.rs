@@ -7,7 +7,7 @@ use crate::grouping::initial_groups;
 use crate::model::ParserModel;
 use crate::parallel::run_parallel;
 use crate::tree::{NodeId, TreeNode};
-use logtok::{PreprocessedBatch, Preprocessor, UniqueLog};
+use logtok::{EncodedLog, PreprocessedBatch, Preprocessor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -21,8 +21,6 @@ pub struct TrainOutcome {
     /// precise template containing it), or `None` for a record the OOM guard's sample
     /// left out. Used by the "w/ naive match" ablation variant and by tests.
     pub training_assignment: Vec<Option<NodeId>>,
-    /// Preprocessing statistics of the training batch.
-    pub dedup_stats: logtok::DedupStats,
 }
 
 /// Train a model from raw records, preprocessed by `preprocessor` — the one its caller
@@ -91,7 +89,7 @@ pub fn train_from_batch(batch: &PreprocessedBatch, config: &TrainConfig) -> Trai
         groups.into_iter().map(|g| g.members).enumerate().collect();
     let mut ordered: Vec<(usize, Vec<usize>, Vec<LocalNode>)> =
         run_parallel(config.parallelism, group_inputs, |(group_idx, members)| {
-            let group_logs: Vec<&UniqueLog> = members.iter().map(|&m| &unique_logs[m]).collect();
+            let group_logs: Vec<&EncodedLog> = members.iter().map(|&m| &unique_logs[m]).collect();
             let local = cluster_group(
                 &group_logs,
                 config,
@@ -156,7 +154,6 @@ pub fn train_from_batch(batch: &PreprocessedBatch, config: &TrainConfig) -> Trai
     TrainOutcome {
         model,
         training_assignment,
-        dedup_stats: batch.stats,
     }
 }
 
@@ -221,8 +218,6 @@ mod tests {
         let records = ssh_like_records();
         let outcome = train(&records, &preprocessor(), &TrainConfig::default());
         assert_eq!(outcome.model.trained_records(), records.len() as u64);
-        assert_eq!(outcome.dedup_stats.total_records, records.len() as u64);
-        assert!(outcome.dedup_stats.unique_records < records.len() as u64);
     }
 
     #[test]

@@ -133,10 +133,12 @@ mod tests {
     use super::*;
     use std::io::Write;
 
-    fn write_temp_csv(content: &str) -> std::path::PathBuf {
+    /// A CSV file holding `content`, named by `tag` so that tests running in parallel
+    /// never write one file.
+    fn write_temp_csv(tag: &str, content: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("bytebrain_loader_tests");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("test_{}.csv", std::process::id()));
+        let path = dir.join(format!("test_{tag}_{}.csv", std::process::id()));
         let mut f = std::fs::File::create(&path).unwrap();
         f.write_all(content.as_bytes()).unwrap();
         path
@@ -148,7 +150,7 @@ mod tests {
                    1,Verification succeeded for blk_1,E1,Verification succeeded for <*>\n\
                    2,Verification succeeded for blk_2,E1,Verification succeeded for <*>\n\
                    3,Deleting block blk_9 file /tmp/x,E2,Deleting block <*> file <*>\n";
-        let path = write_temp_csv(csv);
+        let path = write_temp_csv("structured", csv);
         let ds = load_structured_csv("HDFS", &path).unwrap();
         assert_eq!(ds.len(), 3);
         assert_eq!(ds.templates.len(), 2);
@@ -170,7 +172,7 @@ mod tests {
 
     #[test]
     fn missing_content_column_is_an_error() {
-        let path = write_temp_csv("LineId,Message\n1,foo\n");
+        let path = write_temp_csv("no_content", "LineId,Message\n1,foo\n");
         assert!(load_structured_csv("X", &path).is_err());
         std::fs::remove_file(path).ok();
     }

@@ -7,16 +7,6 @@
 
 use crate::hashenc::{hash_token, EncodedLog, FnvMap};
 
-/// A unique log produced by deduplication: the encoded log plus the indices of the raw
-/// records that collapsed into it (so parse results can be mapped back to every record).
-#[derive(Debug, Clone)]
-pub struct UniqueLog {
-    /// The deduplicated, encoded log (its `count` equals `record_indices.len()`).
-    pub encoded: EncodedLog,
-    /// Indices (into the original batch) of all records that collapsed into this log.
-    pub record_indices: Vec<usize>,
-}
-
 /// Summary statistics of one deduplication pass: how many records a batch collapsed into
 /// how few unique logs (`lpbench` reports the factor as `logtok.dedup_factor`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +35,8 @@ pub struct Deduplicator {
     /// with one key are told apart by their texts; the later one is filed under the next
     /// free sequence hash (see `push_keyed`).
     index: FnvMap<(u64, usize), usize>,
-    unique: Vec<UniqueLog>,
+    /// The unique logs, in first-occurrence order; each one's `count` is its weight.
+    unique: Vec<EncodedLog>,
     total: u64,
     /// The token hashes of the record being pushed; a new unique log keeps a copy.
     hashes: Vec<u64>,
@@ -57,27 +48,24 @@ impl Deduplicator {
         Self::default()
     }
 
-    /// Add one tokenized record (by index) and return the slot of its unique log.
+    /// Add one tokenized record and return the slot of its unique log.
     ///
     /// Each token is hashed once, and the hashes become the new unique log's encoding.
     /// `tokens` is walked once more per candidate whose hashes agree; token texts are
     /// copied only when the sequence is new.
-    pub fn push<I>(&mut self, record_index: usize, tokens: I) -> usize
+    pub fn push<I>(&mut self, tokens: I) -> usize
     where
         I: IntoIterator + Clone,
         I::Item: AsRef<str>,
     {
-        self.push_keyed(record_index, tokens, |seq_hash| seq_hash)
+        self.push_keyed(tokens, |seq_hash| seq_hash)
     }
 
     /// [`Deduplicator::push`] with the sequence hash the record is filed under mapped
-    /// through `key` (tests force collisions through it).
-    pub(crate) fn push_keyed<I>(
-        &mut self,
-        record_index: usize,
-        tokens: I,
-        key: impl FnOnce(u64) -> u64,
-    ) -> usize
+    /// through `key`: a key no other record shares (its index) keeps every record apart,
+    /// which is how preprocessing runs without deduplication; tests force collisions
+    /// through it.
+    pub(crate) fn push_keyed<I>(&mut self, tokens: I, key: impl FnOnce(u64) -> u64) -> usize
     where
         I: IntoIterator + Clone,
         I::Item: AsRef<str>,
@@ -99,39 +87,25 @@ impl Deduplicator {
         while let Some(&slot) = self.index.get(&key) {
             let existing = &mut self.unique[slot];
             // The key holds the token count, so the two sequences are equally long.
-            debug_assert_eq!(existing.encoded.len(), key.1);
+            debug_assert_eq!(existing.len(), key.1);
             // Equal texts have equal hashes: comparing those first only skips the text
             // comparison of a sequence that differs.
-            if existing.encoded.encoded == self.hashes
+            if existing.encoded == self.hashes
                 && existing
-                    .encoded
                     .tokens()
                     .zip(tokens.clone())
                     .all(|(a, b)| a == b.as_ref())
             {
-                existing.encoded.count += 1;
-                existing.record_indices.push(record_index);
+                existing.count += 1;
                 return slot;
             }
             key.0 = key.0.wrapping_add(1);
         }
         let slot = self.unique.len();
-        self.unique.push(UniqueLog {
-            encoded: EncodedLog::from_hashed(tokens, self.hashes.clone()),
-            record_indices: vec![record_index],
-        });
+        self.unique
+            .push(EncodedLog::from_hashed(tokens, self.hashes.clone()));
         self.index.insert(key, slot);
         slot
-    }
-
-    /// Number of unique logs so far.
-    pub fn unique_len(&self) -> usize {
-        self.unique.len()
-    }
-
-    /// Total number of records pushed so far.
-    pub fn total_records(&self) -> u64 {
-        self.total
     }
 
     /// Statistics snapshot.
@@ -143,12 +117,12 @@ impl Deduplicator {
     }
 
     /// Consume the deduplicator and return the unique logs.
-    pub fn into_unique(self) -> Vec<UniqueLog> {
+    pub fn into_unique(self) -> Vec<EncodedLog> {
         self.unique
     }
 
     /// Borrow the unique logs accumulated so far.
-    pub fn unique(&self) -> &[UniqueLog] {
+    pub fn unique(&self) -> &[EncodedLog] {
         &self.unique
     }
 }
@@ -157,27 +131,42 @@ impl Deduplicator {
 mod tests {
     use super::*;
 
+    fn counts(d: &Deduplicator) -> Vec<u64> {
+        d.unique().iter().map(|u| u.count).collect()
+    }
+
     #[test]
     fn duplicates_collapse_with_counts() {
         let mut d = Deduplicator::new();
-        d.push(0, &["user", "login", "ok"]);
-        d.push(1, &["user", "logout", "ok"]);
-        d.push(2, &["user", "login", "ok"]);
-        d.push(3, &["user", "login", "ok"]);
-        assert_eq!(d.unique_len(), 2);
-        assert_eq!(d.total_records(), 4);
-        let unique = d.into_unique();
-        assert_eq!(unique[0].encoded.count, 3);
-        assert_eq!(unique[0].record_indices, vec![0, 2, 3]);
-        assert_eq!(unique[1].encoded.count, 1);
+        let slots: Vec<usize> = [
+            ["user", "login", "ok"],
+            ["user", "logout", "ok"],
+            ["user", "login", "ok"],
+            ["user", "login", "ok"],
+        ]
+        .iter()
+        .map(|tokens| d.push(tokens))
+        .collect();
+        assert_eq!(slots, vec![0, 1, 0, 0]);
+        assert_eq!(
+            d.stats(),
+            DedupStats {
+                total_records: 4,
+                unique_records: 2
+            }
+        );
+        assert_eq!(counts(&d), vec![3, 1]);
+        let mut login = EncodedLog::from_tokens(["user", "login", "ok"]);
+        login.count = 3;
+        assert_eq!(d.into_unique()[0], login);
     }
 
     #[test]
     fn same_slot_returned_for_duplicates() {
         let mut d = Deduplicator::new();
-        let a = d.push(0, &["a", "b"]);
-        let b = d.push(1, &["a", "b"]);
-        let c = d.push(2, &["a", "c"]);
+        let a = d.push(&["a", "b"]);
+        let b = d.push(&["a", "b"]);
+        let c = d.push(&["a", "c"]);
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -185,26 +174,26 @@ mod tests {
     #[test]
     fn order_matters() {
         let mut d = Deduplicator::new();
-        d.push(0, &["a", "b"]);
-        d.push(1, &["b", "a"]);
-        assert_eq!(d.unique_len(), 2);
+        d.push(&["a", "b"]);
+        d.push(&["b", "a"]);
+        assert_eq!(d.stats().unique_records, 2);
     }
 
     #[test]
     fn different_lengths_never_collide() {
         let mut d = Deduplicator::new();
-        d.push(0, &["a", "b", ""]);
-        d.push(1, &["a", "b"]);
-        assert_eq!(d.unique_len(), 2);
+        d.push(&["a", "b", ""]);
+        d.push(&["a", "b"]);
+        assert_eq!(d.stats().unique_records, 2);
     }
 
     #[test]
     fn stats_and_duplication_factor() {
         let mut d = Deduplicator::new();
-        for i in 0..10 {
-            d.push(i, &["heartbeat", "ok"]);
+        for _ in 0..10 {
+            d.push(&["heartbeat", "ok"]);
         }
-        d.push(10, &["heartbeat", "failed"]);
+        d.push(&["heartbeat", "failed"]);
         let stats = d.stats();
         assert_eq!(stats.total_records, 11);
         assert_eq!(stats.unique_records, 2);
@@ -219,27 +208,41 @@ mod tests {
         let mut d = Deduplicator::new();
         let (a, b, c) = (["a", "x"], ["b", "y"], ["c", "z"]);
         let mut slots = Vec::new();
-        for (idx, tokens) in [a, b, a, b, b, a, c, a, c].iter().enumerate() {
-            slots.push(d.push_keyed(idx, tokens, |_| 42));
+        for tokens in [a, b, a, b, b, a, c, a, c] {
+            slots.push(d.push_keyed(tokens, |_| 42));
         }
         assert_eq!(slots, vec![0, 1, 0, 1, 1, 0, 2, 0, 2]);
-        assert_eq!(d.unique_len(), 3);
+        assert_eq!(d.stats().unique_records, 3);
         // A sequence whose own hash is the key a collision spilled into is unaffected.
-        assert_eq!(d.push_keyed(9, &["d", "w"], |_| 43), 3);
-        assert_eq!(d.push_keyed(10, &["d", "w"], |_| 43), 3);
-        assert_eq!(d.push_keyed(11, &b, |_| 42), 1);
-        for unique in d.unique() {
-            assert_eq!(unique.encoded.count, unique.record_indices.len() as u64);
+        assert_eq!(d.push_keyed(&["d", "w"], |_| 43), 3);
+        assert_eq!(d.push_keyed(&["d", "w"], |_| 43), 3);
+        assert_eq!(d.push_keyed(b, |_| 42), 1);
+        // Every count is the number of pushes that returned its slot.
+        slots.extend([3, 3, 1]);
+        for (slot, &count) in counts(&d).iter().enumerate() {
+            assert_eq!(count, slots.iter().filter(|&&s| s == slot).count() as u64);
         }
-        let counts: Vec<u64> = d.unique().iter().map(|u| u.encoded.count).collect();
-        assert_eq!(counts, vec![4, 4, 2, 2]);
-        assert_eq!(d.total_records(), 12);
+        assert_eq!(counts(&d), vec![4, 4, 2, 2]);
+        assert_eq!(d.stats().total_records, 12);
+    }
+
+    /// A key no two records share keeps identical sequences apart: one unique log per
+    /// record, in order, each of count 1.
+    #[test]
+    fn distinct_keys_keep_identical_records_apart() {
+        let mut d = Deduplicator::new();
+        let slots: Vec<usize> = (0..4u64)
+            .map(|i| d.push_keyed(["same", "log"], |_| i))
+            .collect();
+        assert_eq!(slots, vec![0, 1, 2, 3]);
+        assert_eq!(counts(&d), vec![1; 4]);
+        assert_eq!(d.stats().duplication_factor(), 1.0);
     }
 
     #[test]
     fn empty_dedup_stats() {
         let d = Deduplicator::new();
         assert_eq!(d.stats().duplication_factor(), 0.0);
-        assert_eq!(d.unique_len(), 0);
+        assert_eq!(d.stats().unique_records, 0);
     }
 }

@@ -21,7 +21,7 @@ pub mod masking;
 pub mod pipeline;
 pub mod tokenizer;
 
-pub use dedup::{DedupStats, Deduplicator, UniqueLog};
+pub use dedup::{DedupStats, Deduplicator};
 pub use hashenc::{
     fnv1a, hash_line, hash_token, EncodedLog, FnvHasher, FnvMap, FNV_OFFSET, WILDCARD_HASH,
 };

@@ -2,7 +2,7 @@
 //! hash encoding. Both the offline trainer and the online matcher run the same pipeline so
 //! that templates and incoming logs live in the same token space.
 
-use crate::dedup::{DedupStats, Deduplicator, UniqueLog};
+use crate::dedup::{DedupStats, Deduplicator};
 use crate::hashenc::EncodedLog;
 use crate::masking::{KeptRun, MaskRule, Masker};
 use crate::tokenizer::{Tokenizer, TokenizerConfig};
@@ -36,9 +36,9 @@ impl Default for PreprocessConfig {
 /// Output of preprocessing a batch of raw records.
 #[derive(Debug)]
 pub struct PreprocessedBatch {
-    /// Unique (deduplicated) logs. With deduplication disabled there is one entry per
-    /// input record.
-    pub unique_logs: Vec<UniqueLog>,
+    /// Unique (deduplicated) logs in first-occurrence order, each weighted by its
+    /// `count`. With deduplication disabled there is one entry per input record.
+    pub unique_logs: Vec<EncodedLog>,
     /// For every input record, the index of its unique log in `unique_logs`.
     pub record_to_unique: Vec<usize>,
     /// Deduplication statistics for the batch.
@@ -210,43 +210,25 @@ impl Preprocessor {
     ///
     /// Every record is masked and tokenized into one reused [`TokenScratch`]; token
     /// texts are copied out only for the first record of each unique sequence, into
-    /// one string per unique log.
+    /// one string per unique log. Without deduplication (the "w/o deduplication"
+    /// ablation, Fig. 9) each record is filed under its own index, a key no other
+    /// record shares, so nothing collapses and every later step runs unchanged.
     pub fn preprocess<S: AsRef<str>>(&self, records: &[S]) -> PreprocessedBatch {
         let mut scratch = TokenScratch::new();
+        let mut dedup = Deduplicator::new();
         let mut record_to_unique = Vec::with_capacity(records.len());
-        if self.deduplicate {
-            let mut dedup = Deduplicator::new();
-            for (idx, record) in records.iter().enumerate() {
-                let tokens = self.masked_tokens(record.as_ref(), &mut scratch);
-                record_to_unique.push(dedup.push(idx, tokens));
-            }
-            let stats = dedup.stats();
-            PreprocessedBatch {
-                unique_logs: dedup.into_unique(),
-                record_to_unique,
-                stats,
-            }
-        } else {
-            // One unique log per record: downstream code paths are identical, only the
-            // collapse step is skipped (used by the ablation study, Fig. 9).
-            let mut unique_logs = Vec::with_capacity(records.len());
-            for (idx, record) in records.iter().enumerate() {
-                let tokens = self.masked_tokens(record.as_ref(), &mut scratch);
-                unique_logs.push(UniqueLog {
-                    encoded: EncodedLog::from_tokens(tokens),
-                    record_indices: vec![idx],
-                });
-                record_to_unique.push(idx);
-            }
-            let stats = DedupStats {
-                total_records: records.len() as u64,
-                unique_records: records.len() as u64,
-            };
-            PreprocessedBatch {
-                unique_logs,
-                record_to_unique,
-                stats,
-            }
+        for (idx, record) in records.iter().enumerate() {
+            let tokens = self.masked_tokens(record.as_ref(), &mut scratch);
+            record_to_unique.push(if self.deduplicate {
+                dedup.push(tokens)
+            } else {
+                dedup.push_keyed(tokens, |_| idx as u64)
+            });
+        }
+        PreprocessedBatch {
+            stats: dedup.stats(),
+            unique_logs: dedup.into_unique(),
+            record_to_unique,
         }
     }
 
@@ -293,7 +275,7 @@ mod tests {
         let batch = pre.preprocess(&records);
         // With user names also masked, the first three records become identical.
         assert_eq!(batch.unique_logs.len(), 2);
-        assert_eq!(batch.unique_logs[0].encoded.count, 3);
+        assert_eq!(batch.unique_logs[0].count, 3);
         assert_eq!(batch.record_to_unique[0], batch.record_to_unique[2]);
     }
 
@@ -307,6 +289,7 @@ mod tests {
         let records = vec!["same log", "same log", "same log"];
         let batch = pre.preprocess(&records);
         assert_eq!(batch.unique_logs.len(), 3);
+        assert!(batch.unique_logs.iter().all(|log| log.count == 1));
         assert_eq!(batch.record_to_unique, vec![0, 1, 2]);
     }
 
@@ -364,10 +347,15 @@ mod tests {
         let pre = Preprocessor::default_pipeline();
         let records = vec!["a b c", "d e f", "a b c", "a b c", "d e f"];
         let batch = pre.preprocess(&records);
-        for (i, &slot) in batch.record_to_unique.iter().enumerate() {
-            assert!(batch.unique_logs[slot].record_indices.contains(&i));
+        assert_eq!(batch.record_to_unique, vec![0, 1, 0, 0, 1]);
+        // Each unique log's count is the number of records mapped to it.
+        for (slot, log) in batch.unique_logs.iter().enumerate() {
+            let mapped = batch
+                .record_to_unique
+                .iter()
+                .filter(|&&u| u == slot)
+                .count();
+            assert_eq!(log.count, mapped as u64);
         }
-        let total: u64 = batch.unique_logs.iter().map(|u| u.encoded.count).sum();
-        assert_eq!(total, records.len() as u64);
     }
 }

@@ -116,12 +116,12 @@ fn dedup_conserves_counts() {
             })
             .collect();
         let mut dedup = Deduplicator::new();
-        for (i, tokens) in records.iter().enumerate() {
-            dedup.push(i, tokens);
+        for tokens in &records {
+            dedup.push(tokens);
         }
         let stats = dedup.stats();
         assert_eq!(stats.total_records, records.len() as u64);
-        let sum: u64 = dedup.unique().iter().map(|u| u.encoded.count).sum();
+        let sum: u64 = dedup.unique().iter().map(|u| u.count).sum();
         assert_eq!(sum, records.len() as u64);
         assert!(stats.unique_records <= stats.total_records);
     }
@@ -416,8 +416,8 @@ fn token_view_agrees_with_tokens_of_on_adversarial_inputs() {
 
 /// `Preprocessor::preprocess` (one reused scratch, texts copied only for a first
 /// occurrence) equals, field for field, the per-record path it replaced: `tokens_of`
-/// each record, then `Deduplicator::push` — or one unique log per record with
-/// deduplication off. The batch repeats records so that sequences do collapse.
+/// each record, then `Deduplicator::push` — or, with deduplication off, one fresh
+/// deduplicator per record. The batch repeats records so that sequences do collapse.
 #[test]
 fn preprocess_agrees_with_per_record_path() {
     let mut rng = StdRng::seed_from_u64(adversarial_seed() ^ 0xAD7E_0004);
@@ -440,17 +440,12 @@ fn preprocess_agrees_with_per_record_path() {
             for (idx, record) in records.iter().enumerate() {
                 let tokens = pre.tokens_of(record);
                 if deduplicate {
-                    record_to_unique.push(dedup.push(idx, &tokens));
+                    record_to_unique.push(dedup.push(&tokens));
                 } else {
                     // A fresh deduplicator per record never collapses anything.
                     let mut single = Deduplicator::new();
-                    single.push(idx, &tokens);
-                    assert_eq!(
-                        batch.unique_logs[idx].encoded,
-                        single.unique()[0].encoded,
-                        "record {idx}"
-                    );
-                    assert_eq!(batch.unique_logs[idx].record_indices, vec![idx]);
+                    single.push(&tokens);
+                    assert_eq!(batch.unique_logs[idx], single.unique()[0], "record {idx}");
                     record_to_unique.push(idx);
                 }
             }
@@ -458,15 +453,50 @@ fn preprocess_agrees_with_per_record_path() {
             assert_eq!(batch.stats.total_records, records.len() as u64);
             if deduplicate {
                 assert_eq!(batch.stats, dedup.stats());
-                assert_eq!(batch.unique_logs.len(), dedup.unique_len());
-                for (got, want) in batch.unique_logs.iter().zip(dedup.unique()) {
-                    assert_eq!(got.encoded, want.encoded);
-                    assert_eq!(got.record_indices, want.record_indices);
-                }
+                assert_eq!(batch.unique_logs, dedup.unique());
             } else {
                 assert_eq!(batch.stats.unique_records, records.len() as u64);
                 assert_eq!(batch.unique_logs.len(), records.len());
             }
+            // Each unique log's count is the number of records mapped to it.
+            for (slot, log) in batch.unique_logs.iter().enumerate() {
+                let mapped = batch.record_to_unique.iter().filter(|&&u| u == slot);
+                assert_eq!(log.count, mapped.count() as u64, "unique log {slot}");
+            }
         }
+    }
+}
+
+/// The "w/o deduplication" ablation runs the one preprocessing loop: every record,
+/// duplicates included, gets a unique log of its own, in record order, with count 1,
+/// and the batch's statistics read n records over n unique logs.
+#[test]
+fn without_deduplication_every_record_is_its_own_log() {
+    let mut rng = StdRng::seed_from_u64(adversarial_seed() ^ 0xAD7E_0005);
+    let pre = Preprocessor::new(logtok::PreprocessConfig {
+        deduplicate: false,
+        ..logtok::PreprocessConfig::default()
+    });
+    for _ in 0..20 {
+        let pool: Vec<String> = (0..rng.gen_range(1..6usize))
+            .map(|_| adversarial_record(&mut rng))
+            .collect();
+        let records: Vec<&str> = (0..rng.gen_range(0..60usize))
+            .map(|_| pool[rng.gen_range(0..pool.len())].as_str())
+            .collect();
+        let batch = pre.preprocess(&records);
+        let n = records.len();
+        assert_eq!(batch.record_to_unique, (0..n).collect::<Vec<_>>());
+        assert_eq!(batch.unique_logs.len(), n);
+        for (log, record) in batch.unique_logs.iter().zip(&records) {
+            assert_eq!(log.count, 1);
+            let tokens: Vec<&str> = log.tokens().collect();
+            assert_eq!(tokens, pre.tokens_of(record), "{record:?}");
+        }
+        let stats = batch.stats;
+        assert_eq!(
+            (stats.total_records, stats.unique_records),
+            (n as u64, n as u64)
+        );
     }
 }

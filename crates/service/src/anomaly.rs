@@ -2,12 +2,14 @@
 //! flags (a) templates that newly appear and (b) templates whose record count shifts
 //! abnormally between two time windows.
 //!
-//! Window distributions come from the planned query path: callers either pass
-//! precomputed `(template, count)` distributions (a
-//! [`QueryValue::Distribution`](crate::query::QueryValue::Distribution)) to
-//! [`AnomalyDetector::detect`] or hand two [`QuerySnapshot`]s to [`AnomalyDetector::detect_snapshots`], which aggregates
-//! per-node postings up the saturation ladder — O(templates) per window, never a
-//! record scan.
+//! Distributions come from the planned query path: callers either pass precomputed
+//! `(template, count)` distributions (a
+//! [`QueryValue::Distribution`](crate::query::QueryValue::Distribution)), one per
+//! window, to [`AnomalyDetector::detect`], or hand two [`QuerySnapshot`]s to
+//! [`AnomalyDetector::detect_snapshots`], which aggregates per-node postings up the
+//! saturation ladder — O(templates) per snapshot, never a record scan. A snapshot's
+//! distribution is cumulative (every record the topic holds), so two snapshots of one
+//! topic compare everything up to one point against everything up to a later one.
 
 use crate::query::QuerySnapshot;
 use serde::{Deserialize, Serialize};
@@ -129,7 +131,10 @@ impl AnomalyDetector {
     /// Compare two topic query snapshots at the given saturation threshold and report
     /// anomalies. Both distributions are computed through the indexed path (postings
     /// aggregated up the ladder), so the comparison cost is bounded by the number of
-    /// templates, not the number of stored records.
+    /// templates, not the number of stored records. Each counts every record its
+    /// snapshot holds: of two snapshots of one topic, `current` also counts every
+    /// record of `baseline` (unless retention dropped it since), so this compares two
+    /// cumulative distributions, not two disjoint windows.
     pub fn detect_snapshots(
         &self,
         baseline: &QuerySnapshot,

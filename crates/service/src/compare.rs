@@ -1,9 +1,13 @@
 //! Template-distribution comparison across time periods (§1, §6): users compare the
 //! templates generated in two windows to understand how system behaviour changed.
 //!
-//! Window distributions come from the indexed query path ([`compare_snapshots`]
-//! aggregates per-node postings up the saturation ladder), so comparing two windows
-//! of a 100k-record topic costs O(templates), not O(records).
+//! [`compare_windows`] compares any two `(template, count)` distributions. Those of
+//! a topic come from the indexed query path ([`compare_snapshots`] aggregates
+//! per-node postings up the saturation ladder), so comparing two snapshots of a
+//! 100k-record topic costs O(templates), not O(records). A snapshot's distribution is
+//! cumulative — it counts every record the topic holds — so two snapshots of one topic
+//! compare everything up to one point against everything up to a later one, not two
+//! disjoint windows.
 
 use crate::query::QuerySnapshot;
 use serde::{Deserialize, Serialize};
@@ -65,9 +69,12 @@ pub fn compare_windows(
     shifts
 }
 
-/// Compare two topic query snapshots at the given saturation threshold: both window
+/// Compare two topic query snapshots at the given saturation threshold: both
 /// distributions are computed through the indexed path (postings aggregated up the
-/// saturation ladder — no record scan) and fed to [`compare_windows`].
+/// saturation ladder — no record scan) and fed to [`compare_windows`]. Each counts
+/// every record its snapshot holds, so of two snapshots of one topic the later also
+/// counts every record of the earlier one (unless retention dropped it since): the
+/// shifts are between two cumulative distributions, not two disjoint windows.
 pub fn compare_snapshots(
     before: &QuerySnapshot,
     after: &QuerySnapshot,

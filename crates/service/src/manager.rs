@@ -65,7 +65,8 @@ pub struct ServiceManager {
 }
 
 /// Encode a tenant/topic key as a filesystem directory name: alphanumerics, `-` and
-/// `_` pass through, everything else is percent-encoded byte-wise. Injective, so two
+/// `_` pass through, everything else is percent-encoded byte-wise, and the empty key is
+/// a lone `%` (every other `%` is followed by two hex digits). Injective, so two
 /// distinct keys can never collide on one directory.
 fn dir_name_of(key: &str) -> String {
     let mut out = String::with_capacity(key.len());
@@ -76,7 +77,7 @@ fn dir_name_of(key: &str) -> String {
         }
     }
     if out.is_empty() {
-        out.push('_');
+        out.push('%');
     }
     out
 }
@@ -429,5 +430,36 @@ mod tests {
         let stats = manager.topic("evolving", "app").unwrap().stats();
         assert_eq!(stats.training_runs, 1);
         assert!(stats.maintenance_runs >= 1);
+    }
+
+    #[test]
+    fn directory_names_are_injective() {
+        let keys = ["", "_", "%", "a b", "a%20b", "web", "Web", "é"];
+        let names: std::collections::BTreeSet<String> =
+            keys.iter().map(|k| dir_name_of(k)).collect();
+        assert_eq!(names.len(), keys.len(), "{names:?}");
+    }
+
+    /// The empty key and the key `_` get a directory each: neither store overwrites the
+    /// other's files, and both come back from a reopen with their records.
+    #[test]
+    fn empty_and_underscore_keys_keep_separate_stores() {
+        let root = std::env::temp_dir().join(format!("bb-empty-key-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let mut manager = ServiceManager::durable(&root, StorageConfig::default()).unwrap();
+        manager.topic_mut("", "t").ingest(&batch("empty", 30));
+        manager.topic_mut("_", "t").ingest(&batch("underscore", 20));
+        manager.topic_mut("t", "").ingest(&batch("empty topic", 10));
+        drop(manager);
+        let reopened = ServiceManager::open(&root).unwrap();
+        let records = |tenant: &str, topic: &str| {
+            let topic = reopened.topic(tenant, topic).expect("topic recovered");
+            topic.stats().total_records
+        };
+        assert_eq!(reopened.topic_count(), 3);
+        assert_eq!(records("", "t"), 30);
+        assert_eq!(records("_", "t"), 20);
+        assert_eq!(records("t", ""), 10);
+        let _ = fs::remove_dir_all(&root);
     }
 }

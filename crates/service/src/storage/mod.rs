@@ -37,9 +37,9 @@
 //!
 //! **Retention invariant.** A segment may be dropped only when (a) its TTL
 //! expired, (b) it holds zero unmatched-at-ingest records (their texts drive
-//! the epoch's model replay), (c) it sits outside the current training window
-//! ([`TopicStorage::training_window_start`]: sealed before the last retrain, or
-//! past the training-buffer capacity), and (d) every older segment was dropped
+//! the epoch's model replay), (c) it sits outside the training window, the
+//! sequence range the topic's next training run reads (the topic owns it and
+//! passes it in), and (d) every older segment was dropped
 //! first (the record store stays a contiguous sequence range). A pass that
 //! drops anything bumps the topic **generation**, which is part of the
 //! query-cache key.
@@ -63,6 +63,7 @@ use framing::FrameLog;
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -259,9 +260,6 @@ pub struct TopicStorage {
     /// none): summaries of segments sealed before it are stale — the delta
     /// may have re-matched their records — and must not prune.
     last_delta_seq: u64,
-    /// `at_seq` of the latest *retrain* event since the epoch checkpoint (0
-    /// when none); see [`TopicStorage::training_window_start`].
-    last_retrain_seq: u64,
 }
 
 impl TopicStorage {
@@ -304,7 +302,6 @@ impl TopicStorage {
             next_seq: 0,
             summaries: Vec::new(),
             last_delta_seq: 0,
-            last_retrain_seq: 0,
         })
     }
 
@@ -404,8 +401,6 @@ impl TopicStorage {
             .map(|seg| SegmentSummary::build(&seg.variables))
             .collect();
         let last_delta_seq = events_list.iter().map(|e| e.at_seq).max().unwrap_or(0);
-        let retrains = events_list.iter().filter(|e| e.retrain);
-        let last_retrain_seq = retrains.map(|e| e.at_seq).max().unwrap_or(0);
 
         let recovered = RecoveredTopic {
             meta,
@@ -425,7 +420,6 @@ impl TopicStorage {
                 next_seq,
                 summaries,
                 last_delta_seq,
-                last_retrain_seq,
             },
             recovered,
         ))
@@ -483,13 +477,6 @@ impl TopicStorage {
         self.last_delta_seq
     }
 
-    /// Sequence number the training window starts at: the last training run,
-    /// be it the epoch checkpoint or a retrain event logged since. Retention
-    /// never drains past it and a reopened topic resumes its window here.
-    pub fn training_window_start(&self) -> u64 {
-        self.manifest.epoch_start_seq.max(self.last_retrain_seq)
-    }
-
     /// Append one ingested record to the WAL (durability lands at the next
     /// [`TopicStorage::commit`]). Returns the record's sequence number.
     pub fn append_record(
@@ -513,13 +500,10 @@ impl TopicStorage {
     /// Append one maintenance event (its delta + kind of run + record moves)
     /// to the event log, as one frame. Marks summaries of every already-sealed
     /// segment stale for push-down pruning (see
-    /// [`TopicStorage::last_delta_seq`]); a retrain restarts the training window.
+    /// [`TopicStorage::last_delta_seq`]).
     pub fn append_delta_event(&mut self, event: &DeltaEvent) -> io::Result<()> {
         let frame = event.encode()?;
         self.last_delta_seq = self.last_delta_seq.max(event.at_seq);
-        if event.retrain {
-            self.last_retrain_seq = self.last_retrain_seq.max(event.at_seq);
-        }
         self.events.append(&frame)
     }
 
@@ -642,7 +626,6 @@ impl TopicStorage {
         // Fresh epoch: every segment was resealed with current assignments,
         // so all summaries are trustworthy again.
         self.last_delta_seq = 0;
-        self.last_retrain_seq = 0;
         for old in old_segments {
             let _ = fs::remove_file(
                 self.dir
@@ -657,31 +640,29 @@ impl TopicStorage {
     }
 
     /// True when the segment may be dropped by retention: no flagged records
-    /// (their texts drive the epoch's model replay) and outside the current
-    /// training window (`training_cap` = the topic's training-buffer size).
-    fn droppable(&self, seg: &SegmentMeta, training_cap: u64) -> bool {
-        let window_start = self.training_window_start();
-        seg.flagged == 0
-            && (seg.end_seq() <= window_start
-                || seg.first_seq >= window_start.saturating_add(training_cap))
+    /// (their texts drive the epoch's model replay) and no record in the training
+    /// `window` (the sequence range the topic's next training run reads).
+    fn droppable(seg: &SegmentMeta, window: &Range<u64>) -> bool {
+        seg.flagged == 0 && (seg.end_seq() <= window.start || seg.first_seq >= window.end)
     }
 
     /// True when TTL retention is stalled: some expired segment cannot be
-    /// dropped until an epoch checkpoint clears its flags. Never without a TTL.
-    pub fn retention_waiting(&self, training_cap: u64) -> bool {
+    /// dropped until an epoch checkpoint clears its flags or the training `window`
+    /// moves past it. Never without a TTL.
+    pub fn retention_waiting(&self, window: Range<u64>) -> bool {
         let Some(ttl) = self.config.retention_ttl else {
             return false;
         };
         let now = unix_now();
         let segments = self.manifest.segments.iter();
         let mut expired = segments.take_while(|seg| seg.expired(ttl, now));
-        expired.any(|seg| !self.droppable(seg, training_cap))
+        expired.any(|seg| !Self::droppable(seg, &window))
     }
 
-    /// TTL retention: drop the longest expired, droppable prefix of segments.
-    /// The caller (the topic) drains the same record prefix from memory and
-    /// rebuilds its postings. No-op when no TTL is configured.
-    pub fn retention_pass(&mut self, training_cap: u64) -> io::Result<RetentionOutcome> {
+    /// TTL retention: drop the longest expired prefix of segments droppable with the
+    /// training `window` where it is. The caller (the topic) drains the same record
+    /// prefix from memory and rebuilds its postings. No-op when no TTL is configured.
+    pub fn retention_pass(&mut self, window: Range<u64>) -> io::Result<RetentionOutcome> {
         let Some(ttl) = self.config.retention_ttl else {
             return Ok(RetentionOutcome::default());
         };
@@ -689,7 +670,7 @@ impl TopicStorage {
         let mut outcome = RetentionOutcome::default();
         let mut dropped_ids = Vec::new();
         while let Some(seg) = self.manifest.segments.first() {
-            if !(seg.expired(ttl, now) && self.droppable(seg, training_cap)) {
+            if !(seg.expired(ttl, now) && Self::droppable(seg, &window)) {
                 break;
             }
             let seg = self.manifest.segments.remove(0);

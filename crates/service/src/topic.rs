@@ -45,6 +45,7 @@ use bytebrain::{
 };
 use logtok::{Preprocessor, TokenScratch};
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -208,10 +209,6 @@ pub struct LogTopic {
     last_maintenance_seconds: f64,
     /// Durable storage tier (WAL + segments + model log); `None` for in-memory topics.
     storage: Option<TopicStorage>,
-    /// Monotonic topic generation mirrored from the storage manifest: bumped on
-    /// recovery and TTL retention. Part of the query-cache key — a
-    /// record *set* change without a model change must still miss the cache.
-    generation: u64,
 }
 
 impl LogTopic {
@@ -244,7 +241,6 @@ impl LogTopic {
             maintenance_runs: 0,
             last_maintenance_seconds: 0.0,
             storage: None,
-            generation: 0,
         }
     }
 
@@ -268,7 +264,6 @@ impl LogTopic {
         let meta = TopicMeta::from_config(tenant, topic, &config);
         let storage = TopicStorage::create(dir, storage, &meta)?;
         let mut created = LogTopic::new(config);
-        created.generation = storage.generation();
         created.storage = Some(storage);
         Ok(created)
     }
@@ -365,7 +360,6 @@ impl LogTopic {
         topic
             .trigger
             .observe(next_seq - last_reset_seq.min(next_seq));
-        topic.generation = storage.generation();
         topic.storage = Some(storage);
         Ok(topic)
     }
@@ -403,10 +397,12 @@ impl LogTopic {
         self.query_cache.stats()
     }
 
-    /// The monotonic topic generation: bumped on recovery and TTL retention (always 0
-    /// for in-memory topics). Part of the query-cache key.
+    /// The monotonic topic generation, which the storage manifest keeps: bumped on
+    /// recovery and TTL retention (always 0 for in-memory topics). Part of the
+    /// query-cache key — a record *set* change without a model change must still miss
+    /// the cache.
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.storage.as_ref().map_or(0, TopicStorage::generation)
     }
 
     /// The durable storage tier, when this topic was created via
@@ -520,14 +516,15 @@ impl LogTopic {
 
     /// The records the next training run reads: the first `training_buffer` stored
     /// since the last one — a range of the record store, which retention never drains.
-    fn training_window(&self) -> std::ops::Range<usize> {
-        // What a reopen would derive.
-        debug_assert!(self.storage.as_ref().is_none_or(|s| {
-            let first_live = s.first_live_seq();
-            s.training_window_start().max(first_live) - first_live == self.window_start as u64
-        }));
+    fn training_window(&self) -> Range<usize> {
         let end = self.records.len();
         self.window_start..end.min(self.window_start + self.config.training_buffer)
+    }
+
+    /// [`LogTopic::training_window`] as sequence numbers: what retention must keep.
+    fn training_window_seqs(&self) -> Range<u64> {
+        let (first, window) = (self.first_record_seq(), self.training_window());
+        first + window.start as u64..first + window.end as u64
     }
 
     /// Ingest a batch of records: match them online, store them, and run a
@@ -580,11 +577,11 @@ impl LogTopic {
     /// record prefix is drained in lockstep. A drop bumps the topic generation and
     /// clears the query cache. No-op for in-memory topics.
     pub fn run_storage_maintenance(&mut self) -> RetentionOutcome {
+        let window = self.training_window_seqs();
         let Some(storage) = &mut self.storage else {
             return RetentionOutcome::default();
         };
-        let cap = self.config.training_buffer as u64;
-        let outcome = storage.retention_pass(cap).expect("retention pass");
+        let outcome = storage.retention_pass(window).expect("retention pass");
         if outcome.dropped_records > 0 {
             let dropped = outcome.dropped_records as usize;
             self.records.drain_front(dropped);
@@ -597,7 +594,6 @@ impl LogTopic {
             self.index = Arc::new(QueryIndex::rebuild(&self.records, self.model.len()));
         }
         if outcome.dropped_segments > 0 {
-            self.generation = storage.generation();
             self.query_cache.clear();
         }
         outcome
@@ -875,6 +871,7 @@ impl LogTopic {
         let elapsed_seconds = started.elapsed().as_secs_f64();
         self.finish_run(retrain, elapsed_seconds);
         let moves = self.rematch(retrain);
+        let window = self.training_window_seqs();
         let Some(storage) = &mut self.storage else {
             return;
         };
@@ -895,7 +892,7 @@ impl LogTopic {
         // Flagged records pin their segments until an epoch checkpoint clears the
         // flags. A retrain has just absorbed every one of them, so it is the point
         // where a checkpoint is sound — taken only if retention is stalled on it.
-        if retrain && storage.retention_waiting(self.config.training_buffer as u64) {
+        if retrain && storage.retention_waiting(window) {
             self.checkpoint_epoch();
         }
     }

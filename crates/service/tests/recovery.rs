@@ -740,6 +740,75 @@ fn query_cache_generation_prevents_stale_hits_after_eviction() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// With a TTL of 0 every segment is expired, so retention drops exactly the segments
+/// that end at or before the training window's start — the last retrain's sequence
+/// number, not the epoch's, since these retrains take no checkpoint (nothing is
+/// flagged) — on a live topic and on a twin reopened from disk before each pass. The
+/// next retrain then reads the same window on both.
+#[test]
+fn ttl_zero_retention_stops_at_the_training_window_live_and_reopened() {
+    let storage = || fast_storage().with_retention_ttl(Duration::ZERO);
+    let config = TopicConfig::new("window").with_volume_threshold(1_000_000);
+    let (live_dir, twin_dir) = (scratch_dir("window-live"), scratch_dir("window-twin"));
+    let mut live = LogTopic::durable(config.clone(), &live_dir, storage()).expect("create");
+    let mut twin = LogTopic::durable(config, &twin_dir, storage()).expect("create");
+    for topic in [&mut live, &mut twin] {
+        let mut first = web_access_batch(0, 200);
+        first.extend(auth_batch(0, 100));
+        topic.ingest(&first);
+        topic.run_training();
+    }
+    let epoch_start = 300;
+    let mut offset = epoch_start;
+    for round in 0..2 {
+        for topic in [&mut live, &mut twin] {
+            let outcome = topic.ingest(&web_access_batch(offset, 200));
+            assert_eq!(outcome.unmatched, 0, "round {round}: no record is flagged");
+            topic.run_training();
+            topic.ingest(&web_access_batch(offset + 200, 90));
+        }
+        offset += 290;
+        let window_start = (offset - 90) as u64;
+        drop(twin);
+        twin = LogTopic::open(&twin_dir, storage()).expect("reopen");
+        let segments = live.storage().expect("durable").segments().to_vec();
+        let kept = segments.iter().position(|seg| seg.end_seq() > window_start);
+        let kept = &segments[kept.expect("a segment reaches into the window")];
+        // The window start falls inside a segment, past the epoch's start.
+        assert!(kept.first_seq < window_start && kept.first_seq > epoch_start as u64);
+        for (name, topic) in [("live", &mut live), ("reopened", &mut twin)] {
+            let ctx = format!("round {round}, {name}");
+            let before = topic.storage().expect("durable").first_live_seq();
+            let outcome = topic.run_storage_maintenance();
+            let storage = topic.storage().expect("durable");
+            assert_eq!(
+                storage.first_live_seq(),
+                kept.first_seq,
+                "{ctx}: first live"
+            );
+            assert_eq!(outcome.dropped_records, kept.first_seq - before, "{ctx}");
+            assert_eq!(
+                storage.segments()[0].id,
+                kept.id,
+                "{ctx}: first kept segment"
+            );
+            assert_eq!(
+                topic.records().len() as u64,
+                storage.next_seq() - kept.first_seq
+            );
+        }
+    }
+    for topic in [&mut live, &mut twin] {
+        topic.ingest(&web_access_batch(offset, 50));
+        topic.run_training();
+    }
+    assert_eq!(live.stats().training_runs, 4);
+    assert_same_but_for_clocks(&live, &twin, "after the next retrain");
+    drop((live, twin));
+    fs::remove_dir_all(&live_dir).ok();
+    fs::remove_dir_all(&twin_dir).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Crash windows: torn WAL tail, orphan segment files
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 //! Anomaly detection on parsing results: ingest a healthy baseline window, then a window
 //! containing an incident (a template count surge plus a brand-new error template), and
-//! let the detector and the template library's alert rules flag both.
+//! let the detector and the template library's alert rules flag both. The detector
+//! compares the topic after the baseline with the topic after the incident: the second
+//! distribution is cumulative, so it still counts the baseline's records.
 //!
 //! Run with: `cargo run --release --example anomaly_watch`
 
@@ -54,7 +56,7 @@ fn main() {
     let current = topic.query_snapshot();
 
     let detector = AnomalyDetector::default();
-    println!("=== anomalies between baseline and incident window");
+    println!("=== anomalies from the baseline to baseline + incident");
     for report in detector
         .detect_snapshots(&baseline, &current, 0.9)
         .iter()

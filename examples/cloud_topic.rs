@@ -1,6 +1,7 @@
 //! Cloud-service workflow: ingest a synthetic HDFS-like stream into a log topic, let
 //! volume-triggered training run, query the stored logs grouped by template at two
-//! precisions, and compare template distributions across two time windows.
+//! precisions, and compare the template distribution after the first batch with the
+//! one after the last (cumulative: the later one counts every record of the earlier).
 //!
 //! Run with: `cargo run --release --example cloud_topic`
 
@@ -13,8 +14,8 @@ fn main() {
     let mut topic = LogTopic::new(TopicConfig::new("hdfs-datanode").with_volume_threshold(10_000));
 
     // Ingest the stream in batches, as a collector would, freezing an indexed query
-    // snapshot (model + ladder + postings behind Arcs) at each window boundary.
-    let mut window_snapshots = Vec::new();
+    // snapshot (model + ladder + postings behind Arcs) after each batch.
+    let mut snapshots = Vec::new();
     for (i, chunk) in corpus.records.chunks(10_000).enumerate() {
         let outcome = topic.ingest(chunk);
         println!(
@@ -24,7 +25,7 @@ fn main() {
             chunk.len(),
             outcome.trained
         );
-        window_snapshots.push(topic.query_snapshot());
+        snapshots.push(topic.query_snapshot());
     }
 
     let stats = topic.stats();
@@ -49,14 +50,16 @@ fn main() {
         }
     }
 
-    // Compare the first and last ingestion windows through the indexed path.
-    if window_snapshots.len() >= 2 {
+    // Compare the topic after the first batch with the topic after the last, through
+    // the indexed path. Both distributions are cumulative: the later snapshot still
+    // holds every record of the first batch.
+    if snapshots.len() >= 2 {
         let shifts = compare_snapshots(
-            &window_snapshots[0],
-            window_snapshots.last().expect("at least one window"),
+            &snapshots[0],
+            snapshots.last().expect("at least one snapshot"),
             0.9,
         );
-        println!("\nlargest distribution shifts between the first and last window:");
+        println!("\nlargest distribution shifts from the first batch to the whole stream:");
         for shift in shifts.iter().take(5) {
             println!(
                 "  {:+.2}pp  {} ({} -> {})",
