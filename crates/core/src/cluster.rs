@@ -4,8 +4,8 @@
 //! *single clustering process* (§4.4): a K-Means-style iteration using the positional
 //! similarity distance, seeded K-Means++-style, that grows the number of clusters whenever
 //! a cluster's saturation fails to improve on its parent. Nodes stop splitting when their
-//! saturation reaches the target (§4.5), when an early-stop rule applies (§4.7), or when a
-//! split cannot separate the members any further.
+//! saturation reaches [`SATURATION_TARGET`] (§4.5), when an early-stop rule applies (§4.7),
+//! or when a split cannot separate the members any further.
 //!
 //! The group's token hashes are interned once into a [`TokenTable`]; each node being
 //! split re-interns its own rows, so the flat count tables of its clusters are sized by
@@ -25,6 +25,9 @@ use logtok::EncodedLog;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
+
+/// Saturation at or above which a node is fully resolved and is not split further.
+pub const SATURATION_TARGET: f64 = 1.0;
 
 /// A node of the per-group clustering tree, using indices local to the group.
 #[derive(Debug, Clone)]
@@ -83,7 +86,7 @@ pub fn cluster_group(logs: &[&EncodedLog], config: &TrainConfig, seed: u64) -> V
         let node = &nodes[node_idx];
         let (node_saturation, depth) = (node.saturation, node.depth);
         if node.members.len() <= 1
-            || node_saturation >= config.saturation_target
+            || node_saturation >= SATURATION_TARGET
             || depth >= config.max_depth
         {
             continue;

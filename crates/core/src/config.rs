@@ -148,8 +148,6 @@ pub struct TrainConfig {
     pub max_depth: usize,
     /// Maximum refinement iterations in one single-clustering process (§4.4).
     pub max_cluster_iters: usize,
-    /// Saturation at or above which a node is considered fully resolved.
-    pub saturation_target: f64,
     /// Random seed (centroid selection and balanced-grouping tie breaks).
     pub seed: u64,
     /// Number of worker threads used for training and matching (the paper limits
@@ -169,7 +167,6 @@ impl Default for TrainConfig {
             prefix_tokens: 0,
             max_depth: 24,
             max_cluster_iters: 8,
-            saturation_target: 1.0,
             seed: 0x5EED,
             parallelism: 1,
             max_training_records: 2_000_000,

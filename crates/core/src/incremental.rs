@@ -42,12 +42,12 @@
 //! let base: Vec<String> = (0..50).map(|i| format!("request {i} served in {i}ms")).collect();
 //! let model = train(&base, &pre, &config).model;
 //! let drift: Vec<String> = (0..20).map(|i| format!("cache miss for key k{i}")).collect();
-//! let delta = train_delta(&model, &drift, &pre, &config, 0.6);
+//! let delta = train_delta(&model, &drift, &pre, &config);
 //! let updated = apply_delta(&model, &delta);
 //! assert!(updated.len() > model.len());
 //! ```
 
-use crate::merge::template_similarity;
+use crate::merge::{template_similarity, MERGE_THRESHOLD};
 use crate::model::ParserModel;
 use crate::train::train;
 use crate::tree::{NodeId, TemplateToken, TreeNode};
@@ -60,6 +60,10 @@ use std::collections::VecDeque;
 // Drift detection
 // ---------------------------------------------------------------------------
 
+/// The topic drifts when the windowed mean saturation of matched records falls this
+/// far below the baseline established on healthy traffic.
+pub const MAX_SATURATION_DROP: f64 = 0.15;
+
 /// Configuration of the [`DriftDetector`]'s sliding window.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DriftConfig {
@@ -69,9 +73,6 @@ pub struct DriftConfig {
     pub min_samples: usize,
     /// The topic drifts when the windowed unmatched rate reaches this bound.
     pub max_unmatched_rate: f64,
-    /// The topic drifts when the windowed mean saturation of matched records falls
-    /// this far below the baseline established on healthy traffic.
-    pub max_saturation_drop: f64,
 }
 
 impl Default for DriftConfig {
@@ -80,7 +81,6 @@ impl Default for DriftConfig {
             window: 1_024,
             min_samples: 256,
             max_unmatched_rate: 0.05,
-            max_saturation_drop: 0.15,
         }
     }
 }
@@ -216,7 +216,7 @@ impl DriftDetector {
         if let Some(baseline) = self.baseline {
             if matched >= self.config.min_samples / 2 && matched > 0 {
                 let current = self.matched_saturation_sum / matched as f64;
-                if baseline - current >= self.config.max_saturation_drop {
+                if baseline - current >= MAX_SATURATION_DROP {
                     return DriftDecision::SaturationDecay { baseline, current };
                 }
             }
@@ -352,7 +352,6 @@ fn fold_node(
 /// patched and every new node are kept beside them: the delta records only parents.
 struct DeltaBuilder<'m> {
     base: &'m ParserModel,
-    threshold: f64,
     /// Index into `patches` of each base node's patch, indexed by `NodeId.0` (sparse).
     patch_of: Vec<Option<usize>>,
     /// Patched base nodes in first-touch order (deterministic output order).
@@ -365,10 +364,9 @@ struct DeltaBuilder<'m> {
 }
 
 impl<'m> DeltaBuilder<'m> {
-    fn new(base: &'m ParserModel, threshold: f64) -> Self {
+    fn new(base: &'m ParserModel) -> Self {
         DeltaBuilder {
             base,
-            threshold,
             patch_of: vec![None; base.nodes.len()],
             patches: Vec::new(),
             patch_children: Vec::new(),
@@ -467,7 +465,7 @@ impl<'m> DeltaBuilder<'m> {
                 }
             }
             match best {
-                Some((existing, similarity)) if similarity >= self.threshold => {
+                Some((existing, similarity)) if similarity >= MERGE_THRESHOLD => {
                     self.merge_subtree(incoming, incoming_child, existing);
                 }
                 _ => {
@@ -523,7 +521,7 @@ impl<'m> DeltaBuilder<'m> {
 /// its unmatched records) on their own, preprocessed by the caller's `preprocessor` (see
 /// [`train`]), and express the result as a [`ModelDelta`]
 /// against `model`, using the same similarity-driven merge rules as
-/// [`merge_models`](crate::merge::merge_models) with `merge_threshold`.
+/// [`merge_models`](crate::merge::merge_models) at [`MERGE_THRESHOLD`].
 ///
 /// `apply_delta(model, train_delta(model, records, ..))` produces the same
 /// templates as `merge_models(model, train(records, ..).model, ..)` — verified
@@ -533,9 +531,8 @@ pub fn train_delta<S: AsRef<str>>(
     records: &[S],
     preprocessor: &Preprocessor,
     config: &TrainConfig,
-    merge_threshold: f64,
 ) -> ModelDelta {
-    let mut builder = DeltaBuilder::new(model, merge_threshold);
+    let mut builder = DeltaBuilder::new(model);
     if records.is_empty() {
         let mut delta = builder.finish(0);
         // Nothing was folded: keep active temporaries alive, they are not
@@ -567,7 +564,7 @@ pub fn train_delta<S: AsRef<str>>(
             }
         }
         match best {
-            Some((target, similarity)) if similarity >= merge_threshold => {
+            Some((target, similarity)) if similarity >= MERGE_THRESHOLD => {
                 builder.merge_subtree(&incoming, *root, target);
             }
             _ => {
@@ -702,9 +699,9 @@ mod tests {
         let pre = Preprocessor::new(config.preprocess.clone());
         let model = train(&base_records(), &pre, &config).model;
         let batch = drift_records();
-        let delta = train_delta(&model, &batch, &pre, &config, 0.6);
+        let delta = train_delta(&model, &batch, &pre, &config);
         let patched = apply_delta(&model, &delta);
-        let merged = merge_models(&model, &train(&batch, &pre, &config).model, 0.6);
+        let merged = merge_models(&model, &train(&batch, &pre, &config).model);
         assert_eq!(sorted_texts(&patched), sorted_texts(&merged));
         assert_eq!(patched.roots.len(), merged.roots.len());
     }
@@ -718,9 +715,9 @@ mod tests {
         let batch: Vec<String> = (100..140)
             .map(|i| format!("request {} served from cache {} in {}ms", i, i % 3, i % 7))
             .collect();
-        let delta = train_delta(&model, &batch, &pre, &config, 0.6);
+        let delta = train_delta(&model, &batch, &pre, &config);
         let patched = apply_delta(&model, &delta);
-        let merged = merge_models(&model, &train(&batch, &pre, &config).model, 0.6);
+        let merged = merge_models(&model, &train(&batch, &pre, &config).model);
         assert_eq!(sorted_texts(&patched), sorted_texts(&merged));
         assert_eq!(patched.trained_records(), merged.trained_records());
     }
@@ -730,7 +727,7 @@ mod tests {
         let config = TrainConfig::default();
         let pre = Preprocessor::new(config.preprocess.clone());
         let model = train(&base_records(), &pre, &config).model;
-        let delta = train_delta(&model, &drift_records(), &pre, &config, 0.6);
+        let delta = train_delta(&model, &drift_records(), &pre, &config);
         let patched = apply_delta(&model, &delta);
         assert!(patched.len() >= model.len());
         for (before, after) in model.nodes.iter().zip(patched.nodes.iter()) {
@@ -745,7 +742,7 @@ mod tests {
         let config = TrainConfig::default();
         let pre = Preprocessor::new(config.preprocess.clone());
         let model = train(&base_records(), &pre, &config).model;
-        let delta = train_delta(&model, &drift_records(), &pre, &config, 0.6);
+        let delta = train_delta(&model, &drift_records(), &pre, &config);
         let patched = apply_delta(&model, &delta);
         assert!(walk(&patched, &pre, "request 999 served from cache 1 in 3ms").is_some());
         assert!(walk(&patched, &pre, "circuit breaker opened for upstream svc-99").is_some());
@@ -759,7 +756,7 @@ mod tests {
         let temp_id =
             model.insert_temporary(&pre.tokens_of("circuit breaker opened for upstream svc-0"));
         assert_eq!(model.temporary_count(), 1);
-        let delta = train_delta(&model, &drift_records(), &pre, &config, 0.6);
+        let delta = train_delta(&model, &drift_records(), &pre, &config);
         let patched = apply_delta(&model, &delta);
         assert_eq!(patched.temporary_count(), 0);
         assert_eq!(patched.retired_count(), 1);
@@ -776,7 +773,7 @@ mod tests {
         let config = TrainConfig::default();
         let pre = Preprocessor::new(config.preprocess.clone());
         let model = train(&base_records(), &pre, &config).model;
-        let delta = train_delta(&model, &[] as &[String], &pre, &config, 0.6);
+        let delta = train_delta(&model, &[] as &[String], &pre, &config);
         assert!(delta.is_empty());
         assert_eq!(delta.batch_records, 0);
         let patched = apply_delta(&model, &delta);
@@ -788,7 +785,7 @@ mod tests {
         let config = TrainConfig::default();
         let pre = Preprocessor::new(config.preprocess.clone());
         let model = train(&base_records(), &pre, &config).model;
-        let delta = train_delta(&model, &drift_records(), &pre, &config, 0.6);
+        let delta = train_delta(&model, &drift_records(), &pre, &config);
         let payload = serde_json::to_string(&delta).expect("delta serializes");
         let restored: ModelDelta = serde_json::from_str(&payload).expect("delta deserializes");
         let a = apply_delta(&model, &delta);
@@ -803,7 +800,7 @@ mod tests {
         let config = TrainConfig::default();
         let pre = Preprocessor::new(config.preprocess.clone());
         let model = train(&base_records(), &pre, &config).model;
-        let mut delta = train_delta(&model, &drift_records(), &pre, &config, 0.6);
+        let mut delta = train_delta(&model, &drift_records(), &pre, &config);
         // Pretend the delta was computed against a narrower model: the wider live
         // model could hold nodes the delta never saw.
         delta.base_nodes = model.len() - 1;
@@ -819,7 +816,7 @@ mod tests {
         let mut live = persisted.clone();
         live.insert_temporary(&["ephemeral".into(), "event".into(), "one".into()]);
         live.insert_temporary(&["ephemeral".into(), "event".into(), "two".into()]);
-        let delta = train_delta(&live, &drift_records(), &pre, &config, 0.6);
+        let delta = train_delta(&live, &drift_records(), &pre, &config);
         let from_live = apply_delta(&live, &delta);
         let from_persisted = apply_delta(&persisted, &delta);
         // Node ids align: same width, and every active node carries the same template.
@@ -870,9 +867,7 @@ mod tests {
 
     #[test]
     fn saturation_decay_is_detected() {
-        let mut config = drift_config();
-        config.max_saturation_drop = 0.2;
-        let mut detector = DriftDetector::new(config);
+        let mut detector = DriftDetector::new(drift_config());
         // Healthy traffic establishes a baseline near 0.95.
         for _ in 0..200 {
             detector.observe(true, 0.95);

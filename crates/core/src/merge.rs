@@ -7,6 +7,11 @@
 use crate::model::ParserModel;
 use crate::tree::{NodeId, TemplateToken, TreeNode};
 
+/// The template similarity at or above which a landing folds an incoming template into an
+/// existing one ([`merge_models`] and [`train_delta`](crate::incremental::train_delta)
+/// alike); below it the incoming template is kept beside the existing ones.
+pub const MERGE_THRESHOLD: f64 = 0.6;
+
 /// Similarity between two templates of the same length: the fraction of positions holding
 /// exactly the same token (wildcards only match wildcards). Different lengths score 0.
 pub fn template_similarity(a: &[TemplateToken], b: &[TemplateToken]) -> f64 {
@@ -22,7 +27,7 @@ pub fn template_similarity(a: &[TemplateToken], b: &[TemplateToken]) -> f64 {
 }
 
 /// Merge `incoming` into `base`. Roots of `incoming` whose template similarity with some
-/// root of `base` reaches `threshold` are merged into that root (recursively); the rest
+/// root of `base` reaches [`MERGE_THRESHOLD`] are merged into that root (recursively); the rest
 /// are appended as new roots. Temporary templates in `base` are removed first — their
 /// logs are represented in `incoming` by construction (the service retrains on recent
 /// logs, which include previously-unmatched ones).
@@ -33,7 +38,7 @@ pub fn template_similarity(a: &[TemplateToken], b: &[TemplateToken]) -> f64 {
 /// alike, goes through [`train_delta`](crate::incremental::train_delta), the same rules
 /// expressed against stable node ids, and the differential suites hold that path to this
 /// one.
-pub fn merge_models(base: &ParserModel, incoming: &ParserModel, threshold: f64) -> ParserModel {
+pub fn merge_models(base: &ParserModel, incoming: &ParserModel) -> ParserModel {
     let mut merged = ParserModel::new();
     // 1. Copy the non-temporary part of `base`.
     let mut base_to_merged: Vec<Option<NodeId>> = vec![None; base.nodes.len()];
@@ -58,8 +63,8 @@ pub fn merge_models(base: &ParserModel, incoming: &ParserModel, threshold: f64) 
             }
         }
         match best {
-            Some((target, similarity)) if similarity >= threshold => {
-                merge_subtree(incoming, *root, target, &mut merged, threshold);
+            Some((target, similarity)) if similarity >= MERGE_THRESHOLD => {
+                merge_subtree(incoming, *root, target, &mut merged);
             }
             _ => {
                 let mut incoming_to_merged: Vec<Option<NodeId>> = vec![None; incoming.nodes.len()];
@@ -105,13 +110,12 @@ fn copy_subtree(
 
 /// Merge the subtree rooted at `incoming_node` into the existing node `target_node`:
 /// counts accumulate; each incoming child is merged into the most similar existing child
-/// when similarity reaches the threshold, and copied as a new child otherwise.
+/// when similarity reaches [`MERGE_THRESHOLD`], and copied as a new child otherwise.
 fn merge_subtree(
     incoming: &ParserModel,
     incoming_node: NodeId,
     target_node: NodeId,
     merged: &mut ParserModel,
-    threshold: f64,
 ) {
     let source = &incoming.nodes[incoming_node.0];
     {
@@ -141,8 +145,8 @@ fn merge_subtree(
             }
         }
         match best {
-            Some((existing, similarity)) if similarity >= threshold => {
-                merge_subtree(incoming, incoming_child, existing, merged, threshold);
+            Some((existing, similarity)) if similarity >= MERGE_THRESHOLD => {
+                merge_subtree(incoming, incoming_child, existing, merged);
             }
             _ => {
                 let mut mapping: Vec<Option<NodeId>> = vec![None; incoming.nodes.len()];
@@ -211,7 +215,7 @@ mod tests {
         let pre = Preprocessor::new(config.preprocess.clone());
         let first = train(&records, &pre, &config).model;
         let second = train(&records, &pre, &config).model;
-        let merged = merge_models(&first, &second, 0.5);
+        let merged = merge_models(&first, &second);
         assert_eq!(merged.trained_records(), 2 * records.len() as u64);
         assert!(walk(&merged, &pre, "job 999 finished in 5ms").is_some());
     }
@@ -226,7 +230,7 @@ mod tests {
         let pre = Preprocessor::new(config.preprocess.clone());
         let a = train(&a_records, &pre, &config).model;
         let b = train(&b_records, &pre, &config).model;
-        let merged = merge_models(&a, &b, 0.6);
+        let merged = merge_models(&a, &b);
         assert_eq!(merged.roots.len(), a.roots.len() + b.roots.len());
         assert!(walk(&merged, &pre, "cache hit for key 7").is_some());
         assert!(walk(
@@ -246,7 +250,7 @@ mod tests {
         base.insert_temporary(&["unseen".into(), "event".into()]);
         assert_eq!(base.temporary_count(), 1);
         let incoming = train(&records, &pre, &config).model;
-        let merged = merge_models(&base, &incoming, 0.5);
+        let merged = merge_models(&base, &incoming);
         assert_eq!(merged.temporary_count(), 0);
     }
 
@@ -284,7 +288,7 @@ mod tests {
         incoming.add_root(root_b);
         incoming.rebuild_match_order();
 
-        let merged = merge_models(&base, &incoming, 0.7);
+        let merged = merge_models(&base, &incoming);
         assert_eq!(merged.roots.len(), 1);
         let root = &merged.nodes[merged.roots[0].0];
         assert_eq!(root.template_text(), "status ok code *");

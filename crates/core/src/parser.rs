@@ -74,14 +74,12 @@ impl ByteBrainParser {
     /// Train on a new batch and merge the result into the existing model (periodic
     /// retraining in production, §3) the way every service landing does — a
     /// [`train_delta`] applied against stable node ids, absorbing the temporaries.
-    /// `similarity_threshold` controls when two templates are considered the same.
-    pub fn train_incremental(&mut self, records: &[String], similarity_threshold: f64) {
+    pub fn train_incremental(&mut self, records: &[String]) {
         if self.model.is_empty() {
             self.train(records);
             return;
         }
-        let (pre, config) = (&self.preprocessor, &self.config);
-        let delta = train_delta(&self.model, records, pre, config, similarity_threshold);
+        let delta = train_delta(&self.model, records, &self.preprocessor, &self.config);
         self.install(apply_delta(&self.model, &delta), Vec::new());
     }
 
@@ -353,12 +351,12 @@ mod tests {
         let gc_records: Vec<String> = (0..30)
             .map(|i| format!("GC pause of {}ms in generation {}", i * 3 + 1, i % 3))
             .collect();
-        parser.train_incremental(&gc_records, 0.6);
+        parser.train_incremental(&gc_records);
         assert!(covers_its_record(&parser, &gc_records));
         assert!(parser.last_training_assignment.is_empty());
         // The first call of an untrained parser is a plain `train`.
         let mut fresh = ByteBrainParser::default_parser();
-        fresh.train_incremental(&gc_records, 0.6);
+        fresh.train_incremental(&gc_records);
         assert_eq!(fresh.last_training_assignment.len(), gc_records.len());
         assert!(covers_its_record(&fresh, &gc_records));
     }
@@ -435,7 +433,7 @@ mod tests {
         let gc_records: Vec<String> = (0..30)
             .map(|i| format!("GC pause of {}ms in generation {}", i * 3 + 1, i % 3))
             .collect();
-        parser.train_incremental(&gc_records, 0.6);
+        parser.train_incremental(&gc_records);
         assert!(parser
             .match_log_readonly("GC pause of 7ms in generation 1")
             .is_matched());

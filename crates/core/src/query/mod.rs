@@ -91,15 +91,6 @@ pub fn resolve_with_threshold(model: &ParserModel, node: NodeId, threshold: f64)
     coarsest_qualifying.or(most_precise_live).unwrap_or(node)
 }
 
-/// Resolve a batch of matched node ids against a threshold (parallel query processing is
-/// handled by the service layer; the per-id walk is already O(depth)).
-pub fn resolve_batch(model: &ParserModel, nodes: &[NodeId], threshold: f64) -> Vec<NodeId> {
-    nodes
-        .iter()
-        .map(|&n| resolve_with_threshold(model, n, threshold))
-        .collect()
-}
-
 /// One step of a node's precomputed ancestor ladder: a live ancestor and its saturation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LadderRung {
@@ -375,13 +366,6 @@ mod tests {
         assert_eq!(resolve_with_threshold(&model, mid, 0.65), mid);
     }
 
-    #[test]
-    fn batch_resolution_matches_individual_resolution() {
-        let (model, _, mid, leaf) = chain_model();
-        let out = resolve_batch(&model, &[leaf, mid, leaf], 0.6);
-        assert_eq!(out, vec![mid, mid, mid]);
-    }
-
     // -- bugfix: retired nodes never resolve --------------------------------
 
     #[test]
@@ -517,10 +501,19 @@ mod tests {
 
     #[test]
     fn ladder_batch_resolution_matches_individual() {
-        let (model, _, mid, leaf) = chain_model();
+        let (model, root, mid, leaf) = chain_model();
         let ladder = SaturationLadder::build(&model);
         let out = ladder.resolve_batch(&[leaf, mid, leaf, leaf], 0.6);
         assert_eq!(out, vec![mid, mid, mid, mid]);
+        // Batch ≡ one resolution per node, at every threshold.
+        let nodes = [leaf, root, mid, leaf, root];
+        for t in [0.0, 0.2, 0.5, 0.65, 0.9, 1.0] {
+            let single: Vec<NodeId> = nodes
+                .iter()
+                .map(|&n| resolve_with_threshold(&model, n, t))
+                .collect();
+            assert_eq!(ladder.resolve_batch(&nodes, t), single, "threshold {t}");
+        }
     }
 
     #[test]

@@ -620,7 +620,7 @@ fn kernel_on_the_last_landing_equals_tree_walk_and_fresh_compile_under_churn() {
                     let batch: Vec<String> = (0..rng.gen_range(5..40usize))
                         .map(|_| family_record(&mut rng, family))
                         .collect();
-                    let delta = train_delta(&model, &batch, &pre, &config, 0.6);
+                    let delta = train_delta(&model, &batch, &pre, &config);
                     model = apply_delta(&model, &delta);
                 }
                 1 => {
@@ -684,7 +684,7 @@ fn match_order_is_maintained_across_insert_retire_and_delta() {
                     let batch: Vec<String> = (0..rng.gen_range(5..40usize))
                         .map(|_| family_record(&mut rng, family))
                         .collect();
-                    let delta = train_delta(&model, &batch, &pre, &config, 0.6);
+                    let delta = train_delta(&model, &batch, &pre, &config);
                     model = apply_delta(&model, &delta);
                 }
                 1 => {
@@ -769,7 +769,7 @@ fn sorted_edge_dfa_equals_tree_walk_under_wide_fanout_and_churn() {
                     let batch: Vec<String> = (0..rng.gen_range(5..40usize))
                         .map(|_| family_record(&mut rng, family))
                         .collect();
-                    let delta = train_delta(&model, &batch, &pre, &config, 0.6);
+                    let delta = train_delta(&model, &batch, &pre, &config);
                     model = apply_delta(&model, &delta);
                     // The delta absorbs temporaries; probe only the survivors.
                     wide.retain(|(id, _)| !model.nodes[id.0].retired);

@@ -33,7 +33,7 @@
 //!   precomputed saturation ladder (never a record scan), with an LRU result cache
 //!   and thread-safe query snapshots.
 //! * [`anomaly`] — out-of-the-box analytics: new-template detection and count-shift
-//!   detection between time windows.
+//!   detection between two template distributions.
 //! * [`library`] — the user-curated template library used for alert configuration.
 //! * [`compare`] — template-distribution comparison across time ranges.
 //!
@@ -78,7 +78,7 @@ pub use admission::{
     Admission, AdmissionConfig, AdmissionMetrics, AdmittedBatch, Shed, TenantAdmissionStats,
     TenantQuota,
 };
-pub use anomaly::{AnomalyDetector, AnomalyKind, AnomalyReport};
+pub use anomaly::{AnomalyKind, AnomalyReport};
 pub use api::{ErrorBody, IngestRequest, IngestResponse, StatsResponse};
 pub use bytebrain::{CompiledMatcher, MatchCache};
 pub use compare::{compare_snapshots, compare_windows, DistributionShift};
@@ -88,7 +88,7 @@ pub use ingest::{
 pub use library::TemplateLibrary;
 pub use manager::{FleetStats, ServiceManager, TenantDefaults};
 pub use matcher_pool::{IdBatchResult, MatcherPool};
-pub use query::{QueryCache, QueryEngine, QueryIndex, QuerySnapshot, QueryValue, TemplateGroup};
+pub use query::{QueryCache, QueryIndex, QuerySnapshot, QueryValue, TemplateGroup};
 pub use records::{RecordStore, StoredRecord};
 pub use storage::{RecoveredTopic, StorageConfig, TopicMeta, TopicStorage};
 pub use topic::{

@@ -176,6 +176,11 @@ impl ServiceManager {
     }
 
     /// Get (or create) a tenant's topic.
+    ///
+    /// # Panics
+    /// On a durable manager, when the new topic's store cannot be created: a disk
+    /// error, or a directory that already holds a store this manager did not open
+    /// (`TopicStorage::create` refuses to overwrite it).
     pub fn topic_mut(&mut self, tenant: &str, topic: &str) -> &mut LogTopic {
         let key = (tenant.to_string(), topic.to_string());
         if !self.topics.contains_key(&key) {

@@ -17,7 +17,7 @@
 //!   a required conjunct are skipped wholesale before any record is touched.
 //!   Results are memoized in an LRU [`QueryCache`] keyed by the canonical
 //!   plan fingerprint plus `(model version, topic generation, record count)`;
-//! * the **scan oracle** ([`QueryEngine::execute_scan`]): the naive
+//! * the **scan oracle** ([`LogTopic::execute_scan`]): the naive
 //!   per-record ancestor walk with per-record predicate evaluation, retained
 //!   purely as the differential reference.
 //!
@@ -631,52 +631,6 @@ impl QuerySnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Engine
-// ---------------------------------------------------------------------------
-
-/// Query engine over a topic's stored records.
-#[derive(Debug)]
-pub struct QueryEngine<'a> {
-    topic: &'a LogTopic,
-}
-
-impl<'a> QueryEngine<'a> {
-    /// Create a query engine borrowing the topic.
-    pub fn new(topic: &'a LogTopic) -> Self {
-        QueryEngine { topic }
-    }
-
-    /// Execute a plan through the planned push-down path, **uncached**: always
-    /// a fresh computation (segment pruning included). The serving path,
-    /// [`LogTopic::execute`], adds the LRU cache on top.
-    pub fn execute(&self, plan: &QueryPlan) -> QueryValue {
-        let access = self.topic.record_access(plan);
-        run_plan(
-            self.topic.model(),
-            self.topic.ladder(),
-            self.topic.query_index(),
-            access.as_ref(),
-            plan,
-        )
-    }
-
-    /// Execute a plan through the naive scan oracle: per-record ancestor
-    /// walks, per-record predicate evaluation, no postings and no pruning.
-    /// Byte-identical to [`QueryEngine::execute`] (the differential suite
-    /// enforces it) but O(records) per query — the reference tests compare
-    /// against, never a serving path.
-    pub fn execute_scan(&self, plan: &QueryPlan) -> QueryValue {
-        scan_plan(
-            self.topic.model(),
-            Some(self.topic.preprocessor()),
-            self.topic.records(),
-            self.topic.first_record_seq(),
-            plan,
-        )
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Topic-facing plumbing (kept here so the whole query subsystem lives in one module)
 // ---------------------------------------------------------------------------
 
@@ -709,6 +663,21 @@ impl LogTopic {
         value
     }
 
+    /// Execute a plan through the naive scan oracle: per-record ancestor
+    /// walks, per-record predicate evaluation, no postings, no pruning and no
+    /// cache. Byte-identical to [`LogTopic::execute`] (the differential suite
+    /// enforces it) but O(records) per query: the reference tests compare
+    /// against, never a serving path.
+    pub fn execute_scan(&self, plan: &QueryPlan) -> QueryValue {
+        scan_plan(
+            self.model(),
+            Some(self.preprocessor()),
+            self.records(),
+            self.first_record_seq(),
+            plan,
+        )
+    }
+
     /// An immutable snapshot of the query state (model + ladder + postings), safe to
     /// move to other threads and query while this topic keeps ingesting.
     pub fn query_snapshot(&self) -> QuerySnapshot {
@@ -738,9 +707,9 @@ mod tests {
             .unwrap()
     }
 
-    /// Uncached planned groups at `threshold`.
+    /// Planned groups at `threshold`.
     fn groups_at(topic: &LogTopic, threshold: f64) -> Arc<Vec<TemplateGroup>> {
-        let value = QueryEngine::new(topic).execute(&group_plan(threshold));
+        let value = topic.execute(&group_plan(threshold));
         Arc::clone(value.groups().expect("groups plan yields groups"))
     }
 
@@ -820,7 +789,6 @@ mod tests {
     #[test]
     fn distribution_is_deterministically_sorted_on_both_paths() {
         let topic = topic_with_data();
-        let engine = QueryEngine::new(&topic);
         for threshold in [0.0, 0.5, 0.9, 1.0] {
             let planned = distribution_at(&topic, threshold);
             for pair in planned.windows(2) {
@@ -832,13 +800,13 @@ mod tests {
             let plan = distribution_plan(threshold);
             assert_eq!(
                 QueryValue::Distribution(Arc::clone(&planned)),
-                engine.execute_scan(&plan),
+                topic.execute_scan(&plan),
                 "planned and scan distributions diverged at threshold {threshold}"
             );
             // And the order itself is reproducible run to run.
             assert_eq!(
-                QueryValue::Distribution(planned),
-                engine.execute(&plan),
+                Some(QueryValue::Distribution(planned)),
+                topic.query_snapshot().execute(&plan),
                 "uncached recomputation reordered the distribution"
             );
         }
@@ -860,12 +828,11 @@ mod tests {
     #[test]
     fn indexed_path_is_byte_identical_to_scan_path() {
         let topic = topic_with_data();
-        let engine = QueryEngine::new(&topic);
         for threshold in [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 1.0, f64::NAN, -1.0, 2.0] {
             let plan = group_plan(threshold);
             assert_eq!(
-                engine.execute(&plan),
-                engine.execute_scan(&plan),
+                topic.execute(&plan),
+                topic.execute_scan(&plan),
                 "indexed and scan paths diverged at threshold {threshold}"
             );
         }
@@ -877,7 +844,6 @@ mod tests {
     #[test]
     fn planned_operators_match_scan_oracle_in_memory() {
         let topic = topic_with_data();
-        let engine = QueryEngine::new(&topic);
         let total = topic.records().len() as u64;
         let queries = vec![
             Query::group_by().filter(Predicate::template_matches("logged (in|out)")),
@@ -896,8 +862,8 @@ mod tests {
             for threshold in [0.3, 0.9] {
                 let plan = query.clone().at_threshold(threshold).plan().unwrap();
                 assert_eq!(
-                    engine.execute(&plan),
-                    engine.execute_scan(&plan),
+                    topic.execute(&plan),
+                    topic.execute_scan(&plan),
                     "planned and scan paths diverged on query {i} at threshold {threshold}"
                 );
             }
@@ -907,9 +873,8 @@ mod tests {
     #[test]
     fn count_distinct_matches_distribution_length() {
         let topic = topic_with_data();
-        let engine = QueryEngine::new(&topic);
         let plan = Query::count_distinct().at_threshold(0.9).plan().unwrap();
-        let count = engine.execute(&plan).count().unwrap();
+        let count = topic.execute(&plan).count().unwrap();
         assert_eq!(count, distribution_at(&topic, 0.9).len() as u64);
         assert!(count > 0);
     }

@@ -129,8 +129,6 @@ pub struct TopicMeta {
     pub interval_ms: u64,
     /// Training-buffer capacity.
     pub training_buffer: usize,
-    /// Merge threshold for full retrains.
-    pub merge_threshold: f64,
     /// `"full"` or `"incremental"`.
     pub maintenance_kind: String,
     /// Drift bounds (incremental policy only).
@@ -162,7 +160,6 @@ impl TopicMeta {
             volume_threshold: config.volume_threshold,
             interval_ms: config.interval.as_millis() as u64,
             training_buffer: config.training_buffer,
-            merge_threshold: config.merge_threshold,
             maintenance_kind,
             drift,
             check_interval,
@@ -186,7 +183,6 @@ impl TopicMeta {
             volume_threshold: self.volume_threshold,
             interval: Duration::from_millis(self.interval_ms),
             training_buffer: self.training_buffer,
-            merge_threshold: self.merge_threshold,
             maintenance,
         }
     }
@@ -278,8 +274,14 @@ impl TopicStorage {
     }
 
     /// Initialize a fresh topic store in `dir` (creates the directory tree,
-    /// persists `meta.json` and an empty manifest).
+    /// persists `meta.json`, then an empty manifest). A directory that already
+    /// holds a store ([`TopicStorage::exists`]) is refused with
+    /// [`io::ErrorKind::AlreadyExists`] and nothing in it is written.
     pub fn create(dir: &Path, config: StorageConfig, meta: &TopicMeta) -> io::Result<Self> {
+        if Self::exists(dir) {
+            let msg = format!("{} already holds a topic store", dir.display());
+            return Err(io::Error::new(io::ErrorKind::AlreadyExists, msg));
+        }
         let config = StorageConfig {
             segment_records: config.segment_records.max(1),
             ..config
@@ -287,7 +289,8 @@ impl TopicStorage {
         fs::create_dir_all(dir.join("segments"))?;
         let (meta_path, manifest_path, wal_path, events_path) = Self::paths(dir);
         let json = serde_json::to_string_pretty(meta).map_err(|e| io_invalid(e.to_string()))?;
-        fs::write(&meta_path, json)?;
+        // Durable before the manifest that marks the store as initialized.
+        framing::write_atomic(&meta_path, json.as_bytes())?;
         let manifest = Manifest::new();
         manifest::write_manifest(&manifest_path, &manifest)?;
         let wal = FrameLog::open(&wal_path, |_| {})?;
@@ -700,11 +703,13 @@ impl TopicStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topic::LogTopic;
     use bytebrain::AblationConfig;
 
     /// A `meta.json` as topics persisted it while `AblationConfig` still had a
-    /// `hash_encoding` switch: the key is ignored on decode, so those topics reopen.
-    const META_WITH_HASH_ENCODING: &str = r#"{
+    /// `hash_encoding` switch and the merge threshold and saturation target were
+    /// settings: the retired keys are ignored on decode, so those topics reopen.
+    const META_WITH_RETIRED_KEYS: &str = r#"{
   "tenant": "acme",
   "topic": "web",
   "name": "web",
@@ -749,14 +754,122 @@ mod tests {
   }
 }"#;
 
+    /// A `meta.json` of an incremental topic as persisted while the drift bounds
+    /// still carried `max_saturation_drop`.
+    const INCREMENTAL_META_WITH_SATURATION_DROP: &str = r#"{
+  "tenant": "acme",
+  "topic": "web",
+  "name": "web",
+  "volume_threshold": 50000,
+  "interval_ms": 600000,
+  "training_buffer": 500000,
+  "merge_threshold": 0.6,
+  "maintenance_kind": "incremental",
+  "drift": {
+    "window": 1024,
+    "min_samples": 256,
+    "max_unmatched_rate": 0.05,
+    "max_saturation_drop": 0.15
+  },
+  "check_interval": 2048,
+  "train": {
+    "preprocess": {
+      "tokenizer": {
+        "extra_delimiters": [],
+        "use_default_delimiters": true,
+        "split_sentence_periods": true,
+        "max_tokens": 512
+      },
+      "use_default_masks": true,
+      "extra_masks": [],
+      "deduplicate": true
+    },
+    "prefix_tokens": 0,
+    "max_depth": 24,
+    "max_cluster_iters": 8,
+    "saturation_target": 1.0,
+    "seed": 24301,
+    "parallelism": 1,
+    "max_training_records": 2000000,
+    "ablation": {
+      "position_importance": true,
+      "variable_in_saturation": true,
+      "confidence_factor": true,
+      "kmeanspp_centroids": true,
+      "ensure_saturation_increase": true,
+      "balanced_grouping": true,
+      "early_stopping": true,
+      "deduplication": true,
+      "text_based_matching": true
+    }
+  }
+}"#;
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("bb-store-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn storage() -> StorageConfig {
+        StorageConfig::default().with_fsync(false)
+    }
+
+    /// The configuration a topic reopens with from a store whose `meta.json` is
+    /// `meta_json`.
+    fn reopened_config(tag: &str, meta_json: &str) -> TopicConfig {
+        let dir = scratch(tag);
+        let meta: TopicMeta = serde_json::from_str(meta_json).expect("meta.json decodes");
+        TopicStorage::create(&dir, storage(), &meta).expect("create store");
+        fs::write(dir.join("meta.json"), meta_json).expect("write the old meta.json");
+        let config = LogTopic::open(&dir, storage())
+            .expect("reopen")
+            .config()
+            .clone();
+        fs::remove_dir_all(&dir).ok();
+        config
+    }
+
     #[test]
-    fn meta_with_the_retired_hash_encoding_key_still_decodes() {
-        let meta: TopicMeta = serde_json::from_str(META_WITH_HASH_ENCODING).expect("decodes");
+    fn meta_with_retired_keys_reopens_to_a_fresh_topics_config() {
+        let meta: TopicMeta = serde_json::from_str(META_WITH_RETIRED_KEYS).expect("decodes");
         assert_eq!(meta.train.ablation, AblationConfig::full());
-        let fresh = TopicMeta::from_config("acme", "web", &TopicConfig::new("web"));
         assert_eq!(
-            serde_json::to_string(&meta.to_config().train).unwrap(),
-            serde_json::to_string(&fresh.train).unwrap()
+            format!("{:?}", reopened_config("full", META_WITH_RETIRED_KEYS)),
+            format!("{:?}", TopicConfig::new("web"))
         );
+    }
+
+    #[test]
+    fn incremental_meta_with_a_saturation_drop_reopens_to_a_fresh_topics_config() {
+        let fresh = TopicConfig::new("web").with_incremental_maintenance(DriftConfig::default());
+        assert_eq!(
+            format!(
+                "{:?}",
+                reopened_config("incremental", INCREMENTAL_META_WITH_SATURATION_DROP)
+            ),
+            format!("{fresh:?}")
+        );
+    }
+
+    #[test]
+    fn create_refuses_a_directory_that_holds_a_store() {
+        let dir = scratch("create-twice");
+        let mut topic = LogTopic::durable(TopicConfig::new("web"), &dir, storage()).unwrap();
+        let records: Vec<String> = (0..40).map(|i| format!("job {i} finished")).collect();
+        topic.ingest(&records);
+        drop(topic);
+        let files = ["meta.json", "MANIFEST.json", "wal.log"];
+        let read = || files.map(|name| fs::read(dir.join(name)).expect("store file"));
+        let before = read();
+
+        let other = TopicMeta::from_config("acme", "other", &TopicConfig::new("other"));
+        let err = TopicStorage::create(&dir, storage(), &other).expect_err("store exists");
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
+        assert_eq!(read(), before, "a refused create writes nothing");
+        let reopened = LogTopic::open(&dir, storage()).expect("the store still opens");
+        assert_eq!(reopened.records().len(), records.len());
+        assert_eq!(reopened.config().name, "web");
+        fs::remove_dir_all(&dir).ok();
     }
 }

@@ -195,7 +195,7 @@ mod tests {
         let config = TrainConfig::default();
         let pre = logtok::Preprocessor::new(config.preprocess.clone());
         let model = train(&lines("cache"), &pre, &config).model;
-        let delta = train_delta(&model, &lines("disk"), &pre, &config, 0.6);
+        let delta = train_delta(&model, &lines("disk"), &pre, &config);
         let event = DeltaEvent {
             at_seq: 1_000,
             elapsed_seconds: 0.125,

@@ -84,8 +84,6 @@ pub struct TopicConfig {
     /// Maximum number of records one training cycle reads: the first this many stored
     /// since the last cycle (the rest stay in the topic store, outside the window).
     pub training_buffer: usize,
-    /// Template-similarity threshold used when merging a new model into the old one.
-    pub merge_threshold: f64,
     /// Full-retrain or incremental model maintenance.
     pub maintenance: MaintenancePolicy,
 }
@@ -99,7 +97,6 @@ impl TopicConfig {
             volume_threshold: 50_000,
             interval: Duration::from_secs(600),
             training_buffer: 500_000,
-            merge_threshold: 0.6,
             maintenance: MaintenancePolicy::FullRetrain,
         }
     }
@@ -856,7 +853,6 @@ impl LogTopic {
             &self.window_texts(retrain),
             &self.preprocessor,
             &self.config.train,
-            self.config.merge_threshold,
         );
         let before = self.land(&delta);
         // A retrain's re-match re-derives every record's slots; otherwise the records

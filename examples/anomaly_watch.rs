@@ -7,8 +7,9 @@
 //! Run with: `cargo run --release --example anomaly_watch`
 
 use bytebrain_repro::bytebrain::Query;
+use bytebrain_repro::service::anomaly::detect_snapshots;
 use bytebrain_repro::service::library::AlertRule;
-use bytebrain_repro::service::{AnomalyDetector, LogTopic, TemplateLibrary, TopicConfig};
+use bytebrain_repro::service::{LogTopic, TemplateLibrary, TopicConfig};
 
 fn window(offset: usize, incident: bool) -> Vec<String> {
     let mut logs = Vec::new();
@@ -55,13 +56,8 @@ fn main() {
     topic.run_training();
     let current = topic.query_snapshot();
 
-    let detector = AnomalyDetector::default();
     println!("=== anomalies from the baseline to baseline + incident");
-    for report in detector
-        .detect_snapshots(&baseline, &current, 0.9)
-        .iter()
-        .take(8)
-    {
+    for report in detect_snapshots(&baseline, &current, 0.9).iter().take(8) {
         println!(
             "  {:?}: {} ({} -> {})",
             report.kind, report.template, report.baseline_count, report.current_count

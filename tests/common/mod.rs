@@ -71,7 +71,7 @@ impl MergeReference {
         self.model = if self.model.is_empty() {
             trained
         } else {
-            merge_models(&self.model, &trained, self.config.merge_threshold)
+            merge_models(&self.model, &trained)
         };
         self.window_start = self.records.len();
         for idx in 0..self.records.len() {

@@ -400,7 +400,6 @@ fn retrain_landing_is_byte_identical_to_merge_and_rematch_reference() {
 #[test]
 fn indexed_query_path_is_byte_identical_to_scan_path() {
     use bytebrain_repro::bytebrain::Query;
-    use bytebrain_repro::service::QueryEngine;
 
     let seed = base_seed();
     let thresholds = [
@@ -452,14 +451,13 @@ fn indexed_query_path_is_byte_identical_to_scan_path() {
                 "the incremental topic must have absorbed drift"
             );
         }
-        let engine = QueryEngine::new(&topic);
         for &threshold in &thresholds {
             let all_groups = Query::group_by().at_threshold(threshold).plan().unwrap();
             let top_five = Query::top_k(5).at_threshold(threshold).plan().unwrap();
             for plan in [&all_groups, &top_five] {
                 assert_eq!(
-                    engine.execute(plan),
-                    engine.execute_scan(plan),
+                    topic.execute(plan),
+                    topic.execute_scan(plan),
                     "planned and scan paths diverged ({label}, threshold {threshold}, \
                      {:?})",
                     plan.output()
@@ -491,7 +489,7 @@ fn indexed_query_path_is_byte_identical_to_scan_path() {
         let plan = Query::group_by().plan().unwrap();
         assert_eq!(
             topic.query_snapshot().execute(&plan),
-            Some(engine.execute(&plan)),
+            Some(topic.execute(&plan)),
             "snapshot diverged from the live topic ({label})"
         );
     }
@@ -566,8 +564,8 @@ fn automaton_match_path_is_byte_identical_to_tree_walk() {
 }
 
 /// Every AST operator must be **byte-identical** between the planned push-down
-/// path ([`QueryEngine::execute`]: batched ladder resolution, postings, segment
-/// pruning, aggregation) and the naive scan oracle ([`QueryEngine::execute_scan`]:
+/// path ([`LogTopic::execute`]: batched ladder resolution, postings, segment
+/// pruning, aggregation) and the naive scan oracle ([`LogTopic::execute_scan`]:
 /// per-record ancestor walks, no postings, no pruning) — over durable topics,
 /// under both maintenance policies, with mid-stream delta maintenance, and after
 /// kill-and-open crash recovery (where summaries are recomputed from the decoded
@@ -575,7 +573,7 @@ fn automaton_match_path_is_byte_identical_to_tree_walk() {
 #[test]
 fn planned_operators_match_scan_oracle_under_maintenance_and_recovery() {
     use bytebrain_repro::bytebrain::{Predicate, Query, QueryPlan};
-    use bytebrain_repro::service::{QueryEngine, StorageConfig};
+    use bytebrain_repro::service::StorageConfig;
 
     // Auth-style records carry variables worth filtering on (user ids, IPs);
     // the scrubber family is novel relative to the warm-up, so streaming it
@@ -660,11 +658,10 @@ fn planned_operators_match_scan_oracle_under_maintenance_and_recovery() {
     };
 
     let assert_agree = |topic: &LogTopic, ctx: &str| {
-        let engine = QueryEngine::new(topic);
         for (name, plan) in battery(topic.records().len() as u64) {
             assert_eq!(
-                engine.execute(&plan),
-                engine.execute_scan(&plan),
+                topic.execute(&plan),
+                topic.execute_scan(&plan),
                 "planned path diverged from scan oracle: {ctx}/{name}"
             );
         }

@@ -99,7 +99,7 @@ fn incremental_retraining_keeps_accuracy() {
     let mid = ds.records.len() / 2;
     let mut parser = ByteBrainParser::new(TrainConfig::default());
     parser.train(&ds.records[..mid]);
-    parser.train_incremental(&ds.records[mid..], 0.6);
+    parser.train_incremental(&ds.records[mid..]);
     let predicted: Vec<usize> = parser
         .match_batch(&ds.records)
         .into_iter()

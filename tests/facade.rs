@@ -95,7 +95,7 @@ fn facade_equals_tree_walk_on_every_family() {
             &format!("{name}, trained"),
         );
         // Absorbs the temporaries above; the rest of `novel` is novel again.
-        parser.train_incremental(second, 0.6);
+        parser.train_incremental(second);
         assert_eq!(parser.model().temporary_count(), 0);
         let at = format!("{name}, after train_incremental");
         assert_facade_walks(&mut parser, &known, &novel[128..], &at);
@@ -173,7 +173,7 @@ fn train_incremental_equals_merge_reference() {
             reference.retrain();
             let window = &stream[window_start..assigned.len()];
             let window = &window[..window.len().min(config.training_buffer)];
-            parser.train_incremental(window, config.merge_threshold);
+            parser.train_incremental(window);
             window_start = assigned.len();
             let rematched = parser.match_batch(&stream[..assigned.len()]);
             assigned = rematched.into_iter().map(|result| result.node).collect();

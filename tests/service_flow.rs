@@ -9,8 +9,8 @@ use bytebrain_repro::service::library::AlertRule;
 use bytebrain_repro::service::storage::framing::FrameLog;
 use bytebrain_repro::service::storage::DeltaEvent;
 use bytebrain_repro::service::{
-    AnomalyDetector, AnomalyKind, IngestConfig, LogTopic, MaintenancePolicy, StorageConfig,
-    TemplateGroup, TemplateLibrary, TopicConfig,
+    anomaly, AnomalyKind, IngestConfig, LogTopic, MaintenancePolicy, StorageConfig, TemplateGroup,
+    TemplateLibrary, TopicConfig,
 };
 use std::sync::Arc;
 
@@ -78,7 +78,7 @@ fn new_error_template_is_detected_as_anomaly() {
     topic.run_training();
     let current = distribution_at(&topic, 0.9);
 
-    let reports = AnomalyDetector::default().detect(&baseline, &current);
+    let reports = anomaly::detect(&baseline, &current);
     assert!(
         reports
             .iter()
