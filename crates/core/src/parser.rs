@@ -19,8 +19,7 @@ pub struct ByteBrainParser {
     preprocessor: Preprocessor,
     model: ParserModel,
     /// `model` as the last training call compiled it. A temporary inserted since is an
-    /// appended node, which [`match_compiled`](crate::matcher::match_compiled) scans after
-    /// the tables miss.
+    /// appended node, which [`match_compiled`] scans after the tables miss.
     compiled: CompiledMatcher,
     /// Per-record node assignment of the last [`train`](ByteBrainParser::train) batch (the
     /// "w/ naive match" ablation and accuracy on training data read it), `None` for a

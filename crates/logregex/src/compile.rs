@@ -1,4 +1,4 @@
-//! Compilation of the parsed [`Ast`](crate::ast::Ast) into a Thompson-NFA program.
+//! Compilation of the parsed [`Ast`] into a Thompson-NFA program.
 
 use crate::ast::{Ast, ByteClass};
 

@@ -466,7 +466,8 @@ fn route(state: &ServerState, request: &Request) -> Response {
         ("POST", ["v1", tenant, "query"]) => query(state, tenant, request),
         ("POST", ["v1", tenant, topic, "ingest"]) => ingest(state, tenant, topic, request),
         ("GET", ["v1", tenant, topic, "stats"]) => stats(state, tenant, topic),
-        (_, ["healthz" | "metrics"]) | (_, ["v1", ..]) => {
+        // A route's path under another method; any other path is no route at all.
+        (_, ["healthz" | "metrics"] | ["v1", _, "query"] | ["v1", _, _, "ingest" | "stats"]) => {
             error_response(405, &ErrorBody::new("method not allowed on this route"))
         }
         _ => not_found(),

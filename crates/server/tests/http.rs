@@ -92,6 +92,14 @@ fn healthz_and_unknown_routes() {
     assert_eq!(status, 404);
     let (status, _) = post(&mut client, "/healthz", "{}");
     assert_eq!(status, 405);
+    // Under `/v1/` too: 404 for a path no route has, 405 for a route's path under
+    // another method.
+    let (status, _) = get(&mut client, "/v1/a/b/c/d");
+    assert_eq!(status, 404);
+    let (status, _) = post(&mut client, "/v1/a", "{}");
+    assert_eq!(status, 404);
+    let (status, _) = get(&mut client, "/v1/t/query");
+    assert_eq!(status, 405);
     let (status, body) = post(&mut client, "/v1/t/q/ingest", "not json");
     assert_eq!(status, 400, "{body}");
     server.shutdown();

@@ -2,16 +2,15 @@
 //! flags (a) templates that newly appear and (b) templates whose record count shifts
 //! abnormally between two time windows.
 //!
-//! Distributions come from the planned query path: callers either pass precomputed
-//! `(template, count)` distributions (a
-//! [`QueryValue::Distribution`](crate::query::QueryValue::Distribution)), one per
-//! window, to [`detect`], or hand two [`QuerySnapshot`]s to
-//! [`detect_snapshots`], which aggregates per-node postings up the
-//! saturation ladder — O(templates) per snapshot, never a record scan. A snapshot's
-//! distribution is cumulative (every record the topic holds), so two snapshots of one
-//! topic compare everything up to one point against everything up to a later one.
+//! [`detect`] compares two `(template, count)` distributions, one per window. Those of
+//! a topic are the results of a distribution query
+//! ([`QueryValue::Distribution`](crate::query::QueryValue::Distribution)) through
+//! [`LogTopic::execute`](crate::topic::LogTopic::execute), at the precision the caller
+//! picks — postings aggregated up the saturation ladder, O(templates), never a record
+//! scan. Such a distribution is cumulative (every record the topic holds), so two taken
+//! from one topic compare everything up to one point against everything up to a later
+//! one.
 
-use crate::query::QuerySnapshot;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -108,24 +107,6 @@ pub fn detect(baseline: &[(String, u64)], current: &[(String, u64)]) -> Vec<Anom
     reports
 }
 
-/// Compare two topic query snapshots at the given saturation threshold and report
-/// anomalies. Both distributions are computed through the indexed path (postings
-/// aggregated up the ladder), so the comparison cost is bounded by the number of
-/// templates, not the number of stored records. Each counts every record its
-/// snapshot holds: of two snapshots of one topic, `current` also counts every
-/// record of `baseline` (unless retention dropped it since), so this compares two
-/// cumulative distributions, not two disjoint windows.
-pub fn detect_snapshots(
-    baseline: &QuerySnapshot,
-    current: &QuerySnapshot,
-    threshold: f64,
-) -> Vec<AnomalyReport> {
-    detect(
-        &baseline.distribution(threshold),
-        &current.distribution(threshold),
-    )
-}
-
 /// Order reports most severe (largest relative change) first.
 fn rank(reports: &mut [AnomalyReport]) {
     reports.sort_by(|a, b| {
@@ -193,25 +174,23 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_detection_matches_manual_distributions() {
+    fn incident_template_is_new_between_two_topic_distributions() {
         use crate::topic::{LogTopic, TopicConfig};
+        use bytebrain::Query;
+        let plan = Query::distribution().at_threshold(0.9).plan().unwrap();
+        let distribution = |topic: &LogTopic| topic.execute(&plan).distribution().unwrap().to_vec();
         let mut topic = LogTopic::new(TopicConfig::new("anom").with_volume_threshold(u64::MAX));
         let healthy: Vec<String> = (0..300)
             .map(|i| format!("request {} served in {}ms", i, i % 30))
             .collect();
         topic.ingest(&healthy);
-        let baseline = topic.query_snapshot();
+        let baseline = distribution(&topic);
         let incident: Vec<String> = (0..80)
             .map(|i| format!("upstream timeout calling billing after {}ms", 1000 + i))
             .collect();
         topic.ingest(&incident);
         topic.run_training();
-        let current = topic.query_snapshot();
-        let reports = detect_snapshots(&baseline, &current, 0.9);
-        assert_eq!(
-            reports,
-            detect(&baseline.distribution(0.9), &current.distribution(0.9))
-        );
+        let reports = detect(&baseline, &distribution(&topic));
         assert!(
             reports.iter().any(|r| r.kind == AnomalyKind::NewTemplate),
             "the incident template must be flagged as new: {reports:?}"

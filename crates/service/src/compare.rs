@@ -2,14 +2,14 @@
 //! templates generated in two windows to understand how system behaviour changed.
 //!
 //! [`compare_windows`] compares any two `(template, count)` distributions. Those of
-//! a topic come from the indexed query path ([`compare_snapshots`] aggregates
-//! per-node postings up the saturation ladder), so comparing two snapshots of a
-//! 100k-record topic costs O(templates), not O(records). A snapshot's distribution is
-//! cumulative — it counts every record the topic holds — so two snapshots of one topic
+//! a topic are the results of a distribution query through
+//! [`LogTopic::execute`](crate::topic::LogTopic::execute), at the precision the caller
+//! picks: per-node postings aggregated up the saturation ladder, so taking one of a
+//! 100k-record topic costs O(templates), not O(records). Such a distribution is
+//! cumulative — it counts every record the topic holds — so two taken from one topic
 //! compare everything up to one point against everything up to a later one, not two
 //! disjoint windows.
 
-use crate::query::QuerySnapshot;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -69,23 +69,6 @@ pub fn compare_windows(
     shifts
 }
 
-/// Compare two topic query snapshots at the given saturation threshold: both
-/// distributions are computed through the indexed path (postings aggregated up the
-/// saturation ladder — no record scan) and fed to [`compare_windows`]. Each counts
-/// every record its snapshot holds, so of two snapshots of one topic the later also
-/// counts every record of the earlier one (unless retention dropped it since): the
-/// shifts are between two cumulative distributions, not two disjoint windows.
-pub fn compare_snapshots(
-    before: &QuerySnapshot,
-    after: &QuerySnapshot,
-    threshold: f64,
-) -> Vec<DistributionShift> {
-    compare_windows(
-        &before.distribution(threshold),
-        &after.distribution(threshold),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,24 +120,22 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_comparison_matches_manual_distributions() {
+    fn new_family_gains_share_between_two_topic_distributions() {
         use crate::topic::{LogTopic, TopicConfig};
+        use bytebrain::Query;
+        let plan = Query::distribution().at_threshold(0.9).plan().unwrap();
+        let distribution = |topic: &LogTopic| topic.execute(&plan).distribution().unwrap().to_vec();
         let mut topic = LogTopic::new(TopicConfig::new("cmp").with_volume_threshold(u64::MAX));
         let first: Vec<String> = (0..200)
             .map(|i| format!("request {} served in {}ms", i, i % 30))
             .collect();
         topic.ingest(&first);
-        let before = topic.query_snapshot();
+        let before = distribution(&topic);
         let second: Vec<String> = (0..150)
             .map(|i| format!("session {} expired after {} minutes", i, i % 60))
             .collect();
         topic.ingest(&second);
-        let after = topic.query_snapshot();
-        let shifts = compare_snapshots(&before, &after, 0.9);
-        assert_eq!(
-            shifts,
-            compare_windows(&before.distribution(0.9), &after.distribution(0.9))
-        );
+        let shifts = compare_windows(&before, &distribution(&topic));
         // The new family gained share; something in the old family lost share.
         assert!(shifts
             .iter()

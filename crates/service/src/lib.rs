@@ -30,8 +30,7 @@
 //!   file, and every landing since as one event carrying its delta.
 //! * [`query`] — the one `execute(plan)` query path: per-query precision thresholds
 //!   and template grouping, served from per-node postings aggregated up the
-//!   precomputed saturation ladder (never a record scan), with an LRU result cache
-//!   and thread-safe query snapshots.
+//!   precomputed saturation ladder (never a record scan), with an LRU result cache.
 //! * [`anomaly`] — out-of-the-box analytics: new-template detection and count-shift
 //!   detection between two template distributions.
 //! * [`library`] — the user-curated template library used for alert configuration.
@@ -81,14 +80,14 @@ pub use admission::{
 pub use anomaly::{AnomalyKind, AnomalyReport};
 pub use api::{ErrorBody, IngestRequest, IngestResponse, StatsResponse};
 pub use bytebrain::{CompiledMatcher, MatchCache};
-pub use compare::{compare_snapshots, compare_windows, DistributionShift};
+pub use compare::{compare_windows, DistributionShift};
 pub use ingest::{
     drive, IngestConfig, IngestStats, Overloaded, Route, StreamIngestor, TopicAccess,
 };
 pub use library::TemplateLibrary;
 pub use manager::{FleetStats, ServiceManager, TenantDefaults};
 pub use matcher_pool::{IdBatchResult, MatcherPool};
-pub use query::{QueryCache, QueryIndex, QuerySnapshot, QueryValue, TemplateGroup};
+pub use query::{QueryValue, TemplateGroup};
 pub use records::{RecordStore, StoredRecord};
 pub use storage::{RecoveredTopic, StorageConfig, TopicMeta, TopicStorage};
 pub use topic::{

@@ -7,7 +7,7 @@
 //! reaches one through [`ServiceManager::topic_mut`] and [`crate::drive`] — and exposes
 //! fleet-wide statistics of the kind Table 5 reports.
 
-use crate::query::{QuerySnapshot, QueryValue};
+use crate::query::QueryValue;
 use crate::storage::{self, RetentionOutcome, StorageConfig, TopicStorage};
 use crate::topic::{LogTopic, MaintenancePolicy, TopicConfig, TopicStats};
 use bytebrain::QueryPlan;
@@ -222,13 +222,6 @@ impl ServiceManager {
         self.topic(tenant, topic).map(|t| t.execute(plan))
     }
 
-    /// An immutable query snapshot of a tenant's topic (model + ladder + postings
-    /// behind `Arc`s): hand it to worker threads and keep ingesting — the topic
-    /// copies-on-write whatever the snapshot still shares.
-    pub fn query_snapshot(&self, tenant: &str, topic: &str) -> Option<QuerySnapshot> {
-        self.topic(tenant, topic).map(|t| t.query_snapshot())
-    }
-
     /// Per-topic statistics, keyed by `(tenant, topic)`.
     pub fn topic_stats(&self) -> Vec<((String, String), TopicStats)> {
         self.topics
@@ -374,35 +367,6 @@ mod tests {
         assert!(manager
             .execute("nobody", "nothing", &group_plan())
             .is_none());
-        assert!(manager.query_snapshot("nobody", "nothing").is_none());
-    }
-
-    #[test]
-    fn snapshot_queries_run_concurrently_with_ingestion() {
-        let mut manager = ServiceManager::new();
-        manager.topic_mut("a", "web").ingest(&batch("web", 400));
-        let snapshot = manager.query_snapshot("a", "web").expect("topic exists");
-        let plan = group_plan();
-        let baseline = snapshot.execute(&plan).expect("node-only plan");
-        std::thread::scope(|scope| {
-            // Queries serve from the immutable snapshot on worker threads...
-            let workers: Vec<_> = (0..4)
-                .map(|_| {
-                    let (snapshot, plan) = (snapshot.clone(), &plan);
-                    scope.spawn(move || snapshot.execute(plan).expect("node-only plan"))
-                })
-                .collect();
-            // ...while the manager keeps ingesting into the same topic.
-            manager.topic_mut("a", "web").ingest(&batch("more", 200));
-            for worker in workers {
-                let groups = worker.join().expect("query thread panicked");
-                assert_eq!(groups, baseline, "snapshot must be immutable under ingest");
-            }
-        });
-        // The live topic sees the new records; the old snapshot still does not.
-        let live = manager.execute("a", "web", &plan).expect("topic exists");
-        assert_eq!(covered(&live), 600);
-        assert_eq!(snapshot.records(), 400);
     }
 
     #[test]

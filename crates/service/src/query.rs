@@ -1,21 +1,23 @@
 //! The query subsystem (§3 "Query", §6): one planned `execute` path.
 //!
-//! Every caller — the HTTP front end, the anomaly and comparison features,
-//! [`ServiceManager::execute`](crate::manager::ServiceManager::execute) —
-//! builds a [`bytebrain::Query`] AST, plans it ([`QueryPlan`]) and hands the
-//! plan to [`LogTopic::execute`] (or [`QuerySnapshot::execute`] off-thread).
-//! Two executors exist and are kept byte-identical by the differential suite:
+//! Every caller — the HTTP front end (through
+//! [`ServiceManager::execute`](crate::manager::ServiceManager::execute)), the
+//! examples and the §6 helpers' callers, which feed [`crate::anomaly::detect`] and
+//! [`crate::compare::compare_windows`] two distribution results — builds a
+//! [`bytebrain::Query`] AST, plans it ([`QueryPlan`]) and hands the plan to
+//! [`LogTopic::execute`]. One executor serves; a second is kept only as the
+//! reference the differential suite holds it byte-identical to:
 //!
 //! * the **planned path** (`run_plan`, the serving path): template
 //!   predicates are decided once per resolved node against the live node set,
 //!   threshold resolution goes through [`SaturationLadder::resolve_batch`],
-//!   and grouping streams over per-node postings ([`QueryIndex`]) so a
+//!   and grouping streams over per-node postings (`QueryIndex`) so a
 //!   predicate-free query touches one posting list per *template* instead of
 //!   one entry per *record*. Record-level predicates (variable filters, time
 //!   windows) consult per-segment column summaries first
 //!   ([`crate::storage::SegmentSummary`]): segments whose summaries rule out
 //!   a required conjunct are skipped wholesale before any record is touched.
-//!   Results are memoized in an LRU [`QueryCache`] keyed by the canonical
+//!   Results are memoized in an LRU `QueryCache` keyed by the canonical
 //!   plan fingerprint plus `(model version, topic generation, record count)`;
 //! * the **scan oracle** ([`LogTopic::execute_scan`]): the naive
 //!   per-record ancestor walk with per-record predicate evaluation, retained
@@ -33,7 +35,6 @@
 
 use crate::records::RecordStore;
 use crate::topic::{variables_of, LogTopic};
-use bytebrain::query::ast::Query;
 use bytebrain::query::plan::{CompiledPredicate, PlanOutput, QueryPlan, RecordView};
 use bytebrain::query::{presentation_template, resolve_with_threshold, SaturationLadder};
 use bytebrain::{NodeId, ParserModel};
@@ -113,22 +114,15 @@ impl QueryValue {
 /// most-precise match is that node. Maintained by [`LogTopic`] at ingest/stream-flush
 /// time (and patched when maintenance re-matches records), so queries aggregate counts
 /// up the saturation ladder instead of scanning the record store.
-#[derive(Debug, Clone, Default)]
-pub struct QueryIndex {
+#[derive(Debug, Default)]
+pub(crate) struct QueryIndex {
     /// `postings[node]` = ascending record indices assigned to that node.
     postings: Vec<Vec<u32>>,
-    /// Total number of assigned records across all postings.
-    assigned: usize,
 }
 
 impl QueryIndex {
-    /// An empty index.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Grow the per-node posting table to cover `model_len` nodes.
-    pub fn ensure_nodes(&mut self, model_len: usize) {
+    fn ensure_nodes(&mut self, model_len: usize) {
         if self.postings.len() < model_len {
             self.postings.resize_with(model_len, Vec::new);
         }
@@ -136,19 +130,18 @@ impl QueryIndex {
 
     /// Record that stored record `idx` is assigned to `node`. Indices must be fed in
     /// ascending order per node (the natural ingest order), keeping postings sorted.
-    pub fn assign(&mut self, node: NodeId, idx: usize) {
+    pub(crate) fn assign(&mut self, node: NodeId, idx: usize) {
         self.ensure_nodes(node.0 + 1);
         debug_assert!(
             idx < u32::MAX as usize,
             "record index exceeds posting width"
         );
         self.postings[node.0].push(idx as u32);
-        self.assigned += 1;
     }
 
     /// Move previously assigned records to new nodes after a maintenance re-match:
     /// `moves` holds `(record index, old node, new assignment)` triples.
-    pub fn reassign(&mut self, moves: &[(usize, Option<NodeId>, Option<NodeId>)]) {
+    pub(crate) fn reassign(&mut self, moves: &[(usize, Option<NodeId>, Option<NodeId>)]) {
         // Batch removals per old node so each posting list is filtered once, with a
         // set membership test — a retired temporary can carry thousands of records,
         // and a linear `contains` per posting entry would go quadratic.
@@ -173,14 +166,12 @@ impl QueryIndex {
             posting.extend(incoming);
             posting.sort_unstable();
         }
-        self.assigned = self.postings.iter().map(|p| p.len()).sum();
     }
 
     /// Rebuild the whole index from the record store (used after retention drained a
     /// prefix of it, which shifts every record index).
-    pub fn rebuild(records: &RecordStore, model_len: usize) -> Self {
-        let mut index = QueryIndex::new();
-        index.ensure_nodes(model_len);
+    pub(crate) fn rebuild(records: &RecordStore) -> Self {
+        let mut index = QueryIndex::default();
         for (idx, stored) in records.iter().enumerate() {
             if let Some(node) = stored.template {
                 index.assign(node, idx);
@@ -190,16 +181,11 @@ impl QueryIndex {
     }
 
     /// The posting list of one node (ascending record indices).
-    pub fn postings_of(&self, node: NodeId) -> &[u32] {
+    pub(crate) fn postings_of(&self, node: NodeId) -> &[u32] {
         self.postings
             .get(node.0)
             .map(|p| p.as_slice())
             .unwrap_or(&[])
-    }
-
-    /// Total number of assigned records.
-    pub fn assigned_records(&self) -> usize {
-        self.assigned
     }
 
     /// Iterate `(node, posting list)` for nodes with at least one record.
@@ -329,19 +315,20 @@ fn finish(
 /// over posting entries that survived segment pruning (`access.skip`), on the
 /// record store's columns: a candidate's variables are slices of the text arena,
 /// gathered into one reused buffer, so evaluating it allocates nothing.
-/// `access` may be `None` only for node-only plans ([`QuerySnapshot::execute`]
-/// checks; [`LogTopic::record_access`] supplies it for every other plan).
 fn run_plan(
     model: &ParserModel,
     ladder: &SaturationLadder,
     index: &QueryIndex,
-    access: Option<&RecordAccess<'_>>,
+    access: &RecordAccess<'_>,
     plan: &QueryPlan,
 ) -> QueryValue {
     let nodes: Vec<NodeId> = index.non_empty().map(|(node, _)| node).collect();
     let resolved = ladder.resolve_batch(&nodes, plan.threshold());
     let compiled = plan.predicate().map(CompiledPredicate::compile);
     let node_only = plan.is_node_only();
+    // A node-only predicate is judged on the template text, any other per record.
+    let judge = compiled.as_ref().filter(|_| node_only);
+    let per_record = compiled.as_ref().filter(|_| !node_only);
     let want_indices = matches!(plan.output(), PlanOutput::Groups { .. });
     // Grouping is by presentation text, but the text is rendered — and a template
     // predicate judged: `None` is a rejection — once per resolved node. Postings
@@ -351,7 +338,6 @@ fn run_plan(
     for ((_, posting), &res) in index.non_empty().zip(resolved.iter()) {
         let entry = by_node.entry(res).or_insert_with(|| {
             let text = presentation_template(model, res);
-            let judge = compiled.as_ref().filter(|_| node_only);
             let rejected = judge.is_some_and(|compiled| !compiled.matches_template(&text));
             (!rejected).then(|| (text, GroupAccumulator::default()))
         });
@@ -359,18 +345,14 @@ fn run_plan(
             continue;
         };
         let count = acc.members.entry(res).or_insert(0);
-        if node_only {
+        let Some(compiled) = per_record else {
             *count += posting.len();
             if want_indices {
                 acc.record_indices
                     .extend(posting.iter().map(|&i| i as usize));
             }
             continue;
-        }
-        let access = access.expect("record-level predicates require record access");
-        let compiled = compiled
-            .as_ref()
-            .expect("record-level plans carry a predicate");
+        };
         for &i in posting {
             let idx = i as usize;
             if access.skipped(idx) {
@@ -496,7 +478,7 @@ impl CacheKey {
 /// replaces the model; when the version or record count moves, the next result cached
 /// drops every entry of the earlier state.
 #[derive(Debug, Default)]
-pub struct QueryCache {
+pub(crate) struct QueryCache {
     inner: Mutex<CacheInner>,
 }
 
@@ -543,7 +525,7 @@ impl QueryCache {
     }
 
     /// Drop every cached result (called when maintenance replaces the model).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         self.inner
             .lock()
             .expect("query cache poisoned")
@@ -552,81 +534,9 @@ impl QueryCache {
     }
 
     /// `(hits, misses)` counters since topic creation.
-    pub fn stats(&self) -> (u64, u64) {
+    pub(crate) fn stats(&self) -> (u64, u64) {
         let inner = self.inner.lock().expect("query cache poisoned");
         (inner.hits, inner.misses)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot
-// ---------------------------------------------------------------------------
-
-/// A self-contained, immutable snapshot of everything a node-level query needs —
-/// model, ladder and postings behind `Arc`s — so queries can be served from other
-/// threads while the topic keeps ingesting (the topic copies-on-write whatever the
-/// snapshot still shares). Snapshots carry no record store, so they serve
-/// node-only plans (grouping, distribution, counts, template predicates);
-/// record-level predicates need the topic itself.
-#[derive(Debug, Clone)]
-pub struct QuerySnapshot {
-    model: Arc<ParserModel>,
-    ladder: Arc<SaturationLadder>,
-    index: Arc<QueryIndex>,
-    version: u64,
-}
-
-impl QuerySnapshot {
-    pub(crate) fn new(
-        model: Arc<ParserModel>,
-        ladder: Arc<SaturationLadder>,
-        index: Arc<QueryIndex>,
-        version: u64,
-    ) -> Self {
-        QuerySnapshot {
-            model,
-            ladder,
-            index,
-            version,
-        }
-    }
-
-    /// The model snapshot the queries resolve against.
-    pub fn model(&self) -> &ParserModel {
-        &self.model
-    }
-
-    /// The model version this snapshot was taken at.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Number of records covered by the snapshot's postings.
-    pub fn records(&self) -> usize {
-        self.index.assigned_records()
-    }
-
-    /// Execute a node-only plan against the snapshot (planned path, uncached —
-    /// snapshots are cheap and short-lived). `None` when the plan carries a
-    /// record-level predicate ([`QueryPlan::is_node_only`] is false): a snapshot
-    /// has no record store to evaluate it against.
-    pub fn execute(&self, plan: &QueryPlan) -> Option<QueryValue> {
-        plan.is_node_only()
-            .then(|| run_plan(&self.model, &self.ladder, &self.index, None, plan))
-    }
-
-    /// The snapshot's `(template, count)` pairs at `threshold` — the predicate-free
-    /// distribution plan through [`QuerySnapshot::execute`], which the anomaly and
-    /// comparison features feed on.
-    pub(crate) fn distribution(&self, threshold: f64) -> Arc<Vec<(String, u64)>> {
-        let plan = Query::distribution()
-            .at_threshold(threshold)
-            .plan()
-            .expect("a predicate-free query always plans");
-        match self.execute(&plan) {
-            Some(QueryValue::Distribution(counts)) => counts,
-            _ => unreachable!("a predicate-free distribution plan is node-only"),
-        }
     }
 }
 
@@ -651,12 +561,11 @@ impl LogTopic {
         if let Some(cached) = self.query_cache().get(key) {
             return cached;
         }
-        let access = self.record_access(plan);
         let value = run_plan(
             self.model(),
             self.ladder(),
             self.query_index(),
-            access.as_ref(),
+            &self.record_access(plan),
             plan,
         );
         self.query_cache().put(key, value.clone());
@@ -677,24 +586,13 @@ impl LogTopic {
             plan,
         )
     }
-
-    /// An immutable snapshot of the query state (model + ladder + postings), safe to
-    /// move to other threads and query while this topic keeps ingesting.
-    pub fn query_snapshot(&self) -> QuerySnapshot {
-        QuerySnapshot::new(
-            self.model_snapshot(),
-            self.ladder_snapshot(),
-            self.query_index_snapshot(),
-            self.model_version(),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::topic::{LogTopic, TopicConfig};
-    use bytebrain::{Predicate, SlotBuffer, SlotRange, TemplateToken, TreeNode};
+    use bytebrain::{Predicate, Query, SlotBuffer, SlotRange, TemplateToken, TreeNode};
 
     fn group_plan(threshold: f64) -> QueryPlan {
         Query::group_by().at_threshold(threshold).plan().unwrap()
@@ -799,15 +697,9 @@ mod tests {
             }
             let plan = distribution_plan(threshold);
             assert_eq!(
-                QueryValue::Distribution(Arc::clone(&planned)),
+                QueryValue::Distribution(planned),
                 topic.execute_scan(&plan),
                 "planned and scan distributions diverged at threshold {threshold}"
-            );
-            // And the order itself is reproducible run to run.
-            assert_eq!(
-                Some(QueryValue::Distribution(planned)),
-                topic.query_snapshot().execute(&plan),
-                "uncached recomputation reordered the distribution"
             );
         }
     }
@@ -877,49 +769,6 @@ mod tests {
         let count = topic.execute(&plan).count().unwrap();
         assert_eq!(count, distribution_at(&topic, 0.9).len() as u64);
         assert!(count > 0);
-    }
-
-    #[test]
-    fn snapshot_serves_identical_results() {
-        let topic = topic_with_data();
-        let snapshot = topic.query_snapshot();
-        assert_eq!(snapshot.records(), topic.records().len());
-        assert_eq!(snapshot.version(), topic.model_version());
-        let node_only = [
-            Query::group_by(),
-            Query::top_k(2),
-            Query::distribution(),
-            Query::count_distinct(),
-            Query::group_by().filter(Predicate::template_matches("logged (in|out)")),
-            Query::distribution().filter(Predicate::template_matches("payment").not()),
-        ];
-        for (i, query) in node_only.into_iter().enumerate() {
-            for threshold in [0.3, 0.9] {
-                let plan = query.clone().at_threshold(threshold).plan().unwrap();
-                assert_eq!(
-                    snapshot.execute(&plan),
-                    Some(topic.execute(&plan)),
-                    "snapshot diverged from the live topic on query {i} at {threshold}"
-                );
-            }
-        }
-    }
-
-    /// A snapshot carries no record store: a plan with a record-level predicate
-    /// is declined, not answered wrongly (and not a panic).
-    #[test]
-    fn snapshot_declines_record_level_plans() {
-        let topic = topic_with_data();
-        let snapshot = topic.query_snapshot();
-        for predicate in [
-            Predicate::variable_equals("u3"),
-            Predicate::time_window(0, 10),
-            Predicate::template_matches("user").and(Predicate::variable_contains("0.0.")),
-        ] {
-            let plan = Query::distribution().filter(predicate).plan().unwrap();
-            assert!(!plan.is_node_only());
-            assert_eq!(snapshot.execute(&plan), None);
-        }
     }
 
     #[test]
@@ -1048,7 +897,7 @@ mod tests {
     /// A store of hand-assigned records (no slots: these plans carry no predicate) and
     /// its postings.
     fn store_of(records: &[(NodeId, &str)]) -> (RecordStore, QueryIndex) {
-        let (mut store, mut index) = (RecordStore::new(), QueryIndex::new());
+        let (mut store, mut index) = (RecordStore::new(), QueryIndex::default());
         for (idx, &(node, text)) in records.iter().enumerate() {
             store.push(text, Some(node), &SlotBuffer::new(), SlotRange::default());
             index.assign(node, idx);
@@ -1066,8 +915,14 @@ mod tests {
         threshold: f64,
     ) -> [Arc<Vec<TemplateGroup>>; 2] {
         let plan = group_plan(threshold);
+        let access = RecordAccess {
+            records,
+            preprocessor: &Preprocessor::new(Default::default()),
+            first_seq: 0,
+            skip: Vec::new(),
+        };
         [
-            run_plan(model, ladder, index, None, &plan),
+            run_plan(model, ladder, index, &access, &plan),
             scan_plan(model, None, records, 0, &plan),
         ]
         .map(|value| Arc::clone(value.groups().expect("groups plan yields groups")))

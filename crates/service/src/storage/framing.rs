@@ -47,8 +47,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Atomically replace the file at `path` with `bytes` (write `<path>.tmp`, fsync,
-/// rename): a crash leaves the old file or the new one, never a torn one. The
-/// manifest, sealed segments and base files are all written this way.
+/// rename, fsync the directory): a crash leaves the old file or the new one, never a
+/// torn one, and once this returns the new one survives a power cut. The manifest,
+/// `meta.json`, sealed segments and base files are all written this way.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
@@ -57,7 +58,14 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         file.write_all(bytes)?;
         file.sync_data()?;
     }
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path)?;
+    let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+    sync_dir(dir.unwrap_or(Path::new(".")))
+}
+
+/// Fsync the directory `dir`, making the entries created or renamed in it durable.
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 /// Atomically replace the file at `path` with `body` followed by its CRC-32

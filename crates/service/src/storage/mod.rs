@@ -295,6 +295,8 @@ impl TopicStorage {
         manifest::write_manifest(&manifest_path, &manifest)?;
         let wal = FrameLog::open(&wal_path, |_| {})?;
         let events = FrameLog::open(&events_path, |_| {})?;
+        // The logs' directory entries, which the first commit's fsyncs do not cover.
+        framing::sync_dir(dir)?;
         Ok(TopicStorage {
             dir: dir.to_path_buf(),
             config,

@@ -16,8 +16,8 @@
 //! CRC-32 u32      : over everything before it
 //! ```
 //!
-//! The node column is what lets a restart rebuild
-//! [`QueryIndex`](crate::query::QueryIndex) without re-matching a single line.
+//! The node column is what lets a restart rebuild the topic's postings without
+//! re-matching a single line.
 //! Later re-assignments (post-delta moves) are logged as events and patched on
 //! top; a sealed segment is never rewritten in place.
 //!

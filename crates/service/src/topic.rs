@@ -182,10 +182,10 @@ pub struct LogTopic {
     /// Precomputed per-node ancestor ladders for indexed query resolution: built whole
     /// when the model is trained, lands a delta or is recovered, extended per temporary
     /// insertion, never patched.
-    ladder: Arc<SaturationLadder>,
+    ladder: SaturationLadder,
     /// Per-node postings (record index lists) maintained at ingest time so queries
     /// never scan the record store.
-    index: Arc<QueryIndex>,
+    index: QueryIndex,
     /// Bumped on every model change (training, delta, temporary insertion); part of
     /// the query cache key.
     model_version: u64,
@@ -223,8 +223,8 @@ impl LogTopic {
             preprocessor,
             compiled: Arc::new(CompiledMatcher::compile(&model)),
             model: Arc::new(model),
-            ladder: Arc::new(SaturationLadder::default()),
-            index: Arc::new(QueryIndex::new()),
+            ladder: SaturationLadder::default(),
+            index: QueryIndex::default(),
             model_version: 0,
             query_cache: QueryCache::default(),
             trigger,
@@ -285,7 +285,7 @@ impl LogTopic {
 
         // Epoch base: the full model and the counters the replay builds on.
         topic.model = Arc::new(std::mem::take(&mut recovered.base));
-        topic.ladder = Arc::new(SaturationLadder::build(&topic.model));
+        topic.ladder = SaturationLadder::build(&topic.model);
         let manifest = &recovered.manifest;
         let first_live = manifest.first_live_seq;
         topic.model_version = manifest.model_version_at_epoch;
@@ -439,20 +439,17 @@ impl LogTopic {
     }
 
     /// Assemble record access for a plan's record-level predicates, push-down
-    /// included: `None` when the plan is node-only (postings alone answer it),
-    /// otherwise the record store plus skip ranges for segments the storage
-    /// summaries proved cannot match.
-    pub(crate) fn record_access(&self, plan: &QueryPlan) -> Option<RecordAccess<'_>> {
-        if plan.is_node_only() {
-            return None;
-        }
+    /// included: the record store plus skip ranges for segments the storage
+    /// summaries proved cannot match (none for a node-only plan, which postings
+    /// alone answer).
+    pub(crate) fn record_access(&self, plan: &QueryPlan) -> RecordAccess<'_> {
         let first_seq = self.first_record_seq();
-        Some(RecordAccess {
+        RecordAccess {
             records: &self.records,
             preprocessor: &self.preprocessor,
             first_seq,
             skip: self.prune_ranges(plan, first_seq),
-        })
+        }
     }
 
     /// Half-open record-index ranges proven non-matching by segment summaries
@@ -494,16 +491,6 @@ impl LogTopic {
             }
         }
         skip
-    }
-
-    /// A cheap shared handle to the saturation ladder (for query snapshots).
-    pub(crate) fn ladder_snapshot(&self) -> Arc<SaturationLadder> {
-        Arc::clone(&self.ladder)
-    }
-
-    /// A cheap shared handle to the postings index (for query snapshots).
-    pub(crate) fn query_index_snapshot(&self) -> Arc<QueryIndex> {
-        Arc::clone(&self.index)
     }
 
     /// The drift detector, when the topic runs incremental maintenance.
@@ -588,7 +575,7 @@ impl LogTopic {
             for idx in &mut self.unmatched {
                 *idx -= dropped;
             }
-            self.index = Arc::new(QueryIndex::rebuild(&self.records, self.model.len()));
+            self.index = QueryIndex::rebuild(&self.records);
         }
         if outcome.dropped_segments > 0 {
             self.query_cache.clear();
@@ -654,7 +641,7 @@ impl LogTopic {
                 let id = Arc::make_mut(&mut self.model).insert_temporary(&tokens);
                 // The ladder and the cache key track every model change; the
                 // automaton does not — the match kernel scans appended nodes.
-                Arc::make_mut(&mut self.ladder).push_root(&self.model, id);
+                self.ladder.push_root(&self.model, id);
                 self.model_version += 1;
                 id
             })
@@ -676,7 +663,7 @@ impl LogTopic {
         self.records.push(record, template, slots, range);
         if let Some(node) = template {
             // Postings grow in ingest order, so per-node index lists stay sorted.
-            Arc::make_mut(&mut self.index).assign(node, self.records.len() - 1);
+            self.index.assign(node, self.records.len() - 1);
         }
         template
     }
@@ -832,7 +819,7 @@ impl LogTopic {
         let model = train(&texts, &self.preprocessor, &self.config.train).model;
         self.model = Arc::new(model);
         self.recompile();
-        self.ladder = Arc::new(SaturationLadder::build(&self.model));
+        self.ladder = SaturationLadder::build(&self.model);
         self.finish_run(true, started.elapsed().as_secs_f64());
         self.rematch(true);
         self.checkpoint_epoch();
@@ -893,14 +880,13 @@ impl LogTopic {
         }
     }
 
-    /// The land step, live or replayed: fold `delta` into the model and rebuild what
-    /// is derived from its node set — the saturation ladder, built whole, and the
-    /// postings' node count. Returns the model it replaced.
+    /// The land step, live or replayed: fold `delta` into the model and rebuild the
+    /// saturation ladder, which is derived from its node set, whole. Returns the model
+    /// it replaced.
     fn land(&mut self, delta: &ModelDelta) -> Arc<ParserModel> {
         let landed = Arc::new(apply_delta(&self.model, delta));
         let before = std::mem::replace(&mut self.model, landed);
-        self.ladder = Arc::new(SaturationLadder::build(&self.model));
-        Arc::make_mut(&mut self.index).ensure_nodes(self.model.len());
+        self.ladder = SaturationLadder::build(&self.model);
         before
     }
 
@@ -1045,7 +1031,7 @@ impl LogTopic {
         for &(idx, _, new) in moves {
             self.records.set_template(idx, new);
         }
-        Arc::make_mut(&mut self.index).reassign(moves);
+        self.index.reassign(moves);
     }
 
     /// Current topic statistics.

@@ -7,9 +7,10 @@
 //! Run with: `cargo run --release --example anomaly_watch`
 
 use bytebrain_repro::bytebrain::Query;
-use bytebrain_repro::service::anomaly::detect_snapshots;
+use bytebrain_repro::service::anomaly::detect;
 use bytebrain_repro::service::library::AlertRule;
 use bytebrain_repro::service::{LogTopic, TemplateLibrary, TopicConfig};
+use std::sync::Arc;
 
 fn window(offset: usize, incident: bool) -> Vec<String> {
     let mut logs = Vec::new();
@@ -45,19 +46,28 @@ fn window(offset: usize, incident: bool) -> Vec<String> {
 
 fn main() {
     let mut topic = LogTopic::new(TopicConfig::new("api-gateway").with_volume_threshold(u64::MAX));
+    // The template distribution at precision 0.9: counts per template, aggregated from
+    // the topic's postings (no record scan).
+    let plan = Query::distribution()
+        .at_threshold(0.9)
+        .plan()
+        .expect("a predicate-free query always plans");
+    let distribution = |topic: &LogTopic| {
+        let value = topic.execute(&plan);
+        Arc::clone(value.distribution().expect("distribution plan"))
+    };
 
-    // Baseline window: freeze an indexed query snapshot (model + ladder + postings
-    // behind Arcs) instead of materialising a distribution up front.
+    // Baseline window.
     topic.ingest(&window(0, false));
-    let baseline = topic.query_snapshot();
+    let baseline = distribution(&topic);
 
     // Incident window.
     topic.ingest(&window(10_000, true));
     topic.run_training();
-    let current = topic.query_snapshot();
+    let current = distribution(&topic);
 
     println!("=== anomalies from the baseline to baseline + incident");
-    for report in detect_snapshots(&baseline, &current, 0.9).iter().take(8) {
+    for report in detect(&baseline, &current).iter().take(8) {
         println!(
             "  {:?}: {} ({} -> {})",
             report.kind, report.template, report.baseline_count, report.current_count
@@ -77,13 +87,7 @@ fn main() {
         vec![AlertRule::OnAppearance],
     );
     println!("\n=== fired alerts");
-    let plan = Query::distribution()
-        .at_threshold(0.9)
-        .plan()
-        .expect("a predicate-free query always plans");
-    let current = topic.execute(&plan);
-    let current_distribution = current.distribution().expect("distribution plan");
-    for alert in library.evaluate_alerts(current_distribution) {
+    for alert in library.evaluate_alerts(&current) {
         println!(
             "  [{}] rule {:?} observed {}",
             alert.entry, alert.rule, alert.observed

@@ -7,15 +7,21 @@
 
 use bytebrain_repro::bytebrain::Query;
 use bytebrain_repro::datasets::LabeledDataset;
-use bytebrain_repro::service::{compare_snapshots, LogTopic, TopicConfig};
+use bytebrain_repro::service::{compare_windows, LogTopic, TopicConfig};
+use std::sync::Arc;
 
 fn main() {
     let corpus = LabeledDataset::loghub2("HDFS", 30_000);
     let mut topic = LogTopic::new(TopicConfig::new("hdfs-datanode").with_volume_threshold(10_000));
 
-    // Ingest the stream in batches, as a collector would, freezing an indexed query
-    // snapshot (model + ladder + postings behind Arcs) after each batch.
-    let mut snapshots = Vec::new();
+    // Ingest the stream in batches, as a collector would, taking the template
+    // distribution at precision 0.9 after each batch (counts aggregated from the
+    // topic's postings, no record scan).
+    let distribution_plan = Query::distribution()
+        .at_threshold(0.9)
+        .plan()
+        .expect("a predicate-free query always plans");
+    let mut distributions = Vec::new();
     for (i, chunk) in corpus.records.chunks(10_000).enumerate() {
         let outcome = topic.ingest(chunk);
         println!(
@@ -25,7 +31,8 @@ fn main() {
             chunk.len(),
             outcome.trained
         );
-        snapshots.push(topic.query_snapshot());
+        let value = topic.execute(&distribution_plan);
+        distributions.push(Arc::clone(value.distribution().expect("distribution plan")));
     }
 
     let stats = topic.stats();
@@ -50,14 +57,13 @@ fn main() {
         }
     }
 
-    // Compare the topic after the first batch with the topic after the last, through
-    // the indexed path. Both distributions are cumulative: the later snapshot still
-    // holds every record of the first batch.
-    if snapshots.len() >= 2 {
-        let shifts = compare_snapshots(
-            &snapshots[0],
-            snapshots.last().expect("at least one snapshot"),
-            0.9,
+    // Compare the topic after the first batch with the topic after the last. Both
+    // distributions are cumulative: the later one still counts every record of the
+    // first batch.
+    if distributions.len() >= 2 {
+        let shifts = compare_windows(
+            &distributions[0],
+            distributions.last().expect("at least one distribution"),
         );
         println!("\nlargest distribution shifts from the first batch to the whole stream:");
         for shift in shifts.iter().take(5) {

@@ -1,14 +1,14 @@
 //! Nightly soak test for the automaton match path (run with `--ignored`).
 //!
 //! A 1M-line drifting generator stream flows through batched streaming
-//! ingestion with incremental maintenance on the compiled automaton,
-//! while every chunk's query snapshot is interrogated from a concurrent thread
-//! as the next chunk ingests. Invariants held throughout:
+//! ingestion with incremental maintenance on the compiled automaton, and the
+//! live topic is queried at five precisions after every chunk. Invariants held
+//! throughout:
 //!
 //! * zero retired-template leakage — no query group ever points at a retired
 //!   node and no stored record ever sits on a retired template;
-//! * monotone record counts — topic totals and snapshot postings only grow,
-//!   and every snapshot's groups cover exactly its postings.
+//! * monotone record counts — topic totals and the records stored on a template
+//!   only grow, and every query's groups cover exactly those records.
 //!
 //! Line volume can be scaled down for local runs with `BYTEBRAIN_SOAK_LINES`; from
 //! 60,000 lines (three chunks) on, the stream lands at least two deltas, which is the
@@ -78,7 +78,7 @@ fn chunk(progress: f64, len: usize, seed: u64) -> Vec<String> {
 
 #[test]
 #[ignore = "nightly soak: ~1M lines, run with --ignored"]
-fn soak_automaton_stream_with_concurrent_queries() {
+fn soak_automaton_stream_with_queries_between_chunks() {
     const CHUNK: usize = 20_000;
     let total = soak_lines();
     let seed = base_seed();
@@ -102,55 +102,50 @@ fn soak_automaton_stream_with_concurrent_queries() {
 
     let chunks = total.div_ceil(CHUNK);
     let mut ingested = 0usize;
-    let mut last_snapshot_records = 0usize;
+    let mut last_posted = 0usize;
     for i in 0..chunks {
         let len = CHUNK.min(total - ingested);
         let progress = i as f64 / chunks.max(1) as f64;
         let batch = chunk(progress, len, seed ^ (i as u64) << 8);
-
-        // Query the pre-chunk snapshot from a concurrent thread while the
-        // chunk ingests (the production serving pattern: immutable snapshots
-        // answer queries while the live topic moves on).
-        let snapshot = topic.query_snapshot();
-        std::thread::scope(|scope| {
-            let verifier = scope.spawn(move || {
-                let records = snapshot.records();
-                for &threshold in &thresholds {
-                    let plan = Query::group_by().at_threshold(threshold).plan().unwrap();
-                    let value = snapshot.execute(&plan).expect("node-only plan");
-                    let groups = value.groups().expect("groups plan");
-                    let covered: usize = groups.iter().map(|g| g.count()).sum();
-                    assert_eq!(
-                        covered, records,
-                        "snapshot groups must cover all postings (threshold {threshold})"
-                    );
-                    for group in groups.iter() {
-                        assert!(
-                            !snapshot.model().nodes[group.node.0].retired,
-                            "retired template leaked into snapshot query: {}",
-                            group.template
-                        );
-                    }
-                }
-                records
-            });
-            topic.ingest_stream(batch, &ingest);
-            let records = verifier.join().expect("query thread panicked");
-            assert!(
-                records >= last_snapshot_records,
-                "snapshot postings went backwards: {records} < {last_snapshot_records}"
-            );
-            last_snapshot_records = records;
-        });
-
+        topic.ingest_stream(batch, &ingest);
         ingested += len;
+
         let stats = topic.stats();
         assert_eq!(
             stats.total_records, ingested as u64,
             "record count must track ingested volume exactly"
         );
-        // Live-topic leakage check: no stored record on a retired template.
+        // The groups of every precision cover exactly the records stored on a
+        // template, and those only grow.
         let model = topic.model();
+        let posted = topic
+            .records()
+            .iter()
+            .filter(|r| r.template.is_some())
+            .count();
+        assert!(
+            posted >= last_posted,
+            "posted records went backwards: {posted} < {last_posted}"
+        );
+        last_posted = posted;
+        for &threshold in &thresholds {
+            let plan = Query::group_by().at_threshold(threshold).plan().unwrap();
+            let value = topic.execute(&plan);
+            let groups = value.groups().expect("groups plan");
+            let covered: usize = groups.iter().map(|g| g.count()).sum();
+            assert_eq!(
+                covered, posted,
+                "groups must cover every posted record (chunk {i}, threshold {threshold})"
+            );
+            for group in groups.iter() {
+                assert!(
+                    !model.nodes[group.node.0].retired,
+                    "retired template leaked into a query after chunk {i}: {}",
+                    group.template
+                );
+            }
+        }
+        // No stored record on a retired template.
         for record in topic.records().iter() {
             if let Some(node) = record.template {
                 assert!(
