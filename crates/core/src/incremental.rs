@@ -300,8 +300,6 @@ pub struct ModelDelta {
     /// Retire every active temporary template (their logs are represented in the
     /// folded batch by construction, mirroring how a full retrain drops them).
     pub retire_temporaries: bool,
-    /// Number of raw records folded into this delta.
-    pub batch_records: u64,
 }
 
 impl ModelDelta {
@@ -506,13 +504,12 @@ impl<'m> DeltaBuilder<'m> {
         idx
     }
 
-    fn finish(self, batch_records: u64) -> ModelDelta {
+    fn finish(self) -> ModelDelta {
         ModelDelta {
             base_nodes: self.base.nodes.len(),
             patches: self.patches,
             new_nodes: self.new_nodes,
             retire_temporaries: true,
-            batch_records,
         }
     }
 }
@@ -534,7 +531,7 @@ pub fn train_delta<S: AsRef<str>>(
 ) -> ModelDelta {
     let mut builder = DeltaBuilder::new(model);
     if records.is_empty() {
-        let mut delta = builder.finish(0);
+        let mut delta = builder.finish();
         // Nothing was folded: keep active temporaries alive, they are not
         // represented anywhere else yet.
         delta.retire_temporaries = false;
@@ -573,7 +570,7 @@ pub fn train_delta<S: AsRef<str>>(
             }
         }
     }
-    builder.finish(records.len() as u64)
+    builder.finish()
 }
 
 /// Apply `delta` to `base`, returning the patched model. Existing node ids are
@@ -581,42 +578,22 @@ pub fn train_delta<S: AsRef<str>>(
 /// and absorbed temporaries are retired rather than removed — so template ids
 /// stored at ingest time stay valid and no re-match pass is required.
 ///
-/// `base` may have *fewer* nodes than the model the delta was computed against:
-/// the missing tail can only be temporary templates inserted after `base` was
-/// persisted (nothing else appends nodes between maintenance runs), and the
-/// delta retires them anyway. The base is padded with retired placeholder slots
-/// so that appended node ids stay aligned with the live model — this is what
-/// lets the model store replay a delta chain on top of a full snapshot that
-/// never saw the ephemeral temporaries.
-///
 /// # Panics
-/// Panics when `base` has more nodes than the model the delta was computed
-/// against (the delta would mis-reference them — a log replays its deltas in
-/// the order they were landed, which prevents this).
+/// Panics when `base` does not have exactly the node count of the model the
+/// delta was computed against: a wider base holds nodes the delta never saw, a
+/// narrower one lacks nodes it may patch or attach to, and either way the
+/// appended node ids would not be the ones the delta's trainer assigned. A
+/// replay re-inserts every temporary before the event that follows it, so it
+/// hands each delta the model it was trained against.
 pub fn apply_delta(base: &ParserModel, delta: &ModelDelta) -> ParserModel {
-    assert!(
-        base.nodes.len() <= delta.base_nodes,
+    assert_eq!(
+        base.nodes.len(),
+        delta.base_nodes,
         "delta was computed against a model with {} nodes, got {}",
         delta.base_nodes,
         base.nodes.len()
     );
     let mut model = base.clone();
-    // Placeholder slots for live-only temporaries the persisted base never saw:
-    // retired on arrival, never matched, never referenced by the delta.
-    while model.nodes.len() < delta.base_nodes {
-        model.push_node(TreeNode {
-            id: NodeId(0),
-            parent: None,
-            children: Vec::new(),
-            template: Vec::new(),
-            saturation: 1.0,
-            depth: 0,
-            log_count: 0,
-            unique_count: 0,
-            temporary: true,
-            retired: true,
-        });
-    }
     for patch in &delta.patches {
         let node = &mut model.nodes[patch.node.0];
         node.log_count += patch.log_count_add;
@@ -775,7 +752,6 @@ mod tests {
         let model = train(&base_records(), &pre, &config).model;
         let delta = train_delta(&model, &[] as &[String], &pre, &config);
         assert!(delta.is_empty());
-        assert_eq!(delta.batch_records, 0);
         let patched = apply_delta(&model, &delta);
         assert_eq!(patched.len(), model.len());
     }
@@ -788,46 +764,37 @@ mod tests {
         let delta = train_delta(&model, &drift_records(), &pre, &config);
         let payload = serde_json::to_string(&delta).expect("delta serializes");
         let restored: ModelDelta = serde_json::from_str(&payload).expect("delta deserializes");
+        // Event logs written while a delta still counted its batch carry the retired
+        // `batch_records` key: it is ignored on decode.
+        let retired = payload.replacen('{', "{\"batch_records\":240,", 1);
+        let old: ModelDelta = serde_json::from_str(&retired).expect("old delta deserializes");
         let a = apply_delta(&model, &delta);
-        let b = apply_delta(&model, &restored);
-        assert_eq!(sorted_texts(&a), sorted_texts(&b));
-        assert_eq!(a.len(), b.len());
+        for b in [apply_delta(&model, &restored), apply_delta(&model, &old)] {
+            assert_eq!(sorted_texts(&a), sorted_texts(&b));
+            assert_eq!(a.len(), b.len());
+        }
     }
 
+    /// A base one node wider or narrower than the model the delta was trained
+    /// against is refused, not padded or cut.
     #[test]
-    #[should_panic(expected = "delta was computed against a model")]
-    fn apply_delta_rejects_wider_base() {
+    fn apply_delta_rejects_a_base_of_another_width() {
         let config = TrainConfig::default();
         let pre = Preprocessor::new(config.preprocess.clone());
         let model = train(&base_records(), &pre, &config).model;
-        let mut delta = train_delta(&model, &drift_records(), &pre, &config);
-        // Pretend the delta was computed against a narrower model: the wider live
-        // model could hold nodes the delta never saw.
-        delta.base_nodes = model.len() - 1;
-        apply_delta(&model, &delta);
-    }
-
-    #[test]
-    fn apply_delta_pads_narrower_base_with_retired_slots() {
-        let config = TrainConfig::default();
-        let pre = Preprocessor::new(config.preprocess.clone());
-        let persisted = train(&base_records(), &pre, &config).model;
-        // The live model accumulated temporaries after `persisted` was stored.
-        let mut live = persisted.clone();
-        live.insert_temporary(&["ephemeral".into(), "event".into(), "one".into()]);
-        live.insert_temporary(&["ephemeral".into(), "event".into(), "two".into()]);
-        let delta = train_delta(&live, &drift_records(), &pre, &config);
-        let from_live = apply_delta(&live, &delta);
-        let from_persisted = apply_delta(&persisted, &delta);
-        // Node ids align: same width, and every active node carries the same template.
-        assert_eq!(from_live.len(), from_persisted.len());
-        for (a, b) in from_live.nodes.iter().zip(from_persisted.nodes.iter()) {
-            if !a.retired && !b.retired {
-                assert_eq!(a.template_text(), b.template_text());
-            }
-            assert_eq!(a.retired, b.retired, "retirement must align at {:?}", a.id);
+        let delta = train_delta(&model, &drift_records(), &pre, &config);
+        for base_nodes in [model.len() - 1, model.len() + 1] {
+            let forged = ModelDelta {
+                base_nodes,
+                ..delta.clone()
+            };
+            let applied = std::panic::catch_unwind(|| apply_delta(&model, &forged));
+            let message = *applied.expect_err("refused").downcast::<String>().unwrap();
+            assert!(
+                message.contains("delta was computed against a model"),
+                "{base_nodes}: {message}"
+            );
         }
-        assert_eq!(sorted_texts(&from_live), sorted_texts(&from_persisted));
     }
 
     // -- drift detector -----------------------------------------------------

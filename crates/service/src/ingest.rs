@@ -426,8 +426,8 @@ pub(crate) struct MatchContext {
     pub(crate) model: Arc<ParserModel>,
     pub(crate) compiled: Arc<CompiledMatcher>,
     pub(crate) preprocessor: Arc<Preprocessor>,
-    /// The topic's model version when the snapshots were taken.
-    pub(crate) model_version: u64,
+    /// The topic's model key (`LogTopic::model_key`) when the snapshots were taken.
+    pub(crate) model_key: (u64, usize),
     /// The topic's provisioned worker bound.
     pub(crate) parallelism: usize,
     /// Chunk length under `MaintenancePolicy::Incremental`; `None` takes the whole
@@ -453,7 +453,7 @@ impl MatchContext {
 /// of which only the outer two touch the topic:
 ///
 /// 1. **prepare** (`LogTopic::prepare`, microseconds): snapshot
-///    `(model, automaton, preprocessor)` and note the model version; it never compiles.
+///    `(model, automaton, preprocessor)` and note the model key; it never compiles.
 ///    With no model yet there is nothing to match against, and the cold-start batch
 ///    is applied (and trained on) whole inside this one `with`.
 /// 2. **match** (no topic state): mask → tokenise → DFA over the snapshots, on the
@@ -488,15 +488,15 @@ pub fn drive<A: TopicAccess>(
                     ids: vec![(None, SlotRange::default()); lines.len()],
                     slots: SlotBuffer::new(),
                 };
-                let version = topic.model_version();
-                apply(topic, lines, &mut nothing_matches, version, &mut outcome);
+                let key = topic.model_key();
+                apply(topic, lines, &mut nothing_matches, key, &mut outcome);
             }
             context
         });
         let Some(context) = prepared else {
             break;
         };
-        let matched_at = context.model_version;
+        let matched_at = context.model_key;
         let len = context
             .check_interval
             .map_or(rest.len(), |n| n.min(rest.len()));
@@ -556,7 +556,7 @@ fn apply(
     topic: &mut LogTopic,
     lines: &[String],
     matches: &mut BatchMatch,
-    matched_at: u64,
+    matched_at: (u64, usize),
     outcome: &mut IngestOutcome,
 ) {
     topic.apply_stream_records(lines, matches, matched_at, outcome);

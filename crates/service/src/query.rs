@@ -18,7 +18,8 @@
 //!   ([`crate::storage::SegmentSummary`]): segments whose summaries rule out
 //!   a required conjunct are skipped wholesale before any record is touched.
 //!   Results are memoized in an LRU `QueryCache` keyed by the canonical
-//!   plan fingerprint plus `(model version, topic generation, record count)`;
+//!   plan fingerprint plus the topic's state: the model key (the compiled
+//!   snapshot's generation and the model's length) and the live sequence range;
 //! * the **scan oracle** ([`LogTopic::execute_scan`]): the naive
 //!   per-record ancestor walk with per-record predicate evaluation, retained
 //!   purely as the differential reference.
@@ -443,40 +444,24 @@ fn scan_plan(
 // Query cache
 // ---------------------------------------------------------------------------
 
-/// Cache key: model version + topic generation + record count pin the topic state;
-/// the canonical plan fingerprint ([`QueryPlan::fingerprint`]) pins *what* was asked —
-/// threshold, output shape, and the normalized predicate. Two different ASTs can
-/// never collide on a key (the old `(threshold, limit)` key could not tell a
-/// filtered query from an unfiltered one).
-///
-/// The **generation** (bumped on recovery and TTL retention) exists
-/// because `(version, record count)` stops being sound once state persists: retention
-/// can evict old records and later ingest can bring the count back to a previously
-/// cached value with the model version unchanged — a different record *set* under an
-/// identical key.
+/// Cache key: the topic's state and what was asked of it. The state is the model key
+/// (`LogTopic::model_key`: the compiled snapshot's generation, which every training,
+/// landing and recovery renews, and the model's length, which every temporary grows)
+/// and the live sequence range `[first, end)` of the records (retention moves its
+/// start, ingest its end, and neither goes back) — every change a query can observe
+/// moves one of them, and none returns to an earlier value. The canonical plan
+/// fingerprint ([`QueryPlan::fingerprint`]) pins *what* was asked — threshold, output
+/// shape, and the normalized predicate — so two different ASTs never collide on a key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CacheKey {
-    version: u64,
-    generation: u64,
-    records: usize,
+    model: (u64, usize),
+    records: (u64, u64),
     plan: u64,
 }
 
-impl CacheKey {
-    fn new(version: u64, generation: u64, records: usize, plan: &QueryPlan) -> Self {
-        CacheKey {
-            version,
-            generation,
-            records,
-            plan: plan.fingerprint(),
-        }
-    }
-}
-
 /// A small LRU cache of query results, safe to use through `&self` (interior mutex) so
-/// concurrent readers of a topic can share it. Invalidated wholesale when maintenance
-/// replaces the model; when the version or record count moves, the next result cached
-/// drops every entry of the earlier state.
+/// concurrent readers of a topic can share it. When the topic's state moves, the next
+/// result cached drops every entry of the earlier state.
 #[derive(Debug, Default)]
 pub(crate) struct QueryCache {
     inner: Mutex<CacheInner>,
@@ -516,21 +501,10 @@ impl QueryCache {
     /// holding its (record-count-sized) result.
     fn put(&self, key: CacheKey, value: QueryValue) {
         let mut inner = self.inner.lock().expect("query cache poisoned");
-        let same_state = |k: &CacheKey| {
-            (k.version, k.generation, k.records) == (key.version, key.generation, key.records)
-        };
+        let same_state = |k: &CacheKey| (k.model, k.records) == (key.model, key.records);
         inner.entries.retain(|(k, _)| same_state(k) && *k != key);
         inner.entries.insert(0, (key, value));
         inner.entries.truncate(QUERY_CACHE_CAPACITY);
-    }
-
-    /// Drop every cached result (called when maintenance replaces the model).
-    pub(crate) fn clear(&self) {
-        self.inner
-            .lock()
-            .expect("query cache poisoned")
-            .entries
-            .clear();
     }
 
     /// `(hits, misses)` counters since topic creation.
@@ -548,16 +522,16 @@ impl LogTopic {
     /// **The** query entry point: execute a normalized [`QueryPlan`] through
     /// the planned push-down path with the LRU cache in front.
     ///
-    /// The cache key is `(model version, topic generation, record count,
-    /// canonical plan fingerprint)`; a warm hit is a reference-count bump on
-    /// the shared [`QueryValue`], never a copy.
+    /// The cache key is the topic's state — its model and its live sequence
+    /// range — and the canonical plan fingerprint; a warm hit is a reference-count
+    /// bump on the shared [`QueryValue`], never a copy.
     pub fn execute(&self, plan: &QueryPlan) -> QueryValue {
-        let key = CacheKey::new(
-            self.model_version(),
-            self.generation(),
-            self.records().len(),
-            plan,
-        );
+        let first = self.first_record_seq();
+        let key = CacheKey {
+            model: self.model_key(),
+            records: (first, first + self.records().len() as u64),
+            plan: plan.fingerprint(),
+        };
         if let Some(cached) = self.query_cache().get(key) {
             return cached;
         }

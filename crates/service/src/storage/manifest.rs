@@ -2,8 +2,9 @@
 //!
 //! `MANIFEST.json` names the live segments, the epoch's base model file and the
 //! epoch/counter state a replay needs. It is rewritten atomically (tmp + fsync +
-//! rename) at every seal, epoch boundary, retention pass and recovery — a crash
-//! leaves either the old manifest or the new one, never a torn file.
+//! rename) at every seal, epoch boundary and retention pass that drops a segment —
+//! a crash leaves either the old manifest or the new one, never a torn file. A
+//! reopen reads it and writes nothing.
 //! Anything on disk the manifest does not reference (an orphan segment from a
 //! crash mid-seal, a base file written by a checkpoint that never swapped the
 //! manifest) is garbage and is deleted on open.
@@ -61,15 +62,6 @@ impl SegmentMeta {
 pub struct Manifest {
     /// Manifest format version.
     pub format: u32,
-    /// Monotonic topic generation: bumped on recovery and retention expiry.
-    /// Part of the query-cache key, so results cached against a
-    /// previous record *set* (same count, different records) can never be
-    /// served after the set changed.
-    pub generation: u64,
-    /// WAL records with `seq <` this are already sealed into segments and are
-    /// skipped during replay (a crash between manifest rewrite and WAL
-    /// truncation leaves such duplicates behind).
-    pub wal_base_seq: u64,
     /// Sequence number of the oldest retained record (advanced by retention).
     pub first_live_seq: u64,
     /// Sequence position of the last epoch checkpoint: the training window
@@ -79,9 +71,6 @@ pub struct Manifest {
     /// starts from this full model and folds the event log's deltas in — a
     /// restart never retrains.
     pub epoch_base: u64,
-    /// Topic model version at the epoch boundary (replay adds one bump per
-    /// temporary insertion and per delta event, reproducing the live value).
-    pub model_version_at_epoch: u64,
     /// Completed incremental maintenance runs as of the epoch boundary
     /// (replayed delta events are added on top).
     pub maintenance_runs_at_epoch: u64,
@@ -106,12 +95,9 @@ impl Manifest {
     pub fn new() -> Self {
         Manifest {
             format: MANIFEST_FORMAT,
-            generation: 0,
-            wal_base_seq: 0,
             first_live_seq: 0,
             epoch_start_seq: 0,
             epoch_base: 0,
-            model_version_at_epoch: 0,
             maintenance_runs_at_epoch: 0,
             last_maintenance_seconds_at_epoch: 0.0,
             training_runs: 0,
@@ -122,14 +108,15 @@ impl Manifest {
         }
     }
 
-    /// Sequence number the WAL tail resumes at (one past the last sealed
-    /// record).
+    /// Sequence number the WAL tail resumes at: one past the last sealed record,
+    /// which is the end of the last live segment, or `first_live_seq` when there is
+    /// none (retention dropped every segment, or none was sealed yet). WAL records
+    /// below it are already sealed and are skipped during replay (a crash between
+    /// the manifest rewrite and the WAL truncation leaves such duplicates behind).
     pub fn sealed_end_seq(&self) -> u64 {
         self.segments
             .last()
-            .map(|s| s.end_seq())
-            .unwrap_or(self.wal_base_seq)
-            .max(self.wal_base_seq)
+            .map_or(self.first_live_seq, SegmentMeta::end_seq)
     }
 }
 
@@ -203,7 +190,6 @@ mod tests {
         let path = dir.join("MANIFEST.json");
         assert!(read_manifest(&path).unwrap().is_none());
         let mut manifest = Manifest::new();
-        manifest.generation = 3;
         manifest.training_runs = 2;
         manifest.last_training_seconds = 0.25;
         manifest.segments.push(SegmentMeta {
@@ -216,7 +202,6 @@ mod tests {
         });
         write_manifest(&path, &manifest).unwrap();
         let loaded = read_manifest(&path).unwrap().expect("manifest exists");
-        assert_eq!(loaded.generation, 3);
         assert_eq!(loaded.training_runs, 2);
         assert_eq!(loaded.segments.len(), 1);
         assert_eq!(loaded.segments[0].end_seq(), 512);

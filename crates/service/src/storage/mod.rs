@@ -6,7 +6,7 @@
 //! ```text
 //! <topic dir>/
 //!   meta.json       topic configuration (name, policy, train config)
-//!   MANIFEST.json   durable state: live segments, epoch base, counters, generation
+//!   MANIFEST.json   durable state: live segments, epoch base, counters
 //!   base-<id>.json  the full model the epoch starts from (one file, named by the manifest)
 //!   wal.log         CRC-framed records since the last segment seal
 //!   events.log      CRC-framed maintenance landings, each with its delta, since
@@ -41,8 +41,8 @@
 //! sequence range the topic's next training run reads (the topic owns it and
 //! passes it in), and (d) every older segment was dropped
 //! first (the record store stays a contiguous sequence range). A pass that
-//! drops anything bumps the topic **generation**, which is part of the
-//! query-cache key.
+//! drops anything moves `first_live_seq`, the start of the live sequence range
+//! the query cache keys on.
 
 pub mod framing;
 pub mod manifest;
@@ -194,7 +194,7 @@ impl TopicMeta {
 pub struct RecoveredTopic {
     /// The provisioned topic configuration.
     pub meta: TopicMeta,
-    /// The manifest as of open (recovery generation bump already applied).
+    /// The manifest as of open.
     pub manifest: Manifest,
     /// Decoded live segments, ascending by sequence. The WAL tail that follows
     /// them is [`TopicStorage::wal_tail`].
@@ -311,8 +311,8 @@ impl TopicStorage {
     }
 
     /// Open an existing topic store: verify and load the manifest's segments
-    /// and base file, replay the WAL tail and event log, delete orphan files
-    /// from crashed seals and checkpoints, and bump the recovery generation.
+    /// and base file, replay the WAL tail and event log, and delete orphan files
+    /// from crashed seals and checkpoints. Nothing the manifest holds is written.
     pub fn open(dir: &Path, config: StorageConfig) -> io::Result<(Self, RecoveredTopic)> {
         let config = StorageConfig {
             segment_records: config.segment_records.max(1),
@@ -322,7 +322,7 @@ impl TopicStorage {
         let meta_json = fs::read_to_string(&meta_path)?;
         let meta: TopicMeta =
             serde_json::from_str(&meta_json).map_err(|e| io_invalid(format!("meta.json: {e}")))?;
-        let mut manifest = manifest::read_manifest(&manifest_path)?
+        let manifest = manifest::read_manifest(&manifest_path)?
             .ok_or_else(|| io_invalid("missing MANIFEST.json".to_string()))?;
 
         // Garbage-collect files the manifest does not reference: a crash
@@ -368,7 +368,7 @@ impl TopicStorage {
             segments.push(seg);
         }
 
-        // WAL tail: frames below `wal_base_seq` were already sealed (the crash
+        // WAL tail: frames below the sealed end were already sealed (the crash
         // hit between manifest rewrite and WAL truncation) and are skipped.
         let sealed_end = manifest.sealed_end_seq();
         let mut wal_tail: Vec<WalRecord> = Vec::new();
@@ -394,10 +394,6 @@ impl TopicStorage {
         }
 
         let next_seq = wal_tail.last().map(|r| r.seq + 1).unwrap_or(sealed_end);
-        // Recovery is a state change the query cache must observe: a recovered
-        // record set may coincide in count and model version with a cached one.
-        manifest.generation += 1;
-        manifest::write_manifest(&manifest_path, &manifest)?;
 
         // Summaries are derived state: recompute from the decoded variable
         // columns, so they can never disagree with what is on disk.
@@ -433,11 +429,6 @@ impl TopicStorage {
     /// The storage directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The monotonic topic generation (recovery / retention).
-    pub fn generation(&self) -> u64 {
-        self.manifest.generation
     }
 
     /// The records appended since the last segment seal, ascending by sequence: on
@@ -567,7 +558,6 @@ impl TopicStorage {
             flagged: chunk.iter().filter(|r| r.unmatched).count() as u64,
             created_at: unix_now(),
         });
-        self.manifest.wal_base_seq = chunk.last().expect("non-empty chunk").seq + 1;
         Ok(())
     }
 
@@ -582,7 +572,6 @@ impl TopicStorage {
         &mut self,
         records: &RecordStore,
         model: &ParserModel,
-        model_version: u64,
         stats: &TopicStats,
     ) -> io::Result<()> {
         let first_live = self.manifest.first_live_seq;
@@ -614,10 +603,8 @@ impl TopicStorage {
         if !baseline.is_empty() {
             self.seal_segment(&baseline, &mut vars_of)?;
         }
-        self.manifest.wal_base_seq = self.next_seq;
         self.manifest.epoch_start_seq = self.next_seq;
         self.manifest.epoch_base = base;
-        self.manifest.model_version_at_epoch = model_version;
         self.manifest.maintenance_runs_at_epoch = stats.maintenance_runs;
         self.manifest.last_maintenance_seconds_at_epoch = stats.last_maintenance_seconds;
         self.manifest.training_runs = stats.training_runs;
@@ -688,7 +675,6 @@ impl TopicStorage {
         }
         if outcome.dropped_segments > 0 {
             self.manifest.bytes_dropped += outcome.dropped_bytes;
-            self.manifest.generation += 1;
             manifest::write_manifest(&self.dir.join("MANIFEST.json"), &self.manifest)?;
             for id in dropped_ids {
                 let _ = fs::remove_file(

@@ -186,10 +186,8 @@ pub struct LogTopic {
     /// Per-node postings (record index lists) maintained at ingest time so queries
     /// never scan the record store.
     index: QueryIndex,
-    /// Bumped on every model change (training, delta, temporary insertion); part of
-    /// the query cache key.
-    model_version: u64,
-    /// LRU cache of query results, cleared when maintenance replaces the model.
+    /// LRU cache of query results, keyed on the model ([`LogTopic::model_key`]) and
+    /// the live sequence range they were computed on.
     query_cache: QueryCache,
     trigger: TrainingTrigger,
     /// Index into `records` of the first record stored since the last training run.
@@ -225,7 +223,6 @@ impl LogTopic {
             model: Arc::new(model),
             ladder: SaturationLadder::default(),
             index: QueryIndex::default(),
-            model_version: 0,
             query_cache: QueryCache::default(),
             trigger,
             window_start: 0,
@@ -288,7 +285,6 @@ impl LogTopic {
         topic.ladder = SaturationLadder::build(&topic.model);
         let manifest = &recovered.manifest;
         let first_live = manifest.first_live_seq;
-        topic.model_version = manifest.model_version_at_epoch;
         topic.total_bytes = manifest.bytes_dropped;
         topic.training_runs = manifest.training_runs;
         topic.last_training_seconds = manifest.last_training_seconds;
@@ -309,6 +305,19 @@ impl LogTopic {
             // after the last stored record trails them all.
             let upto = rec.map_or(u64::MAX, |rec| rec.seq);
             while let Some(event) = events.next_if(|event| event.at_seq <= upto) {
+                // Every temporary stored before the event is back in: the model is
+                // the one the delta was trained against, node for node.
+                if event.delta.base_nodes != topic.model.len() {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "delta event at seq {} was trained against {} nodes, replay holds {}",
+                            event.at_seq,
+                            event.delta.base_nodes,
+                            topic.model.len()
+                        ),
+                    ));
+                }
                 topic.land(&event.delta);
                 topic.finish_run(event.retrain, event.elapsed_seconds);
                 // Records dropped by retention since the event are simply gone.
@@ -382,24 +391,18 @@ impl LogTopic {
         &self.records
     }
 
-    /// The current model version: bumped on every model change (training run,
-    /// incremental delta, temporary-template insertion). Part of the query cache key,
-    /// so stale cached results can never be served after a model change.
-    pub fn model_version(&self) -> u64 {
-        self.model_version
-    }
-
     /// `(hits, misses)` of the topic's query cache since creation.
     pub fn query_cache_stats(&self) -> (u64, u64) {
         self.query_cache.stats()
     }
 
-    /// The monotonic topic generation, which the storage manifest keeps: bumped on
-    /// recovery and TTL retention (always 0 for in-memory topics). Part of the
-    /// query-cache key — a record *set* change without a model change must still miss
-    /// the cache.
-    pub fn generation(&self) -> u64 {
-        self.storage.as_ref().map_or(0, TopicStorage::generation)
+    /// The name of the current model: the compiled snapshot's process-unique
+    /// generation and the model's length. Every model change a caller can see either
+    /// appends a temporary or recompiles (a training, a landing, the end of a
+    /// recovery), so the pair moves at every change and never comes back. A match
+    /// context carries it for the apply phase to check, and the query cache keys on it.
+    pub(crate) fn model_key(&self) -> (u64, usize) {
+        (self.compiled.generation(), self.model.len())
     }
 
     /// The durable storage tier, when this topic was created via
@@ -521,7 +524,7 @@ impl LogTopic {
     }
 
     /// Phase one of an ingest (see [`drive`]): snapshot what matching reads, stamped
-    /// with the model version the apply phase will check. `None` while no model exists
+    /// with the model key the apply phase will check. `None` while no model exists
     /// — there is nothing to match against.
     pub(crate) fn prepare(&self) -> Option<MatchContext> {
         if self.model.is_empty() {
@@ -531,7 +534,7 @@ impl LogTopic {
             compiled: self.compiled_snapshot(),
             model: self.model_snapshot(),
             preprocessor: self.preprocessor_snapshot(),
-            model_version: self.model_version,
+            model_key: self.model_key(),
             parallelism: self.config.train.parallelism,
             check_interval: match &self.config.maintenance {
                 MaintenancePolicy::FullRetrain => None,
@@ -558,8 +561,8 @@ impl LogTopic {
 
     /// TTL retention. Expired segments outside the training window (and holding no
     /// replay-relevant flagged records) are dropped oldest-first and the in-memory
-    /// record prefix is drained in lockstep. A drop bumps the topic generation and
-    /// clears the query cache. No-op for in-memory topics.
+    /// record prefix is drained in lockstep; the live sequence range's start moves, and
+    /// with it every query-cache key. No-op for in-memory topics.
     pub fn run_storage_maintenance(&mut self) -> RetentionOutcome {
         let window = self.training_window_seqs();
         let Some(storage) = &mut self.storage else {
@@ -576,9 +579,6 @@ impl LogTopic {
                 *idx -= dropped;
             }
             self.index = QueryIndex::rebuild(&self.records);
-        }
-        if outcome.dropped_segments > 0 {
-            self.query_cache.clear();
         }
         outcome
     }
@@ -639,10 +639,9 @@ impl LogTopic {
             (!self.model.is_empty()).then(|| {
                 let tokens: Vec<String> = slots.values(record, range).map(Into::into).collect();
                 let id = Arc::make_mut(&mut self.model).insert_temporary(&tokens);
-                // The ladder and the cache key track every model change; the
-                // automaton does not — the match kernel scans appended nodes.
+                // The ladder tracks every model change; the automaton does not —
+                // the match kernel scans appended nodes.
                 self.ladder.push_root(&self.model, id);
-                self.model_version += 1;
                 id
             })
         };
@@ -737,8 +736,8 @@ impl LogTopic {
     /// node in the model checked against `matched_at` — a stale chunk is re-matched
     /// first, so that is the model the node was decided on.
     ///
-    /// `matched_at` is the model version the chunk's ids belong to (the context's at
-    /// [`LogTopic::prepare`]). The phases rest on nothing changing the model in
+    /// `matched_at` is the [`LogTopic::model_key`] the chunk's ids belong to (the
+    /// context's at [`LogTopic::prepare`]). The phases rest on nothing changing the model in
     /// between; should something have — a retrain generalises and retires nodes — the
     /// ids are discarded and the lines re-matched here, against the live model, exactly
     /// as a one-shot ingest would have matched them.
@@ -749,10 +748,10 @@ impl LogTopic {
         &mut self,
         lines: &[String],
         matches: &mut BatchMatch,
-        matched_at: u64,
+        matched_at: (u64, usize),
         outcome: &mut IngestOutcome,
     ) {
-        if self.model_version != matched_at {
+        if self.model_key() != matched_at {
             let context = self
                 .prepare()
                 .expect("matched against a model, so one exists");
@@ -891,8 +890,8 @@ impl LogTopic {
     }
 
     /// Bookkeeping shared by every model change, live or replayed: counters and the
-    /// run's wall-clock seconds, the trigger clock, the drift window, the windows the
-    /// next run will read, the model version and the query cache.
+    /// run's wall-clock seconds, the trigger clock, the drift window and the windows the
+    /// next run will read.
     fn finish_run(&mut self, retrain: bool, elapsed_seconds: f64) {
         if retrain {
             self.last_training_seconds = elapsed_seconds;
@@ -908,8 +907,6 @@ impl LogTopic {
         if let Some(detector) = &mut self.drift {
             detector.reset_window();
         }
-        self.model_version += 1;
-        self.query_cache.clear();
     }
 
     /// Epoch checkpoint of a durable topic: write the current model as the epoch's base
@@ -923,7 +920,7 @@ impl LogTopic {
             return;
         };
         storage
-            .checkpoint_epoch(&self.records, &self.model, self.model_version, &stats)
+            .checkpoint_epoch(&self.records, &self.model, &stats)
             .expect("storage epoch checkpoint");
     }
 
@@ -1474,8 +1471,8 @@ mod tests {
             };
             assert_eq!(drive(&mut access, batch, route).0.outcome, expected);
             assert_eq!(access.phases, 2, "prepare, then one apply");
-            assert_eq!(phased.model_version(), one_shot.model_version());
-            assert_eq!(phased.model().len(), one_shot.model().len());
+            let model_json = |t: &LogTopic| serde_json::to_string(t.model()).unwrap();
+            assert_eq!(model_json(&phased), model_json(&one_shot));
             let assigned =
                 |t: &LogTopic| t.records().iter().map(|r| r.template).collect::<Vec<_>>();
             assert_eq!(assigned(&phased), assigned(&one_shot));

@@ -12,13 +12,14 @@
 //! directory to its one model log after every step, and at every step continues
 //! the reopened topic beside a never-restarted twin until a trigger lands.
 
-use bytebrain::incremental::DriftConfig;
+use bytebrain::incremental::{DriftConfig, ModelDelta};
 use bytebrain::{Predicate, Query, QueryPlan};
 use service::ingest::IngestConfig;
 use service::storage::framing::FrameLog;
 use service::storage::DeltaEvent;
 use service::{
-    LogTopic, MaintenancePolicy, QueryValue, ServiceManager, StorageConfig, TopicConfig, TopicStats,
+    LogTopic, MaintenancePolicy, QueryValue, ServiceManager, StorageConfig, TopicConfig,
+    TopicStats, TopicStorage,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -159,7 +160,6 @@ fn distribution_of(topic: &LogTopic) -> QueryValue {
 /// Everything a client can observe about a topic, captured for the differential.
 struct Expectation {
     stats: TopicStats,
-    model_version: u64,
     model_json: String,
     record_count: usize,
     records: Vec<String>,
@@ -170,7 +170,6 @@ struct Expectation {
 fn capture(topic: &LogTopic) -> Expectation {
     Expectation {
         stats: topic.stats(),
-        model_version: topic.model_version(),
         model_json: serde_json::to_string(topic.model()).expect("model serializes"),
         record_count: topic.records().len(),
         records: topic
@@ -195,11 +194,6 @@ fn assert_recovered(recovered: &LogTopic, expected: &Expectation, ctx: &str) {
         .map(|r| r.record.to_owned())
         .collect();
     assert_eq!(recovered_records, expected.records, "{ctx}: record texts");
-    assert_eq!(
-        recovered.model_version(),
-        expected.model_version,
-        "{ctx}: model version"
-    );
     assert_eq!(
         serde_json::to_string(recovered.model()).expect("model serializes"),
         expected.model_json,
@@ -230,10 +224,6 @@ fn assert_same_but_for_clocks(live: &LogTopic, reopened: &LogTopic, ctx: &str) {
     };
     let (live, reopened) = (capture(live), capture(reopened));
     assert_eq!(reopened.records, live.records, "{ctx}: record texts");
-    assert_eq!(
-        reopened.model_version, live.model_version,
-        "{ctx}: model version"
-    );
     assert_eq!(reopened.model_json, live.model_json, "{ctx}: model JSON");
     assert_eq!(
         clockless(reopened.stats),
@@ -306,18 +296,13 @@ fn kill_and_recover_full_retrain_byte_identical() {
     assert!(topic.stats().training_runs >= 2, "retrain must have run");
 
     let expected = capture(&topic);
-    let live_generation = topic.generation();
     drop(topic); // kill: all in-process state gone
 
     let recovered = LogTopic::open(&dir, fast_storage()).expect("recover topic");
     assert_recovered(&recovered, &expected, "full-retrain recovery");
-    assert!(
-        recovered.generation() > live_generation,
-        "recovery must bump the topic generation"
-    );
     assert!(recovered.storage().is_some());
 
-    // A second restart replays the (generation-bumped) state just as faithfully.
+    // A second restart replays the state just as faithfully.
     drop(recovered);
     let again = LogTopic::open(&dir, fast_storage()).expect("recover topic twice");
     assert_recovered(&again, &expected, "second recovery");
@@ -635,6 +620,85 @@ fn format_1_directory_is_refused_with_invalid_data() {
 }
 
 // ---------------------------------------------------------------------------
+// A reopen reads the store and writes no manifest
+// ---------------------------------------------------------------------------
+
+#[test]
+fn reopening_leaves_the_manifest_byte_identical() {
+    let dir = scratch_dir("manifest-reopen");
+    let config = TopicConfig::new("web-access").with_volume_threshold(1_000_000);
+    let mut topic = LogTopic::durable(config, &dir, fast_storage()).expect("create durable topic");
+    topic.ingest(&web_access_batch(0, 200));
+    topic.ingest(&novel_batch(0, 120));
+    assert_eq!(topic.stats().training_runs, 1, "past the first training");
+    drop(topic);
+
+    let manifest = || fs::read(dir.join("MANIFEST.json")).expect("read MANIFEST.json");
+    let written = manifest();
+    for reopen in 1..=2 {
+        drop(LogTopic::open(&dir, fast_storage()).expect("reopen"));
+        assert!(
+            manifest() == written,
+            "reopen {reopen} rewrote MANIFEST.json"
+        );
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------------
+// A delta event trained against another model is refused, not landed
+// ---------------------------------------------------------------------------
+
+/// A forged event whose delta names one node more, or one node fewer, than the
+/// model replay holds when it reaches the event makes the reopen fail with
+/// `InvalidData` naming the event, instead of landing it on the wrong node ids.
+#[test]
+fn a_delta_event_of_another_model_width_is_refused_on_reopen() {
+    for (tag, offset) in [("wider", 1), ("narrower", -1)] {
+        let dir = scratch_dir(&format!("forged-delta-{tag}"));
+        let config = TopicConfig::new("forged").with_volume_threshold(1_000_000);
+        let mut topic =
+            LogTopic::durable(config, &dir, fast_storage()).expect("create durable topic");
+        topic.ingest(&web_access_batch(0, 200));
+        // Temporaries replay re-inserts before it reaches the forged event.
+        topic.ingest(&novel_batch(0, 3));
+        let nodes = topic.model().len();
+        drop(topic);
+
+        let (mut storage, _) = TopicStorage::open(&dir, fast_storage()).expect("open store");
+        let at_seq = storage.next_seq();
+        let forged = DeltaEvent {
+            at_seq,
+            elapsed_seconds: 0.0,
+            moves: Vec::new(),
+            retrain: false,
+            delta: ModelDelta {
+                base_nodes: nodes.checked_add_signed(offset).expect("a node count"),
+                patches: Vec::new(),
+                new_nodes: Vec::new(),
+                retire_temporaries: false,
+            },
+        };
+        storage
+            .append_delta_event(&forged)
+            .expect("append the forged event");
+        drop(storage);
+
+        let error = LogTopic::open(&dir, fast_storage()).expect_err("forged event refused");
+        assert_eq!(
+            error.kind(),
+            std::io::ErrorKind::InvalidData,
+            "{tag}: {error}"
+        );
+        assert!(
+            error.to_string().contains(&format!("at seq {at_seq}")),
+            "{tag}: {error}"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Segments keep variables longer than 64 KiB
 // ---------------------------------------------------------------------------
 
@@ -674,49 +738,49 @@ fn variables_longer_than_64_kib_survive_a_reopen() {
 }
 
 // ---------------------------------------------------------------------------
-// Query-cache generation key (satellite 1 regression)
+// The query cache keys on the live sequence range
 // ---------------------------------------------------------------------------
 
 #[test]
-fn query_cache_generation_prevents_stale_hits_after_eviction() {
+fn query_cache_generation_prevents_stale_hits_after_retention() {
     let dir = scratch_dir("cache-gen");
     let config = TopicConfig::new("cache-gen").with_volume_threshold(1_000_000);
     let storage = fast_storage().with_retention_ttl(Duration::ZERO);
     let mut topic = LogTopic::durable(config, &dir, storage).expect("create durable topic");
 
     // Train over two families, then query: the result (web + auth groups) lands in
-    // the cache under (model_version, generation, record_count, threshold).
+    // the cache under the model and the live sequence range [0, 300).
     let mut batch = web_access_batch(0, 150);
     batch.extend(auth_batch(0, 150));
     topic.ingest(&batch);
-    let version_before = topic.model_version();
+    let model_stats = |topic: &LogTopic| TopicStats {
+        total_records: 0,
+        total_bytes: 0,
+        ..topic.stats()
+    };
+    let model_before = model_stats(&topic);
     let stale = groups_at(&topic, 0.9);
     assert!(!stale.groups().expect("groups plan").is_empty());
 
-    // TTL retention evicts every record; the generation must move so the old cache
-    // entry can never be served again.
-    let generation_before = topic.generation();
+    // TTL retention evicts every record: the live range now starts past them.
     let outcome = topic.run_storage_maintenance();
     assert_eq!(outcome.dropped_records, 300, "TTL=0 must evict everything");
     assert!(topic.records().is_empty());
+    assert_eq!(topic.first_record_seq(), 300);
     assert_eq!(
         topic.stats().total_records,
         300,
         "records ingested, like bytes ingested, survive retention"
     );
-    assert!(
-        topic.generation() > generation_before,
-        "retention must bump the generation"
-    );
 
-    // Refill to the *same* record count at the *same* model version with a
-    // different record set. Without the generation in the key this collides with
-    // the stale entry and the query would serve the evicted web+auth groups.
+    // Refill to the *same* record count under the *same* model with a different
+    // record set. A key of the record count and the model alone collides with the
+    // stale entry, and the query would serve the evicted web+auth groups.
     topic.ingest(&auth_batch(1_000, 300));
     assert_eq!(
-        topic.model_version(),
-        version_before,
-        "matched refill must not bump the model version (the collision scenario)"
+        model_stats(&topic),
+        model_before,
+        "the refill matches: no temporary, no training (the collision scenario)"
     );
     assert_eq!(topic.records().len(), 300);
 
